@@ -1,3 +1,19 @@
 """Reproduction of conf_dac_YangTSCTWTYL21: surrogate-assisted analog sizing."""
 
-__all__ = ["analysis", "autodiff", "bench", "circuits", "core", "nn", "obs", "search"]
+from repro.blas import pin_blas_threads
+
+pin_blas_threads()
+
+__all__ = [
+    "analysis",
+    "autodiff",
+    "bench",
+    "blas",
+    "circuits",
+    "core",
+    "nn",
+    "obs",
+    "resilience",
+    "search",
+    "shard",
+]

@@ -21,8 +21,11 @@ The JSON artifact schema is ``repro.bench/v8`` (see README "Benchmarking").
 Relative to v7 it adds ``--execution sharded`` — multi-process execution
 via :class:`repro.shard.ShardedExecutor`, bit-identical per seed to the
 sequential oracle — and with it a per-case ``shard`` block (``null`` for
-in-process executions): the worker count, the deterministic seed-to-worker
-shard map, and per-worker wall/eval seconds.  v7 added the surrogate-refit
+in-process executions): the worker count, the seed-to-worker shard map
+recording where each shard ran, and per-worker wall/eval seconds.  Every
+artifact also carries a top-level ``host`` block (:func:`host_block`: CPU
+count, BLAS vendor and effective thread count, ``*_NUM_THREADS``
+variables).  v7 added the surrogate-refit
 accounting: a per-case ``refit`` block (total ``refit_seconds``, the
 number of lockstep rounds that actually refit, how many stacked multi-seed
 kernel dispatches ran, and the ``refit_mode``) plus the top-level
@@ -45,6 +48,9 @@ leaves a half-written BENCH JSON:
       "optimizer": "mixed",
       "execution": "campaign",
       "refit_mode": "batched",
+      "host": {"cpu_count": 2, "blas": "scipy-openblas 0.3.31.188.0",
+               "blas_threads": 1,
+               "thread_variables": {"OPENBLAS_NUM_THREADS": "1"}},
       "cases": [
         {
           "name": "two_stage_opamp/nominal/nine",
@@ -98,6 +104,7 @@ from repro.bench.registry import (
     available_suites,
     get_suite,
 )
+from repro.blas import blas_threads
 from repro.circuits.topologies import available_topologies, get_topology
 from repro.circuits.topologies.base import SPEC_TIERS
 from repro.obs import diff_snapshots, get_tracer, profiled, tracing, tracing_enabled
@@ -117,6 +124,34 @@ module_logger = logging.getLogger(__name__)
 #: partitions the seeds across spawned worker processes (bit-identical
 #: per seed to ``sequential``; see :mod:`repro.shard`).
 EXECUTIONS = ("campaign", "sequential", "sharded")
+
+def host_block() -> Dict[str, Any]:
+    """The measuring host, recorded in every artifact beside its timings.
+
+    Core count and BLAS threading decide whether two artifacts' wall times
+    compare at all (and whether a sharded speedup is physically possible).
+    ``blas_threads`` is the loaded OpenBLAS's effective pool size
+    (``None`` when unreadable); ``thread_variables`` holds every
+    ``*_NUM_THREADS`` variable as this process sees it.
+    """
+    import numpy
+
+    try:
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        vendor = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):  # numpy < 1.26 has no dict-mode config
+        vendor = None
+    return {
+        "cpu_count": os.cpu_count(),
+        "blas": vendor,
+        "blas_threads": blas_threads(),
+        "thread_variables": {
+            name: value
+            for name, value in sorted(os.environ.items())
+            if name.endswith("_NUM_THREADS")
+        },
+    }
+
 
 def _per_seed_record(seed: int, result: ProgressiveResult) -> Dict[str, Any]:
     record: Dict[str, Any] = {"seed": int(seed)}
@@ -497,6 +532,7 @@ def run_suite(
         "refit_mode": _uniform(
             [result["refit"]["refit_mode"] for result in case_results]
         ),
+        "host": host_block(),
         "cases": case_results,
         "totals": {
             "cases": len(case_results),
@@ -627,6 +663,7 @@ def refit_cross_check(
                 "sequential_refit_seconds": round(seq_refit, 6),
                 "batched_refit_seconds": round(bat_refit, 6),
                 "refit_speedup": round(speedup, 3),
+                "host": host_block(),
                 "cases": [
                     {
                         "name": seq_case["name"],
@@ -756,7 +793,7 @@ def shard_scaling(
             # Speedup is bounded by the physical cores the run actually
             # had; recorded so scaling curves from different hosts compare
             # honestly.
-            "host": {"cpu_count": os.cpu_count() or 1},
+            "host": host_block(),
             "scaling": curve,
         },
         artifact_path,

@@ -30,17 +30,29 @@ Design decisions, and why:
   shard order, deduplicating; parity locks make duplicates bit-identical,
   so the merge is deterministic and exact
   (:func:`repro.resilience.store.merge_stores`).
+* **Pull dispatch, not a static map.**  Each of the W workers claims the
+  next unclaimed shard index from a parent-owned shared counter as soon
+  as it finishes one, so a long shard (a trapped seed burning its whole
+  budget) holds up one worker while the others drain the rest — a static
+  ``i % W`` map stacked every shard behind such a straggler.  Placement
+  is therefore a run-time outcome: :attr:`ShardRunOutcome.shard_map`
+  records where each shard actually ran, read back from its result file.
+  Per-shard results are bit-exact whatever the placement, so dispatch
+  moves wall time only.  Every :meth:`ShardedExecutor.run` starts and
+  joins its own workers and none outlives it, which also keeps their CPU
+  time and peak memory visible to ``RUSAGE_CHILDREN``.
 * **Results travel as atomic snapshot files, not queues.**  A worker
   writes one CRC-enveloped snapshot per finished shard into a scratch
   directory (:func:`repro.resilience.snapshot.save_snapshot` is atomic);
   the parent reads them back after ``join``.  Pipes and queues corrupt or
   deadlock when a worker dies mid-write — a missing-or-complete file
   cannot.  A worker that exits nonzero (or dies on a signal) surfaces as
-  :class:`ShardWorkerError` naming the shards it left unfinished.
+  :class:`ShardWorkerError` naming it and every shard left without a
+  result file.
 * **Per-shard checkpoints.**  Each shard checkpoints its own campaign
   under ``<checkpoint_dir>/shard-NNN`` — keyed by shard index, not worker
-  index, so a resumed run may use a different worker count and still find
-  every shard's snapshot.  A dead worker's shards resume from their last
+  index, so a resumed run may use a different worker count or placement
+  and still find every shard's snapshot.  A dead worker's shards resume from their last
   round boundary; finished shards' final-round snapshots make their resume
   a no-op with identical results.
 * **Per-worker tracing.**  Spawned children would inherit ``REPRO_TRACE``
@@ -67,8 +79,9 @@ import sys
 import tempfile
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.blas import blas_threads
 from repro.circuits.pvt import PVTCondition
 from repro.obs import event, profiled, tracing
 from repro.resilience.faults import FaultPlan, InjectedFault, inject
@@ -84,13 +97,14 @@ class ShardWorkerError(RuntimeError):
     Attributes
     ----------
     worker:
-        Index of the failed worker.
+        Index of the failed worker (the first one, if several failed).
     exitcode:
         The process exit code (negative: killed by that signal number;
         ``None``: the worker exited zero but left results missing).
     shards:
-        ``(shard_index, label, seed)`` identities of the shards the worker
-        left unfinished — exactly what a resumed run will pick back up.
+        ``(shard_index, label, seed)`` identities of every shard left
+        without a result file — exactly what a resumed run will pick back
+        up.
     """
 
     def __init__(
@@ -189,6 +203,9 @@ class ShardResult:
     #: Full cache content (``EvaluationCache.state_dict()["content"]``)
     #: when the executor collects it for union-digest parity checks.
     cache_content: Optional[List[Any]] = None
+    #: BLAS threads the worker ran with (``None`` when unreadable; see
+    #: :mod:`repro.blas`).
+    blas_threads: Optional[int] = None
 
 
 @dataclass
@@ -206,8 +223,10 @@ class ShardRunOutcome:
     seeds: List[int]
     shards: List[ShardResult]
     workers: int
+    #: Where each shard actually ran, ``{shard index: worker}``.
     shard_map: Dict[int, int]
-    #: ``{"worker", "shards", "wall_seconds", "eval_seconds"}`` per worker.
+    #: ``{"worker", "shards", "wall_seconds", "eval_seconds"}`` for every
+    #: worker started, including one that ran no shard.
     per_worker: List[Dict[str, Any]]
     rounds: int
     engine_calls: int
@@ -311,24 +330,42 @@ def _run_shard(index: int, spec: ShardSpec, options: Dict[str, Any]) -> Dict[str
     return payload
 
 
+def _pull(next_shard: Any, total: int) -> Iterator[int]:
+    """Shard indices claimed one at a time from the parent-owned counter.
+
+    All workers share ``next_shard``, so shards go out in index order, each
+    to whichever worker asks first; a worker asks only after finishing its
+    previous shard.
+    """
+    while True:
+        with next_shard.get_lock():
+            index = next_shard.value
+            if index >= total:
+                return
+            next_shard.value = index + 1
+        yield index
+
+
 def _worker_main(
     worker_index: int,
-    shard_indices: Sequence[int],
+    shard_indices: Iterable[int],
     specs: Sequence[ShardSpec],
     options: Dict[str, Any],
 ) -> int:
-    """Worker body: run assigned shards in index order, one result file each.
+    """Worker body: run each shard ``shard_indices`` yields, one result file each.
 
-    Used both as the spawned process target (via :func:`_worker_entry`)
-    and directly by the parent for the ``workers == 1`` in-process fast
-    path — the same code path is what makes the fast path bit-for-bit
-    equal to spawned execution.
+    Used both as the spawned process target (via :func:`_worker_entry`,
+    pulling from the shared counter) and directly by the parent for the
+    ``workers == 1`` in-process fast path (every shard in index order) —
+    the same code path is what makes the fast path bit-for-bit equal to
+    spawned execution.
     """
     scratch = options["scratch_dir"]
     trace_dir = options.get("trace_dir")
     sink = (
         os.path.join(trace_dir, f"worker-{worker_index}.jsonl") if trace_dir else None
     )
+    threads = blas_threads()
     trace_context = tracing(sink=sink) if sink else nullcontext()
     with trace_context:
         for index in shard_indices:
@@ -343,6 +380,7 @@ def _worker_main(
                     payload = _run_shard(index, spec, options)
                 payload["wall_seconds"] = timer.seconds
                 payload["worker"] = worker_index
+                payload["blas_threads"] = threads
                 save_snapshot(_result_path(scratch, index), payload)
             except Exception as error:
                 import traceback
@@ -366,12 +404,15 @@ def _worker_main(
 
 def _worker_entry(
     worker_index: int,
-    shard_indices: Sequence[int],
+    next_shard: Any,
     specs: Sequence[ShardSpec],
     options: Dict[str, Any],
 ) -> None:
-    """Spawned-process entry point: exit code = :func:`_worker_main` status."""
-    sys.exit(_worker_main(worker_index, shard_indices, specs, options))
+    """Spawned-process entry point: pull shards until none are left.
+
+    The exit code is :func:`_worker_main`'s status.
+    """
+    sys.exit(_worker_main(worker_index, _pull(next_shard, len(specs)), specs, options))
 
 
 class ShardedExecutor:
@@ -383,9 +424,10 @@ class ShardedExecutor:
         The shards, one :class:`ShardSpec` each; results come back in this
         order.
     workers:
-        Worker process count (default: ``os.cpu_count()``).  More workers
-        than shards spawn nothing extra; ``workers=1`` runs every shard
-        in-process (no spawn), bit-for-bit equal to spawned execution.
+        Worker process count (default: ``os.cpu_count()``).  Each worker
+        takes the next unclaimed shard as soon as it finishes one.  More
+        workers than shards spawn nothing extra; ``workers=1`` runs every
+        shard in-process (no spawn), bit-for-bit equal to spawned execution.
     cache_path:
         Master evaluation-cache store.  Workers warm-load it read-only,
         append fresh pairs to private per-shard files, and the parent
@@ -407,8 +449,8 @@ class ShardedExecutor:
         cross-process analogue of ``EvaluationCache.state_digest()``,
         used by the determinism auditor's sharded mode.
     kill_plans:
-        Drill/test hook: ``{shard_index: occurrence}`` SIGKILLs the worker
-        running that shard right before its N-th checkpoint write.  Only
+        Drill/test hook: ``{shard_index: occurrence}`` SIGKILLs whichever
+        worker runs that shard right before its N-th checkpoint write.  Only
         honoured in spawned workers, so it needs ``workers >= 2``.
     scratch_dir:
         Result-file staging directory (default: a private temp directory,
@@ -455,18 +497,6 @@ class ShardedExecutor:
         """Workers that actually get shards (never more than shards)."""
         return min(self.workers, len(self.specs))
 
-    def shard_map(self) -> Dict[int, int]:
-        """Deterministic static partition: shard ``i`` -> worker ``i % W``.
-
-        A static map (rather than work stealing) is what keeps the
-        partition — and with it every per-worker trace, store file and
-        failure report — a pure function of ``(len(specs), workers)``.
-        Per-shard results are bit-exact regardless of placement, so the
-        map affects wall time only.
-        """
-        workers = self.effective_workers
-        return {index: index % workers for index in range(len(self.specs))}
-
     def _options(self, scratch: str, spawned: bool) -> Dict[str, Any]:
         return {
             "scratch_dir": scratch,
@@ -481,15 +511,11 @@ class ShardedExecutor:
         }
 
     def _raise_worker_failure(
-        self,
-        scratch: str,
-        worker_index: int,
-        exitcode: Optional[int],
-        assigned: Sequence[int],
+        self, scratch: str, worker_index: int, exitcode: Optional[int]
     ) -> None:
         unfinished = [
-            (index, self.specs[index].label, self.specs[index].seed)
-            for index in assigned
+            (index, spec.label, spec.seed)
+            for index, spec in enumerate(self.specs)
             if not os.path.exists(_result_path(scratch, index))
         ]
         detail = None
@@ -502,39 +528,49 @@ class ShardedExecutor:
             )
         raise ShardWorkerError(worker_index, exitcode, unfinished, detail)
 
-    def _spawn(self, scratch: str, by_worker: Dict[int, List[int]]) -> None:
-        """Start, join and error-check one spawned process per worker."""
+    def _spawn(self, scratch: str) -> None:
+        """Start the pulling workers, join them all, and check the run."""
         context = multiprocessing.get_context("spawn")
         options = self._options(scratch, spawned=True)
-        processes = {}
-        # Spawned children import repro afresh; REPRO_TRACE would point
-        # their module-level tracer at the parent's sink and clobber its
-        # .partial sidecar, so the variable is stripped around start().
-        saved_trace = os.environ.pop("REPRO_TRACE", None)
+        # Parent-owned: the lowest shard index no worker has claimed yet.
+        next_shard = context.Value("i", 0)
+        processes = []
         try:
-            for worker_index, assigned in by_worker.items():
-                process = context.Process(
-                    target=_worker_entry,
-                    args=(worker_index, assigned, self.specs, options),
-                    name=f"repro-shard-worker-{worker_index}",
-                )
-                process.start()
-                processes[worker_index] = process
+            # Spawned children import repro afresh; REPRO_TRACE would point
+            # their module-level tracer at the parent's sink and clobber its
+            # .partial sidecar, so the variable is stripped around start().
+            saved_trace = os.environ.pop("REPRO_TRACE", None)
+            try:
+                for worker_index in range(self.effective_workers):
+                    process = context.Process(
+                        target=_worker_entry,
+                        args=(worker_index, next_shard, self.specs, options),
+                        name=f"repro-shard-worker-{worker_index}",
+                    )
+                    process.start()
+                    processes.append(process)
+            finally:
+                if saved_trace is not None:
+                    os.environ["REPRO_TRACE"] = saved_trace
+            for process in processes:
+                process.join()
         finally:
-            if saved_trace is not None:
-                os.environ["REPRO_TRACE"] = saved_trace
-        for process in processes.values():
-            process.join()
-        for worker_index, process in processes.items():
-            assigned = by_worker[worker_index]
-            missing = [
-                index
-                for index in assigned
-                if not os.path.exists(_result_path(scratch, index))
-            ]
-            if process.exitcode != 0 or missing:
-                exitcode = process.exitcode if process.exitcode != 0 else None
-                self._raise_worker_failure(scratch, worker_index, exitcode, assigned)
+            # No worker outlives run(), even when the parent is interrupted.
+            for process in processes:
+                if process.is_alive():
+                    process.terminate()
+                    process.join()
+        # A worker exits zero only once the counter is exhausted and every
+        # shard it claimed has its result file, so exit codes tell it all.
+        failed = [
+            worker_index
+            for worker_index, process in enumerate(processes)
+            if process.exitcode != 0
+        ]
+        if failed:
+            self._raise_worker_failure(
+                scratch, failed[0], processes[failed[0]].exitcode
+            )
 
     def _merge_stores(self, payloads: Sequence[Dict[str, Any]]) -> None:
         """Fold every shard's private store into the master, then drop them."""
@@ -565,10 +601,6 @@ class ShardedExecutor:
         rebuilding the executor with ``resume=True`` continues from every
         shard's last round boundary.
         """
-        shard_map = self.shard_map()
-        by_worker: Dict[int, List[int]] = {}
-        for index in range(len(self.specs)):
-            by_worker.setdefault(shard_map[index], []).append(index)
         scratch = self.scratch_dir or tempfile.mkdtemp(prefix="repro-shard-")
         created_scratch = self.scratch_dir is None
         if self.scratch_dir:
@@ -587,12 +619,15 @@ class ShardedExecutor:
                 # plans are rejected in __init__, so nothing here can
                 # SIGKILL the parent.
                 status = _worker_main(
-                    0, by_worker[0], self.specs, self._options(scratch, spawned=False)
+                    0,
+                    range(len(self.specs)),
+                    self.specs,
+                    self._options(scratch, spawned=False),
                 )
                 if status != 0:
-                    self._raise_worker_failure(scratch, 0, None, by_worker[0])
+                    self._raise_worker_failure(scratch, 0, None)
             else:
-                self._spawn(scratch, by_worker)
+                self._spawn(scratch)
             payloads = [
                 load_snapshot(_result_path(scratch, index))
                 for index in range(len(self.specs))
@@ -602,11 +637,9 @@ class ShardedExecutor:
                 shutil.rmtree(scratch, ignore_errors=True)
         if self.cache_path:
             self._merge_stores(payloads)
-        return self._build_outcome(payloads, shard_map)
+        return self._build_outcome(payloads)
 
-    def _build_outcome(
-        self, payloads: Sequence[Dict[str, Any]], shard_map: Dict[int, int]
-    ) -> ShardRunOutcome:
+    def _build_outcome(self, payloads: Sequence[Dict[str, Any]]) -> ShardRunOutcome:
         shards = [
             ShardResult(
                 index=payload["index"],
@@ -626,11 +659,13 @@ class ShardedExecutor:
                 wall_seconds=payload["wall_seconds"],
                 cache_counters=payload["cache_counters"],
                 cache_content=payload["cache_content"],
+                blas_threads=payload["blas_threads"],
             )
             for payload in payloads
         ]
+        shard_map = {shard.index: shard.worker for shard in shards}
         per_worker = []
-        for worker_index in sorted(set(shard_map.values())):
+        for worker_index in range(self.effective_workers):
             owned = [shard for shard in shards if shard.worker == worker_index]
             per_worker.append(
                 {

@@ -1,6 +1,7 @@
 """Benchmark harness: registry, runner aggregation, JSON artifact, CLI."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -155,6 +156,10 @@ class TestRunner:
         assert payload["optimizer"] == "trust_region"
         assert payload["execution"] == "campaign"
         assert payload["totals"]["cases"] == len(payload["cases"])
+        host = payload["host"]
+        assert host["cpu_count"] == os.cpu_count()
+        assert set(host) == {"cpu_count", "blas", "blas_threads", "thread_variables"}
+        assert all(name.endswith("_NUM_THREADS") for name in host["thread_variables"])
         path = tmp_path / "BENCH_tiny.json"
         write_bench_json(payload, str(path))
         assert json.loads(path.read_text()) == payload

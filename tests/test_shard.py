@@ -1,16 +1,19 @@
-"""Sharded execution: shard maps, spawn parity, store merge, worker failure."""
+"""Sharded execution: pull dispatch, spawn parity, store merge, worker failure."""
 
 import dataclasses
 import glob
 import json
+import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
 from repro.analysis.determinism import fingerprint_outcome
-from repro.bench.registry import get_suite
+from repro.bench.registry import BenchCase, get_suite
 from repro.bench.runner import run_suite
+from repro.obs import load_traces
+from repro.obs.__main__ import main as obs_main
 from repro.shard import (
     ShardedExecutor,
     ShardSpec,
@@ -41,16 +44,51 @@ def _fingerprint(outcome):
 
 
 class TestShardMap:
-    def test_static_partition_is_pure(self, tiny_specs):
-        executor = ShardedExecutor(tiny_specs * 3, workers=2)
-        assert executor.shard_map() == {i: i % 2 for i in range(6)}
-        # A pure function of (len(specs), workers): rebuilt maps agree.
-        assert executor.shard_map() == ShardedExecutor(tiny_specs * 3, workers=2).shard_map()
+    def test_pull_dispatch_runs_every_shard_once(self, tmp_path, monkeypatch, capsys):
+        specs = get_suite("tiny")[0].shard_specs([0, 1, 2, 3])
+        parent_sink = str(tmp_path / "parent.jsonl")
+        monkeypatch.setenv("REPRO_TRACE", parent_sink)
+        trace_dir = str(tmp_path / "workers")
+        outcome = ShardedExecutor(specs, workers=2, trace_dir=trace_dir).run()
+        # No worker outlives run().
+        assert multiprocessing.active_children() == []
+        # REPRO_TRACE is restored in the parent and never reached a worker.
+        assert os.environ["REPRO_TRACE"] == parent_sink
+        assert glob.glob(parent_sink + "*") == []
+        # One shard.run span per shard across the worker traces, each on
+        # the worker the outcome's map and shard records name.
+        runs = [
+            record
+            for record in load_traces([trace_dir])
+            if record["type"] == "span" and record["name"] == "shard.run"
+        ]
+        assert sorted(record["tags"]["shard"] for record in runs) == [0, 1, 2, 3]
+        placed = {record["tags"]["shard"]: record["tags"]["worker"] for record in runs}
+        assert outcome.shard_map == placed
+        assert outcome.shard_map == {shard.index: shard.worker for shard in outcome.shards}
+        assert [shard.index for shard in outcome.shards] == [0, 1, 2, 3]
+        assert [entry["worker"] for entry in outcome.per_worker] == [0, 1]
+        assert [entry["shards"] for entry in outcome.per_worker] == [
+            list(placed.values()).count(worker) for worker in (0, 1)
+        ]
+        # The merged per-worker traces still render.
+        assert obs_main(["report", trace_dir]) == 0
+        assert "per-worker self-time:" in capsys.readouterr().out
+
+    def test_long_shard_does_not_hold_up_the_rest(self):
+        # A trapped folded-cascode seed burns its full budget over four
+        # phases (seconds); each tiny shard solves in initial sampling.
+        long = BenchCase("folded_cascode", "nominal", "nine").shard_specs([3])
+        short = get_suite("tiny")[0].shard_specs(range(5))
+        outcome = ShardedExecutor(long + short, workers=2).run()
+        stuck = outcome.shard_map[0]
+        others = [worker for worker in outcome.shard_map.values() if worker != stuck]
+        # A static round-robin map would give the other worker exactly 3.
+        assert len(others) > len(outcome.shards) // 2
 
     def test_effective_workers_never_exceed_shards(self, tiny_specs):
         executor = ShardedExecutor(tiny_specs, workers=8)
         assert executor.effective_workers == len(tiny_specs)
-        assert set(executor.shard_map().values()) == set(range(len(tiny_specs)))
 
     def test_validation(self, tiny_specs):
         with pytest.raises(ValueError, match="at least one shard"):
@@ -83,9 +121,10 @@ class TestParity:
         assert outcome.cache_digest == oracle_outcome.cache_digest
         # Placement bookkeeping: the map, the shard records and the
         # per-worker rollup all tell the same story.
-        assert outcome.shard_map == {0: 0, 1: 1}
-        assert [shard.worker for shard in outcome.shards] == [0, 1]
-        assert [entry["shards"] for entry in outcome.per_worker] == [1, 1]
+        assert outcome.shard_map == {
+            shard.index: shard.worker for shard in outcome.shards
+        }
+        assert sum(entry["shards"] for entry in outcome.per_worker) == len(tiny_specs)
         # Per-seed counters are exact (each shard is its own single-seed
         # campaign), so campaign-wide sums match the oracle's too.
         assert outcome.engine_calls == oracle_outcome.engine_calls
@@ -186,10 +225,11 @@ class TestWorkerFailure:
                 kill_plans={0: 2},
             ).run()
         error = excinfo.value
-        # A real SIGKILL, surfaced with the dead worker's shard identity.
-        assert error.worker == 0
+        # A real SIGKILL, surfaced with the dead worker and the one shard
+        # it held; the surviving worker pulled and finished the other.
+        assert error.worker in (0, 1)
         assert error.exitcode == -9
-        assert (0, tiny_specs[0].label, 0) in error.shards
+        assert error.shards == [(0, tiny_specs[0].label, 0)]
         resumed = ShardedExecutor(
             tiny_specs,
             workers=2,
