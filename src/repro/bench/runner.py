@@ -17,8 +17,11 @@ run in lockstep rounds sharing single stacked ``evaluate_corners`` passes
 (far fewer, larger evaluator calls), bit-exact per seed versus
 ``--execution sequential``, the one-seed-at-a-time oracle path.
 
-The JSON artifact schema is ``repro.bench/v8`` (see README "Benchmarking").
-Relative to v7 it adds ``--execution sharded`` — multi-process execution
+The JSON artifact schema is ``repro.bench/v9`` (see README "Benchmarking").
+Relative to v8 it adds per case the seed count ``n_seeds`` and
+``success_ci95``, the 95% Wilson interval of ``success_rate``
+(:func:`wilson_interval`), and per seed the number of trust-region stall
+``restarts``.  v8 added ``--execution sharded`` — multi-process execution
 via :class:`repro.shard.ShardedExecutor`, bit-identical per seed to the
 sequential oracle — and with it a per-case ``shard`` block (``null`` for
 in-process executions): the worker count, the seed-to-worker shard map
@@ -40,7 +43,7 @@ leaves a half-written BENCH JSON:
 .. code-block:: json
 
     {
-      "schema": "repro.bench/v8",
+      "schema": "repro.bench/v9",
       "suite": "smoke",
       "seeds": [0, 1, 2],
       "backend": "fused",
@@ -58,7 +61,7 @@ leaves a half-written BENCH JSON:
           "corner_set": "nine", "design_dims": 8, "backend": "fused",
           "corner_engine": "stacked", "optimizer": "trust_region",
           "execution": "campaign",
-          "success_rate": 1.0,
+          "n_seeds": 3, "success_rate": 1.0, "success_ci95": [0.4385, 1.0],
           "median_evaluations_to_feasible": 113,
           "refit_seconds": 0.12, "eval_seconds": 0.01, "wall_seconds": 0.2,
           "eval": {"engine_calls": 31, "rounds": 29,
@@ -79,7 +82,7 @@ leaves a half-written BENCH JSON:
                                   {"count": 54, "seconds": 0.12}},
                         "events": {"campaign.solved": 3}},
           "per_seed": [{"seed": 0, "solved": true, "evaluations": 169,
-                        "phases": 2, "refit_seconds": 0.05,
+                        "phases": 2, "restarts": 0, "refit_seconds": 0.05,
                         "eval_seconds": 0.004, "cache_hits": 9,
                         "cache_misses": 3162, "engine_calls": 11,
                         "failing_corners": [],
@@ -93,10 +96,11 @@ leaves a half-written BENCH JSON:
 from __future__ import annotations
 
 import logging
+import math
 import os
 from dataclasses import replace
 from statistics import median
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.registry import (
     CORNER_SETS,
@@ -114,7 +118,7 @@ from repro.search.optimizer import available_optimizers
 from repro.search.progressive import REFIT_MODES, ProgressiveConfig, ProgressiveResult
 from repro.search.sizing import size_problem
 
-SCHEMA = "repro.bench/v8"
+SCHEMA = "repro.bench/v9"
 
 module_logger = logging.getLogger(__name__)
 
@@ -151,6 +155,23 @@ def host_block() -> Dict[str, Any]:
             if name.endswith("_NUM_THREADS")
         },
     }
+
+
+def wilson_interval(successes: int, trials: int) -> Optional[Tuple[float, float]]:
+    """95% Wilson score interval for a success proportion.
+
+    Unlike the normal approximation it stays inside [0, 1] and does not
+    collapse to a point at 0/n or n/n, which is exactly where a
+    small-seed success rate needs an error bar.  ``None`` for no trials.
+    """
+    if trials == 0:
+        return None
+    z = 1.96
+    p = successes / trials
+    shrink = 1.0 + z * z / trials
+    center = (p + z * z / (2 * trials)) / shrink
+    half = z / shrink * math.sqrt(p * (1.0 - p) / trials + z * z / (4 * trials * trials))
+    return max(0.0, center - half), min(1.0, center + half)
 
 
 def _per_seed_record(seed: int, result: ProgressiveResult) -> Dict[str, Any]:
@@ -447,6 +468,7 @@ def run_case(
 
     per_seed = [_per_seed_record(seed, result) for seed, result in zip(seeds, results)]
     solved = [record for record in per_seed if record["solved"]]
+    interval = wilson_interval(len(solved), len(per_seed))
     return {
         "name": case.name,
         "topology": case.topology,
@@ -458,7 +480,11 @@ def run_case(
         "corner_engine": effective_engine,
         "optimizer": effective_optimizer,
         "execution": execution,
+        "n_seeds": len(per_seed),
         "success_rate": len(solved) / len(per_seed) if per_seed else 0.0,
+        "success_ci95": (
+            [round(bound, 4) for bound in interval] if interval is not None else None
+        ),
         "median_evaluations_to_feasible": (
             int(median(record["evaluations"] for record in solved)) if solved else None
         ),
@@ -498,7 +524,7 @@ def run_suite(
     workers: Optional[int] = None,
     worker_trace_dir: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """Run every case of a suite; returns the ``repro.bench/v8`` payload."""
+    """Run every case of a suite; returns the ``repro.bench/v9`` payload."""
     cases = get_suite(suite)
     module_logger.info("suite %r: %d case(s)", suite, len(cases))
     with profiled("bench.run_suite", suite=suite, cases=len(cases)) as wall_timer:
@@ -822,14 +848,18 @@ def format_summary(payload: Dict[str, Any]) -> str:
         f"| refit {payload['refit_mode']} "
         f"| {payload['execution']} execution "
         f"| {payload['totals']['wall_seconds']:.1f} s total",
-        f"{'case':48s} {'dims':>4s} {'succ':>6s} {'evals':>6s} "
+        f"{'case':48s} {'dims':>4s} {'succ':>6s} {'95% CI':>13s} {'evals':>6s} "
         f"{'refit_s':>8s} {'eval_s':>8s} {'calls':>6s} {'wall_s':>7s}",
     ]
     for case in payload["cases"]:
         evals = case["median_evaluations_to_feasible"]
+        interval = case["success_ci95"]
+        interval_text = (
+            f"[{interval[0]:.2f}, {interval[1]:.2f}]" if interval is not None else "-"
+        )
         lines.append(
             f"{case['name']:48s} {case['design_dims']:>4d} "
-            f"{case['success_rate']:>6.2f} "
+            f"{case['success_rate']:>6.2f} {interval_text:>13s} "
             f"{(str(evals) if evals is not None else '-'):>6s} "
             f"{case['refit_seconds']:>8.3f} "
             f"{case['eval_seconds']:>8.3f} "

@@ -34,7 +34,7 @@ benchmark registry can swap optimizers without a parallel config zoo.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Type
 
 import numpy as np
@@ -80,6 +80,9 @@ class IterationRecord:
     radius: float
     best_score: float
     improved: bool
+    #: The batch of this iteration was proposed around a fresh restart
+    #: centre (see :class:`~repro.search.trust_region.TrustRegionSearch`).
+    restarted: bool = False
 
 
 @dataclass
@@ -97,6 +100,11 @@ class SearchResult:
     #: (zero for surrogate-free optimizers).
     refit_seconds: float = 0.0
 
+    @property
+    def restarts(self) -> int:
+        """Trust-region stall restarts this run performed."""
+        return sum(record.restarted for record in self.history)
+
     def __repr__(self) -> str:
         status = "solved" if self.solved else "unsolved"
         return (
@@ -110,6 +118,7 @@ class SearchResult:
             "solved": bool(self.solved),
             "evaluations": int(self.evaluations),
             "iterations": len(self.history),
+            "restarts": self.restarts,
             "best_score": float(self.best_score),
             "best_sizing": {k: float(v) for k, v in self.best_sizing.items()},
             "best_metrics": {k: float(v) for k, v in self.best_metrics.items()},
@@ -126,10 +135,7 @@ class SearchResult:
             "best_score": self.best_score,
             "solved": self.solved,
             "evaluations": self.evaluations,
-            "history": [
-                (r.evaluations, r.radius, r.best_score, r.improved)
-                for r in self.history
-            ],
+            "history": [astuple(record) for record in self.history],
             "refit_seconds": self.refit_seconds,
         }
 
@@ -458,10 +464,7 @@ class DatasetOptimizer(Optimizer):
             "rng": self.rng.bit_generator.state,
             "X": self._X[:count].copy(),
             "M": self._M[:count].copy(),
-            "history": [
-                (r.evaluations, r.radius, r.best_score, r.improved)
-                for r in self._history
-            ],
+            "history": [astuple(record) for record in self._history],
             "done": self._done,
             "refit_seconds": self.refit_seconds,
             "refit_count": self.refit_count,

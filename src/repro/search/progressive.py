@@ -184,6 +184,7 @@ class ProgressiveResult:
             "solved": bool(self.solved_all_corners),
             "evaluations": int(self.evaluations),
             "phases": len(self.phase_results),
+            "restarts": sum(result.restarts for result in self.phase_results),
             "best_sizing": {k: float(v) for k, v in self.best_sizing.items()},
             "failing_corners": [c.name for c in self.failing_corners()],
             "refit_seconds": float(self.refit_seconds),

@@ -3,7 +3,8 @@
 The agent alternates between
 
 1. *Monte-Carlo exploration* — uniform sampling of the gridded design space
-   to seed the dataset and to escape when the trust region goes stale;
+   to seed the dataset, and as the fallback batch when every candidate of
+   the trust region has already been evaluated;
 2. *surrogate refit* — an on-the-fly MLP (the "SPICE approximator" of
    Eq. 3) incrementally refit on all evaluated sizings, keeping the Adam
    moments across refits so each iteration is a cheap warm-started pass;
@@ -12,7 +13,16 @@ The agent alternates between
    constraint-satisfaction score, with only the top few candidates sent to
    the (expensive) true evaluator;
 4. *radius adaptation* — the trust region expands after an improving step
-   and shrinks otherwise, in the classic trust-region fashion.
+   and shrinks otherwise, in the classic trust-region fashion;
+5. *stall restart* — after ``stall_patience`` consecutive non-improving
+   tells with the radius already at ``min_radius``, the next ask ranks a
+   fresh Monte-Carlo batch with the surrogate, re-centres the ball on the
+   top-ranked row and resets the radius to ``initial_radius`` (the restart
+   rule of TuRBO, Eriksson et al., NeurIPS 2019).  The dataset and the
+   surrogate are kept; from then on the centre and the radius follow the
+   *local* incumbent, the best row since the restart, while the global
+   incumbent still decides when the search is done and what it returns.
+   A seed that never stalls never restarts and draws nothing extra.
 
 Since the ask/tell redesign the algorithm is expressed on the
 :class:`~repro.search.optimizer.Optimizer` protocol: :meth:`ask` runs the
@@ -44,7 +54,7 @@ from typing import Dict, Optional, Sequence, Union
 import numpy as np
 
 from repro.core.design_space import DesignSpace
-from repro.obs import profiled
+from repro.obs import event, profiled
 from repro.resilience.faults import fault_point, register_fault_site
 from repro.nn.fused import FusedAdam, FusedFitJob, FusedMLP
 from repro.nn.modules import MLP
@@ -117,13 +127,24 @@ class TrustRegionConfig:
     #: smoke suite — identical success rates and evaluations-to-feasible
     #: within noise of 32, at roughly half the refit wall time.
     surrogate_batch_size: int = 64
+    #: Consecutive non-improving tells at ``min_radius`` before the trust
+    #: region restarts around a surrogate-ranked Monte-Carlo sample.  With 8,
+    #: smoke-suite seeds 0-15 solve 80/80 (75/80 without restarts) and every
+    #: pair that solved without restarts keeps its exact trajectory.
+    stall_patience: int = 8
 
     def __post_init__(self) -> None:
         if self.backend not in SEARCH_BACKENDS:
             raise ValueError(
                 f"unknown backend {self.backend!r}; available: {', '.join(SEARCH_BACKENDS)}"
             )
-        for name in ("initial_samples", "batch_size", "candidate_pool", "max_evaluations"):
+        for name in (
+            "initial_samples",
+            "batch_size",
+            "candidate_pool",
+            "max_evaluations",
+            "stall_patience",
+        ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
 
@@ -171,6 +192,15 @@ class TrustRegionSearch(DatasetOptimizer):
         self._seeded = False
         self._iterating = False
         self._radius = self.config.initial_radius
+        # Stall-restart state.  The local incumbent (index of the best row
+        # since the last restart, -1 before any such row) centres the ball
+        # and drives the radius; until the first restart it is the global
+        # incumbent.  Between a restart and the first tell after it, the
+        # ball is centred on ``_restart_center`` instead.
+        self._local = -1
+        self._restart_center: Optional[np.ndarray] = None
+        self._stall = 0
+        self._restart_pending = False
         # Surrogate state persists across refits (warm-started Adam).
         self._surrogate: Optional[Union[MLP, FusedMLP]] = None
         self._optimizer: Optional[Union[Adam, FusedAdam]] = None
@@ -282,7 +312,9 @@ class TrustRegionSearch(DatasetOptimizer):
         output-scaler statistics.  The network *shape* and its
         initialization RNG are derived from the config, so restore rebuilds
         the surrogate exactly the way :meth:`_refit_surrogate_inner` does
-        and then overwrites the trained values.
+        and then overwrites the trained values.  The ``stall`` block holds
+        the restart state: local incumbent index (its score is the
+        dataset's), restart centre, stall count and pending-restart flag.
         """
         if self._pending_refit_epochs is not None:
             raise RuntimeError(
@@ -293,6 +325,14 @@ class TrustRegionSearch(DatasetOptimizer):
         state["seeded"] = self._seeded
         state["iterating"] = self._iterating
         state["radius"] = self._radius
+        state["stall"] = {
+            "local": self._local,
+            "center": (
+                self._restart_center.copy() if self._restart_center is not None else None
+            ),
+            "count": self._stall,
+            "pending": self._restart_pending,
+        }
         if self._surrogate is None:
             state["surrogate"] = None
         else:
@@ -309,6 +349,14 @@ class TrustRegionSearch(DatasetOptimizer):
         self._seeded = state["seeded"]
         self._iterating = state["iterating"]
         self._radius = state["radius"]
+        stall = state["stall"]
+        self._local = stall["local"]
+        center = stall["center"]
+        self._restart_center = (
+            np.asarray(center, dtype=np.float64).copy() if center is not None else None
+        )
+        self._stall = stall["count"]
+        self._restart_pending = stall["pending"]
         bundle = state["surrogate"]
         if bundle is None:
             self._surrogate = None
@@ -382,7 +430,9 @@ class TrustRegionSearch(DatasetOptimizer):
         best-ranked candidates).  When the whole region is already
         evaluated the ask falls back to Monte-Carlo exploration so the
         budget is never wasted; an empty batch means even that is
-        exhausted.
+        exhausted.  A restart flagged by the last ``tell`` runs here, after
+        any deferred refit has been flushed, so it ranks with the same
+        surrogate and draws from the same RNG state in every refit mode.
         """
         config = self.config
         if self._done:
@@ -396,7 +446,9 @@ class TrustRegionSearch(DatasetOptimizer):
             if rows.shape[0] == 0:
                 self._done = True
             return rows
-        center = self._X[self._best]
+        if self._restart_pending:
+            self._restart()
+        center = self._X[self._local] if self._local >= 0 else self._restart_center
         candidates = self.design_space.sample_ball(
             self.rng, center, self._radius, config.candidate_pool
         )
@@ -413,6 +465,39 @@ class TrustRegionSearch(DatasetOptimizer):
                 self._done = True
         return rows
 
+    def _restart(self) -> None:
+        """Re-centre on the surrogate's pick of a fresh Monte-Carlo batch."""
+        config = self.config
+        pool = self.design_space.sample(self.rng, config.candidate_pool)
+        top = self._rank_candidates(pool, keep=1)
+        # ``seed`` is the optimizer's own RNG seed (a campaign member's seed
+        # plus its phase); the enclosing ask span carries the member's tags.
+        event(
+            "trust_region.restart",
+            seed=config.seed,
+            evaluations=self._count,
+            local_best=float(self._scores[self._local]),
+            restart=1 + sum(record.restarted for record in self._history),
+        )
+        self._restart_center = self.design_space.snap(pool[top])[0]
+        self._local = -1
+        self._radius = config.initial_radius
+        self._stall = 0
+        self._restart_pending = False
+
+    def _track_local(self, start: int) -> bool:
+        """Fold rows ``start:`` into the local incumbent; True on improvement.
+
+        Uses the dataset's own incumbent rule (earliest row of the block
+        argmax, replaced only by a strictly better score), so before the
+        first restart the local incumbent *is* the global one.
+        """
+        previous = self._scores[self._local] if self._local >= 0 else -np.inf
+        top = start + int(np.argmax(self._scores[start : self._count]))
+        if self._local < 0 or self._scores[top] > previous:
+            self._local = top
+        return bool(self._scores[self._local] > previous + 1e-12)
+
     @contract(pre=tell_precondition)
     def tell(self, samples: np.ndarray, metrics: np.ndarray) -> None:
         """Fold evaluated metrics back in: dataset, surrogate, radius.
@@ -423,13 +508,19 @@ class TrustRegionSearch(DatasetOptimizer):
         actually consume it (a refit after the deciding batch would train a
         surrogate nobody queries, and the RNG draws it would consume are
         equally dead, so skipping cannot shift a trajectory) — then the
-        trust-region radius update and the history record.
+        trust-region radius update and the history record.  Improvement is
+        judged against the local incumbent; a non-improving tell that
+        arrives with the radius already at ``min_radius`` counts towards
+        ``stall_patience``, and reaching it flags a restart for the next
+        ``ask`` (an improving tell resets the count).
         """
         config = self.config
         samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
         metrics = np.atleast_2d(np.asarray(metrics, dtype=np.float64))
-        previous = self._scores[self._best] if self._best >= 0 else -np.inf
+        start = self._count
+        restarted = self._local < 0
         self._append(samples, self._row_keys(samples), metrics)
+        improved = self._track_local(start)
         if not self._iterating:
             self._iterating = True
             self._radius = config.initial_radius
@@ -438,20 +529,24 @@ class TrustRegionSearch(DatasetOptimizer):
             if self._scores[self._best] < FEASIBLE_TOL:
                 self._refit_surrogate(epochs=config.initial_epochs)
             return
-        improved = self._scores[self._best] > previous + 1e-12
         self._update_done()
         if not self._done:
             self._refit_surrogate(epochs=config.refit_epochs)
         if improved:
+            self._stall = 0
             self._radius = min(self._radius * config.expand, config.max_radius)
         else:
+            if self._radius <= config.min_radius:
+                self._stall += 1
             self._radius = max(self._radius * config.shrink, config.min_radius)
+        self._restart_pending = self._stall >= config.stall_patience
         self._history.append(
             IterationRecord(
                 evaluations=self._count,
                 radius=self._radius,
                 best_score=float(self._scores[self._best]),
-                improved=bool(improved),
+                improved=improved,
+                restarted=restarted,
             )
         )
 

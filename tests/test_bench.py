@@ -115,6 +115,7 @@ class TestRunner:
                 "cache_misses",
                 "engine_calls",
                 "phases",
+                "restarts",
                 "failing_corners",
                 "best_sizing",
             }
@@ -148,7 +149,7 @@ class TestRunner:
 
     def test_suite_payload_and_artifact(self, tmp_path):
         payload = run_suite("tiny", seeds=[0])
-        assert payload["schema"] == SCHEMA == "repro.bench/v8"
+        assert payload["schema"] == SCHEMA == "repro.bench/v9"
         assert payload["suite"] == "tiny"
         assert payload["seeds"] == [0]
         assert payload["backend"] == "fused"

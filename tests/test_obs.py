@@ -334,6 +334,23 @@ class TestTrajectoryNeutrality:
         ]
         assert traced["eval"] == baseline["eval"]
 
+    def test_restarting_seed_neutral_and_traced(self):
+        # folded_cascode seed 3 stalls at min_radius and restarts.
+        case = BenchCase("folded_cascode", "nominal", "nine")
+        baseline = run_case(case, seeds=[3])["per_seed"][0]
+        with tracing() as tracer:
+            traced_case = run_case(case, seeds=[3])
+        traced = traced_case["per_seed"][0]
+        assert baseline["restarts"] >= 1
+        assert _trajectory(traced) == _trajectory(baseline)
+        events = [r for r in tracer.records if r["name"] == "trust_region.restart"]
+        assert len(events) == baseline["restarts"]
+        assert traced_case["telemetry"]["events"]["trust_region.restart"] == len(events)
+        assert [e["tags"]["restart"] for e in events] == list(range(1, len(events) + 1))
+        for record in events:
+            assert {"seed", "evaluations", "local_best", "restart"} <= set(record["tags"])
+            assert record["tags"]["local_best"] < 0.0  # still infeasible when it restarted
+
     def test_determinism_auditor_green_with_tracing_on(self):
         from repro.analysis.determinism import audit_case
 

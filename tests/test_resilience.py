@@ -3,13 +3,14 @@ fault injection, checkpoint/resume parity, and the kill-and-resume drill."""
 
 import json
 import os
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from repro.analysis.determinism import fingerprint_outcome
 from repro.bench.registry import BenchCase, get_suite
-from repro.bench.runner import run_suite
+from repro.bench.runner import SCHEMA, run_suite
 from repro.resilience import (
     CacheStore,
     FaultPlan,
@@ -27,6 +28,7 @@ from repro.resilience import (
 )
 from repro.resilience.drill import drill_suite
 from repro.search.campaign import LATEST_SNAPSHOT
+from repro.search.optimizer import IterationRecord
 
 
 def _campaign_fingerprint(campaign, outcome, seeds):
@@ -309,6 +311,52 @@ class TestCheckpointResume:
         assert history == expected
 
 
+def _restart_pending(optimizer_state):
+    return optimizer_state["stall"]["pending"]
+
+
+def _restart_done(optimizer_state):
+    history = [IterationRecord(*record) for record in optimizer_state["history"]]
+    return any(r.restarted for r in history) and not _restart_pending(optimizer_state)
+
+
+class TestStallRestartResume:
+    """Resuming around a trust-region stall restart is byte-identical."""
+
+    CASE = BenchCase("folded_cascode", "nominal", "nine")
+    SEEDS = [3]  # stalls at min_radius in phase 0 and restarts
+
+    @staticmethod
+    def _outcome(campaign, outcome, seeds):
+        histories = [
+            [astuple(r) for phase in result.phase_results for r in phase.history]
+            for result in outcome.results
+        ]
+        return _campaign_fingerprint(campaign, outcome, seeds), histories
+
+    @pytest.fixture(scope="class")
+    def oracle(self, tmp_path_factory):
+        ckpt = str(tmp_path_factory.mktemp("restart") / "ckpt")
+        campaign = self.CASE.build_campaign(self.SEEDS)
+        outcome = campaign.run(checkpoint_dir=ckpt, keep_history=True)
+        return ckpt, self._outcome(campaign, outcome, self.SEEDS)
+
+    @pytest.mark.parametrize("moment", [_restart_pending, _restart_done])
+    def test_resume_around_restart(self, oracle, moment):
+        ckpt, expected = oracle
+        snapshots = sorted(n for n in os.listdir(ckpt) if n.startswith("round-"))
+        for name in snapshots:
+            state = load_snapshot(os.path.join(ckpt, name))["members"][0]["optimizer"]
+            if state is not None and moment(state):
+                break
+        else:
+            pytest.fail(f"no checkpoint satisfies {moment.__name__}")
+        campaign = self.CASE.build_campaign(self.SEEDS)
+        outcome = campaign.run(resume_from=os.path.join(ckpt, name))
+        assert 0 < outcome.resumed_from_round < outcome.rounds
+        assert self._outcome(campaign, outcome, self.SEEDS) == expected
+
+
 class TestPersistentCampaignCache:
     def test_cross_process_warm_start_is_bit_identical(self, tmp_path):
         (case,) = get_suite("drill")
@@ -365,7 +413,7 @@ class TestBenchResilienceIntegration:
         cache_dir = str(tmp_path / "cache")
         cold = run_suite("tiny", seeds=[0], cache_dir=cache_dir)
         warm = run_suite("tiny", seeds=[0], cache_dir=cache_dir)
-        assert cold["schema"] == "repro.bench/v8"
+        assert cold["schema"] == SCHEMA
         cold_block = cold["cases"][0]["resilience"]["cache"]
         warm_block = warm["cases"][0]["resilience"]["cache"]
         assert cold_block["warm_hits"] == 0
