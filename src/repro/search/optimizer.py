@@ -350,8 +350,12 @@ class DatasetOptimizer(Optimizer):
             first = first[:limit]
         return snapped[first], keys[first]
 
-    def _append(self, rows: np.ndarray, keys: np.ndarray, metrics: np.ndarray) -> None:
-        """Append an evaluated block, scoring and ranking only the new rows."""
+    def _append(self, rows: np.ndarray, keys: np.ndarray, metrics: np.ndarray) -> int:
+        """Append an evaluated block, scoring and ranking only the new rows.
+
+        Returns the dataset index of the block's best row (its earliest
+        argmax); the incumbent moves there only on a strictly better score.
+        """
         added = rows.shape[0]
         self._ensure_capacity(added)
         start, stop = self._count, self._count + added
@@ -362,9 +366,10 @@ class DatasetOptimizer(Optimizer):
         scores = self.specification.score(metrics)
         self._scores[start:stop] = scores
         self._count = stop
-        block_best = int(np.argmax(scores))
-        if self._best < 0 or scores[block_best] > self._scores[self._best]:
-            self._best = start + block_best
+        block_best = start + int(np.argmax(scores))
+        if self._best < 0 or self._scores[block_best] > self._scores[self._best]:
+            self._best = block_best
+        return block_best
 
     def _evaluate_new(self, candidates: np.ndarray, limit: Optional[int] = None) -> int:
         """Select-evaluate-append in one step; returns how many rows ran.

@@ -14,7 +14,7 @@ The agent alternates between
    the (expensive) true evaluator;
 4. *radius adaptation* — the trust region expands after an improving step
    and shrinks otherwise, in the classic trust-region fashion;
-5. *stall restart* — after ``stall_patience`` consecutive non-improving
+5. *stall restart* — after ``STALL_PATIENCE`` consecutive non-improving
    tells with the radius already at ``min_radius``, the next ask ranks a
    fresh Monte-Carlo batch with the surrogate, re-centres the ball on the
    top-ranked row and resets the radius to ``initial_radius`` (the restart
@@ -90,6 +90,12 @@ SEARCH_BACKENDS = ("fused", "autodiff")
 #: half-updated Adam moments, which resume must reconstruct exactly.
 SITE_REFIT = register_fault_site("optimizer.refit")
 
+#: Consecutive non-improving tells at ``min_radius`` before the trust region
+#: restarts around a surrogate-ranked Monte-Carlo sample.  With 8, smoke-suite
+#: seeds 0-15 solve 80/80 (75/80 without restarts) and every pair that solved
+#: without restarts keeps its exact trajectory.
+STALL_PATIENCE = 8
+
 
 @dataclass
 class TrustRegionConfig:
@@ -127,24 +133,13 @@ class TrustRegionConfig:
     #: smoke suite — identical success rates and evaluations-to-feasible
     #: within noise of 32, at roughly half the refit wall time.
     surrogate_batch_size: int = 64
-    #: Consecutive non-improving tells at ``min_radius`` before the trust
-    #: region restarts around a surrogate-ranked Monte-Carlo sample.  With 8,
-    #: smoke-suite seeds 0-15 solve 80/80 (75/80 without restarts) and every
-    #: pair that solved without restarts keeps its exact trajectory.
-    stall_patience: int = 8
 
     def __post_init__(self) -> None:
         if self.backend not in SEARCH_BACKENDS:
             raise ValueError(
                 f"unknown backend {self.backend!r}; available: {', '.join(SEARCH_BACKENDS)}"
             )
-        for name in (
-            "initial_samples",
-            "batch_size",
-            "candidate_pool",
-            "max_evaluations",
-            "stall_patience",
-        ):
+        for name in ("initial_samples", "batch_size", "candidate_pool", "max_evaluations"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
 
@@ -349,7 +344,15 @@ class TrustRegionSearch(DatasetOptimizer):
         self._seeded = state["seeded"]
         self._iterating = state["iterating"]
         self._radius = state["radius"]
-        stall = state["stall"]
+        # Snapshots written before stall restarts existed have no ``stall``
+        # block: no restart has happened, so the local incumbent is the
+        # global one and nothing is pending.
+        stall = state.get("stall") or {
+            "local": self._best,
+            "center": None,
+            "count": 0,
+            "pending": False,
+        }
         self._local = stall["local"]
         center = stall["center"]
         self._restart_center = (
@@ -485,19 +488,6 @@ class TrustRegionSearch(DatasetOptimizer):
         self._stall = 0
         self._restart_pending = False
 
-    def _track_local(self, start: int) -> bool:
-        """Fold rows ``start:`` into the local incumbent; True on improvement.
-
-        Uses the dataset's own incumbent rule (earliest row of the block
-        argmax, replaced only by a strictly better score), so before the
-        first restart the local incumbent *is* the global one.
-        """
-        previous = self._scores[self._local] if self._local >= 0 else -np.inf
-        top = start + int(np.argmax(self._scores[start : self._count]))
-        if self._local < 0 or self._scores[top] > previous:
-            self._local = top
-        return bool(self._scores[self._local] > previous + 1e-12)
-
     @contract(pre=tell_precondition)
     def tell(self, samples: np.ndarray, metrics: np.ndarray) -> None:
         """Fold evaluated metrics back in: dataset, surrogate, radius.
@@ -511,16 +501,21 @@ class TrustRegionSearch(DatasetOptimizer):
         trust-region radius update and the history record.  Improvement is
         judged against the local incumbent; a non-improving tell that
         arrives with the radius already at ``min_radius`` counts towards
-        ``stall_patience``, and reaching it flags a restart for the next
-        ``ask`` (an improving tell resets the count).
+        ``STALL_PATIENCE``, and reaching it flags a restart for the next
+        ``ask`` (an improving tell resets the count).  The local incumbent
+        follows the dataset's own rule — the block's best row, taken only on
+        a strictly better score — so before the first restart it *is* the
+        global incumbent.
         """
         config = self.config
         samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
         metrics = np.atleast_2d(np.asarray(metrics, dtype=np.float64))
-        start = self._count
         restarted = self._local < 0
-        self._append(samples, self._row_keys(samples), metrics)
-        improved = self._track_local(start)
+        previous = self._scores[self._local] if self._local >= 0 else -np.inf
+        block_best = self._append(samples, self._row_keys(samples), metrics)
+        if self._local < 0 or self._scores[block_best] > previous:
+            self._local = block_best
+        improved = bool(self._scores[self._local] > previous + 1e-12)
         if not self._iterating:
             self._iterating = True
             self._radius = config.initial_radius
@@ -539,7 +534,7 @@ class TrustRegionSearch(DatasetOptimizer):
             if self._radius <= config.min_radius:
                 self._stall += 1
             self._radius = max(self._radius * config.shrink, config.min_radius)
-        self._restart_pending = self._stall >= config.stall_patience
+        self._restart_pending = self._stall >= STALL_PATIENCE
         self._history.append(
             IterationRecord(
                 evaluations=self._count,

@@ -1,6 +1,6 @@
 """Trust-region stall restarts: the rule, its trajectory locks, its stats.
 
-A trust region that sits at ``min_radius`` for ``stall_patience``
+A trust region that sits at ``min_radius`` for ``STALL_PATIENCE``
 non-improving tells restarts around a surrogate-ranked Monte-Carlo sample.
 Locked here:
 
@@ -26,6 +26,7 @@ from repro.bench.registry import BenchCase
 from repro.bench.runner import wilson_interval
 from repro.core.design_space import DesignSpace, Parameter
 from repro.search import Spec, Specification, TrustRegionConfig, TrustRegionSearch
+from repro.search import trust_region
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -40,7 +41,7 @@ def peak_evaluator(samples):
     return (1.0 - (x - 0.3) ** 2 - (y - 0.6) ** 2)[:, np.newaxis]
 
 
-def make_search(patience=3):
+def make_search():
     space = DesignSpace(
         [
             Parameter("x", 0.0, 1.0, grid_points=101),
@@ -53,19 +54,21 @@ def make_search(patience=3):
         initial_samples=12,
         batch_size=4,
         candidate_pool=64,
-        max_evaluations=160,
+        max_evaluations=240,
         surrogate_hidden=(8,),
         initial_epochs=6,
         refit_epochs=2,
-        stall_patience=patience,
     )
     return TrustRegionSearch(peak_evaluator, space, spec, config)
 
 
 class TestRestartRule:
-    @pytest.mark.parametrize("patience", [2, 5])
-    def test_restart_follows_patience_stalled_tells_at_min_radius(self, patience):
-        search = make_search(patience)
+    @pytest.mark.parametrize("patience", [2, trust_region.STALL_PATIENCE])
+    def test_restart_follows_patience_stalled_tells_at_min_radius(
+        self, patience, monkeypatch
+    ):
+        monkeypatch.setattr(trust_region, "STALL_PATIENCE", patience)
+        search = make_search()
         history = search.run().history
         floor = search.config.min_radius
         restarts = [i for i, record in enumerate(history) if record.restarted]
@@ -85,16 +88,43 @@ class TestRestartRule:
         assert search.result().restarts == len(restarts)
 
     def test_global_incumbent_survives_restarts(self):
-        search = make_search(2)
+        search = make_search()
         result = search.run()
         assert result.restarts > 0
         scores = [record.best_score for record in result.history]
         assert scores == sorted(scores)  # the returned best never regresses
         assert result.best_score == max(search._scores[: search._count])
 
-    def test_patience_must_be_positive(self):
-        with pytest.raises(ValueError, match="stall_patience"):
-            TrustRegionConfig(stall_patience=0)
+    def test_snapshot_without_stall_block_resumes(self):
+        """A snapshot from before stall restarts existed still loads.
+
+        It has no ``stall`` block and four-field history records.  Taken
+        before the first restart with no stall counted yet, resuming it must
+        continue exactly like the uninterrupted run, restarts included.
+        """
+        oracle = make_search().run()
+        assert oracle.restarts > 0
+        # Stop just before the stalled window that leads to the first
+        # restart: the radius is at the floor and no stall is counted yet.
+        first = next(i for i, r in enumerate(oracle.history) if r.restarted)
+        search = make_search()
+        while len(search._history) < first - trust_region.STALL_PATIENCE:
+            rows = search.ask()
+            search.tell(rows, peak_evaluator(rows))
+        assert search._radius <= search.config.min_radius
+        assert search._stall == 0 and search._local == search._best
+        state = search.state_dict()
+        del state["stall"]
+        state["history"] = [record[:4] for record in state["history"]]
+        resumed = make_search()
+        resumed.load_state_dict(state)
+        result = resumed.run()
+        assert result.evaluations == oracle.evaluations
+        assert np.array_equal(result.best_vector, oracle.best_vector)
+        assert [astuple(r)[:4] for r in result.history] == [
+            astuple(r)[:4] for r in oracle.history
+        ]
+        assert result.restarts == oracle.restarts
 
 
 class TestNeverStalledSeedsKeepTheirTrajectories:
