@@ -34,7 +34,7 @@ benchmark registry can swap optimizers without a parallel config zoo.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Type
 
 import numpy as np
@@ -135,7 +135,12 @@ class SearchResult:
             "best_score": self.best_score,
             "solved": self.solved,
             "evaluations": self.evaluations,
-            "history": [astuple(record) for record in self.history],
+            # Plain tuples, not dataclasses.astuple: that deep-copies every
+            # field, and a campaign snapshots every round.
+            "history": [
+                (r.evaluations, r.radius, r.best_score, r.improved, r.restarted)
+                for r in self.history
+            ],
             "refit_seconds": self.refit_seconds,
         }
 
@@ -469,7 +474,10 @@ class DatasetOptimizer(Optimizer):
             "rng": self.rng.bit_generator.state,
             "X": self._X[:count].copy(),
             "M": self._M[:count].copy(),
-            "history": [astuple(record) for record in self._history],
+            "history": [
+                (r.evaluations, r.radius, r.best_score, r.improved, r.restarted)
+                for r in self._history
+            ],
             "done": self._done,
             "refit_seconds": self.refit_seconds,
             "refit_count": self.refit_count,

@@ -14,6 +14,7 @@ from repro.bench.registry import BenchCase, get_suite
 from repro.bench.runner import run_suite
 from repro.obs import load_traces
 from repro.obs.__main__ import main as obs_main
+from repro.search import Spec
 from repro.shard import (
     ShardedExecutor,
     ShardSpec,
@@ -76,11 +77,12 @@ class TestShardMap:
         assert "per-worker self-time:" in capsys.readouterr().out
 
     def test_long_shard_does_not_hold_up_the_rest(self):
-        # A trapped folded-cascode seed burns its full budget over four
-        # phases (seconds); each tiny shard solves in initial sampling.
-        long = BenchCase("folded_cascode", "nominal", "nine").shard_specs([3])
+        # An unsatisfiable folded-cascode shard burns its full budget over
+        # four phases (seconds); each tiny shard solves in initial sampling.
+        (long,) = BenchCase("folded_cascode", "nominal", "nine").shard_specs([3])
+        long = dataclasses.replace(long, specs=(Spec("dc_gain_db", ">=", 500.0),))
         short = get_suite("tiny")[0].shard_specs(range(5))
-        outcome = ShardedExecutor(long + short, workers=2).run()
+        outcome = ShardedExecutor([long] + short, workers=2).run()
         stuck = outcome.shard_map[0]
         others = [worker for worker in outcome.shard_map.values() if worker != stuck]
         # A static round-robin map would give the other worker exactly 3.
