@@ -24,6 +24,30 @@ from repro.obs.logs import add_logging_flags, configure_cli_logging
 module_logger = logging.getLogger(__name__)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1 (a bad value exits 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _suite_name(text: str) -> str:
+    """argparse type: a registered bench suite (an unknown one exits 2)."""
+    # Imported lazily: linting must work even where the search stack's
+    # dependencies are unavailable.
+    from repro.bench.registry import available_suites
+
+    if text not in available_suites():
+        raise argparse.ArgumentTypeError(
+            f"unknown suite {text!r}; available: {', '.join(available_suites())}"
+        )
+    return text
+
+
 def _cmd_lint(args: argparse.Namespace) -> int:
     config = AnalysisConfig()
     if args.select:
@@ -64,12 +88,9 @@ def _cmd_determinism(args: argparse.Namespace) -> int:
     report = audit_suite(
         suite=args.suite,
         seeds=range(args.seeds),
-        backend=args.backend,
-        corner_engine=args.corner_engine,
         optimizer=args.optimizer,
         with_contracts=not args.no_contracts,
         resume_parity=args.resume_parity,
-        refit_mode=args.refit_mode,
         execution=args.execution,
         workers=args.workers,
     )
@@ -116,26 +137,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "byte-diff trajectories, metrics and cache content",
     )
     determinism.add_argument(
-        "--suite", default="tiny", help="bench suite to audit (default: tiny)"
+        "--suite",
+        default="tiny",
+        type=_suite_name,
+        help="bench suite to audit (default: tiny)",
     )
     determinism.add_argument(
         "--seeds",
-        type=int,
+        type=_positive_int,
         default=3,
         metavar="N",
         help="number of seeds (0..N-1) per case (default: 3)",
-    )
-    determinism.add_argument(
-        "--backend",
-        default=None,
-        choices=("fused", "autodiff"),
-        help="surrogate training backend override",
-    )
-    determinism.add_argument(
-        "--corner-engine",
-        default=None,
-        choices=("stacked", "looped"),
-        help="multi-corner evaluation engine override",
     )
     determinism.add_argument(
         "--optimizer",
@@ -143,24 +155,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="search-strategy override for every case",
     )
     determinism.add_argument(
-        "--refit-mode",
-        default=None,
-        choices=("batched", "sequential"),
-        help="surrogate-refit dispatch override (batched: one stacked "
-        "multi-seed training kernel per campaign round)",
-    )
-    determinism.add_argument(
         "--execution",
         default="campaign",
         choices=("campaign", "sharded"),
         help="what the compared runs are: 'campaign' (default) runs the "
         "multi-seed campaign twice in-process; 'sharded' byte-diffs a "
-        "multi-process sharded run against the in-process sequential "
-        "oracle over the same shard specs",
+        "multi-process sharded run against the in-process "
+        "one-shard-at-a-time oracle over the same shard specs",
     )
     determinism.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=2,
         metavar="N",
         help="worker process count for --execution sharded (default: 2)",

@@ -27,8 +27,8 @@ accounting, which snapshot restore carries exactly.
 
 **Sharded mode** (``--execution sharded``) swaps both runs: the first is
 a multi-process :class:`~repro.shard.ShardedExecutor` run (``--workers``
-spawned workers), the second the in-process sequential oracle over the
-same shard specs (:func:`repro.shard.parity.run_sequential`).  The
+spawned workers), the second the in-process one-shard-at-a-time oracle
+over the same shard specs (:func:`repro.shard.parity.run_sequential`).  The
 byte-diff then proves process placement changes nothing: trajectories,
 summed counters, and the cross-process union cache digest
 (:func:`repro.shard.parity.union_state_digest`) all match bit for bit.
@@ -89,22 +89,13 @@ def fingerprint_outcome(
 def _run_fingerprint(
     case: Any,
     seeds: Sequence[int],
-    backend: Optional[str],
-    corner_engine: Optional[str],
     optimizer: Optional[str],
     checkpoint_dir: Optional[str] = None,
     keep_history: bool = False,
     resume_from: Optional[str] = None,
-    refit_mode: Optional[str] = None,
 ) -> Tuple[Dict[str, Any], int]:
     """Run one bench case once; returns (fingerprint, rounds run)."""
-    campaign = case.build_campaign(
-        seeds,
-        backend=backend,
-        corner_engine=corner_engine,
-        optimizer=optimizer,
-        refit_mode=refit_mode,
-    )
+    campaign = case.build_campaign(seeds, optimizer=optimizer)
     outcome = campaign.run(
         checkpoint_dir=checkpoint_dir,
         keep_history=keep_history,
@@ -171,7 +162,7 @@ class AuditReport:
         comparison = {
             "double-run": "double-run byte-diff",
             "resume-parity": "uninterrupted vs mid-run-resumed byte-diff",
-            "sharded-parity": "sharded vs sequential-oracle byte-diff",
+            "sharded-parity": "sharded vs in-process-oracle byte-diff",
         }.get(self.mode, self.mode)
         lines = [
             f"determinism audit: suite {self.suite!r}, seeds {list(self.seeds)}, "
@@ -186,12 +177,9 @@ class AuditReport:
 def audit_case(
     case: Any,
     seeds: Sequence[int],
-    backend: Optional[str] = None,
-    corner_engine: Optional[str] = None,
     optimizer: Optional[str] = None,
     with_contracts: bool = True,
     resume_parity: bool = False,
-    refit_mode: Optional[str] = None,
     execution: str = "campaign",
     workers: int = 2,
 ) -> CaseAudit:
@@ -202,7 +190,7 @@ def audit_case(
     the same byte-diff into the checkpoint/resume correctness gate.  With
     ``execution="sharded"`` the first run shards the seeds across
     ``workers`` spawned processes and the second is the in-process
-    sequential oracle over the same shard specs — the multi-process
+    oracle over the same shard specs — the multi-process
     parity gate (exclusive with ``resume_parity``; contracts apply to the
     oracle run only, see the module docstring).
     """
@@ -216,13 +204,7 @@ def audit_case(
             )
         from repro.shard import ShardedExecutor, run_sequential
 
-        specs = case.shard_specs(
-            seeds,
-            backend=backend,
-            corner_engine=corner_engine,
-            optimizer=optimizer,
-            refit_mode=refit_mode,
-        )
+        specs = case.shard_specs(seeds, optimizer=optimizer)
         sharded = ShardedExecutor(
             specs, workers=workers, collect_cache_content=True
         ).run()
@@ -248,32 +230,18 @@ def audit_case(
         if resume_parity:
             with tempfile.TemporaryDirectory(prefix="repro-audit-") as ckpt_dir:
                 first, rounds = _run_fingerprint(
-                    case,
-                    seeds,
-                    backend,
-                    corner_engine,
-                    optimizer,
-                    checkpoint_dir=ckpt_dir,
-                    keep_history=True,
-                    refit_mode=refit_mode,
+                    case, seeds, optimizer, checkpoint_dir=ckpt_dir, keep_history=True
                 )
                 mid = max(1, rounds // 2)
                 second, _ = _run_fingerprint(
                     case,
                     seeds,
-                    backend,
-                    corner_engine,
                     optimizer,
                     resume_from=os.path.join(ckpt_dir, f"round-{mid:05d}.snapshot"),
-                    refit_mode=refit_mode,
                 )
         else:
-            first, _ = _run_fingerprint(
-                case, seeds, backend, corner_engine, optimizer, refit_mode=refit_mode
-            )
-            second, _ = _run_fingerprint(
-                case, seeds, backend, corner_engine, optimizer, refit_mode=refit_mode
-            )
+            first, _ = _run_fingerprint(case, seeds, optimizer)
+            second, _ = _run_fingerprint(case, seeds, optimizer)
     first_bytes = json.dumps(first, sort_keys=True).encode("utf-8")
     second_bytes = json.dumps(second, sort_keys=True).encode("utf-8")
     identical = first_bytes == second_bytes
@@ -288,12 +256,9 @@ def audit_case(
 def audit_suite(
     suite: str = "tiny",
     seeds: Sequence[int] = (0, 1, 2),
-    backend: Optional[str] = None,
-    corner_engine: Optional[str] = None,
     optimizer: Optional[str] = None,
     with_contracts: bool = True,
     resume_parity: bool = False,
-    refit_mode: Optional[str] = None,
     execution: str = "campaign",
     workers: int = 2,
 ) -> AuditReport:
@@ -313,12 +278,9 @@ def audit_suite(
             audit_case(
                 case,
                 seeds,
-                backend=backend,
-                corner_engine=corner_engine,
                 optimizer=optimizer,
                 with_contracts=with_contracts,
                 resume_parity=resume_parity,
-                refit_mode=refit_mode,
                 execution=execution,
                 workers=workers,
             )

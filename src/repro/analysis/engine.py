@@ -38,7 +38,7 @@ class AnalysisConfig:
         "repro/search/campaign.py",
     )
     #: Function names that are hot wherever they are defined (the stacked
-    #: corner-engine entry points and per-topology hooks).
+    #: corner evaluator entry points and per-topology hooks).
     hot_functions: Tuple[str, ...] = (
         "evaluate_corners",
         "evaluate_batch",

@@ -7,11 +7,9 @@ rate, median evaluations-to-feasible, surrogate-refit time, true-evaluator
 time and wall time — the numbers every scaling/speed PR is measured
 against.  All seeds of a case run as one multi-seed
 :class:`~repro.search.campaign.Campaign` by default (shared vectorized
-corner passes; ``--execution sequential`` is the per-seed oracle).
-``--backend`` selects the surrogate training path, ``--corner-engine`` the
-multi-corner evaluation engine and ``--optimizer`` the search strategy;
-the first two are bit-identical across their settings, so they trade speed
-only.  ``--list`` enumerates everything the registry can run.
+corner passes and batched surrogate refits); ``--execution sharded`` spreads
+the seeds over worker processes instead.  ``--optimizer`` overrides the
+search strategy, and ``--list`` enumerates everything the registry can run.
 """
 
 from repro.bench.registry import (
@@ -24,7 +22,6 @@ from repro.bench.registry import (
 from repro.bench.runner import (
     EXECUTIONS,
     SCHEMA,
-    cross_check,
     format_listing,
     format_summary,
     run_case,
@@ -38,7 +35,6 @@ __all__ = [
     "EXECUTIONS",
     "SCHEMA",
     "available_suites",
-    "cross_check",
     "format_listing",
     "format_summary",
     "get_suite",

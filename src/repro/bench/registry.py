@@ -118,18 +118,15 @@ class BenchCase:
     def build_campaign(
         self,
         seeds: Sequence[int],
-        backend: Optional[str] = None,
-        corner_engine: Optional[str] = None,
         optimizer: Optional[str] = None,
         cache_path: Optional[str] = None,
-        refit_mode: Optional[str] = None,
     ) -> "Campaign":
         """The ready-to-run multi-seed :class:`Campaign` for this case.
 
         Exactly the construction the bench runner's campaign execution
         path performs, factored here so the resilience drill and the
         determinism auditor rebuild byte-identical campaigns from a case
-        alone.  Overrides follow :func:`repro.search.sizing.build_campaign`
+        alone.  ``optimizer`` follows :func:`repro.search.sizing.build_campaign`
         semantics (``None`` defers to the case, then the library default).
         """
         # Imported lazily: repro.search.sizing pulls in the topology zoo,
@@ -146,20 +143,14 @@ class BenchCase:
             config=self.config(seeds[0] if seeds else 0),
             seeds=seeds,
             cache_path=cache_path,
-            backend=backend,
-            corner_engine=corner_engine,
             optimizer=optimizer if optimizer is not None else self.optimizer,
             max_phases=self.max_phases,
-            refit_mode=refit_mode,
         )
 
     def shard_specs(
         self,
         seeds: Sequence[int],
-        backend: Optional[str] = None,
-        corner_engine: Optional[str] = None,
         optimizer: Optional[str] = None,
-        refit_mode: Optional[str] = None,
     ) -> "List[ShardSpec]":
         """One picklable :class:`~repro.shard.executor.ShardSpec` per seed.
 
@@ -180,11 +171,8 @@ class BenchCase:
             seed = int(seed)
             config = resolve_config(
                 self.config(seed),
-                backend=backend,
-                corner_engine=corner_engine,
                 optimizer=optimizer if optimizer is not None else self.optimizer,
                 max_phases=self.max_phases,
-                refit_mode=refit_mode,
             )
             specs.append(
                 ShardSpec(
@@ -248,8 +236,7 @@ _SUITES: Dict[str, List[BenchCase]] = {
     ],
     # Corner-axis scaling: the same workload signed off on the 9-corner grid
     # and on the full 45-corner grid, so BENCH artifacts track how the
-    # stacked corner engine scales with the corner count (run with
-    # ``--corner-engine looped`` for the oracle baseline).
+    # stacked corner engine scales with the corner count.
     "corners": [
         BenchCase("two_stage_opamp", "smoke", "nine"),
         BenchCase("two_stage_opamp", "smoke", "full45"),

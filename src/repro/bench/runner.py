@@ -14,43 +14,43 @@ numbers the ROADMAP tracks per PR:
 Execution is the multi-seed vectorized
 :class:`~repro.search.campaign.Campaign` by default: all seeds of a case
 run in lockstep rounds sharing single stacked ``evaluate_corners`` passes
-(far fewer, larger evaluator calls), bit-exact per seed versus
-``--execution sequential``, the one-seed-at-a-time oracle path.
+(far fewer, larger evaluator calls) and batched surrogate refits,
+bit-exact per seed versus a single-seed
+:func:`~repro.search.sizing.size_problem` run.  ``--execution sharded``
+runs each (case, seed) shard in a spawned worker process instead.
 
-The JSON artifact schema is ``repro.bench/v9`` (see README "Benchmarking").
-Relative to v8 it adds per case the seed count ``n_seeds`` and
-``success_ci95``, the 95% Wilson interval of ``success_rate``
+The JSON artifact schema is ``repro.bench/v10`` (see README "Benchmarking").
+Relative to v9 it drops the fields that recorded the retired oracle
+knobs (training backend, corner engine and refit mode), top-level, per
+case and inside the ``refit`` block.  v9 added per case the seed count
+``n_seeds`` and ``success_ci95``, the 95% Wilson interval of ``success_rate``
 (:func:`wilson_interval`), and per seed the number of trust-region stall
 ``restarts``.  v8 added ``--execution sharded`` — multi-process execution
 via :class:`repro.shard.ShardedExecutor`, bit-identical per seed to the
-sequential oracle — and with it a per-case ``shard`` block (``null`` for
-in-process executions): the worker count, the seed-to-worker shard map
-recording where each shard ran, and per-worker wall/eval seconds.  Every
-artifact also carries a top-level ``host`` block (:func:`host_block`: CPU
-count, BLAS vendor and effective thread count, ``*_NUM_THREADS``
-variables).  v7 added the surrogate-refit
+in-process oracle :func:`repro.shard.run_sequential` — and with it a
+per-case ``shard`` block (``null`` for in-process executions): the worker
+count, the seed-to-worker shard map recording where each shard ran, and
+per-worker wall/eval seconds.  Every artifact also carries a top-level
+``host`` block (:func:`host_block`: CPU count, BLAS vendor and effective
+thread count, ``*_NUM_THREADS`` variables).  v7 added the surrogate-refit
 accounting: a per-case ``refit`` block (total ``refit_seconds``, the
-number of lockstep rounds that actually refit, how many stacked multi-seed
-kernel dispatches ran, and the ``refit_mode``) plus the top-level
-``refit_mode``.  v6 added the per-case ``resilience`` block — the round
-the campaign resumed from (``--resume``, ``null`` for uninterrupted runs)
-and the persistent evaluation-cache accounting (``--cache-dir``: store
-path, pairs preloaded from disk, warm/cold hit split, bytes trimmed
-repairing a torn tail; ``null`` without a store).  The artifact itself is
-written atomically (temp file + fsync + rename), so a crashed run never
-leaves a half-written BENCH JSON:
+number of lockstep rounds that actually refit and how many stacked
+multi-seed kernel dispatches ran).  v6 added the per-case ``resilience``
+block — the round the campaign resumed from (``--resume``, ``null`` for
+uninterrupted runs) and the persistent evaluation-cache accounting
+(``--cache-dir``: store path, pairs preloaded from disk, warm/cold hit
+split, bytes trimmed repairing a torn tail; ``null`` without a store).
+The artifact itself is written atomically (temp file + fsync + rename), so
+a crashed run never leaves a half-written BENCH JSON:
 
 .. code-block:: json
 
     {
-      "schema": "repro.bench/v9",
+      "schema": "repro.bench/v10",
       "suite": "smoke",
       "seeds": [0, 1, 2],
-      "backend": "fused",
-      "corner_engine": "stacked",
       "optimizer": "mixed",
       "execution": "campaign",
-      "refit_mode": "batched",
       "host": {"cpu_count": 2, "blas": "scipy-openblas 0.3.31.188.0",
                "blas_threads": 1,
                "thread_variables": {"OPENBLAS_NUM_THREADS": "1"}},
@@ -58,16 +58,15 @@ leaves a half-written BENCH JSON:
         {
           "name": "two_stage_opamp/nominal/nine",
           "topology": "two_stage_opamp", "tier": "nominal",
-          "corner_set": "nine", "design_dims": 8, "backend": "fused",
-          "corner_engine": "stacked", "optimizer": "trust_region",
-          "execution": "campaign",
+          "corner_set": "nine", "design_dims": 8,
+          "optimizer": "trust_region", "execution": "campaign",
           "n_seeds": 3, "success_rate": 1.0, "success_ci95": [0.4385, 1.0],
           "median_evaluations_to_feasible": 113,
           "refit_seconds": 0.12, "eval_seconds": 0.01, "wall_seconds": 0.2,
           "eval": {"engine_calls": 31, "rounds": 29,
                    "cache_hits": 27, "cache_misses": 9486},
           "refit": {"refit_seconds": 0.12, "refit_rounds": 26,
-                    "batched_kernel_calls": 24, "refit_mode": "batched"},
+                    "batched_kernel_calls": 24},
           "resilience": {"resumed_from_round": null,
                          "cache": {"path": "cache/two_stage.evc",
                                    "preloaded_pairs": 9486,
@@ -98,7 +97,6 @@ from __future__ import annotations
 import logging
 import math
 import os
-from dataclasses import replace
 from statistics import median
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -115,19 +113,16 @@ from repro.obs import diff_snapshots, get_tracer, profiled, tracing, tracing_ena
 from repro.obs.logs import add_logging_flags, configure_cli_logging
 from repro.resilience import atomic_write_json
 from repro.search.optimizer import available_optimizers
-from repro.search.progressive import REFIT_MODES, ProgressiveConfig, ProgressiveResult
-from repro.search.sizing import size_problem
+from repro.search.progressive import ProgressiveResult
 
-SCHEMA = "repro.bench/v9"
+SCHEMA = "repro.bench/v10"
 
 module_logger = logging.getLogger(__name__)
 
 #: How a case's seeds execute: ``campaign`` batches all seeds through
-#: shared vectorized corner passes, ``sequential`` runs one
-#: :func:`size_problem` per seed (the bit-exact oracle path), ``sharded``
-#: partitions the seeds across spawned worker processes (bit-identical
-#: per seed to ``sequential``; see :mod:`repro.shard`).
-EXECUTIONS = ("campaign", "sequential", "sharded")
+#: shared vectorized corner passes, ``sharded`` partitions the seeds across
+#: spawned worker processes (bit-identical per seed; see :mod:`repro.shard`).
+EXECUTIONS = ("campaign", "sharded")
 
 def host_block() -> Dict[str, Any]:
     """The measuring host, recorded in every artifact beside its timings.
@@ -213,32 +208,23 @@ def _case_telemetry(
 def run_case(
     case: BenchCase,
     seeds: Sequence[int],
-    backend: Optional[str] = None,
-    corner_engine: Optional[str] = None,
     optimizer: Optional[str] = None,
     execution: str = "campaign",
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
     cache_dir: Optional[str] = None,
-    refit_mode: Optional[str] = None,
     workers: Optional[int] = None,
     worker_trace_dir: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Run one benchmark case across seeds and aggregate the statistics.
 
-    ``backend``, ``corner_engine``, ``optimizer`` and ``refit_mode``
-    override the case's configuration when given (``None`` defers to the
-    case, which defers to the library defaults).  ``execution`` selects the
-    multi-seed vectorized campaign (default), the sequential per-seed
-    oracle, or sharded multi-process execution (``workers`` processes via
-    :class:`repro.shard.ShardedExecutor`); all three are bit-exact per
-    seed and differ only in evaluator batching and process placement.
-    ``refit_mode`` likewise trades dispatch only: ``"batched"`` trains all
-    live seeds' surrogate refits through one stacked kernel per round,
-    ``"sequential"`` refits inline, bit-identically.
+    ``optimizer`` overrides the case's search strategy when given (``None``
+    defers to the case, which defers to the library default).
+    ``execution`` selects the multi-seed vectorized campaign (default) or
+    sharded multi-process execution (``workers`` processes via
+    :class:`repro.shard.ShardedExecutor`); both are bit-exact per seed and
+    differ only in evaluator batching and process placement.
 
-    The resilience options need round boundaries, so they work under the
-    campaign and sharded executions but not the sequential oracle.
     ``checkpoint_dir`` snapshots under ``<dir>/<case-slug>/`` after every
     round (sharded: one subdirectory per shard); ``resume=True`` restores
     from those snapshots first (a resumed run is bit-identical to an
@@ -253,12 +239,6 @@ def run_case(
         raise ValueError(
             f"unknown execution {execution!r}; available: {', '.join(EXECUTIONS)}"
         )
-    if execution == "sequential" and (checkpoint_dir or resume or cache_dir):
-        raise ValueError(
-            "checkpoint/resume/cache-dir need the campaign or sharded "
-            "execution; the sequential oracle path has no round boundaries "
-            "to snapshot at"
-        )
     if execution != "sharded" and (workers is not None or worker_trace_dir):
         raise ValueError("workers/worker_trace_dir need the sharded execution")
     if resume and not checkpoint_dir:
@@ -266,16 +246,7 @@ def run_case(
     problem_cls = get_topology(case.topology)
     design_dims = len(problem_cls.VARIABLE_NAMES)
     seeds = [int(seed) for seed in seeds]
-    effective_backend = backend if backend is not None else case.config(0).backend
-    # Derived, not duplicated: with no override, the campaign defers to the
-    # ProgressiveConfig default, so report exactly that.
-    effective_engine = (
-        corner_engine if corner_engine is not None else ProgressiveConfig().corner_engine
-    )
     effective_optimizer = optimizer if optimizer is not None else case.optimizer
-    effective_refit_mode = (
-        refit_mode if refit_mode is not None else ProgressiveConfig().refit_mode
-    )
 
     module_logger.info(
         "case %s: %d seed(s), %s execution", case.name, len(seeds), execution
@@ -284,22 +255,15 @@ def run_case(
     with profiled(
         "bench.run_case", case=case.name, topology=case.topology, tier=case.tier
     ) as wall_timer:
+        cache_path = os.path.join(cache_dir, f"{case.slug}.evc") if cache_dir else None
+        if cache_dir:
+            os.makedirs(cache_dir, exist_ok=True)
         if execution == "campaign":
-            cache_path = (
-                os.path.join(cache_dir, f"{case.slug}.evc") if cache_dir else None
-            )
-            if cache_dir:
-                os.makedirs(cache_dir, exist_ok=True)
             case_checkpoint = (
                 os.path.join(checkpoint_dir, case.slug) if checkpoint_dir else None
             )
             campaign = case.build_campaign(
-                seeds,
-                backend=backend,
-                corner_engine=corner_engine,
-                optimizer=effective_optimizer,
-                cache_path=cache_path,
-                refit_mode=refit_mode,
+                seeds, optimizer=effective_optimizer, cache_path=cache_path
             )
             try:
                 outcome = campaign.run(
@@ -336,23 +300,12 @@ def run_case(
                 "batched_kernel_calls": outcome.batched_kernel_calls,
             }
             shard_block: Optional[Dict[str, Any]] = None
-        elif execution == "sharded":
+        else:
             # Imported lazily: the bench registry must stay importable
             # without pulling the executor (and its topology imports) in.
             from repro.shard import ShardedExecutor
 
-            cache_path = (
-                os.path.join(cache_dir, f"{case.slug}.evc") if cache_dir else None
-            )
-            if cache_dir:
-                os.makedirs(cache_dir, exist_ok=True)
-            specs = case.shard_specs(
-                seeds,
-                backend=backend,
-                corner_engine=corner_engine,
-                optimizer=effective_optimizer,
-                refit_mode=refit_mode,
-            )
+            specs = case.shard_specs(seeds, optimizer=effective_optimizer)
             executor = ShardedExecutor(
                 specs,
                 workers=workers,
@@ -432,38 +385,6 @@ def run_case(
                     for record in outcome.per_worker
                 ],
             }
-        else:
-            results = []
-            for seed in seeds:
-                config = case.config(seed)
-                if backend is not None:
-                    config = replace(config, backend=backend)
-                results.append(
-                    size_problem(
-                        case.topology,
-                        technology=case.technology,
-                        load_cap=case.load_cap,
-                        tier=case.tier,
-                        corners=case.corners(),
-                        config=config,
-                        max_phases=case.max_phases,
-                        corner_engine=corner_engine,
-                        optimizer=effective_optimizer,
-                        refit_mode=refit_mode,
-                    )
-                )
-            eval_block = {
-                "engine_calls": sum(result.engine_calls for result in results),
-                "rounds": None,
-                "cache_hits": sum(result.cache_hits for result in results),
-                "cache_misses": sum(result.cache_misses for result in results),
-            }
-            eval_seconds = sum(result.eval_seconds for result in results)
-            resilience = {"resumed_from_round": None, "cache": None}
-            # Round-level counters are campaign-wide quantities; the
-            # one-seed-at-a-time oracle path has no shared rounds to count.
-            refit_counts = {"refit_rounds": None, "batched_kernel_calls": None}
-            shard_block = None
     wall = wall_timer.seconds
 
     per_seed = [_per_seed_record(seed, result) for seed, result in zip(seeds, results)]
@@ -476,8 +397,6 @@ def run_case(
         "corner_set": case.corner_set,
         "technology": case.technology,
         "design_dims": design_dims,
-        "backend": effective_backend,
-        "corner_engine": effective_engine,
         "optimizer": effective_optimizer,
         "execution": execution,
         "n_seeds": len(per_seed),
@@ -496,7 +415,6 @@ def run_case(
             "refit_seconds": round(sum(r["refit_seconds"] for r in per_seed), 6),
             "refit_rounds": refit_counts["refit_rounds"],
             "batched_kernel_calls": refit_counts["batched_kernel_calls"],
-            "refit_mode": effective_refit_mode,
         },
         "resilience": resilience,
         "shard": shard_block,
@@ -513,18 +431,15 @@ def _uniform(values: Sequence[str]) -> str:
 def run_suite(
     suite: str = "smoke",
     seeds: Sequence[int] = (0, 1, 2),
-    backend: Optional[str] = None,
-    corner_engine: Optional[str] = None,
     optimizer: Optional[str] = None,
     execution: str = "campaign",
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
     cache_dir: Optional[str] = None,
-    refit_mode: Optional[str] = None,
     workers: Optional[int] = None,
     worker_trace_dir: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """Run every case of a suite; returns the ``repro.bench/v9`` payload."""
+    """Run every case of a suite; returns the ``repro.bench/v10`` payload."""
     cases = get_suite(suite)
     module_logger.info("suite %r: %d case(s)", suite, len(cases))
     with profiled("bench.run_suite", suite=suite, cases=len(cases)) as wall_timer:
@@ -532,14 +447,11 @@ def run_suite(
             run_case(
                 case,
                 seeds,
-                backend=backend,
-                corner_engine=corner_engine,
                 optimizer=optimizer,
                 execution=execution,
                 checkpoint_dir=checkpoint_dir,
                 resume=resume,
                 cache_dir=cache_dir,
-                refit_mode=refit_mode,
                 workers=workers,
                 worker_trace_dir=worker_trace_dir,
             )
@@ -551,13 +463,8 @@ def run_suite(
         "schema": SCHEMA,
         "suite": suite,
         "seeds": [int(seed) for seed in seeds],
-        "backend": _uniform([result["backend"] for result in case_results]),
-        "corner_engine": _uniform([result["corner_engine"] for result in case_results]),
         "optimizer": _uniform([result["optimizer"] for result in case_results]),
         "execution": execution,
-        "refit_mode": _uniform(
-            [result["refit"]["refit_mode"] for result in case_results]
-        ),
         "host": host_block(),
         "cases": case_results,
         "totals": {
@@ -578,144 +485,6 @@ def write_bench_json(payload: Dict[str, Any], path: str) -> None:
     dies mid-dump.
     """
     atomic_write_json(path, payload)
-
-
-#: The cross-check speed guard passes while the fused refit stays under
-#: this fraction of the autodiff refit.  The real ratio is ~0.4 (fused is
-#: ~2.5-3x faster end to end), so 0.75 keeps the guard meaningful while
-#: absorbing scheduler stalls on shared CI runners — the refit totals are
-#: only tens of milliseconds per run.
-CROSS_CHECK_MAX_RATIO = 0.75
-
-
-def cross_check(suite: str = "tiny", seed: int = 0) -> int:
-    """Fused-vs-autodiff guard on one case; returns a process exit code.
-
-    Runs the first case of ``suite`` once per backend at the same seed and
-    checks two invariants:
-
-    * **parity** — the backends are bit-identical per training step, so the
-      search trajectories must agree exactly (same evaluations, same
-      winning sizing);
-    * **speed** — the fused refit must stay under
-      ``CROSS_CHECK_MAX_RATIO`` of the autodiff refit on the same
-      trajectory.  The comparison is relative, on the same machine and the
-      same case, so the guard does not flake with host speed.  The
-      autodiff run goes first so the fused measurement never pays the
-      process warm-up.
-    """
-    case = get_suite(suite)[0]
-    autodiff = run_case(case, seeds=[seed], backend="autodiff")["per_seed"][0]
-    fused = run_case(case, seeds=[seed], backend="fused")["per_seed"][0]
-    parity = (
-        fused["best_sizing"] == autodiff["best_sizing"]
-        and fused["evaluations"] == autodiff["evaluations"]
-        and fused["solved"] == autodiff["solved"]
-    )
-    faster = fused["refit_seconds"] <= CROSS_CHECK_MAX_RATIO * autodiff["refit_seconds"]
-    module_logger.info(
-        "cross-check %s seed %d: fused refit %.3fs vs autodiff %.3fs",
-        case.name,
-        seed,
-        fused["refit_seconds"],
-        autodiff["refit_seconds"],
-    )
-    if not parity:
-        module_logger.error(
-            "cross-check FAIL: backends diverged — evaluations %s vs %s, "
-            "solved %s vs %s",
-            fused["evaluations"],
-            autodiff["evaluations"],
-            fused["solved"],
-            autodiff["solved"],
-        )
-    if not faster:
-        module_logger.error(
-            "cross-check FAIL: fused refit above %.2fx of the autodiff reference",
-            CROSS_CHECK_MAX_RATIO,
-        )
-    # The verdict is the machine-readable output; it stays on stdout.
-    print("cross-check PASS" if parity and faster else "cross-check FAIL")
-    return 0 if parity and faster else 1
-
-
-#: Schema of the optional ``--refit-cross-check`` artifact.
-REFIT_CHECK_SCHEMA = "repro.bench.refit/v1"
-
-
-def refit_cross_check(
-    suite: str = "smoke", seeds: int = 8, output: Optional[str] = None
-) -> int:
-    """Batched-vs-sequential refit guard; returns a process exit code.
-
-    Runs the whole ``suite`` once per ``refit_mode`` at the same seeds and
-    checks the tentpole guarantee: the batched round-level refit dispatch
-    must be **bit-identical per seed** to the sequential inline path —
-    same winning sizings, same evaluation counts, same solved verdicts for
-    every (case, seed) pair.  The refit wall times of the two runs are
-    reported alongside the verdict (and written to ``output`` when given);
-    the speedup is informational, not gating — wall-clock ratios flake on
-    shared CI runners, bits don't.
-
-    The sequential run goes first, so the batched measurement never pays
-    the process warm-up.
-    """
-    seed_range = range(seeds)
-    sequential = run_suite(suite, seeds=seed_range, refit_mode="sequential")
-    batched = run_suite(suite, seeds=seed_range, refit_mode="batched")
-    mismatches: List[str] = []
-    for seq_case, bat_case in zip(sequential["cases"], batched["cases"]):
-        for seq_seed, bat_seed in zip(seq_case["per_seed"], bat_case["per_seed"]):
-            same = (
-                seq_seed["best_sizing"] == bat_seed["best_sizing"]
-                and seq_seed["evaluations"] == bat_seed["evaluations"]
-                and seq_seed["solved"] == bat_seed["solved"]
-            )
-            if not same:
-                mismatches.append(f"{seq_case['name']} seed {seq_seed['seed']}")
-    seq_refit = sum(case["refit_seconds"] for case in sequential["cases"])
-    bat_refit = sum(case["refit_seconds"] for case in batched["cases"])
-    speedup = seq_refit / bat_refit if bat_refit else float("inf")
-    parity = not mismatches
-    for mismatch in mismatches:
-        module_logger.error("refit-cross-check diverged: %s", mismatch)
-    if output is not None:
-        write_bench_json(
-            {
-                "schema": REFIT_CHECK_SCHEMA,
-                "suite": suite,
-                "seeds": list(seed_range),
-                "parity": parity,
-                "sequential_refit_seconds": round(seq_refit, 6),
-                "batched_refit_seconds": round(bat_refit, 6),
-                "refit_speedup": round(speedup, 3),
-                "host": host_block(),
-                "cases": [
-                    {
-                        "name": seq_case["name"],
-                        "sequential_refit_seconds": seq_case["refit_seconds"],
-                        "batched_refit_seconds": bat_case["refit_seconds"],
-                        "batched_kernel_calls": bat_case["refit"][
-                            "batched_kernel_calls"
-                        ],
-                        "refit_rounds": bat_case["refit"]["refit_rounds"],
-                        "success_rate": bat_case["success_rate"],
-                    }
-                    for seq_case, bat_case in zip(
-                        sequential["cases"], batched["cases"]
-                    )
-                ],
-            },
-            output,
-        )
-        module_logger.info("wrote %s", output)
-    # The verdict is the machine-readable output; it stays on stdout.
-    print(
-        f"refit-cross-check {'PASS' if parity else 'FAIL'} "
-        f"(batched {bat_refit:.3f}s vs sequential {seq_refit:.3f}s, "
-        f"{speedup:.2f}x, {seeds} seeds)"
-    )
-    return 0 if parity else 1
 
 
 #: Schema of the ``--shard-scaling`` artifact (``BENCH_shard.json``).
@@ -748,7 +517,7 @@ def shard_scaling(
     (``--execution sharded``) and checks the tentpole guarantee: every
     (case, seed) outcome must be **bit-identical across worker counts** —
     same winning sizings, evaluation counts, cache accounting and solved
-    verdicts (the ``workers=1`` run is itself locked to the sequential
+    verdicts (the ``workers=1`` run is itself locked to the in-process
     oracle by the determinism auditor's sharded mode).  The wall-time
     curve and per-count speedups over ``workers=1`` are reported alongside
     (and written to ``output``, default ``BENCH_shard.json``); the speedup
@@ -842,10 +611,7 @@ def format_summary(payload: Dict[str, Any]) -> str:
     """Human-readable one-line-per-case table for CLI output."""
     lines = [
         f"suite {payload['suite']!r} | seeds {payload['seeds']} "
-        f"| backend {payload['backend']} "
-        f"| corners {payload['corner_engine']} "
         f"| optimizer {payload['optimizer']} "
-        f"| refit {payload['refit_mode']} "
         f"| {payload['execution']} execution "
         f"| {payload['totals']['wall_seconds']:.1f} s total",
         f"{'case':48s} {'dims':>4s} {'succ':>6s} {'95% CI':>13s} {'evals':>6s} "
@@ -933,20 +699,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "threshold (default: 0.0, i.e. never fail; CI gates pass 1.0)",
     )
     parser.add_argument(
-        "--backend",
-        default=None,
-        choices=("fused", "autodiff"),
-        help="surrogate training backend override (default: the library "
-        "default, fused; autodiff is the reference oracle)",
-    )
-    parser.add_argument(
-        "--corner-engine",
-        default=None,
-        choices=("stacked", "looped"),
-        help="multi-corner evaluation engine override (default: the library "
-        "default, stacked; looped is the per-corner parity oracle)",
-    )
-    parser.add_argument(
         "--optimizer",
         default=None,
         choices=available_optimizers(),
@@ -958,10 +710,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default="campaign",
         choices=EXECUTIONS,
         help="how a case's seeds run: 'campaign' (default) batches all "
-        "seeds through shared vectorized corner passes, 'sequential' runs "
-        "one seed at a time (bit-exact per seed, more evaluator calls), "
-        "'sharded' partitions seeds across spawned worker processes "
-        "(bit-identical per seed to sequential; see --workers)",
+        "seeds through shared vectorized corner passes and batched "
+        "surrogate refits, 'sharded' partitions seeds across spawned "
+        "worker processes (bit-identical per seed; see --workers)",
     )
     parser.add_argument(
         "--workers",
@@ -971,29 +722,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="worker process count for --execution sharded (default: the "
         "host CPU count; 1 runs every shard in-process, bit-for-bit equal "
         "to spawned execution)",
-    )
-    parser.add_argument(
-        "--refit-mode",
-        default=None,
-        choices=REFIT_MODES,
-        help="surrogate-refit dispatch override (default: the library "
-        "default, batched — one stacked multi-seed training kernel per "
-        "campaign round; sequential is the inline per-seed parity oracle)",
-    )
-    parser.add_argument(
-        "--cross-check",
-        action="store_true",
-        help="instead of running the suite, run its first case once per "
-        "backend and verify trajectory parity plus fused refit <= autodiff "
-        "refit (the CI backend guard)",
-    )
-    parser.add_argument(
-        "--refit-cross-check",
-        action="store_true",
-        help="instead of running the suite once, run it once per refit "
-        "mode and verify per-seed trajectory parity (batched vs "
-        "sequential); --seeds sets the fleet size (default 8), --output "
-        "writes the speedup artifact",
     )
     parser.add_argument(
         "--shard-scaling",
@@ -1024,7 +752,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         metavar="DIR",
         help="snapshot each case's campaign under DIR/<case>/ after every "
-        "round (campaign execution only); a killed run resumes from there "
+        "round (sharded: one subdirectory per shard); a killed run resumes from there "
         "with --resume, bit-identical to an uninterrupted run",
     )
     parser.add_argument(
@@ -1053,74 +781,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(format_listing())
         return 2
 
-    if sum((args.cross_check, args.refit_cross_check, args.shard_scaling)) > 1:
-        parser.error(
-            "--cross-check, --refit-cross-check and --shard-scaling are exclusive"
-        )
-    if args.cross_check:
-        # The guard has its own fixed protocol (one seed, both backends, no
-        # artifact); reject flags it would silently ignore.
-        dropped = [
-            flag
-            for flag, value in (
-                ("--seeds", args.seeds),
-                ("--output", args.output),
-                ("--backend", args.backend),
-                ("--corner-engine", args.corner_engine),
-                ("--optimizer", args.optimizer),
-                ("--refit-mode", args.refit_mode),
-                ("--trace", args.trace),
-                ("--checkpoint-dir", args.checkpoint_dir),
-                ("--cache-dir", args.cache_dir),
-                ("--workers", args.workers),
-            )
-            if value is not None
-        ]
-        if args.fail_under:
-            dropped.append("--fail-under")
-        if args.resume:
-            dropped.append("--resume")
-        if dropped:
-            parser.error(f"--cross-check does not accept {', '.join(dropped)}")
-        return cross_check(args.suite)
-    if args.refit_cross_check:
-        # Fixed two-run protocol over both refit modes; --seeds and
-        # --output are meaningful, everything else would be ignored.
-        dropped = [
-            flag
-            for flag, value in (
-                ("--backend", args.backend),
-                ("--corner-engine", args.corner_engine),
-                ("--optimizer", args.optimizer),
-                ("--refit-mode", args.refit_mode),
-                ("--trace", args.trace),
-                ("--checkpoint-dir", args.checkpoint_dir),
-                ("--cache-dir", args.cache_dir),
-                ("--workers", args.workers),
-            )
-            if value is not None
-        ]
-        if args.fail_under:
-            dropped.append("--fail-under")
-        if args.resume:
-            dropped.append("--resume")
-        if dropped:
-            parser.error(f"--refit-cross-check does not accept {', '.join(dropped)}")
-        seeds = 8 if args.seeds is None else args.seeds
-        if seeds < 1:
-            parser.error("--seeds must be at least 1")
-        return refit_cross_check(args.suite, seeds=seeds, output=args.output)
     if args.shard_scaling:
         # Fixed protocol: the suite at every worker count, sharded
-        # execution, library-default knobs (the single-knob overrides
-        # belong to the determinism auditor's sharded mode).
+        # execution, library defaults; reject flags it would ignore.
         dropped = [
             flag
             for flag, value in (
-                ("--backend", args.backend),
-                ("--corner-engine", args.corner_engine),
                 ("--optimizer", args.optimizer),
-                ("--refit-mode", args.refit_mode),
                 ("--trace", args.trace),
                 ("--checkpoint-dir", args.checkpoint_dir),
                 ("--cache-dir", args.cache_dir),
@@ -1154,13 +821,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--seeds must be at least 1")
     if not 0.0 <= args.fail_under <= 1.0:
         parser.error("--fail-under must be within [0, 1]")
-    if args.execution == "sequential" and (
-        args.checkpoint_dir or args.resume or args.cache_dir
-    ):
-        parser.error(
-            "--checkpoint-dir/--resume/--cache-dir need --execution "
-            "campaign or sharded"
-        )
     if args.workers is not None and args.execution != "sharded":
         parser.error("--workers needs --execution sharded")
     if args.workers is not None and args.workers < 1:
@@ -1179,14 +839,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return run_suite(
             args.suite,
             seeds=range(seeds),
-            backend=args.backend,
-            corner_engine=args.corner_engine,
             optimizer=args.optimizer,
             execution=args.execution,
             checkpoint_dir=args.checkpoint_dir,
             resume=args.resume,
             cache_dir=args.cache_dir,
-            refit_mode=args.refit_mode,
             workers=args.workers,
             worker_trace_dir=worker_trace_dir,
         )

@@ -105,7 +105,7 @@ class PVTCondition:
         into a leading tensor axis of any vectorized evaluator.  Each row is
         produced by the scalar :meth:`apply` path and merely *stacked*, so
         row ``i`` is bit-identical to ``corners[i].apply(card)`` — the basis
-        of the corner-engine parity guarantee.
+        of the stacked-vs-looped corner parity guarantee.
         """
         return stack_cards([corner.apply(card) for corner in corners])
 

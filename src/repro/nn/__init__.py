@@ -13,15 +13,9 @@ from repro.nn.losses import huber_loss, mae_loss, mse_loss
 from repro.nn.modules import MLP, Activation, Linear, Module, Sequential
 from repro.nn.optim import SGD, Adam, Optimizer, clip_grad_norm
 from repro.nn.scalers import MinMaxScaler, StandardScaler
-from repro.nn.training import (
-    BACKENDS,
-    TrainingHistory,
-    iterate_minibatches,
-    train_regressor,
-)
+from repro.nn.training import TrainingHistory, iterate_minibatches, train_regressor
 
 __all__ = [
-    "BACKENDS",
     "BatchedFusedAdam",
     "BatchedFusedMLP",
     "FusedAdam",

@@ -16,7 +16,7 @@ Every floating-point expression below is written to match the autodiff
 engine's backward pass operation for operation (same order, same
 power-of-two factors), so the two backends produce **bit-identical** losses,
 gradients and post-Adam weights on the same minibatch stream.  That property
-is what lets the search switch backend without re-locking its trajectories,
+is what keeps the autodiff engine a usable reference oracle for the search,
 and it is enforced by ``tests/test_fused.py``.
 
 Weights round-trip with the autodiff :class:`~repro.nn.modules.MLP` via

@@ -20,12 +20,6 @@ from repro.nn.modules import MLP
 from repro.nn.optim import Adam, Optimizer
 from repro.nn.seeding import resolve_rng
 
-#: Training backends: ``"fused"`` is the hand-derived NumPy fast path,
-#: ``"autodiff"`` the Tensor-graph reference oracle.  ``"auto"`` picks by
-#: model type.  The two are bit-identical per step (see tests/test_fused.py).
-BACKENDS = ("auto", "fused", "autodiff")
-
-
 @dataclass
 class TrainingHistory:
     """Loss trace of a fit; useful for convergence diagnostics and tests."""
@@ -59,16 +53,6 @@ def iterate_minibatches(
         yield inputs[index], targets[index]
 
 
-def _resolve_backend(model: Union[MLP, FusedMLP], backend: str) -> str:
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; available: {', '.join(BACKENDS)}")
-    if backend == "auto":
-        return "fused" if isinstance(model, FusedMLP) else "autodiff"
-    if backend == "autodiff" and isinstance(model, FusedMLP):
-        raise ValueError("backend='autodiff' requires an autodiff MLP, got FusedMLP")
-    return backend
-
-
 def train_regressor(
     model: Union[MLP, FusedMLP],
     inputs: np.ndarray,
@@ -79,7 +63,6 @@ def train_regressor(
     optimizer: Optional[Union[Optimizer, FusedAdam]] = None,
     rng: Optional[np.random.Generator] = None,
     l2: float = 0.0,
-    backend: str = "auto",
     seed: Optional[int] = None,
 ) -> TrainingHistory:
     """Fit ``model`` to map ``inputs`` to ``targets`` with MSE.
@@ -87,16 +70,18 @@ def train_regressor(
     Parameters
     ----------
     model:
-        The MLP (autodiff or fused) to train in-place.
+        The MLP to train in-place.  A :class:`FusedMLP` trains with the
+        hand-derived NumPy fast path, an autodiff :class:`MLP` with the
+        Tensor graph (the reference oracle).
     inputs, targets:
         2-D arrays of shape ``(n_samples, n_features)`` / ``(n_samples, n_outputs)``.
     epochs, batch_size, lr:
         Usual training hyper-parameters.
     optimizer:
         Optional pre-built optimizer (so the agent can keep Adam moments
-        across incremental refits).  Must match the backend: an autodiff
-        :class:`Adam`/:class:`Optimizer` for ``"autodiff"``, a
-        :class:`FusedAdam` for ``"fused"``.
+        across incremental refits).  Must match the model: a
+        :class:`FusedAdam` for a :class:`FusedMLP`, an autodiff
+        :class:`Adam`/:class:`Optimizer` for an :class:`MLP`.
     rng, seed:
         Minibatch-shuffling RNG: pass a Generator to share a stream, or a
         seed to build one.  With neither, the fixed library default seed is
@@ -104,49 +89,30 @@ def train_regressor(
         reproducible even when the caller forgets to thread an rng.
     l2:
         Weight decay strength.
-    backend:
-        ``"auto"`` (default) trains a :class:`FusedMLP` with the fused path
-        and an autodiff :class:`MLP` with the Tensor graph.  ``"fused"`` on
-        an autodiff MLP converts it, trains with the fast path, and writes
-        the weights back — identical results, one-off conversion cost.
 
-    Both backends consume the same minibatch RNG stream and perform
-    bit-identical floating-point updates, so the choice never changes the
-    fitted weights — only how fast they are reached.
+    Both training loops consume the same minibatch RNG stream and perform
+    bit-identical floating-point updates, so an :class:`MLP` and its
+    :meth:`FusedMLP.from_module` twin end at the same weights.
     """
     rng = resolve_rng(rng, seed)
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     if inputs.shape[0] != targets.shape[0]:
         raise ValueError("inputs and targets must have the same number of rows")
-    backend = _resolve_backend(model, backend)
     history = TrainingHistory()
 
-    if backend == "fused":
-        write_back: Optional[MLP] = None
-        if isinstance(model, FusedMLP):
-            fused = model
-        else:
-            if optimizer is not None:
-                raise ValueError(
-                    "backend='fused' on an autodiff MLP cannot reuse a pre-built "
-                    "optimizer; hold a FusedMLP + FusedAdam for persistent moments"
-                )
-            fused = FusedMLP.from_module(model)
-            write_back = model
+    if isinstance(model, FusedMLP):
         if optimizer is None:
-            optimizer = FusedAdam(fused, lr=lr, weight_decay=l2)
+            optimizer = FusedAdam(model, lr=lr, weight_decay=l2)
         elif not isinstance(optimizer, FusedAdam):
-            raise ValueError("backend='fused' requires a FusedAdam optimizer")
-        history.losses.extend(fused.fit(inputs, targets, epochs, batch_size, optimizer, rng))
-        if write_back is not None:
-            fused.to_module(write_back)
+            raise ValueError("a FusedMLP requires a FusedAdam optimizer")
+        history.losses.extend(model.fit(inputs, targets, epochs, batch_size, optimizer, rng))
         return history
 
     if optimizer is None:
         optimizer = Adam(model.parameters(), lr=lr, weight_decay=l2)
     elif isinstance(optimizer, FusedAdam):
-        raise ValueError("backend='autodiff' requires an autodiff optimizer, got FusedAdam")
+        raise ValueError("an autodiff MLP requires an autodiff optimizer, got FusedAdam")
     for _ in range(epochs):
         epoch_losses = []
         for batch_x, batch_y in iterate_minibatches(inputs, targets, batch_size, rng):

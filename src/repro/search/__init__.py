@@ -23,7 +23,6 @@ from repro.search.optimizer import (
     register_optimizer,
 )
 from repro.search.progressive import (
-    CORNER_ENGINES,
     CornerReport,
     ProgressiveConfig,
     ProgressiveResult,
@@ -31,14 +30,9 @@ from repro.search.progressive import (
 )
 from repro.search.sizing import build_campaign, resolve_config, size_problem
 from repro.search.spec import Spec, Specification
-from repro.search.trust_region import (
-    SEARCH_BACKENDS,
-    TrustRegionConfig,
-    TrustRegionSearch,
-)
+from repro.search.trust_region import TrustRegionConfig, TrustRegionSearch
 
 __all__ = [
-    "CORNER_ENGINES",
     "Campaign",
     "CampaignResult",
     "CornerEvaluator",
@@ -53,7 +47,6 @@ __all__ = [
     "ProgressiveConfig",
     "ProgressiveResult",
     "RandomSearch",
-    "SEARCH_BACKENDS",
     "SearchResult",
     "Spec",
     "Specification",

@@ -5,8 +5,9 @@ The ask/tell redesign splits the search stack into two halves.  Optimizers
 next.  The :class:`Campaign` owns the *evaluation* side:
 
 * the true corner evaluator (a topology's
-  :meth:`~repro.circuits.topologies.base.SizingProblem.evaluate_corners`
-  or the looped per-corner parity oracle), wrapped in the cross-phase
+  :meth:`~repro.circuits.topologies.base.SizingProblem.evaluate_corners`,
+  or the per-corner loop when the handle has no stacked evaluator),
+  wrapped in the cross-phase
   :class:`~repro.search.eval_cache.EvaluationCache`;
 * budget and wall-time accounting (``eval_seconds``, engine calls, cache
   hits/misses);
@@ -21,7 +22,12 @@ next.  The :class:`Campaign` owns the *evaluation* side:
   trajectories never depend on how many seeds share a round — the
   multi-seed path is bit-exact versus running the seeds sequentially
   (locked by tests) and computes no extra ``(row, corner)`` pairs; it just
-  issues far fewer, larger evaluator calls.
+  issues far fewer, larger evaluator calls;
+* **batched surrogate refits**: every trust-region member defers its refit
+  to the end of the round, where the Campaign trains all queued refits of
+  one geometry through a single :func:`~repro.nn.fused.fit_batched`
+  dispatch, bit-identical per seed to the inline refit of a standalone
+  ``run()``.
 
 :func:`repro.search.progressive.progressive_pvt_search` and
 :func:`repro.search.sizing.size_problem` are thin compatibility layers over
@@ -87,8 +93,9 @@ class EvaluationHandle:
         Vectorized ``(samples, corners) -> (n_corners, count, n_metrics)``
         stacked evaluator, or ``None`` when only the looped path exists.
     evaluator_factory:
-        Per-corner batch-evaluator factory — the looped parity oracle (and
-        the fallback when ``corner_evaluator`` is ``None``).
+        Per-corner batch-evaluator factory, looped over the corners when
+        ``corner_evaluator`` is ``None`` (a handle with only a factory is
+        how the tests reach the looped parity oracle).
     """
 
     design_space: DesignSpace
@@ -117,14 +124,11 @@ class CampaignResult:
     #: Round the campaign resumed from (``None`` for an uninterrupted run).
     #: ``rounds`` still counts from the resumed round, matching the oracle.
     resumed_from_round: Optional[int] = None
-    #: Lockstep rounds in which at least one surrogate refit ran (either
-    #: dispatch mode; the deterministic denominator of the refit speedup).
+    #: Lockstep rounds in which at least one surrogate refit ran.
     refit_rounds: int = 0
-    #: Stacked multi-seed training dispatches (zero under
-    #: ``refit_mode="sequential"``; single-job refits don't count).
+    #: Stacked multi-seed training dispatches (single-job refits don't
+    #: count).
     batched_kernel_calls: int = 0
-    #: The refit dispatch mode the campaign ran with.
-    refit_mode: str = "batched"
 
     @property
     def solved_fraction(self) -> float:
@@ -176,7 +180,6 @@ class _ProgressiveMember:
         trust_config: TrustRegionConfig,
         optimizer_name: str,
         max_phases: int,
-        refit_deferred: bool = False,
     ) -> None:
         self.seed = seed
         self.design_space = design_space
@@ -189,7 +192,6 @@ class _ProgressiveMember:
         self.optimizer_name = optimizer_name
         self.optimizer_cls = get_optimizer(optimizer_name)
         self.max_phases = max_phases
-        self._refit_deferred = refit_deferred
         # Per-seed evaluation accounting, attributed by the Campaign: exact
         # cache-counter deltas for this member's own requests, plus its
         # share of any multi-seed stacked pass (see Campaign._run_group).
@@ -227,10 +229,9 @@ class _ProgressiveMember:
             config=phase_config,
             initial_points=self.warm_start,
         )
-        # Under refit_mode="batched" the optimizer queues its refits for
-        # the campaign's round-level stacked dispatch (a no-op for
-        # strategies without a deferrable surrogate).
-        optimizer.set_refit_deferred(self._refit_deferred)
+        # The optimizer queues its refits for the campaign's round-level
+        # stacked dispatch (a no-op for strategies without a surrogate).
+        optimizer.set_refit_deferred(True)
         return optimizer
 
     def account(
@@ -470,9 +471,7 @@ class Campaign:
     config:
         A :class:`~repro.search.progressive.ProgressiveConfig` (or, legacy
         style, the :class:`TrustRegionConfig` shared by every phase).  Its
-        ``optimizer`` field names the registered search strategy, its
-        ``corner_engine`` selects the stacked tensor pass versus the looped
-        parity oracle.
+        ``optimizer`` field names the registered search strategy.
     seeds:
         RNG seeds, one independent progressive search each; defaults to the
         config's seed.  All seeds share one :class:`EvaluationCache`, and
@@ -503,22 +502,13 @@ class Campaign:
         self.progressive = _as_progressive_config(config, None)
         if self.progressive.max_phases < 1:
             raise ValueError("max_phases must be at least 1")
-        trust = self.progressive.phase_trust_region()
+        trust = self.progressive.trust_region
         self.corners = list(corners) if corners is not None else nine_corner_grid()
         self.ranked = rank_by_severity(self.corners)
         self.seeds = [int(s) for s in seeds] if seeds is not None else [trust.seed]
         if not self.seeds:
             raise ValueError("a campaign needs at least one seed")
-        if self.progressive.corner_engine == "looped":
-            # The looped engine is the parity oracle; silently substituting
-            # the stacked engine would make it vouch for itself.
-            if handle.evaluator_factory is None:
-                raise ValueError(
-                    "corner_engine='looped' needs the handle's "
-                    "evaluator_factory (the per-corner parity oracle)"
-                )
-            engine = _looped_corner_evaluator(handle.evaluator_factory, self.corners)
-        elif handle.corner_evaluator is not None:
+        if handle.corner_evaluator is not None:
             engine = handle.corner_evaluator
         elif handle.evaluator_factory is not None:
             engine = _looped_corner_evaluator(handle.evaluator_factory, self.corners)
@@ -534,7 +524,6 @@ class Campaign:
             persist_path=cache_path,
             preload_paths=cache_preload,
         )
-        self.refit_mode = self.progressive.refit_mode
         self._members = [
             _ProgressiveMember(
                 seed=seed,
@@ -545,7 +534,6 @@ class Campaign:
                 trust_config=trust,
                 optimizer_name=self.progressive.optimizer,
                 max_phases=self.progressive.max_phases,
-                refit_deferred=self.refit_mode == "batched",
             )
             for seed in self.seeds
         ]
@@ -641,8 +629,8 @@ class Campaign:
         phases have different surrogate output widths); each multi-job group
         trains through one stacked :func:`fit_batched` dispatch, lone jobs
         through the same kernel at seed count 1.  Either way the per-seed
-        bits equal the sequential inline refit, so deferral is invisible to
-        trajectories — only to the wall clock.
+        bits equal the inline refit of a standalone ``run()``, so deferral
+        is invisible to trajectories — only to the wall clock.
         """
         pending: List[Tuple[_ProgressiveMember, FusedFitJob]] = []
         for member in self._members:
@@ -665,10 +653,7 @@ class Campaign:
     def _run_refit_single(self, member: _ProgressiveMember, job: FusedFitJob) -> None:
         """A lone deferred refit: same accounting as the inline path."""
         with profiled(
-            "trust_region.refit",
-            epochs=job.epochs,
-            rows=int(job.inputs.shape[0]),
-            backend="fused",
+            "trust_region.refit", epochs=job.epochs, rows=int(job.inputs.shape[0])
         ) as timer:
             fit_batched([job])
         member.optimizer.refit_seconds += timer.seconds
@@ -881,9 +866,9 @@ class Campaign:
                             member.receive(self._evaluate_for(member, rows, corners))
                             continue
                         self._run_group(grouped)
-                    # End of round: train every queued refit (batched mode)
-                    # before the snapshot below, so checkpoints never carry
-                    # a half-deferred surrogate.
+                    # End of round: train every queued refit before the
+                    # snapshot below, so checkpoints never carry a
+                    # half-deferred surrogate.
                     self._flush_refits()
                 if any(
                     optimizer.refit_count > count for optimizer, count in refits_before
@@ -906,5 +891,4 @@ class Campaign:
             resumed_from_round=resumed_from_round,
             refit_rounds=self.refit_rounds,
             batched_kernel_calls=self.batched_kernel_calls,
-            refit_mode=self.refit_mode,
         )

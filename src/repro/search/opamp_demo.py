@@ -40,14 +40,12 @@ def size_two_stage_opamp(
     corners: Optional[Sequence[PVTCondition]] = None,
     config: Optional[TrustRegionConfig] = None,
     seed: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> ProgressiveResult:
     """Run the progressive trust-region sizing search for the opamp.
 
     ``seed`` and ``config`` can no longer disagree: an explicit ``seed``
     overrides ``config.seed`` (previously it was silently ignored), and
-    ``seed=None`` defers to the config.  ``backend`` follows the same rule
-    for the surrogate training backend.
+    ``seed=None`` defers to the config.
     """
     return size_problem(
         "two_stage_opamp",
@@ -57,7 +55,6 @@ def size_two_stage_opamp(
         corners=corners,
         config=config,
         seed=seed,
-        backend=backend,
     )
 
 

@@ -222,8 +222,8 @@ class Optimizer(ABC):
     def set_refit_deferred(self, deferred: bool) -> None:
         """Ask the optimizer to queue refits instead of training inline.
 
-        Drivers that can batch training across many optimizers (the
-        campaign's ``refit_mode="batched"``) call this once after
+        Drivers that can batch training across many optimizers (every
+        :class:`~repro.search.campaign.Campaign`) call this once after
         construction.  The default is a no-op: optimizers without a
         deferrable surrogate simply keep training inline (or not at all),
         and :meth:`take_refit_job` stays empty.

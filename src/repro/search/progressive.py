@@ -18,10 +18,10 @@ fixed seed/config.
 The corner axis stays *tensorized*: every multi-corner evaluation is a
 single :meth:`~repro.circuits.topologies.base.SizingProblem.evaluate_corners`
 call routed through a cross-phase
-:class:`~repro.search.eval_cache.EvaluationCache`.
-``ProgressiveConfig.corner_engine`` selects between the ``"stacked"`` fast
-path and the ``"looped"`` per-corner parity oracle; the two are
-bit-identical, so the knob trades speed only, never trajectories.
+:class:`~repro.search.eval_cache.EvaluationCache`.  The per-corner loop
+(:func:`_looped_corner_evaluator`) survives only as the fallback for
+evaluation handles without a stacked evaluator, which is how the tests
+reach it as the bit-identical parity oracle.
 """
 
 from __future__ import annotations
@@ -46,68 +46,27 @@ from repro.search.trust_region import (
 #: ``evaluate_batch``) together with its metric names.
 EvaluatorFactory = Callable[[PVTCondition], BatchEvaluator]
 
-#: Corner evaluation engines the progressive loop accepts: ``"stacked"``
-#: broadcasts the whole corner grid in one NumPy pass, ``"looped"`` is the
-#: per-corner Python loop kept as the parity oracle.
-CORNER_ENGINES = ("stacked", "looped")
-
-#: Surrogate-refit dispatch modes: ``"batched"`` collects every live seed's
-#: pending refit each campaign round and trains them through one stacked
-#: kernel (:func:`repro.nn.fused.fit_batched`); ``"sequential"`` trains each
-#: seed inline inside its own ``tell``, the historical parity oracle.  The
-#: two are bit-identical per seed, so the knob trades speed only.
-REFIT_MODES = ("batched", "sequential")
-
 
 @dataclass
 class ProgressiveConfig:
     """Configuration of the progressive multi-corner loop.
 
     Bundles the per-phase optimizer hyper-parameters with the knobs that
-    belong to the corner-hardening loop itself.  ``backend`` overrides the
-    trust-region config's training backend when set, so callers can flip
-    every phase between the fused fast path and the autodiff oracle with a
-    single field.  ``corner_engine`` selects how multi-corner evaluations
-    run: ``"stacked"`` (default, one broadcast over the corner grid) or
-    ``"looped"`` (per-corner loop, the bit-identical parity oracle).
-    ``optimizer`` names the registered search strategy each phase runs
-    (``"trust_region"`` default; ``"random"`` and ``"cross_entropy"`` are
-    the built-in baselines).  ``refit_mode`` selects how surrogate refits
-    dispatch under a campaign: ``"batched"`` (default, one stacked training
-    kernel per round across the live seeds) or ``"sequential"`` (inline
-    per-seed refits, the parity oracle) — bit-identical per seed either
-    way.
+    belong to the corner-hardening loop itself.  ``optimizer`` names the
+    registered search strategy each phase runs (``"trust_region"`` default;
+    ``"random"`` and ``"cross_entropy"`` are the built-in baselines).
     """
 
     trust_region: TrustRegionConfig = field(default_factory=TrustRegionConfig)
     max_phases: int = 4
-    backend: Optional[str] = None
-    corner_engine: str = "stacked"
     optimizer: str = "trust_region"
-    refit_mode: str = "batched"
 
     def __post_init__(self) -> None:
-        if self.corner_engine not in CORNER_ENGINES:
-            raise ValueError(
-                f"unknown corner engine {self.corner_engine!r}; "
-                f"available: {', '.join(CORNER_ENGINES)}"
-            )
-        if self.refit_mode not in REFIT_MODES:
-            raise ValueError(
-                f"unknown refit mode {self.refit_mode!r}; "
-                f"available: {', '.join(REFIT_MODES)}"
-            )
         if self.optimizer not in available_optimizers():
             raise ValueError(
                 f"unknown optimizer {self.optimizer!r}; "
                 f"available: {', '.join(available_optimizers())}"
             )
-
-    def phase_trust_region(self) -> TrustRegionConfig:
-        """The trust-region config with the backend override applied."""
-        if self.backend is not None and self.backend != self.trust_region.backend:
-            return replace(self.trust_region, backend=self.backend)
-        return self.trust_region
 
 
 def _as_progressive_config(
@@ -223,7 +182,10 @@ def _stacked_specification(
 def _looped_corner_evaluator(
     evaluator_factory: EvaluatorFactory, corners: Sequence[PVTCondition]
 ) -> CornerEvaluator:
-    """The per-corner parity oracle: one factory-built evaluator per corner.
+    """The per-corner loop: one factory-built evaluator per corner.
+
+    The fallback engine for handles without a stacked evaluator, and the
+    bit-identical parity oracle the tests build such handles for.
 
     Keyed by the (frozen, hashable) conditions themselves — the display name
     rounds voltage/temperature, so two distinct corners can share it.
@@ -266,8 +228,7 @@ def progressive_pvt_search(
     ----------
     evaluator_factory:
         Called once per corner to build that corner's batch evaluator; the
-        basis of the ``"looped"`` parity oracle (and the fallback when no
-        ``corner_evaluator`` is supplied).
+        looped engine used when no ``corner_evaluator`` is supplied.
     design_space, specs, metric_names:
         The CSP: single-corner metric layout plus the constraints that must
         hold at *every* corner.
@@ -283,8 +244,8 @@ def progressive_pvt_search(
         Vectorized ``(samples, corners) -> (n_corners, count, n_metrics)``
         evaluator (e.g. a topology's
         :meth:`~repro.circuits.topologies.base.SizingProblem.evaluate_corners`),
-        used when the config's ``corner_engine`` is ``"stacked"``.  Must be
-        bit-identical to the per-corner loop over ``evaluator_factory``.
+        used whenever given.  Must be bit-identical to the per-corner loop
+        over ``evaluator_factory``.
     """
     # Imported lazily: campaign.py imports this module's config/result
     # types, so a module-level import here would be circular.
@@ -302,6 +263,6 @@ def progressive_pvt_search(
         specs,
         corners=corners,
         config=progressive,
-        seeds=[progressive.phase_trust_region().seed],
+        seeds=[progressive.trust_region.seed],
     )
     return campaign.run().results[0]

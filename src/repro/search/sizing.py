@@ -12,7 +12,9 @@ which keeps their RNG behaviour identical: a benchmark run of
 ``two_stage_opamp`` at the ``nominal`` tier reproduces the historical demo
 bit-for-bit at the same seed.  :func:`build_campaign` is the multi-seed
 sibling: the same problem resolution, returning the ready-to-run
-:class:`~repro.search.campaign.Campaign` instead of running one seed.
+:class:`~repro.search.campaign.Campaign` instead of running one seed; a
+multi-seed campaign matches one :func:`size_problem` run per seed bit for
+bit (locked by the tests).
 """
 
 from __future__ import annotations
@@ -52,32 +54,26 @@ def _with_overrides(config, **overrides):
 def resolve_config(
     config: Union[TrustRegionConfig, ProgressiveConfig, None] = None,
     seed: Optional[int] = None,
-    backend: Optional[str] = None,
-    corner_engine: Optional[str] = None,
     optimizer: Optional[str] = None,
     max_phases: Optional[int] = None,
-    refit_mode: Optional[str] = None,
 ) -> ProgressiveConfig:
     """Combine the config object with the scalar override knobs.
 
     Every override follows the same rule: an explicit value always wins
     (via :func:`dataclasses.replace`), ``None`` defers to the config.
-    ``seed`` and ``backend`` land on the per-phase
-    :class:`TrustRegionConfig`; ``corner_engine``, ``optimizer``,
-    ``max_phases`` and ``refit_mode`` on the :class:`ProgressiveConfig`.  A bare
+    ``seed`` lands on the per-phase :class:`TrustRegionConfig`;
+    ``optimizer`` and ``max_phases`` on the :class:`ProgressiveConfig`.  A bare
     :class:`TrustRegionConfig` (or ``None``) is wrapped without copying, so
     ``resolve_config(config).trust_region is config`` holds when nothing
     changes.
     """
     progressive = _as_progressive_config(config, None)
-    trust = _with_overrides(progressive.trust_region, seed=seed, backend=backend)
+    trust = _with_overrides(progressive.trust_region, seed=seed)
     return _with_overrides(
         progressive,
         trust_region=trust if trust is not progressive.trust_region else None,
-        corner_engine=corner_engine,
         optimizer=optimizer,
         max_phases=max_phases,
-        refit_mode=refit_mode,
     )
 
 
@@ -97,9 +93,8 @@ def build_campaign(
     """Resolve a topology into a ready-to-run multi-seed Campaign.
 
     ``overrides`` are the scalar knobs of :func:`resolve_config` (``seed``,
-    ``backend``, ``corner_engine``, ``optimizer``, ``max_phases``,
-    ``refit_mode``), each
-    explicit-wins/``None``-defers against ``config``.  ``seeds`` selects
+    ``optimizer``, ``max_phases``), each explicit-wins/``None``-defers
+    against ``config``.  ``seeds`` selects
     the campaign members (defaulting to the resolved config's seed); the
     spec set defaults to the topology's ``default_specs()`` at ``tier``.
     ``cache_path`` points the campaign's evaluation cache at a persistent
@@ -144,10 +139,7 @@ def size_problem(
     config: Union[TrustRegionConfig, ProgressiveConfig, None] = None,
     seed: Optional[int] = None,
     max_phases: Optional[int] = None,
-    backend: Optional[str] = None,
-    corner_engine: Optional[str] = None,
     optimizer: Optional[str] = None,
-    refit_mode: Optional[str] = None,
 ) -> ProgressiveResult:
     """Run the progressive sizing search on one topology (single seed).
 
@@ -175,23 +167,10 @@ def size_problem(
     max_phases:
         Progressive corner-hardening round budget; ``None`` defers to the
         config (:class:`ProgressiveConfig` default: 4).
-    backend:
-        Surrogate training backend (``"fused"`` or ``"autodiff"``); an
-        explicit value overrides the config's ``backend`` field.
-    corner_engine:
-        Multi-corner evaluation engine: ``"stacked"`` (default, the whole
-        corner grid as one NumPy broadcast) or ``"looped"`` (per-corner
-        loop, the bit-identical parity oracle).  ``None`` defers to the
-        config.
     optimizer:
         Registered search strategy each phase runs (``"trust_region"``
         default; ``"random"``/``"cross_entropy"`` baselines).  ``None``
         defers to the config.
-    refit_mode:
-        Surrogate-refit dispatch under the campaign: ``"batched"`` (one
-        stacked training kernel per round) or ``"sequential"`` (inline
-        per-seed refits) — bit-identical per seed.  ``None`` defers to the
-        config.
     """
     campaign = build_campaign(
         topology,
@@ -203,10 +182,7 @@ def size_problem(
         config=config,
         seeds=None,
         seed=seed,
-        backend=backend,
-        corner_engine=corner_engine,
         optimizer=optimizer,
         max_phases=max_phases,
-        refit_mode=refit_mode,
     )
     return campaign.run().results[0]

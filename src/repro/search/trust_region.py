@@ -41,15 +41,14 @@ evaluated-point dataset (amortized-doubling buffers, vectorized void-view
 dedup, incremental incumbent) lives in the shared
 :class:`~repro.search.optimizer.DatasetOptimizer` base; candidate ranking
 uses ``np.argpartition`` to keep ranking cost O(pool); the surrogate refit
-runs on the fused NumPy backend by default (:mod:`repro.nn.fused`), which is
-step-for-step bit-identical to the autodiff reference — switching
-``backend`` never changes a trajectory.
+runs on the fused NumPy MLP (:mod:`repro.nn.fused`), which is step-for-step
+bit-identical to the autodiff reference (locked by ``tests/test_fused.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,7 +57,6 @@ from repro.obs import event, profiled
 from repro.resilience.faults import fault_point, register_fault_site
 from repro.nn.fused import FusedAdam, FusedFitJob, FusedMLP
 from repro.nn.modules import MLP
-from repro.nn.optim import Adam
 from repro.nn.scalers import StandardScaler
 from repro.nn.training import train_regressor
 from repro.analysis.contracts import contract
@@ -76,15 +74,10 @@ from repro.search.spec import Specification
 __all__ = [
     "BatchEvaluator",
     "IterationRecord",
-    "SEARCH_BACKENDS",
     "SearchResult",
     "TrustRegionConfig",
     "TrustRegionSearch",
 ]
-
-#: Training backends the search accepts (no "auto" here: the search builds
-#: the surrogate itself, so the choice must be explicit).
-SEARCH_BACKENDS = ("fused", "autodiff")
 
 #: Kill-and-resume drill site: a crash inside a surrogate refit loses the
 #: half-updated Adam moments, which resume must reconstruct exactly.
@@ -122,11 +115,6 @@ class TrustRegionConfig:
     refit_epochs: int = 25
     learning_rate: float = 3e-3
     seed: int = 0
-    #: Training backend for the surrogate refits: ``"fused"`` (default, the
-    #: flat-buffer NumPy fast path) or ``"autodiff"`` (the Tensor-graph
-    #: reference oracle).  The two are bit-identical per training step, so
-    #: this knob trades speed only, never trajectories.
-    backend: str = "fused"
     #: Minibatch size of the surrogate refits.  The refit cost is dominated
     #: by per-step dispatch overhead (the matrices are tiny), so fewer,
     #: larger batches are strictly cheaper; 64 was chosen by measuring the
@@ -135,10 +123,6 @@ class TrustRegionConfig:
     surrogate_batch_size: int = 64
 
     def __post_init__(self) -> None:
-        if self.backend not in SEARCH_BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; available: {', '.join(SEARCH_BACKENDS)}"
-            )
         for name in ("initial_samples", "batch_size", "candidate_pool", "max_evaluations"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -197,12 +181,12 @@ class TrustRegionSearch(DatasetOptimizer):
         self._stall = 0
         self._restart_pending = False
         # Surrogate state persists across refits (warm-started Adam).
-        self._surrogate: Optional[Union[MLP, FusedMLP]] = None
-        self._optimizer: Optional[Union[Adam, FusedAdam]] = None
+        self._surrogate: Optional[FusedMLP] = None
+        self._optimizer: Optional[FusedAdam] = None
         self._output_scaler: Optional[StandardScaler] = None
-        # Batched-refit deferral (campaign refit_mode="batched"): when set,
-        # tell() queues the refit instead of training, and the driver pops
-        # it via take_refit_job() at the end of the round.
+        # Batched-refit deferral (every Campaign member): when set, tell()
+        # queues the refit instead of training, and the driver pops it via
+        # take_refit_job() at the end of the round.
         self._refit_deferred = False
         self._pending_refit_epochs: Optional[int] = None
 
@@ -211,17 +195,15 @@ class TrustRegionSearch(DatasetOptimizer):
         """Queue refits for a round-level batched dispatch instead of
         training inline.
 
-        Only the fused backend is deferrable (the batched kernel stacks
-        flat parameter vectors); with ``backend="autodiff"`` the optimizer
-        keeps training inline and the campaign's batched mode degrades
-        gracefully to the sequential behaviour for this member.
+        A :class:`~repro.search.campaign.Campaign` always defers; the
+        standalone ``run()`` loop refits inline.
 
         Deferral cannot shift a trajectory: the refit is the only RNG
         consumer inside ``tell`` and the next RNG use is the next ``ask``,
         which the campaign only reaches after flushing the queued refits —
-        so the draw order is exactly the sequential one.
+        so the draw order is exactly the inline one.
         """
-        self._refit_deferred = bool(deferred) and self.config.backend == "fused"
+        self._refit_deferred = bool(deferred)
 
     def take_refit_job(self) -> Optional[FusedFitJob]:
         """Pop this round's queued refit as a fit job, or ``None``.
@@ -254,31 +236,30 @@ class TrustRegionSearch(DatasetOptimizer):
             return
         fault_point(SITE_REFIT)
         self.refit_count += 1
-        with profiled(
-            "trust_region.refit",
-            epochs=epochs,
-            rows=self._count,
-            backend=self.config.backend,
-        ) as timer:
+        with profiled("trust_region.refit", epochs=epochs, rows=self._count) as timer:
             self._refit_surrogate_inner(epochs)
         self.refit_seconds += timer.seconds
 
-    def _ensure_surrogate(self, metrics: np.ndarray) -> None:
-        """Lazily build the surrogate, its optimizer and the output scaler."""
-        if self._surrogate is not None:
-            return
+    def _build_surrogate(self) -> Tuple[FusedMLP, FusedAdam]:
+        """A fresh surrogate and its Adam, initialised from the config seed.
+
+        The weights come from an autodiff :class:`MLP` template so the
+        initialisation matches the reference implementation draw for draw.
+        """
         template = MLP(
             in_features=self.design_space.dimension,
             hidden=tuple(self.config.surrogate_hidden),
             out_features=len(self.specification.metric_names),
             rng=np.random.default_rng(self.config.seed + 1),
         )
-        if self.config.backend == "fused":
-            self._surrogate = FusedMLP.from_module(template)
-            self._optimizer = FusedAdam(self._surrogate, lr=self.config.learning_rate)
-        else:
-            self._surrogate = template
-            self._optimizer = Adam(template.parameters(), lr=self.config.learning_rate)
+        surrogate = FusedMLP.from_module(template)
+        return surrogate, FusedAdam(surrogate, lr=self.config.learning_rate)
+
+    def _ensure_surrogate(self, metrics: np.ndarray) -> None:
+        """Lazily build the surrogate, its optimizer and the output scaler."""
+        if self._surrogate is not None:
+            return
+        self._surrogate, self._optimizer = self._build_surrogate()
         # The output scaler is fitted once on the Monte-Carlo seed and
         # then frozen: retargeting it every refit would silently shift
         # the regression problem under the persistent Adam moments.
@@ -295,7 +276,6 @@ class TrustRegionSearch(DatasetOptimizer):
             batch_size=self.config.surrogate_batch_size,
             optimizer=self._optimizer,
             rng=self.rng,
-            backend=self.config.backend,
         )
 
     # -- checkpoint/resume ---------------------------------------------
@@ -306,10 +286,10 @@ class TrustRegionSearch(DatasetOptimizer):
         reconstruct: parameter values, Adam moments/step and the frozen
         output-scaler statistics.  The network *shape* and its
         initialization RNG are derived from the config, so restore rebuilds
-        the surrogate exactly the way :meth:`_refit_surrogate_inner` does
-        and then overwrites the trained values.  The ``stall`` block holds
-        the restart state: local incumbent index (its score is the
-        dataset's), restart centre, stall count and pending-restart flag.
+        the surrogate with :meth:`_build_surrogate` and then overwrites the
+        trained values.  The ``stall`` block holds the restart state: local
+        incumbent index (its score is the dataset's), restart centre, stall
+        count and pending-restart flag.
         """
         if self._pending_refit_epochs is not None:
             raise RuntimeError(
@@ -366,21 +346,9 @@ class TrustRegionSearch(DatasetOptimizer):
             self._optimizer = None
             self._output_scaler = None
             return
-        # The same construction sequence as the first refit: template MLP
-        # from the derived seed, optionally fused, fresh Adam — then the
-        # checkpointed values land on top.
-        template = MLP(
-            in_features=self.design_space.dimension,
-            hidden=tuple(self.config.surrogate_hidden),
-            out_features=len(self.specification.metric_names),
-            rng=np.random.default_rng(self.config.seed + 1),
-        )
-        if self.config.backend == "fused":
-            self._surrogate = FusedMLP.from_module(template)
-            self._optimizer = FusedAdam(self._surrogate, lr=self.config.learning_rate)
-        else:
-            self._surrogate = template
-            self._optimizer = Adam(template.parameters(), lr=self.config.learning_rate)
+        # The same construction as the first refit, then the checkpointed
+        # values land on top.
+        self._surrogate, self._optimizer = self._build_surrogate()
         self._surrogate.load_state_dict(bundle["params"])
         self._optimizer.load_state_dict(bundle["adam"])
         scaler = StandardScaler()
@@ -435,7 +403,8 @@ class TrustRegionSearch(DatasetOptimizer):
         budget is never wasted; an empty batch means even that is
         exhausted.  A restart flagged by the last ``tell`` runs here, after
         any deferred refit has been flushed, so it ranks with the same
-        surrogate and draws from the same RNG state in every refit mode.
+        surrogate and draws from the same RNG state whether the refit ran
+        inline or batched.
         """
         config = self.config
         if self._done:

@@ -63,10 +63,11 @@ Design decisions, and why:
 
 Counter attribution (the documented parity rule): **per-seed counters are
 exact** — each shard is its own single-seed campaign, so its trajectory,
-cache accounting and best-vector bytes equal the sequential oracle's bit
-for bit, at any worker count.  **Campaign-wide counters are sums over
-shards**, which matches ``--execution sequential`` exactly; they differ
-from ``--execution campaign``, whose seeds share one in-process cache.
+cache accounting and best-vector bytes equal those of the in-process oracle
+(:func:`repro.shard.parity.run_sequential`, one single-seed campaign after
+another) bit for bit, at any worker count.  **Campaign-wide counters are
+sums over shards**, which matches that oracle exactly; they differ from
+``--execution campaign``, whose seeds share one in-process cache.
 """
 
 from __future__ import annotations
@@ -138,8 +139,8 @@ class ShardSpec:
     """One (workload, seed) shard, declaratively — picklable across spawn.
 
     Carries registry names and a **fully resolved**
-    :class:`~repro.search.progressive.ProgressiveConfig` (seed, backend,
-    corner engine, optimizer, refit mode all baked in), so a spawned
+    :class:`~repro.search.progressive.ProgressiveConfig` (seed, optimizer
+    and phase budget all baked in), so a spawned
     worker rebuilds exactly the campaign the parent described without
     pickling any live evaluator state.  Built from a bench case with
     :meth:`repro.bench.registry.BenchCase.shard_specs`.
@@ -216,7 +217,7 @@ class ShardRunOutcome:
     :class:`~repro.search.campaign.CampaignResult` so
     :func:`repro.analysis.determinism.fingerprint_outcome` applies to both
     — the campaign-wide counters here are **sums over shards** (the
-    sequential oracle's attribution rule; see the module docstring).
+    in-process oracle's attribution rule; see the module docstring).
     """
 
     results: List[ProgressiveResult]
@@ -235,9 +236,8 @@ class ShardRunOutcome:
     cache_misses: int
     refit_rounds: int
     batched_kernel_calls: int
-    refit_mode: str
-    #: Union digest over all shards' cache content (bit-equal to a
-    #: sequential run's ``EvaluationCache.state_digest()``); ``None``
+    #: Union digest over all shards' cache content (bit-equal to the
+    #: in-process oracle's ``EvaluationCache.state_digest()``); ``None``
     #: unless the executor collected cache content.
     cache_digest: Optional[str] = None
 
@@ -306,7 +306,6 @@ def _run_shard(index: int, spec: ShardSpec, options: Dict[str, Any]) -> Dict[str
             "cache_misses": outcome.cache_misses,
             "refit_rounds": outcome.refit_rounds,
             "batched_kernel_calls": outcome.batched_kernel_calls,
-            "refit_mode": outcome.refit_mode,
             "resumed_from_round": outcome.resumed_from_round,
             "cache_digest": cache.state_digest(),
             "cache_counters": {
@@ -696,6 +695,5 @@ class ShardedExecutor:
             cache_misses=sum(shard.cache_misses for shard in shards),
             refit_rounds=sum(shard.refit_rounds for shard in shards),
             batched_kernel_calls=sum(shard.batched_kernel_calls for shard in shards),
-            refit_mode=payloads[0]["refit_mode"] if payloads else "batched",
             cache_digest=digest,
         )

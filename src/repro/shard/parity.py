@@ -119,7 +119,6 @@ def run_sequential(specs: Sequence[ShardSpec]) -> ShardRunOutcome:
                 )
             )
             contents.append(content)
-            refit_mode = outcome.refit_mode
         finally:
             campaign.close()
     return ShardRunOutcome(
@@ -143,6 +142,5 @@ def run_sequential(specs: Sequence[ShardSpec]) -> ShardRunOutcome:
         cache_misses=sum(shard.cache_misses for shard in shards),
         refit_rounds=sum(shard.refit_rounds for shard in shards),
         batched_kernel_calls=sum(shard.batched_kernel_calls for shard in shards),
-        refit_mode=refit_mode if shards else "batched",
         cache_digest=union_state_digest(contents),
     )

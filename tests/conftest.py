@@ -1,0 +1,67 @@
+"""Test-only routes to the parity oracles.
+
+Production code runs one path per layer: a Campaign evaluates corners with
+the handle's stacked evaluator, defers every surrogate refit to the round's
+batched dispatch, and trains a :class:`~repro.nn.fused.FusedMLP`.  The slow
+reference implementations those fast paths must match bit for bit are
+reachable only from the tests, through the ``oracles`` fixture below.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from repro.circuits.topologies.base import SizingProblem
+from repro.nn import Adam
+from repro.search.trust_region import TrustRegionSearch
+
+
+class OraclePaths:
+    """Switches the current test onto the reference paths (undone on exit).
+
+    Call the methods after any fast-path baseline run of the same test:
+    each one patches classes, so it affects every run that follows it.
+    """
+
+    def __init__(self, monkeypatch: pytest.MonkeyPatch) -> None:
+        self._monkeypatch = monkeypatch
+
+    def inline_refits(self) -> None:
+        """Campaign members refit inside ``tell`` instead of deferring."""
+        original = TrustRegionSearch.set_refit_deferred
+        self._monkeypatch.setattr(
+            TrustRegionSearch,
+            "set_refit_deferred",
+            lambda search, deferred: original(search, False),
+        )
+
+    def autodiff_surrogate(self) -> None:
+        """Trust regions train an autodiff MLP with the Tensor-graph Adam.
+
+        The weights start from the fused build's own initialisation, and
+        refits run inline (the batched kernel stacks fused parameters only).
+        """
+        original = TrustRegionSearch._build_surrogate
+
+        def build(search):
+            fused, _ = original(search)
+            model = fused.to_module()
+            return model, Adam(model.parameters(), lr=search.config.learning_rate)
+
+        self._monkeypatch.setattr(TrustRegionSearch, "_build_surrogate", build)
+        self.inline_refits()
+
+    def looped_corners(self) -> None:
+        """Topology handles drop their stacked evaluator, so every Campaign
+        falls back to the per-corner loop over ``evaluator_factory``."""
+        original = SizingProblem.evaluation_handle
+        self._monkeypatch.setattr(
+            SizingProblem,
+            "evaluation_handle",
+            lambda problem: replace(original(problem), corner_evaluator=None),
+        )
+
+
+@pytest.fixture
+def oracles(monkeypatch: pytest.MonkeyPatch) -> OraclePaths:
+    return OraclePaths(monkeypatch)

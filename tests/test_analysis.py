@@ -427,3 +427,26 @@ class TestDeterminismAuditor:
         second = {"per_seed": [{"seed": 0, "evaluations": 11}]}
         where = _first_divergence(first, second)
         assert "per_seed[0].evaluations" in where
+
+
+class TestDeterminismCLIInputs:
+    """Bad audit inputs are usage errors (exit 2), never a failed audit (1)."""
+
+    def _usage_error(self, capsys, argv, needle):
+        with pytest.raises(SystemExit) as exit_info:
+            analysis_main(["determinism"] + argv)
+        assert exit_info.value.code == 2
+        assert needle in capsys.readouterr().err
+
+    def test_zero_seeds_is_a_usage_error(self, capsys):
+        self._usage_error(capsys, ["--seeds", "0"], "--seeds: must be at least 1")
+
+    def test_zero_sharded_workers_is_a_usage_error(self, capsys):
+        self._usage_error(
+            capsys,
+            ["--execution", "sharded", "--workers", "0"],
+            "--workers: must be at least 1",
+        )
+
+    def test_unknown_suite_is_a_usage_error(self, capsys):
+        self._usage_error(capsys, ["--suite", "nope"], "unknown suite 'nope'")

@@ -2,11 +2,12 @@
 
 The batched refit path (``repro.nn.fused.fit_batched`` driven by the
 campaign's end-of-round flush) claims *bit-identical* results versus the
-sequential per-seed refits it replaces.  These tests hold it to that:
+inline per-seed refits it replaces.  These tests hold it to that:
 kernel-level locks compare per-epoch losses, parameters and Adam moments
 with ``==``/``array_equal`` (never ``allclose``), and campaign-level locks
-byte-diff whole trajectories batched-vs-sequential, through checkpoints,
-and under the determinism auditor.
+byte-diff whole trajectories batched-vs-inline (the inline path is reached
+through the ``oracles`` fixture), through checkpoints, and under the
+determinism auditor.
 """
 
 import numpy as np
@@ -26,7 +27,7 @@ from repro.nn import (
 from repro.core.design_space import DesignSpace, Parameter
 from repro.resilience import FaultPlan, InjectedFault, inject
 from repro.search import Spec, Specification, TrustRegionConfig, TrustRegionSearch
-from repro.search.progressive import ProgressiveConfig
+from repro.search.sizing import build_campaign
 
 
 def make_model(seed, in_features=6, hidden=(24, 24), out_features=3, **kwargs):
@@ -221,9 +222,9 @@ CAMPAIGN_CASES = [
 ]
 
 
-def _campaign_lock_state(case, refit_mode, seeds=(0, 1)):
+def _campaign_lock_state(case, seeds=(0, 1)):
     """Run one case; return (fingerprint, surrogate/Adam state, counters)."""
-    campaign = case.build_campaign(seeds, refit_mode=refit_mode)
+    campaign = case.build_campaign(seeds)
     outcome = campaign.run()
     fingerprint = fingerprint_outcome(outcome, campaign.cache.state_digest(), seeds)
     surrogates = []
@@ -242,35 +243,60 @@ def _campaign_lock_state(case, refit_mode, seeds=(0, 1)):
 
 
 class TestCampaignParity:
-    """Whole-campaign batched-vs-sequential locks across the topology zoo."""
+    """Whole-campaign batched-vs-inline locks across the topology zoo."""
 
     @pytest.mark.parametrize("case", CAMPAIGN_CASES, ids=lambda c: c.topology)
-    def test_trajectory_and_adam_moment_lock(self, case):
-        batched_fp, batched_state, batched_outcome = _campaign_lock_state(
-            case, "batched"
-        )
-        sequential_fp, sequential_state, sequential_outcome = _campaign_lock_state(
-            case, "sequential"
-        )
+    def test_trajectory_and_adam_moment_lock(self, case, oracles):
+        batched_fp, batched_state, batched_outcome = _campaign_lock_state(case)
+        oracles.inline_refits()
+        inline_fp, inline_state, inline_outcome = _campaign_lock_state(case)
         # The kernel-call counter is the one field that legitimately
         # differs between modes; everything behavioural must match.
         assert batched_fp.pop("batched_kernel_calls") > 0
-        assert sequential_fp.pop("batched_kernel_calls") == 0
-        assert batched_fp == sequential_fp
-        for batched, sequential in zip(batched_state, sequential_state):
+        assert inline_fp.pop("batched_kernel_calls") == 0
+        assert batched_fp == inline_fp
+        for batched, inline in zip(batched_state, inline_state):
             b_theta, b_m, b_v, b_t, b_refits = batched
-            s_theta, s_m, s_v, s_t, s_refits = sequential
+            s_theta, s_m, s_v, s_t, s_refits = inline
             np.testing.assert_array_equal(b_theta, s_theta)
             np.testing.assert_array_equal(b_m, s_m)
             np.testing.assert_array_equal(b_v, s_v)
             assert b_t == s_t
             assert b_refits == s_refits and b_refits > 0
-        assert batched_outcome.refit_mode == "batched"
-        assert sequential_outcome.refit_mode == "sequential"
-        assert batched_outcome.refit_rounds == sequential_outcome.refit_rounds > 0
+        assert batched_outcome.refit_rounds == inline_outcome.refit_rounds > 0
         # Two live seeds sharing one round schedule must actually bucket.
         assert batched_outcome.batched_kernel_calls > 0
-        assert sequential_outcome.batched_kernel_calls == 0
+        assert inline_outcome.batched_kernel_calls == 0
+
+
+class TestSmokeSuiteRefitParity:
+    """Batched vs inline refits over the whole smoke suite, seeds 0-7."""
+
+    SEEDS = list(range(8))
+
+    @staticmethod
+    def _fingerprints(seeds):
+        fingerprints = []
+        for case in get_suite("smoke"):
+            campaign = case.build_campaign(seeds)
+            outcome = campaign.run()
+            fingerprint = fingerprint_outcome(
+                outcome, campaign.cache.state_digest(), seeds
+            )
+            fingerprint.pop("batched_kernel_calls")
+            fingerprints.append((case.name, fingerprint))
+        return fingerprints
+
+    def test_every_case_and_seed_fingerprint_equal(self, oracles):
+        batched = self._fingerprints(self.SEEDS)
+        oracles.inline_refits()
+        inline = self._fingerprints(self.SEEDS)
+        for (name, batched_fp), (_, inline_fp) in zip(batched, inline):
+            for batched_seed, inline_seed in zip(
+                batched_fp.pop("per_seed"), inline_fp.pop("per_seed")
+            ):
+                assert batched_seed == inline_seed, (name, batched_seed["seed"])
+            assert batched_fp == inline_fp, name
 
 
 class TestDeferredRefitMechanics:
@@ -314,18 +340,6 @@ class TestDeferredRefitMechanics:
         assert search.take_refit_job() is not None
         assert search.take_refit_job() is None
 
-    def test_deferral_requires_fused_backend(self):
-        # autodiff searches ignore the deferral flag and refit inline
-        from dataclasses import replace
-
-        search, _ = self.make_search()
-        config = replace(search.config, backend="autodiff")
-        autodiff = TrustRegionSearch(
-            search.evaluator, search.design_space, search.specification, config
-        )
-        autodiff.set_refit_deferred(True)
-        assert autodiff._refit_deferred is False
-
     def test_fault_site_fires_in_batched_path(self):
         """The drill's optimizer.refit site must cover the deferred path."""
         search, evaluator = self.make_search()
@@ -338,11 +352,20 @@ class TestDeferredRefitMechanics:
 
 class TestCampaignAccounting:
     def test_refit_mode_validated(self):
-        with pytest.raises(ValueError, match="unknown refit mode"):
-            ProgressiveConfig(refit_mode="eager")
+        """There is no refit mode to select: campaigns always batch."""
+        from repro.search.progressive import ProgressiveConfig
+
+        with pytest.raises(TypeError, match="refit_mode"):
+            ProgressiveConfig(refit_mode="sequential")
+        with pytest.raises(TypeError, match="refit_mode"):
+            build_campaign("ota_5t", tier="smoke", refit_mode="sequential")
 
     def test_batched_is_the_default(self):
-        assert ProgressiveConfig().refit_mode == "batched"
+        """A campaign always defers; a standalone search refits inline."""
+        campaign = build_campaign("ota_5t", tier="smoke", seeds=[0, 1])
+        assert all(member.optimizer._refit_deferred for member in campaign._members)
+        search, _ = TestDeferredRefitMechanics().make_search()
+        assert search._refit_deferred is False
 
     def test_refit_counters_survive_checkpoint_round_trip(self):
         (case,) = get_suite("drill")
@@ -370,12 +393,10 @@ class TestCampaignAccounting:
 class TestAuditorWithBatchedRefit:
     def test_determinism_double_run_green(self):
         (case,) = get_suite("drill")
-        audit = audit_case(case, seeds=(0, 1), refit_mode="batched")
+        audit = audit_case(case, seeds=(0, 1))
         assert audit.identical, audit.divergence
 
     def test_checkpoint_resume_parity_green(self):
         (case,) = get_suite("drill")
-        audit = audit_case(
-            case, seeds=(0, 1), refit_mode="batched", resume_parity=True
-        )
+        audit = audit_case(case, seeds=(0, 1), resume_parity=True)
         assert audit.identical, audit.divergence

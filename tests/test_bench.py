@@ -18,6 +18,10 @@ from repro.bench import (
     write_bench_json,
 )
 from repro.bench.runner import main as bench_main
+from repro.shard import run_sequential
+
+#: Artifact fields of the retired oracle knobs (bench schema v9 and older).
+RETIRED_FIELDS = {"backend", "corner_engine", "refit_mode"}
 
 
 class TestRegistry:
@@ -90,8 +94,12 @@ class TestRunner:
     def test_case_record_structure(self, tiny_result):
         assert tiny_result["name"].startswith("ota_5t/smoke/nominal")
         assert tiny_result["design_dims"] == 5
-        assert tiny_result["backend"] == "fused"  # the library default
-        assert tiny_result["corner_engine"] == "stacked"  # the library default
+        assert not RETIRED_FIELDS & set(tiny_result)
+        assert set(tiny_result["refit"]) == {
+            "refit_seconds",
+            "refit_rounds",
+            "batched_kernel_calls",
+        }
         assert tiny_result["optimizer"] == "trust_region"  # the case default
         assert tiny_result["execution"] == "campaign"  # the runner default
         assert 0.0 <= tiny_result["success_rate"] <= 1.0
@@ -149,11 +157,10 @@ class TestRunner:
 
     def test_suite_payload_and_artifact(self, tmp_path):
         payload = run_suite("tiny", seeds=[0])
-        assert payload["schema"] == SCHEMA == "repro.bench/v9"
+        assert payload["schema"] == SCHEMA == "repro.bench/v10"
         assert payload["suite"] == "tiny"
         assert payload["seeds"] == [0]
-        assert payload["backend"] == "fused"
-        assert payload["corner_engine"] == "stacked"
+        assert not RETIRED_FIELDS & set(payload)
         assert payload["optimizer"] == "trust_region"
         assert payload["execution"] == "campaign"
         assert payload["totals"]["cases"] == len(payload["cases"])
@@ -166,20 +173,22 @@ class TestRunner:
         assert json.loads(path.read_text()) == payload
         summary = format_summary(payload)
         assert "ota_5t/smoke/nominal" in summary
-        assert "fused" in summary
+        assert "campaign execution" in summary
 
     def test_backend_override_recorded(self):
+        """No backend override exists, so no artifact level records one."""
         (case,) = get_suite("tiny")
-        result = run_case(case, seeds=[0], backend="autodiff")
-        assert result["backend"] == "autodiff"
-        payload = run_suite("tiny", seeds=[0], backend="autodiff")
-        assert payload["backend"] == "autodiff"
+        with pytest.raises(TypeError, match="backend"):
+            run_case(case, seeds=[0], backend="autodiff")
+        with pytest.raises(TypeError, match="backend"):
+            run_suite("tiny", seeds=[0], backend="autodiff")
 
-    def test_backends_produce_identical_trajectories(self):
+    def test_backends_produce_identical_trajectories(self, oracles):
         """Bit-identical training steps -> bit-identical bench results."""
         (case,) = get_suite("tiny")
-        fused = run_case(case, seeds=[0], backend="fused")["per_seed"][0]
-        autodiff = run_case(case, seeds=[0], backend="autodiff")["per_seed"][0]
+        fused = run_case(case, seeds=[0])["per_seed"][0]
+        oracles.autodiff_surrogate()
+        autodiff = run_case(case, seeds=[0])["per_seed"][0]
         assert fused["evaluations"] == autodiff["evaluations"]
         assert fused["best_sizing"] == autodiff["best_sizing"]
 
@@ -234,41 +243,34 @@ class TestCLI:
             assert needle in out
         assert "two_stage_opamp/smoke/nominal@optimizer=random" in out
 
-    def test_cli_backend_flag(self, tmp_path):
-        output = tmp_path / "bench.json"
-        code = bench_main(
-            ["--suite", "tiny", "--seeds", "1", "--backend", "autodiff",
-             "--output", str(output)]
-        )
-        assert code == 0
-        payload = json.loads(output.read_text())
-        assert payload["backend"] == "autodiff"
-        assert all(case["backend"] == "autodiff" for case in payload["cases"])
+    def test_cli_backend_flag(self):
+        """The training backend is not selectable: the flag is gone."""
+        for backend in ("fused", "autodiff"):
+            with pytest.raises(SystemExit) as exit_info:
+                bench_main(["--suite", "tiny", "--backend", backend])
+            assert exit_info.value.code == 2
 
     def test_cli_rejects_unknown_backend(self):
         with pytest.raises(SystemExit):
             bench_main(["--suite", "tiny", "--backend", "jax"])
 
-    def test_cli_corner_engine_flag(self, tmp_path):
-        output = tmp_path / "bench.json"
-        code = bench_main(
-            ["--suite", "tiny", "--seeds", "1", "--corner-engine", "looped",
-             "--output", str(output)]
-        )
-        assert code == 0
-        payload = json.loads(output.read_text())
-        assert payload["corner_engine"] == "looped"
-        assert all(case["corner_engine"] == "looped" for case in payload["cases"])
+    def test_cli_corner_engine_flag(self):
+        """The corner engine is not selectable: the flag is gone."""
+        for engine in ("stacked", "looped"):
+            with pytest.raises(SystemExit) as exit_info:
+                bench_main(["--suite", "tiny", "--corner-engine", engine])
+            assert exit_info.value.code == 2
 
     def test_cli_rejects_unknown_corner_engine(self):
         with pytest.raises(SystemExit):
             bench_main(["--suite", "tiny", "--corner-engine", "spiral"])
 
-    def test_corner_engines_produce_identical_trajectories(self):
+    def test_corner_engines_produce_identical_trajectories(self, oracles):
         """Stacked corner evaluation is bit-identical to the looped oracle."""
         (case,) = get_suite("tiny")
-        stacked = run_case(case, seeds=[0], corner_engine="stacked")["per_seed"][0]
-        looped = run_case(case, seeds=[0], corner_engine="looped")["per_seed"][0]
+        stacked = run_case(case, seeds=[0])["per_seed"][0]
+        oracles.looped_corners()
+        looped = run_case(case, seeds=[0])["per_seed"][0]
         assert stacked["evaluations"] == looped["evaluations"]
         assert stacked["best_sizing"] == looped["best_sizing"]
         assert stacked["solved"] == looped["solved"]
@@ -293,22 +295,29 @@ class TestCLI:
     def test_cli_execution_flag(self, tmp_path):
         output = tmp_path / "bench.json"
         code = bench_main(
-            ["--suite", "tiny", "--seeds", "2", "--execution", "sequential",
-             "--output", str(output)]
+            ["--suite", "tiny", "--seeds", "2", "--execution", "sharded",
+             "--workers", "1", "--output", str(output)]
         )
         assert code == 0
         payload = json.loads(output.read_text())
-        assert payload["execution"] == "sequential"
-        assert payload["cases"][0]["eval"]["rounds"] is None
+        assert payload["execution"] == "sharded"
+        assert payload["cases"][0]["shard"]["workers"] == 1
+        # The per-seed oracle is repro.shard.run_sequential, not an execution.
+        with pytest.raises(SystemExit) as exit_info:
+            bench_main(["--suite", "tiny", "--execution", "sequential"])
+        assert exit_info.value.code == 2
+        with pytest.raises(ValueError, match="unknown execution"):
+            run_case(get_suite("tiny")[0], seeds=[0], execution="sequential")
 
 
 class TestCampaignExecution:
     """The multi-seed campaign path: bit-exact, fewer evaluator calls."""
 
     def test_campaign_matches_sequential_per_seed(self):
+        """One multi-seed campaign == one single-seed campaign per seed."""
         (case,) = get_suite("tiny")
         campaign = run_case(case, seeds=[0, 1, 2], execution="campaign")
-        sequential = run_case(case, seeds=[0, 1, 2], execution="sequential")
+        sequential = run_sequential(case.shard_specs([0, 1, 2]))
 
         def trajectory(record):
             # Everything except wall times (noisy) and cache accounting
@@ -316,6 +325,7 @@ class TestCampaignExecution:
             # hit/miss/engine-call splits legitimately differ from the
             # fresh-cache-per-seed sequential loop).
             excluded = {
+                "seed",
                 "refit_seconds",
                 "eval_seconds",
                 "cache_hits",
@@ -325,17 +335,14 @@ class TestCampaignExecution:
             return {k: v for k, v in record.items() if k not in excluded}
 
         assert [trajectory(r) for r in campaign["per_seed"]] == [
-            trajectory(r) for r in sequential["per_seed"]
+            trajectory(r.to_dict()) for r in sequential.results
         ]
-        assert campaign["success_rate"] == sequential["success_rate"]
 
     def test_campaign_issues_fewer_larger_engine_calls(self):
         (case,) = get_suite("tiny")
         campaign = run_case(case, seeds=[0, 1, 2], execution="campaign")
-        sequential = run_case(case, seeds=[0, 1, 2], execution="sequential")
-        assert (
-            campaign["eval"]["engine_calls"] < sequential["eval"]["engine_calls"]
-        )
+        sequential = run_sequential(case.shard_specs([0, 1, 2]))
+        assert campaign["eval"]["engine_calls"] < sequential.engine_calls
         # Batching never re-evaluates: the campaign computes at most the
         # (row, corner) pairs the sequential loop computed, plus union
         # corners shared across seeds' requests.
@@ -353,25 +360,12 @@ class TestCampaignExecution:
 
 
 class TestCrossCheck:
-    def test_cross_check_passes_on_builtin_case(self, capsys):
-        from repro.bench import cross_check
-
-        assert cross_check("tiny") == 0
-        out = capsys.readouterr().out
-        assert "cross-check PASS" in out
-
-    def test_cli_cross_check_flag(self, capsys):
-        assert bench_main(["--cross-check", "--suite", "tiny"]) == 0
-        assert "cross-check PASS" in capsys.readouterr().out
-
-    def test_cli_cross_check_rejects_ignored_flags(self):
-        """Flags the guard would silently drop must be an error instead."""
-        for extra in (["--seeds", "5"], ["--output", "x.json"],
-                      ["--backend", "autodiff"], ["--fail-under", "1.0"],
-                      ["--corner-engine", "looped"], ["--optimizer", "random"],
-                      ["--trace", "t.jsonl"]):
-            with pytest.raises(SystemExit):
-                bench_main(["--cross-check", "--suite", "tiny"] + extra)
+    def test_cli_cross_check_flag(self):
+        """The A/B modes moved into pytest (test_fused, test_batched_refit)."""
+        for flag in ("--cross-check", "--refit-cross-check", "--refit-mode"):
+            with pytest.raises(SystemExit) as exit_info:
+                bench_main(["--suite", "tiny", flag])
+            assert exit_info.value.code == 2
 
 
 class TestDemoParity:

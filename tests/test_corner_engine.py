@@ -3,13 +3,16 @@
 The corner engine's one hard promise is *bit-identity*: evaluating the whole
 PVT grid as a single NumPy broadcast must produce exactly the floats the
 per-corner Python loop produces — ``np.array_equal``, not ``allclose`` — so
-switching engines can never move a search trajectory.  Everything here
+the looped oracle (a Campaign falls back to it for handles without a
+stacked evaluator) can never disagree with a search trajectory.  Everything here
 enforces that promise at each layer: the stacked technology card, the device
 helpers it broadcasts through, ``evaluate_corners`` on every registered
 topology over the full 45-corner grid, the cross-phase
 :class:`~repro.search.eval_cache.EvaluationCache`, and finally the
 progressive loop end to end.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +26,9 @@ from repro.circuits.pvt import (
     nine_corner_grid,
 )
 from repro.circuits.topologies import available_topologies, get_topology
-from repro.search import EvaluationCache, ProgressiveConfig
+from repro.analysis.determinism import fingerprint_outcome
+from repro.bench.registry import get_suite
+from repro.search import Campaign, EvaluationCache
 from repro.search.sizing import size_problem
 from repro.search.trust_region import TrustRegionConfig
 
@@ -239,26 +244,33 @@ class TestProgressiveTrajectoryLock:
 
     QUICK = TrustRegionConfig(seed=0, max_evaluations=200)
 
-    @pytest.mark.parametrize("topology", ["ota_5t", "two_stage_opamp"])
-    def test_stacked_equals_looped_end_to_end(self, topology):
-        runs = {
-            engine: size_problem(
-                topology,
-                tier="smoke",
-                config=self.QUICK,
-                corner_engine=engine,
-            )
-            for engine in ("stacked", "looped")
-        }
-        stacked, looped = runs["stacked"], runs["looped"]
-        np.testing.assert_array_equal(stacked.best_vector, looped.best_vector)
-        assert stacked.evaluations == looped.evaluations
-        assert stacked.solved_all_corners == looped.solved_all_corners
-        assert [r.satisfied for r in stacked.corner_reports] == [
-            r.satisfied for r in looped.corner_reports
+    @pytest.mark.parametrize(
+        "topology", ["ota_5t", "two_stage_opamp", "folded_cascode", "telescopic"]
+    )
+    def test_stacked_equals_looped_end_to_end(self, topology, oracles):
+        """Each smoke case: a factory-only handle matches the default
+        campaign bit for bit (trajectories, accounting, cache content)."""
+        (case,) = [
+            case
+            for case in get_suite("smoke")
+            if case.topology == topology and case.optimizer == "trust_region"
         ]
-        for ours, theirs in zip(stacked.corner_reports, looped.corner_reports):
-            assert ours.metrics == theirs.metrics
+        seeds = [0, 1]
+        runs = []
+        for looped in (False, True):
+            if looped:
+                oracles.looped_corners()
+            campaign = case.build_campaign(seeds)
+            assert (campaign.handle.corner_evaluator is None) == looped
+            outcome = campaign.run()
+            digest = campaign.cache.state_digest()
+            runs.append((outcome, fingerprint_outcome(outcome, digest, seeds)))
+        (stacked, stacked_fp), (looped, looped_fp) = runs
+        assert stacked_fp == looped_fp
+        for ours, theirs in zip(stacked.results, looped.results):
+            for mine, other in zip(ours.corner_reports, theirs.corner_reports):
+                assert mine.satisfied == other.satisfied
+                assert mine.metrics == other.metrics
 
     def test_cache_and_eval_accounting_populated(self):
         result = size_problem("ota_5t", tier="smoke", config=self.QUICK)
@@ -268,10 +280,14 @@ class TestProgressiveTrajectoryLock:
         assert result.eval_seconds >= 0.0
 
     def test_unknown_corner_engine_rejected(self):
-        with pytest.raises(ValueError, match="corner engine"):
-            ProgressiveConfig(corner_engine="spiral")
-        with pytest.raises(ValueError, match="corner engine"):
-            size_problem("ota_5t", tier="smoke", corner_engine="spiral")
+        """A handle with neither a stacked evaluator nor a factory has no
+        corner engine to run."""
+        problem = get_topology("ota_5t")()
+        handle = replace(
+            problem.evaluation_handle(), corner_evaluator=None, evaluator_factory=None
+        )
+        with pytest.raises(ValueError, match="neither a corner evaluator"):
+            Campaign(handle, problem.default_specs()["smoke"], seeds=[0])
 
 
 class TestRefitSkip:

@@ -3,8 +3,10 @@
 The contract of :mod:`repro.nn.fused` is stronger than "numerically close":
 given the same minibatch stream, the fused backend produces *bit-identical*
 losses, gradients and post-Adam weights to the Tensor-graph path.  These
-tests pin that contract step by step, plus the module round-trips and the
-backend knob plumbing on :func:`train_regressor`.
+tests pin that contract step by step, plus the module round-trips, how
+:func:`train_regressor` picks its training loop from the model's type, and
+whole searches run on the autodiff oracle (reachable only from tests, via
+the ``oracles`` fixture).
 """
 
 import numpy as np
@@ -84,7 +86,7 @@ class TestPerStepParity:
         inputs, targets = regression_data()
         history_autodiff = train_regressor(
             model, inputs, targets, epochs=12, batch_size=32, lr=3e-3,
-            rng=np.random.default_rng(3), backend="autodiff",
+            rng=np.random.default_rng(3),
         )
         history_fused = train_regressor(
             fused, inputs, targets, epochs=12, batch_size=32, lr=3e-3,
@@ -92,17 +94,6 @@ class TestPerStepParity:
         )
         assert history_autodiff.losses == history_fused.losses
         np.testing.assert_array_equal(flat_params(model), fused.theta)
-
-    def test_fused_backend_on_autodiff_model_writes_back(self):
-        """backend='fused' on an MLP converts, trains fast, writes back."""
-        reference, _ = make_pair()
-        subject, _ = make_pair()
-        inputs, targets = regression_data()
-        train_regressor(reference, inputs, targets, epochs=8, batch_size=32,
-                        lr=3e-3, rng=np.random.default_rng(5), backend="autodiff")
-        train_regressor(subject, inputs, targets, epochs=8, batch_size=32,
-                        lr=3e-3, rng=np.random.default_rng(5), backend="fused")
-        np.testing.assert_array_equal(flat_params(reference), flat_params(subject))
 
     def test_predict_parity(self):
         model, fused = make_pair()
@@ -165,52 +156,34 @@ class TestModuleInterop:
 
 
 class TestBackendKnob:
+    """The model's type picks the training loop; there is no backend knob."""
+
     def test_unknown_backend_rejected(self):
         model, _ = make_pair()
         inputs, targets = regression_data(count=8)
-        with pytest.raises(ValueError, match="unknown backend"):
-            train_regressor(model, inputs, targets, epochs=1, backend="magic")
-
-    def test_autodiff_backend_rejects_fused_model(self):
-        _, fused = make_pair()
-        inputs, targets = regression_data(count=8)
-        with pytest.raises(ValueError, match="autodiff"):
-            train_regressor(fused, inputs, targets, epochs=1, backend="autodiff")
+        with pytest.raises(TypeError, match="backend"):
+            train_regressor(model, inputs, targets, epochs=1, backend="fused")
 
     def test_fused_backend_rejects_autodiff_optimizer(self):
         _, fused = make_pair()
         inputs, targets = regression_data(count=8)
         model, _ = make_pair()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="FusedAdam"):
             train_regressor(
-                fused, inputs, targets, epochs=1,
-                optimizer=Adam(model.parameters()), backend="fused",
+                fused, inputs, targets, epochs=1, optimizer=Adam(model.parameters())
             )
 
     def test_autodiff_backend_rejects_fused_optimizer(self):
         model, fused = make_pair()
         inputs, targets = regression_data(count=8)
         with pytest.raises(ValueError, match="FusedAdam"):
-            train_regressor(
-                model, inputs, targets, epochs=1,
-                optimizer=FusedAdam(fused), backend="autodiff",
-            )
-
-    def test_fused_on_mlp_rejects_prebuilt_optimizer(self):
-        """Conversion is per-call; persistent moments need a FusedMLP."""
-        model, fused = make_pair()
-        inputs, targets = regression_data(count=8)
-        with pytest.raises(ValueError, match="persistent"):
-            train_regressor(
-                model, inputs, targets, epochs=1,
-                optimizer=FusedAdam(fused), backend="fused",
-            )
+            train_regressor(model, inputs, targets, epochs=1, optimizer=FusedAdam(fused))
 
 
 class TestSearchLevelParity:
-    """The backend knob must never change a search trajectory."""
+    """The autodiff oracle must reproduce every fused search trajectory."""
 
-    def make_search(self, backend):
+    def make_search(self):
         from repro.core.design_space import DesignSpace, Parameter
         from repro.search import Spec, Specification, TrustRegionConfig, TrustRegionSearch
 
@@ -229,24 +202,27 @@ class TestSearchLevelParity:
         config = TrustRegionConfig(
             seed=0, initial_samples=24, batch_size=6, candidate_pool=128,
             max_evaluations=300, surrogate_hidden=(24, 24),
-            initial_epochs=60, refit_epochs=15, backend=backend,
+            initial_epochs=60, refit_epochs=15,
         )
         return TrustRegionSearch(evaluator, space, spec, config)
 
-    def test_toy_csp_trajectories_identical(self):
-        fused = self.make_search("fused").run()
-        autodiff = self.make_search("autodiff").run()
+    def test_toy_csp_trajectories_identical(self, oracles):
+        fused = self.make_search().run()
+        oracles.autodiff_surrogate()
+        autodiff = self.make_search().run()
+        assert isinstance(self.make_search()._build_surrogate()[0], MLP)
         assert fused.evaluations == autodiff.evaluations
         assert fused.best_score == autodiff.best_score
         np.testing.assert_array_equal(fused.best_vector, autodiff.best_vector)
         assert len(fused.history) == len(autodiff.history)
 
-    def test_two_stage_demo_seed0_backend_parity(self):
-        """The historical demo reaches the same sizing on either backend."""
+    def test_two_stage_demo_seed0_backend_parity(self, oracles):
+        """The historical demo reaches the same sizing on the autodiff oracle."""
         from repro.search.opamp_demo import size_two_stage_opamp
 
         fused = size_two_stage_opamp(seed=0)
-        autodiff = size_two_stage_opamp(seed=0, backend="autodiff")
+        oracles.autodiff_surrogate()
+        autodiff = size_two_stage_opamp(seed=0)
         assert fused.solved_all_corners and autodiff.solved_all_corners
         assert fused.evaluations == autodiff.evaluations
         np.testing.assert_array_equal(fused.best_vector, autodiff.best_vector)

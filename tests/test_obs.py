@@ -396,9 +396,18 @@ class TestPerSeedAttribution:
         assert all(r["engine_calls"] <= eval_block["engine_calls"] for r in per_seed)
 
     def test_single_seed_accounting_matches_sequential(self):
+        """A one-seed bench campaign books exactly what size_problem does."""
+        from repro.search.sizing import size_problem
+
         (case,) = get_suite("tiny")
         campaign = run_case(case, seeds=[0], execution="campaign")["per_seed"][0]
-        sequential = run_case(case, seeds=[0], execution="sequential")["per_seed"][0]
+        sequential = size_problem(
+            case.topology,
+            tier=case.tier,
+            corners=case.corners(),
+            config=case.config(0),
+            max_phases=case.max_phases,
+        ).to_dict()
         assert campaign["cache_hits"] == sequential["cache_hits"]
         assert campaign["cache_misses"] == sequential["cache_misses"]
         assert campaign["engine_calls"] == sequential["engine_calls"]

@@ -438,27 +438,44 @@ class TestCampaignParity:
         assert campaign.cache_misses <= sequential_misses
 
     def test_looped_engine_requires_the_oracle_factory(self):
-        """corner_engine='looped' must not silently run the stacked engine
+        """The looped oracle runs only for a handle without a stacked
+        evaluator, and then through the factory, never the stacked engine
         it exists to cross-check."""
         problem = get_topology("ota_5t")()
         full = problem.evaluation_handle()
-        stacked_only = EvaluationHandle(
+        built = []
+
+        def factory(condition):
+            built.append(condition)
+            return full.evaluator_factory(condition)
+
+        def stacked(samples, corners):
+            raise AssertionError("the looped oracle ran the stacked engine")
+
+        config = ProgressiveConfig(trust_region=self.CONFIG, max_phases=1)
+        specs = problem.default_specs()["smoke"]
+        factory_only = EvaluationHandle(
             design_space=full.design_space,
             metric_names=full.metric_names,
-            corner_evaluator=full.corner_evaluator,
+            evaluator_factory=factory,
         )
-        config = ProgressiveConfig(
-            trust_region=self.CONFIG, corner_engine="looped", max_phases=1
-        )
-        with pytest.raises(ValueError, match="looped"):
-            Campaign(stacked_only, problem.default_specs()["smoke"],
-                     corners=[NOMINAL], config=config, seeds=[0])
-        # With the factory present the looped oracle runs fine.
         outcome = Campaign(
-            full, problem.default_specs()["smoke"],
-            corners=[NOMINAL], config=config, seeds=[0],
+            factory_only, specs, corners=[NOMINAL], config=config, seeds=[0]
         ).run()
         assert outcome.results[0].evaluations > 0
+        assert built == [NOMINAL]
+        # Given both, the stacked engine runs and the factory stays unused.
+        with pytest.raises(AssertionError, match="stacked engine"):
+            Campaign(
+                EvaluationHandle(
+                    design_space=full.design_space,
+                    metric_names=full.metric_names,
+                    corner_evaluator=stacked,
+                    evaluator_factory=factory,
+                ),
+                specs, corners=[NOMINAL], config=config, seeds=[0],
+            ).run()
+        assert built == [NOMINAL]
 
     def test_campaign_rejects_degenerate_inputs(self):
         problem = get_topology("ota_5t")()

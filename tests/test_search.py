@@ -202,29 +202,29 @@ class TestResolveConfig:
         assert resolve_config(None, seed=5).trust_region.seed == 5
 
     def test_backend_override(self):
-        from repro.search.sizing import resolve_config
+        """The training backend is not configurable at any layer."""
+        from repro.search import ProgressiveConfig
+        from repro.search.sizing import resolve_config, size_problem
 
-        config = TrustRegionConfig(seed=3)
-        resolved = resolve_config(config, seed=None, backend="autodiff")
-        assert resolved.trust_region.backend == "autodiff"
-        assert resolved.trust_region.seed == 3
-        assert config.backend == "fused"  # original untouched
-        assert resolve_config(config, seed=None, backend="fused").trust_region is config
-        assert (
-            resolve_config(None, backend="autodiff").trust_region.backend == "autodiff"
-        )
+        with pytest.raises(TypeError, match="backend"):
+            resolve_config(TrustRegionConfig(seed=3), backend="autodiff")
+        with pytest.raises(TypeError, match="backend"):
+            size_problem("ota_5t", tier="smoke", backend="autodiff")
+        with pytest.raises(TypeError, match="backend"):
+            ProgressiveConfig(backend="autodiff")
 
     def test_corner_engine_override(self):
+        """The corner engine is not configurable: a Campaign picks it from
+        its evaluation handle."""
         from repro.search import ProgressiveConfig
-        from repro.search.sizing import resolve_config
+        from repro.search.sizing import resolve_config, size_problem
 
-        progressive = ProgressiveConfig()
-        resolved = resolve_config(progressive, corner_engine="looped")
-        assert resolved.corner_engine == "looped"
-        assert progressive.corner_engine == "stacked"  # original untouched
-        # None defers; a matching explicit value is not a copy.
-        assert resolve_config(progressive, corner_engine=None) is progressive
-        assert resolve_config(progressive, corner_engine="stacked") is progressive
+        with pytest.raises(TypeError, match="corner_engine"):
+            resolve_config(ProgressiveConfig(), corner_engine="looped")
+        with pytest.raises(TypeError, match="corner_engine"):
+            size_problem("ota_5t", tier="smoke", corner_engine="looped")
+        with pytest.raises(TypeError, match="corner_engine"):
+            ProgressiveConfig(corner_engine="looped")
 
     def test_optimizer_and_max_phases_overrides(self):
         from repro.search import ProgressiveConfig
@@ -243,9 +243,9 @@ class TestResolveConfig:
 
         trust = TrustRegionConfig(seed=7)
         progressive = ProgressiveConfig(trust_region=trust)
-        resolved = resolve_config(progressive, seed=8, corner_engine="looped")
+        resolved = resolve_config(progressive, seed=8, optimizer="random")
         assert resolved.trust_region.seed == 8
-        assert resolved.corner_engine == "looped"
+        assert resolved.optimizer == "random"
         assert trust.seed == 7 and progressive.trust_region is trust
 
 
@@ -313,20 +313,12 @@ class TestDatasetHotPath:
         )
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            TrustRegionConfig(backend="magic")
+        """The surrogate is always fused; the config has no backend field."""
+        with pytest.raises(TypeError, match="backend"):
+            TrustRegionConfig(backend="fused")
 
 
 class TestProgressiveConfig:
-    def test_phase_trust_region_backend_override(self):
-        from repro.search import ProgressiveConfig
-
-        trust = TrustRegionConfig(seed=4)
-        progressive = ProgressiveConfig(trust_region=trust, backend="autodiff")
-        assert progressive.phase_trust_region().backend == "autodiff"
-        assert trust.backend == "fused"  # original untouched
-        assert ProgressiveConfig(trust_region=trust).phase_trust_region() is trust
-
     def test_legacy_trust_region_config_still_accepted(self):
         from repro.search.progressive import _as_progressive_config
 

@@ -9,7 +9,7 @@ Locked here:
   smoke case still match the committed ``BENCH_smoke.json`` records;
 * folded-cascode seeds 3 and 7, which stalled through all four phases
   before restarts existed, now restart and solve, bit-identically under
-  batched and sequential refits;
+  batched and inline refits;
 * the bench statistics: Wilson intervals, seed counts, restart counts.
 """
 
@@ -142,8 +142,8 @@ class TestNeverStalledSeedsKeepTheirTrajectories:
                 assert {k: record[k] for k in fields} == {k: old[k] for k in fields}
 
 
-def _fingerprint(seeds, refit_mode):
-    campaign = FOLDED.build_campaign(seeds, refit_mode=refit_mode)
+def _fingerprint(seeds):
+    campaign = FOLDED.build_campaign(seeds)
     outcome = campaign.run()
     fingerprint = fingerprint_outcome(outcome, campaign.cache.state_digest(), seeds)
     histories = [
@@ -156,7 +156,7 @@ def _fingerprint(seeds, refit_mode):
 class TestTrappedSeeds:
     @pytest.fixture(scope="class")
     def batched(self):
-        return _fingerprint([3, 7], "batched")
+        return _fingerprint([3, 7])
 
     def test_seeds_3_and_7_restart_and_solve(self, batched):
         fingerprint, _ = batched
@@ -166,8 +166,9 @@ class TestTrappedSeeds:
             # Before restarts both burned ~1300 evaluations over 4 phases.
             assert record["evaluations"] < 500
 
-    def test_batched_and_sequential_refit_bit_identical(self, batched):
-        sequential = _fingerprint([3, 7], "sequential")
+    def test_batched_and_sequential_refit_bit_identical(self, batched, oracles):
+        oracles.inline_refits()
+        sequential = _fingerprint([3, 7])
         batched_fingerprint, batched_histories = batched
         batched_fingerprint = dict(batched_fingerprint)
         assert batched_fingerprint.pop("batched_kernel_calls") > 0
