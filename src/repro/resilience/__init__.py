@@ -7,7 +7,8 @@ The package has four pieces:
 * :mod:`repro.resilience.snapshot` — versioned, CRC-checked campaign
   snapshots (:func:`save_snapshot` / :func:`load_snapshot`);
 * :mod:`repro.resilience.store` — the append-only on-disk store behind
-  ``EvaluationCache(persist_path=...)``, with torn-tail repair on reopen;
+  ``EvaluationCache(persist_path=...)``, with torn-tail repair on reopen,
+  and the checkpoint journal (:class:`CacheJournal`) in the same format;
 * :mod:`repro.resilience.faults` — deterministic fault injection at named
   engine sites, driving the kill-and-resume drill
   (``python -m repro.resilience drill``, :mod:`repro.resilience.drill`).
@@ -36,9 +37,10 @@ from repro.resilience.snapshot import (
     load_snapshot,
     save_snapshot,
 )
-from repro.resilience.store import CacheStore, StoreError
+from repro.resilience.store import CacheJournal, CacheStore, StoreError
 
 __all__ = [
+    "CacheJournal",
     "CacheStore",
     "FaultPlan",
     "InjectedFault",

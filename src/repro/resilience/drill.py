@@ -11,8 +11,10 @@ each requested occurrence, it arms a deterministic
 checkpointing *and* a persistent evaluation-cache store until the injected
 fault kills it, builds a fresh campaign over the same on-disk state —
 repairing the cache store's torn tail where the fault left one — resumes
-from the latest snapshot, and byte-diffs the finished run against the
-oracle.
+from the latest snapshot into the same checkpoint directory (so the
+resumed run truncates the cache journal back to that snapshot's watermark
+and keeps checkpointing into it), and byte-diffs the finished run against
+the oracle.
 
 What "byte-identical" means per scenario:
 
@@ -200,7 +202,9 @@ def drill_case(
                 resumed = case.build_campaign(seeds, cache_path=cache_path)
                 repaired_bytes = resumed.cache.repaired_bytes
                 try:
-                    outcome = resumed.run(resume_from=checkpoint_dir)
+                    outcome = resumed.run(
+                        checkpoint_dir=checkpoint_dir, resume_from=checkpoint_dir
+                    )
                     digest = resumed.cache.state_digest()
                 finally:
                     resumed.close()

@@ -1,8 +1,10 @@
 """Versioned, integrity-checked campaign snapshots.
 
 A snapshot is a single file holding one state tree (the nested
-``state_dict()`` of a :class:`~repro.search.campaign.Campaign`): a fixed
-magic + format version, a CRC32 and length of the payload, then the
+``state_dict()`` of a :class:`~repro.search.campaign.Campaign`, whose
+evaluation-cache content stays in the checkpoint directory's
+:class:`~repro.resilience.store.CacheJournal`, referenced by watermark): a
+fixed magic + format version, a CRC32 and length of the payload, then the
 payload itself — a :mod:`pickle` of plain builtins, ``bytes`` and NumPy
 arrays only.  The envelope makes corruption *detected*, and the write path
 (:func:`repro.resilience.atomic.atomic_write_bytes`) makes torn writes
@@ -22,14 +24,14 @@ import os
 import pickle
 import struct
 import zlib
-from typing import Any
+from typing import Any, Sequence
 
 from repro.resilience.atomic import atomic_write_bytes
 
 #: Envelope magic; the trailing byte is the envelope version.
 MAGIC = b"REPROSNAP\x01"
 #: Payload format tag, checked on load (bump on incompatible tree changes).
-SNAPSHOT_FORMAT = "repro.resilience/snapshot-v1"
+SNAPSHOT_FORMAT = "repro.resilience/snapshot-v2"
 
 _HEADER = struct.Struct("<IQ")  # crc32(payload), len(payload)
 
@@ -38,13 +40,18 @@ class SnapshotError(RuntimeError):
     """A snapshot file is missing, torn, corrupt, or of a foreign format."""
 
 
-def save_snapshot(path: str, state: Any) -> None:
-    """Serialize ``state`` into an integrity-checked snapshot, atomically."""
+def save_snapshot(path: str, state: Any, copies: Sequence[str] = ()) -> None:
+    """Serialize ``state`` into an integrity-checked snapshot, atomically.
+
+    The state is pickled and checksummed once; the same envelope is then
+    written to ``path`` and to every path in ``copies``.
+    """
     payload = pickle.dumps(
         {"format": SNAPSHOT_FORMAT, "state": state}, protocol=pickle.HIGHEST_PROTOCOL
     )
     blob = MAGIC + _HEADER.pack(zlib.crc32(payload), len(payload)) + payload
-    atomic_write_bytes(path, blob)
+    for target in (path, *copies):
+        atomic_write_bytes(target, blob)
 
 
 def load_snapshot(path: str) -> Any:

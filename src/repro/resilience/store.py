@@ -23,18 +23,28 @@ construction.  The ``cache.append`` fault site makes that failure mode
 testable on demand: when the armed plan fires there, the store writes a
 genuine half-frame and flushes it before the fault propagates, so the
 drill's resumed process exercises the real repair path, not a simulation.
+
+:class:`CacheJournal` writes the same file format as a campaign's
+checkpoint journal: each checkpoint appends only the pairs the cache
+gained since the previous one, in one write and one fsync, and the
+snapshot records the resulting :data:`Watermark`.  A resume replays the
+journal up to that watermark (:func:`read_journal`); frames past it are
+the leftover of a crash between the journal fsync and the snapshot
+replace, and the next writer truncates them.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import struct
 import zlib
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.resilience.faults import InjectedFault, fault_point, register_fault_site
+from repro.resilience.snapshot import SnapshotError
 
 MAGIC = b"REPROEVC\x01"
 VERSION = 1
@@ -50,9 +60,21 @@ HEADER_SIZE = len(MAGIC) + _HEADER_BODY.size + _HEADER_CRC.size
 
 SITE_CACHE_APPEND = register_fault_site("cache.append")
 
+#: How far a journal reached at one checkpoint: ``(frames, byte offset,
+#: running crc32)``.  The CRC runs over the header and every frame minus
+#: its own trailing CRC field: a CRC over ``payload + crc32(payload)`` is
+#: the same for every payload of a given length, so including those
+#: fields would blind the running check to the frames' content.
+Watermark = Tuple[int, int, int]
+
 
 class StoreError(RuntimeError):
     """The store file belongs to a different workload or is not a store."""
+
+
+def _header(dimension: int, n_metrics: int) -> bytes:
+    body = _HEADER_BODY.pack(VERSION, dimension, n_metrics)
+    return MAGIC + body + _HEADER_CRC.pack(zlib.crc32(body))
 
 
 def _check_header(path: str, header: bytes, dimension: int, n_metrics: int) -> None:
@@ -224,7 +246,7 @@ class CacheStore:
             # (nothing after a torn header can be valid, so start over).
             self.repaired_bytes = size
             handle = open(self.path, "wb")  # analysis: allow(non-atomic-artifact-write) append-only log, integrity via per-record CRCs
-            handle.write(self._header())
+            handle.write(_header(self._dimension, self._n_metrics))
             handle.flush()
             os.fsync(handle.fileno())
             return handle
@@ -240,10 +262,6 @@ class CacheStore:
             self.repaired_bytes = size - good_offset
         handle.seek(good_offset)
         return handle
-
-    def _header(self) -> bytes:
-        body = _HEADER_BODY.pack(VERSION, self._dimension, self._n_metrics)
-        return MAGIC + body + _HEADER_CRC.pack(zlib.crc32(body))
 
     def _validate_header(self, header: bytes) -> None:
         _check_header(self.path, header, self._dimension, self._n_metrics)
@@ -288,3 +306,136 @@ class CacheStore:
             os.fsync(self._file.fileno())
             self._file.close()
             self._file = None
+
+
+class CacheJournal:
+    """Append-only checkpoint journal in the :class:`CacheStore` format.
+
+    Frames are buffered by :meth:`append` and land on disk only at
+    :meth:`sync` — one write and one fsync per checkpoint — which returns
+    the new :attr:`watermark` for the snapshot to record.  Unlike
+    :class:`CacheStore` the journal never fires the ``cache.append`` fault
+    site and never scans or repairs itself: its readers stop at a
+    snapshot's watermark (:func:`read_journal`).
+
+    Parameters
+    ----------
+    path:
+        Journal file.  Without ``watermark`` it is (re)created empty.
+    dimension, n_metrics:
+        The workload shape pinned in the header.
+    watermark:
+        Continue an existing journal from this watermark: the file is
+        truncated there (dropping frames no snapshot references) and
+        appends resume at that offset with that running CRC.
+    """
+
+    def __init__(
+        self,
+        path: str,
+        dimension: int,
+        n_metrics: int,
+        watermark: Optional[Watermark] = None,
+    ) -> None:
+        self.path = path
+        self._payload_bytes = _TAG_LEN.size + int(dimension) * 8 + int(n_metrics) * 8
+        if watermark is None:
+            header = _header(int(dimension), int(n_metrics))
+            handle = open(path, "wb")  # analysis: allow(non-atomic-artifact-write) append-only log, integrity via the snapshot watermark CRC
+            handle.write(header)
+            handle.flush()
+            os.fsync(handle.fileno())
+            watermark = (0, len(header), zlib.crc32(header))
+        else:
+            handle = open(path, "r+b")
+            handle.truncate(watermark[1])
+            handle.seek(watermark[1])
+        self._file = handle
+        self.watermark: Watermark = tuple(watermark)
+        # Two parts per buffered frame: the unsealed frame and its CRC.
+        self._pending: List[bytes] = []
+        self._pending_crc = self.watermark[2]
+
+    def append(self, tag: bytes, pairs: Iterable[Tuple[bytes, np.ndarray]]) -> None:
+        """Buffer one ``(tag, key, row)`` frame per ``(key, row)`` pair."""
+        head = _TAG_LEN.pack(len(tag)) + tag
+        prefix = _FRAME_LEN.pack(self._payload_bytes + len(tag)) + head
+        head_crc = zlib.crc32(head)
+        pending, running = self._pending, self._pending_crc
+        for key, row in pairs:
+            body = key + row.tobytes()
+            unsealed = prefix + body
+            running = zlib.crc32(unsealed, running)
+            pending.append(unsealed)
+            pending.append(_FRAME_CRC.pack(zlib.crc32(body, head_crc)))
+        self._pending_crc = running
+
+    def sync(self) -> Watermark:
+        """Write the buffered frames durably; returns the new watermark."""
+        if self._pending:
+            blob = b"".join(self._pending)
+            self._file.write(blob)
+            self._file.flush()
+            os.fsync(self._file.fileno())
+            frames, offset, _ = self.watermark
+            self.watermark = (
+                frames + len(self._pending) // 2,
+                offset + len(blob),
+                self._pending_crc,
+            )
+            self._pending = []
+        return self.watermark
+
+    def __enter__(self) -> "CacheJournal":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close the file; the watermark stays readable."""
+        if self._file is not None:
+            self._file.close()
+            self._file = None
+
+
+def read_journal(
+    path: str, dimension: int, n_metrics: int, watermark: Watermark
+) -> List[Tuple[bytes, bytes, np.ndarray]]:
+    """The journal's records up to ``watermark``, in append order.
+
+    Raises :class:`~repro.resilience.snapshot.SnapshotError` naming the
+    journal when it cannot be the one the snapshot was written against:
+    missing, shorter than the watermark, or not matching it — a damaged
+    frame, a frame count or running-CRC mismatch (another campaign's
+    journal, or a damaged one).
+    """
+    frames, offset, crc = watermark
+    if not os.path.exists(path):
+        raise SnapshotError(f"cache journal {path!r} does not exist")
+    with open(path, "rb") as handle:
+        data = handle.read(offset)
+    if len(data) < offset:
+        raise SnapshotError(
+            f"cache journal {path!r} is shorter than the snapshot's watermark "
+            f"({len(data)} of {offset} bytes)"
+        )
+    try:
+        _check_header(path, data[:HEADER_SIZE], int(dimension), int(n_metrics))
+    except StoreError as error:
+        raise SnapshotError(f"cache journal {path!r}: {error}") from error
+    key_width, row_width = int(dimension) * 8, int(n_metrics) * 8
+    stream = io.BytesIO(data)
+    stream.seek(HEADER_SIZE)
+    records, end = _scan_frames(stream, key_width, row_width, int(n_metrics))
+    running, position = zlib.crc32(data[:HEADER_SIZE]), HEADER_SIZE
+    for tag, _, _ in records:
+        unsealed = _FRAME_LEN.size + _TAG_LEN.size + len(tag) + key_width + row_width
+        running = zlib.crc32(data[position : position + unsealed], running)
+        position += unsealed + _FRAME_CRC.size
+    if end != offset or len(records) != frames or running != crc:
+        raise SnapshotError(
+            f"cache journal {path!r} does not match the snapshot's watermark "
+            "(CRC mismatch): it belongs to another campaign or is damaged"
+        )
+    return records

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import os
 from collections import OrderedDict
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -65,6 +66,11 @@ from repro.search.progressive import (
 from repro.search.spec import Spec, Specification
 from repro.search.trust_region import TrustRegionConfig
 
+#: Kill-and-resume drill site: dying after the journal fsync but before the
+#: snapshot replace leaves journal frames no snapshot references yet; the
+#: resume ignores them and truncates them away.
+SITE_SNAPSHOT_JOURNAL = register_fault_site("snapshot.journal")
+
 #: Kill-and-resume drill site: dying *before* the atomic snapshot write
 #: leaves the previous round's snapshot intact (that, not a half-written
 #: file, is the worst case the atomic writer permits).
@@ -72,6 +78,10 @@ SITE_SNAPSHOT_WRITE = register_fault_site("snapshot.write")
 
 #: Snapshot filename the resume path looks for in a checkpoint directory.
 LATEST_SNAPSHOT = "latest.snapshot"
+
+#: The evaluation-cache journal every snapshot in a checkpoint directory
+#: references by watermark.
+CACHE_JOURNAL = "cache.journal"
 
 
 @dataclass(frozen=True)
@@ -693,7 +703,10 @@ class Campaign:
         it is loaded into — seeds, optimizer, corner grid, workload shape,
         and the full resolved config (via its dataclass ``repr``, which
         covers every hyper-parameter).  :meth:`load_state_dict` refuses a
-        mismatch instead of resuming a silently different search.
+        mismatch instead of resuming a silently different search.  The
+        cache block references the checkpoint journal by watermark, so the
+        cache must have been journaled up to date
+        (:meth:`EvaluationCache.checkpoint_state`).
         """
         return {
             "identity": {
@@ -709,10 +722,11 @@ class Campaign:
             "rounds": self.rounds,
             "refit": (self.refit_rounds, self.batched_kernel_calls),
             "members": [member.state_dict() for member in self._members],
-            "cache": self.cache.state_dict(),
+            "cache": self.cache.checkpoint_state(),
         }
 
-    def load_state_dict(self, state: Dict[str, object]) -> None:
+    def load_state_dict(self, state: Dict[str, object], journal_path: str) -> None:
+        """Restore :meth:`state_dict` output; the cache replays ``journal_path``."""
         identity = state["identity"]
         expected = {
             "seeds": list(self.seeds),
@@ -734,10 +748,10 @@ class Campaign:
         self.refit_rounds, self.batched_kernel_calls = state.get("refit", (0, 0))
         for member, member_state in zip(self._members, state["members"]):
             member.load_state_dict(member_state)
-        self.cache.load_state_dict(state["cache"])
+        self.cache.restore_checkpoint(state["cache"], journal_path)
 
     def close(self) -> None:
-        """Release the persistent cache store, if any."""
+        """Release the persistent cache store and checkpoint journal, if any."""
         self.cache.close()
 
     @staticmethod
@@ -757,15 +771,18 @@ class Campaign:
         return resume_from
 
     def _write_checkpoint(self, checkpoint_dir: str, keep_history: bool) -> None:
-        os.makedirs(checkpoint_dir, exist_ok=True)
         fault_point(SITE_SNAPSHOT_WRITE)
-        state = self.state_dict()
-        save_snapshot(os.path.join(checkpoint_dir, LATEST_SNAPSHOT), state)
-        if keep_history:
-            save_snapshot(
-                os.path.join(checkpoint_dir, f"round-{self.rounds:05d}.snapshot"),
-                state,
-            )
+        # The journal is durable before any snapshot names its watermark.
+        self.cache.sync_journal()
+        fault_point(SITE_SNAPSHOT_JOURNAL)
+        history = (
+            (os.path.join(checkpoint_dir, f"round-{self.rounds:05d}.snapshot"),)
+            if keep_history
+            else ()
+        )
+        save_snapshot(
+            os.path.join(checkpoint_dir, LATEST_SNAPSHOT), self.state_dict(), history
+        )
         event("resilience.checkpoint", round=self.rounds, dir=checkpoint_dir)
 
     def run(
@@ -780,23 +797,29 @@ class Campaign:
         Parameters
         ----------
         checkpoint_dir:
-            When given, a snapshot of the full campaign state is written
-            (atomically) after each eligible round, as
-            ``<dir>/latest.snapshot``.
+            When given, the campaign is checkpointed after each eligible
+            round: the cache pairs added since the previous checkpoint are
+            appended to ``<dir>/cache.journal`` and fsynced, then the rest
+            of the state is written (atomically) as
+            ``<dir>/latest.snapshot``, referencing the journal by
+            watermark.  Resuming from the same directory continues its
+            journal; any other directory gets a new one.
         resume_from:
             A snapshot file, or a checkpoint directory whose
-            ``latest.snapshot`` is used.  The campaign state is restored
-            before the first round; the continued run is bit-identical to
-            the uninterrupted one — trajectories, best vectors, cache
-            content *and* cache accounting (locked by the determinism
-            auditor's resume-parity mode and the resilience drill).  A
-            directory without a snapshot (the run died before the first
-            checkpoint) cold-starts.
+            ``latest.snapshot`` is used; the ``cache.journal`` next to the
+            snapshot supplies the cache content.  The campaign state is
+            restored before the first round; the continued run is
+            bit-identical to the uninterrupted one — trajectories, best
+            vectors, cache content *and* cache accounting (locked by the
+            determinism auditor's resume-parity mode and the resilience
+            drill).  A directory without a snapshot (the run died before
+            the first checkpoint) cold-starts.
         checkpoint_every:
             Snapshot cadence in rounds (default: every round).
         keep_history:
             Also keep one ``round-NNNNN.snapshot`` per checkpoint instead
-            of only the latest (used by resume-parity audits).
+            of only the latest (used by resume-parity audits); each
+            references its own prefix of the one journal.
         """
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be at least 1")
@@ -810,13 +833,21 @@ class Campaign:
         if resume_from is not None:
             snapshot_path = self._resolve_snapshot(resume_from)
             if snapshot_path is not None:
-                self.load_state_dict(load_snapshot(snapshot_path))
+                self.load_state_dict(
+                    load_snapshot(snapshot_path),
+                    os.path.join(os.path.dirname(snapshot_path), CACHE_JOURNAL),
+                )
                 resumed_from_round = self.rounds
                 event(
                     "resilience.resume", round=self.rounds, snapshot=snapshot_path
                 )
         cache = self.cache
-        with profiled(
+        journal = (
+            cache.open_journal(os.path.join(checkpoint_dir, CACHE_JOURNAL))
+            if checkpoint_dir is not None
+            else nullcontext()
+        )
+        with journal, profiled(
             "campaign.run",
             seeds=len(self._members),
             optimizer=self.progressive.optimizer,

@@ -29,11 +29,22 @@ touching the engine.  Persisted values are the exact float64 buffers the
 engine produced, so warm hits are bit-identical to recomputation and
 trajectories stay unchanged; only the hit/miss accounting moves, which the
 ``warm_hits``/``cold_hits`` split makes visible.
+
+Campaign checkpoints journal the cache instead of copying it: between
+snapshots the cache is insert-only, so each :meth:`EvaluationCache.sync_journal`
+appends just the pairs past every corner's watermark to a
+:class:`~repro.resilience.store.CacheJournal`, and the snapshot carries
+only counters, corner order and the journal watermark
+(:meth:`EvaluationCache.checkpoint_state`).  Replaying the journal prefix
+restores each corner's insertion order exactly
+(:meth:`EvaluationCache.restore_checkpoint`).
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+from itertools import islice
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -42,7 +53,13 @@ from repro.analysis.contracts import ArraySpec, SeqLen, contract
 from repro.circuits.pvt import PVTCondition
 from repro.obs import event, profiled
 from repro.resilience.faults import fault_point, register_fault_site
-from repro.resilience.store import CacheStore, read_records
+from repro.resilience.store import (
+    CacheJournal,
+    CacheStore,
+    Watermark,
+    read_journal,
+    read_records,
+)
 
 #: A corner evaluator maps ``(count, dim)`` sizings and a corner list to a
 #: ``(n_corners, count, n_metrics)`` metric block.
@@ -53,6 +70,13 @@ CornerEvaluator = Callable[[np.ndarray, Sequence[PVTCondition]], np.ndarray]
 SITE_ENGINE_CALL = register_fault_site("engine.call")
 
 _EMPTY_KEYS: "frozenset[bytes]" = frozenset()
+
+#: A corner's exact identity as plain builtins, for snapshots and content.
+CornerFields = Tuple[str, float, float]
+
+
+def _corner_fields(corner: PVTCondition) -> CornerFields:
+    return (corner.process, corner.voltage_factor, corner.temperature_c)
 
 
 def _corner_tag(corner: PVTCondition) -> bytes:
@@ -129,7 +153,8 @@ class EvaluationCache:
         preload_paths: Sequence[str] = (),
     ) -> None:
         self._evaluate = corner_evaluator
-        self._key_width = int(dimension) * np.dtype(np.float64).itemsize
+        self._dimension = int(dimension)
+        self._key_width = self._dimension * np.dtype(np.float64).itemsize
         self.n_metrics = int(n_metrics)
         # One row-key -> metric-row dict per corner.  Keyed by the (frozen,
         # hashable) PVTCondition itself, not its display name — the name
@@ -148,6 +173,13 @@ class EvaluationCache:
         # process's own engine calls, for the warm/cold hit split.
         self._warm: Dict[PVTCondition, Set[bytes]] = {}
         self._backend: Optional[CacheStore] = None
+        # Checkpoint journal, the pairs per corner it already holds, and
+        # the (journal path, watermark) holding exactly those pairs — set
+        # by a restore and by every sync, so a later open_journal on that
+        # path continues it instead of starting over.
+        self._journal: Optional[CacheJournal] = None
+        self._journaled: Dict[PVTCondition, int] = {}
+        self._lineage: Optional[Tuple[str, Watermark]] = None
         if persist_path is not None:
             self._backend = CacheStore(persist_path, int(dimension), self.n_metrics)
             self.repaired_bytes = self._backend.repaired_bytes
@@ -166,16 +198,20 @@ class EvaluationCache:
             )
 
     def _ingest(
-        self, records: Sequence[Tuple[bytes, bytes, np.ndarray]]
+        self, records: Sequence[Tuple[bytes, bytes, np.ndarray]], warm: bool = True
     ) -> None:
-        """Warm-load ``(tag, key, row)`` store records, in record order."""
+        """Load ``(tag, key, row)`` store records, in record order.
+
+        ``warm`` marks the pairs as preloaded for the warm/cold hit split.
+        """
         corners_by_tag: Dict[bytes, PVTCondition] = {}
         for tag, key, row in records:
             corner = corners_by_tag.get(tag)
             if corner is None:
                 corner = corners_by_tag.setdefault(tag, _corner_from_tag(tag))
             self._store.setdefault(corner, {})[key] = row
-            self._warm.setdefault(corner, set()).add(key)
+            if warm:
+                self._warm.setdefault(corner, set()).add(key)
 
     def __len__(self) -> int:
         """Total number of cached ``(row, corner)`` pairs."""
@@ -325,30 +361,88 @@ class EvaluationCache:
         backend.flush()
 
     def close(self) -> None:
-        """Flush and close the persistent store (no-op without one)."""
+        """Flush and close the persistent store and the checkpoint journal."""
         if self._backend is not None:
             self._backend.close()
+        self._close_journal()
 
-    # -- checkpoint/resume ---------------------------------------------
-    def state_dict(self) -> Dict[str, object]:
-        """Content and counters, for campaign snapshots.
+    def content(self) -> List[Tuple[CornerFields, List[bytes], np.ndarray]]:
+        """Every cached pair: ``(corner fields, row keys, metric matrix)``.
 
-        Corners serialize as their exact field tuples; per corner the keys
-        are kept in insertion order next to a stacked metric matrix, so
-        restore rebuilds not just equal content but the same iteration
-        order the interrupted run had.
+        One triple per corner, keys in insertion order next to their
+        stacked metric rows — what the sharded executor ships back from a
+        worker and what :func:`repro.shard.parity.union_state_digest`
+        hashes.
         """
         content = []
         for corner, store in self._store.items():
             corner_keys = list(store)
-            # analysis: allow(hot-loop-alloc) snapshot serialization is cold
+            # analysis: allow(hot-loop-alloc) shard content export is cold
             matrix = np.stack([store[key] for key in corner_keys]) if corner_keys else np.empty((0, self.n_metrics))
-            content.append(
-                (
-                    (corner.process, corner.voltage_factor, corner.temperature_c),
-                    corner_keys,
-                    matrix,
-                )
+            content.append((_corner_fields(corner), corner_keys, matrix))
+        return content
+
+    # -- checkpoint journal ---------------------------------------------
+    def open_journal(self, path: str) -> CacheJournal:
+        """Journal the cache to ``path`` at every :meth:`sync_journal`.
+
+        When ``path`` is the journal this cache was restored from (or last
+        synced to), it is continued: truncated to that watermark (frames
+        past it were never referenced by a snapshot) and appended from
+        there.  Any other path gets a new journal, so its first sync writes
+        the full content.  Returns the journal, a context manager that
+        closes its file.
+        """
+        self._close_journal()
+        lineage = self._lineage
+        if (
+            lineage is not None
+            and os.path.exists(path)
+            and os.path.samefile(path, lineage[0])
+        ):
+            self._journal = CacheJournal(path, self._dimension, self.n_metrics, lineage[1])
+        else:
+            self._journal = CacheJournal(path, self._dimension, self.n_metrics)
+            self._journaled = {}
+        return self._journal
+
+    def sync_journal(self) -> Watermark:
+        """Append every pair inserted since the last sync, then fsync.
+
+        Between syncs the cache only grows — a recomputed pair keeps its
+        dict position — so each corner's new pairs are exactly the tail of
+        its insertion order past the pairs already journaled.
+        """
+        journal = self._journal
+        if journal is None:
+            raise RuntimeError("sync_journal needs open_journal first")
+        for corner, store in self._store.items():
+            done = self._journaled.get(corner, 0)
+            if len(store) > done:
+                journal.append(_corner_tag(corner), islice(store.items(), done, None))
+                self._journaled[corner] = len(store)
+        watermark = journal.sync()
+        self._lineage = (journal.path, watermark)
+        return watermark
+
+    def _close_journal(self) -> None:
+        """Close the journal file; :meth:`checkpoint_state` stays readable."""
+        if self._journal is not None:
+            self._journal.close()
+
+    def checkpoint_state(self) -> Dict[str, object]:
+        """The snapshot's cache block: counters, corner order, watermark.
+
+        The content itself is the journal prefix up to the watermark, so
+        every pair must be journaled: call :meth:`sync_journal` first.
+        """
+        if self._journal is None or any(
+            len(store) != self._journaled.get(corner, 0)
+            for corner, store in self._store.items()
+        ):
+            raise RuntimeError(
+                "cache content is checkpointed through its journal: "
+                "open_journal and sync_journal before checkpoint_state"
             )
         return {
             "counters": {
@@ -359,21 +453,31 @@ class EvaluationCache:
                 "engine_calls": self.engine_calls,
                 "eval_seconds": self.eval_seconds,
             },
-            "content": content,
+            "corners": [_corner_fields(corner) for corner in self._store],
+            "journal": self._journal.watermark,
         }
 
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Restore a snapshot, *replacing* the current content.
+    def restore_checkpoint(self, state: Dict[str, object], journal_path: str) -> None:
+        """Restore a checkpoint, *replacing* the current content.
 
-        Replacement (not merge) is what makes a resumed campaign
-        bit-identical to the uninterrupted oracle including its hit/miss
-        accounting: the cache holds exactly what it held at the snapshot
-        round, even when the persistent store already has pairs the
-        interrupted run computed afterwards (those are simply recomputed —
-        to identical values — and re-appended).  The warm/cold split is
-        re-intersected against the restored content so the split's
-        invariant (warm keys are a subset of stored keys) survives.
+        The content is the journal at ``journal_path`` replayed up to the
+        block's watermark, into the block's corner order, so each corner's
+        pairs come back in their original insertion order.  Replacement
+        (not merge) is what makes a resumed campaign bit-identical to the
+        uninterrupted oracle including its hit/miss accounting: the cache
+        holds exactly what it held at the snapshot round, even when the
+        persistent store already has pairs the interrupted run computed
+        afterwards (those are simply recomputed — to identical values —
+        and re-appended).  The warm/cold split is re-intersected against
+        the restored content so the split's invariant (warm keys are a
+        subset of stored keys) survives.  Raises
+        :class:`~repro.resilience.snapshot.SnapshotError` when the journal
+        does not match the watermark.
         """
+        watermark = tuple(state["journal"])
+        records = read_journal(journal_path, self._dimension, self.n_metrics, watermark)
+        self._close_journal()
+        self._journal = None
         counters = state["counters"]
         self.hits = counters["hits"]
         self.misses = counters["misses"]
@@ -381,22 +485,18 @@ class EvaluationCache:
         self.cold_hits = counters["cold_hits"]
         self.engine_calls = counters["engine_calls"]
         self.eval_seconds = counters["eval_seconds"]
-        self._store = {}
-        for fields, corner_keys, matrix in state["content"]:
-            corner = PVTCondition(
-                process=fields[0], voltage_factor=fields[1], temperature_c=fields[2]
-            )
-            # analysis: allow(hot-loop-alloc) snapshot restore is cold
-            block = np.asarray(matrix, dtype=np.float64)
-            block.flags.writeable = False
-            store: Dict[bytes, np.ndarray] = {}
-            for index, key in enumerate(corner_keys):
-                store[key] = block[index]
-            self._store[corner] = store
+        self._store = {
+            PVTCondition(process=process, voltage_factor=voltage, temperature_c=temperature): {}
+            for process, voltage, temperature in state["corners"]
+        }
+        self._ingest(records, warm=False)
         self._warm = {
             corner: {key for key in warm_keys if key in self._store.get(corner, ())}
             for corner, warm_keys in self._warm.items()
         }
+        # The restored content is exactly the journal prefix.
+        self._journaled = {corner: len(store) for corner, store in self._store.items()}
+        self._lineage = (journal_path, watermark)
 
     def state_digest(self) -> str:
         """SHA-256 over the full cache content, bit for bit.

@@ -201,7 +201,7 @@ class ShardResult:
     wall_seconds: float
     #: Per-shard persistence accounting (preloaded/warm/cold/repaired).
     cache_counters: Dict[str, Any] = field(default_factory=dict)
-    #: Full cache content (``EvaluationCache.state_dict()["content"]``)
+    #: Full cache content (``EvaluationCache.content()``)
     #: when the executor collects it for union-digest parity checks.
     cache_content: Optional[List[Any]] = None
     #: BLAS threads the worker ran with (``None`` when unreadable; see
@@ -319,7 +319,7 @@ def _run_shard(index: int, spec: ShardSpec, options: Dict[str, Any]) -> Dict[str
                 len(campaign.handle.metric_names),
             ),
             "cache_content": (
-                cache.state_dict()["content"]
+                cache.content()
                 if options.get("collect_cache_content")
                 else None
             ),

@@ -30,7 +30,7 @@ from repro.shard.executor import ShardResult, ShardRunOutcome, ShardSpec
 def union_state_digest(contents: Iterable[Sequence[Any]]) -> Optional[str]:
     """SHA-256 over the union of per-shard cache contents, bit for bit.
 
-    ``contents`` holds each shard's ``EvaluationCache.state_dict()["content"]``
+    ``contents`` holds each shard's ``EvaluationCache.content()``
     — ``(corner fields, keys, metric matrix)`` triples.  The union is
     hashed in exactly the canonical order
     :meth:`~repro.search.eval_cache.EvaluationCache.state_digest` uses
@@ -91,7 +91,7 @@ def run_sequential(specs: Sequence[ShardSpec]) -> ShardRunOutcome:
         try:
             outcome = campaign.run()
             cache = campaign.cache
-            content = cache.state_dict()["content"]
+            content = cache.content()
             shards.append(
                 ShardResult(
                     index=index,

@@ -25,8 +25,9 @@ from repro.nn import (
     fit_job_signature,
 )
 from repro.core.design_space import DesignSpace, Parameter
-from repro.resilience import FaultPlan, InjectedFault, inject
+from repro.resilience import FaultPlan, InjectedFault, inject, load_snapshot
 from repro.search import Spec, Specification, TrustRegionConfig, TrustRegionSearch
+from repro.search.campaign import CACHE_JOURNAL, LATEST_SNAPSHOT
 from repro.search.sizing import build_campaign
 
 
@@ -367,18 +368,18 @@ class TestCampaignAccounting:
         search, _ = TestDeferredRefitMechanics().make_search()
         assert search._refit_deferred is False
 
-    def test_refit_counters_survive_checkpoint_round_trip(self):
+    def test_refit_counters_survive_checkpoint_round_trip(self, tmp_path):
         (case,) = get_suite("drill")
         campaign = case.build_campaign([0, 1])
-        outcome = campaign.run()
+        outcome = campaign.run(checkpoint_dir=str(tmp_path))
         assert outcome.refit_rounds > 0 and outcome.batched_kernel_calls > 0
-        state = campaign.state_dict()
+        state = load_snapshot(str(tmp_path / LATEST_SNAPSHOT))
         assert state["refit"] == (
             campaign.refit_rounds,
             campaign.batched_kernel_calls,
         )
         fresh = case.build_campaign([0, 1])
-        fresh.load_state_dict(state)
+        fresh.load_state_dict(state, str(tmp_path / CACHE_JOURNAL))
         assert fresh.refit_rounds == campaign.refit_rounds
         assert fresh.batched_kernel_calls == campaign.batched_kernel_calls
 

@@ -3,6 +3,7 @@ fault injection, checkpoint/resume parity, and the kill-and-resume drill."""
 
 import json
 import os
+import pickle
 from dataclasses import astuple
 
 import numpy as np
@@ -12,6 +13,7 @@ from repro.analysis.determinism import fingerprint_outcome
 from repro.bench.registry import BenchCase, get_suite
 from repro.bench.runner import SCHEMA, run_suite
 from repro.resilience import (
+    CacheJournal,
     CacheStore,
     FaultPlan,
     InjectedFault,
@@ -26,8 +28,10 @@ from repro.resilience import (
     registered_fault_sites,
     save_snapshot,
 )
+from repro.resilience import snapshot as snapshot_module
 from repro.resilience.drill import drill_suite
-from repro.search.campaign import LATEST_SNAPSHOT
+from repro.resilience.store import read_journal
+from repro.search.campaign import CACHE_JOURNAL, LATEST_SNAPSHOT
 from repro.search.optimizer import IterationRecord
 
 
@@ -169,10 +173,73 @@ class TestCacheStore:
             CacheStore(str(path), self.DIM, self.METRICS)
 
 
+class TestCacheJournalFile:
+    DIM, METRICS = 3, 2
+
+    def _pairs(self, *values):
+        return [
+            (np.full(self.DIM, v, dtype=np.float64).tobytes(), np.array([v, -v]))
+            for v in values
+        ]
+
+    def test_sync_then_read_up_to_watermark(self, tmp_path):
+        path = str(tmp_path / "cache.journal")
+        journal = CacheJournal(path, self.DIM, self.METRICS)
+        journal.append(b"tt", self._pairs(1.0, 2.0))
+        first = journal.sync()
+        journal.append(b"ff", self._pairs(3.0))
+        second = journal.sync()
+        journal.close()
+        assert first[0] == 2 and second[0] == 3
+        assert os.path.getsize(path) == second[1]
+        records = read_journal(path, self.DIM, self.METRICS, first)
+        assert [(tag, row.tolist()) for tag, _, row in records] == [
+            (b"tt", [1.0, -1.0]),
+            (b"tt", [2.0, -2.0]),
+        ]
+        assert len(read_journal(path, self.DIM, self.METRICS, second)) == 3
+
+    def test_journal_format_is_the_store_format(self, tmp_path):
+        path = str(tmp_path / "cache.journal")
+        journal = CacheJournal(path, self.DIM, self.METRICS)
+        journal.append(b"tt", self._pairs(1.0, 2.0))
+        journal.sync()
+        journal.close()
+        store = CacheStore(path, self.DIM, self.METRICS)
+        assert store.repaired_bytes == 0
+        assert [key for _, key, _ in store.records] == [k for k, _ in self._pairs(1.0, 2.0)]
+        store.close()
+
+    def test_continuing_truncates_past_the_watermark(self, tmp_path):
+        path = str(tmp_path / "cache.journal")
+        journal = CacheJournal(path, self.DIM, self.METRICS)
+        journal.append(b"tt", self._pairs(1.0))
+        mark = journal.sync()
+        journal.append(b"tt", self._pairs(2.0))
+        journal.sync()
+        journal.close()
+        continued = CacheJournal(path, self.DIM, self.METRICS, mark)
+        assert os.path.getsize(path) == mark[1]
+        continued.append(b"tt", self._pairs(5.0))
+        end = continued.sync()
+        continued.close()
+        rows = [row[0] for _, _, row in read_journal(path, self.DIM, self.METRICS, end)]
+        assert rows == [1.0, 5.0]
+
+    def test_journal_writes_never_reach_the_cache_append_site(self, tmp_path):
+        journal = CacheJournal(str(tmp_path / "cache.journal"), self.DIM, self.METRICS)
+        plan = FaultPlan("cache.append", occurrence=1)
+        with inject(plan):
+            journal.append(b"tt", self._pairs(1.0, 2.0))
+            journal.sync()
+        journal.close()
+        assert not plan.fired and "cache.append" not in plan.counts
+
+
 class TestFaultInjection:
     def test_all_engine_sites_registered(self):
         assert {"cache.append", "engine.call", "optimizer.refit",
-                "snapshot.write"} <= set(registered_fault_sites())
+                "snapshot.journal", "snapshot.write"} <= set(registered_fault_sites())
 
     def test_plan_fires_at_exact_occurrence(self):
         plan = FaultPlan("engine.call", occurrence=3)
@@ -309,6 +376,165 @@ class TestCheckpointResume:
             for r in range(2, outcome.rounds + 1, 2)
         ]
         assert history == expected
+
+
+class TestCheckpointJournal:
+    """Checkpoints journal only new cache pairs; resume replays the prefix."""
+
+    SEEDS = [0]
+
+    @staticmethod
+    def _case():
+        return get_suite("drill")[0]
+
+    @staticmethod
+    def _watermark(ckpt, name=LATEST_SNAPSHOT):
+        return tuple(load_snapshot(os.path.join(ckpt, name))["cache"]["journal"])
+
+    def _run(self, **kwargs):
+        campaign = self._case().build_campaign(self.SEEDS)
+        outcome = campaign.run(**kwargs)
+        return campaign, _campaign_fingerprint(campaign, outcome, self.SEEDS), outcome
+
+    @pytest.fixture
+    def oracle(self):
+        return self._run()[1]
+
+    @pytest.fixture
+    def checkpointed(self, tmp_path):
+        ckpt = str(tmp_path / "ckpt")
+        self._run(checkpoint_dir=ckpt)
+        return ckpt
+
+    def test_crash_between_journal_and_snapshot(self, tmp_path, oracle):
+        ckpt = str(tmp_path / "ckpt")
+        campaign = self._case().build_campaign(self.SEEDS)
+        plan = FaultPlan("snapshot.journal", occurrence=3)
+        with pytest.raises(InjectedFault):
+            with inject(plan):
+                campaign.run(checkpoint_dir=ckpt)
+        campaign.close()
+        journal = os.path.join(ckpt, CACHE_JOURNAL)
+        # Round 3's frames are durable, but the latest snapshot is round 2's.
+        assert os.path.getsize(journal) > self._watermark(ckpt)[1]
+        resumed, fingerprint, outcome = self._run(checkpoint_dir=ckpt, resume_from=ckpt)
+        assert outcome.resumed_from_round == 2
+        assert fingerprint == oracle
+        # The leftover frames were truncated before the resumed appends:
+        # every cached pair is in the journal exactly once.
+        frames, offset, _ = self._watermark(ckpt)
+        assert frames == len(resumed.cache)
+        assert os.path.getsize(journal) == offset
+
+    def test_missing_journal_rejected(self, checkpointed):
+        os.remove(os.path.join(checkpointed, CACHE_JOURNAL))
+        with pytest.raises(SnapshotError, match=r"cache journal .* does not exist"):
+            self._run(resume_from=checkpointed)
+
+    def test_short_journal_rejected(self, checkpointed):
+        journal = os.path.join(checkpointed, CACHE_JOURNAL)
+        with open(journal, "r+b") as handle:
+            handle.truncate(self._watermark(checkpointed)[1] - 1)
+        with pytest.raises(SnapshotError, match=r"cache journal .* is shorter"):
+            self._run(resume_from=checkpointed)
+
+    def test_foreign_journal_rejected(self, tmp_path, checkpointed):
+        other = str(tmp_path / "other")
+        donor = self._case().build_campaign([0, 1])
+        donor.run(checkpoint_dir=other)
+        foreign = os.path.join(other, CACHE_JOURNAL)
+        assert os.path.getsize(foreign) >= self._watermark(checkpointed)[1]
+        os.replace(foreign, os.path.join(checkpointed, CACHE_JOURNAL))
+        with pytest.raises(SnapshotError, match=r"cache journal .*CRC mismatch"):
+            self._run(resume_from=checkpointed)
+
+    def test_pre_journal_snapshot_refused(self, checkpointed, monkeypatch):
+        latest = os.path.join(checkpointed, LATEST_SNAPSHOT)
+        state = load_snapshot(latest)
+        # The v1 layout carried the full cache content in the snapshot.
+        state["cache"] = {"counters": state["cache"]["counters"], "content": []}
+        with monkeypatch.context() as patch:
+            patch.setattr(snapshot_module, "SNAPSHOT_FORMAT", "repro.resilience/snapshot-v1")
+            save_snapshot(latest, state)
+        with pytest.raises(SnapshotError, match="format"):
+            self._run(resume_from=checkpointed)
+
+    def test_snapshot_carries_no_cache_content(self, tmp_path):
+        ckpt = str(tmp_path / "ckpt")
+        # Random search over the full grid: ~70 rounds, every one
+        # checkpointed, while the cache grows about twentyfold.
+        case = BenchCase("two_stage_opamp", "smoke", "full45", optimizer="random")
+        campaign = case.build_campaign(self.SEEDS)
+        campaign.run(checkpoint_dir=ckpt, keep_history=True)
+        names = sorted(n for n in os.listdir(ckpt) if n.startswith("round-"))
+        frames, block_bytes = [], []
+        for name in names:
+            state = load_snapshot(os.path.join(ckpt, name))
+            assert set(state["cache"]) == {"counters", "corners", "journal"}
+            # The corner order is bounded by the grid, not by the pairs.
+            assert len(state["cache"]["corners"]) <= len(case.corners())
+            frames.append(state["cache"]["journal"][0])
+            block_bytes.append(
+                len(pickle.dumps({**state["cache"], "corners": None}))
+            )
+        # The cache grows many-fold while its snapshot block stays put.
+        assert frames[-1] >= 10 * frames[0]
+        assert max(block_bytes) - min(block_bytes) <= 32
+        assert frames[-1] == len(campaign.cache)
+        assert os.path.getsize(os.path.join(ckpt, CACHE_JOURNAL)) == self._watermark(ckpt)[1]
+
+    def test_history_snapshots_share_one_journal(self, tmp_path, oracle):
+        ckpt = str(tmp_path / "ckpt")
+        self._run(checkpoint_dir=ckpt, keep_history=True)
+        marks = [
+            self._watermark(ckpt, name)
+            for name in sorted(n for n in os.listdir(ckpt) if n.startswith("round-"))
+        ]
+        assert marks == sorted(marks) and marks[-1] == self._watermark(ckpt)
+        # A history snapshot and its copy in latest.snapshot are one blob.
+        with open(os.path.join(ckpt, LATEST_SNAPSHOT), "rb") as latest:
+            last = sorted(n for n in os.listdir(ckpt) if n.startswith("round-"))[-1]
+            with open(os.path.join(ckpt, last), "rb") as history:
+                assert latest.read() == history.read()
+
+    def test_resume_into_another_directory_starts_a_new_journal(self, tmp_path, oracle):
+        first, second = str(tmp_path / "first"), str(tmp_path / "second")
+        _, _, outcome = self._run(checkpoint_dir=first, keep_history=True)
+        mid = outcome.rounds // 2
+        first_journal = os.path.join(first, CACHE_JOURNAL)
+        first_size = os.path.getsize(first_journal)
+        resumed, fingerprint, _ = self._run(
+            checkpoint_dir=second,
+            resume_from=os.path.join(first, f"round-{mid:05d}.snapshot"),
+        )
+        assert fingerprint == oracle
+        assert os.path.getsize(first_journal) == first_size
+        assert self._watermark(second)[0] == len(resumed.cache)
+        # The new journal stands alone: resuming from it needs nothing else.
+        _, again, _ = self._run(resume_from=second)
+        assert again == oracle
+
+    def test_fresh_run_replaces_an_existing_journal(self, checkpointed, oracle):
+        campaign, fingerprint, _ = self._run(checkpoint_dir=checkpointed)
+        assert fingerprint == oracle
+        frames, offset, _ = self._watermark(checkpointed)
+        assert frames == len(campaign.cache)
+        assert os.path.getsize(os.path.join(checkpointed, CACHE_JOURNAL)) == offset
+
+    def test_rerun_into_the_same_directory_continues_the_journal(self, tmp_path, oracle):
+        ckpt = str(tmp_path / "ckpt")
+        campaign, _, _ = self._run(checkpoint_dir=ckpt)
+        # Already finished: no round runs, so no checkpoint is written, and
+        # the journal the latest snapshot references must survive intact.
+        campaign.run(checkpoint_dir=ckpt)
+        _, resumed, _ = self._run(resume_from=ckpt)
+        assert resumed == oracle
+
+    def test_state_dict_needs_a_synced_journal(self):
+        campaign = self._case().build_campaign(self.SEEDS)
+        campaign.run()
+        with pytest.raises(RuntimeError, match="journal"):
+            campaign.state_dict()
 
 
 def _restart_pending(optimizer_state):
