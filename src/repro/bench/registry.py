@@ -26,6 +26,7 @@ from repro.circuits.pvt import (
 )
 from repro.circuits.topologies import SPEC_TIERS
 from repro.search.optimizer import available_optimizers
+from repro.search.progressive import ProgressiveConfig
 from repro.search.trust_region import TrustRegionConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -107,13 +108,17 @@ class BenchCase:
     def corners(self) -> List[PVTCondition]:
         return CORNER_SETS[self.corner_set]()
 
-    def config(self, seed: int) -> TrustRegionConfig:
-        """Per-seed trust-region config.
+    def config(self, seed: int) -> ProgressiveConfig:
+        """Per-seed search config: the case's optimizer and phase budget.
 
         Everything except the seed and the evaluation budget stays at the
         library defaults so benchmark numbers track the defaults users get.
         """
-        return TrustRegionConfig(seed=seed, max_evaluations=self.max_evaluations)
+        return ProgressiveConfig(
+            trust_region=TrustRegionConfig(seed=seed, max_evaluations=self.max_evaluations),
+            max_phases=self.max_phases,
+            optimizer=self.optimizer,
+        )
 
     def build_campaign(
         self,
@@ -143,8 +148,7 @@ class BenchCase:
             config=self.config(seeds[0] if seeds else 0),
             seeds=seeds,
             cache_path=cache_path,
-            optimizer=optimizer if optimizer is not None else self.optimizer,
-            max_phases=self.max_phases,
+            optimizer=optimizer,
         )
 
     def shard_specs(
@@ -169,11 +173,7 @@ class BenchCase:
         specs = []
         for seed in seeds:
             seed = int(seed)
-            config = resolve_config(
-                self.config(seed),
-                optimizer=optimizer if optimizer is not None else self.optimizer,
-                max_phases=self.max_phases,
-            )
+            config = resolve_config(self.config(seed), optimizer=optimizer)
             specs.append(
                 ShardSpec(
                     topology=self.topology,

@@ -1,7 +1,6 @@
 """Circuit substrate: device model, technology/PVT cards, netlists, MNA, topologies."""
 
 from repro.circuits.devices import MOSFET, OperatingPoint
-from repro.circuits.opamp import METRIC_NAMES, VARIABLE_NAMES, TwoStageOpAmp
 from repro.circuits.process import (
     TechnologyCard,
     available_nodes,
@@ -23,10 +22,12 @@ from repro.circuits.topologies import (
     FoldedCascodeOTA,
     SizingProblem,
     TelescopicCascodeOTA,
+    TwoStageOpAmp,
     available_topologies,
     get_topology,
     register_topology,
 )
+from repro.circuits.topologies.two_stage import METRIC_NAMES, VARIABLE_NAMES
 
 __all__ = [
     "AMPLIFIER_METRIC_NAMES",

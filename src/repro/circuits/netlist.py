@@ -1,6 +1,6 @@
 """Small-signal netlist representation.
 
-The analytical circuit evaluators (:mod:`repro.circuits.opamp` etc.) use
+The analytical circuit evaluators (:mod:`repro.circuits.topologies`) use
 closed-form pole/zero expressions; to make the substrate credible and to
 cross-check those formulas, a compact linear netlist + modified nodal analysis
 (MNA) engine is also provided.  It supports the element set needed for

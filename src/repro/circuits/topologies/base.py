@@ -201,9 +201,8 @@ class SizingProblem(ABC):
     def evaluation_handle(self):
         """Everything the Campaign driver needs to evaluate this problem.
 
-        Bundles the design space, the metric layout, the stacked
-        :meth:`evaluate_corners` tensor evaluator and the per-corner
-        :meth:`for_condition` factory (the looped parity oracle) into an
+        Bundles the design space, the metric layout and the
+        :meth:`evaluate_corners` tensor evaluator into an
         :class:`~repro.search.campaign.EvaluationHandle`, so the search
         stack never has to know topology internals.
         """
@@ -212,14 +211,10 @@ class SizingProblem(ABC):
         # best and fragile to reorder.
         from repro.search.campaign import EvaluationHandle
 
-        def factory(condition: PVTCondition):
-            return self.for_condition(condition).evaluate_batch
-
         return EvaluationHandle(
             design_space=self.design_space(),
             metric_names=tuple(self.METRIC_NAMES),
             corner_evaluator=self.evaluate_corners,
-            evaluator_factory=factory,
         )
 
     @contract(

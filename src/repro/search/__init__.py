@@ -4,8 +4,8 @@ Layered since the ask/tell redesign: optimizers (``Optimizer`` protocol —
 ``TrustRegionSearch``, ``RandomSearch``, ``CrossEntropySearch``) own the
 proposal side; the ``Campaign`` driver owns evaluation (budget, the
 cross-phase ``EvaluationCache``, multi-seed vectorized corner passes);
-``progressive_pvt_search`` and ``size_problem`` are the historical entry
-points, kept bit-exact as single-seed campaign compat layers.
+``size_problem`` is the single-seed entry point and ``build_campaign`` the
+multi-seed one.
 """
 
 from repro.search.campaign import Campaign, CampaignResult, EvaluationHandle
@@ -26,7 +26,6 @@ from repro.search.progressive import (
     CornerReport,
     ProgressiveConfig,
     ProgressiveResult,
-    progressive_pvt_search,
 )
 from repro.search.sizing import build_campaign, resolve_config, size_problem
 from repro.search.spec import Spec, Specification
@@ -55,7 +54,6 @@ __all__ = [
     "available_optimizers",
     "build_campaign",
     "get_optimizer",
-    "progressive_pvt_search",
     "register_optimizer",
     "resolve_config",
     "size_problem",

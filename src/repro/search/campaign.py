@@ -4,9 +4,8 @@ The ask/tell redesign splits the search stack into two halves.  Optimizers
 (:mod:`repro.search.optimizer`) own the *proposal* side — what to evaluate
 next.  The :class:`Campaign` owns the *evaluation* side:
 
-* the true corner evaluator (a topology's
-  :meth:`~repro.circuits.topologies.base.SizingProblem.evaluate_corners`,
-  or the per-corner loop when the handle has no stacked evaluator),
+* the true corner evaluator (the handle's one evaluator, e.g. a topology's
+  :meth:`~repro.circuits.topologies.base.SizingProblem.evaluate_corners`),
   wrapped in the cross-phase
   :class:`~repro.search.eval_cache.EvaluationCache`;
 * budget and wall-time accounting (``eval_seconds``, engine calls, cache
@@ -17,22 +16,20 @@ next.  The :class:`Campaign` owns the *evaluation* side:
 * **multi-seed vectorized execution**: each round the Campaign gathers the
   pending ``ask`` batches of every live seed, groups them by corner set,
   stacks each group into a single :func:`evaluate_corners` tensor pass,
-  and scatters the ``tell``\\ s back.  Per ``(row, corner)`` pair the
-  stacked evaluator is bit-identical however the pass is batched, so
-  trajectories never depend on how many seeds share a round — the
-  multi-seed path is bit-exact versus running the seeds sequentially
-  (locked by tests) and computes no extra ``(row, corner)`` pairs; it just
-  issues far fewer, larger evaluator calls;
+  and scatters slices of that block back as the ``tell``\\ s.  Per
+  ``(row, corner)`` pair the stacked evaluator is bit-identical however
+  the pass is batched, so trajectories never depend on how many seeds
+  share a round — the multi-seed path is bit-exact versus running the
+  seeds sequentially (locked by tests) and computes no extra ``(row,
+  corner)`` pairs; it just issues far fewer, larger evaluator calls;
 * **batched surrogate refits**: every trust-region member defers its refit
   to the end of the round, where the Campaign trains all queued refits of
   one geometry through a single :func:`~repro.nn.fused.fit_batched`
   dispatch, bit-identical per seed to the inline refit of a standalone
   ``run()``.
 
-:func:`repro.search.progressive.progressive_pvt_search` and
-:func:`repro.search.sizing.size_problem` are thin compatibility layers over
-a single-seed Campaign and reproduce the pre-redesign behaviour bit-exactly
-at a fixed seed/config.
+:func:`repro.search.sizing.size_problem` runs a single-seed Campaign and
+reproduces the pre-redesign behaviour bit-exactly at a fixed seed/config.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ import os
 from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,11 +53,8 @@ from repro.search.eval_cache import CornerEvaluator, EvaluationCache
 from repro.search.optimizer import Optimizer, SearchResult, get_optimizer
 from repro.search.progressive import (
     CornerReport,
-    EvaluatorFactory,
     ProgressiveConfig,
     ProgressiveResult,
-    _as_progressive_config,
-    _looped_corner_evaluator,
     _stacked_specification,
 )
 from repro.search.spec import Spec, Specification
@@ -91,7 +85,7 @@ class EvaluationHandle:
     Produced by
     :meth:`~repro.circuits.topologies.base.SizingProblem.evaluation_handle`;
     tests and third-party problems can also build one directly around any
-    pair of evaluators honouring the corner-tensor contract.
+    evaluator honouring the corner-tensor contract.
 
     Attributes
     ----------
@@ -101,17 +95,12 @@ class EvaluationHandle:
         Single-corner metric layout (columns of the evaluator output).
     corner_evaluator:
         Vectorized ``(samples, corners) -> (n_corners, count, n_metrics)``
-        stacked evaluator, or ``None`` when only the looped path exists.
-    evaluator_factory:
-        Per-corner batch-evaluator factory, looped over the corners when
-        ``corner_evaluator`` is ``None`` (a handle with only a factory is
-        how the tests reach the looped parity oracle).
+        evaluator — the handle's one evaluation path.
     """
 
     design_space: DesignSpace
     metric_names: Tuple[str, ...]
-    corner_evaluator: Optional[CornerEvaluator] = None
-    evaluator_factory: Optional[EvaluatorFactory] = None
+    corner_evaluator: CornerEvaluator
 
 
 @dataclass
@@ -202,9 +191,9 @@ class _ProgressiveMember:
         self.optimizer_name = optimizer_name
         self.optimizer_cls = get_optimizer(optimizer_name)
         self.max_phases = max_phases
-        # Per-seed evaluation accounting, attributed by the Campaign: exact
-        # cache-counter deltas for this member's own requests, plus its
-        # share of any multi-seed stacked pass (see Campaign._run_group).
+        # Per-seed evaluation accounting, attributed by the Campaign: this
+        # member's share of each stacked pass it rides (see
+        # Campaign._run_group).
         self.eval_seconds = 0.0
         self.cache_hits = 0
         self.cache_misses = 0
@@ -473,15 +462,16 @@ class Campaign:
     ----------
     handle:
         The workload's :class:`EvaluationHandle` (design space, metric
-        names, corner evaluators).
+        names, corner evaluator).
     specs:
         Constraints that must hold at every sign-off corner.
     corners:
         Sign-off grid; defaults to :func:`nine_corner_grid`.
     config:
-        A :class:`~repro.search.progressive.ProgressiveConfig` (or, legacy
-        style, the :class:`TrustRegionConfig` shared by every phase).  Its
-        ``optimizer`` field names the registered search strategy.
+        The :class:`~repro.search.progressive.ProgressiveConfig`; ``None``
+        means the defaults.  Its ``optimizer`` field names the registered
+        search strategy, and its ``trust_region`` config is shared by every
+        phase.
     seeds:
         RNG seeds, one independent progressive search each; defaults to the
         config's seed.  All seeds share one :class:`EvaluationCache`, and
@@ -503,32 +493,24 @@ class Campaign:
         handle: EvaluationHandle,
         specs: Sequence[Spec],
         corners: Optional[Sequence[PVTCondition]] = None,
-        config: Union[TrustRegionConfig, ProgressiveConfig, None] = None,
+        config: Optional[ProgressiveConfig] = None,
         seeds: Optional[Sequence[int]] = None,
         cache_path: Optional[str] = None,
         cache_preload: Sequence[str] = (),
     ) -> None:
         self.handle = handle
-        self.progressive = _as_progressive_config(config, None)
+        self.progressive = config if config is not None else ProgressiveConfig()
         if self.progressive.max_phases < 1:
             raise ValueError("max_phases must be at least 1")
         trust = self.progressive.trust_region
-        self.corners = list(corners) if corners is not None else nine_corner_grid()
-        self.ranked = rank_by_severity(self.corners)
+        self.ranked = rank_by_severity(
+            list(corners) if corners is not None else nine_corner_grid()
+        )
         self.seeds = [int(s) for s in seeds] if seeds is not None else [trust.seed]
         if not self.seeds:
             raise ValueError("a campaign needs at least one seed")
-        if handle.corner_evaluator is not None:
-            engine = handle.corner_evaluator
-        elif handle.evaluator_factory is not None:
-            engine = _looped_corner_evaluator(handle.evaluator_factory, self.corners)
-        else:
-            raise ValueError(
-                "the evaluation handle provides neither a corner evaluator "
-                "nor a per-corner evaluator factory"
-            )
         self.cache = EvaluationCache(
-            engine,
+            handle.corner_evaluator,
             handle.design_space.dimension,
             len(handle.metric_names),
             persist_path=cache_path,
@@ -555,47 +537,26 @@ class Campaign:
         cache = self.cache
         return cache.hits, cache.misses, cache.engine_calls, cache.eval_seconds
 
-    def _evaluate_for(
-        self,
-        member: _ProgressiveMember,
-        rows: np.ndarray,
-        corners: List[PVTCondition],
-    ) -> np.ndarray:
-        """Evaluate one member's own request, attributing the exact deltas.
-
-        Every cache counter moved by this call belongs to ``member`` alone,
-        so the attribution is the plain before/after difference — for a
-        single-seed campaign this reproduces exactly the accounting the
-        historical sequential loop reported.
-        """
-        hits0, misses0, calls0, seconds0 = self._counters()
-        with profiled(
-            "campaign.evaluate",
-            seed=member.seed,
-            phase=member.phase,
-            rows=int(rows.shape[0]),
-            corners=len(corners),
-        ) as timer:
-            block = self.cache.evaluate(rows, corners)
-            hits, misses, calls, seconds = self._counters()
-            timer.annotate(hits=hits - hits0, misses=misses - misses0)
-        member.account(hits - hits0, misses - misses0, calls - calls0, seconds - seconds0)
-        return block
-
     def _run_group(
         self,
         grouped: List[Tuple[_ProgressiveMember, np.ndarray, List[PVTCondition]]],
     ) -> None:
-        """One stacked tensor pass for members sharing a corner set.
+        """One stacked tensor pass for the members sharing a corner set.
 
-        Attribution of the shared pass: each member's misses are its own
-        fresh ``(row, corner)`` pairs, peeked **before** the pass mutates
-        the store — the stacked block's fresh rows are exactly the union of
-        the members' fresh rows, so the decomposition is exact.  The engine
-        wall time splits proportionally to miss share, and the single
-        engine call books to every member with fresh pairs (a shared call
-        serves several seeds, so per-seed ``engine_calls`` can sum to more
-        than the campaign-wide counter).
+        Every request group, lone or shared, takes this path: one
+        :meth:`EvaluationCache.evaluate` call on the stacked rows, then each
+        member receives its own row slice of the block, so every requested
+        ``(row, corner)`` pair is booked exactly once.
+
+        Attribution: each member's misses are its own fresh ``(row,
+        corner)`` pairs, peeked **before** the pass mutates the store — the
+        stacked block's fresh rows are exactly the union of the members'
+        fresh rows, so the decomposition is exact, and for a lone member it
+        equals the plain counter delta.  The engine wall time splits
+        proportionally to miss share, and the single engine call books to
+        every member with fresh pairs (a shared call serves several seeds,
+        so per-seed ``engine_calls`` can sum to more than the campaign-wide
+        counter).
         """
         cache = self.cache
         corners = grouped[0][2]
@@ -604,21 +565,29 @@ class Campaign:
             cache.fresh_row_count(rows, corners) for _, rows, _ in grouped
         ]
         total_fresh = sum(fresh_counts)
+        seeds = [member.seed for member, _, _ in grouped]
+        # A pass serving one seed books its time to that seed; a shared
+        # pass has no single seed.
+        solo = (
+            {"seed": seeds[0], "phase": grouped[0][0].phase} if len(seeds) == 1 else {}
+        )
         hits0, misses0, calls0, seconds0 = self._counters()
         with profiled(
             "campaign.pass",
             members=len(grouped),
             corners=n_corners,
-            seeds=[m.seed for m, _, _ in grouped],
+            seeds=seeds,
+            **solo,
         ) as timer:
             # One stack per round is the whole point — it buys a single
             # large evaluator call.
             # analysis: allow(hot-loop-alloc) intentional per-round stack
-            cache.evaluate(np.vstack([rows for _, rows, _ in grouped]), corners)
+            block = cache.evaluate(np.vstack([rows for _, rows, _ in grouped]), corners)
             hits, misses, calls, seconds = self._counters()
             timer.annotate(hits=hits - hits0, misses=misses - misses0)
         pass_calls = calls - calls0
         pass_seconds = seconds - seconds0
+        start = 0
         for (member, rows, _), fresh in zip(grouped, fresh_counts):
             member.account(
                 (rows.shape[0] - fresh) * n_corners,
@@ -626,10 +595,9 @@ class Campaign:
                 pass_calls if fresh else 0,
                 pass_seconds * (fresh / total_fresh) if total_fresh else 0.0,
             )
-        # Scatter: per-member re-reads are all cache hits, attributed
-        # exactly like lone requests.
-        for member, rows, _ in grouped:
-            member.receive(self._evaluate_for(member, rows, corners))
+            stop = start + rows.shape[0]
+            member.receive(block[:, start:stop, :])
+            start = stop
 
     # -- batched surrogate refit ---------------------------------------
     def _flush_refits(self) -> None:
@@ -695,6 +663,19 @@ class Campaign:
             )
 
     # -- checkpoint/resume ---------------------------------------------
+    def _identity(self) -> Dict[str, object]:
+        """What a snapshot must agree on with the campaign it loads into."""
+        return {
+            "seeds": list(self.seeds),
+            "config": repr(self.progressive),
+            "dimension": self.handle.design_space.dimension,
+            "metric_names": list(self.handle.metric_names),
+            "corners": [
+                (corner.process, corner.voltage_factor, corner.temperature_c)
+                for corner in self.ranked
+            ],
+        }
+
     def state_dict(self) -> Dict[str, object]:
         """The campaign at a round boundary: identity, members, cache.
 
@@ -709,16 +690,7 @@ class Campaign:
         (:meth:`EvaluationCache.checkpoint_state`).
         """
         return {
-            "identity": {
-                "seeds": list(self.seeds),
-                "config": repr(self.progressive),
-                "dimension": self.handle.design_space.dimension,
-                "metric_names": list(self.handle.metric_names),
-                "corners": [
-                    (corner.process, corner.voltage_factor, corner.temperature_c)
-                    for corner in self.ranked
-                ],
-            },
+            "identity": self._identity(),
             "rounds": self.rounds,
             "refit": (self.refit_rounds, self.batched_kernel_calls),
             "members": [member.state_dict() for member in self._members],
@@ -728,16 +700,7 @@ class Campaign:
     def load_state_dict(self, state: Dict[str, object], journal_path: str) -> None:
         """Restore :meth:`state_dict` output; the cache replays ``journal_path``."""
         identity = state["identity"]
-        expected = {
-            "seeds": list(self.seeds),
-            "config": repr(self.progressive),
-            "dimension": self.handle.design_space.dimension,
-            "metric_names": list(self.handle.metric_names),
-            "corners": [
-                (corner.process, corner.voltage_factor, corner.temperature_c)
-                for corner in self.ranked
-            ],
-        }
+        expected = self._identity()
         for field in expected:
             if identity.get(field) != expected[field]:
                 raise ValueError(
@@ -889,13 +852,6 @@ class Campaign:
                     groups=len(groups),
                 ):
                     for grouped in groups.values():
-                        if len(grouped) == 1:
-                            # Lone request: evaluate directly, which keeps the
-                            # call sequence (and so the cache accounting)
-                            # identical to the historical sequential loop.
-                            member, rows, corners = grouped[0]
-                            member.receive(self._evaluate_for(member, rows, corners))
-                            continue
                         self._run_group(grouped)
                     # End of round: train every queued refit before the
                     # snapshot below, so checkpoints never carry a

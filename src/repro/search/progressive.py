@@ -10,41 +10,25 @@ every corner passes or the phase budget runs out.
 Since the ask/tell redesign the schedule itself lives in
 :class:`~repro.search.campaign.Campaign` (as a per-seed state machine, so
 many seeds can share vectorized evaluation rounds); this module keeps the
-configuration and result types plus :func:`progressive_pvt_search`, the
-historical entry point — now a thin compatibility layer over a single-seed
-campaign that reproduces the pre-redesign trajectories bit-exactly at a
-fixed seed/config.
+configuration and result types.
 
 The corner axis stays *tensorized*: every multi-corner evaluation is a
 single :meth:`~repro.circuits.topologies.base.SizingProblem.evaluate_corners`
 call routed through a cross-phase
-:class:`~repro.search.eval_cache.EvaluationCache`.  The per-corner loop
-(:func:`_looped_corner_evaluator`) survives only as the fallback for
-evaluation handles without a stacked evaluator, which is how the tests
-reach it as the bit-identical parity oracle.
+:class:`~repro.search.eval_cache.EvaluationCache`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.circuits.pvt import PVTCondition
-from repro.core.design_space import DesignSpace
-from repro.search.eval_cache import CornerEvaluator
 from repro.search.optimizer import available_optimizers
 from repro.search.spec import Spec, Specification
-from repro.search.trust_region import (
-    BatchEvaluator,
-    SearchResult,
-    TrustRegionConfig,
-)
-
-#: Builds a per-corner batch evaluator (e.g. a derated TwoStageOpAmp's
-#: ``evaluate_batch``) together with its metric names.
-EvaluatorFactory = Callable[[PVTCondition], BatchEvaluator]
+from repro.search.trust_region import SearchResult, TrustRegionConfig
 
 
 @dataclass
@@ -67,22 +51,6 @@ class ProgressiveConfig:
                 f"unknown optimizer {self.optimizer!r}; "
                 f"available: {', '.join(available_optimizers())}"
             )
-
-
-def _as_progressive_config(
-    config: Union[TrustRegionConfig, ProgressiveConfig, None],
-    max_phases: Optional[int],
-) -> ProgressiveConfig:
-    """Normalise the legacy (TrustRegionConfig, max_phases) calling style."""
-    if config is None:
-        progressive = ProgressiveConfig()
-    elif isinstance(config, ProgressiveConfig):
-        progressive = config
-    else:
-        progressive = ProgressiveConfig(trust_region=config)
-    if max_phases is not None:
-        progressive = replace(progressive, max_phases=max_phases)
-    return progressive
 
 
 @dataclass
@@ -177,92 +145,3 @@ def _stacked_specification(
                 )
             )
     return Specification(stacked_specs, stacked_names)
-
-
-def _looped_corner_evaluator(
-    evaluator_factory: EvaluatorFactory, corners: Sequence[PVTCondition]
-) -> CornerEvaluator:
-    """The per-corner loop: one factory-built evaluator per corner.
-
-    The fallback engine for handles without a stacked evaluator, and the
-    bit-identical parity oracle the tests build such handles for.
-
-    Keyed by the (frozen, hashable) conditions themselves — the display name
-    rounds voltage/temperature, so two distinct corners can share it.
-    """
-    evaluators = {corner: evaluator_factory(corner) for corner in corners}
-
-    def evaluate(samples: np.ndarray, subset: Sequence[PVTCondition]) -> np.ndarray:
-        return np.stack(
-            [
-                np.atleast_2d(
-                    np.asarray(evaluators[corner](samples), dtype=np.float64)
-                )
-                for corner in subset
-            ],
-            axis=0,
-        )
-
-    return evaluate
-
-
-def progressive_pvt_search(
-    evaluator_factory: EvaluatorFactory,
-    design_space: DesignSpace,
-    specs: Sequence[Spec],
-    metric_names: Sequence[str],
-    corners: Optional[Sequence[PVTCondition]] = None,
-    config: Union[TrustRegionConfig, ProgressiveConfig, None] = None,
-    max_phases: Optional[int] = None,
-    corner_evaluator: Optional[CornerEvaluator] = None,
-) -> ProgressiveResult:
-    """Size at the hardest corner first, then harden across the grid.
-
-    Compatibility layer: builds a single-seed
-    :class:`~repro.search.campaign.Campaign` around the supplied evaluators
-    and returns its one :class:`ProgressiveResult`.  Trajectories, cache
-    accounting and corner reports are bit-exact versus the historical
-    sequential implementation at a fixed seed/config.
-
-    Parameters
-    ----------
-    evaluator_factory:
-        Called once per corner to build that corner's batch evaluator; the
-        looped engine used when no ``corner_evaluator`` is supplied.
-    design_space, specs, metric_names:
-        The CSP: single-corner metric layout plus the constraints that must
-        hold at *every* corner.
-    corners:
-        Sign-off grid; defaults to :func:`nine_corner_grid`.
-    config:
-        Either a :class:`ProgressiveConfig`, or (legacy style) the
-        :class:`TrustRegionConfig` shared by every phase.
-    max_phases:
-        Upper bound on re-search rounds (each adds the worst failing
-        corner); overrides the :class:`ProgressiveConfig` value when given.
-    corner_evaluator:
-        Vectorized ``(samples, corners) -> (n_corners, count, n_metrics)``
-        evaluator (e.g. a topology's
-        :meth:`~repro.circuits.topologies.base.SizingProblem.evaluate_corners`),
-        used whenever given.  Must be bit-identical to the per-corner loop
-        over ``evaluator_factory``.
-    """
-    # Imported lazily: campaign.py imports this module's config/result
-    # types, so a module-level import here would be circular.
-    from repro.search.campaign import Campaign, EvaluationHandle
-
-    progressive = _as_progressive_config(config, max_phases)
-    handle = EvaluationHandle(
-        design_space=design_space,
-        metric_names=tuple(metric_names),
-        corner_evaluator=corner_evaluator,
-        evaluator_factory=evaluator_factory,
-    )
-    campaign = Campaign(
-        handle,
-        specs,
-        corners=corners,
-        config=progressive,
-        seeds=[progressive.trust_region.seed],
-    )
-    return campaign.run().results[0]

@@ -9,8 +9,8 @@ so one call sizes *any* workload in the zoo::
 
 It is the layer both the opamp demo and the ``repro.bench`` harness sit on,
 which keeps their RNG behaviour identical: a benchmark run of
-``two_stage_opamp`` at the ``nominal`` tier reproduces the historical demo
-bit-for-bit at the same seed.  :func:`build_campaign` is the multi-seed
+``two_stage_opamp`` at the ``nominal`` tier reproduces the demo bit-for-bit
+at the same seed.  :func:`build_campaign` is the multi-seed
 sibling: the same problem resolution, returning the ready-to-run
 :class:`~repro.search.campaign.Campaign` instead of running one seed; a
 multi-seed campaign matches one :func:`size_problem` run per seed bit for
@@ -23,13 +23,8 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Optional, Sequence, Type, Union
 
 from repro.circuits.pvt import PVTCondition
-from repro.search.progressive import (
-    ProgressiveConfig,
-    ProgressiveResult,
-    _as_progressive_config,
-)
+from repro.search.progressive import ProgressiveConfig, ProgressiveResult
 from repro.search.spec import Spec
-from repro.search.trust_region import TrustRegionConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.circuits.topologies import SizingProblem
@@ -52,7 +47,7 @@ def _with_overrides(config, **overrides):
 
 
 def resolve_config(
-    config: Union[TrustRegionConfig, ProgressiveConfig, None] = None,
+    config: Optional[ProgressiveConfig] = None,
     seed: Optional[int] = None,
     optimizer: Optional[str] = None,
     max_phases: Optional[int] = None,
@@ -61,13 +56,12 @@ def resolve_config(
 
     Every override follows the same rule: an explicit value always wins
     (via :func:`dataclasses.replace`), ``None`` defers to the config.
-    ``seed`` lands on the per-phase :class:`TrustRegionConfig`;
-    ``optimizer`` and ``max_phases`` on the :class:`ProgressiveConfig`.  A bare
-    :class:`TrustRegionConfig` (or ``None``) is wrapped without copying, so
-    ``resolve_config(config).trust_region is config`` holds when nothing
-    changes.
+    ``seed`` lands on the per-phase
+    :class:`~repro.search.trust_region.TrustRegionConfig`; ``optimizer`` and
+    ``max_phases`` on the :class:`ProgressiveConfig`.  When nothing changes
+    the config itself is returned (``None`` resolves to the defaults).
     """
-    progressive = _as_progressive_config(config, None)
+    progressive = config if config is not None else ProgressiveConfig()
     trust = _with_overrides(progressive.trust_region, seed=seed)
     return _with_overrides(
         progressive,
@@ -84,7 +78,7 @@ def build_campaign(
     specs: Optional[Sequence[Spec]] = None,
     tier: str = "nominal",
     corners: Optional[Sequence[PVTCondition]] = None,
-    config: Union[TrustRegionConfig, ProgressiveConfig, None] = None,
+    config: Optional[ProgressiveConfig] = None,
     seeds: Optional[Sequence[int]] = None,
     cache_path: Optional[str] = None,
     cache_preload: Sequence[str] = (),
@@ -136,15 +130,15 @@ def size_problem(
     specs: Optional[Sequence[Spec]] = None,
     tier: str = "nominal",
     corners: Optional[Sequence[PVTCondition]] = None,
-    config: Union[TrustRegionConfig, ProgressiveConfig, None] = None,
+    config: Optional[ProgressiveConfig] = None,
     seed: Optional[int] = None,
     max_phases: Optional[int] = None,
     optimizer: Optional[str] = None,
 ) -> ProgressiveResult:
     """Run the progressive sizing search on one topology (single seed).
 
-    Compatibility layer over a single-seed
-    :class:`~repro.search.campaign.Campaign`; bit-exact versus the
+    The single-seed entry point: runs a one-seed
+    :class:`~repro.search.campaign.Campaign`, bit-exact versus the
     historical sequential implementation at a fixed seed/config.
 
     Parameters

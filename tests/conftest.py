@@ -52,13 +52,16 @@ class OraclePaths:
         self.inline_refits()
 
     def looped_corners(self) -> None:
-        """Topology handles drop their stacked evaluator, so every Campaign
-        falls back to the per-corner loop over ``evaluator_factory``."""
+        """Topology handles evaluate corners with the per-corner loop
+        :meth:`~SizingProblem.evaluate_corners_looped` instead of the
+        stacked engine."""
         original = SizingProblem.evaluation_handle
         self._monkeypatch.setattr(
             SizingProblem,
             "evaluation_handle",
-            lambda problem: replace(original(problem), corner_evaluator=None),
+            lambda problem: replace(
+                original(problem), corner_evaluator=problem.evaluate_corners_looped
+            ),
         )
 
 

@@ -80,9 +80,12 @@ class TestRegistry:
         assert [case.corner_set for case in cases] == ["nine", "full45"]
 
     def test_config_carries_seed_and_budget(self):
-        config = BenchCase("ota_5t", "smoke", max_evaluations=123).config(seed=7)
-        assert config.seed == 7
-        assert config.max_evaluations == 123
+        case = BenchCase("ota_5t", "smoke", max_evaluations=123, max_phases=2)
+        config = case.config(seed=7)
+        assert config.trust_region.seed == 7
+        assert config.trust_region.max_evaluations == 123
+        assert config.max_phases == 2
+        assert config.optimizer == "trust_region"
 
 
 class TestRunner:
@@ -370,11 +373,12 @@ class TestCrossCheck:
 
 class TestDemoParity:
     def test_smoke_two_stage_matches_opamp_demo_at_seed_zero(self):
-        """The bench harness must reproduce the historical demo bit-for-bit:
-        same progressive search, same RNG stream, same winning sizing."""
-        from repro.search.opamp_demo import size_two_stage_opamp
+        """The bench harness must reproduce the demo bit-for-bit: same
+        progressive search, same RNG stream, same winning sizing."""
+        from repro.search.opamp_demo import DEFAULT_SPECS
+        from repro.search.sizing import size_problem
 
-        demo = size_two_stage_opamp(seed=0)
+        demo = size_problem("two_stage_opamp", specs=DEFAULT_SPECS, seed=0)
         case = next(
             case for case in get_suite("smoke") if case.topology == "two_stage_opamp"
         )

@@ -24,7 +24,7 @@ from repro.analysis import (
 from repro.circuits.pvt import nine_corner_grid
 from repro.nn.modules import MLP, Linear
 from repro.nn.seeding import DEFAULT_SEED, resolve_rng
-from repro.search import EvaluationCache
+from repro.search import EvaluationCache, ProgressiveConfig
 from repro.search.sizing import size_problem
 from repro.search.trust_region import TrustRegionConfig
 
@@ -294,7 +294,7 @@ class TestTrajectoryNeutrality:
     """Contracts observe; they must never steer the search."""
 
     def test_sizing_run_is_bit_identical_with_contracts_on(self):
-        config = TrustRegionConfig(seed=0, max_evaluations=120)
+        config = ProgressiveConfig(TrustRegionConfig(seed=0, max_evaluations=120))
         with contracts(False):
             off = size_problem("ota_5t", tier="smoke", config=config)
         with contracts(True):

@@ -3,16 +3,14 @@
 The corner engine's one hard promise is *bit-identity*: evaluating the whole
 PVT grid as a single NumPy broadcast must produce exactly the floats the
 per-corner Python loop produces — ``np.array_equal``, not ``allclose`` — so
-the looped oracle (a Campaign falls back to it for handles without a
-stacked evaluator) can never disagree with a search trajectory.  Everything here
-enforces that promise at each layer: the stacked technology card, the device
-helpers it broadcasts through, ``evaluate_corners`` on every registered
-topology over the full 45-corner grid, the cross-phase
+the looped oracle (which the ``oracles.looped_corners()`` fixture puts on a
+campaign's evaluation handle) can never disagree with a search trajectory.
+Everything here enforces that promise at each layer: the stacked technology
+card, the device helpers it broadcasts through, ``evaluate_corners`` on every
+registered topology over the full 45-corner grid, the cross-phase
 :class:`~repro.search.eval_cache.EvaluationCache`, and finally the
 progressive loop end to end.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,10 +23,10 @@ from repro.circuits.pvt import (
     full_corner_grid,
     nine_corner_grid,
 )
-from repro.circuits.topologies import available_topologies, get_topology
+from repro.circuits.topologies import SizingProblem, available_topologies, get_topology
 from repro.analysis.determinism import fingerprint_outcome
 from repro.bench.registry import get_suite
-from repro.search import Campaign, EvaluationCache
+from repro.search import EvaluationCache, ProgressiveConfig
 from repro.search.sizing import size_problem
 from repro.search.trust_region import TrustRegionConfig
 
@@ -242,14 +240,15 @@ class TestEvaluationCache:
 class TestProgressiveTrajectoryLock:
     """Same seeds -> same trajectories, whichever corner engine runs."""
 
-    QUICK = TrustRegionConfig(seed=0, max_evaluations=200)
+    QUICK = ProgressiveConfig(TrustRegionConfig(seed=0, max_evaluations=200))
 
     @pytest.mark.parametrize(
         "topology", ["ota_5t", "two_stage_opamp", "folded_cascode", "telescopic"]
     )
     def test_stacked_equals_looped_end_to_end(self, topology, oracles):
-        """Each smoke case: a factory-only handle matches the default
-        campaign bit for bit (trajectories, accounting, cache content)."""
+        """Each smoke case: a handle on the looped evaluator matches the
+        default campaign bit for bit (trajectories, accounting, cache
+        content)."""
         (case,) = [
             case
             for case in get_suite("smoke")
@@ -261,7 +260,8 @@ class TestProgressiveTrajectoryLock:
             if looped:
                 oracles.looped_corners()
             campaign = case.build_campaign(seeds)
-            assert (campaign.handle.corner_evaluator is None) == looped
+            evaluator = campaign.handle.corner_evaluator
+            assert (evaluator.__func__ is SizingProblem.evaluate_corners_looped) == looped
             outcome = campaign.run()
             digest = campaign.cache.state_digest()
             runs.append((outcome, fingerprint_outcome(outcome, digest, seeds)))
@@ -273,21 +273,13 @@ class TestProgressiveTrajectoryLock:
                 assert mine.metrics == other.metrics
 
     def test_cache_and_eval_accounting_populated(self):
-        result = size_problem("ota_5t", tier="smoke", config=self.QUICK)
+        result = size_problem("two_stage_opamp", tier="nominal", config=self.QUICK)
+        assert len(result.phase_results) == 2
         assert result.cache_misses > 0
-        # The full-grid verification re-touches the phase winner: hits.
-        assert result.cache_hits >= 0
-        assert result.eval_seconds >= 0.0
-
-    def test_unknown_corner_engine_rejected(self):
-        """A handle with neither a stacked evaluator nor a factory has no
-        corner engine to run."""
-        problem = get_topology("ota_5t")()
-        handle = replace(
-            problem.evaluation_handle(), corner_evaluator=None, evaluator_factory=None
-        )
-        with pytest.raises(ValueError, match="neither a corner evaluator"):
-            Campaign(handle, problem.default_specs()["smoke"], seeds=[0])
+        # The only reuse: phase 1 warm-starts from phase 0's winner, which
+        # the full-grid verification already cached at both active corners.
+        assert result.cache_hits == 2
+        assert result.eval_seconds > 0.0
 
 
 class TestRefitSkip:

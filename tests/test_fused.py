@@ -217,12 +217,13 @@ class TestSearchLevelParity:
         assert len(fused.history) == len(autodiff.history)
 
     def test_two_stage_demo_seed0_backend_parity(self, oracles):
-        """The historical demo reaches the same sizing on the autodiff oracle."""
-        from repro.search.opamp_demo import size_two_stage_opamp
+        """The demo reaches the same sizing on the autodiff oracle."""
+        from repro.search.opamp_demo import DEFAULT_SPECS
+        from repro.search.sizing import size_problem
 
-        fused = size_two_stage_opamp(seed=0)
+        fused = size_problem("two_stage_opamp", specs=DEFAULT_SPECS, seed=0)
         oracles.autodiff_surrogate()
-        autodiff = size_two_stage_opamp(seed=0)
+        autodiff = size_problem("two_stage_opamp", specs=DEFAULT_SPECS, seed=0)
         assert fused.solved_all_corners and autodiff.solved_all_corners
         assert fused.evaluations == autodiff.evaluations
         np.testing.assert_array_equal(fused.best_vector, autodiff.best_vector)

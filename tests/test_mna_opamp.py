@@ -10,7 +10,7 @@ from repro.circuits.mna import (
     unity_gain_metrics,
 )
 from repro.circuits.netlist import Netlist
-from repro.circuits.opamp import METRIC_NAMES, VARIABLE_NAMES, TwoStageOpAmp
+from repro.circuits.topologies.two_stage import METRIC_NAMES, VARIABLE_NAMES, TwoStageOpAmp
 from repro.circuits.pvt import PVTCondition
 
 

@@ -345,7 +345,8 @@ class TestOptimizerRegistry:
 class TestCampaignParity:
     """Multi-seed vectorized execution is bitwise-identical per seed."""
 
-    CONFIG = TrustRegionConfig(seed=0, max_evaluations=200)
+    TRUST = TrustRegionConfig(seed=0, max_evaluations=200)
+    CONFIG = ProgressiveConfig(TRUST)
 
     def test_multi_seed_campaign_matches_sequential(self):
         seeds = [0, 1, 2]
@@ -369,6 +370,12 @@ class TestCampaignParity:
             assert [r.satisfied for r in expected.corner_reports] == [
                 r.satisfied for r in got.corner_reports
             ]
+            # Every requested (row, corner) pair is booked exactly once,
+            # whether its pass was shared or not.
+            assert (
+                expected.cache_hits + expected.cache_misses
+                == got.cache_hits + got.cache_misses
+            )
 
     def test_multi_seed_batches_fewer_engine_calls(self):
         seeds = [0, 1, 2]
@@ -399,7 +406,7 @@ class TestCampaignParity:
             handle,
             problem.default_specs()["smoke"],
             corners=[NOMINAL],
-            config=ProgressiveConfig(trust_region=self.CONFIG, max_phases=1),
+            config=ProgressiveConfig(trust_region=self.TRUST, max_phases=1),
             seeds=[0],
         )
         outcome = campaign.run()
@@ -437,46 +444,6 @@ class TestCampaignParity:
         # cache, so the campaign can only compute fewer pairs, never more.
         assert campaign.cache_misses <= sequential_misses
 
-    def test_looped_engine_requires_the_oracle_factory(self):
-        """The looped oracle runs only for a handle without a stacked
-        evaluator, and then through the factory, never the stacked engine
-        it exists to cross-check."""
-        problem = get_topology("ota_5t")()
-        full = problem.evaluation_handle()
-        built = []
-
-        def factory(condition):
-            built.append(condition)
-            return full.evaluator_factory(condition)
-
-        def stacked(samples, corners):
-            raise AssertionError("the looped oracle ran the stacked engine")
-
-        config = ProgressiveConfig(trust_region=self.CONFIG, max_phases=1)
-        specs = problem.default_specs()["smoke"]
-        factory_only = EvaluationHandle(
-            design_space=full.design_space,
-            metric_names=full.metric_names,
-            evaluator_factory=factory,
-        )
-        outcome = Campaign(
-            factory_only, specs, corners=[NOMINAL], config=config, seeds=[0]
-        ).run()
-        assert outcome.results[0].evaluations > 0
-        assert built == [NOMINAL]
-        # Given both, the stacked engine runs and the factory stays unused.
-        with pytest.raises(AssertionError, match="stacked engine"):
-            Campaign(
-                EvaluationHandle(
-                    design_space=full.design_space,
-                    metric_names=full.metric_names,
-                    corner_evaluator=stacked,
-                    evaluator_factory=factory,
-                ),
-                specs, corners=[NOMINAL], config=config, seeds=[0],
-            ).run()
-        assert built == [NOMINAL]
-
     def test_campaign_rejects_degenerate_inputs(self):
         problem = get_topology("ota_5t")()
         handle = problem.evaluation_handle()
@@ -487,15 +454,6 @@ class TestCampaignParity:
             Campaign(
                 handle, specs,
                 config=ProgressiveConfig(max_phases=0), seeds=[0],
-            )
-        with pytest.raises(ValueError, match="neither a corner evaluator"):
-            Campaign(
-                EvaluationHandle(
-                    design_space=handle.design_space,
-                    metric_names=handle.metric_names,
-                ),
-                specs,
-                seeds=[0],
             )
 
 
@@ -529,7 +487,7 @@ class TestCustomOptimizerIntegration:
         try:
             result = size_problem(
                 "ota_5t", tier="smoke", corners=[NOMINAL],
-                config=TrustRegionConfig(seed=0, max_evaluations=300),
+                config=ProgressiveConfig(TrustRegionConfig(seed=0, max_evaluations=300)),
                 optimizer="grid_walk", max_phases=1,
             )
             assert result.solved_all_corners
@@ -556,7 +514,8 @@ class TestResultSerialization:
     def test_progressive_result_to_dict_round_trips_json(self):
         result = size_problem(
             "ota_5t", tier="smoke", corners=[NOMINAL],
-            config=TrustRegionConfig(seed=0, max_evaluations=200), max_phases=1,
+            config=ProgressiveConfig(TrustRegionConfig(seed=0, max_evaluations=200)),
+            max_phases=1,
         )
         payload = result.to_dict()
         assert json.loads(json.dumps(payload)) == payload

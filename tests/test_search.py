@@ -3,16 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.circuits.opamp import METRIC_NAMES, TwoStageOpAmp
+from repro.circuits.topologies.two_stage import METRIC_NAMES, TwoStageOpAmp
 from repro.circuits.pvt import hardest_condition, nine_corner_grid
 from repro.core.design_space import DesignSpace, Parameter
 from repro.search import (
+    ProgressiveConfig,
     Spec,
     Specification,
     TrustRegionConfig,
     TrustRegionSearch,
+    size_problem,
 )
-from repro.search.opamp_demo import DEFAULT_SPECS, size_two_stage_opamp
+from repro.search.opamp_demo import DEFAULT_SPECS
 
 
 class TestSpecification:
@@ -172,7 +174,7 @@ class TestOpampSizingEndToEnd:
         np.testing.assert_allclose(space.snap(result.best_vector), result.best_vector, rtol=1e-9)
 
     def test_progressive_pvt_demo(self):
-        result = size_two_stage_opamp(seed=0)
+        result = size_problem("two_stage_opamp", specs=DEFAULT_SPECS, seed=0)
         assert result.solved_all_corners
         assert len(result.corner_reports) == 9
         assert all(report.satisfied for report in result.corner_reports)
@@ -187,27 +189,26 @@ class TestResolveConfig:
     def test_explicit_seed_overrides_config(self):
         from repro.search.sizing import resolve_config
 
-        config = TrustRegionConfig(seed=3, max_evaluations=123)
+        config = ProgressiveConfig(TrustRegionConfig(seed=3, max_evaluations=123))
         resolved = resolve_config(config, seed=9)
         assert resolved.trust_region.seed == 9
         assert resolved.trust_region.max_evaluations == 123  # else preserved
-        assert config.seed == 3  # original untouched
+        assert config.trust_region.seed == 3  # original untouched
 
     def test_none_seed_defers_to_config(self):
         from repro.search.sizing import resolve_config
 
-        config = TrustRegionConfig(seed=3)
-        assert resolve_config(config, seed=None).trust_region is config
+        config = ProgressiveConfig(TrustRegionConfig(seed=3))
+        assert resolve_config(config, seed=None) is config
         assert resolve_config(None, seed=None).trust_region.seed == 0
         assert resolve_config(None, seed=5).trust_region.seed == 5
 
     def test_backend_override(self):
         """The training backend is not configurable at any layer."""
-        from repro.search import ProgressiveConfig
-        from repro.search.sizing import resolve_config, size_problem
+        from repro.search.sizing import resolve_config
 
         with pytest.raises(TypeError, match="backend"):
-            resolve_config(TrustRegionConfig(seed=3), backend="autodiff")
+            resolve_config(ProgressiveConfig(), backend="autodiff")
         with pytest.raises(TypeError, match="backend"):
             size_problem("ota_5t", tier="smoke", backend="autodiff")
         with pytest.raises(TypeError, match="backend"):
@@ -216,8 +217,7 @@ class TestResolveConfig:
     def test_corner_engine_override(self):
         """The corner engine is not configurable: a Campaign picks it from
         its evaluation handle."""
-        from repro.search import ProgressiveConfig
-        from repro.search.sizing import resolve_config, size_problem
+        from repro.search.sizing import resolve_config
 
         with pytest.raises(TypeError, match="corner_engine"):
             resolve_config(ProgressiveConfig(), corner_engine="looped")
@@ -227,7 +227,6 @@ class TestResolveConfig:
             ProgressiveConfig(corner_engine="looped")
 
     def test_optimizer_and_max_phases_overrides(self):
-        from repro.search import ProgressiveConfig
         from repro.search.sizing import resolve_config
 
         resolved = resolve_config(None, optimizer="random", max_phases=2)
@@ -238,7 +237,6 @@ class TestResolveConfig:
         assert kept is progressive
 
     def test_progressive_config_passthrough_keeps_trust_region(self):
-        from repro.search import ProgressiveConfig
         from repro.search.sizing import resolve_config
 
         trust = TrustRegionConfig(seed=7)
@@ -316,18 +314,3 @@ class TestDatasetHotPath:
         """The surrogate is always fused; the config has no backend field."""
         with pytest.raises(TypeError, match="backend"):
             TrustRegionConfig(backend="fused")
-
-
-class TestProgressiveConfig:
-    def test_legacy_trust_region_config_still_accepted(self):
-        from repro.search.progressive import _as_progressive_config
-
-        trust = TrustRegionConfig(seed=2)
-        progressive = _as_progressive_config(trust, max_phases=3)
-        assert progressive.trust_region is trust
-        assert progressive.max_phases == 3
-        # max_phases=None defers to the ProgressiveConfig value.
-        from repro.search import ProgressiveConfig
-
-        kept = _as_progressive_config(ProgressiveConfig(max_phases=2), max_phases=None)
-        assert kept.max_phases == 2

@@ -132,7 +132,10 @@ class TestNeverStalledSeedsKeepTheirTrajectories:
         with open(os.path.join(REPO, "BENCH_smoke.json")) as handle:
             committed = json.load(handle)
         fresh = run_suite("smoke", seeds=[0, 1, 2])
-        fields = ("solved", "evaluations", "phases", "failing_corners", "best_sizing")
+        fields = (
+            "solved", "evaluations", "phases", "failing_corners", "best_sizing",
+            "cache_misses", "engine_calls",
+        )
         for old_case, new_case in zip(committed["cases"], fresh["cases"]):
             assert old_case["name"] == new_case["name"]
             old_seeds = {record["seed"]: record for record in old_case["per_seed"]}

@@ -174,12 +174,3 @@ class TestTopologyPhysics:
                 problem.evaluate_batch(samples)
             )
             assert satisfied.any(), f"{cls.name} smoke tier infeasible in 4000 samples"
-
-
-class TestBackwardCompatibility:
-    def test_opamp_module_alias(self):
-        from repro.circuits import opamp
-
-        assert opamp.TwoStageOpAmp is TwoStageOpAmp
-        assert opamp.METRIC_NAMES == AMPLIFIER_METRIC_NAMES
-        assert opamp.VARIABLE_NAMES == TwoStageOpAmp.VARIABLE_NAMES
