@@ -110,6 +110,9 @@ class DesignSpace:
         safe_highs = np.where(self._log_mask, self._highs, 1.0)
         self._log_lows = np.log(safe_lows)
         self._log_spans = np.log(safe_highs) - self._log_lows
+        self._spans = self._highs - self._lows
+        # to_unit's log denominator: the log span, or 1 on linear columns.
+        self._log_divisors = np.where(self._log_mask, self._log_spans, 1.0)
 
     # -- basic protocol ---------------------------------------------------
     def __len__(self) -> int:
@@ -168,15 +171,13 @@ class DesignSpace:
         if np.any((vector <= 0.0) & self._log_mask):
             raise ValueError("non-positive value for a log-scale parameter")
         safe = np.where(self._log_mask, np.maximum(vector, 1e-300), 1.0)
-        linear = (vector - self._lows) / (self._highs - self._lows)
-        logarithmic = (np.log(safe) - self._log_lows) / np.where(
-            self._log_mask, self._log_spans, 1.0
-        )
+        linear = (vector - self._lows) / self._spans
+        logarithmic = (np.log(safe) - self._log_lows) / self._log_divisors
         return np.where(self._log_mask, logarithmic, linear)
 
     def from_unit(self, unit_vector: Sequence[float]) -> np.ndarray:
         unit_vector = np.clip(np.asarray(unit_vector, dtype=np.float64), 0.0, 1.0)
-        linear = self._lows + unit_vector * (self._highs - self._lows)
+        linear = self._lows + unit_vector * self._spans
         logarithmic = np.exp(self._log_lows + unit_vector * self._log_spans)
         return np.where(self._log_mask, logarithmic, linear)
 

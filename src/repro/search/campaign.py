@@ -294,21 +294,18 @@ class _ProgressiveMember:
             self._pending_rows = None
             return
         # Verification of the phase winner across the full corner grid.
-        self.corner_reports = []
-        failing: List[PVTCondition] = []
-        for corner, metrics in zip(self.ranked, block[:, 0, :]):
-            ok = bool(self._single_spec.satisfied(metrics[np.newaxis, :])[0])
-            self.corner_reports.append(
-                CornerReport(
-                    condition=corner,
-                    metrics={
-                        name: float(v) for name, v in zip(self.metric_names, metrics)
-                    },
-                    satisfied=ok,
-                )
+        # One row per corner: judge every corner in a single call.
+        rows = block[:, 0, :]
+        verdicts = self._single_spec.satisfied(rows).tolist()
+        self.corner_reports = [
+            CornerReport(
+                condition=corner,
+                metrics=dict(zip(self.metric_names, values)),
+                satisfied=ok,
             )
-            if not ok:
-                failing.append(corner)
+            for corner, values, ok in zip(self.ranked, rows.tolist(), verdicts)
+        ]
+        failing = [corner for corner, ok in zip(self.ranked, verdicts) if not ok]
         if not failing:
             self.solved_all = True
             self.finished = True

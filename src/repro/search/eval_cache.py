@@ -304,16 +304,16 @@ class EvaluationCache:
             # The stored metric rows are views into this block; freezing it
             # makes every cached row immutable for the cache's lifetime.
             block.flags.writeable = False
+            fresh_keys = [keys[row_index] for row_index in fresh]
             for corner_index, store in enumerate(stores):
-                for block_index, row_index in enumerate(fresh):
-                    store[keys[row_index]] = block[corner_index, block_index]
+                store.update(zip(fresh_keys, block[corner_index]))
             if self._backend is not None:
-                self._persist(keys, corners, fresh, block)
-        for row_index in range(count):
-            if row_index in fresh_set:
-                continue
+                self._persist(fresh_keys, corners, block)
+        served = [row_index for row_index in range(count) if row_index not in fresh_set]
+        if served:
+            served_keys = [keys[row_index] for row_index in served]
             for corner_index, store in enumerate(stores):
-                out[corner_index, row_index] = store[keys[row_index]]
+                out[corner_index, served] = [store[key] for key in served_keys]
         out.flags.writeable = False
         return out
 
@@ -341,9 +341,8 @@ class EvaluationCache:
 
     def _persist(
         self,
-        keys: List[bytes],
+        fresh_keys: List[bytes],
         corners: Sequence[PVTCondition],
-        fresh: List[int],
         block: np.ndarray,
     ) -> None:
         """Append this engine call's pairs to the on-disk store.
@@ -356,8 +355,8 @@ class EvaluationCache:
         backend = self._backend
         for corner_index, corner in enumerate(corners):
             tag = _corner_tag(corner)
-            for block_index, row_index in enumerate(fresh):
-                backend.append(tag, keys[row_index], block[corner_index, block_index])
+            for key, row in zip(fresh_keys, block[corner_index]):
+                backend.append(tag, key, row)
         backend.flush()
 
     def close(self) -> None:

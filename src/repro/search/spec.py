@@ -15,6 +15,7 @@ the standard penalty shaping for surrogate-assisted CSP search.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -35,7 +36,10 @@ class Spec:
         The constraint bound in the measurement's natural unit.
     scale:
         Normalization for the margin; defaults to ``|bound|`` so margins are
-        comparable across heterogeneous units (dB vs hertz vs watts).
+        comparable across heterogeneous units (dB vs hertz vs watts).  Must
+        be finite and positive: a negative scale would invert the
+        constraint, and a zero one makes the margin infinite (or NaN at the
+        bound).
     """
 
     metric: str
@@ -46,6 +50,12 @@ class Spec:
     def __post_init__(self) -> None:
         if self.sense not in (">=", "<="):
             raise ValueError(f"sense must be '>=' or '<=', got {self.sense!r}")
+        if not math.isfinite(self.bound):
+            raise ValueError(f"spec {self.metric!r}: bound must be finite, got {self.bound!r}")
+        if self.scale is not None and not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(
+                f"spec {self.metric!r}: scale must be finite and positive, got {self.scale!r}"
+            )
 
     @property
     def normalizer(self) -> float:
@@ -54,7 +64,11 @@ class Spec:
         return max(abs(self.bound), 1e-30)
 
     def margin(self, value):
-        """Normalized signed margin; positive (or zero) means satisfied."""
+        """Normalized signed margin; positive (or zero) means satisfied.
+
+        The per-spec reference for :meth:`Specification.margins`, which
+        computes every spec's column at once and must match it bit for bit.
+        """
         value = np.asarray(value, dtype=np.float64)
         if self.sense == ">=":
             raw = value - self.bound
@@ -78,18 +92,30 @@ class Specification:
         if missing:
             raise KeyError(f"specs reference unknown metrics: {missing}")
         self.specs: Tuple[Spec, ...] = tuple(specs)
+        # Per-spec arrays, so margins are one gather plus one select over
+        # the whole (count, n_specs) block instead of a loop over specs.
         self._columns = np.array([index[spec.metric] for spec in specs])
+        self._at_least = np.array([spec.sense == ">=" for spec in specs])
+        self._bounds = np.array([spec.bound for spec in specs], dtype=np.float64)
+        self._normalizers = np.array([spec.normalizer for spec in specs], dtype=np.float64)
 
     def __len__(self) -> int:
         return len(self.specs)
 
     def margins(self, metrics: np.ndarray) -> np.ndarray:
-        """Normalized margins, shape ``(count, n_specs)``."""
+        """Normalized margins, shape ``(count, n_specs)``, C-contiguous.
+
+        Bit-identical to stacking each :meth:`Spec.margin` column.  The
+        select keeps the ``bound - value`` subtraction of a ``<=`` spec
+        (rather than negating ``value - bound``), so a value exactly at its
+        bound gives ``+0.0`` under either sense.  The gather is ``take``, not
+        fancy indexing, which can return a column-major block: the row sums
+        of :meth:`score` would then add in a different order.
+        """
         metrics = np.atleast_2d(np.asarray(metrics, dtype=np.float64))
-        return np.stack(
-            [spec.margin(metrics[:, column]) for spec, column in zip(self.specs, self._columns)],
-            axis=1,
-        )
+        values = metrics.take(self._columns, axis=1)
+        bounds = self._bounds
+        return np.where(self._at_least, values - bounds, bounds - values) / self._normalizers
 
     def score(self, metrics: np.ndarray) -> np.ndarray:
         """Scalar satisfaction score per row: 0 iff feasible, else negative."""

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.circuits.topologies.two_stage import METRIC_NAMES, TwoStageOpAmp
-from repro.circuits.pvt import hardest_condition, nine_corner_grid
+from repro.circuits.pvt import full_corner_grid, hardest_condition, nine_corner_grid
+from repro.circuits.topologies import get_topology
 from repro.core.design_space import DesignSpace, Parameter
 from repro.search import (
     ProgressiveConfig,
@@ -12,9 +13,11 @@ from repro.search import (
     Specification,
     TrustRegionConfig,
     TrustRegionSearch,
+    build_campaign,
     size_problem,
 )
 from repro.search.opamp_demo import DEFAULT_SPECS
+from repro.search.progressive import _stacked_specification
 
 
 class TestSpecification:
@@ -40,6 +43,93 @@ class TestSpecification:
         spec = Specification([Spec("gain", ">=", 100.0)], ["gain"])
         assert "FAIL" in spec.report(np.array([50.0]))
         assert "PASS" in spec.report(np.array([150.0]))
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("inf"), float("-inf"), float("nan")])
+    def test_bad_scale_rejected(self, scale):
+        # A negative scale would invert the constraint and a zero one would
+        # fail a sizing sitting exactly at its bound (0 / 0 = nan).
+        with pytest.raises(ValueError, match="scale"):
+            Spec("gain", ">=", 1.0, scale=scale)
+
+    @pytest.mark.parametrize("bound", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_bound_rejected(self, bound):
+        with pytest.raises(ValueError, match="bound"):
+            Spec("gain", "<=", bound)
+
+
+def reference_margins(specification, metrics):
+    """The per-spec oracle: each :meth:`Spec.margin` column, stacked."""
+    metrics = np.atleast_2d(np.asarray(metrics, dtype=np.float64))
+    columns = [specification.metric_names.index(spec.metric) for spec in specification.specs]
+    return np.stack(
+        [spec.margin(metrics[:, column]) for spec, column in zip(specification.specs, columns)],
+        axis=1,
+    )
+
+
+def assert_matches_reference(specification, metrics):
+    """margins/score/satisfied byte-equal to the per-spec reference."""
+    margins = reference_margins(specification, metrics)
+    got = specification.margins(metrics)
+    assert got.flags.c_contiguous
+    assert got.shape == margins.shape
+    assert got.tobytes() == margins.tobytes()
+    score = np.minimum(margins, 0.0).sum(axis=1)
+    assert specification.score(metrics).tobytes() == score.tobytes()
+    satisfied = np.all(margins >= -1e-9, axis=1)
+    assert specification.satisfied(metrics).tobytes() == satisfied.tobytes()
+
+
+class TestSpecificationBitIdentity:
+    """The array margins equal the per-spec reference bit for bit."""
+
+    SPECS = [
+        Spec("gain", ">=", 100.0),
+        Spec("power", "<=", 2.0),
+        Spec("ugbw", ">=", 3e7, scale=1e6),
+        Spec("noise", "<=", 0.0),
+        Spec("gain", "<=", 140),
+    ]
+    NAMES = ["power", "gain", "ugbw", "noise"]
+
+    def test_many_rows_both_senses_custom_scale(self):
+        specification = Specification(self.SPECS, self.NAMES)
+        rng = np.random.default_rng(0)
+        metrics = rng.normal(size=(257, 4)) * np.array([1.0, 50.0, 1e7, 1e-3])
+        metrics += np.array([2.0, 110.0, 3e7, 0.0])
+        assert_matches_reference(specification, metrics)
+
+    def test_values_at_the_bound_give_positive_zero(self):
+        specification = Specification(self.SPECS, self.NAMES)
+        at_bound = np.array([[2.0, 100.0, 3e7, 0.0], [2.0, 140.0, 3e7, -0.0]])
+        assert_matches_reference(specification, at_bound)
+        margins = specification.margins(at_bound)
+        # Every margin that is zero is +0.0, never -0.0, under either sense.
+        zeros = margins[margins == 0.0]
+        assert zeros.size >= 6
+        assert not np.any(np.signbit(zeros))
+
+    def test_one_row_and_vector_inputs(self):
+        specification = Specification(self.SPECS, self.NAMES)
+        row = np.array([1.5, 99.0, 2.9e7, 1e-4])
+        assert_matches_reference(specification, row)
+        assert_matches_reference(specification, row[np.newaxis, :])
+        assert specification.margins(row).shape == (1, len(self.SPECS))
+
+    def test_stacked_specification_over_full45(self):
+        problem = get_topology("two_stage_opamp")("bsim45")
+        specs = problem.default_specs()["nominal"]
+        corners = full_corner_grid()
+        specification = _stacked_specification(specs, problem.METRIC_NAMES, corners)
+        assert len(specification) == len(specs) * len(corners)
+        bounds = np.ones(len(specification.metric_names))
+        for spec in specification.specs:
+            bounds[specification.metric_names.index(spec.metric)] = spec.bound
+        rng = np.random.default_rng(1)
+        metrics = bounds * (1.0 + 0.2 * rng.standard_normal((64, bounds.size)))
+        metrics[::7] = bounds  # rows sitting exactly on every bound
+        assert_matches_reference(specification, metrics)
+        assert_matches_reference(specification, metrics[3])
 
 
 def quadratic_evaluator(samples):
@@ -314,3 +404,39 @@ class TestDatasetHotPath:
         """The surrogate is always fused; the config has no backend field."""
         with pytest.raises(TypeError, match="backend"):
             TrustRegionConfig(backend="fused")
+
+
+class TestCampaignVerification:
+    """Winner verification: every CornerReport against a per-corner oracle."""
+
+    def test_corner_reports_match_per_corner_oracle(self):
+        # One phase only, so several seeds end with failing corners next to
+        # passing ones, and the reports carry both verdicts.
+        corners = nine_corner_grid()
+        campaign = build_campaign(
+            "two_stage_opamp",
+            tier="nominal",
+            corners=corners,
+            seeds=[0, 1, 2],
+            max_phases=1,
+            optimizer="trust_region",
+        )
+        results = campaign.run().results
+        verdicts = [report.satisfied for r in results for report in r.corner_reports]
+        assert True in verdicts and False in verdicts
+        assert not all(r.solved_all_corners for r in results)
+
+        problem = get_topology("two_stage_opamp")("bsim45")
+        names = problem.METRIC_NAMES
+        oracle = Specification(problem.default_specs()["nominal"], names)
+        for result in results:
+            reported = [report.condition for report in result.corner_reports]
+            assert sorted(reported, key=corners.index) == corners
+            block = problem.evaluate_corners(result.best_vector[np.newaxis, :], reported)
+            for report, metrics in zip(result.corner_reports, block[:, 0, :]):
+                expected = bool(oracle.satisfied(metrics[np.newaxis, :])[0])
+                assert type(report.satisfied) is bool
+                assert report.satisfied == expected
+                assert list(report.metrics) == list(names)
+                assert all(type(value) is float for value in report.metrics.values())
+                assert report.metrics == {n: float(v) for n, v in zip(names, metrics)}
