@@ -263,3 +263,17 @@ class DesignSpace:
                 f"{parameter.unit} ({parameter.grid_points} pts, {scale})"
             )
         return "\n".join(lines)
+
+
+def row_keys(block: np.ndarray) -> List[bytes]:
+    """Bit-exact identity of each row of a 2-D float64 block.
+
+    The block is exported with one ``tobytes`` and sliced per row, so each
+    key is exact (no rounding) and hashable, which NumPy void scalars are
+    not in NumPy 2.  The optimizers' dedup set and the evaluation cache
+    both key rows this way.
+    """
+    block = np.ascontiguousarray(block)
+    data = block.tobytes()
+    width = block.shape[1] * block.itemsize
+    return [data[i * width : (i + 1) * width] for i in range(block.shape[0])]

@@ -35,6 +35,7 @@ reproduces the pre-redesign behaviour bit-exactly at a fixed seed/config.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -185,6 +186,11 @@ class _ProgressiveMember:
         self.specs = list(specs)
         self.metric_names = list(metric_names)
         self.ranked = list(ranked)
+        # Corner -> index in ``ranked`` for index-based serialization, and
+        # that index for each ranked position (the position itself unless
+        # the grid repeats a corner).
+        self._corner_index = {corner: i for i, corner in enumerate(self.ranked)}
+        self._ranked_index = [self._corner_index[corner] for corner in self.ranked]
         self.config = (
             replace(trust_config, seed=seed) if trust_config.seed != seed else trust_config
         )
@@ -365,16 +371,18 @@ class _ProgressiveMember:
             raise RuntimeError(
                 "member state_dict mid-request; snapshots happen at round boundaries"
             )
-        corner_index = {corner: i for i, corner in enumerate(self.ranked)}
+        corner_index = self._corner_index
         return {
             "seed": self.seed,
             "phase": self.phase,
             "active": [corner_index[corner] for corner in self.active],
             "total_evaluations": self.total_evaluations,
             "phase_results": [result.state_dict() for result in self.phase_results],
+            # Reports are built in ``ranked`` order: look their corners up
+            # by position instead of hashing each one.
             "corner_reports": [
-                (corner_index[report.condition], dict(report.metrics), report.satisfied)
-                for report in self.corner_reports
+                (index, dict(report.metrics), report.satisfied)
+                for index, report in zip(self._ranked_index, self.corner_reports)
             ],
             "solved_all": self.solved_all,
             "finished": self.finished,
@@ -546,10 +554,12 @@ class Campaign:
         ``(row, corner)`` pair is booked exactly once.
 
         Attribution: each member's misses are its own fresh ``(row,
-        corner)`` pairs, peeked **before** the pass mutates the store — the
-        stacked block's fresh rows are exactly the union of the members'
-        fresh rows, so the decomposition is exact, and for a lone member it
-        equals the plain counter delta.  The engine wall time splits
+        corner)`` pairs — the fresh rows of the stacked block
+        (:attr:`EvaluationCache.last_fresh`) that fall inside the member's
+        slice.  The pass decides freshness before it inserts anything, so
+        each count equals what :meth:`EvaluationCache.fresh_row_count`
+        would have peeked for the member's rows alone, and for a lone
+        member it is the plain counter delta.  The engine wall time splits
         proportionally to miss share, and the single engine call books to
         every member with fresh pairs (a shared call serves several seeds,
         so per-seed ``engine_calls`` can sum to more than the campaign-wide
@@ -558,10 +568,6 @@ class Campaign:
         cache = self.cache
         corners = grouped[0][2]
         n_corners = len(corners)
-        fresh_counts = [
-            cache.fresh_row_count(rows, corners) for _, rows, _ in grouped
-        ]
-        total_fresh = sum(fresh_counts)
         seeds = [member.seed for member, _, _ in grouped]
         # A pass serving one seed books its time to that seed; a shared
         # pass has no single seed.
@@ -584,15 +590,21 @@ class Campaign:
             timer.annotate(hits=hits - hits0, misses=misses - misses0)
         pass_calls = calls - calls0
         pass_seconds = seconds - seconds0
-        start = 0
-        for (member, rows, _), fresh in zip(grouped, fresh_counts):
+        fresh_rows = cache.last_fresh
+        total_fresh = len(fresh_rows)
+        start = counted = 0
+        for member, rows, _ in grouped:
+            stop = start + rows.shape[0]
+            # ``fresh_rows`` ascends: those below ``stop`` and not yet
+            # counted are this member's.
+            upto = bisect_left(fresh_rows, stop)
+            fresh, counted = upto - counted, upto
             member.account(
                 (rows.shape[0] - fresh) * n_corners,
                 fresh * n_corners,
                 pass_calls if fresh else 0,
                 pass_seconds * (fresh / total_fresh) if total_fresh else 0.0,
             )
-            stop = start + rows.shape[0]
             member.receive(block[:, start:stop, :])
             start = stop
 

@@ -8,11 +8,9 @@ the search stack and the corner evaluator and memoises every ``(sizing row,
 corner)`` pair, so none of those repeats ever reaches the (comparatively
 expensive) closed-form evaluator again.
 
-Rows are keyed by their fixed-width float64 byte patterns — the same
-bit-exact row identity the trust-region dedup builds its void views from.
-The whole block is exported with a single ``tobytes`` and sliced per row
-(NumPy void scalars stopped being hashable dict keys in NumPy 2), so the key
-is exact — bit-level, no rounding — and cheap to build.
+Rows are keyed by their fixed-width float64 byte patterns, one ``tobytes``
+per block sliced per row (:func:`~repro.core.design_space.row_keys`): exact,
+cheap to build, and the same row identity the optimizers' dedup set holds.
 
 The cache is engine-agnostic: it wraps *any* corner evaluator with the
 ``(samples, corners) -> (n_corners, count, n_metrics)`` contract, whether the
@@ -51,6 +49,7 @@ import numpy as np
 
 from repro.analysis.contracts import ArraySpec, SeqLen, contract
 from repro.circuits.pvt import PVTCondition
+from repro.core.design_space import row_keys
 from repro.obs import event, profiled
 from repro.resilience.faults import fault_point, register_fault_site
 from repro.resilience.store import (
@@ -108,7 +107,7 @@ class EvaluationCache:
     corner_evaluator:
         The true evaluator to wrap (stacked or looped engine).
     dimension:
-        Sizing-vector length, fixing the void-view key width.
+        Sizing-vector length, fixing the store and journal record widths.
     n_metrics:
         Metric columns per corner (the evaluator's last axis).
     persist_path:
@@ -137,6 +136,10 @@ class EvaluationCache:
         Invocations of the wrapped evaluator — the multi-seed Campaign
         batches many seeds' requests into fewer, larger calls, and this is
         the counter that shows it.
+    last_fresh:
+        Ascending indices of the rows the latest :meth:`evaluate` sent to
+        the engine (decided before it inserted anything), so a caller that
+        stacked several requests can attribute the misses per slice.
     eval_seconds:
         Cumulative wall time inside the wrapped evaluator.
     preloaded_pairs, repaired_bytes:
@@ -154,7 +157,6 @@ class EvaluationCache:
     ) -> None:
         self._evaluate = corner_evaluator
         self._dimension = int(dimension)
-        self._key_width = self._dimension * np.dtype(np.float64).itemsize
         self.n_metrics = int(n_metrics)
         # One row-key -> metric-row dict per corner.  Keyed by the (frozen,
         # hashable) PVTCondition itself, not its display name — the name
@@ -167,6 +169,7 @@ class EvaluationCache:
         self.cold_hits = 0
         self.engine_calls = 0
         self.eval_seconds = 0.0
+        self.last_fresh: List[int] = []
         self.preloaded_pairs = 0
         self.repaired_bytes = 0
         # Pairs that came off the persistent store rather than this
@@ -203,36 +206,40 @@ class EvaluationCache:
         """Load ``(tag, key, row)`` store records, in record order.
 
         ``warm`` marks the pairs as preloaded for the warm/cold hit split.
+        Each tag's store dict (and warm set) is resolved once, at its first
+        record, so corners enter the store in first-record order.
         """
-        corners_by_tag: Dict[bytes, PVTCondition] = {}
+        targets: Dict[bytes, Tuple[Dict[bytes, np.ndarray], Optional[Set[bytes]]]] = {}
         for tag, key, row in records:
-            corner = corners_by_tag.get(tag)
-            if corner is None:
-                corner = corners_by_tag.setdefault(tag, _corner_from_tag(tag))
-            self._store.setdefault(corner, {})[key] = row
-            if warm:
-                self._warm.setdefault(corner, set()).add(key)
+            target = targets.get(tag)
+            if target is None:
+                corner = _corner_from_tag(tag)
+                target = targets[tag] = (
+                    self._store.setdefault(corner, {}),
+                    self._warm.setdefault(corner, set()) if warm else None,
+                )
+            store, warm_keys = target
+            store[key] = row
+            if warm_keys is not None:
+                warm_keys.add(key)
 
     def __len__(self) -> int:
         """Total number of cached ``(row, corner)`` pairs."""
         return sum(len(store) for store in self._store.values())
 
-    def _row_keys(self, samples: np.ndarray) -> List[bytes]:
-        """Bit-exact per-row keys: one buffer export, sliced fixed-width."""
-        data = np.ascontiguousarray(samples).tobytes()
-        width = self._key_width
-        return [data[i * width : (i + 1) * width] for i in range(samples.shape[0])]
-
     def fresh_row_count(self, samples: np.ndarray, corners: Sequence[PVTCondition]) -> int:
         """How many rows :meth:`evaluate` would send to the engine right now.
 
         A pure peek — no store is created or mutated, no counter moves —
-        used by the multi-seed Campaign to attribute a shared stacked
-        pass's misses to the member that caused them *before* the pass
-        itself updates the cache.
+        and the reference for the per-member attribution the multi-seed
+        Campaign derives from :attr:`last_fresh`.  Rejects an empty corner
+        list exactly like :meth:`evaluate`.
         """
         samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-        keys = self._row_keys(samples)
+        corners = list(corners)
+        if not corners:
+            raise ValueError("evaluate needs at least one PVT corner")
+        keys = row_keys(samples)
         stores = [self._store.get(corner) for corner in corners]
         if any(store is None for store in stores):
             return samples.shape[0]
@@ -263,17 +270,21 @@ class EvaluationCache:
         if not corners:
             raise ValueError("evaluate needs at least one PVT corner")
         count = samples.shape[0]
-        keys = self._row_keys(samples)
+        keys = row_keys(samples)
         stores = [self._store.setdefault(corner, {}) for corner in corners]
 
         # A row counts as fresh unless *every* requested corner has it; fresh
         # rows are (re)computed at all corners, so each of their pairs is a
-        # miss, and each pair of a fully-cached row is a hit.
+        # miss, and each pair of a fully-cached row is a hit.  Most fresh
+        # rows already miss the first corner, which settles them without a
+        # scan of the others.
+        first, others = stores[0], stores[1:]
         fresh = [
             i
-            for i in range(count)
-            if any(keys[i] not in store for store in stores)
+            for i, key in enumerate(keys)
+            if key not in first or any(key not in store for store in others)
         ]
+        self.last_fresh = fresh
         fresh_set = set(fresh)
         hits = (count - len(fresh)) * len(corners)
         misses = len(fresh) * len(corners)
@@ -328,14 +339,9 @@ class EvaluationCache:
         if not self._warm:
             self.cold_hits += hits
             return
-        warm = 0
-        for row_index in range(len(keys)):
-            if row_index in fresh_set:
-                continue
-            key = keys[row_index]
-            for corner in corners:
-                if key in self._warm.get(corner, _EMPTY_KEYS):
-                    warm += 1
+        warm_sets = [self._warm.get(corner, _EMPTY_KEYS) for corner in corners]
+        served = [key for row_index, key in enumerate(keys) if row_index not in fresh_set]
+        warm = sum(key in warm_keys for warm_keys in warm_sets for key in served)
         self.warm_hits += warm
         self.cold_hits += hits - warm
 

@@ -18,8 +18,8 @@ hard-wired into each algorithm:
 
 :class:`DatasetOptimizer` is the shared machinery every concrete optimizer
 here builds on: the amortized-doubling dataset of evaluated points with
-vectorized void-view dedup, incremental scoring and incumbent tracking (the
-hot path carried over from the PR-3 trust-region overhaul), plus a
+hash-set dedup, incremental scoring and incumbent tracking (the hot path
+carried over from the trust-region overhaul), plus a
 self-driving :meth:`DatasetOptimizer.run` loop for standalone use with a
 plain batch evaluator.
 
@@ -35,12 +35,12 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Type
+from typing import Callable, Dict, List, Optional, Set, Tuple, Type
 
 import numpy as np
 
 from repro.analysis.contracts import contract
-from repro.core.design_space import DesignSpace
+from repro.core.design_space import DesignSpace, row_keys
 from repro.search.spec import Specification
 
 #: An evaluator maps a ``(count, dim)`` sizing array to ``(count, n_metrics)``.
@@ -52,10 +52,14 @@ FEASIBLE_TOL = -1e-9
 
 
 def tell_precondition(arguments) -> Optional[str]:
-    """Contract shared by every ``tell``: one metric row per sizing row.
+    """Contract shared by every ``tell``: one metric row per sizing row, and
+    every told row new to the dataset.
 
-    Checked only once both arguments are 2-D arrays — ``tell`` legitimately
-    coerces 1-D convenience inputs itself.
+    The row-count check runs only once both arguments are 2-D arrays —
+    ``tell`` legitimately coerces 1-D convenience inputs itself.  The
+    novelty check (a caller telling a row twice would silently duplicate it
+    in the dataset) is one set lookup per row against the optimizer's
+    dedup keys.
     """
     samples = arguments["samples"]
     metrics = arguments["metrics"]
@@ -69,6 +73,13 @@ def tell_precondition(arguments) -> Optional[str]:
         return (
             f"told {metrics.shape[0]} metric rows for {samples.shape[0]} sizings"
         )
+    optimizer = arguments["self"]
+    if isinstance(optimizer, DatasetOptimizer):
+        keys = row_keys(np.atleast_2d(np.asarray(samples, dtype=np.float64)))
+        if not optimizer._seen.isdisjoint(keys):
+            return "told a row that is already in the dataset"
+        if len(set(keys)) < len(keys):
+            return "told the same row more than once in one block"
     return None
 
 
@@ -241,11 +252,12 @@ class DatasetOptimizer(Optimizer):
     """Shared dataset machinery for ask/tell optimizers.
 
     Maintains the evaluated-point dataset in amortized-doubling buffers —
-    natural-unit rows, unit-cube rows, metrics, satisfaction scores and
-    void-view dedup keys are appended in blocks, never rebuilt, and only new
-    rows are scored; the incumbent is tracked incrementally.  Dedup runs as
-    a single vectorized pass (``np.unique`` + ``np.isin`` over fixed-width
-    void views), so no proposal is ever evaluated twice.
+    natural-unit rows, unit-cube rows, metrics and satisfaction scores are
+    appended in blocks, never rebuilt, and only new rows are scored; the
+    incumbent is tracked incrementally.  Every evaluated row's bit-exact
+    byte key lives in a persistent ``set``, so dedup decides each
+    candidate's novelty with one hash lookup and no proposal is ever
+    evaluated twice.
 
     Parameters
     ----------
@@ -290,14 +302,14 @@ class DatasetOptimizer(Optimizer):
             else None
         )
         dim = design_space.dimension
-        self._key_dtype = np.dtype((np.void, dim * np.dtype(np.float64).itemsize))
         self._capacity = 0
         self._count = 0
         self._X = np.empty((0, dim))
         self._U = np.empty((0, dim))
         self._M = np.empty((0, len(specification.metric_names)))
         self._scores = np.empty(0)
-        self._keys = np.empty(0, dtype=self._key_dtype)
+        #: :func:`~repro.core.design_space.row_keys` of every evaluated row.
+        self._seen: Set[bytes] = set()
         # Index of the incumbent (earliest row attaining the best score,
         # matching np.argmax tie-breaking on the full score array).
         self._best = -1
@@ -322,7 +334,7 @@ class DatasetOptimizer(Optimizer):
         capacity = max(self._capacity, 64)
         while capacity < needed:
             capacity *= 2
-        for name in ("_X", "_U", "_M", "_scores", "_keys"):
+        for name in ("_X", "_U", "_M", "_scores"):
             old = getattr(self, name)
             shape = (capacity,) + old.shape[1:]
             grown = np.empty(shape, dtype=old.dtype)
@@ -330,32 +342,28 @@ class DatasetOptimizer(Optimizer):
             setattr(self, name, grown)
         self._capacity = capacity
 
-    def _row_keys(self, block: np.ndarray) -> np.ndarray:
-        """Fixed-width void view of each row, the vectorized dedup key."""
-        return np.ascontiguousarray(block).view(self._key_dtype).ravel()
-
     def _select_new(
         self, candidates: np.ndarray, limit: Optional[int] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, List[bytes]]:
         """Snap, dedup and clamp a candidate block; return (rows, keys).
 
-        Rows are keyed by a void view, first occurrences are kept in
-        candidate order (``np.unique`` + index sort), membership against
-        everything already evaluated is one ``np.isin`` pass, and at most
-        ``limit`` fresh rows survive.  No evaluation happens here — this is
-        the selection half of ``ask``.
+        One pass in candidate order keeps a row only if it is the first
+        occurrence of its key in the block and its key is not in the
+        dataset's set, stopping once ``limit`` rows are kept.  No evaluation
+        happens here — this is the selection half of ``ask``.
         """
         snapped = self.design_space.snap(np.atleast_2d(candidates))
-        keys = self._row_keys(snapped)
-        _, first = np.unique(keys, return_index=True)
-        first.sort()
-        if self._count:
-            first = first[~np.isin(keys[first], self._keys[: self._count])]
-        if limit is not None:
-            first = first[:limit]
-        return snapped[first], keys[first]
+        seen = self._seen
+        # Key -> candidate index of its first occurrence, in candidate order.
+        picked: Dict[bytes, int] = {}
+        for index, key in enumerate(row_keys(snapped)):
+            if len(picked) == limit:
+                break
+            if key not in seen:
+                picked.setdefault(key, index)
+        return snapped[list(picked.values())], list(picked)
 
-    def _append(self, rows: np.ndarray, keys: np.ndarray, metrics: np.ndarray) -> int:
+    def _append(self, rows: np.ndarray, metrics: np.ndarray) -> int:
         """Append an evaluated block, scoring and ranking only the new rows.
 
         Returns the dataset index of the block's best row (its earliest
@@ -367,7 +375,7 @@ class DatasetOptimizer(Optimizer):
         self._X[start:stop] = rows
         self._U[start:stop] = self.design_space.to_unit(rows)
         self._M[start:stop] = metrics
-        self._keys[start:stop] = keys
+        self._seen.update(row_keys(rows))
         scores = self.specification.score(metrics)
         self._scores[start:stop] = scores
         self._count = stop
@@ -384,11 +392,11 @@ class DatasetOptimizer(Optimizer):
         building block the pre-refactor monolithic loop was written in
         (and the parity oracle in the tests still is).
         """
-        rows, keys = self._select_new(candidates, limit)
+        rows, _ = self._select_new(candidates, limit)
         if rows.shape[0] == 0:
             return 0
         metrics = np.atleast_2d(np.asarray(self.evaluator(rows), dtype=np.float64))
-        self._append(rows, keys, metrics)
+        self._append(rows, metrics)
         return int(rows.shape[0])
 
     # -- protocol ------------------------------------------------------
@@ -425,7 +433,7 @@ class DatasetOptimizer(Optimizer):
         samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
         metrics = np.atleast_2d(np.asarray(metrics, dtype=np.float64))
         previous = self._scores[self._best] if self._best >= 0 else -np.inf
-        self._append(samples, self._row_keys(samples), metrics)
+        self._append(samples, metrics)
         improved = self._scores[self._best] > previous + 1e-12
         self._update_done()
         self._history.append(
@@ -512,14 +520,14 @@ class DatasetOptimizer(Optimizer):
         self._U = np.empty((0, dim))
         self._M = np.empty((0, len(self.specification.metric_names)))
         self._scores = np.empty(0)
-        self._keys = np.empty(0, dtype=self._key_dtype)
+        self._seen = set()
         self._best = -1
         rows = np.asarray(state["X"], dtype=np.float64)
         metrics = np.asarray(state["M"], dtype=np.float64)
         if rows.shape[0]:
             # One _append restores the derived buffers through the same
             # code (and the same argmax tie-breaking) that built them.
-            self._append(np.atleast_2d(rows), self._row_keys(np.atleast_2d(rows)), np.atleast_2d(metrics))
+            self._append(np.atleast_2d(rows), np.atleast_2d(metrics))
         self._history = [IterationRecord(*record) for record in state["history"]]
         self._done = state["done"]
         self.refit_seconds = state["refit_seconds"]

@@ -37,8 +37,8 @@ draw order, same refit schedule, same trajectories — and is locked by the
 parity tests against the pre-refactor oracle.
 
 Hot-path notes (this is the inner loop of every benchmark case): the
-evaluated-point dataset (amortized-doubling buffers, vectorized void-view
-dedup, incremental incumbent) lives in the shared
+evaluated-point dataset (amortized-doubling buffers, hash-set dedup,
+incremental incumbent) lives in the shared
 :class:`~repro.search.optimizer.DatasetOptimizer` base; candidate ranking
 uses ``np.argpartition`` to keep ranking cost O(pool); the surrogate refit
 runs on the fused NumPy MLP (:mod:`repro.nn.fused`), which is step-for-step
@@ -481,7 +481,7 @@ class TrustRegionSearch(DatasetOptimizer):
         metrics = np.atleast_2d(np.asarray(metrics, dtype=np.float64))
         restarted = self._local < 0
         previous = self._scores[self._local] if self._local >= 0 else -np.inf
-        block_best = self._append(samples, self._row_keys(samples), metrics)
+        block_best = self._append(samples, metrics)
         if self._local < 0 or self._scores[block_best] > previous:
             self._local = block_best
         improved = bool(self._scores[self._local] > previous + 1e-12)

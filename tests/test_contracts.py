@@ -24,7 +24,14 @@ from repro.analysis import (
 from repro.circuits.pvt import nine_corner_grid
 from repro.nn.modules import MLP, Linear
 from repro.nn.seeding import DEFAULT_SEED, resolve_rng
-from repro.search import EvaluationCache, ProgressiveConfig
+from repro.core.design_space import DesignSpace, Parameter
+from repro.search import (
+    EvaluationCache,
+    ProgressiveConfig,
+    Spec,
+    Specification,
+    get_optimizer,
+)
 from repro.search.sizing import size_problem
 from repro.search.trust_region import TrustRegionConfig
 
@@ -196,6 +203,46 @@ class TestHooks:
             @contract(args={"typo": ArraySpec(None)})
             def f(x):
                 return x
+
+
+class TestTellNovelty:
+    """A told row must be new to the optimizer's dataset."""
+
+    @staticmethod
+    def make_optimizer(name):
+        space = DesignSpace(
+            [Parameter(name, 0.0, 1.0, grid_points=11) for name in ("x", "y")]
+        )
+        spec = Specification([Spec("s", ">=", 5.0)], ["s"])
+        optimizer = get_optimizer(name)(
+            None, space, spec, TrustRegionConfig(seed=0, initial_samples=6)
+        )
+        # No surrogate training: the contract is all this class exercises.
+        optimizer.set_refit_deferred(True)
+        return optimizer
+
+    @pytest.mark.parametrize("name", ["random", "cross_entropy", "trust_region"])
+    def test_double_tell_raises(self, checking, name):
+        optimizer = self.make_optimizer(name)
+        rows = optimizer.ask()
+        metrics = rows.sum(axis=1, keepdims=True)
+        optimizer.tell(rows, metrics)
+        with pytest.raises(ContractViolation, match="already in the dataset"):
+            optimizer.tell(rows, metrics)
+
+    def test_repeated_row_in_one_tell_raises(self, checking):
+        optimizer = self.make_optimizer("random")
+        rows = optimizer.ask()
+        doubled = np.vstack([rows, rows[:1]])
+        with pytest.raises(ContractViolation, match="more than once"):
+            optimizer.tell(doubled, doubled.sum(axis=1, keepdims=True))
+
+    def test_fresh_tells_pass(self, checking):
+        optimizer = self.make_optimizer("random")
+        for _ in range(3):
+            rows = optimizer.ask()
+            optimizer.tell(rows, rows.sum(axis=1, keepdims=True))
+        assert optimizer.evaluations == len(optimizer._seen)
 
 
 class TestCacheReadOnly:

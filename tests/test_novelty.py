@@ -1,0 +1,419 @@
+"""Row novelty is decided once: dedup, attribution and serialization locks.
+
+The optimizers keep every evaluated row's byte key in a ``set`` and select
+candidates in one pass; the Campaign attributes a stacked pass's misses from
+the fresh rows the pass itself found; the cache resolves corner lookups once
+per call or tag; members serialize corner reports by position.  Each is
+locked here against the reference it replaced, held in this file: the
+``np.unique`` + ``np.isin`` void-view selection, the per-member
+``fresh_row_count`` peek, the per-(row, corner) warm lookup, the per-record
+store ingest and the dict-based member serializer.
+"""
+
+import importlib
+import os
+import pickle
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from repro.bench.registry import get_suite
+from repro.circuits.pvt import nine_corner_grid
+from repro.core.design_space import DesignSpace, Parameter, row_keys
+from repro.resilience import load_snapshot
+from repro.search import (
+    Campaign,
+    DatasetOptimizer,
+    EvaluationCache,
+    EvaluationHandle,
+    Spec,
+    Specification,
+    TrustRegionConfig,
+    get_optimizer,
+)
+from repro.search.campaign import CACHE_JOURNAL, _ProgressiveMember
+from repro.search.eval_cache import _corner_from_tag, _corner_tag
+
+OPTIMIZERS = ["random", "cross_entropy", "trust_region"]
+
+
+def toy_space():
+    """80 grid points: small enough that blocks collide and budgets exhaust."""
+    return DesignSpace([
+        Parameter("x", 0.0, 1.0, grid_points=4),
+        Parameter("y", 0.0, 1.0, grid_points=4),
+        Parameter("z", 1e-3, 1.0, grid_points=5, log_scale=True),
+    ])
+
+
+def toy_evaluator(samples):
+    samples = np.atleast_2d(samples)
+    return np.stack([samples.sum(axis=1), samples.prod(axis=1)], axis=1)
+
+
+def build_optimizer(name, evaluator=None, **config):
+    # ``a >= 10`` is unreachable, so a run spends its whole budget.
+    spec = Specification([Spec("a", ">=", 10.0)], ["a", "b"])
+    return get_optimizer(name)(
+        evaluator, toy_space(), spec, TrustRegionConfig(**config)
+    )
+
+
+def oracle_select(optimizer, candidates, limit=None):
+    """The void-view selection the hash-set pass replaced.
+
+    First occurrences in candidate order (``np.unique`` + index sort), one
+    ``np.isin`` against every evaluated row, then the ``limit`` clamp.
+    """
+    space = optimizer.design_space
+    key_dtype = np.dtype((np.void, space.dimension * np.dtype(np.float64).itemsize))
+    snapped = space.snap(np.atleast_2d(candidates))
+    keys = np.ascontiguousarray(snapped).view(key_dtype).ravel()
+    _, first = np.unique(keys, return_index=True)
+    first.sort()
+    count = optimizer.evaluations
+    if count:
+        told = np.ascontiguousarray(optimizer._X[:count]).view(key_dtype).ravel()
+        first = first[~np.isin(keys[first], told)]
+    if limit is not None:
+        first = first[:limit]
+    return snapped[first], [key.tobytes() for key in keys[first]]
+
+
+def assert_same_selection(selected, expected):
+    rows, keys = selected
+    expected_rows, expected_keys = expected
+    assert rows.shape == expected_rows.shape
+    assert rows.tobytes() == expected_rows.tobytes()
+    assert keys == expected_keys
+
+
+def colliding_block(optimizer, rng):
+    """Fresh draws, rows told earlier and in-block repeats, shuffled."""
+    space = optimizer.design_space
+    block = space.sample(rng, int(rng.integers(1, 24)), snap=False)
+    if optimizer.evaluations:
+        told = optimizer._X[rng.integers(0, optimizer.evaluations, size=3)]
+        block = np.vstack([block, told])
+    block = np.vstack([block, block[rng.integers(0, block.shape[0], size=4)]])
+    return block[rng.permutation(block.shape[0])]
+
+
+class TestDedupParity:
+    """``_select_new`` picks the oracle's rows and keys, in its order."""
+
+    LIMITS = [None, 0, 1, 3, 50]
+
+    @pytest.mark.parametrize("name", OPTIMIZERS)
+    def test_random_blocks_and_state_round_trip(self, name):
+        optimizer = build_optimizer(name, seed=0, max_evaluations=80)
+        optimizer.set_refit_deferred(True)
+        rng = np.random.default_rng(1)
+        for step in range(12):
+            if step == 6:
+                optimizer.take_refit_job()  # a snapshot needs no refit queued
+                midway = optimizer.state_dict()
+            block = colliding_block(optimizer, rng)
+            limit = self.LIMITS[step % len(self.LIMITS)]
+            selected = optimizer._select_new(block, limit)
+            assert_same_selection(selected, oracle_select(optimizer, block, limit))
+            rows = selected[0]
+            if rows.shape[0]:
+                optimizer.tell(rows, toy_evaluator(rows))
+        assert midway["X"].shape[0] < optimizer.evaluations < 80
+        # A snapshot stores rows only; the restored key set is rebuilt.
+        optimizer.take_refit_job()
+        restored = build_optimizer(name, seed=0, max_evaluations=80)
+        restored.load_state_dict(optimizer.state_dict())
+        assert restored._seen == optimizer._seen
+        assert len(restored._seen) == restored.evaluations
+        for step in range(6):
+            block = colliding_block(restored, rng)
+            limit = self.LIMITS[step % len(self.LIMITS)]
+            expected = oracle_select(restored, block, limit)
+            assert_same_selection(restored._select_new(block, limit), expected)
+            assert_same_selection(optimizer._select_new(block, limit), expected)
+        # Rewinding a used optimizer drops the keys told after the snapshot.
+        restored.load_state_dict(midway)
+        assert restored._seen == set(row_keys(midway["X"]))
+        block = np.vstack([optimizer._X[: optimizer.evaluations], colliding_block(restored, rng)])
+        assert_same_selection(restored._select_new(block), oracle_select(restored, block))
+
+    @pytest.mark.parametrize("name", OPTIMIZERS)
+    def test_every_ask_of_a_run_selects_the_oracle_rows(self, name, monkeypatch):
+        selections = []
+        original = DatasetOptimizer._select_new
+
+        def checked(optimizer, candidates, limit=None):
+            expected = oracle_select(optimizer, candidates, limit)
+            selected = original(optimizer, candidates, limit)
+            assert_same_selection(selected, expected)
+            selections.append(selected[0].shape[0])
+            return selected
+
+        monkeypatch.setattr(DatasetOptimizer, "_select_new", checked)
+        optimizer = build_optimizer(
+            name, toy_evaluator, seed=3, initial_samples=12, batch_size=4,
+            candidate_pool=64, max_evaluations=70, initial_epochs=4, refit_epochs=2,
+        )
+        result = optimizer.run()
+        assert len(selections) > 5
+        assert result.evaluations == sum(selections)
+        assert len(optimizer._seen) == result.evaluations
+
+
+class StubMember:
+    """Records what ``Campaign._run_group`` books and hands back."""
+
+    def __init__(self, seed):
+        self.seed = seed
+        self.phase = 0
+        self.accounting = []
+        self.blocks = []
+
+    def account(self, hits, misses, engine_calls, eval_seconds):
+        self.accounting.append((hits, misses, engine_calls))
+
+    def receive(self, block):
+        self.blocks.append(block)
+
+
+def distinct_evaluator(samples, corners):
+    """A metric per (row, corner) that differs across rows and corners."""
+    samples = np.atleast_2d(samples)
+    base = samples @ np.array([1.0, 10.0, 100.0])
+    return np.stack(
+        [base[:, np.newaxis] + 1000.0 * corner.temperature_c for corner in corners]
+    )
+
+
+def toy_campaign():
+    handle = EvaluationHandle(
+        design_space=DesignSpace([Parameter(name, 0.0, 9.0, grid_points=10) for name in "xyz"]),
+        metric_names=("m",),
+        corner_evaluator=distinct_evaluator,
+    )
+    return Campaign(handle, [Spec("m", ">=", 0.0)], seeds=[0])
+
+
+def run_group_against_peek(campaign, grouped):
+    """Run one stacked pass; check every member's booking against the peek."""
+    cache = campaign.cache
+    corners = grouped[0][2]
+    peeks = [cache.fresh_row_count(rows, corners) for _, rows, _ in grouped]
+    hits0, misses0, calls0 = cache.hits, cache.misses, cache.engine_calls
+    campaign._run_group(grouped)
+    pass_calls = cache.engine_calls - calls0
+    for (member, rows, _), fresh in zip(grouped, peeks):
+        assert member.accounting[-1] == (
+            (rows.shape[0] - fresh) * len(corners),
+            fresh * len(corners),
+            pass_calls if fresh else 0,
+        )
+        np.testing.assert_array_equal(
+            member.blocks[-1], distinct_evaluator(rows, corners)
+        )
+    assert sum(member.accounting[-1][0] for member, _, _ in grouped) == cache.hits - hits0
+    assert sum(member.accounting[-1][1] for member, _, _ in grouped) == cache.misses - misses0
+    return peeks
+
+
+class TestPassAttribution:
+    def test_shared_and_partially_cached_rows(self):
+        campaign = toy_campaign()
+        corners = nine_corner_grid()[:2]
+        a, b, c, e = (np.full((1, 3), value) for value in (1.0, 2.0, 3.0, 5.0))
+        campaign.cache.evaluate(a, corners[:1])  # cached at one corner only
+        campaign.cache.evaluate(e, corners)  # cached at both
+        members = [StubMember(seed) for seed in range(3)]
+        grouped = [
+            (members[0], np.vstack([a, b, e]), corners),
+            (members[1], np.vstack([b, c]), corners),  # b is shared
+            (members[2], e.copy(), corners),
+        ]
+        assert run_group_against_peek(campaign, grouped) == [2, 2, 0]
+        assert [member.accounting[-1] for member in members] == [
+            (2, 4, 1), (0, 4, 1), (2, 0, 0),
+        ]
+
+    def test_random_groups_match_the_peek(self):
+        campaign = toy_campaign()
+        grid = nine_corner_grid()
+        rng = np.random.default_rng(7)
+        pool = rng.integers(0, 10, size=(12, 3)).astype(np.float64)
+        members = [StubMember(seed) for seed in range(4)]
+        for _ in range(25):
+            # Warm some (row, corner) pairs piecemeal, then run a pass.
+            campaign.cache.evaluate(
+                pool[rng.integers(0, len(pool), size=2)],
+                [grid[index] for index in rng.choice(4, size=2, replace=False)],
+            )
+            corners = [grid[index] for index in sorted(rng.choice(4, size=3, replace=False))]
+            grouped = [
+                (member, pool[rng.integers(0, len(pool), size=int(rng.integers(1, 5)))], corners)
+                for member in members[: int(rng.integers(1, 5))]
+            ]
+            run_group_against_peek(campaign, grouped)
+
+    def test_peek_rejects_an_empty_corner_list_like_the_pass(self):
+        cache = toy_campaign().cache
+        with pytest.raises(ValueError, match="at least one PVT corner"):
+            cache.evaluate(np.zeros((1, 3)), [])
+        with pytest.raises(ValueError, match="at least one PVT corner"):
+            cache.fresh_row_count(np.zeros((1, 3)), [])
+
+
+def reference_ingest(cache, records, warm=True):
+    """The per-record store ingest the per-tag resolution replaced."""
+    for tag, key, row in records:
+        corner = _corner_from_tag(tag)
+        cache._store.setdefault(corner, {})[key] = row
+        if warm:
+            cache._warm.setdefault(corner, set()).add(key)
+
+
+class TestCornerLookups:
+    def test_warm_cold_split_matches_the_pair_oracle(self, tmp_path):
+        grid = nine_corner_grid()[:4]
+        path = str(tmp_path / "store.evc")
+        rng = np.random.default_rng(3)
+        pool = rng.integers(0, 10, size=(10, 3)).astype(np.float64)
+        first = EvaluationCache(distinct_evaluator, 3, 1, persist_path=path)
+        first.evaluate(pool[:4], grid[:2])
+        first.evaluate(pool[3:6], grid[1:3])
+        first.close()
+        cache = EvaluationCache(distinct_evaluator, 3, 1, persist_path=path)
+        try:
+            for _ in range(30):
+                rows = pool[rng.integers(0, len(pool), size=int(rng.integers(1, 6)))]
+                corners = [grid[index] for index in rng.choice(4, size=int(rng.integers(1, 5)), replace=False)]
+                served = [
+                    key
+                    for key in row_keys(rows)
+                    if all(key in cache._store.get(corner, {}) for corner in corners)
+                ]
+                warm = sum(
+                    key in cache._warm.get(corner, ()) for key in served for corner in corners
+                )
+                before = cache.hits, cache.warm_hits, cache.cold_hits
+                cache.evaluate(rows, corners)
+                hits = cache.hits - before[0]
+                assert hits == len(served) * len(corners)
+                assert cache.warm_hits - before[1] == warm
+                assert cache.cold_hits - before[2] == hits - warm
+            assert cache.warm_hits > 0 and cache.cold_hits > 0
+        finally:
+            cache.close()
+
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_ingest_matches_the_per_record_reference(self, warm):
+        grid = nine_corner_grid()
+        rng = np.random.default_rng(5)
+        # Interleaved tags, repeated keys, and one corner already stored.
+        records = [
+            (
+                _corner_tag(grid[int(rng.integers(0, 4))]),
+                rng.integers(0, 6, size=3).astype(np.float64).tobytes(),
+                rng.standard_normal(1),
+            )
+            for _ in range(60)
+        ]
+        caches = [EvaluationCache(distinct_evaluator, 3, 1) for _ in range(2)]
+        for cache in caches:
+            cache.evaluate(np.zeros((1, 3)), [grid[2]])
+        caches[0]._ingest(records, warm=warm)
+        reference_ingest(caches[1], records, warm=warm)
+        ingested, expected = caches
+        assert list(ingested._store) == list(expected._store)
+        for corner, store in expected._store.items():
+            assert list(ingested._store[corner]) == list(store)
+            for key, row in store.items():
+                assert ingested._store[corner][key].tobytes() == row.tobytes()
+        assert list(ingested._warm) == list(expected._warm)
+        assert ingested._warm == expected._warm
+
+
+def reference_member_state_dict(self):
+    """The dict-based member serializer the positional one replaced."""
+    if self._pending_rows is not None:
+        raise RuntimeError(
+            "member state_dict mid-request; snapshots happen at round boundaries"
+        )
+    corner_index = {corner: i for i, corner in enumerate(self.ranked)}
+    return {
+        "seed": self.seed,
+        "phase": self.phase,
+        "active": [corner_index[corner] for corner in self.active],
+        "total_evaluations": self.total_evaluations,
+        "phase_results": [result.state_dict() for result in self.phase_results],
+        "corner_reports": [
+            (corner_index[report.condition], dict(report.metrics), report.satisfied)
+            for report in self.corner_reports
+        ],
+        "solved_all": self.solved_all,
+        "finished": self.finished,
+        "state": self._state,
+        "warm_start": self.warm_start.copy() if self.warm_start is not None else None,
+        "best_vector": self.best_vector.copy() if self.best_vector is not None else None,
+        "accounting": (
+            self.cache_hits,
+            self.cache_misses,
+            self.engine_calls,
+            self.eval_seconds,
+        ),
+        "optimizer": None if self.finished else self.optimizer.state_dict(),
+    }
+
+
+class TestCheckpointBytes:
+    @pytest.mark.parametrize("optimizer", ["cross_entropy", "trust_region"])
+    def test_checkpoints_match_the_reference_serializer(
+        self, tmp_path, monkeypatch, optimizer
+    ):
+        # A frozen clock makes every timing field zero, so two runs write
+        # comparable bytes.
+        tracer = importlib.import_module("repro.obs.tracer")
+        monkeypatch.setattr(tracer, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+        case = next(case for case in get_suite("smoke") if case.topology == "telescopic")
+        assert len(case.corners()) == 9
+
+        def checkpoint(directory):
+            campaign = case.build_campaign([0, 1], optimizer=optimizer)
+            campaign.run(checkpoint_dir=str(directory), keep_history=True)
+            return {name: (directory / name).read_bytes() for name in sorted(os.listdir(directory))}
+
+        written = checkpoint(tmp_path / "positional")
+        monkeypatch.setattr(_ProgressiveMember, "state_dict", reference_member_state_dict)
+        expected = checkpoint(tmp_path / "reference")
+        assert CACHE_JOURNAL in written and len(written) > 3
+        assert written == expected
+        # The lock covers serialized reports, not just empty lists.
+        snapshots = [
+            load_snapshot(str(tmp_path / "positional" / name))
+            for name in written
+            if name.endswith(".snapshot")
+        ]
+        assert any(
+            member["corner_reports"] and not member["finished"]
+            for state in snapshots
+            for member in state["members"]
+        )
+
+    def test_a_repeated_corner_serializes_like_the_reference(self):
+        grid = nine_corner_grid()[:3]
+        campaign = Campaign(
+            EvaluationHandle(toy_space(), ("a", "b"), lambda s, c: None),
+            [Spec("a", ">=", 10.0)],
+            corners=[grid[0], grid[1], grid[0], grid[2]],
+            seeds=[4],
+        )
+        member = campaign._members[0]
+        ranked = member.ranked
+        block = np.stack([toy_evaluator(np.full((1, 3), 0.5 + i)) for i in range(len(ranked))])
+        member._state = "verify"
+        member.receive(block)
+        assert len(member.corner_reports) == len(ranked) == 4
+        assert pickle.dumps(member.state_dict()) == pickle.dumps(
+            reference_member_state_dict(member)
+        )
