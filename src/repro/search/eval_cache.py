@@ -55,6 +55,7 @@ from repro.resilience.faults import fault_point, register_fault_site
 from repro.resilience.store import (
     CacheJournal,
     CacheStore,
+    Record,
     Watermark,
     read_journal,
     read_records,
@@ -200,17 +201,15 @@ class EvaluationCache:
                 repaired_bytes=self.repaired_bytes,
             )
 
-    def _ingest(
-        self, records: Sequence[Tuple[bytes, bytes, np.ndarray]], warm: bool = True
-    ) -> None:
-        """Load ``(tag, key, row)`` store records, in record order.
+    def _ingest(self, records: Sequence[Record], warm: bool = True) -> None:
+        """Load ``(tag, keys, rows)`` store records, in record order.
 
         ``warm`` marks the pairs as preloaded for the warm/cold hit split.
         Each tag's store dict (and warm set) is resolved once, at its first
         record, so corners enter the store in first-record order.
         """
         targets: Dict[bytes, Tuple[Dict[bytes, np.ndarray], Optional[Set[bytes]]]] = {}
-        for tag, key, row in records:
+        for tag, keys, rows in records:
             target = targets.get(tag)
             if target is None:
                 corner = _corner_from_tag(tag)
@@ -219,9 +218,9 @@ class EvaluationCache:
                     self._warm.setdefault(corner, set()) if warm else None,
                 )
             store, warm_keys = target
-            store[key] = row
+            store.update(zip(keys, rows))
             if warm_keys is not None:
-                warm_keys.add(key)
+                warm_keys.update(keys)
 
     def __len__(self) -> int:
         """Total number of cached ``(row, corner)`` pairs."""
@@ -353,16 +352,16 @@ class EvaluationCache:
     ) -> None:
         """Append this engine call's pairs to the on-disk store.
 
-        A fresh row is recomputed at *all* requested corners, so a pair
-        already on disk (cached at one corner, missing at another) can be
-        re-appended; the loader replays records in order, so the duplicate
-        is harmless — same key, bit-identical value.
+        Each corner's block of fresh rows is one store frame, so a crash
+        inside an append loses that block only.  A fresh row is recomputed
+        at *all* requested corners, so a pair already on disk (cached at one
+        corner, missing at another) can be re-appended; the loader replays
+        records in order, so the duplicate is harmless — same key,
+        bit-identical value.
         """
         backend = self._backend
         for corner_index, corner in enumerate(corners):
-            tag = _corner_tag(corner)
-            for key, row in zip(fresh_keys, block[corner_index]):
-                backend.append(tag, key, row)
+            backend.append(_corner_tag(corner), fresh_keys, block[corner_index])
         backend.flush()
 
     def close(self) -> None:
@@ -416,7 +415,8 @@ class EvaluationCache:
 
         Between syncs the cache only grows — a recomputed pair keeps its
         dict position — so each corner's new pairs are exactly the tail of
-        its insertion order past the pairs already journaled.
+        its insertion order past the pairs already journaled, and they go
+        in as one journal frame.
         """
         journal = self._journal
         if journal is None:
@@ -424,7 +424,11 @@ class EvaluationCache:
         for corner, store in self._store.items():
             done = self._journaled.get(corner, 0)
             if len(store) > done:
-                journal.append(_corner_tag(corner), islice(store.items(), done, None))
+                journal.append(
+                    _corner_tag(corner),
+                    list(islice(store, done, None)),
+                    list(islice(store.values(), done, None)),
+                )
                 self._journaled[corner] = len(store)
         watermark = journal.sync()
         self._lineage = (journal.path, watermark)

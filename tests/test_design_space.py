@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.circuits.topologies import available_topologies, get_topology
 from repro.core.design_space import DesignSpace, Parameter
 
 
@@ -45,6 +46,17 @@ class TestSnapping:
         rng = np.random.default_rng(2)
         snapped = space.snap(space.sample(rng, 20, snap=False))
         np.testing.assert_allclose(space.snap(snapped), snapped, rtol=1e-9)
+
+    @pytest.mark.parametrize("topology", available_topologies())
+    def test_snap_is_bitwise_idempotent_on_every_topology(self, topology):
+        # Skipping a second snap of an already-snapped row is only
+        # trajectory-neutral if snap(snap(x)) == snap(x) bit for bit.
+        space = get_topology(topology)().design_space()
+        rng = np.random.default_rng(4)
+        sampled = space.sample(rng, 20000)
+        drawn = space.snap(space.from_unit(rng.random((20000, space.dimension))))
+        for snapped in (sampled, drawn):
+            assert space.snap(snapped).tobytes() == snapped.tobytes()
 
     def test_snap_matches_parameter_scalar_snap(self):
         space = make_space()

@@ -265,7 +265,7 @@ class TestPassAttribution:
 
 
 def reference_ingest(cache, records, warm=True):
-    """The per-record store ingest the per-tag resolution replaced."""
+    """The per-pair store ingest the per-tag, per-block one replaced."""
     for tag, key, row in records:
         corner = _corner_from_tag(tag)
         cache._store.setdefault(corner, {})[key] = row
@@ -310,20 +310,21 @@ class TestCornerLookups:
     def test_ingest_matches_the_per_record_reference(self, warm):
         grid = nine_corner_grid()
         rng = np.random.default_rng(5)
-        # Interleaved tags, repeated keys, and one corner already stored.
-        records = [
-            (
-                _corner_tag(grid[int(rng.integers(0, 4))]),
-                rng.integers(0, 6, size=3).astype(np.float64).tobytes(),
-                rng.standard_normal(1),
+        # Interleaved tags, repeated keys (within and across blocks), and
+        # one corner already stored.
+        records = []
+        for _ in range(20):
+            count = int(rng.integers(1, 5))
+            keys = row_keys(rng.integers(0, 6, size=(count, 3)).astype(np.float64))
+            records.append(
+                (_corner_tag(grid[int(rng.integers(0, 4))]), keys, rng.standard_normal((count, 1)))
             )
-            for _ in range(60)
-        ]
+        pairs = [(tag, key, row) for tag, keys, rows in records for key, row in zip(keys, rows)]
         caches = [EvaluationCache(distinct_evaluator, 3, 1) for _ in range(2)]
         for cache in caches:
             cache.evaluate(np.zeros((1, 3)), [grid[2]])
         caches[0]._ingest(records, warm=warm)
-        reference_ingest(caches[1], records, warm=warm)
+        reference_ingest(caches[1], pairs, warm=warm)
         ingested, expected = caches
         assert list(ingested._store) == list(expected._store)
         for corner, store in expected._store.items():

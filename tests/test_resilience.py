@@ -111,30 +111,31 @@ class TestSnapshot:
 class TestCacheStore:
     DIM, METRICS = 3, 2
 
-    def _record(self, value):
-        key = np.full(self.DIM, value, dtype=np.float64).tobytes()
-        row = np.array([value, -value], dtype=np.float64)
-        return b"corner", key, row
+    def _block(self, *values):
+        keys = [np.full(self.DIM, v, dtype=np.float64).tobytes() for v in values]
+        rows = np.array([[v, -v] for v in values], dtype=np.float64)
+        return b"corner", keys, rows
 
     def test_append_then_reopen_replays_records(self, tmp_path):
         path = str(tmp_path / "cache.evc")
         store = CacheStore(path, self.DIM, self.METRICS)
-        for value in (1.0, 2.0):
-            store.append(*self._record(value))
+        store.append(*self._block(1.0))
+        store.append(*self._block(2.0, 3.0))
         store.close()
         reopened = CacheStore(path, self.DIM, self.METRICS)
         assert reopened.repaired_bytes == 0
         assert len(reopened.records) == 2
-        tag, key, row = reopened.records[1]
+        tag, keys, rows = reopened.records[1]
         assert tag == b"corner"
-        assert key == self._record(2.0)[1]
-        np.testing.assert_array_equal(row, [2.0, -2.0])
+        assert keys == self._block(2.0, 3.0)[1]
+        np.testing.assert_array_equal(rows, [[2.0, -2.0], [3.0, -3.0]])
+        assert not rows.flags.writeable
         reopened.close()
 
     def test_torn_tail_truncated_on_reopen(self, tmp_path):
         path = str(tmp_path / "cache.evc")
         store = CacheStore(path, self.DIM, self.METRICS)
-        store.append(*self._record(1.0))
+        store.append(*self._block(1.0))
         store.close()
         intact_size = os.path.getsize(path)
         torn = b"\x2a\x00\x00\x00torn-frame"
@@ -150,14 +151,15 @@ class TestCacheStore:
     def test_injected_append_fault_leaves_repairable_half_frame(self, tmp_path):
         path = str(tmp_path / "cache.evc")
         store = CacheStore(path, self.DIM, self.METRICS)
-        store.append(*self._record(1.0))
+        store.append(*self._block(1.0))
         with pytest.raises(InjectedFault):
             with inject(FaultPlan("cache.append", occurrence=1)):
-                store.append(*self._record(2.0))
+                store.append(*self._block(2.0, 3.0))
         store.close()
         reopened = CacheStore(path, self.DIM, self.METRICS)
         assert reopened.repaired_bytes > 0
-        assert len(reopened.records) == 1
+        # The torn block is lost as a whole; the block before it survives.
+        assert [keys for _, keys, _ in reopened.records] == [self._block(1.0)[1]]
         reopened.close()
 
     def test_shape_mismatch_rejected(self, tmp_path):
@@ -172,65 +174,90 @@ class TestCacheStore:
         with pytest.raises(StoreError, match="not an evaluation-cache store"):
             CacheStore(str(path), self.DIM, self.METRICS)
 
+    def test_malformed_block_rejected_before_writing(self, tmp_path):
+        path = str(tmp_path / "cache.evc")
+        store = CacheStore(path, self.DIM, self.METRICS)
+        tag, keys, rows = self._block(1.0, 2.0)
+        size = os.path.getsize(path)
+        with pytest.raises(ValueError, match="at least one pair"):
+            store.append(tag, [], rows[:0])
+        with pytest.raises(ValueError, match="shape"):
+            store.append(tag, keys, rows[:1])
+        with pytest.raises(ValueError, match="keys span"):
+            store.append(tag, [keys[0], keys[1][:-1]], rows)
+        store.close()
+        assert os.path.getsize(path) == size
+
 
 class TestCacheJournalFile:
     DIM, METRICS = 3, 2
 
-    def _pairs(self, *values):
-        return [
-            (np.full(self.DIM, v, dtype=np.float64).tobytes(), np.array([v, -v]))
-            for v in values
-        ]
+    def _block(self, *values):
+        keys = [np.full(self.DIM, v, dtype=np.float64).tobytes() for v in values]
+        return keys, [np.array([v, -v]) for v in values]
 
     def test_sync_then_read_up_to_watermark(self, tmp_path):
         path = str(tmp_path / "cache.journal")
         journal = CacheJournal(path, self.DIM, self.METRICS)
-        journal.append(b"tt", self._pairs(1.0, 2.0))
+        journal.append(b"tt", *self._block(1.0, 2.0))
         first = journal.sync()
-        journal.append(b"ff", self._pairs(3.0))
+        journal.append(b"ff", *self._block(3.0))
         second = journal.sync()
         journal.close()
+        # The watermark counts pairs, not frames.
         assert first[0] == 2 and second[0] == 3
         assert os.path.getsize(path) == second[1]
         records = read_journal(path, self.DIM, self.METRICS, first)
-        assert [(tag, row.tolist()) for tag, _, row in records] == [
-            (b"tt", [1.0, -1.0]),
-            (b"tt", [2.0, -2.0]),
+        assert [(tag, rows.tolist()) for tag, _, rows in records] == [
+            (b"tt", [[1.0, -1.0], [2.0, -2.0]]),
         ]
-        assert len(read_journal(path, self.DIM, self.METRICS, second)) == 3
+        assert len(read_journal(path, self.DIM, self.METRICS, second)) == 2
 
     def test_journal_format_is_the_store_format(self, tmp_path):
         path = str(tmp_path / "cache.journal")
         journal = CacheJournal(path, self.DIM, self.METRICS)
-        journal.append(b"tt", self._pairs(1.0, 2.0))
+        journal.append(b"tt", *self._block(1.0, 2.0))
         journal.sync()
         journal.close()
         store = CacheStore(path, self.DIM, self.METRICS)
         assert store.repaired_bytes == 0
-        assert [key for _, key, _ in store.records] == [k for k, _ in self._pairs(1.0, 2.0)]
+        assert [keys for _, keys, _ in store.records] == [self._block(1.0, 2.0)[0]]
         store.close()
 
     def test_continuing_truncates_past_the_watermark(self, tmp_path):
         path = str(tmp_path / "cache.journal")
         journal = CacheJournal(path, self.DIM, self.METRICS)
-        journal.append(b"tt", self._pairs(1.0))
+        journal.append(b"tt", *self._block(1.0))
         mark = journal.sync()
-        journal.append(b"tt", self._pairs(2.0))
+        journal.append(b"tt", *self._block(2.0))
         journal.sync()
         journal.close()
         continued = CacheJournal(path, self.DIM, self.METRICS, mark)
         assert os.path.getsize(path) == mark[1]
-        continued.append(b"tt", self._pairs(5.0))
+        continued.append(b"tt", *self._block(5.0))
         end = continued.sync()
         continued.close()
-        rows = [row[0] for _, _, row in read_journal(path, self.DIM, self.METRICS, end)]
+        rows = [rows[0, 0] for _, _, rows in read_journal(path, self.DIM, self.METRICS, end)]
         assert rows == [1.0, 5.0]
+
+    def test_continuing_past_the_end_is_rejected(self, tmp_path):
+        path = str(tmp_path / "cache.journal")
+        journal = CacheJournal(path, self.DIM, self.METRICS)
+        journal.append(b"tt", *self._block(1.0, 2.0))
+        mark = journal.sync()
+        journal.close()
+        with open(path, "r+b") as handle:
+            handle.truncate(mark[1] - 1)
+        # Continuing would zero-fill the gap and only fail at resume.
+        with pytest.raises(SnapshotError, match=r"cache journal .* is shorter"):
+            CacheJournal(path, self.DIM, self.METRICS, mark)
+        assert os.path.getsize(path) == mark[1] - 1
 
     def test_journal_writes_never_reach_the_cache_append_site(self, tmp_path):
         journal = CacheJournal(str(tmp_path / "cache.journal"), self.DIM, self.METRICS)
         plan = FaultPlan("cache.append", occurrence=1)
         with inject(plan):
-            journal.append(b"tt", self._pairs(1.0, 2.0))
+            journal.append(b"tt", *self._block(1.0, 2.0))
             journal.sync()
         journal.close()
         assert not plan.fired and "cache.append" not in plan.counts
