@@ -10,6 +10,7 @@ __all__ = [
     "bench",
     "blas",
     "circuits",
+    "cli_types",
     "core",
     "nn",
     "obs",

@@ -19,33 +19,10 @@ from typing import Optional, Sequence
 
 from repro.analysis.engine import AnalysisConfig, lint_paths
 from repro.analysis.rules import available_rules, get_rule
+from repro.cli_types import positive_int, suite_name
 from repro.obs.logs import add_logging_flags, configure_cli_logging
 
 module_logger = logging.getLogger(__name__)
-
-
-def _positive_int(text: str) -> int:
-    """argparse type: an integer of at least 1 (a bad value exits 2)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _suite_name(text: str) -> str:
-    """argparse type: a registered bench suite (an unknown one exits 2)."""
-    # Imported lazily: linting must work even where the search stack's
-    # dependencies are unavailable.
-    from repro.bench.registry import available_suites
-
-    if text not in available_suites():
-        raise argparse.ArgumentTypeError(
-            f"unknown suite {text!r}; available: {', '.join(available_suites())}"
-        )
-    return text
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -68,22 +45,14 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_determinism(args: argparse.Namespace) -> int:
-    # Imported lazily: linting must work even where the search stack's
-    # dependencies are unavailable.
+    # Imported lazily: the auditor pulls in the bench stack.
     from repro.analysis.determinism import audit_suite
 
-    if args.resume_parity and args.execution == "sharded":
-        module_logger.error(
-            "--resume-parity and --execution sharded are exclusive audit modes"
-        )
-        return 2
-    mode = ""
-    if args.resume_parity:
-        mode = ", resume-parity mode"
-    elif args.execution == "sharded":
-        mode = f", sharded-parity mode ({args.workers} workers)"
     module_logger.info(
-        "auditing suite %r twice with %d seed(s)%s", args.suite, args.seeds, mode
+        "auditing suite %r twice with %d seed(s)%s",
+        args.suite,
+        args.seeds,
+        ", resume-parity mode" if args.resume_parity else "",
     )
     report = audit_suite(
         suite=args.suite,
@@ -91,8 +60,6 @@ def _cmd_determinism(args: argparse.Namespace) -> int:
         optimizer=args.optimizer,
         with_contracts=not args.no_contracts,
         resume_parity=args.resume_parity,
-        execution=args.execution,
-        workers=args.workers,
     )
     print(report.format())
     return 0 if report.ok else 1
@@ -131,6 +98,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     add_logging_flags(lint)
     lint.set_defaults(func=_cmd_lint)
 
+    # The determinism subcommand's --optimizer choices, as in the bench CLI.
+    from repro.search.optimizer import available_optimizers
+
     determinism = subparsers.add_parser(
         "determinism",
         help="run each case of a bench suite twice in-process and "
@@ -139,12 +109,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     determinism.add_argument(
         "--suite",
         default="tiny",
-        type=_suite_name,
+        type=suite_name,
         help="bench suite to audit (default: tiny)",
     )
     determinism.add_argument(
         "--seeds",
-        type=_positive_int,
+        type=positive_int,
         default=3,
         metavar="N",
         help="number of seeds (0..N-1) per case (default: 3)",
@@ -152,23 +122,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     determinism.add_argument(
         "--optimizer",
         default=None,
+        choices=available_optimizers(),
         help="search-strategy override for every case",
-    )
-    determinism.add_argument(
-        "--execution",
-        default="campaign",
-        choices=("campaign", "sharded"),
-        help="what the compared runs are: 'campaign' (default) runs the "
-        "multi-seed campaign twice in-process; 'sharded' byte-diffs a "
-        "multi-process sharded run against the in-process "
-        "one-shard-at-a-time oracle over the same shard specs",
-    )
-    determinism.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=2,
-        metavar="N",
-        help="worker process count for --execution sharded (default: 2)",
     )
     determinism.add_argument(
         "--resume-parity",

@@ -24,17 +24,6 @@ fresh campaign and resumes it from the mid-run snapshot.  The same
 byte-diff then proves a resumed campaign is bit-identical to the
 uninterrupted one — including the cache content digest *and* the hit/miss
 accounting, which snapshot restore carries exactly.
-
-**Sharded mode** (``--execution sharded``) swaps both runs: the first is
-a multi-process :class:`~repro.shard.ShardedExecutor` run (``--workers``
-spawned workers), the second the in-process one-shard-at-a-time oracle
-over the same shard specs (:func:`repro.shard.parity.run_sequential`).  The
-byte-diff then proves process placement changes nothing: trajectories,
-summed counters, and the cross-process union cache digest
-(:func:`repro.shard.parity.union_state_digest`) all match bit for bit.
-Contracts guard the in-process oracle only — spawned workers run without
-them, which is itself part of the point: the comparison would catch a
-worker behaving differently for any reason, contracts included.
 """
 
 from __future__ import annotations
@@ -150,8 +139,8 @@ class AuditReport:
     suite: str
     seeds: Tuple[int, ...]
     cases: Tuple[CaseAudit, ...]
-    #: ``"double-run"``, ``"resume-parity"`` or ``"sharded-parity"``
-    #: (what the two compared runs were).
+    #: ``"double-run"`` or ``"resume-parity"`` (what the two compared runs
+    #: were).
     mode: str = "double-run"
 
     @property
@@ -162,7 +151,6 @@ class AuditReport:
         comparison = {
             "double-run": "double-run byte-diff",
             "resume-parity": "uninterrupted vs mid-run-resumed byte-diff",
-            "sharded-parity": "sharded vs in-process-oracle byte-diff",
         }.get(self.mode, self.mode)
         lines = [
             f"determinism audit: suite {self.suite!r}, seeds {list(self.seeds)}, "
@@ -180,52 +168,14 @@ def audit_case(
     optimizer: Optional[str] = None,
     with_contracts: bool = True,
     resume_parity: bool = False,
-    execution: str = "campaign",
-    workers: int = 2,
 ) -> CaseAudit:
     """Run one case twice and byte-compare the fingerprints.
 
     With ``resume_parity`` the second run resumes a fresh campaign from
     the first run's mid-round snapshot instead of starting cold, turning
-    the same byte-diff into the checkpoint/resume correctness gate.  With
-    ``execution="sharded"`` the first run shards the seeds across
-    ``workers`` spawned processes and the second is the in-process
-    oracle over the same shard specs — the multi-process
-    parity gate (exclusive with ``resume_parity``; contracts apply to the
-    oracle run only, see the module docstring).
+    the same byte-diff into the checkpoint/resume correctness gate.
     """
     seeds = [int(seed) for seed in seeds]
-    if execution == "sharded":
-        if resume_parity:
-            raise ValueError(
-                "resume_parity and the sharded execution are exclusive "
-                "audit modes; the worker-kill resilience drill covers "
-                "sharded resume"
-            )
-        from repro.shard import ShardedExecutor, run_sequential
-
-        specs = case.shard_specs(seeds, optimizer=optimizer)
-        sharded = ShardedExecutor(
-            specs, workers=workers, collect_cache_content=True
-        ).run()
-        first = fingerprint_outcome(sharded, sharded.cache_digest, seeds)
-        with contracts(with_contracts):
-            oracle = run_sequential(specs)
-        second = fingerprint_outcome(oracle, oracle.cache_digest, seeds)
-        first_bytes = json.dumps(first, sort_keys=True).encode("utf-8")
-        second_bytes = json.dumps(second, sort_keys=True).encode("utf-8")
-        identical = first_bytes == second_bytes
-        return CaseAudit(
-            name=case.name,
-            identical=identical,
-            fingerprint_sha256=hashlib.sha256(first_bytes).hexdigest(),
-            divergence=None if identical else _first_divergence(first, second),
-        )
-    if execution != "campaign":
-        raise ValueError(
-            f"unknown audit execution {execution!r}; "
-            "available: campaign, sharded"
-        )
     with contracts(with_contracts):
         if resume_parity:
             with tempfile.TemporaryDirectory(prefix="repro-audit-") as ckpt_dir:
@@ -259,18 +209,10 @@ def audit_suite(
     optimizer: Optional[str] = None,
     with_contracts: bool = True,
     resume_parity: bool = False,
-    execution: str = "campaign",
-    workers: int = 2,
 ) -> AuditReport:
     """Audit every case of a bench suite; see :class:`AuditReport`."""
     from repro.bench.registry import get_suite
 
-    if execution == "sharded":
-        mode = "sharded-parity"
-    elif resume_parity:
-        mode = "resume-parity"
-    else:
-        mode = "double-run"
     return AuditReport(
         suite=suite,
         seeds=tuple(int(seed) for seed in seeds),
@@ -281,10 +223,8 @@ def audit_suite(
                 optimizer=optimizer,
                 with_contracts=with_contracts,
                 resume_parity=resume_parity,
-                execution=execution,
-                workers=workers,
             )
             for case in get_suite(suite)
         ),
-        mode=mode,
+        mode="resume-parity" if resume_parity else "double-run",
     )

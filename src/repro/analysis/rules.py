@@ -632,7 +632,7 @@ class SpawnUnsafeRule(LintRule):
     ``Process()`` inherits the platform default start method — ``fork`` on
     Linux — so the only sanctioned construction is an explicit
     ``multiprocessing.get_context("spawn")`` and factories called on that
-    context (how :class:`repro.shard.ShardedExecutor` spawns workers).
+    context (how ``ShardedExecutor`` spawns workers).
     ``set_start_method`` is flagged unless it pins ``"spawn"``: mutating
     the *global* default still leaves every bare factory ambiguous to
     readers, and it collides with libraries doing the same.

@@ -6,9 +6,8 @@ case and writes a ``BENCH_<suite>.json`` artifact with per-problem success
 rate, median evaluations-to-feasible, surrogate-refit time, true-evaluator
 time and wall time — the numbers every scaling/speed PR is measured
 against.  All seeds of a case run as one multi-seed
-:class:`~repro.search.campaign.Campaign` by default (shared vectorized
-corner passes and batched surrogate refits); ``--execution sharded`` spreads
-the seeds over worker processes instead.  ``--optimizer`` overrides the
+:class:`~repro.search.campaign.Campaign` (shared vectorized corner passes
+and batched surrogate refits).  ``--optimizer`` overrides the
 search strategy, and ``--list`` enumerates everything the registry can run.
 """
 
@@ -20,7 +19,6 @@ from repro.bench.registry import (
     register_benchmark,
 )
 from repro.bench.runner import (
-    EXECUTIONS,
     SCHEMA,
     format_listing,
     format_summary,
@@ -32,7 +30,6 @@ from repro.bench.runner import (
 __all__ = [
     "BenchCase",
     "CORNER_SETS",
-    "EXECUTIONS",
     "SCHEMA",
     "available_suites",
     "format_listing",

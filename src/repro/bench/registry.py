@@ -151,42 +151,31 @@ class BenchCase:
             optimizer=optimizer,
         )
 
-    def shard_specs(
-        self,
-        seeds: Sequence[int],
-        optimizer: Optional[str] = None,
-    ) -> "List[ShardSpec]":
+    def shard_specs(self, seeds: Sequence[int]) -> "List[ShardSpec]":
         """One picklable :class:`~repro.shard.executor.ShardSpec` per seed.
 
-        Each spec carries a **fully resolved**
-        :class:`~repro.search.progressive.ProgressiveConfig` (same
-        override semantics as :meth:`build_campaign`, with the seed baked
-        into the per-phase trust-region config), so a spawned worker
-        rebuilds exactly the single-seed campaign this case would run for
-        that seed — the construction behind ``--execution sharded``.
+        Each spec carries the case's per-seed config (:meth:`config`), so
+        a spawned worker rebuilds exactly the single-seed campaign this
+        case would run for that seed.  The ``sharded16`` benchmark
+        workload and the shard parity tests are the only callers.
         """
         # Imported lazily for the same circularity reason as build_campaign.
-        from repro.search.sizing import resolve_config
         from repro.shard.executor import ShardSpec
 
         corners = tuple(self.corners())
-        specs = []
-        for seed in seeds:
-            seed = int(seed)
-            config = resolve_config(self.config(seed), optimizer=optimizer)
-            specs.append(
-                ShardSpec(
-                    topology=self.topology,
-                    seed=seed,
-                    config=config,
-                    tier=self.tier,
-                    technology=self.technology,
-                    load_cap=self.load_cap,
-                    corners=corners,
-                    label=self.name,
-                )
+        return [
+            ShardSpec(
+                topology=self.topology,
+                seed=seed,
+                config=self.config(seed),
+                tier=self.tier,
+                technology=self.technology,
+                load_cap=self.load_cap,
+                corners=corners,
+                label=self.name,
             )
-        return specs
+            for seed in map(int, seeds)
+        ]
 
 
 _SUITES: Dict[str, List[BenchCase]] = {

@@ -21,7 +21,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     diff_snapshots,
 )
-from repro.obs.report import TraceRollup, format_report, load_trace, load_traces
+from repro.obs.report import TraceRollup, format_report, load_trace
 from repro.obs.tracer import (
     DEFAULT_RING_SIZE,
     Tracer,
@@ -54,7 +54,6 @@ __all__ = [
     "get_metrics",
     "get_tracer",
     "load_trace",
-    "load_traces",
     "profiled",
     "set_tracing",
     "span",

@@ -2,15 +2,12 @@
 
 Subcommands::
 
-    python -m repro.obs report TRACE.jsonl [TRACE2.jsonl ...] [--top N]
-    python -m repro.obs report TRACE_DIR [--top N]
+    python -m repro.obs report TRACE.jsonl [--top N]
 
-``report`` renders one or more JSONL traces (produced with ``repro.bench
---trace PATH``, ``REPRO_TRACE=trace.jsonl``, or a sharded run's
-``<trace>.workers/<case>/worker-K.jsonl`` sinks — pass the directory) into
-per-subsystem / per-seed / per-phase wall-time breakdowns, a cache
-hit-rate table and a top-spans view.  Multiple files merge into one call
-tree with a ``worker`` tag per file, adding a per-worker table.
+``report`` renders one JSONL trace (produced with ``repro.bench --trace
+PATH`` or ``REPRO_TRACE=trace.jsonl``) into per-subsystem / per-seed /
+per-phase wall-time breakdowns, a cache hit-rate table and a top-spans
+view.
 """
 
 from __future__ import annotations
@@ -20,7 +17,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from repro.obs.report import format_report, load_traces
+from repro.obs.report import format_report, load_trace
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -33,12 +30,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     report = subparsers.add_parser(
         "report", help="render a JSONL trace into wall-time breakdown tables"
     )
-    report.add_argument(
-        "trace",
-        nargs="+",
-        metavar="TRACE",
-        help="JSONL trace file(s), or a directory of per-worker sinks",
-    )
+    report.add_argument("trace", metavar="TRACE", help="JSONL trace file")
     report.add_argument(
         "--top",
         type=int,
@@ -48,15 +40,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    for path in args.trace:
-        if not os.path.exists(path):
-            print(f"no such trace file: {path}", file=sys.stderr)
-            return 2
-    records = load_traces(args.trace)
-    if not records:
-        print(f"no .jsonl trace files under: {', '.join(args.trace)}", file=sys.stderr)
+    if not os.path.isfile(args.trace):
+        print(f"no such trace file: {args.trace}", file=sys.stderr)
         return 2
-    print(format_report(records, top=args.top))
+    print(format_report(load_trace(args.trace), top=args.top))
     return 0
 
 

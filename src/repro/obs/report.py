@@ -16,8 +16,6 @@ the traced wall clock.
 from __future__ import annotations
 
 import json
-import os
-import re
 from collections import defaultdict
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -46,56 +44,6 @@ def load_trace(path: str) -> List[Dict[str, Any]]:
                 f"{path}:{lineno}: not a trace record: {error}"
             ) from None
     return records
-
-
-#: ``worker-<K>.jsonl`` — the sharded executor's per-worker sink naming.
-_WORKER_STEM = re.compile(r"worker-(\d+)$")
-
-
-def load_traces(paths: Sequence[str]) -> List[Dict[str, Any]]:
-    """Load and merge one or more trace files into a single record list.
-
-    Each path may be a JSONL file or a directory (recursively expanded to
-    its ``*.jsonl`` files, sorted).  A single file loads exactly like
-    :func:`load_trace`.  With multiple files — the sharded executor's
-    per-worker sinks — every record's ``id``/``parent`` is prefixed with
-    its file index, so span identities from different workers can never
-    collide in the merged call tree (each worker's tracer numbers records
-    from zero), and every record gains a ``worker`` tag: the ``K`` of a
-    ``worker-K.jsonl`` stem, else the file stem itself.  Records that
-    already carry a ``worker`` tag keep it.
-    """
-    files: List[str] = []
-    for path in paths:
-        if os.path.isdir(path):
-            for directory, _subdirs, names in sorted(os.walk(path)):
-                files.extend(
-                    os.path.join(directory, name)
-                    for name in sorted(names)
-                    if name.endswith(".jsonl")
-                )
-        else:
-            files.append(path)
-    if not files:
-        return []
-    if len(files) == 1:
-        return load_trace(files[0])
-    merged: List[Dict[str, Any]] = []
-    for file_index, file_path in enumerate(files):
-        stem = os.path.splitext(os.path.basename(file_path))[0]
-        match = _WORKER_STEM.search(stem)
-        worker = match.group(1) if match else stem
-        for record in load_trace(file_path):
-            record = dict(record)
-            if "id" in record:
-                record["id"] = f"{file_index}:{record['id']}"
-            if record.get("parent") is not None:
-                record["parent"] = f"{file_index}:{record['parent']}"
-            tags = dict(record.get("tags") or {})
-            tags.setdefault("worker", worker)
-            record["tags"] = tags
-            merged.append(record)
-    return merged
 
 
 class TraceRollup:
@@ -232,11 +180,6 @@ def format_report(records: Sequence[Dict[str, Any]], top: int = 10) -> str:
     lines.extend(
         _format_tag_table("per-subsystem self-time:", rollup.by_subsystem(), wall)
     )
-    if any((record.get("tags") or {}).get("worker") is not None for record in records):
-        lines.append("")
-        lines.extend(
-            _format_tag_table("per-worker self-time:", rollup.by_tag("worker"), wall)
-        )
     lines.append("")
     lines.extend(_format_tag_table("per-seed self-time:", rollup.by_tag("seed"), wall))
     lines.append("")

@@ -18,6 +18,7 @@ import argparse
 import logging
 from typing import Optional, Sequence
 
+from repro.cli_types import positive_int, positive_int_list, suite_name
 from repro.obs.logs import add_logging_flags, configure_cli_logging
 
 module_logger = logging.getLogger(__name__)
@@ -28,24 +29,18 @@ def _cmd_drill(args: argparse.Namespace) -> int:
     # resilience leaf helpers stay independent of.
     from repro.resilience.drill import drill_suite
 
-    occurrences = tuple(
-        int(token) for token in args.occurrences.split(",") if token.strip()
-    )
-    if not occurrences or any(occurrence < 1 for occurrence in occurrences):
-        raise SystemExit("--occurrences must be a comma list of integers >= 1")
     module_logger.info(
         "drilling suite %r with %d seed(s), occurrences %s, workdir %s",
         args.suite,
         args.seeds,
-        list(occurrences),
+        list(args.occurrences),
         args.workdir,
     )
     report = drill_suite(
         suite=args.suite,
         seeds=range(args.seeds),
-        occurrences=occurrences,
+        occurrences=args.occurrences,
         workdir=args.workdir,
-        worker_kill=not args.skip_worker_kill,
     )
     print(report.format())
     return 0 if report.ok else 1
@@ -77,19 +72,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     drill.add_argument(
         "--suite",
         default="drill",
+        type=suite_name,
         help="bench suite to drill (default: drill — a case hard enough "
         "that every fault site is reached)",
     )
     drill.add_argument(
         "--seeds",
-        type=int,
+        type=positive_int,
         default=1,
         metavar="N",
         help="number of seeds (0..N-1) per case (default: 1)",
     )
     drill.add_argument(
         "--occurrences",
-        default="1,3",
+        type=positive_int_list,
+        default=(1, 3),
         metavar="LIST",
         help="comma list of site occurrences to kill at; 1 exercises the "
         "no-snapshot-yet cold restart, later values the snapshot resume "
@@ -101,13 +98,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         metavar="DIR",
         help="directory for per-scenario checkpoints and cache stores, "
         "kept for inspection (default: drill-workdir)",
-    )
-    drill.add_argument(
-        "--skip-worker-kill",
-        action="store_true",
-        help="skip the multi-process scenarios that SIGKILL a sharded "
-        "worker mid-run and resume its shard (default: run them after "
-        "the in-process fault sites)",
     )
     add_logging_flags(drill)
     drill.set_defaults(func=_cmd_drill)

@@ -31,15 +31,6 @@ What "byte-identical" means per scenario:
 A plan whose site is never reached (e.g. ``optimizer.refit`` under a
 surrogate-free optimizer) completes normally and is compared directly —
 reported as unfired, still required to match.
-
-The **worker-kill** scenarios (:func:`drill_worker_kill`) extend the same
-proof across process boundaries: a sharded run
-(:class:`~repro.shard.ShardedExecutor`) has one worker SIGKILLed — a real
-``os.kill``, not an exception — right before a checkpoint write, the
-parent surfaces the dead worker's shard identity, and a resumed executor
-continues that shard from its surviving snapshot.  The finished state must
-match the in-process sequential oracle in full: per-shard campaigns keep
-their own counters, so even the hit/miss accounting is exact.
 """
 
 from __future__ import annotations
@@ -112,13 +103,10 @@ class DrillReport:
         return sum(outcome.fired for outcome in self.outcomes)
 
     def format(self) -> str:
-        sites = list(registered_fault_sites())
-        if any(outcome.site == "worker.kill" for outcome in self.outcomes):
-            sites.append("worker.kill")
         lines = [
             f"kill-and-resume drill: suite {self.suite!r}, seeds "
             f"{list(self.seeds)}, occurrences {list(self.occurrences)}, "
-            f"sites {sites}"
+            f"sites {list(registered_fault_sites())}"
         ]
         by_case: Dict[str, List[DrillOutcome]] = {}
         for outcome in self.outcomes:
@@ -232,101 +220,18 @@ def drill_case(
     return outcomes
 
 
-def drill_worker_kill(
-    case: Any,
-    seeds: Sequence[int],
-    occurrences: Sequence[int],
-    workdir: str,
-) -> List[DrillOutcome]:
-    """SIGKILL a sharded worker mid-run, resume its shard, diff the result.
-
-    For each occurrence ``N`` the scenario arms a kill plan on shard 0:
-    its worker process dies on a real ``SIGKILL`` right before its ``N``-th
-    checkpoint write (so the shard's latest surviving snapshot is round
-    ``N - 1``; at ``N = 1`` the shard cold-restarts).  The parent must
-    surface the failure as a :class:`~repro.shard.ShardWorkerError` naming
-    the dead worker's unfinished shard, and a second executor with
-    ``resume=True`` must finish from the surviving per-shard checkpoints —
-    byte-identical **in full** to the in-process sequential oracle,
-    counters included, because every shard owns its own campaign state.
-    """
-    from repro.analysis.determinism import fingerprint_outcome
-    from repro.shard import ShardedExecutor, ShardWorkerError, run_sequential
-
-    seeds = [int(seed) for seed in seeds]
-    # Spawned kill plans need at least two shards (the in-process fast
-    # path refuses them — it would SIGKILL the parent).
-    while len(seeds) < 2:
-        seeds.append(max(seeds) + 1 if seeds else 0)
-    specs = case.shard_specs(seeds)
-    oracle_outcome = run_sequential(specs)
-    oracle = fingerprint_outcome(oracle_outcome, oracle_outcome.cache_digest, seeds)
-    outcomes: List[DrillOutcome] = []
-    for occurrence in occurrences:
-        scenario_dir = os.path.join(
-            workdir, case.slug, f"worker-kill-occ{occurrence}"
-        )
-        checkpoint_dir = os.path.join(scenario_dir, "checkpoints")
-        os.makedirs(scenario_dir, exist_ok=True)
-        fired = True
-        try:
-            outcome = ShardedExecutor(
-                specs,
-                workers=2,
-                checkpoint_dir=checkpoint_dir,
-                collect_cache_content=True,
-                kill_plans={0: occurrence},
-            ).run()
-            # Occurrence beyond the shard's checkpoint count: the plan
-            # never fires and the run completes normally — compared
-            # directly, like an unreached fault site.
-            fired = False
-        except ShardWorkerError:
-            outcome = ShardedExecutor(
-                specs,
-                workers=2,
-                checkpoint_dir=checkpoint_dir,
-                resume=True,
-                collect_cache_content=True,
-            ).run()
-        fingerprint = fingerprint_outcome(outcome, outcome.cache_digest, seeds)
-        identical, divergence = _compare(oracle, fingerprint, full=True)
-        outcomes.append(
-            DrillOutcome(
-                case=case.name,
-                site="worker.kill",
-                occurrence=occurrence,
-                fired=fired,
-                resumed_from_round=(
-                    outcome.shards[0].resumed_from_round if fired else None
-                ),
-                repaired_bytes=0,
-                identical=identical,
-                divergence=divergence,
-            )
-        )
-    return outcomes
-
-
 def drill_suite(
     suite: str = "drill",
     seeds: Sequence[int] = (0,),
     occurrences: Sequence[int] = (1, 3),
     workdir: str = "drill-workdir",
-    worker_kill: bool = True,
 ) -> DrillReport:
-    """Drill every case of a bench suite; see :class:`DrillReport`.
-
-    ``worker_kill`` appends the multi-process SIGKILL scenarios
-    (:func:`drill_worker_kill`) after the in-process fault sites.
-    """
+    """Drill every case of a bench suite; see :class:`DrillReport`."""
     from repro.bench.registry import get_suite
 
     outcomes: List[DrillOutcome] = []
     for case in get_suite(suite):
         outcomes.extend(drill_case(case, seeds, occurrences, workdir))
-        if worker_kill:
-            outcomes.extend(drill_worker_kill(case, seeds, occurrences, workdir))
     return DrillReport(
         suite=suite,
         seeds=tuple(int(seed) for seed in seeds),

@@ -46,7 +46,7 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -190,48 +190,6 @@ def read_records(path: str, dimension: int, n_metrics: int) -> Tuple[List[Record
     with open(path, "rb") as handle:
         records, good_offset = _read_store(path, handle, int(dimension), int(n_metrics))
         return records, handle.tell() - good_offset
-
-
-def merge_stores(
-    target_path: str,
-    shard_paths: "Sequence[str]",
-    dimension: int,
-    n_metrics: int,
-) -> int:
-    """Merge per-shard store files into one master store, deduplicated.
-
-    The sharded executor gives every shard its own single-writer store
-    file (preserving the append-only/torn-tail-repair invariant — no
-    cross-process locking) and the parent replays them into the master
-    after all workers have exited.  Shards are replayed **in the given
-    order** and a ``(tag, key)`` pair already present in the master or an
-    earlier shard is skipped: the parity locks guarantee duplicate pairs
-    carry bit-identical rows, so first-write-wins is exact, and the merged
-    file's pair sequence is deterministic.  Each shard record's unseen
-    pairs go in as one frame.  Returns the number of pairs appended.
-    """
-    target = CacheStore(target_path, dimension, n_metrics)
-    try:
-        seen: Dict[bytes, Set[bytes]] = {}
-        for tag, keys, _ in target.records:
-            seen.setdefault(tag, set()).update(keys)
-        appended = 0
-        for path in shard_paths:
-            records, _ = read_records(path, dimension, n_metrics)
-            for tag, keys, rows in records:
-                tag_seen = seen.setdefault(tag, set())
-                unseen = []
-                for index, key in enumerate(keys):
-                    if key not in tag_seen:
-                        tag_seen.add(key)
-                        unseen.append(index)
-                if unseen:
-                    target.append(tag, [keys[index] for index in unseen], rows[unseen])
-                    appended += len(unseen)
-        target.flush()
-    finally:
-        target.close()
-    return appended
 
 
 class CacheStore:

@@ -489,8 +489,7 @@ class Campaign:
         processes (see ``EvaluationCache(persist_path=...)``).
     cache_preload:
         Extra store files warm-loaded read-only (no repair, no write
-        handle) — how a sharded worker shares the master store while
-        appending its own pairs to ``cache_path``.
+        handle).
     """
 
     def __init__(

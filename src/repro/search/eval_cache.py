@@ -119,9 +119,7 @@ class EvaluationCache:
     preload_paths:
         Extra store files to warm-load **read-only** — no write handle is
         taken and no torn tail is repaired, so another process may still
-        own them.  The sharded executor points every worker's cache at the
-        shared master store this way while the worker appends its own
-        fresh pairs to a private per-shard file.
+        own them.
 
     Attributes
     ----------
@@ -374,9 +372,8 @@ class EvaluationCache:
         """Every cached pair: ``(corner fields, row keys, metric matrix)``.
 
         One triple per corner, keys in insertion order next to their
-        stacked metric rows — what the sharded executor ships back from a
-        worker and what :func:`repro.shard.parity.union_state_digest`
-        hashes.
+        stacked metric rows — what a shard worker ships back to its parent
+        and what the shard parity check's ``union_state_digest`` hashes.
         """
         content = []
         for corner, store in self._store.items():

@@ -93,7 +93,7 @@ def build_campaign(
     spec set defaults to the topology's ``default_specs()`` at ``tier``.
     ``cache_path`` points the campaign's evaluation cache at a persistent
     on-disk store (warm starts across processes); ``cache_preload`` adds
-    read-only stores to warm from (the sharded executor's master store).
+    read-only stores to warm from.
     """
     # Imported lazily: the topology modules import repro.search.spec, so a
     # module-level import here would be circular.

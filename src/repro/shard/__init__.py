@@ -1,11 +1,11 @@
-"""Sharded multi-process campaign execution with bit-identical parity.
+"""The spawn pool the ``sharded16`` benchmark workload drives.
 
-Partition a multi-seed run into (workload, seed) shards, run each shard
-as its own single-seed campaign in a spawned worker process, and merge
-results, metrics and cache state back in the parent — with hard parity
-locks making the sharded run byte-identical per seed to a sequential one.
-See :mod:`repro.shard.executor` for the design rationale and
-:mod:`repro.shard.parity` for the oracles that verify it.
+Runs (workload, seed) shards, each its own single-seed campaign, in
+spawned worker processes, and merges their results back in the parent —
+byte-identical per seed to the in-process oracle.  Nothing else in the
+package runs shards; the pool goes with that workload.  See
+:mod:`repro.shard.executor` for the design and :mod:`repro.shard.parity`
+for the oracles that verify it.
 """
 
 from repro.shard.executor import (

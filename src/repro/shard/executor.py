@@ -1,73 +1,50 @@
-"""Sharded multi-process campaign execution with bit-identical parity.
+"""The spawn pool behind the ``sharded16`` benchmark workload.
 
-The paper's sizing loop is embarrassingly parallel across (workload, seed)
-cells: PR 9 reduced a campaign member's round to pure tensor calls, so the
-only state two seeds share is the evaluation cache — and that sharing is an
-optimisation, never a dependency.  The :class:`ShardedExecutor` exploits
-exactly that: it partitions a run into single-seed **shards** (one
-:class:`ShardSpec` each), executes every shard as its own single-seed
-:class:`~repro.search.campaign.Campaign` inside a spawned worker process,
-and merges results, counters and cache state back in the parent.
+The bench, the determinism auditor and the resilience drill all run a
+case's seeds as one multi-seed :class:`~repro.search.campaign.Campaign`,
+which batches surrogate training across seeds; a one-seed shard cannot, so
+spreading seeds over processes bought no wall time.  What is left here is
+the pool the repository benchmark's ``sharded16`` workload still drives,
+and it goes with that workload.  The :class:`ShardedExecutor` runs
+single-seed **shards** (one :class:`ShardSpec` each), every shard its own
+single-seed campaign inside a spawned worker process.
 
 Design decisions, and why:
 
 * **Spawn, not fork.**  Workers come from an explicit
   ``multiprocessing.get_context("spawn")``: the engine process holds NumPy
-  thread pools, open store file handles and a module-level tracer — all
-  states ``fork`` would duplicate into undefined territory.  Spawned
-  workers rebuild their campaign from the declarative, picklable
-  :class:`ShardSpec` (registry names + resolved config), never by pickling
-  live campaign objects.  The ``spawn-unsafe`` lint rule enforces this
-  repo-wide.
-* **Shard-per-worker store files, merged on close** (not an advisory-locked
-  shared log).  Every shard appends its fresh pairs to a private
-  ``<master>.shard-NNN`` file and warm-loads the master read-only, so the
-  :class:`~repro.resilience.store.CacheStore`'s single-writer append-only
-  invariant — and with it the torn-tail repair story — survives unchanged,
-  with zero cross-process locking (``fcntl`` advisory locks are both
-  platform-dependent and a brand-new failure mode under SIGKILL).  After
-  all workers exit, the parent replays the shard files into the master in
-  shard order, deduplicating; parity locks make duplicates bit-identical,
-  so the merge is deterministic and exact
-  (:func:`repro.resilience.store.merge_stores`).
+  thread pools and a module-level tracer — state ``fork`` would duplicate
+  into undefined territory.  Spawned workers rebuild their campaign from
+  the declarative, picklable :class:`ShardSpec` (registry names + resolved
+  config), never by pickling live campaign objects.  The ``spawn-unsafe``
+  lint rule enforces this repo-wide.
 * **Pull dispatch, not a static map.**  Each of the W workers claims the
   next unclaimed shard index from a parent-owned shared counter as soon
   as it finishes one, so a long shard (a trapped seed burning its whole
-  budget) holds up one worker while the others drain the rest — a static
-  ``i % W`` map stacked every shard behind such a straggler.  Placement
+  budget) holds up one worker while the others drain the rest.  Placement
   is therefore a run-time outcome: :attr:`ShardRunOutcome.shard_map`
   records where each shard actually ran, read back from its result file.
-  Per-shard results are bit-exact whatever the placement, so dispatch
-  moves wall time only.  Every :meth:`ShardedExecutor.run` starts and
-  joins its own workers and none outlives it, which also keeps their CPU
-  time and peak memory visible to ``RUSAGE_CHILDREN``.
+  Per-shard results are bit-exact whatever the placement.  Every
+  :meth:`ShardedExecutor.run` starts and joins its own workers and none
+  outlives it, which also keeps their CPU time and peak memory visible to
+  ``RUSAGE_CHILDREN``.
 * **Results travel as atomic snapshot files, not queues.**  A worker
   writes one CRC-enveloped snapshot per finished shard into a scratch
-  directory (:func:`repro.resilience.snapshot.save_snapshot` is atomic);
-  the parent reads them back after ``join``.  Pipes and queues corrupt or
-  deadlock when a worker dies mid-write — a missing-or-complete file
-  cannot.  A worker that exits nonzero (or dies on a signal) surfaces as
-  :class:`ShardWorkerError` naming it and every shard left without a
-  result file.
-* **Per-shard checkpoints.**  Each shard checkpoints its own campaign
-  under ``<checkpoint_dir>/shard-NNN`` — keyed by shard index, not worker
-  index, so a resumed run may use a different worker count or placement
-  and still find every shard's snapshot.  A dead worker's shards resume from their last
-  round boundary; finished shards' final-round snapshots make their resume
-  a no-op with identical results.
-* **Per-worker tracing.**  Spawned children would inherit ``REPRO_TRACE``
-  and clobber the parent's ``.partial`` sink, so the parent strips that
-  variable around ``Process.start()`` and workers trace only when the
-  executor hands them an explicit per-worker sink (``trace_dir``), merged
-  later by ``python -m repro.obs report``.
+  directory; the parent reads them back after ``join``.  A missing-or-
+  complete file cannot corrupt or deadlock the way a pipe can when a
+  worker dies mid-write.  A worker that exits nonzero (or dies on a
+  signal) surfaces as :class:`ShardWorkerError` naming it and every shard
+  left without a result file.
+* **Workers never trace.**  Spawned children would inherit
+  ``REPRO_TRACE`` and clobber the parent's ``.partial`` sink, so the
+  parent strips that variable around ``Process.start()``.
 
-Counter attribution (the documented parity rule): **per-seed counters are
-exact** — each shard is its own single-seed campaign, so its trajectory,
-cache accounting and best-vector bytes equal those of the in-process oracle
-(:func:`repro.shard.parity.run_sequential`, one single-seed campaign after
-another) bit for bit, at any worker count.  **Campaign-wide counters are
-sums over shards**, which matches that oracle exactly; they differ from
-``--execution campaign``, whose seeds share one in-process cache.
+Counter attribution: **per-seed counters are exact** — each shard is its
+own single-seed campaign, so its trajectory, cache accounting and
+best-vector bytes equal those of the in-process oracle
+(:func:`repro.shard.parity.run_sequential`) bit for bit, at any worker
+count.  **Campaign-wide counters are sums over shards**, which matches
+that oracle exactly.
 """
 
 from __future__ import annotations
@@ -75,19 +52,15 @@ from __future__ import annotations
 import multiprocessing
 import os
 import shutil
-import signal
 import sys
 import tempfile
-from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.blas import blas_threads
 from repro.circuits.pvt import PVTCondition
-from repro.obs import event, profiled, tracing
-from repro.resilience.faults import FaultPlan, InjectedFault, inject
+from repro.obs import event, profiled
 from repro.resilience.snapshot import load_snapshot, save_snapshot
-from repro.resilience.store import merge_stores
 from repro.search.progressive import ProgressiveConfig, ProgressiveResult
 from repro.search.spec import Spec
 
@@ -104,8 +77,7 @@ class ShardWorkerError(RuntimeError):
         ``None``: the worker exited zero but left results missing).
     shards:
         ``(shard_index, label, seed)`` identities of every shard left
-        without a result file — exactly what a resumed run will pick back
-        up.
+        without a result file.
     """
 
     def __init__(
@@ -157,11 +129,7 @@ class ShardSpec:
     #: Display/grouping label (the bench case name, usually).
     label: str = ""
 
-    def build(
-        self,
-        cache_path: Optional[str] = None,
-        cache_preload: Sequence[str] = (),
-    ):
+    def build(self):
         """The shard's single-seed Campaign (see ``sizing.build_campaign``)."""
         from repro.search.sizing import build_campaign
 
@@ -174,8 +142,6 @@ class ShardSpec:
             corners=list(self.corners) if self.corners else None,
             config=self.config,
             seeds=[self.seed],
-            cache_path=cache_path,
-            cache_preload=cache_preload,
         )
 
 
@@ -195,12 +161,9 @@ class ShardResult:
     cache_misses: int
     refit_rounds: int
     batched_kernel_calls: int
-    resumed_from_round: Optional[int]
     cache_digest: str
-    #: Shard wall time inside the worker (build + run + persist).
+    #: Shard wall time inside the worker (build + run).
     wall_seconds: float
-    #: Per-shard persistence accounting (preloaded/warm/cold/repaired).
-    cache_counters: Dict[str, Any] = field(default_factory=dict)
     #: Full cache content (``EvaluationCache.content()``)
     #: when the executor collects it for union-digest parity checks.
     cache_content: Optional[List[Any]] = None
@@ -242,14 +205,6 @@ class ShardRunOutcome:
     cache_digest: Optional[str] = None
 
 
-def _shard_store_path(master: str, index: int) -> str:
-    return f"{master}.shard-{index:03d}"
-
-
-def _shard_checkpoint_dir(checkpoint_dir: str, index: int) -> str:
-    return os.path.join(checkpoint_dir, f"shard-{index:03d}")
-
-
 def _result_path(scratch: str, index: int) -> str:
     return os.path.join(scratch, f"result-{index:05d}.snapshot")
 
@@ -258,43 +213,13 @@ def _error_path(scratch: str, worker_index: int) -> str:
     return os.path.join(scratch, f"error-worker-{worker_index}.snapshot")
 
 
-def _run_shard(index: int, spec: ShardSpec, options: Dict[str, Any]) -> Dict[str, Any]:
+def _run_shard(index: int, spec: ShardSpec, collect_cache_content: bool) -> Dict[str, Any]:
     """Run one shard's single-seed campaign; returns its result payload."""
-    master = options.get("cache_path")
-    cache_path = _shard_store_path(master, index) if master else None
-    preload = (master,) if master and os.path.exists(master) else ()
-    checkpoint_root = options.get("checkpoint_dir")
-    checkpoint_dir = (
-        _shard_checkpoint_dir(checkpoint_root, index) if checkpoint_root else None
-    )
-    resume_from = checkpoint_dir if options.get("resume") and checkpoint_dir else None
-    campaign = spec.build(cache_path=cache_path, cache_preload=preload)
-    kill_occurrence = (options.get("kill_plans") or {}).get(index)
+    campaign = spec.build()
     try:
-        if kill_occurrence is not None and options.get("spawned"):
-            # Drill/test hook: die like a SIGKILLed worker would, with the
-            # fault-plan counter picking *which* checkpoint never lands
-            # (fault_point fires before the snapshot is written).
-            plan = FaultPlan("snapshot.write", occurrence=kill_occurrence)
-            try:
-                with inject(plan):
-                    outcome = campaign.run(
-                        checkpoint_dir=checkpoint_dir,
-                        resume_from=resume_from,
-                        checkpoint_every=options.get("checkpoint_every", 1),
-                    )
-            except InjectedFault:
-                campaign.close()
-                os.kill(os.getpid(), signal.SIGKILL)
-                raise  # pragma: no cover - unreachable past SIGKILL
-        else:
-            outcome = campaign.run(
-                checkpoint_dir=checkpoint_dir,
-                resume_from=resume_from,
-                checkpoint_every=options.get("checkpoint_every", 1),
-            )
+        outcome = campaign.run()
         cache = campaign.cache
-        payload: Dict[str, Any] = {
+        return {
             "index": index,
             "seed": spec.seed,
             "label": spec.label,
@@ -306,27 +231,11 @@ def _run_shard(index: int, spec: ShardSpec, options: Dict[str, Any]) -> Dict[str
             "cache_misses": outcome.cache_misses,
             "refit_rounds": outcome.refit_rounds,
             "batched_kernel_calls": outcome.batched_kernel_calls,
-            "resumed_from_round": outcome.resumed_from_round,
             "cache_digest": cache.state_digest(),
-            "cache_counters": {
-                "preloaded_pairs": cache.preloaded_pairs,
-                "warm_hits": cache.warm_hits,
-                "cold_hits": cache.cold_hits,
-                "repaired_bytes": cache.repaired_bytes,
-            },
-            "store_shape": (
-                campaign.handle.design_space.dimension,
-                len(campaign.handle.metric_names),
-            ),
-            "cache_content": (
-                cache.content()
-                if options.get("collect_cache_content")
-                else None
-            ),
+            "cache_content": cache.content() if collect_cache_content else None,
         }
     finally:
         campaign.close()
-    return payload
 
 
 def _pull(next_shard: Any, total: int) -> Iterator[int]:
@@ -349,7 +258,8 @@ def _worker_main(
     worker_index: int,
     shard_indices: Iterable[int],
     specs: Sequence[ShardSpec],
-    options: Dict[str, Any],
+    scratch: str,
+    collect_cache_content: bool,
 ) -> int:
     """Worker body: run each shard ``shard_indices`` yields, one result file each.
 
@@ -359,45 +269,31 @@ def _worker_main(
     the same code path is what makes the fast path bit-for-bit equal to
     spawned execution.
     """
-    scratch = options["scratch_dir"]
-    trace_dir = options.get("trace_dir")
-    sink = (
-        os.path.join(trace_dir, f"worker-{worker_index}.jsonl") if trace_dir else None
-    )
     threads = blas_threads()
-    trace_context = tracing(sink=sink) if sink else nullcontext()
-    with trace_context:
-        for index in shard_indices:
-            spec = specs[index]
-            try:
-                with profiled(
-                    "shard.run",
-                    shard=index,
-                    seed=spec.seed,
-                    worker=worker_index,
-                ) as timer:
-                    payload = _run_shard(index, spec, options)
-                payload["wall_seconds"] = timer.seconds
-                payload["worker"] = worker_index
-                payload["blas_threads"] = threads
-                save_snapshot(_result_path(scratch, index), payload)
-            except Exception as error:
-                import traceback
+    for index in shard_indices:
+        spec = specs[index]
+        try:
+            with profiled(
+                "shard.run", shard=index, seed=spec.seed, worker=worker_index
+            ) as timer:
+                payload = _run_shard(index, spec, collect_cache_content)
+            payload["wall_seconds"] = timer.seconds
+            payload["worker"] = worker_index
+            payload["blas_threads"] = threads
+            save_snapshot(_result_path(scratch, index), payload)
+        except Exception as error:
+            import traceback
 
-                save_snapshot(
-                    _error_path(scratch, worker_index),
-                    {
-                        "index": index,
-                        "seed": spec.seed,
-                        "label": spec.label,
-                        "error": repr(error),
-                        "traceback": traceback.format_exc(),
-                    },
-                )
-                return 1
-            event(
-                "shard.done", shard=index, seed=spec.seed, worker=worker_index
+            save_snapshot(
+                _error_path(scratch, worker_index),
+                {
+                    "index": index,
+                    "seed": spec.seed,
+                    "error": repr(error),
+                    "traceback": traceback.format_exc(),
+                },
             )
+            return 1
     return 0
 
 
@@ -405,13 +301,17 @@ def _worker_entry(
     worker_index: int,
     next_shard: Any,
     specs: Sequence[ShardSpec],
-    options: Dict[str, Any],
+    scratch: str,
+    collect_cache_content: bool,
 ) -> None:
     """Spawned-process entry point: pull shards until none are left.
 
     The exit code is :func:`_worker_main`'s status.
     """
-    sys.exit(_worker_main(worker_index, _pull(next_shard, len(specs)), specs, options))
+    shard_indices = _pull(next_shard, len(specs))
+    sys.exit(
+        _worker_main(worker_index, shard_indices, specs, scratch, collect_cache_content)
+    )
 
 
 class ShardedExecutor:
@@ -427,30 +327,11 @@ class ShardedExecutor:
         takes the next unclaimed shard as soon as it finishes one.  More
         workers than shards spawn nothing extra; ``workers=1`` runs every
         shard in-process (no spawn), bit-for-bit equal to spawned execution.
-    cache_path:
-        Master evaluation-cache store.  Workers warm-load it read-only,
-        append fresh pairs to private per-shard files, and the parent
-        merges those into the master after the run (see the module
-        docstring for why shard-per-worker files beat an advisory lock).
-    checkpoint_dir:
-        Per-shard checkpoint root (``<dir>/shard-NNN``); with
-        ``resume=True`` every shard resumes from its own latest snapshot,
-        so a dead worker's shards continue from their last round boundary
-        while finished shards replay as no-ops.
-    checkpoint_every:
-        Snapshot cadence in rounds, forwarded to every shard's campaign.
-    trace_dir:
-        When given, each worker traces to ``<dir>/worker-K.jsonl``
-        (merged by ``python -m repro.obs report <dir>``).
     collect_cache_content:
         Ship every shard's full cache content back to the parent and
         compute the union :attr:`ShardRunOutcome.cache_digest` — the
         cross-process analogue of ``EvaluationCache.state_digest()``,
-        used by the determinism auditor's sharded mode.
-    kill_plans:
-        Drill/test hook: ``{shard_index: occurrence}`` SIGKILLs whichever
-        worker runs that shard right before its N-th checkpoint write.  Only
-        honoured in spawned workers, so it needs ``workers >= 2``.
+        used by the spawned-vs-sequential parity tests.
     scratch_dir:
         Result-file staging directory (default: a private temp directory,
         removed afterwards).
@@ -460,13 +341,7 @@ class ShardedExecutor:
         self,
         specs: Sequence[ShardSpec],
         workers: Optional[int] = None,
-        cache_path: Optional[str] = None,
-        checkpoint_dir: Optional[str] = None,
-        resume: bool = False,
-        checkpoint_every: int = 1,
-        trace_dir: Optional[str] = None,
         collect_cache_content: bool = False,
-        kill_plans: Optional[Dict[int, int]] = None,
         scratch_dir: Optional[str] = None,
     ) -> None:
         self.specs = list(specs)
@@ -475,39 +350,13 @@ class ShardedExecutor:
         self.workers = int(workers) if workers is not None else (os.cpu_count() or 1)
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        self.cache_path = cache_path
-        self.checkpoint_dir = checkpoint_dir
-        self.resume = resume
-        self.checkpoint_every = int(checkpoint_every)
-        self.trace_dir = trace_dir
         self.collect_cache_content = collect_cache_content
-        self.kill_plans = dict(kill_plans) if kill_plans else {}
         self.scratch_dir = scratch_dir
-        if resume and not checkpoint_dir:
-            raise ValueError("resume=True needs checkpoint_dir")
-        if self.kill_plans and min(self.effective_workers, 2) < 2:
-            raise ValueError(
-                "kill plans SIGKILL the worker process, so they need "
-                "spawned execution (workers >= 2 and >= 2 shards)"
-            )
 
     @property
     def effective_workers(self) -> int:
         """Workers that actually get shards (never more than shards)."""
         return min(self.workers, len(self.specs))
-
-    def _options(self, scratch: str, spawned: bool) -> Dict[str, Any]:
-        return {
-            "scratch_dir": scratch,
-            "cache_path": self.cache_path,
-            "checkpoint_dir": self.checkpoint_dir,
-            "resume": self.resume,
-            "checkpoint_every": self.checkpoint_every,
-            "trace_dir": self.trace_dir,
-            "collect_cache_content": self.collect_cache_content,
-            "kill_plans": self.kill_plans,
-            "spawned": spawned,
-        }
 
     def _raise_worker_failure(
         self, scratch: str, worker_index: int, exitcode: Optional[int]
@@ -530,7 +379,6 @@ class ShardedExecutor:
     def _spawn(self, scratch: str) -> None:
         """Start the pulling workers, join them all, and check the run."""
         context = multiprocessing.get_context("spawn")
-        options = self._options(scratch, spawned=True)
         # Parent-owned: the lowest shard index no worker has claimed yet.
         next_shard = context.Value("i", 0)
         processes = []
@@ -543,7 +391,13 @@ class ShardedExecutor:
                 for worker_index in range(self.effective_workers):
                     process = context.Process(
                         target=_worker_entry,
-                        args=(worker_index, next_shard, self.specs, options),
+                        args=(
+                            worker_index,
+                            next_shard,
+                            self.specs,
+                            scratch,
+                            self.collect_cache_content,
+                        ),
                         name=f"repro-shard-worker-{worker_index}",
                     )
                     process.start()
@@ -571,41 +425,16 @@ class ShardedExecutor:
                 scratch, failed[0], processes[failed[0]].exitcode
             )
 
-    def _merge_stores(self, payloads: Sequence[Dict[str, Any]]) -> None:
-        """Fold every shard's private store into the master, then drop them."""
-        dimension, n_metrics = payloads[0]["store_shape"]
-        shard_paths = [
-            path
-            for path in (
-                _shard_store_path(self.cache_path, index)
-                for index in range(len(self.specs))
-            )
-            if os.path.exists(path)
-        ]
-        appended = merge_stores(self.cache_path, shard_paths, dimension, n_metrics)
-        for path in shard_paths:
-            os.remove(path)
-        event(
-            "shard.merge_stores",
-            master=self.cache_path,
-            shards=len(shard_paths),
-            appended=appended,
-        )
-
     def run(self) -> ShardRunOutcome:
         """Run all shards to completion and merge; see the module docstring.
 
-        Raises :class:`ShardWorkerError` when a worker dies — already-
-        finished shards keep their checkpoints and store files, so
-        rebuilding the executor with ``resume=True`` continues from every
-        shard's last round boundary.
+        Raises :class:`ShardWorkerError` when a worker dies or a shard
+        raises.
         """
         scratch = self.scratch_dir or tempfile.mkdtemp(prefix="repro-shard-")
         created_scratch = self.scratch_dir is None
         if self.scratch_dir:
             os.makedirs(scratch, exist_ok=True)
-        if self.trace_dir:
-            os.makedirs(self.trace_dir, exist_ok=True)
         event(
             "shard.start",
             shards=len(self.specs),
@@ -614,14 +443,13 @@ class ShardedExecutor:
         )
         try:
             if self.effective_workers == 1:
-                # In-process fast path: same worker body, no spawn.  Kill
-                # plans are rejected in __init__, so nothing here can
-                # SIGKILL the parent.
+                # In-process fast path: same worker body, no spawn.
                 status = _worker_main(
                     0,
                     range(len(self.specs)),
                     self.specs,
-                    self._options(scratch, spawned=False),
+                    scratch,
+                    self.collect_cache_content,
                 )
                 if status != 0:
                     self._raise_worker_failure(scratch, 0, None)
@@ -634,35 +462,10 @@ class ShardedExecutor:
         finally:
             if created_scratch:
                 shutil.rmtree(scratch, ignore_errors=True)
-        if self.cache_path:
-            self._merge_stores(payloads)
         return self._build_outcome(payloads)
 
     def _build_outcome(self, payloads: Sequence[Dict[str, Any]]) -> ShardRunOutcome:
-        shards = [
-            ShardResult(
-                index=payload["index"],
-                seed=payload["seed"],
-                label=payload["label"],
-                worker=payload["worker"],
-                result=payload["result"],
-                rounds=payload["rounds"],
-                engine_calls=payload["engine_calls"],
-                eval_seconds=payload["eval_seconds"],
-                cache_hits=payload["cache_hits"],
-                cache_misses=payload["cache_misses"],
-                refit_rounds=payload["refit_rounds"],
-                batched_kernel_calls=payload["batched_kernel_calls"],
-                resumed_from_round=payload["resumed_from_round"],
-                cache_digest=payload["cache_digest"],
-                wall_seconds=payload["wall_seconds"],
-                cache_counters=payload["cache_counters"],
-                cache_content=payload["cache_content"],
-                blas_threads=payload["blas_threads"],
-            )
-            for payload in payloads
-        ]
-        shard_map = {shard.index: shard.worker for shard in shards}
+        shards = [ShardResult(**payload) for payload in payloads]
         per_worker = []
         for worker_index in range(self.effective_workers):
             owned = [shard for shard in shards if shard.worker == worker_index]
@@ -686,7 +489,7 @@ class ShardedExecutor:
             seeds=[shard.seed for shard in shards],
             shards=shards,
             workers=self.effective_workers,
-            shard_map=shard_map,
+            shard_map={shard.index: shard.worker for shard in shards},
             per_worker=per_worker,
             rounds=sum(shard.rounds for shard in shards),
             engine_calls=sum(shard.engine_calls for shard in shards),

@@ -106,15 +106,8 @@ def run_sequential(specs: Sequence[ShardSpec]) -> ShardRunOutcome:
                     cache_misses=outcome.cache_misses,
                     refit_rounds=outcome.refit_rounds,
                     batched_kernel_calls=outcome.batched_kernel_calls,
-                    resumed_from_round=outcome.resumed_from_round,
                     cache_digest=cache.state_digest(),
                     wall_seconds=0.0,
-                    cache_counters={
-                        "preloaded_pairs": cache.preloaded_pairs,
-                        "warm_hits": cache.warm_hits,
-                        "cold_hits": cache.cold_hits,
-                        "repaired_bytes": cache.repaired_bytes,
-                    },
                     cache_content=content,
                 )
             )

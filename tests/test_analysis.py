@@ -441,12 +441,16 @@ class TestDeterminismCLIInputs:
     def test_zero_seeds_is_a_usage_error(self, capsys):
         self._usage_error(capsys, ["--seeds", "0"], "--seeds: must be at least 1")
 
-    def test_zero_sharded_workers_is_a_usage_error(self, capsys):
+    def test_unknown_optimizer_is_a_usage_error(self, capsys):
         self._usage_error(
-            capsys,
-            ["--execution", "sharded", "--workers", "0"],
-            "--workers: must be at least 1",
+            capsys, ["--optimizer", "bogus"], "--optimizer: invalid choice: 'bogus'"
         )
+
+    @pytest.mark.parametrize(
+        "flag", [["--execution", "sharded"], ["--workers", "2"]]
+    )
+    def test_sharding_flags_are_gone(self, capsys, flag):
+        self._usage_error(capsys, flag, "unrecognized arguments")
 
     def test_unknown_suite_is_a_usage_error(self, capsys):
         self._usage_error(capsys, ["--suite", "nope"], "unknown suite 'nope'")

@@ -20,8 +20,9 @@ from repro.bench import (
 from repro.bench.runner import main as bench_main
 from repro.shard import run_sequential
 
-#: Artifact fields of the retired oracle knobs (bench schema v9 and older).
-RETIRED_FIELDS = {"backend", "corner_engine", "refit_mode"}
+#: Artifact fields of the retired oracle knobs (bench schema v9 and older)
+#: and of the retired sharded execution (v10 and older).
+RETIRED_FIELDS = {"backend", "corner_engine", "refit_mode", "execution", "shard"}
 
 
 class TestRegistry:
@@ -104,7 +105,6 @@ class TestRunner:
             "batched_kernel_calls",
         }
         assert tiny_result["optimizer"] == "trust_region"  # the case default
-        assert tiny_result["execution"] == "campaign"  # the runner default
         assert 0.0 <= tiny_result["success_rate"] <= 1.0
         assert tiny_result["wall_seconds"] >= tiny_result["refit_seconds"] >= 0.0
         assert tiny_result["wall_seconds"] >= tiny_result["eval_seconds"] >= 0.0
@@ -160,12 +160,11 @@ class TestRunner:
 
     def test_suite_payload_and_artifact(self, tmp_path):
         payload = run_suite("tiny", seeds=[0])
-        assert payload["schema"] == SCHEMA == "repro.bench/v10"
+        assert payload["schema"] == SCHEMA == "repro.bench/v11"
         assert payload["suite"] == "tiny"
         assert payload["seeds"] == [0]
         assert not RETIRED_FIELDS & set(payload)
         assert payload["optimizer"] == "trust_region"
-        assert payload["execution"] == "campaign"
         assert payload["totals"]["cases"] == len(payload["cases"])
         host = payload["host"]
         assert host["cpu_count"] == os.cpu_count()
@@ -176,7 +175,6 @@ class TestRunner:
         assert json.loads(path.read_text()) == payload
         summary = format_summary(payload)
         assert "ota_5t/smoke/nominal" in summary
-        assert "campaign execution" in summary
 
     def test_backend_override_recorded(self):
         """No backend override exists, so no artifact level records one."""
@@ -295,22 +293,21 @@ class TestCLI:
         with pytest.raises(SystemExit):
             bench_main(["--suite", "tiny", "--optimizer", "simulated_annealing"])
 
-    def test_cli_execution_flag(self, tmp_path):
-        output = tmp_path / "bench.json"
-        code = bench_main(
-            ["--suite", "tiny", "--seeds", "2", "--execution", "sharded",
-             "--workers", "1", "--output", str(output)]
-        )
-        assert code == 0
-        payload = json.loads(output.read_text())
-        assert payload["execution"] == "sharded"
-        assert payload["cases"][0]["shard"]["workers"] == 1
-        # The per-seed oracle is repro.shard.run_sequential, not an execution.
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--execution", "sharded"],
+            ["--workers", "2"],
+            ["--shard-scaling"],
+            ["--workers-list", "1,2"],
+        ],
+    )
+    def test_cli_has_no_sharding_flags(self, flag, capsys):
+        """A suite runs one way; the sharding flags are usage errors."""
         with pytest.raises(SystemExit) as exit_info:
-            bench_main(["--suite", "tiny", "--execution", "sequential"])
+            bench_main(["--suite", "tiny"] + flag)
         assert exit_info.value.code == 2
-        with pytest.raises(ValueError, match="unknown execution"):
-            run_case(get_suite("tiny")[0], seeds=[0], execution="sequential")
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCampaignExecution:
@@ -319,7 +316,7 @@ class TestCampaignExecution:
     def test_campaign_matches_sequential_per_seed(self):
         """One multi-seed campaign == one single-seed campaign per seed."""
         (case,) = get_suite("tiny")
-        campaign = run_case(case, seeds=[0, 1, 2], execution="campaign")
+        campaign = run_case(case, seeds=[0, 1, 2])
         sequential = run_sequential(case.shard_specs([0, 1, 2]))
 
         def trajectory(record):
@@ -343,7 +340,7 @@ class TestCampaignExecution:
 
     def test_campaign_issues_fewer_larger_engine_calls(self):
         (case,) = get_suite("tiny")
-        campaign = run_case(case, seeds=[0, 1, 2], execution="campaign")
+        campaign = run_case(case, seeds=[0, 1, 2])
         sequential = run_sequential(case.shard_specs([0, 1, 2]))
         assert campaign["eval"]["engine_calls"] < sequential.engine_calls
         # Batching never re-evaluates: the campaign computes at most the

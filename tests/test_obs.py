@@ -365,7 +365,7 @@ class TestPerSeedAttribution:
     @pytest.fixture(scope="class")
     def campaign_record(self):
         (case,) = get_suite("tiny")
-        return run_case(case, seeds=[0, 1, 2], execution="campaign")
+        return run_case(case, seeds=[0, 1, 2])
 
     def test_cache_counters_sum_to_campaign_totals(self, campaign_record):
         per_seed = campaign_record["per_seed"]
@@ -400,7 +400,7 @@ class TestPerSeedAttribution:
         from repro.search.sizing import size_problem
 
         (case,) = get_suite("tiny")
-        campaign = run_case(case, seeds=[0], execution="campaign")["per_seed"][0]
+        campaign = run_case(case, seeds=[0])["per_seed"][0]
         sequential = size_problem(
             case.topology,
             tier=case.tier,

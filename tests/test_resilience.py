@@ -647,10 +647,30 @@ class TestDrill:
         assert report.ok, report.format()
         # Occurrence 1 of every registered site is reached on the drill
         # workload — each fault actually fired and each resume matched —
-        # plus the multi-process worker-kill scenario (one per occurrence).
-        assert report.fired_count == len(registered_fault_sites()) + 1
-        assert any(o.site == "worker.kill" for o in report.outcomes)
+        # and every scenario is one of those in-process sites.
+        assert report.fired_count == len(registered_fault_sites())
+        assert [o.site for o in report.outcomes] == list(registered_fault_sites())
         assert "byte-identical" in report.format()
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["--suite", "bogus"], "--suite: unknown suite 'bogus'"),
+            (["--seeds", "0"], "--seeds: must be at least 1"),
+            (["--occurrences", "1,x"], "--occurrences: invalid int value: 'x'"),
+            (["--occurrences", "0"], "--occurrences: must be at least 1"),
+            (["--occurrences", ","], "--occurrences: expected a comma list"),
+            (["--skip-worker-kill"], "unrecognized arguments"),
+        ],
+    )
+    def test_cli_bad_input_is_a_usage_error(self, capsys, tmp_path, argv, needle):
+        """Bad drill inputs exit 2 with a usage message, never a traceback."""
+        from repro.resilience.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["drill", "--workdir", str(tmp_path / "drill")] + argv)
+        assert exit_info.value.code == 2
+        assert needle in capsys.readouterr().err
 
     def test_cli_sites_lists_registry(self, capsys):
         from repro.resilience.__main__ import main

@@ -25,7 +25,6 @@ from repro.resilience.store import (
     MAGIC,
     CacheJournal,
     CacheStore,
-    merge_stores,
     read_journal,
     read_records,
 )
@@ -330,35 +329,6 @@ class TestDamage:
             read_journal(path, DIM, METRICS, (1, size, 0))
         # Refusal never repairs: the old file is left as it was.
         assert os.path.getsize(path) == size
-
-
-class TestMerge:
-    def test_merge_dedups_across_two_shard_files(self, tmp_path):
-        master = str(tmp_path / "master.evc")
-        shards = [str(tmp_path / "shard-000.evc"), str(tmp_path / "shard-001.evc")]
-        _write_blocks(master, [(b"tt", (1.0,))])
-        _write_blocks(shards[0], [(b"tt", (1.0, 2.0, 3.0)), (b"ff", (1.0,))])
-        _write_blocks(shards[1], [(b"tt", (3.0, 4.0, 4.0)), (b"ff", (1.0,)), (b"ff", (5.0,))])
-        # The v1 merge: per pair, first write wins, in shard order.
-        expected = read_v1_merge([master, *shards])
-        appended = merge_stores(master, shards, DIM, METRICS)
-        records, _ = read_records(master, DIM, METRICS)
-        assert flatten(records) == expected
-        assert appended == len(expected) - 1
-        # One frame per shard record that still had an unseen pair.
-        assert [len(keys) for _, keys, _ in records] == [1, 2, 1, 1, 1]
-
-
-def read_v1_merge(paths):
-    """The flattened result of the per-pair first-write-wins merge."""
-    merged, seen = [], set()
-    for path in paths:
-        records, _ = read_records(path, DIM, METRICS)
-        for tag, key, row in flatten(records):
-            if (tag, key) not in seen:
-                seen.add((tag, key))
-                merged.append((tag, key, row))
-    return merged
 
 
 def test_journal_blocks_hold_each_corners_tail(tmp_path):
