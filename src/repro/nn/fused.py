@@ -38,6 +38,22 @@ from repro.nn.optim import bias_correction
 from repro.obs import span
 
 
+def ridge_output_weights(features: np.ndarray, targets: np.ndarray, l2: float) -> np.ndarray:
+    """Ridge weights of a linear layer on ``features``, bias row last.
+
+    Appends a ones column to the ``(rows, h)`` features (``Φ``) and solves
+    the ``(h+1)×(h+1)`` system ``(ΦᵀΦ + l2·I) W = ΦᵀY``; the bias is
+    penalised like the weights.  Any ``l2 > 0`` keeps the system solvable
+    when there are no more rows than features.
+    """
+    design = np.empty((features.shape[0], features.shape[1] + 1))
+    design[:, :-1] = features
+    design[:, -1] = 1.0
+    gram = design.T @ design
+    gram.flat[:: gram.shape[0] + 1] += l2
+    return np.linalg.solve(gram, design.T @ targets)
+
+
 class FusedMLP:
     """An MLP whose parameters live in one flat ``float64`` buffer.
 
@@ -204,6 +220,24 @@ class FusedMLP:
         return h
 
     __call__ = predict
+
+    def fit_output_layer(self, inputs: np.ndarray, targets: np.ndarray, l2: float) -> None:
+        """Refit the last Linear layer exactly, keeping the hidden features.
+
+        One forward pass to the last hidden layer, then the ridge solve of
+        :func:`ridge_output_weights`, written into the last weight and bias
+        in place.  Draws no RNG and leaves the hidden layers (and any
+        optimizer's moments) untouched: the neural-linear refit of DNGO
+        (Snoek et al., 2015).
+        """
+        if self._activations[-1] != "identity":
+            raise ValueError("a closed-form output fit needs an identity output layer")
+        h = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+        for weight, bias, act in zip(self._weights[:-1], self._biases, self._activations):
+            h = Activation.apply_numpy(act, h @ weight + bias)
+        solution = ridge_output_weights(h, targets, l2)
+        self._weights[-1][...] = solution[:-1]
+        self._biases[-1][...] = solution[-1]
 
     def _scratch_for(self, rows: int) -> tuple:
         """Reusable per-layer buffers for a given minibatch row count.

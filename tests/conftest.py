@@ -11,8 +11,10 @@ from dataclasses import replace
 
 import pytest
 
+from repro.autodiff import Tensor
 from repro.circuits.topologies.base import SizingProblem
-from repro.nn import Adam
+from repro.nn import MLP, Adam, Sequential
+from repro.nn.fused import ridge_output_weights
 from repro.search.trust_region import TrustRegionSearch
 
 
@@ -40,8 +42,18 @@ class OraclePaths:
 
         The weights start from the fused build's own initialisation, and
         refits run inline (the batched kernel stacks fused parameters only).
+        Closed-form output-layer refits take the hidden features from the
+        Tensor forward pass and share only the ridge solve with the fused
+        path.
         """
         original = TrustRegionSearch._build_surrogate
+
+        def fit_output_layer(model, inputs, targets, l2):
+            *hidden, last = model.body.layers
+            features = Sequential(*hidden)(Tensor(inputs)).data
+            solution = ridge_output_weights(features, targets, l2)
+            last.weight.data[...] = solution[:-1]
+            last.bias.data[...] = solution[-1]
 
         def build(search):
             fused, _ = original(search)
@@ -49,6 +61,7 @@ class OraclePaths:
             return model, Adam(model.parameters(), lr=search.config.learning_rate)
 
         self._monkeypatch.setattr(TrustRegionSearch, "_build_surrogate", build)
+        self._monkeypatch.setattr(MLP, "fit_output_layer", fit_output_layer, raising=False)
         self.inline_refits()
 
     def looped_corners(self) -> None:

@@ -273,7 +273,9 @@ class TestProgressiveTrajectoryLock:
                 assert mine.metrics == other.metrics
 
     def test_cache_and_eval_accounting_populated(self):
-        result = size_problem("two_stage_opamp", tier="nominal", config=self.QUICK)
+        # Seed 0 solves in phase 0; seed 2 needs a second phase.
+        config = ProgressiveConfig(TrustRegionConfig(seed=2, max_evaluations=200))
+        result = size_problem("two_stage_opamp", tier="nominal", config=config)
         assert len(result.phase_results) == 2
         assert result.cache_misses > 0
         # The only reuse: phase 1 warm-starts from phase 0's winner, which

@@ -14,6 +14,7 @@ import pytest
 
 from repro.autodiff import Tensor
 from repro.nn import MLP, Adam, FusedAdam, FusedMLP, train_regressor
+from repro.nn.fused import ridge_output_weights
 from repro.nn.losses import mse_loss
 
 
@@ -155,6 +156,116 @@ class TestModuleInterop:
             FusedMLP.from_module(odd)
 
 
+def hidden_features(fused: FusedMLP, inputs: np.ndarray) -> np.ndarray:
+    """The last hidden layer's activations, layer by layer."""
+    h = inputs
+    for weight, bias in zip(fused._weights[:-1], fused._biases[:-1]):
+        h = np.tanh(h @ weight + bias)
+    return h
+
+
+def augmented_lstsq(features, targets, l2):
+    """Ridge weights as the least-squares fit of ``[Φ; √λ·I] W = [Y; 0]``."""
+    design = np.hstack([features, np.ones((features.shape[0], 1))])
+    width = design.shape[1]
+    stacked = np.vstack([design, np.sqrt(l2) * np.eye(width)])
+    padded = np.vstack([targets, np.zeros((width, targets.shape[1]))])
+    return np.linalg.lstsq(stacked, padded, rcond=None)[0]
+
+
+class TestFitOutputLayer:
+    """The closed-form output-layer refit: exact, local and side-effect free."""
+
+    L2 = 1e-2
+
+    def trained(self, count=96):
+        """A surrogate-shaped net after some Adam steps (non-zero moments)."""
+        _, fused = make_pair(in_features=6, hidden=(48, 48), out_features=5, seed=3)
+        adam = FusedAdam(fused, lr=3e-3)
+        inputs, targets = regression_data(count=count, in_features=6, out_features=5)
+        fused.fit(inputs, targets, epochs=3, batch_size=32, optimizer=adam,
+                  rng=np.random.default_rng(0))
+        return fused, adam, inputs, targets
+
+    @pytest.mark.parametrize("count", [96, 400])
+    def test_weights_match_lstsq_on_augmented_system(self, count):
+        fused, _, inputs, targets = self.trained(count)
+        fused.fit_output_layer(inputs, targets, self.L2)
+        expected = augmented_lstsq(hidden_features(fused, inputs), targets, self.L2)
+        solved = np.vstack([fused._weights[-1], fused._biases[-1]])
+        np.testing.assert_allclose(solved, expected, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("count", [49, 12])
+    def test_solvable_with_no_more_rows_than_features(self, count):
+        """The 49-row Monte-Carlo seed against 48 features plus the bias."""
+        fused, _, inputs, targets = self.trained()
+        inputs, targets = inputs[:count], targets[:count]
+        fused.fit_output_layer(inputs, targets, self.L2)
+        solved = np.vstack([fused._weights[-1], fused._biases[-1]])
+        assert np.all(np.isfinite(solved))
+        expected = augmented_lstsq(hidden_features(fused, inputs), targets, self.L2)
+        np.testing.assert_allclose(solved, expected, rtol=0.0, atol=1e-10)
+
+    def test_hidden_layers_and_adam_untouched(self):
+        fused, adam, inputs, targets = self.trained()
+        before = fused.theta.copy()
+        moments = adam.state_dict()
+        fused.fit_output_layer(inputs, targets, self.L2)
+        hidden = slice(0, fused.theta.size - fused._weights[-1].size - fused._biases[-1].size)
+        np.testing.assert_array_equal(fused.theta[hidden], before[hidden])
+        assert not np.array_equal(fused.theta[hidden.stop:], before[hidden.stop:])
+        after = adam.state_dict()
+        np.testing.assert_array_equal(after["m"], moments["m"])
+        np.testing.assert_array_equal(after["v"], moments["v"])
+        assert after["t"] == moments["t"]
+
+    def test_rejects_a_nonlinear_output_layer(self):
+        _, fused = make_pair(output_activation="sigmoid")
+        inputs, targets = regression_data(count=8)
+        with pytest.raises(ValueError, match="identity"):
+            fused.fit_output_layer(inputs, targets, self.L2)
+
+    def test_search_refit_draws_no_rng(self):
+        """Inside a search, the closed-form refit moves only the output
+        layer: the RNG, the hidden layers and Adam's state stay put."""
+        from repro.core.design_space import DesignSpace, Parameter
+        from repro.search import Spec, Specification, TrustRegionConfig, TrustRegionSearch
+
+        space = DesignSpace([Parameter("x", 0.0, 1.0, grid_points=101)])
+        spec = Specification([Spec("a", ">=", 10.0)], ["a"])  # unsatisfiable
+        config = TrustRegionConfig(seed=0, initial_samples=16, surrogate_hidden=(8, 8),
+                                   initial_epochs=4)
+        search = TrustRegionSearch(None, space, spec, config)
+        rows = search.ask()
+        search.tell(rows, np.sin(7.0 * rows))
+        rng_state = search.rng.bit_generator.state
+        theta = search._surrogate.theta.copy()
+        adam = search._optimizer.state_dict()
+        search._fit_output_layer()
+        assert search.rng.bit_generator.state == rng_state
+        surrogate = search._surrogate
+        head = theta.size - surrogate._weights[-1].size - surrogate._biases[-1].size
+        np.testing.assert_array_equal(search._surrogate.theta[:head], theta[:head])
+        assert not np.array_equal(search._surrogate.theta[head:], theta[head:])
+        after = search._optimizer.state_dict()
+        np.testing.assert_array_equal(after["m"], adam["m"])
+        np.testing.assert_array_equal(after["v"], adam["v"])
+        assert after["t"] == adam["t"] > 0
+
+    def test_autodiff_oracle_step_bitwise(self, oracles):
+        """The oracle's closed-form step lands on the fused weights exactly."""
+        oracles.autodiff_surrogate()
+        model, fused = make_pair(in_features=6, hidden=(48, 48), out_features=5, seed=3)
+        inputs, targets = regression_data(count=64, in_features=6, out_features=5)
+        fused.fit_output_layer(inputs, targets, self.L2)
+        model.fit_output_layer(inputs, targets, self.L2)
+        np.testing.assert_array_equal(flat_params(model), fused.theta)
+        np.testing.assert_array_equal(
+            np.vstack([fused._weights[-1], fused._biases[-1]]),
+            ridge_output_weights(hidden_features(fused, inputs), targets, self.L2),
+        )
+
+
 class TestBackendKnob:
     """The model's type picks the training loop; there is no backend knob."""
 
@@ -216,14 +327,24 @@ class TestSearchLevelParity:
         np.testing.assert_array_equal(fused.best_vector, autodiff.best_vector)
         assert len(fused.history) == len(autodiff.history)
 
-    def test_two_stage_demo_seed0_backend_parity(self, oracles):
-        """The demo reaches the same sizing on the autodiff oracle."""
+    def test_two_stage_demo_seed0_backend_parity(self, oracles, monkeypatch):
+        """The demo reaches the same sizing on the autodiff oracle, through
+        closed-form output-layer refits as well as full ones."""
         from repro.search.opamp_demo import DEFAULT_SPECS
         from repro.search.sizing import size_problem
 
         fused = size_problem("two_stage_opamp", specs=DEFAULT_SPECS, seed=0)
         oracles.autodiff_surrogate()
+        closed_form = MLP.fit_output_layer
+        calls = []
+
+        def counted(model, *args):
+            calls.append(args[0].shape[0])
+            closed_form(model, *args)
+
+        monkeypatch.setattr(MLP, "fit_output_layer", counted)
         autodiff = size_problem("two_stage_opamp", specs=DEFAULT_SPECS, seed=0)
+        assert calls
         assert fused.solved_all_corners and autodiff.solved_all_corners
         assert fused.evaluations == autodiff.evaluations
         np.testing.assert_array_equal(fused.best_vector, autodiff.best_vector)

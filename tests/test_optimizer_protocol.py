@@ -3,7 +3,8 @@
 The heart of this file is the *pre-refactor oracle*: the historical
 monolithic ``TrustRegionSearch.run()`` loop (as it shipped before the
 ask/tell redesign), re-expressed over the primitives both versions share
-(``_evaluate_new``, ``_refit_surrogate``, ``_rank_candidates``).  The
+(``_evaluate_new``, ``_refit_surrogate``, ``_scheduled_refit``,
+``_rank_candidates``).  The
 refactored ask/tell ``run()`` must reproduce it step for step — same
 evaluated rows in the same order, same history, same incumbent — across
 every registered topology.
@@ -83,7 +84,7 @@ def oracle_run(search):
             and search._count < config.max_evaluations
         )
         if will_continue:
-            search._refit_surrogate(epochs=config.refit_epochs)
+            search._scheduled_refit()
         if improved:
             radius = min(radius * config.expand, config.max_radius)
         else:

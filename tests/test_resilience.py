@@ -577,7 +577,7 @@ class TestStallRestartResume:
     """Resuming around a trust-region stall restart is byte-identical."""
 
     CASE = BenchCase("folded_cascode", "nominal", "nine")
-    SEEDS = [3]  # stalls at min_radius in phase 0 and restarts
+    SEEDS = [10]  # stalls at min_radius in phase 0 and restarts
 
     @staticmethod
     def _outcome(campaign, outcome, seeds):
@@ -608,6 +608,84 @@ class TestStallRestartResume:
         outcome = campaign.run(resume_from=os.path.join(ckpt, name))
         assert 0 < outcome.resumed_from_round < outcome.rounds
         assert self._outcome(campaign, outcome, self.SEEDS) == expected
+
+
+def _between_full_refits(optimizer_state):
+    """A closed-form refit ran after the last full refit."""
+    return (
+        optimizer_state["surrogate"] is not None
+        and optimizer_state["full_refit_rows"] < optimizer_state["X"].shape[0]
+    )
+
+
+def _after_full_refit(optimizer_state):
+    """A post-seed tell ran a full refit last."""
+    return (
+        optimizer_state["surrogate"] is not None
+        and len(optimizer_state["history"]) > 0
+        and optimizer_state["full_refit_rows"] == optimizer_state["X"].shape[0]
+    )
+
+
+class TestRefitScheduleResume:
+    """Resuming between a closed-form refit and the next full refit is
+    byte-identical, and so is a snapshot written before the schedule
+    existed."""
+
+    CASE = BenchCase("two_stage_opamp", "nominal", "nine")
+    SEEDS = [0, 1]
+
+    @staticmethod
+    def _outcome(campaign, outcome, seeds):
+        histories = [
+            [astuple(r) for phase in result.phase_results for r in phase.history]
+            for result in outcome.results
+        ]
+        surrogates = [
+            None if member.optimizer._surrogate is None
+            else member.optimizer._surrogate.theta.tobytes()
+            for member in campaign._members
+        ]
+        return _campaign_fingerprint(campaign, outcome, seeds), histories, surrogates
+
+    @pytest.fixture(scope="class")
+    def oracle(self, tmp_path_factory):
+        ckpt = str(tmp_path_factory.mktemp("schedule") / "ckpt")
+        campaign = self.CASE.build_campaign(self.SEEDS)
+        outcome = campaign.run(checkpoint_dir=ckpt, keep_history=True)
+        return ckpt, self._outcome(campaign, outcome, self.SEEDS)
+
+    def _first_snapshot(self, ckpt, moment):
+        for name in sorted(n for n in os.listdir(ckpt) if n.startswith("round-")):
+            state = load_snapshot(os.path.join(ckpt, name))
+            members = [member["optimizer"] for member in state["members"]]
+            if all(m is not None and moment(m) for m in members):
+                return name, state
+        pytest.fail(f"no checkpoint satisfies {moment.__name__}")
+
+    def _resume(self, path):
+        campaign = self.CASE.build_campaign(self.SEEDS)
+        outcome = campaign.run(resume_from=path)
+        assert 0 < outcome.resumed_from_round < outcome.rounds
+        return self._outcome(campaign, outcome, self.SEEDS)
+
+    def test_resume_between_closed_form_and_full_refit(self, oracle):
+        ckpt, expected = oracle
+        name, _ = self._first_snapshot(ckpt, _between_full_refits)
+        assert self._resume(os.path.join(ckpt, name)) == expected
+
+    def test_snapshot_without_full_refit_rows_resumes(self, oracle):
+        """Before closed-form refits every tell refit fully, so a snapshot
+        without ``full_refit_rows`` reads as "last full refit at the
+        current row count"; taken right after a full refit, it resumes
+        exactly like the uninterrupted run."""
+        ckpt, expected = oracle
+        name, state = self._first_snapshot(ckpt, _after_full_refit)
+        for member in state["members"]:
+            del member["optimizer"]["full_refit_rows"]
+        path = os.path.join(ckpt, "without-full-refit-rows.snapshot")
+        save_snapshot(path, state)
+        assert self._resume(path) == expected
 
 
 class TestPersistentCampaignCache:
