@@ -2,8 +2,9 @@
 
 A snapshot is a single file holding one state tree (the nested
 ``state_dict()`` of a :class:`~repro.search.campaign.Campaign`, whose
-evaluation-cache content stays in the checkpoint directory's
-:class:`~repro.resilience.store.CacheJournal`, referenced by watermark): a
+evaluation-cache content and members' sizing rows and histories stay in
+the checkpoint directory's :class:`~repro.resilience.store.CacheJournal`,
+referenced by watermark): a
 fixed magic + format version, a CRC32 and length of the payload, then the
 payload itself — a :mod:`pickle` of plain builtins, ``bytes`` and NumPy
 arrays only.  The envelope makes corruption *detected*, and the write path
@@ -31,7 +32,8 @@ from repro.resilience.atomic import atomic_write_bytes
 #: Envelope magic; the trailing byte is the envelope version.
 MAGIC = b"REPROSNAP\x01"
 #: Payload format tag, checked on load (bump on incompatible tree changes).
-SNAPSHOT_FORMAT = "repro.resilience/snapshot-v2"
+#: v3 moved member rows and histories into the journal; v2 copied them.
+SNAPSHOT_FORMAT = "repro.resilience/snapshot-v3"
 
 _HEADER = struct.Struct("<IQ")  # crc32(payload), len(payload)
 

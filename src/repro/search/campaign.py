@@ -39,7 +39,7 @@ from bisect import bisect_left
 from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,9 +49,10 @@ from repro.core.design_space import DesignSpace
 from repro.nn.fused import FusedFitJob, fit_batched, fit_job_signature
 from repro.obs import event, profiled
 from repro.resilience.faults import fault_point, register_fault_site
-from repro.resilience.snapshot import load_snapshot, save_snapshot
+from repro.resilience.snapshot import SnapshotError, load_snapshot, save_snapshot
+from repro.resilience.store import member_tag
 from repro.search.eval_cache import CornerEvaluator, EvaluationCache
-from repro.search.optimizer import Optimizer, SearchResult, get_optimizer
+from repro.search.optimizer import IterationRecord, Optimizer, SearchResult, get_optimizer
 from repro.search.progressive import (
     CornerReport,
     ProgressiveConfig,
@@ -77,6 +78,30 @@ LATEST_SNAPSHOT = "latest.snapshot"
 #: The evaluation-cache journal every snapshot in a checkpoint directory
 #: references by watermark.
 CACHE_JOURNAL = "cache.journal"
+
+#: Member-frame kinds in the checkpoint journal: a phase optimizer's
+#: evaluated sizings, and a phase's iteration history, one record of
+#: :data:`_HISTORY_FIELDS` float64s per :class:`IterationRecord`.
+_SIZINGS = b"x"
+_HISTORY = b"h"
+_HISTORY_FIELDS = 5
+
+
+def _history_array(history: Sequence[IterationRecord]) -> np.ndarray:
+    """Encode history records for the journal; ints and bools are exact in
+    float64."""
+    return np.array(
+        [(r.evaluations, r.radius, r.best_score, r.improved, r.restarted) for r in history],
+        dtype=np.float64,
+    )
+
+
+def _history_records(records: np.ndarray) -> List[IterationRecord]:
+    """Decode :func:`_history_array` output."""
+    return [
+        IterationRecord(int(evaluations), radius, best_score, bool(improved), bool(restarted))
+        for evaluations, radius, best_score, improved, restarted in records.tolist()
+    ]
 
 
 @dataclass(frozen=True)
@@ -186,11 +211,8 @@ class _ProgressiveMember:
         self.specs = list(specs)
         self.metric_names = list(metric_names)
         self.ranked = list(ranked)
-        # Corner -> index in ``ranked`` for index-based serialization, and
-        # that index for each ranked position (the position itself unless
-        # the grid repeats a corner).
+        # Corner -> index in ``ranked`` for index-based serialization.
         self._corner_index = {corner: i for i, corner in enumerate(self.ranked)}
-        self._ranked_index = [self._corner_index[corner] for corner in self.ranked]
         self.config = (
             replace(trust_config, seed=seed) if trust_config.seed != seed else trust_config
         )
@@ -286,10 +308,7 @@ class _ProgressiveMember:
         """Consume the metric block ``(n_corners, count, n_metrics)`` of the
         member's last request."""
         if self._state == "search":
-            # Reorder to the corner-major column layout of the stacked
-            # specification — for each sizing row, corner 0's metrics
-            # first, then corner 1's, and so on.
-            flat = block.transpose(1, 0, 2).reshape(self._pending_rows.shape[0], -1)
+            flat = self._stacked_metrics(block)
             with profiled(
                 "optimizer.tell",
                 seed=self.seed,
@@ -300,18 +319,8 @@ class _ProgressiveMember:
             self._pending_rows = None
             return
         # Verification of the phase winner across the full corner grid.
-        # One row per corner: judge every corner in a single call.
-        rows = block[:, 0, :]
-        verdicts = self._single_spec.satisfied(rows).tolist()
-        self.corner_reports = [
-            CornerReport(
-                condition=corner,
-                metrics=dict(zip(self.metric_names, values)),
-                satisfied=ok,
-            )
-            for corner, values, ok in zip(self.ranked, rows.tolist(), verdicts)
-        ]
-        failing = [corner for corner, ok in zip(self.ranked, verdicts) if not ok]
+        self.corner_reports = self._corner_reports(block[:, 0, :])
+        failing = [report.condition for report in self.corner_reports if not report.satisfied]
         if not failing:
             self.solved_all = True
             self.finished = True
@@ -355,7 +364,60 @@ class _ProgressiveMember:
         )
         self.optimizer = self._build_optimizer()
 
+    @staticmethod
+    def _stacked_metrics(block: np.ndarray) -> np.ndarray:
+        """A ``(n_corners, count, n_metrics)`` block in the corner-major
+        column layout of the stacked specification: for each sizing row,
+        corner 0's metrics first, then corner 1's, and so on."""
+        corners, count, n_metrics = block.shape
+        return block.transpose(1, 0, 2).reshape(count, corners * n_metrics)
+
+    def _corner_reports(self, rows: np.ndarray) -> List[CornerReport]:
+        """Judge the phase winner's ``(n_corners, n_metrics)`` metrics at
+        every ranked corner, in a single call."""
+        verdicts = self._single_spec.satisfied(rows).tolist()
+        return [
+            CornerReport(
+                condition=corner,
+                metrics=dict(zip(self.metric_names, values)),
+                satisfied=ok,
+            )
+            for corner, values, ok in zip(self.ranked, rows.tolist(), verdicts)
+        ]
+
     # -- checkpoint/resume ---------------------------------------------
+    def _histories(self) -> List[List[IterationRecord]]:
+        """Each phase's iteration history, in phase order."""
+        histories = [result.history for result in self.phase_results]
+        if len(histories) == self.phase:  # the current phase has no result yet
+            histories.append(self.optimizer.history)
+        return histories
+
+    def journal_frames(
+        self, index: int, journaled: Callable[[bytes], int]
+    ) -> List[Tuple[bytes, np.ndarray]]:
+        """The member frames a checkpoint appends for member ``index``.
+
+        Sizings and history records only ever grow, so each frame is the
+        tail past what the journal already holds under its tag
+        (``journaled``): the live phase optimizer's new sizings, and each
+        phase's new history records.  A finished member's optimizer is not
+        restored, so its sizings are not needed.
+        """
+        frames = []
+        if not self.finished:
+            tag = member_tag(index, self.phase, _SIZINGS, self.design_space.dimension)
+            sizings = self.optimizer.sizings
+            done = journaled(tag)
+            if sizings.shape[0] > done:
+                frames.append((tag, sizings[done:]))
+        for phase, history in enumerate(self._histories()):
+            tag = member_tag(index, phase, _HISTORY, _HISTORY_FIELDS)
+            done = journaled(tag)
+            if len(history) > done:
+                frames.append((tag, _history_array(history[done:])))
+        return frames
+
     def state_dict(self) -> Dict[str, object]:
         """Serialize the member at a round boundary.
 
@@ -365,7 +427,11 @@ class _ProgressiveMember:
         serializing mid-request is an error, not a silent wrong snapshot.
         Corners serialize as indices into the severity-ranked grid the
         member was built with, which the identity block of the campaign
-        snapshot pins.
+        snapshot pins.  Nothing that only grows is copied: the sizings and
+        histories are in the journal (:meth:`journal_frames`), where the
+        optimizer's ``rows`` and each ``history`` length are their
+        watermark, and the metrics and corner reports are rebuilt from the
+        cache on restore.
         """
         if self._pending_rows is not None:
             raise RuntimeError(
@@ -378,12 +444,6 @@ class _ProgressiveMember:
             "active": [corner_index[corner] for corner in self.active],
             "total_evaluations": self.total_evaluations,
             "phase_results": [result.state_dict() for result in self.phase_results],
-            # Reports are built in ``ranked`` order: look their corners up
-            # by position instead of hashing each one.
-            "corner_reports": [
-                (index, dict(report.metrics), report.satisfied)
-                for index, report in zip(self._ranked_index, self.corner_reports)
-            ],
             "solved_all": self.solved_all,
             "finished": self.finished,
             "state": self._state,
@@ -399,25 +459,71 @@ class _ProgressiveMember:
             "optimizer": None if self.finished else self.optimizer.state_dict(),
         }
 
-    def load_state_dict(self, state: Dict[str, object]) -> None:
+    def _journal_records(
+        self, journal: Dict[bytes, np.ndarray], tag: bytes, count: int, fields: int
+    ) -> np.ndarray:
+        """The records the journal holds under ``tag``; there must be ``count``."""
+        records = journal.get(tag, np.empty((0, fields)))
+        if records.shape[0] != count:
+            raise SnapshotError(
+                f"cache journal holds {records.shape[0]} records of seed "
+                f"{self.seed}'s frame {tag!r}, the snapshot expects {count}"
+            )
+        return records
+
+    def _phase_result(
+        self,
+        state: Dict[str, object],
+        phase: int,
+        history: List[IterationRecord],
+        cache: EvaluationCache,
+    ) -> SearchResult:
+        """Phase ``phase``'s result: its winner's metrics at the phase's
+        corners are cached, and named as its stacked specification names
+        them (what :meth:`SearchResult` got from the phase optimizer)."""
+        best_vector = state["best_vector"]
+        corners = self.active[: phase + 1]
+        metrics = self._stacked_metrics(cache.lookup(best_vector[np.newaxis, :], corners))[0]
+        names = _stacked_specification(self.specs, self.metric_names, corners).metric_names
+        return SearchResult.from_state(
+            state,
+            self.design_space.to_dict(best_vector),
+            {name: float(value) for name, value in zip(names, metrics)},
+            history,
+        )
+
+    def _journal_history(
+        self, journal: Dict[bytes, np.ndarray], index: int, phase: int, count: int
+    ) -> List[IterationRecord]:
+        tag = member_tag(index, phase, _HISTORY, _HISTORY_FIELDS)
+        return _history_records(self._journal_records(journal, tag, count, _HISTORY_FIELDS))
+
+    def load_state_dict(
+        self,
+        state: Dict[str, object],
+        index: int,
+        journal: Dict[bytes, np.ndarray],
+        cache: EvaluationCache,
+    ) -> None:
+        """Restore :meth:`state_dict` output as member ``index``.
+
+        ``journal`` holds the member frames of the restored checkpoint
+        journal (:meth:`EvaluationCache.restore_checkpoint`) and ``cache``
+        the restored pairs: the optimizer's metrics and the corner reports
+        are looked up there and stacked and judged by the code
+        :meth:`receive` runs, so they come back bit for bit.
+        """
         if state["seed"] != self.seed:
             raise ValueError(
                 f"member state is for seed {state['seed']}, this member is seed {self.seed}"
             )
         self.phase = state["phase"]
-        self.active = [self.ranked[index] for index in state["active"]]
+        self.active = [self.ranked[position] for position in state["active"]]
         self.total_evaluations = state["total_evaluations"]
-        self.phase_results = [
-            SearchResult.from_state(result) for result in state["phase_results"]
-        ]
-        self.corner_reports = [
-            CornerReport(
-                condition=self.ranked[index],
-                metrics=dict(metrics),
-                satisfied=satisfied,
-            )
-            for index, metrics, satisfied in state["corner_reports"]
-        ]
+        self.phase_results = []
+        for phase, result in enumerate(state["phase_results"]):
+            history = self._journal_history(journal, index, phase, result["history"])
+            self.phase_results.append(self._phase_result(result, phase, history, cache))
         self.solved_all = state["solved_all"]
         self.finished = state["finished"]
         self._state = state["state"]
@@ -437,12 +543,33 @@ class _ProgressiveMember:
         self.cache_hits, self.cache_misses, self.engine_calls, self.eval_seconds = state[
             "accounting"
         ]
-        if state["optimizer"] is not None:
+        # Every verification judges the winner of the latest phase result.
+        self.corner_reports = (
+            self._corner_reports(
+                cache.lookup(self.best_vector[np.newaxis, :], self.ranked)[:, 0, :]
+            )
+            if self.phase_results
+            else []
+        )
+        optimizer_state = state["optimizer"]
+        if optimizer_state is not None:
             # Rebuilt for the restored phase/warm-start first (the exact
             # construction the interrupted run performed), then the mutable
             # search state lands on top.
             self.optimizer = self._build_optimizer()
-            self.optimizer.load_state_dict(state["optimizer"])
+            dimension = self.design_space.dimension
+            sizings = self._journal_records(
+                journal,
+                member_tag(index, self.phase, _SIZINGS, dimension),
+                optimizer_state["rows"],
+                dimension,
+            )
+            self.optimizer.load_state_dict(
+                optimizer_state,
+                sizings,
+                self._stacked_metrics(cache.lookup(sizings, self.active)),
+                self._journal_history(journal, index, self.phase, optimizer_state["history"]),
+            )
 
     def build_result(self) -> ProgressiveResult:
         return ProgressiveResult(
@@ -706,7 +833,8 @@ class Campaign:
         }
 
     def load_state_dict(self, state: Dict[str, object], journal_path: str) -> None:
-        """Restore :meth:`state_dict` output; the cache replays ``journal_path``."""
+        """Restore :meth:`state_dict` output; the cache replays ``journal_path``,
+        whose member frames and pairs then restore the members."""
         identity = state["identity"]
         expected = self._identity()
         for field in expected:
@@ -716,10 +844,10 @@ class Campaign:
                     f"{identity.get(field)!r}, this campaign has {expected[field]!r}"
                 )
         self.rounds = state["rounds"]
-        self.refit_rounds, self.batched_kernel_calls = state.get("refit", (0, 0))
-        for member, member_state in zip(self._members, state["members"]):
-            member.load_state_dict(member_state)
-        self.cache.restore_checkpoint(state["cache"], journal_path)
+        self.refit_rounds, self.batched_kernel_calls = state["refit"]
+        journal = self.cache.restore_checkpoint(state["cache"], journal_path)
+        for index, (member, member_state) in enumerate(zip(self._members, state["members"])):
+            member.load_state_dict(member_state, index, journal, self.cache)
 
     def close(self) -> None:
         """Release the persistent cache store and checkpoint journal, if any."""
@@ -743,17 +871,26 @@ class Campaign:
 
     def _write_checkpoint(self, checkpoint_dir: str, keep_history: bool) -> None:
         fault_point(SITE_SNAPSHOT_WRITE)
-        # The journal is durable before any snapshot names its watermark.
-        self.cache.sync_journal()
+        cache = self.cache
+        # The journal — new cache pairs and every member's new sizings and
+        # history records — is durable before any snapshot names its
+        # watermark.
+        with profiled("campaign.checkpoint.journal", round=self.rounds):
+            cache.sync_journal([
+                frame
+                for index, member in enumerate(self._members)
+                for frame in member.journal_frames(index, cache.journaled)
+            ])
         fault_point(SITE_SNAPSHOT_JOURNAL)
         history = (
             (os.path.join(checkpoint_dir, f"round-{self.rounds:05d}.snapshot"),)
             if keep_history
             else ()
         )
-        save_snapshot(
-            os.path.join(checkpoint_dir, LATEST_SNAPSHOT), self.state_dict(), history
-        )
+        with profiled("campaign.checkpoint.snapshot", round=self.rounds):
+            save_snapshot(
+                os.path.join(checkpoint_dir, LATEST_SNAPSHOT), self.state_dict(), history
+            )
         event("resilience.checkpoint", round=self.rounds, dir=checkpoint_dir)
 
     def run(
@@ -769,22 +906,27 @@ class Campaign:
         ----------
         checkpoint_dir:
             When given, the campaign is checkpointed after each eligible
-            round: the cache pairs added since the previous checkpoint are
-            appended to ``<dir>/cache.journal`` and fsynced, then the rest
-            of the state is written (atomically) as
+            round.  What only grows goes to ``<dir>/cache.journal``, in
+            one write and one fsync: the cache pairs added since the
+            previous checkpoint, and each member's new sizing rows and
+            iteration-history records (member frames).  Then the small
+            mutable rest of the state is written (atomically) as
             ``<dir>/latest.snapshot``, referencing the journal by
             watermark.  Resuming from the same directory continues its
             journal; any other directory gets a new one.
         resume_from:
             A snapshot file, or a checkpoint directory whose
             ``latest.snapshot`` is used; the ``cache.journal`` next to the
-            snapshot supplies the cache content.  The campaign state is
-            restored before the first round; the continued run is
-            bit-identical to the uninterrupted one — trajectories, best
-            vectors, cache content *and* cache accounting (locked by the
-            determinism auditor's resume-parity mode and the resilience
-            drill).  A directory without a snapshot (the run died before
-            the first checkpoint) cold-starts.
+            snapshot supplies the cache content and the members' rows and
+            histories.  The members' metric rows, phase-result metrics and
+            corner reports are rebuilt from the restored cache.  The
+            campaign state is restored before the first round; the
+            continued run is bit-identical to the uninterrupted one —
+            trajectories, best vectors, cache content *and* cache
+            accounting (locked by the determinism auditor's resume-parity
+            mode and the resilience drill).  A directory without a
+            snapshot (the run died before the first checkpoint)
+            cold-starts.
         checkpoint_every:
             Snapshot cadence in rounds (default: every round).
         keep_history:

@@ -137,35 +137,40 @@ class SearchResult:
         }
 
     def state_dict(self) -> Dict[str, object]:
-        """Full-fidelity state tree (unlike the rounding-free but summary
-        :meth:`to_dict`) for campaign snapshots: plain builtins + arrays."""
+        """The fields a campaign snapshot keeps, at full fidelity (unlike
+        the summary :meth:`to_dict`): plain builtins and the best vector.
+
+        The rest is not copied: ``best_sizing`` is the best vector by name,
+        ``best_metrics`` are cached pairs and the history is journaled
+        (``history`` is its length).  :meth:`from_state` takes them back.
+        """
         return {
-            "best_sizing": dict(self.best_sizing),
             "best_vector": self.best_vector.copy(),
-            "best_metrics": dict(self.best_metrics),
             "best_score": self.best_score,
             "solved": self.solved,
             "evaluations": self.evaluations,
-            # Plain tuples, not dataclasses.astuple: that deep-copies every
-            # field, and a campaign snapshots every round.
-            "history": [
-                (r.evaluations, r.radius, r.best_score, r.improved, r.restarted)
-                for r in self.history
-            ],
+            "history": len(self.history),
             "refit_seconds": self.refit_seconds,
         }
 
     @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "SearchResult":
-        """Rebuild a result from :meth:`state_dict` output, bit for bit."""
+    def from_state(
+        cls,
+        state: Dict[str, object],
+        best_sizing: Dict[str, float],
+        best_metrics: Dict[str, float],
+        history: List[IterationRecord],
+    ) -> "SearchResult":
+        """Rebuild a result from :meth:`state_dict` output and the fields it
+        leaves out, bit for bit."""
         return cls(
-            best_sizing=dict(state["best_sizing"]),
+            best_sizing=best_sizing,
             best_vector=np.asarray(state["best_vector"], dtype=np.float64).copy(),
-            best_metrics=dict(state["best_metrics"]),
+            best_metrics=best_metrics,
             best_score=state["best_score"],
             solved=state["solved"],
             evaluations=state["evaluations"],
-            history=[IterationRecord(*record) for record in state["history"]],
+            history=history,
             refit_seconds=state["refit_seconds"],
         )
 
@@ -327,6 +332,17 @@ class DatasetOptimizer(Optimizer):
     def evaluations(self) -> int:
         return self._count
 
+    @property
+    def sizings(self) -> np.ndarray:
+        """The evaluated sizings in tell order: a view, valid until the next
+        ``tell``."""
+        return self._X[: self._count]
+
+    @property
+    def history(self) -> List[IterationRecord]:
+        """The iteration records so far (the list :meth:`result` returns)."""
+        return self._history
+
     def _ensure_capacity(self, extra: int) -> None:
         needed = self._count + extra
         if needed <= self._capacity:
@@ -467,25 +483,20 @@ class DatasetOptimizer(Optimizer):
 
     # -- checkpoint/resume ---------------------------------------------
     def state_dict(self) -> Dict[str, object]:
-        """Everything needed to resume this optimizer bit-identically.
+        """The mutable search state, without the dataset or the history.
 
-        The dataset is stored as the natural-unit rows and raw metrics
-        only: unit-cube rows, dedup keys, satisfaction scores and the
-        incumbent index are *recomputed* on restore through the exact same
-        elementwise code paths that produced them (``to_unit``,
-        ``Specification.score``, ``np.argmax``), so they come back bit for
-        bit without bloating the snapshot.
+        Both only ever grow, so a snapshot does not copy them: a
+        :class:`~repro.search.campaign.Campaign` journals the evaluated
+        rows (:attr:`sizings`) and the :attr:`history` and rebuilds the
+        metrics from its evaluation cache.  ``rows`` and ``history`` are
+        their lengths; :meth:`load_state_dict` takes the data back as
+        arguments.
         """
-        count = self._count
         return {
             "kind": type(self).__name__,
             "rng": self.rng.bit_generator.state,
-            "X": self._X[:count].copy(),
-            "M": self._M[:count].copy(),
-            "history": [
-                (r.evaluations, r.radius, r.best_score, r.improved, r.restarted)
-                for r in self._history
-            ],
+            "rows": self._count,
+            "history": len(self._history),
             "done": self._done,
             "refit_seconds": self.refit_seconds,
             "refit_count": self.refit_count,
@@ -496,17 +507,33 @@ class DatasetOptimizer(Optimizer):
             ),
         }
 
-    def load_state_dict(self, state: Dict[str, object]) -> None:
+    def load_state_dict(
+        self,
+        state: Dict[str, object],
+        rows: np.ndarray,
+        metrics: np.ndarray,
+        history: List[IterationRecord],
+    ) -> None:
         """Restore :meth:`state_dict` output into a freshly built optimizer.
 
         The optimizer must have been constructed with the same design
         space, specification and config as the one that produced the
-        state; only the mutable search state is restored here.
+        state.  ``rows`` and ``metrics`` are the dataset the state was
+        taken with, in tell order, and ``history`` its iteration records.
+        Unit-cube rows, dedup keys, satisfaction scores and the incumbent
+        index are *recomputed* through the exact same elementwise code
+        paths that produced them (``to_unit``, ``Specification.score``,
+        ``np.argmax``), so they come back bit for bit.
         """
         if state["kind"] != type(self).__name__:
             raise ValueError(
                 f"optimizer state is for {state['kind']!r}, "
                 f"this optimizer is {type(self).__name__!r}"
+            )
+        if len(rows) != state["rows"] or len(history) != state["history"]:
+            raise ValueError(
+                f"optimizer state has {state['rows']} rows and {state['history']} "
+                f"history records, got {len(rows)} and {len(history)}"
             )
         self.rng.bit_generator.state = state["rng"]
         initial = state["initial_points"]
@@ -522,16 +549,17 @@ class DatasetOptimizer(Optimizer):
         self._scores = np.empty(0)
         self._seen = set()
         self._best = -1
-        rows = np.asarray(state["X"], dtype=np.float64)
-        metrics = np.asarray(state["M"], dtype=np.float64)
-        if rows.shape[0]:
+        if len(rows):
             # One _append restores the derived buffers through the same
             # code (and the same argmax tie-breaking) that built them.
-            self._append(np.atleast_2d(rows), np.atleast_2d(metrics))
-        self._history = [IterationRecord(*record) for record in state["history"]]
+            self._append(
+                np.atleast_2d(np.asarray(rows, dtype=np.float64)),
+                np.atleast_2d(np.asarray(metrics, dtype=np.float64)),
+            )
+        self._history = list(history)
         self._done = state["done"]
         self.refit_seconds = state["refit_seconds"]
-        self.refit_count = int(state.get("refit_count", 0))
+        self.refit_count = state["refit_count"]
 
     def run(self) -> SearchResult:
         """Self-driving ask/tell loop over the optimizer's own evaluator."""
@@ -572,8 +600,14 @@ class RandomSearch(DatasetOptimizer):
         state["asked"] = self._asked
         return state
 
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        super().load_state_dict(state)
+    def load_state_dict(
+        self,
+        state: Dict[str, object],
+        rows: np.ndarray,
+        metrics: np.ndarray,
+        history: List[IterationRecord],
+    ) -> None:
+        super().load_state_dict(state, rows, metrics, history)
         self._asked = state["asked"]
 
     def ask(self) -> np.ndarray:
@@ -625,8 +659,14 @@ class CrossEntropySearch(DatasetOptimizer):
         state["std"] = self._std.copy() if self._std is not None else None
         return state
 
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        super().load_state_dict(state)
+    def load_state_dict(
+        self,
+        state: Dict[str, object],
+        rows: np.ndarray,
+        metrics: np.ndarray,
+        history: List[IterationRecord],
+    ) -> None:
+        super().load_state_dict(state, rows, metrics, history)
         self._asked = state["asked"]
         mean, std = state["mean"], state["std"]
         self._mean = mean.copy() if mean is not None else None

@@ -53,7 +53,7 @@ bit-identical to the autodiff reference (locked by ``tests/test_fused.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -366,20 +366,19 @@ class TrustRegionSearch(DatasetOptimizer):
             }
         return state
 
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        super().load_state_dict(state)
+    def load_state_dict(
+        self,
+        state: Dict[str, object],
+        rows: np.ndarray,
+        metrics: np.ndarray,
+        history: List[IterationRecord],
+    ) -> None:
+        super().load_state_dict(state, rows, metrics, history)
         self._seeded = state["seeded"]
         self._iterating = state["iterating"]
         self._radius = state["radius"]
-        # Snapshots written before stall restarts existed have no ``stall``
-        # block: no restart has happened, so the local incumbent is the
-        # global one and nothing is pending.
-        stall = state.get("stall") or {
-            "local": self._best,
-            "center": None,
-            "count": 0,
-            "pending": False,
-        }
+        self._full_refit_rows = state["full_refit_rows"]
+        stall = state["stall"]
         self._local = stall["local"]
         center = stall["center"]
         self._restart_center = (
@@ -388,12 +387,6 @@ class TrustRegionSearch(DatasetOptimizer):
         self._stall = stall["count"]
         self._restart_pending = stall["pending"]
         bundle = state["surrogate"]
-        # Snapshots written before closed-form refits existed have no
-        # ``full_refit_rows``: every tell then ran a full refit, so the last
-        # one saw the whole dataset if a surrogate exists at all.
-        self._full_refit_rows = state.get(
-            "full_refit_rows", self._count if bundle is not None else 0
-        )
         if bundle is None:
             self._surrogate = None
             self._optimizer = None

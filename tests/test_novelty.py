@@ -3,11 +3,12 @@
 The optimizers keep every evaluated row's byte key in a ``set`` and select
 candidates in one pass; the Campaign attributes a stacked pass's misses from
 the fresh rows the pass itself found; the cache resolves corner lookups once
-per call or tag; members serialize corner reports by position.  Each is
-locked here against the reference it replaced, held in this file: the
-``np.unique`` + ``np.isin`` void-view selection, the per-member
-``fresh_row_count`` peek, the per-(row, corner) warm lookup, the per-record
-store ingest and the dict-based member serializer.
+per call or tag; members serialize only state that does not grow, and a
+restore rebuilds their corner reports from the cache.  Each is locked here
+against a reference held in this file: the ``np.unique`` + ``np.isin``
+void-view selection, the per-member ``fresh_row_count`` peek, the
+per-(row, corner) warm lookup, the per-record store ingest and a plainly
+written member serializer.
 """
 
 import importlib
@@ -32,7 +33,9 @@ from repro.search import (
     TrustRegionConfig,
     get_optimizer,
 )
+from repro.resilience.store import MEMBER_FRAME, read_journal
 from repro.search.campaign import CACHE_JOURNAL, _ProgressiveMember
+from repro.search.progressive import ProgressiveConfig
 from repro.search.eval_cache import _corner_from_tag, _corner_tag
 
 OPTIMIZERS = ["random", "cross_entropy", "trust_region"]
@@ -100,6 +103,19 @@ def colliding_block(optimizer, rng):
     return block[rng.permutation(block.shape[0])]
 
 
+def checkpoint(optimizer):
+    """An optimizer snapshot plus the dataset and history a campaign keeps
+    beside it (journaled sizings, cached metrics): the ``load_state_dict``
+    arguments."""
+    count = optimizer.evaluations
+    return (
+        optimizer.state_dict(),
+        optimizer.sizings.copy(),
+        optimizer._M[:count].copy(),
+        list(optimizer.history),
+    )
+
+
 class TestDedupParity:
     """``_select_new`` picks the oracle's rows and keys, in its order."""
 
@@ -113,7 +129,7 @@ class TestDedupParity:
         for step in range(12):
             if step == 6:
                 optimizer.take_refit_job()  # a snapshot needs no refit queued
-                midway = optimizer.state_dict()
+                midway = checkpoint(optimizer)
             block = colliding_block(optimizer, rng)
             limit = self.LIMITS[step % len(self.LIMITS)]
             selected = optimizer._select_new(block, limit)
@@ -121,11 +137,11 @@ class TestDedupParity:
             rows = selected[0]
             if rows.shape[0]:
                 optimizer.tell(rows, toy_evaluator(rows))
-        assert midway["X"].shape[0] < optimizer.evaluations < 80
+        assert midway[1].shape[0] < optimizer.evaluations < 80
         # A snapshot stores rows only; the restored key set is rebuilt.
         optimizer.take_refit_job()
         restored = build_optimizer(name, seed=0, max_evaluations=80)
-        restored.load_state_dict(optimizer.state_dict())
+        restored.load_state_dict(*checkpoint(optimizer))
         assert restored._seen == optimizer._seen
         assert len(restored._seen) == restored.evaluations
         for step in range(6):
@@ -135,8 +151,8 @@ class TestDedupParity:
             assert_same_selection(restored._select_new(block, limit), expected)
             assert_same_selection(optimizer._select_new(block, limit), expected)
         # Rewinding a used optimizer drops the keys told after the snapshot.
-        restored.load_state_dict(midway)
-        assert restored._seen == set(row_keys(midway["X"]))
+        restored.load_state_dict(*midway)
+        assert restored._seen == set(row_keys(midway[1]))
         block = np.vstack([optimizer._X[: optimizer.evaluations], colliding_block(restored, rng)])
         assert_same_selection(restored._select_new(block), oracle_select(restored, block))
 
@@ -336,7 +352,9 @@ class TestCornerLookups:
 
 
 def reference_member_state_dict(self):
-    """The dict-based member serializer the positional one replaced."""
+    """The member serializer written out plainly, with a fresh corner ->
+    index dict: nothing that only grows, since sizings and histories are
+    journaled and metrics and corner reports come back from the cache."""
     if self._pending_rows is not None:
         raise RuntimeError(
             "member state_dict mid-request; snapshots happen at round boundaries"
@@ -348,10 +366,6 @@ def reference_member_state_dict(self):
         "active": [corner_index[corner] for corner in self.active],
         "total_evaluations": self.total_evaluations,
         "phase_results": [result.state_dict() for result in self.phase_results],
-        "corner_reports": [
-            (corner_index[report.condition], dict(report.metrics), report.satisfied)
-            for report in self.corner_reports
-        ],
         "solved_all": self.solved_all,
         "finished": self.finished,
         "state": self._state,
@@ -367,54 +381,100 @@ def reference_member_state_dict(self):
     }
 
 
+def frozen_clock(monkeypatch):
+    """Every timing field reads zero, so two runs write comparable bytes."""
+    tracer = importlib.import_module("repro.obs.tracer")
+    monkeypatch.setattr(tracer, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+
+
+def checkpoint_files(campaign, directory):
+    campaign.run(checkpoint_dir=str(directory), keep_history=True)
+    return {name: (directory / name).read_bytes() for name in sorted(os.listdir(directory))}
+
+
 class TestCheckpointBytes:
     @pytest.mark.parametrize("optimizer", ["cross_entropy", "trust_region"])
     def test_checkpoints_match_the_reference_serializer(
         self, tmp_path, monkeypatch, optimizer
     ):
-        # A frozen clock makes every timing field zero, so two runs write
-        # comparable bytes.
-        tracer = importlib.import_module("repro.obs.tracer")
-        monkeypatch.setattr(tracer, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+        frozen_clock(monkeypatch)
         case = next(case for case in get_suite("smoke") if case.topology == "telescopic")
         assert len(case.corners()) == 9
-
-        def checkpoint(directory):
-            campaign = case.build_campaign([0, 1], optimizer=optimizer)
-            campaign.run(checkpoint_dir=str(directory), keep_history=True)
-            return {name: (directory / name).read_bytes() for name in sorted(os.listdir(directory))}
-
-        written = checkpoint(tmp_path / "positional")
+        campaign = case.build_campaign([0, 1], optimizer=optimizer)
+        written = checkpoint_files(campaign, tmp_path / "member")
         monkeypatch.setattr(_ProgressiveMember, "state_dict", reference_member_state_dict)
-        expected = checkpoint(tmp_path / "reference")
+        expected = checkpoint_files(
+            case.build_campaign([0, 1], optimizer=optimizer), tmp_path / "reference"
+        )
         assert CACHE_JOURNAL in written and len(written) > 3
         assert written == expected
-        # The lock covers serialized reports, not just empty lists.
+        # The lock covers members past a verification, not just phase 0,
+        # and journals holding member frames.
         snapshots = [
-            load_snapshot(str(tmp_path / "positional" / name))
+            load_snapshot(str(tmp_path / "member" / name))
             for name in written
             if name.endswith(".snapshot")
         ]
         assert any(
-            member["corner_reports"] and not member["finished"]
+            member["phase_results"] and not member["finished"]
             for state in snapshots
             for member in state["members"]
         )
+        records = read_journal(
+            str(tmp_path / "member" / CACHE_JOURNAL),
+            campaign.cache._dimension,
+            campaign.cache.n_metrics,
+            tuple(snapshots[-1]["cache"]["journal"]),
+        )
+        assert any(tag[:1] == MEMBER_FRAME for tag, _, _ in records)
 
-    def test_a_repeated_corner_serializes_like_the_reference(self):
+    def test_a_repeated_corner_serializes_like_the_reference(self, tmp_path, monkeypatch):
+        frozen_clock(monkeypatch)
         grid = nine_corner_grid()[:3]
-        campaign = Campaign(
-            EvaluationHandle(toy_space(), ("a", "b"), lambda s, c: None),
-            [Spec("a", ">=", 10.0)],
-            corners=[grid[0], grid[1], grid[0], grid[2]],
-            seeds=[4],
-        )
-        member = campaign._members[0]
-        ranked = member.ranked
-        block = np.stack([toy_evaluator(np.full((1, 3), 0.5 + i)) for i in range(len(ranked))])
-        member._state = "verify"
-        member.receive(block)
-        assert len(member.corner_reports) == len(ranked) == 4
-        assert pickle.dumps(member.state_dict()) == pickle.dumps(
-            reference_member_state_dict(member)
-        )
+
+        def corner_evaluator(samples, corners):
+            # ``a >= 10`` holds at the hot corners only.
+            return np.stack(
+                [toy_evaluator(samples) + corner.temperature_c / 10 for corner in corners]
+            )
+
+        def build():
+            return Campaign(
+                EvaluationHandle(toy_space(), ("a", "b"), corner_evaluator),
+                [Spec("a", ">=", 10.0)],
+                corners=[grid[0], grid[1], grid[0], grid[2]],
+                config=ProgressiveConfig(
+                    optimizer="random",
+                    trust_region=TrustRegionConfig(
+                        initial_samples=8, batch_size=4, max_evaluations=24
+                    ),
+                ),
+                seeds=[4],
+            )
+
+        recorded = []
+        serializer = _ProgressiveMember.state_dict
+
+        def recording(member):
+            recorded.append(pickle.dumps(member.corner_reports))
+            return serializer(member)
+
+        oracle = build()
+        with monkeypatch.context() as patch:
+            patch.setattr(_ProgressiveMember, "state_dict", recording)
+            written = checkpoint_files(oracle, tmp_path / "member")
+        (member,) = oracle._members
+        assert len(member.ranked) == 4 and len(member.phase_results) > 1
+        with monkeypatch.context() as patch:
+            patch.setattr(_ProgressiveMember, "state_dict", reference_member_state_dict)
+            assert checkpoint_files(build(), tmp_path / "reference") == written
+        # Every round's corner reports come back from the cache bit for bit.
+        rounds = [name for name in written if name.startswith("round-")]
+        assert len(rounds) == len(recorded)
+        for name, reports in zip(rounds, recorded):
+            resumed = build()
+            resumed.load_state_dict(
+                load_snapshot(str(tmp_path / "member" / name)),
+                str(tmp_path / "member" / CACHE_JOURNAL),
+            )
+            assert pickle.dumps(resumed._members[0].corner_reports) == reports

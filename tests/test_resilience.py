@@ -30,9 +30,8 @@ from repro.resilience import (
 )
 from repro.resilience import snapshot as snapshot_module
 from repro.resilience.drill import drill_suite
-from repro.resilience.store import read_journal
-from repro.search.campaign import CACHE_JOURNAL, LATEST_SNAPSHOT
-from repro.search.optimizer import IterationRecord
+from repro.resilience.store import MEMBER_FRAME, member_tag, read_journal
+from repro.search.campaign import CACHE_JOURNAL, LATEST_SNAPSHOT, Campaign
 
 
 def _campaign_fingerprint(campaign, outcome, seeds):
@@ -252,6 +251,28 @@ class TestCacheJournalFile:
         with pytest.raises(SnapshotError, match=r"cache journal .* is shorter"):
             CacheJournal(path, self.DIM, self.METRICS, mark)
         assert os.path.getsize(path) == mark[1] - 1
+
+    def test_member_frames_ride_the_watermark_without_counting_pairs(self, tmp_path):
+        path = str(tmp_path / "cache.journal")
+        journal = CacheJournal(path, self.DIM, self.METRICS)
+        tag = member_tag(3, 1, b"x", self.DIM)
+        with pytest.raises(ValueError, match="member frame"):
+            journal.append_member(tag, np.zeros((2, self.DIM + 1)))
+        journal.append(b"tt", *self._block(1.0, 2.0))
+        journal.append_member(tag, np.arange(6.0).reshape(2, self.DIM))
+        mark = journal.sync()
+        journal.close()
+        assert mark[0] == 2 and os.path.getsize(path) == mark[1]
+        records = read_journal(path, self.DIM, self.METRICS, mark)
+        assert [(name, keys, rows.tolist()) for name, keys, rows in records][1:] == [
+            (tag, [], [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+        ]
+        # The running CRC covers member frames too.
+        with open(path, "r+b") as handle:
+            handle.seek(mark[1] - 8)
+            handle.write(b"\xff")
+        with pytest.raises(SnapshotError, match="CRC mismatch"):
+            read_journal(path, self.DIM, self.METRICS, mark)
 
     def test_journal_writes_never_reach_the_cache_append_site(self, tmp_path):
         journal = CacheJournal(str(tmp_path / "cache.journal"), self.DIM, self.METRICS)
@@ -564,13 +585,164 @@ class TestCheckpointJournal:
             campaign.state_dict()
 
 
+def _member_arrays(tree):
+    """Every NumPy array in a snapshot subtree."""
+    if isinstance(tree, np.ndarray):
+        return [tree]
+    if isinstance(tree, dict):
+        tree = list(tree.values())
+    if isinstance(tree, (list, tuple)):
+        return [array for item in tree for array in _member_arrays(item)]
+    return []
+
+
+def _derived_state(campaign):
+    """What a restore rebuilds rather than loads, per member, as bytes:
+    the live optimizer's sizings, metrics and history, every phase result
+    and the corner reports."""
+    members = []
+    for member in campaign._members:
+        optimizer = None
+        if not member.finished:
+            optimizer = (
+                member.optimizer.sizings.tobytes(),
+                member.optimizer._M[: member.optimizer.evaluations].tobytes(),
+                [astuple(record) for record in member.optimizer.history],
+            )
+        results = [
+            (
+                result.best_sizing,
+                result.best_metrics,
+                result.best_vector.tobytes(),
+                result.best_score,
+                result.solved,
+                result.evaluations,
+                [astuple(record) for record in result.history],
+            )
+            for result in member.phase_results
+        ]
+        members.append(pickle.dumps((optimizer, results, member.corner_reports)))
+    return members
+
+
+class TestMemberJournal:
+    """Member sizings and histories ride the checkpoint journal; metrics,
+    phase results and corner reports are rebuilt from the cache."""
+
+    SEEDS = [0, 1]
+
+    @staticmethod
+    def _case(optimizer):
+        return BenchCase("two_stage_opamp", "nominal", "full45", optimizer=optimizer)
+
+    @staticmethod
+    def _rounds(ckpt):
+        return sorted(name for name in os.listdir(ckpt) if name.startswith("round-"))
+
+    @pytest.mark.parametrize("optimizer", ["cross_entropy", "random"])
+    def test_resume_from_every_round(self, tmp_path, monkeypatch, optimizer):
+        case = self._case(optimizer)
+        ckpt = str(tmp_path / "ckpt")
+        recorded = []
+        serializer = Campaign.state_dict
+
+        def recording(campaign):
+            recorded.append(_derived_state(campaign))
+            return serializer(campaign)
+
+        oracle_campaign = case.build_campaign(self.SEEDS)
+        with monkeypatch.context() as patch:
+            patch.setattr(Campaign, "state_dict", recording)
+            outcome = oracle_campaign.run(checkpoint_dir=ckpt, keep_history=True)
+        oracle = _campaign_fingerprint(oracle_campaign, outcome, self.SEEDS)
+        names = self._rounds(ckpt)
+        assert len(names) == len(recorded) == oracle["rounds"]
+        # The rounds cover phase transitions and finished members.
+        states = [load_snapshot(os.path.join(ckpt, name)) for name in names]
+        members = [member for state in states for member in state["members"]]
+        assert any(member["phase"] > 0 and not member["finished"] for member in members)
+        assert any(member["finished"] for member in members)
+        for name, state, derived in zip(names, states, recorded):
+            restored = case.build_campaign(self.SEEDS)
+            restored.load_state_dict(state, os.path.join(ckpt, CACHE_JOURNAL))
+            assert _derived_state(restored) == derived, name
+            resumed = case.build_campaign(self.SEEDS)
+            outcome = resumed.run(resume_from=os.path.join(ckpt, name))
+            assert _campaign_fingerprint(resumed, outcome, self.SEEDS) == oracle, name
+
+    def test_snapshot_carries_no_member_rows(self, tmp_path):
+        ckpt = str(tmp_path / "ckpt")
+        # The random full45 campaign of test_snapshot_carries_no_cache_content:
+        # ~70 rounds, two phases, ~600 evaluated rows.
+        case = BenchCase("two_stage_opamp", "smoke", "full45", optimizer="random")
+        campaign = case.build_campaign([0])
+        campaign.run(checkpoint_dir=ckpt, keep_history=True)
+        batch = campaign.progressive.trust_region.batch_size
+        block_bytes = []
+        for name in self._rounds(ckpt):
+            (member,) = load_snapshot(os.path.join(ckpt, name))["members"]
+            for array in _member_arrays(member):
+                assert np.atleast_2d(array).shape[0] <= batch, name
+            block_bytes.append(len(pickle.dumps(member)))
+        assert campaign._members[0].total_evaluations > 10 * batch
+        assert block_bytes[-1] <= 3 * block_bytes[1]
+
+    def test_crash_after_the_journal_rewrites_the_same_member_frames(self, tmp_path):
+        case = self._case("cross_entropy")
+        oracle_dir, ckpt = str(tmp_path / "oracle"), str(tmp_path / "ckpt")
+        oracle_campaign = case.build_campaign(self.SEEDS)
+        oracle = _campaign_fingerprint(
+            oracle_campaign, oracle_campaign.run(checkpoint_dir=oracle_dir), self.SEEDS
+        )
+        campaign = case.build_campaign(self.SEEDS)
+        with pytest.raises(InjectedFault):
+            with inject(FaultPlan("snapshot.journal", occurrence=5)):
+                campaign.run(checkpoint_dir=ckpt)
+        campaign.close()
+        journal = os.path.join(ckpt, CACHE_JOURNAL)
+        mark = tuple(load_snapshot(os.path.join(ckpt, LATEST_SNAPSHOT))["cache"]["journal"])
+        dimension, n_metrics = campaign.cache._dimension, campaign.cache.n_metrics
+        # Round 5's member frames are durable past the round-4 watermark.
+        with open(journal, "rb") as handle:
+            tail = handle.read()[mark[1]:]
+        assert member_tag(0, 0, b"x", dimension) in tail
+        resumed = case.build_campaign(self.SEEDS)
+        outcome = resumed.run(checkpoint_dir=ckpt, resume_from=ckpt)
+        resumed.close()
+        assert outcome.resumed_from_round == 4
+        assert _campaign_fingerprint(resumed, outcome, self.SEEDS) == oracle
+        # The resumed run rewrote round 5's frames where the crash left
+        # them: the journal is the uninterrupted run's, byte for byte.
+        with open(journal, "rb") as resumed_journal:
+            with open(os.path.join(oracle_dir, CACHE_JOURNAL), "rb") as oracle_journal:
+                assert resumed_journal.read() == oracle_journal.read()
+        final = tuple(load_snapshot(os.path.join(ckpt, LATEST_SNAPSHOT))["cache"]["journal"])
+        records = read_journal(journal, dimension, n_metrics, final)
+        assert sum(len(keys) for _, keys, _ in records) == final[0] == len(resumed.cache)
+        assert any(tag[:1] == MEMBER_FRAME for tag, _, _ in records)
+
+    def test_v2_snapshot_refused(self, tmp_path, monkeypatch):
+        ckpt = str(tmp_path / "ckpt")
+        campaign = get_suite("drill")[0].build_campaign([0])
+        campaign.run(checkpoint_dir=ckpt)
+        latest = os.path.join(ckpt, LATEST_SNAPSHOT)
+        state = load_snapshot(latest)
+        with monkeypatch.context() as patch:
+            patch.setattr(snapshot_module, "SNAPSHOT_FORMAT", "repro.resilience/snapshot-v2")
+            save_snapshot(latest, state)
+        resumed = get_suite("drill")[0].build_campaign([0])
+        with pytest.raises(SnapshotError, match=r"snapshot-v2.*expected.*snapshot-v3"):
+            resumed.run(resume_from=ckpt)
+
+
 def _restart_pending(optimizer_state):
     return optimizer_state["stall"]["pending"]
 
 
 def _restart_done(optimizer_state):
-    history = [IterationRecord(*record) for record in optimizer_state["history"]]
-    return any(r.restarted for r in history) and not _restart_pending(optimizer_state)
+    # A restart sets the restart centre, and nothing clears it again.
+    stall = optimizer_state["stall"]
+    return stall["center"] is not None and not stall["pending"]
 
 
 class TestStallRestartResume:
@@ -614,23 +786,13 @@ def _between_full_refits(optimizer_state):
     """A closed-form refit ran after the last full refit."""
     return (
         optimizer_state["surrogate"] is not None
-        and optimizer_state["full_refit_rows"] < optimizer_state["X"].shape[0]
-    )
-
-
-def _after_full_refit(optimizer_state):
-    """A post-seed tell ran a full refit last."""
-    return (
-        optimizer_state["surrogate"] is not None
-        and len(optimizer_state["history"]) > 0
-        and optimizer_state["full_refit_rows"] == optimizer_state["X"].shape[0]
+        and optimizer_state["full_refit_rows"] < optimizer_state["rows"]
     )
 
 
 class TestRefitScheduleResume:
     """Resuming between a closed-form refit and the next full refit is
-    byte-identical, and so is a snapshot written before the schedule
-    existed."""
+    byte-identical."""
 
     CASE = BenchCase("two_stage_opamp", "nominal", "nine")
     SEEDS = [0, 1]
@@ -673,19 +835,6 @@ class TestRefitScheduleResume:
         ckpt, expected = oracle
         name, _ = self._first_snapshot(ckpt, _between_full_refits)
         assert self._resume(os.path.join(ckpt, name)) == expected
-
-    def test_snapshot_without_full_refit_rows_resumes(self, oracle):
-        """Before closed-form refits every tell refit fully, so a snapshot
-        without ``full_refit_rows`` reads as "last full refit at the
-        current row count"; taken right after a full refit, it resumes
-        exactly like the uninterrupted run."""
-        ckpt, expected = oracle
-        name, state = self._first_snapshot(ckpt, _after_full_refit)
-        for member in state["members"]:
-            del member["optimizer"]["full_refit_rows"]
-        path = os.path.join(ckpt, "without-full-refit-rows.snapshot")
-        save_snapshot(path, state)
-        assert self._resume(path) == expected
 
 
 class TestPersistentCampaignCache:

@@ -95,37 +95,6 @@ class TestRestartRule:
         assert scores == sorted(scores)  # the returned best never regresses
         assert result.best_score == max(search._scores[: search._count])
 
-    def test_snapshot_without_stall_block_resumes(self):
-        """A snapshot from before stall restarts existed still loads.
-
-        It has no ``stall`` block and four-field history records.  Taken
-        before the first restart with no stall counted yet, resuming it must
-        continue exactly like the uninterrupted run, restarts included.
-        """
-        oracle = make_search().run()
-        assert oracle.restarts > 0
-        # Stop just before the stalled window that leads to the first
-        # restart: the radius is at the floor and no stall is counted yet.
-        first = next(i for i, r in enumerate(oracle.history) if r.restarted)
-        search = make_search()
-        while len(search._history) < first - trust_region.STALL_PATIENCE:
-            rows = search.ask()
-            search.tell(rows, peak_evaluator(rows))
-        assert search._radius <= search.config.min_radius
-        assert search._stall == 0 and search._local == search._best
-        state = search.state_dict()
-        del state["stall"]
-        state["history"] = [record[:4] for record in state["history"]]
-        resumed = make_search()
-        resumed.load_state_dict(state)
-        result = resumed.run()
-        assert result.evaluations == oracle.evaluations
-        assert np.array_equal(result.best_vector, oracle.best_vector)
-        assert [astuple(r)[:4] for r in result.history] == [
-            astuple(r)[:4] for r in oracle.history
-        ]
-        assert result.restarts == oracle.restarts
-
 
 class TestNeverStalledSeedsKeepTheirTrajectories:
     def test_committed_smoke_records_at_seeds_0_to_2(self):
