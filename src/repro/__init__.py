@@ -6,7 +6,6 @@ pin_blas_threads()
 
 __all__ = [
     "analysis",
-    "autodiff",
     "bench",
     "blas",
     "circuits",

@@ -1,4 +1,4 @@
-"""Circuit substrate: device model, technology/PVT cards, netlists, MNA, topologies."""
+"""Circuit substrate: device model, technology/PVT cards, topologies."""
 
 from repro.circuits.devices import MOSFET, OperatingPoint
 from repro.circuits.process import (

@@ -10,8 +10,6 @@ everything the search stack needs from a workload:
   (the "SPICE" the surrogate approximates),
 * metric names binding the output columns to :class:`~repro.search.spec.Spec`
   constraints,
-* an optional equivalent small-signal netlist so
-  :mod:`repro.circuits.mna` can cross-check the closed-form poles numerically,
 * a ``default_specs()`` tier ladder (``smoke`` < ``nominal`` < ``stretch``)
   so benchmarks can dial difficulty without hand-tuning bounds per topology.
 
@@ -39,8 +37,6 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple, Type, Union
 import numpy as np
 
 from repro.analysis.contracts import ArraySpec, SeqLen, contract
-from repro.circuits.mna import MNASolver, logspace_frequencies, unity_gain_metrics
-from repro.circuits.netlist import Netlist
 from repro.circuits.process import TechnologyCard, get_technology
 from repro.circuits.pvt import NOMINAL, PVTCondition
 from repro.core.design_space import DesignSpace
@@ -157,10 +153,6 @@ class SizingProblem(ABC):
         experiment; ``stretch`` is allowed to need the progressive loop's
         full budget.
         """
-
-    def small_signal_netlist(self, sizing: SizingLike) -> Optional[Netlist]:
-        """Equivalent linear netlist for MNA cross-checking, if available."""
-        return None
 
     # -- shared machinery ----------------------------------------------
     @property
@@ -305,24 +297,6 @@ class SizingProblem(ABC):
         corner axis is present.  Corner-invariant columns (e.g. a slew rate
         set purely by sizing) broadcast up without recomputation."""
         return np.stack(np.broadcast_arrays(*columns), axis=-1)
-
-    def mna_metrics(
-        self,
-        sizing: SizingLike,
-        frequencies: Optional[np.ndarray] = None,
-        points: int = 800,
-    ) -> Dict[str, float]:
-        """Numerical gain/UGBW/phase-margin from an MNA sweep of the netlist."""
-        netlist = self.small_signal_netlist(sizing)
-        if netlist is None:
-            raise NotImplementedError(
-                f"topology {self.name!r} provides no small-signal netlist"
-            )
-        solver = MNASolver(netlist)
-        if frequencies is None:
-            frequencies = logspace_frequencies(1e0, 1e11, points)
-        result = solver.ac_sweep(frequencies)
-        return unity_gain_metrics(result, "out")
 
 
 # ----------------------------------------------------------------------

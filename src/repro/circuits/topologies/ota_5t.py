@@ -9,9 +9,10 @@ doublet as the only other feature::
 
 The M2 half of the input signal reaches the output directly while the M1
 half is relayed through the mirror; the mirror pole at ``gm3 / Cm`` therefore
-comes with a left-half-plane zero at exactly twice its frequency.  Both the
-closed-form metrics and the MNA netlist realise this same transfer function,
-so the cross-check agrees by construction.
+comes with a left-half-plane zero at exactly twice its frequency.  The
+closed-form metrics and the equivalent netlist the tests sweep with MNA
+realise this same transfer function, so the cross-check agrees by
+construction.
 
 Being a single-stage amplifier, the 5T OTA trades gain (no cascoding, no
 second stage) for simplicity — its spec ladder tops out around 40 dB, and
@@ -25,10 +26,8 @@ from typing import Dict, Tuple
 import numpy as np
 
 from repro.circuits.devices import parasitic_capacitances, saturation_from_current
-from repro.circuits.netlist import Netlist
 from repro.circuits.topologies.base import (
     AMPLIFIER_METRIC_NAMES,
-    SizingLike,
     SizingProblem,
     batch_evaluator_contract,
     register_topology,
@@ -155,32 +154,3 @@ class FiveTransistorOTA(SizingProblem):
                 Spec("slew_v_per_s", ">=", 80e6),
             ),
         }
-
-    # ------------------------------------------------------------------
-    def small_signal_netlist(self, sizing: SizingLike) -> Netlist:
-        """Equivalent linear netlist realising the doublet transfer function.
-
-        Node ``m`` is the mirror node; the M2 half-signal is injected
-        straight into ``out`` while the M1 half is relayed through the
-        mirror, which is what produces the pole/zero doublet.  Signs are
-        arranged so the ``in -> out`` transfer starts at 0 degrees and
-        :func:`repro.circuits.mna.unity_gain_metrics` applies directly.
-        """
-        vector = self.to_vector(sizing)
-        p = self._small_signal_parts(vector[np.newaxis, :])
-        gm1 = float(p["gm1"][0])
-        gm3 = float(p["gm3"][0])
-
-        netlist = Netlist(f"5T OTA @ {self.condition.name}")
-        netlist.add_voltage_source("in", "0", 1.0)
-        # Mirror node: diode-connected M3 (1/gm3) loaded by Cm, driven by
-        # the M1 half of the differential current.
-        netlist.add_vccs("m", "0", "in", "0", 0.5 * gm1)
-        netlist.add_resistor("m", "0", 1.0 / gm3)
-        netlist.add_capacitor("m", "0", float(p["cm"][0]))
-        # Output: mirror output M4 relays -v_m, M2 injects the other half.
-        netlist.add_vccs("out", "0", "m", "0", gm3)
-        netlist.add_vccs("0", "out", "in", "0", 0.5 * gm1)
-        netlist.add_resistor("out", "0", float(p["rout"][0]))
-        netlist.add_capacitor("out", "0", float(p["cout"][0]))
-        return netlist

@@ -22,10 +22,8 @@ from typing import Dict, Tuple
 import numpy as np
 
 from repro.circuits.devices import parasitic_capacitances, saturation_from_current
-from repro.circuits.netlist import Netlist
 from repro.circuits.topologies.base import (
     AMPLIFIER_METRIC_NAMES,
-    SizingLike,
     SizingProblem,
     batch_evaluator_contract,
     register_topology,
@@ -165,27 +163,3 @@ class TelescopicCascodeOTA(SizingProblem):
                 Spec("slew_v_per_s", ">=", 80e6),
             ),
         }
-
-    # ------------------------------------------------------------------
-    def small_signal_netlist(self, sizing: SizingLike) -> Netlist:
-        """Equivalent linear netlist: two cascaded first-order sections.
-
-        Node ``s`` is the NMOS cascode source (impedance ``1/gmc`` loaded by
-        ``Ccasc``); the cascode relays the current into the high-impedance
-        output.  Two inversions make the ``in -> out`` transfer start at 0
-        degrees.
-        """
-        vector = self.to_vector(sizing)
-        p = self._small_signal_parts(vector[np.newaxis, :])
-        gm1 = float(p["gm1"][0])
-        gmc = float(p["gmc"][0])
-
-        netlist = Netlist(f"telescopic cascode OTA @ {self.condition.name}")
-        netlist.add_voltage_source("in", "0", 1.0)
-        netlist.add_vccs("s", "0", "in", "0", gm1)
-        netlist.add_resistor("s", "0", 1.0 / gmc)
-        netlist.add_capacitor("s", "0", float(p["c_casc"][0]))
-        netlist.add_vccs("out", "0", "s", "0", gmc)
-        netlist.add_resistor("out", "0", float(p["rout"][0]))
-        netlist.add_capacitor("out", "0", float(p["cout"][0]))
-        return netlist

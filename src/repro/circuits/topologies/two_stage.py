@@ -6,16 +6,12 @@ common-source second stage (M6) with a PMOS current-source load (M7), Miller
 capacitor ``cc`` between the stage-1 and stage-2 outputs, and an external
 load ``CL``.
 
-Two evaluation paths are provided and kept consistent by construction:
-
-* :meth:`TwoStageOpAmp.evaluate_batch` — fully vectorized closed-form
-  metrics over a ``(count, dim)`` array of sizings in one NumPy pass.  This
-  is the hot path the Monte-Carlo/trust-region search hammers.
-* :meth:`TwoStageOpAmp.small_signal_netlist` — the equivalent linear
-  netlist, so :mod:`repro.circuits.mna` can cross-check the closed-form
-  poles/zero numerically.  Both paths derive device small-signal parameters
-  from the same :func:`repro.circuits.devices.saturation_from_current`
-  formulas, so they agree to the accuracy of the two-pole approximation.
+:meth:`TwoStageOpAmp.evaluate_batch` computes fully vectorized closed-form
+metrics over a ``(count, dim)`` array of sizings in one NumPy pass; it is
+the hot path the Monte-Carlo/trust-region search hammers.  The tests
+cross-check its poles/zero against an MNA sweep of the equivalent linear
+netlist built from the same small-signal parts, which agrees to the
+accuracy of the two-pole approximation.
 
 The closed-form transfer function of the compensated two-stage is the
 standard two-pole, one-RHP-zero result::
@@ -35,11 +31,9 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.circuits.devices import MOSFET, parasitic_capacitances, saturation_from_current
-from repro.circuits.netlist import Netlist
+from repro.circuits.devices import parasitic_capacitances, saturation_from_current
 from repro.circuits.topologies.base import (
     AMPLIFIER_METRIC_NAMES,
-    SizingLike,
     SizingProblem,
     batch_evaluator_contract,
     register_topology,
@@ -198,43 +192,3 @@ class TwoStageOpAmp(SizingProblem):
                 Spec("slew_v_per_s", ">=", 25e6),
             ),
         }
-
-    # ------------------------------------------------------------------
-    def small_signal_netlist(self, sizing: SizingLike) -> Netlist:
-        """Build the equivalent linear netlist for MNA cross-checking.
-
-        Nodes: ``in`` (AC stimulus), ``x`` (stage-1 output), ``out``.  Both
-        transconductance stages invert, so the ``in -> out`` transfer starts
-        at 0 degrees and :func:`unity_gain_metrics` applies directly.
-        """
-        vector = self.to_vector(sizing)
-        w1, w3, w6, l12, l6, ibias, i2, cc = vector
-        card = self.card
-        vds = 0.5 * card.vdd_nominal
-        temperature = self.condition.temperature_c
-
-        m2 = MOSFET("nmos", w1, l12, card)
-        m4 = MOSFET("pmos", w3, l12, card)
-        m6 = MOSFET("nmos", w6, l6, card)
-        m7 = MOSFET("pmos", w6, l6, card)
-        op2 = m2.bias_for_current(0.5 * ibias, vds, temperature)
-        op4 = m4.bias_for_current(0.5 * ibias, vds, temperature)
-        op6 = m6.bias_for_current(i2, vds, temperature)
-        op7 = m7.bias_for_current(i2, vds, temperature)
-
-        c1 = op2.cgd + op2.cdb + op4.cgd + op4.cdb + op6.cgs
-        c2 = self.load_cap + op6.cdb + op7.cdb + op7.cgd
-
-        netlist = Netlist(f"two-stage opamp @ {self.condition.name}")
-        netlist.add_voltage_source("in", "0", 1.0)
-        # Stage 1: inverting transconductance gm1 loaded by R1 || C1.
-        netlist.add_vccs("x", "0", "in", "0", op2.gm)
-        netlist.add_resistor("x", "0", 1.0 / (op2.gds + op4.gds))
-        netlist.add_capacitor("x", "0", c1)
-        # Stage 2: inverting transconductance gm6 loaded by R2 || C2.
-        netlist.add_vccs("out", "0", "x", "0", op6.gm)
-        netlist.add_resistor("out", "0", 1.0 / (op6.gds + op7.gds))
-        netlist.add_capacitor("out", "0", c2)
-        # Miller compensation couples the stages (pole splitting + RHP zero).
-        netlist.add_capacitor("x", "out", cc)
-        return netlist

@@ -1,4 +1,5 @@
-"""NumPy neural-network library used by the surrogate and the RL baselines."""
+"""The surrogate the trust-region search trains: a fused NumPy MLP, its Adam
+and the batched multi-seed refit, plus the z-score scaler of its targets."""
 
 from repro.nn.fused import (
     BatchedFusedAdam,
@@ -9,11 +10,7 @@ from repro.nn.fused import (
     fit_batched,
     fit_job_signature,
 )
-from repro.nn.losses import huber_loss, mae_loss, mse_loss
-from repro.nn.modules import MLP, Activation, Linear, Module, Sequential
-from repro.nn.optim import SGD, Adam, Optimizer, clip_grad_norm
-from repro.nn.scalers import MinMaxScaler, StandardScaler
-from repro.nn.training import TrainingHistory, iterate_minibatches, train_regressor
+from repro.nn.scalers import StandardScaler
 
 __all__ = [
     "BatchedFusedAdam",
@@ -23,21 +20,5 @@ __all__ = [
     "FusedMLP",
     "fit_batched",
     "fit_job_signature",
-    "MLP",
-    "Activation",
-    "Linear",
-    "Module",
-    "Sequential",
-    "SGD",
-    "Adam",
-    "Optimizer",
-    "clip_grad_norm",
-    "MinMaxScaler",
     "StandardScaler",
-    "TrainingHistory",
-    "iterate_minibatches",
-    "train_regressor",
-    "mse_loss",
-    "mae_loss",
-    "huber_loss",
 ]

@@ -1,41 +1,50 @@
-"""Fused pure-NumPy training backend for the surrogate MLP.
+"""The surrogate MLP the search trains, in pure NumPy.
 
-The autodiff path (:mod:`repro.autodiff`) builds a Python-object graph for
-every minibatch — hundreds of ``Tensor`` allocations, backward closures and a
-topological sort per step.  For the tiny fixed-architecture MLP the search
-refits every iteration (Algorithm 1, line 8) that bookkeeping *is* the cost:
-the smoke benchmark spends ~90% of its wall time inside ``train_regressor``.
-
-:class:`FusedMLP` removes it.  The forward pass, the hand-derived backward
-pass (Linear / tanh / relu / sigmoid stacks under an MSE loss) and a
+The paper's agent is a simple feed-forward network trained with supervised
+learning and refitted every iteration (Algorithm 1, line 8).
+:class:`FusedMLP` is that network with one fixed shape: tanh hidden layers,
+an identity output layer, Xavier-initialised weights and zero biases.  The
+forward pass, the hand-derived backward pass under an MSE loss and a
 flat-buffer :class:`FusedAdam` all operate on one concatenated ``float64``
 parameter vector, so a training step is a fixed, small sequence of NumPy
 calls with no per-op Python structures.
 
-Every floating-point expression below is written to match the autodiff
-engine's backward pass operation for operation (same order, same
-power-of-two factors), so the two backends produce **bit-identical** losses,
-gradients and post-Adam weights on the same minibatch stream.  That property
-is what keeps the autodiff engine a usable reference oracle for the search,
-and it is enforced by ``tests/test_fused.py``.
-
-Weights round-trip with the autodiff :class:`~repro.nn.modules.MLP` via
-:meth:`FusedMLP.from_module` / :meth:`FusedMLP.to_module`, and the
-``state_dict`` layout (``param_0`` = first weight, ``param_1`` = first bias,
-...) is interchangeable between the two classes.
+Every floating-point expression below is written to match a reverse-mode
+autodiff engine's backward pass operation for operation (same order, same
+power-of-two factors), so the two produce **bit-identical** losses,
+gradients and post-Adam weights on the same minibatch stream.  That
+reference engine lives with the tests (``tests/oracles``), and
+``tests/test_fused.py`` enforces the lock.  The ``state_dict`` layout
+(``param_0`` = first weight, ``param_1`` = first bias, ...) is the
+reference MLP's, so weights move between the two through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.contracts import ArraySpec, contract
-from repro.nn.modules import MLP, Activation, Linear
-from repro.nn.optim import bias_correction
 from repro.obs import span
+
+#: Adam's moment decay rates and denominator guard (Kingma & Ba, 2015),
+#: the defaults the surrogate has always trained with.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
+def bias_correction(beta: float, t: int) -> float:
+    """Adam's ``1 - beta**t`` debiasing denominator.
+
+    :class:`FusedAdam`, :class:`BatchedFusedAdam` and the reference Adam
+    the tests compare them against must compute this with the same Python
+    ``**`` on the integer step count; sharing the helper keeps their bits
+    from drifting apart.
+    """
+    return 1.0 - beta ** t
 
 
 def ridge_output_weights(features: np.ndarray, targets: np.ndarray, l2: float) -> np.ndarray:
@@ -57,10 +66,10 @@ def ridge_output_weights(features: np.ndarray, targets: np.ndarray, l2: float) -
 class FusedMLP:
     """An MLP whose parameters live in one flat ``float64`` buffer.
 
-    Accepts the same constructor arguments as :class:`repro.nn.modules.MLP`
-    and performs the same RNG draws, so ``FusedMLP(..., rng=g)`` and
-    ``MLP(..., rng=g2)`` with identically-seeded generators start from
-    bit-identical weights.
+    ``hidden`` gives the widths of the tanh hidden layers; the output layer
+    is linear.  Each layer's weights are drawn from ``rng`` in order,
+    ``rng.normal(0, sqrt(2 / (fan_in + fan_out)), (fan_in, fan_out))``
+    (Xavier), and its biases start at zero.
 
     Attributes
     ----------
@@ -74,53 +83,13 @@ class FusedMLP:
         in_features: int,
         hidden: Sequence[int],
         out_features: int,
-        activation: str = "tanh",
-        output_activation: str = "identity",
-        rng: Optional[np.random.Generator] = None,
-        init: str = "xavier",
+        rng: np.random.Generator,
     ) -> None:
-        # Delegate initialization to the reference module so the two classes
-        # can never drift on init schemes or RNG draw order.
-        template = MLP(
-            in_features,
-            hidden,
-            out_features,
-            activation=activation,
-            output_activation=output_activation,
-            rng=rng,
-            init=init,
-        )
-        self._adopt(template)
-
-    # ------------------------------------------------------------------
-    # Construction / module interop
-    # ------------------------------------------------------------------
-    def _adopt(self, module: MLP) -> None:
-        """Read architecture and weights out of an autodiff MLP."""
-        linears: List[Linear] = []
-        activations: List[str] = []
-        for layer in module.body.layers:
-            if isinstance(layer, Linear):
-                linears.append(layer)
-                activations.append("identity")
-            elif isinstance(layer, Activation):
-                if not linears:
-                    raise ValueError("activation before the first Linear layer")
-                activations[-1] = layer.name
-            else:
-                raise TypeError(
-                    f"FusedMLP only supports Linear/Activation stacks, got {type(layer).__name__}"
-                )
-        if not linears:
-            raise ValueError("module has no Linear layers")
-
-        self.in_features = module.in_features
-        self.out_features = module.out_features
-        self.hidden = module.hidden
-        self._activations: Tuple[str, ...] = tuple(activations)
-        self._shapes: List[Tuple[int, int]] = [
-            (layer.in_features, layer.out_features) for layer in linears
-        ]
+        self.in_features = in_features
+        self.out_features = out_features
+        self.hidden = tuple(hidden)
+        widths = (in_features, *self.hidden, out_features)
+        self._shapes: List[Tuple[int, int]] = list(zip(widths[:-1], widths[1:]))
 
         total = sum(i * o + o for i, o in self._shapes)
         self.theta = np.empty(total, dtype=np.float64)
@@ -139,49 +108,30 @@ class FusedMLP:
         self._grad_weights: List[np.ndarray] = []
         self._grad_biases: List[np.ndarray] = []
         offset = 0
-        for layer, (fan_in, fan_out) in zip(linears, self._shapes):
+        for fan_in, fan_out in self._shapes:
             w_slice = slice(offset, offset + fan_in * fan_out)
             offset += fan_in * fan_out
             b_slice = slice(offset, offset + fan_out)
             offset += fan_out
             weight = self.theta[w_slice].reshape(fan_in, fan_out)
-            bias = self.theta[b_slice]
-            weight[...] = layer.weight.data
-            bias[...] = layer.bias.data
+            weight[...] = rng.normal(
+                0.0, np.sqrt(2.0 / (fan_in + fan_out)), size=(fan_in, fan_out)
+            )
+            self.theta[b_slice] = 0.0
             self._weights.append(weight)
-            self._biases.append(bias)
+            self._biases.append(self.theta[b_slice])
             self._grad_weights.append(self._grad[w_slice].reshape(fan_in, fan_out))
             self._grad_biases.append(self._grad[b_slice])
 
-    @classmethod
-    def from_module(cls, module: MLP) -> "FusedMLP":
-        """Build a fused copy of an autodiff MLP (weights are copied)."""
-        fused = cls.__new__(cls)
-        fused._adopt(module)
-        return fused
-
-    def to_module(self, module: Optional[MLP] = None) -> MLP:
-        """Write the flat weights into an autodiff MLP (new one by default)."""
-        if module is None:
-            module = MLP(
-                self.in_features,
-                self.hidden,
-                self.out_features,
-                activation=self._activations[0] if len(self._activations) > 1 else "tanh",
-                output_activation=self._activations[-1],
-            )
-        module.load_state_dict(self.state_dict())
-        return module
-
     # ------------------------------------------------------------------
-    # Serialization (interchangeable with Module.state_dict)
+    # Serialization (the reference MLP's layout)
     # ------------------------------------------------------------------
     @property
     def num_parameters(self) -> int:
         return self.theta.size
 
     def state_dict(self) -> Dict[str, np.ndarray]:
-        """Parameter arrays in ``MLP.parameters()`` order (W0, b0, W1, ...)."""
+        """Parameter arrays in layer order (W0, b0, W1, ...)."""
         state: Dict[str, np.ndarray] = {}
         index = 0
         for weight, bias in zip(self._weights, self._biases):
@@ -210,19 +160,23 @@ class FusedMLP:
     # ------------------------------------------------------------------
     # Forward / fused backward
     # ------------------------------------------------------------------
+    def _hidden_features(self, x: np.ndarray) -> np.ndarray:
+        """The last hidden layer's tanh activations for raw inputs."""
+        h = x
+        for weight, bias in zip(self._weights[:-1], self._biases[:-1]):
+            h = np.tanh(h @ weight + bias)
+        return h
+
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Inference forward pass on raw arrays."""
         if not (isinstance(x, np.ndarray) and x.ndim == 2 and x.dtype == np.float64):
             x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        h = x
-        for weight, bias, act in zip(self._weights, self._biases, self._activations):
-            h = Activation.apply_numpy(act, h @ weight + bias)
-        return h
+        return self._hidden_features(x) @ self._weights[-1] + self._biases[-1]
 
     __call__ = predict
 
     def fit_output_layer(self, inputs: np.ndarray, targets: np.ndarray, l2: float) -> None:
-        """Refit the last Linear layer exactly, keeping the hidden features.
+        """Refit the output layer exactly, keeping the hidden features.
 
         One forward pass to the last hidden layer, then the ridge solve of
         :func:`ridge_output_weights`, written into the last weight and bias
@@ -230,43 +184,36 @@ class FusedMLP:
         optimizer's moments) untouched: the neural-linear refit of DNGO
         (Snoek et al., 2015).
         """
-        if self._activations[-1] != "identity":
-            raise ValueError("a closed-form output fit needs an identity output layer")
-        h = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-        for weight, bias, act in zip(self._weights[:-1], self._biases, self._activations):
-            h = Activation.apply_numpy(act, h @ weight + bias)
-        solution = ridge_output_weights(h, targets, l2)
+        features = self._hidden_features(np.atleast_2d(np.asarray(inputs, dtype=np.float64)))
+        solution = ridge_output_weights(features, targets, l2)
         self._weights[-1][...] = solution[:-1]
         self._biases[-1][...] = solution[-1]
 
     def _scratch_for(self, rows: int) -> tuple:
         """Reusable per-layer buffers for a given minibatch row count.
 
-        ``z``/``a`` hold pre-/post-activation values (aliased for identity
-        layers), ``g`` the backward gradients per layer, ``tmp`` activation-
-        derivative workspace (the last entry doubles as the squared-error
-        buffer).  Allocated once per distinct batch size, then reused.
+        ``out`` holds each layer's output (the tanh activations, computed in
+        place over the pre-activations, for hidden layers), ``g`` the
+        backward gradients per layer and ``tmp`` the tanh-derivative
+        workspace (the last entry doubles as the squared-error buffer).
+        Allocated once per distinct batch size, then reused.
         """
         cached = self._scratch.get(rows)
         if cached is None:
-            z_buffers, a_buffers, g_buffers, tmp_buffers = [], [], [], []
             # The allocations below run once per distinct batch size and are
             # what keeps loss_and_grad itself allocation-free.
-            for (_, fan_out), act in zip(self._shapes, self._activations):
-                z = np.empty((rows, fan_out))  # analysis: allow(hot-loop-alloc)
-                z_buffers.append(z)
+            cached = tuple(
                 # analysis: allow(hot-loop-alloc) one-time scratch
-                a_buffers.append(z if act == "identity" else np.empty((rows, fan_out)))
-                g_buffers.append(np.empty((rows, fan_out)))  # analysis: allow(hot-loop-alloc)
-                tmp_buffers.append(np.empty((rows, fan_out)))  # analysis: allow(hot-loop-alloc)
-            cached = (z_buffers, a_buffers, g_buffers, tmp_buffers)
+                [np.empty((rows, fan_out)) for _, fan_out in self._shapes]
+                for _ in range(3)
+            )
             self._scratch[rows] = cached
         return cached
 
     def loss_and_grad(self, inputs: np.ndarray, targets: np.ndarray) -> Tuple[float, np.ndarray]:
         """One fused MSE step: scalar loss plus the flat gradient vector.
 
-        The expressions mirror the autodiff chain for
+        The expressions mirror the reference autodiff chain for
         ``mse_loss(model(Tensor(x)), Tensor(y)).backward()`` term by term:
         the mean splits into ``sum * (1/size)``, the squared difference
         contributes its gradient twice (``g + g`` rather than ``2*g`` — the
@@ -284,34 +231,22 @@ class FusedMLP:
         if not (isinstance(targets, np.ndarray) and targets.ndim == 2
                 and targets.dtype == np.float64):
             targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-        weights, biases, activations = self._weights, self._biases, self._activations
+        weights, biases = self._weights, self._biases
         last = len(weights) - 1
         if targets.shape != (inputs.shape[0], weights[last].shape[1]):
             raise ValueError(
                 f"targets shape {targets.shape} does not match "
                 f"({inputs.shape[0]}, {weights[last].shape[1]})"
             )
-        z_buffers, a_buffers, g_buffers, tmp_buffers = self._scratch_for(inputs.shape[0])
+        out_buffers, g_buffers, tmp_buffers = self._scratch_for(inputs.shape[0])
 
-        # Forward, caching pre- and post-activation values per layer.
+        # Forward, keeping every layer's output for the backward pass.
         h = inputs
         for index in range(last + 1):
-            z = z_buffers[index]
-            np.matmul(h, weights[index], out=z)
-            np.add(z, biases[index], out=z)
-            act = activations[index]
-            if act == "tanh":
-                h = np.tanh(z, out=a_buffers[index])
-            elif act == "relu":
-                h = np.maximum(z, 0.0, out=a_buffers[index])
-            elif act == "sigmoid":
-                a = a_buffers[index]
-                np.negative(z, out=a)
-                np.exp(a, out=a)
-                np.add(a, 1.0, out=a)
-                h = np.divide(1.0, a, out=a)
-            else:
-                h = z
+            h = np.matmul(h, weights[index], out=out_buffers[index])
+            np.add(h, biases[index], out=h)
+            if index < last:
+                np.tanh(h, out=h)
         prediction = h
 
         # Loss and its gradient seed.
@@ -326,20 +261,12 @@ class FusedMLP:
 
         # Backward through the stack, writing straight into the flat grad.
         for index in range(last, -1, -1):
-            act = activations[index]
-            if act == "tanh":
-                a, tmp = a_buffers[index], tmp_buffers[index]
+            if index < last:
+                a, tmp = out_buffers[index], tmp_buffers[index]
                 np.multiply(a, a, out=tmp)
                 np.subtract(1.0, tmp, out=tmp)
                 np.multiply(grad_out, tmp, out=grad_out)
-            elif act == "relu":
-                np.multiply(grad_out, z_buffers[index] > 0.0, out=grad_out)
-            elif act == "sigmoid":
-                a, tmp = a_buffers[index], tmp_buffers[index]
-                np.multiply(grad_out, a, out=grad_out)
-                np.subtract(1.0, a, out=tmp)
-                np.multiply(grad_out, tmp, out=grad_out)
-            h = inputs if index == 0 else a_buffers[index - 1]
+            h = inputs if index == 0 else out_buffers[index - 1]
             np.matmul(h.T, grad_out, out=self._grad_weights[index])
             np.add.reduce(grad_out, axis=0, out=self._grad_biases[index])
             if index > 0:
@@ -362,11 +289,11 @@ class FusedMLP:
     ) -> List[float]:
         """Tight minibatch-Adam loop; returns the per-epoch mean losses.
 
-        Matches :func:`repro.nn.training.iterate_minibatches` semantics and
-        RNG consumption exactly (one permutation drawn per epoch, batches
-        taken in permuted order), but gathers each epoch's shuffle once and
-        hands contiguous slices to :meth:`loss_and_grad` — the same bits at
-        a fraction of the per-batch Python overhead.
+        Draws one permutation per epoch from ``rng`` and takes the batches
+        in permuted order, the RNG use of the reference training loop, but
+        gathers each epoch's shuffle once and hands contiguous slices to
+        :meth:`loss_and_grad` — the same bits at a fraction of the
+        per-batch Python overhead.
         """
         count = inputs.shape[0]
         loss_and_grad = self.loss_and_grad
@@ -395,26 +322,17 @@ class FusedMLP:
 class FusedAdam:
     """Adam over one flat parameter vector.
 
-    Performs the same elementwise update sequence as
-    :class:`repro.nn.optim.Adam` (same ``m``/``v`` recurrences, same bias
-    correction, same epsilon placement), just on the concatenated buffer —
-    so its steps are bit-identical to the per-parameter optimizer's.
+    Performs the same elementwise update sequence as a per-parameter Adam
+    with :data:`BETA1`, :data:`BETA2` and :data:`EPS` (same ``m``/``v``
+    recurrences, same bias correction, same epsilon placement), just on the
+    concatenated buffer — so its steps are bit-identical to the reference
+    optimizer's.
     """
 
-    def __init__(
-        self,
-        model: FusedMLP,
-        lr: float = 1e-3,
-        betas: Tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ) -> None:
+    def __init__(self, model: FusedMLP, lr: float = 1e-3) -> None:
         self.model = model
         self.theta = model.theta
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self._m = np.zeros_like(self.theta)
         self._v = np.zeros_like(self.theta)
         # Scratch buffers so a step performs zero heap allocations; every
@@ -445,27 +363,24 @@ class FusedAdam:
         if grad.shape != self.theta.shape:
             raise ValueError(f"gradient shape {grad.shape} vs theta {self.theta.shape}")
         self._t += 1
-        if self.weight_decay:
-            grad = grad + self.weight_decay * self.theta
         m, v, s1, s2 = self._m, self._v, self._s1, self._s2
         # m = beta1*m + (1-beta1)*grad
-        np.multiply(m, self.beta1, out=m)
-        np.multiply(grad, 1.0 - self.beta1, out=s1)
+        np.multiply(m, BETA1, out=m)
+        np.multiply(grad, 1.0 - BETA1, out=s1)
         np.add(m, s1, out=m)
         # v = beta2*v + (1-beta2)*grad^2
-        np.multiply(v, self.beta2, out=v)
+        np.multiply(v, BETA2, out=v)
         np.multiply(grad, grad, out=s1)
-        np.multiply(s1, 1.0 - self.beta2, out=s1)
+        np.multiply(s1, 1.0 - BETA2, out=s1)
         np.add(v, s1, out=v)
         # theta -= lr * m_hat / (sqrt(v_hat) + eps)
-        np.divide(m, bias_correction(self.beta1, self._t), out=s1)
-        np.divide(v, bias_correction(self.beta2, self._t), out=s2)
+        np.divide(m, bias_correction(BETA1, self._t), out=s1)
+        np.divide(v, bias_correction(BETA2, self._t), out=s2)
         np.sqrt(s2, out=s2)
-        np.add(s2, self.eps, out=s2)
+        np.add(s2, EPS, out=s2)
         np.multiply(s1, self.lr, out=s1)
         np.divide(s1, s2, out=s1)
         np.subtract(self.theta, s1, out=self.theta)
-
 
 
 class BatchedFusedMLP:
@@ -501,7 +416,6 @@ class BatchedFusedMLP:
         self.in_features = template.in_features
         self.out_features = template.out_features
         self.hidden = template.hidden
-        self._activations = template._activations
         self._shapes = list(template._shapes)
         total = template.num_parameters
         self.theta = np.empty((n_seeds, total), dtype=np.float64)
@@ -533,7 +447,7 @@ class BatchedFusedMLP:
         if len(models) != self.n_seeds:
             raise ValueError(f"expected {self.n_seeds} models, got {len(models)}")
         for index, model in enumerate(models):
-            if model._shapes != self._shapes or model._activations != self._activations:
+            if model._shapes != self._shapes:
                 raise ValueError(f"model {index} architecture does not match the template")
             self.theta[index] = model.theta
 
@@ -552,21 +466,11 @@ class BatchedFusedMLP:
         """
         cached = self._scratch.get(rows)
         if cached is None:
-            z_buffers, a_buffers, g_buffers, tmp_buffers = [], [], [], []
-            for (_, fan_out), act in zip(self._shapes, self._activations):
+            cached = tuple(
                 # analysis: allow(hot-loop-alloc) one-time scratch per row count
-                z = np.empty((self.n_seeds, rows, fan_out))
-                z_buffers.append(z)
-                if act == "identity":
-                    a_buffers.append(z)
-                else:
-                    # analysis: allow(hot-loop-alloc) one-time scratch
-                    a_buffers.append(np.empty((self.n_seeds, rows, fan_out)))
-                # analysis: allow(hot-loop-alloc) one-time scratch
-                g_buffers.append(np.empty((self.n_seeds, rows, fan_out)))
-                # analysis: allow(hot-loop-alloc) one-time scratch
-                tmp_buffers.append(np.empty((self.n_seeds, rows, fan_out)))
-            cached = (z_buffers, a_buffers, g_buffers, tmp_buffers)
+                [np.empty((self.n_seeds, rows, fan_out)) for _, fan_out in self._shapes]
+                for _ in range(3)
+            )
             self._scratch[rows] = cached
         return cached
 
@@ -584,7 +488,6 @@ class BatchedFusedMLP:
         """
         rows = inputs.shape[1]
         weights, biases = self._weights, self._biases
-        activations = self._activations
         last = len(weights) - 1
         if inputs.shape[0] != self.n_seeds or targets.shape != (
             self.n_seeds, rows, self._shapes[last][1]
@@ -593,27 +496,15 @@ class BatchedFusedMLP:
                 f"batched step expects inputs ({self.n_seeds}, rows, in) and "
                 f"matching targets, got {inputs.shape} / {targets.shape}"
             )
-        z_buffers, a_buffers, g_buffers, tmp_buffers = self._scratch_for(rows)
+        out_buffers, g_buffers, tmp_buffers = self._scratch_for(rows)
 
-        # Forward, caching pre- and post-activation values per layer.
+        # Forward, keeping every layer's output for the backward pass.
         h = inputs
         for index in range(last + 1):
-            z = z_buffers[index]
-            np.matmul(h, weights[index], out=z)
-            np.add(z, biases[index][:, None, :], out=z)
-            act = activations[index]
-            if act == "tanh":
-                h = np.tanh(z, out=a_buffers[index])
-            elif act == "relu":
-                h = np.maximum(z, 0.0, out=a_buffers[index])
-            elif act == "sigmoid":
-                a = a_buffers[index]
-                np.negative(z, out=a)
-                np.exp(a, out=a)
-                np.add(a, 1.0, out=a)
-                h = np.divide(1.0, a, out=a)
-            else:
-                h = z
+            h = np.matmul(h, weights[index], out=out_buffers[index])
+            np.add(h, biases[index][:, None, :], out=h)
+            if index < last:
+                np.tanh(h, out=h)
         prediction = h
 
         # Loss and its gradient seed.  The per-seed mean divides by one
@@ -632,20 +523,12 @@ class BatchedFusedMLP:
 
         # Backward through the stack, writing straight into the flat grads.
         for index in range(last, -1, -1):
-            act = activations[index]
-            if act == "tanh":
-                a, tmp = a_buffers[index], tmp_buffers[index]
+            if index < last:
+                a, tmp = out_buffers[index], tmp_buffers[index]
                 np.multiply(a, a, out=tmp)
                 np.subtract(1.0, tmp, out=tmp)
                 np.multiply(grad_out, tmp, out=grad_out)
-            elif act == "relu":
-                np.multiply(grad_out, z_buffers[index] > 0.0, out=grad_out)
-            elif act == "sigmoid":
-                a, tmp = a_buffers[index], tmp_buffers[index]
-                np.multiply(grad_out, a, out=grad_out)
-                np.subtract(1.0, a, out=tmp)
-                np.multiply(grad_out, tmp, out=grad_out)
-            h = inputs if index == 0 else a_buffers[index - 1]
+            h = inputs if index == 0 else out_buffers[index - 1]
             np.matmul(h.transpose(0, 2, 1), grad_out, out=self._grad_weights[index])
             np.add.reduce(grad_out, axis=1, out=self._grad_biases[index])
             if index > 0:
@@ -671,24 +554,14 @@ class BatchedFusedAdam:
     seed axis.  Each seed keeps its own integer step count (seeds may
     arrive mid-training with different histories), and the bias corrections
     are computed with the same Python ``**`` on that count
-    (:func:`repro.nn.optim.bias_correction`) before broadcasting, so every
+    (:func:`bias_correction`) before broadcasting, so every
     seed's update is bit-identical to its solo :class:`FusedAdam` one.
     """
 
-    def __init__(
-        self,
-        model: BatchedFusedMLP,
-        lr: float = 1e-3,
-        betas: Tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ) -> None:
+    def __init__(self, model: BatchedFusedMLP, lr: float = 1e-3) -> None:
         self.model = model
         self.theta = model.theta
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self._m = np.zeros_like(self.theta)
         self._v = np.zeros_like(self.theta)
         self._s1 = np.empty_like(self.theta)
@@ -724,29 +597,27 @@ class BatchedFusedAdam:
         """Apply one Adam update across all seeds for the stacked gradient."""
         if grad.shape != self.theta.shape:
             raise ValueError(f"gradient shape {grad.shape} vs theta {self.theta.shape}")
-        if self.weight_decay:
-            grad = grad + self.weight_decay * self.theta
         m, v, s1, s2 = self._m, self._v, self._s1, self._s2
         bc1, bc2 = self._bc1, self._bc2
         for index in range(self.model.n_seeds):
             step_count = self._t[index] + 1
             self._t[index] = step_count
-            bc1[index, 0] = bias_correction(self.beta1, step_count)
-            bc2[index, 0] = bias_correction(self.beta2, step_count)
+            bc1[index, 0] = bias_correction(BETA1, step_count)
+            bc2[index, 0] = bias_correction(BETA2, step_count)
         # m = beta1*m + (1-beta1)*grad
-        np.multiply(m, self.beta1, out=m)
-        np.multiply(grad, 1.0 - self.beta1, out=s1)
+        np.multiply(m, BETA1, out=m)
+        np.multiply(grad, 1.0 - BETA1, out=s1)
         np.add(m, s1, out=m)
         # v = beta2*v + (1-beta2)*grad^2
-        np.multiply(v, self.beta2, out=v)
+        np.multiply(v, BETA2, out=v)
         np.multiply(grad, grad, out=s1)
-        np.multiply(s1, 1.0 - self.beta2, out=s1)
+        np.multiply(s1, 1.0 - BETA2, out=s1)
         np.add(v, s1, out=v)
         # theta -= lr * m_hat / (sqrt(v_hat) + eps), per-seed bias terms
         np.divide(m, bc1, out=s1)
         np.divide(v, bc2, out=s2)
         np.sqrt(s2, out=s2)
-        np.add(s2, self.eps, out=s2)
+        np.add(s2, EPS, out=s2)
         np.multiply(s1, self.lr, out=s1)
         np.divide(s1, s2, out=s1)
         np.subtract(self.theta, s1, out=self.theta)
@@ -773,7 +644,7 @@ def fit_job_signature(job: FusedFitJob) -> tuple:
     """Grouping key for jobs that may share one batched kernel dispatch.
 
     Jobs in one :func:`fit_batched` call must agree on architecture and
-    Adam hyper-parameters; dataset geometry may differ (``fit_batched``
+    learning rate; dataset geometry may differ (``fit_batched``
     buckets by it internally).  Callers bucket by this key first.
     """
     model, adam = job.model, job.adam
@@ -781,12 +652,7 @@ def fit_job_signature(job: FusedFitJob) -> tuple:
         model.in_features,
         tuple(model.hidden),
         model.out_features,
-        model._activations,
         adam.lr,
-        adam.beta1,
-        adam.beta2,
-        adam.eps,
-        adam.weight_decay,
     )
 
 
@@ -805,13 +671,7 @@ def _fit_bucket(jobs: List[FusedFitJob], inputs_list: List[np.ndarray],
     epochs, batch_size = jobs[0].epochs, jobs[0].batch_size
     batched = BatchedFusedMLP(jobs[0].model, n)
     batched.gather([job.model for job in jobs])
-    adam = BatchedFusedAdam(
-        batched,
-        lr=jobs[0].adam.lr,
-        betas=(jobs[0].adam.beta1, jobs[0].adam.beta2),
-        eps=jobs[0].adam.eps,
-        weight_decay=jobs[0].adam.weight_decay,
-    )
+    adam = BatchedFusedAdam(batched, lr=jobs[0].adam.lr)
     adam.gather([job.adam for job in jobs])
 
     shuf_x = np.empty((n, count, batched.in_features))
@@ -844,7 +704,7 @@ def _fit_bucket(jobs: List[FusedFitJob], inputs_list: List[np.ndarray],
 def fit_batched(jobs: Sequence[FusedFitJob]) -> List[List[float]]:
     """Train every job's model through stacked kernels; bit-identical bits.
 
-    Jobs must share one architecture and Adam hyper-parameters
+    Jobs must share one architecture and learning rate
     (:func:`fit_job_signature`); within that, they are bucketed by dataset
     geometry — ``(rows, batch_size, epochs)`` — and each bucket trains in
     lockstep through one :class:`BatchedFusedMLP`/:class:`BatchedFusedAdam`
@@ -864,15 +724,15 @@ def fit_batched(jobs: Sequence[FusedFitJob]) -> List[List[float]]:
     for job in jobs[1:]:
         if fit_job_signature(job) != reference:
             raise ValueError(
-                "fit_batched needs jobs sharing one architecture and Adam "
-                "hyper-parameters; bucket by fit_job_signature first"
+                "fit_batched needs jobs sharing one architecture and learning "
+                "rate; bucket by fit_job_signature first"
             )
 
     inputs_list: List[np.ndarray] = []
     targets_list: List[np.ndarray] = []
     for job in jobs:
-        # Cold per-dispatch coercion, mirroring train_regressor's (a no-op
-        # for the float64 2-D views the search hands over).
+        # Cold per-dispatch coercion (a no-op for the float64 2-D views the
+        # search hands over).
         # analysis: allow(hot-loop-alloc)
         inputs = np.atleast_2d(np.asarray(job.inputs, dtype=np.float64))
         # analysis: allow(hot-loop-alloc)

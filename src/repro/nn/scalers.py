@@ -1,11 +1,11 @@
-"""Feature scaling helpers.
+"""Feature scaling for the surrogate's targets.
 
 The surrogate network is trained on the fly from a handful of SPICE samples,
-so robust input/output normalisation matters much more than architecture.
-Two scalers are provided: a standard (z-score) scaler and a min-max scaler.
-Both tolerate degenerate (constant) columns, and both validate the feature
-dimension on every transform — NumPy broadcasting would otherwise happily
-"normalise" an array with the wrong column count into garbage.
+so robust output normalisation matters much more than architecture.  The
+z-score scaler below tolerates degenerate (constant) columns and validates
+the feature dimension on every transform — NumPy broadcasting would
+otherwise happily "normalise" an array with the wrong column count into
+garbage.
 """
 
 from __future__ import annotations
@@ -53,32 +53,3 @@ class StandardScaler:
         if self.mean_ is None or self.std_ is None:
             raise RuntimeError("scaler must be fitted before inverse_transform")
         return _validated_2d(data, len(self.mean_), "inverse_transform") * self.std_ + self.mean_
-
-
-class MinMaxScaler:
-    """Scale each column into [0, 1] with constant-column protection."""
-
-    def __init__(self) -> None:
-        self.low_: Optional[np.ndarray] = None
-        self.span_: Optional[np.ndarray] = None
-
-    def fit(self, data: np.ndarray) -> "MinMaxScaler":
-        data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-        self.low_ = data.min(axis=0)
-        span = data.max(axis=0) - self.low_
-        span[span < 1e-12] = 1.0
-        self.span_ = span
-        return self
-
-    def transform(self, data: np.ndarray) -> np.ndarray:
-        if self.low_ is None or self.span_ is None:
-            raise RuntimeError("scaler must be fitted before transform")
-        return (_validated_2d(data, len(self.low_), "transform") - self.low_) / self.span_
-
-    def fit_transform(self, data: np.ndarray) -> np.ndarray:
-        return self.fit(data).transform(data)
-
-    def inverse_transform(self, data: np.ndarray) -> np.ndarray:
-        if self.low_ is None or self.span_ is None:
-            raise RuntimeError("scaler must be fitted before inverse_transform")
-        return _validated_2d(data, len(self.low_), "inverse_transform") * self.span_ + self.low_

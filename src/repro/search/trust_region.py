@@ -45,9 +45,10 @@ Hot-path notes (this is the inner loop of every benchmark case): the
 evaluated-point dataset (amortized-doubling buffers, hash-set dedup,
 incremental incumbent) lives in the shared
 :class:`~repro.search.optimizer.DatasetOptimizer` base; candidate ranking
-uses ``np.argpartition`` to keep ranking cost O(pool); the surrogate refit
-runs on the fused NumPy MLP (:mod:`repro.nn.fused`), which is step-for-step
-bit-identical to the autodiff reference (locked by ``tests/test_fused.py``).
+uses ``np.argpartition`` to keep ranking cost O(pool); the surrogate is
+the fused NumPy MLP (:mod:`repro.nn.fused`), trained by its own
+:meth:`~repro.nn.fused.FusedMLP.fit` and step-for-step bit-identical to the
+autodiff reference the tests keep (locked by ``tests/test_fused.py``).
 """
 
 from __future__ import annotations
@@ -61,9 +62,7 @@ from repro.core.design_space import DesignSpace
 from repro.obs import event, profiled
 from repro.resilience.faults import fault_point, register_fault_site
 from repro.nn.fused import FusedAdam, FusedFitJob, FusedMLP
-from repro.nn.modules import MLP
 from repro.nn.scalers import StandardScaler
-from repro.nn.training import train_regressor
 from repro.analysis.contracts import contract
 from repro.search.optimizer import (
     FEASIBLE_TOL,
@@ -140,9 +139,28 @@ class TrustRegionConfig:
     surrogate_batch_size: int = 64
 
     def __post_init__(self) -> None:
-        for name in ("initial_samples", "batch_size", "candidate_pool", "max_evaluations"):
+        for name in (
+            "initial_samples",
+            "batch_size",
+            "candidate_pool",
+            "max_evaluations",
+            "initial_epochs",
+            "refit_epochs",
+            "surrogate_batch_size",
+        ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        if not 0.0 < self.min_radius <= self.initial_radius <= self.max_radius:
+            raise ValueError(
+                "radii must satisfy 0 < min_radius <= initial_radius <= max_radius, got "
+                f"{self.min_radius}, {self.initial_radius}, {self.max_radius}"
+            )
+        if not self.learning_rate > 0.0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if any(width < 1 for width in self.surrogate_hidden):
+            raise ValueError(
+                f"every surrogate_hidden width must be at least 1, got {self.surrogate_hidden}"
+            )
 
 
 class TrustRegionSearch(DatasetOptimizer):
@@ -288,16 +306,15 @@ class TrustRegionSearch(DatasetOptimizer):
     def _build_surrogate(self) -> Tuple[FusedMLP, FusedAdam]:
         """A fresh surrogate and its Adam, initialised from the config seed.
 
-        The weights come from an autodiff :class:`MLP` template so the
-        initialisation matches the reference implementation draw for draw.
+        The network's Xavier weights are drawn from a generator seeded with
+        ``seed + 1``, apart from the search's own RNG stream.
         """
-        template = MLP(
-            in_features=self.design_space.dimension,
-            hidden=tuple(self.config.surrogate_hidden),
-            out_features=len(self.specification.metric_names),
+        surrogate = FusedMLP(
+            self.design_space.dimension,
+            self.config.surrogate_hidden,
+            len(self.specification.metric_names),
             rng=np.random.default_rng(self.config.seed + 1),
         )
-        surrogate = FusedMLP.from_module(template)
         return surrogate, FusedAdam(surrogate, lr=self.config.learning_rate)
 
     def _ensure_surrogate(self, metrics: np.ndarray) -> None:
@@ -313,14 +330,13 @@ class TrustRegionSearch(DatasetOptimizer):
     def _refit_surrogate_inner(self, epochs: int) -> None:
         metrics = self._M[: self._count]
         self._ensure_surrogate(metrics)
-        train_regressor(
-            self._surrogate,
+        self._surrogate.fit(
             self._U[: self._count],
             self._output_scaler.transform(metrics),
-            epochs=epochs,
-            batch_size=self.config.surrogate_batch_size,
-            optimizer=self._optimizer,
-            rng=self.rng,
+            epochs,
+            self.config.surrogate_batch_size,
+            self._optimizer,
+            self.rng,
         )
 
     # -- checkpoint/resume ---------------------------------------------

@@ -4,17 +4,16 @@ Production code runs one path per layer: a Campaign evaluates corners with
 the handle's stacked evaluator, defers every surrogate refit to the round's
 batched dispatch, and trains a :class:`~repro.nn.fused.FusedMLP`.  The slow
 reference implementations those fast paths must match bit for bit are
-reachable only from the tests, through the ``oracles`` fixture below.
+reachable only from the tests: the ``oracles`` package next to this file
+holds them, and the ``oracles`` fixture below switches a test onto them.
 """
 
 from dataclasses import replace
 
 import pytest
 
-from repro.autodiff import Tensor
+from oracles.nn import MLP, Adam
 from repro.circuits.topologies.base import SizingProblem
-from repro.nn import MLP, Adam, Sequential
-from repro.nn.fused import ridge_output_weights
 from repro.search.trust_region import TrustRegionSearch
 
 
@@ -38,30 +37,21 @@ class OraclePaths:
         )
 
     def autodiff_surrogate(self) -> None:
-        """Trust regions train an autodiff MLP with the Tensor-graph Adam.
+        """Trust regions train the autodiff MLP with the Tensor-graph Adam.
 
-        The weights start from the fused build's own initialisation, and
-        refits run inline (the batched kernel stacks fused parameters only).
-        Closed-form output-layer refits take the hidden features from the
-        Tensor forward pass and share only the ridge solve with the fused
-        path.
+        The oracle MLP loads the fused build's ``state_dict``, so both start
+        from the same weights, and refits run inline (the batched kernel
+        stacks fused parameters only).
         """
         original = TrustRegionSearch._build_surrogate
 
-        def fit_output_layer(model, inputs, targets, l2):
-            *hidden, last = model.body.layers
-            features = Sequential(*hidden)(Tensor(inputs)).data
-            solution = ridge_output_weights(features, targets, l2)
-            last.weight.data[...] = solution[:-1]
-            last.bias.data[...] = solution[-1]
-
         def build(search):
             fused, _ = original(search)
-            model = fused.to_module()
+            model = MLP(fused.in_features, fused.hidden, fused.out_features)
+            model.load_state_dict(fused.state_dict())
             return model, Adam(model.parameters(), lr=search.config.learning_rate)
 
         self._monkeypatch.setattr(TrustRegionSearch, "_build_surrogate", build)
-        self._monkeypatch.setattr(MLP, "fit_output_layer", fit_output_layer, raising=False)
         self.inline_refits()
 
     def looped_corners(self) -> None:

@@ -9,10 +9,9 @@ recorded graph whose ``requires_grad`` flag is set.
 The engine supports broadcasting for elementwise operations; gradients are
 automatically reduced (summed) back to the shape of each operand.
 
-It is intentionally minimal — only the operations needed by the neural
-network library (:mod:`repro.nn`) and by the model-free RL baselines
-(:mod:`repro.baselines`) are provided — but each of those operations is exact
-and tested against numerical differentiation.
+It is intentionally minimal, and it is the reference the fused surrogate
+(:mod:`repro.nn.fused`) is checked against (:mod:`oracles.nn`); every
+operation is exact and tested against numerical differentiation.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor, concatenate, stack, where
+from oracles.autodiff import Tensor, concatenate, stack, where
 
 RNG = np.random.default_rng(12345)
 EPS = 1e-6

@@ -142,10 +142,6 @@ class TestKernelParity:
     def test_single_row_dataset(self):
         check_parity([(0, 1, {"batch_size": 4}), (1, 1, {"batch_size": 4})])
 
-    def test_relu_and_sigmoid_activations(self):
-        kwargs = {"activation": "relu", "output_activation": "sigmoid"}
-        check_parity([(0, 32, kwargs), (1, 32, kwargs)])
-
     def test_campaign_like_geometry(self):
         # The shape the trust region actually refits: batch 64, epochs 25.
         check_parity(

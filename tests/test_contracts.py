@@ -22,8 +22,7 @@ from repro.analysis import (
     set_contracts,
 )
 from repro.circuits.pvt import nine_corner_grid
-from repro.nn.modules import MLP, Linear
-from repro.nn.seeding import DEFAULT_SEED, resolve_rng
+from oracles.nn import DEFAULT_SEED, MLP, Linear, resolve_rng
 from repro.core.design_space import DesignSpace, Parameter
 from repro.search import (
     EvaluationCache,

@@ -1,21 +1,22 @@
-"""Fused NumPy training backend: parity with the autodiff reference oracle.
+"""Fused NumPy surrogate: parity with the autodiff reference oracle.
 
 The contract of :mod:`repro.nn.fused` is stronger than "numerically close":
-given the same minibatch stream, the fused backend produces *bit-identical*
-losses, gradients and post-Adam weights to the Tensor-graph path.  These
-tests pin that contract step by step, plus the module round-trips, how
-:func:`train_regressor` picks its training loop from the model's type, and
-whole searches run on the autodiff oracle (reachable only from tests, via
-the ``oracles`` fixture).
+given the same minibatch stream, the fused network produces *bit-identical*
+losses, gradients and post-Adam weights to the Tensor-graph oracle
+(:mod:`oracles.nn`).  These tests pin that contract step by step, plus the
+constructor's own weight draws, the ``state_dict`` interchange, and whole
+searches run on the autodiff oracle (via the ``oracles`` fixture).
 """
 
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor
-from repro.nn import MLP, Adam, FusedAdam, FusedMLP, train_regressor
+from oracles.autodiff import Tensor
+from oracles.nn import MLP, Adam, mse_loss
+from repro.circuits import available_topologies, get_topology
+from repro.nn import FusedAdam, FusedMLP
 from repro.nn.fused import ridge_output_weights
-from repro.nn.losses import mse_loss
+from repro.search import TrustRegionConfig
 
 
 def flat_params(model: MLP) -> np.ndarray:
@@ -26,10 +27,12 @@ def flat_grads(model: MLP) -> np.ndarray:
     return np.concatenate([p.grad.ravel() for p in model.parameters()])
 
 
-def make_pair(in_features=4, hidden=(16, 16), out_features=3, seed=7, **kwargs):
-    """An autodiff MLP and its fused twin with identical weights."""
-    model = MLP(in_features, hidden, out_features, rng=np.random.default_rng(seed), **kwargs)
-    return model, FusedMLP.from_module(model)
+def make_pair(in_features=4, hidden=(16, 16), out_features=3, seed=7):
+    """A fused MLP and its autodiff twin, loaded from its ``state_dict``."""
+    fused = FusedMLP(in_features, hidden, out_features, rng=np.random.default_rng(seed))
+    model = MLP(in_features, hidden, out_features)
+    model.load_state_dict(fused.state_dict())
+    return model, fused
 
 
 def regression_data(count=96, in_features=4, out_features=3, seed=0):
@@ -42,9 +45,8 @@ def regression_data(count=96, in_features=4, out_features=3, seed=0):
 class TestPerStepParity:
     """Identical minibatch order -> identical losses, gradients, weights."""
 
-    @pytest.mark.parametrize("activation", ["tanh", "relu", "sigmoid"])
-    def test_loss_grad_and_adam_step_bitwise(self, activation):
-        model, fused = make_pair(activation=activation)
+    def test_loss_grad_and_adam_step_bitwise(self):
+        model, fused = make_pair()
         adam = Adam(model.parameters(), lr=3e-3)
         fused_adam = FusedAdam(fused, lr=3e-3)
         inputs, targets = regression_data()
@@ -67,33 +69,18 @@ class TestPerStepParity:
             np.testing.assert_array_equal(reference_grad, fused_grad)
             np.testing.assert_array_equal(flat_params(model), fused.theta)
 
-    def test_weight_decay_parity(self):
-        model, fused = make_pair()
-        adam = Adam(model.parameters(), lr=1e-2, weight_decay=1e-3)
-        fused_adam = FusedAdam(fused, lr=1e-2, weight_decay=1e-3)
-        inputs, targets = regression_data(count=32)
-        for _ in range(10):
-            adam.zero_grad()
-            loss = mse_loss(model(Tensor(inputs)), Tensor(targets))
-            loss.backward()
-            adam.step()
-            _, grad = fused.loss_and_grad(inputs, targets)
-            fused_adam.step(grad)
-        np.testing.assert_array_equal(flat_params(model), fused.theta)
-
     def test_train_regressor_backends_identical(self):
-        """Full training runs through both backends end at the same weights."""
+        """Full training runs through both loops end at the same weights."""
         model, fused = make_pair()
         inputs, targets = regression_data()
-        history_autodiff = train_regressor(
-            model, inputs, targets, epochs=12, batch_size=32, lr=3e-3,
-            rng=np.random.default_rng(3),
+        losses_autodiff = model.fit(
+            inputs, targets, 12, 32, Adam(model.parameters(), lr=3e-3),
+            np.random.default_rng(3),
         )
-        history_fused = train_regressor(
-            fused, inputs, targets, epochs=12, batch_size=32, lr=3e-3,
-            rng=np.random.default_rng(3),
+        losses_fused = fused.fit(
+            inputs, targets, 12, 32, FusedAdam(fused, lr=3e-3), np.random.default_rng(3)
         )
-        assert history_autodiff.losses == history_fused.losses
+        assert losses_autodiff == losses_fused
         np.testing.assert_array_equal(flat_params(model), fused.theta)
 
     def test_predict_parity(self):
@@ -103,29 +90,17 @@ class TestPerStepParity:
 
 
 class TestModuleInterop:
-    def test_constructor_matches_module_init(self):
-        """Same seeded generator -> bit-identical initial weights."""
-        module = MLP(5, (24, 24), 2, rng=np.random.default_rng(13))
-        fused = FusedMLP(5, (24, 24), 2, rng=np.random.default_rng(13))
+    @pytest.mark.parametrize("seed", [0, 13])
+    @pytest.mark.parametrize("topology", available_topologies())
+    def test_constructor_matches_module_init(self, topology, seed):
+        """Same seeded generator -> bit-identical initial weights, for the
+        surrogate of every topology at the default hidden widths."""
+        cls = get_topology(topology)
+        shape = (len(cls.VARIABLE_NAMES), TrustRegionConfig().surrogate_hidden,
+                 len(cls.METRIC_NAMES))
+        module = MLP(*shape, rng=np.random.default_rng(seed))
+        fused = FusedMLP(*shape, rng=np.random.default_rng(seed))
         np.testing.assert_array_equal(flat_params(module), fused.theta)
-
-    def test_from_module_to_module_round_trip(self):
-        module, fused = make_pair()
-        restored = fused.to_module()
-        x = np.random.default_rng(4).normal(size=(9, 4))
-        np.testing.assert_array_equal(module.predict(x), restored.predict(x))
-
-    def test_to_module_into_existing(self):
-        module, fused = make_pair()
-        fused.theta += 0.25  # diverge, then write back
-        fused.to_module(module)
-        np.testing.assert_array_equal(flat_params(module), fused.theta)
-
-    def test_from_module_copies_weights(self):
-        module, fused = make_pair()
-        before = fused.theta.copy()
-        module.parameters()[0].data += 1.0
-        np.testing.assert_array_equal(fused.theta, before)
 
     def test_state_dict_interop_both_ways(self):
         module, fused = make_pair()
@@ -145,15 +120,6 @@ class TestModuleInterop:
         bad["param_0"] = np.zeros((2, 2))
         with pytest.raises(ValueError):
             fused.load_state_dict(bad)
-
-    def test_rejects_non_linear_activation_stacks(self):
-        class Odd(MLP):
-            pass
-
-        odd = Odd(3, (4,), 1)
-        odd.body.layers.append(object())
-        with pytest.raises(TypeError):
-            FusedMLP.from_module(odd)
 
 
 def hidden_features(fused: FusedMLP, inputs: np.ndarray) -> np.ndarray:
@@ -219,12 +185,6 @@ class TestFitOutputLayer:
         np.testing.assert_array_equal(after["v"], moments["v"])
         assert after["t"] == moments["t"]
 
-    def test_rejects_a_nonlinear_output_layer(self):
-        _, fused = make_pair(output_activation="sigmoid")
-        inputs, targets = regression_data(count=8)
-        with pytest.raises(ValueError, match="identity"):
-            fused.fit_output_layer(inputs, targets, self.L2)
-
     def test_search_refit_draws_no_rng(self):
         """Inside a search, the closed-form refit moves only the output
         layer: the RNG, the hidden layers and Adam's state stay put."""
@@ -252,9 +212,8 @@ class TestFitOutputLayer:
         np.testing.assert_array_equal(after["v"], adam["v"])
         assert after["t"] == adam["t"] > 0
 
-    def test_autodiff_oracle_step_bitwise(self, oracles):
+    def test_autodiff_oracle_step_bitwise(self):
         """The oracle's closed-form step lands on the fused weights exactly."""
-        oracles.autodiff_surrogate()
         model, fused = make_pair(in_features=6, hidden=(48, 48), out_features=5, seed=3)
         inputs, targets = regression_data(count=64, in_features=6, out_features=5)
         fused.fit_output_layer(inputs, targets, self.L2)
@@ -264,31 +223,6 @@ class TestFitOutputLayer:
             np.vstack([fused._weights[-1], fused._biases[-1]]),
             ridge_output_weights(hidden_features(fused, inputs), targets, self.L2),
         )
-
-
-class TestBackendKnob:
-    """The model's type picks the training loop; there is no backend knob."""
-
-    def test_unknown_backend_rejected(self):
-        model, _ = make_pair()
-        inputs, targets = regression_data(count=8)
-        with pytest.raises(TypeError, match="backend"):
-            train_regressor(model, inputs, targets, epochs=1, backend="fused")
-
-    def test_fused_backend_rejects_autodiff_optimizer(self):
-        _, fused = make_pair()
-        inputs, targets = regression_data(count=8)
-        model, _ = make_pair()
-        with pytest.raises(ValueError, match="FusedAdam"):
-            train_regressor(
-                fused, inputs, targets, epochs=1, optimizer=Adam(model.parameters())
-            )
-
-    def test_autodiff_backend_rejects_fused_optimizer(self):
-        model, fused = make_pair()
-        inputs, targets = regression_data(count=8)
-        with pytest.raises(ValueError, match="FusedAdam"):
-            train_regressor(model, inputs, targets, epochs=1, optimizer=FusedAdam(fused))
 
 
 class TestSearchLevelParity:

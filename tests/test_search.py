@@ -142,6 +142,25 @@ def quadratic_evaluator(samples):
 
 
 class TestTrustRegionSearch:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("min_radius", 0.6),  # above max_radius
+            ("min_radius", 0.0),
+            ("initial_radius", 0.0),
+            ("initial_radius", 0.6),
+            ("learning_rate", 0.0),
+            ("initial_epochs", 0),
+            ("refit_epochs", 0),
+            ("surrogate_batch_size", 0),
+            ("surrogate_hidden", (0,)),
+            ("surrogate_hidden", (48, 0)),
+        ],
+    )
+    def test_config_rejects_inconsistent_values(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrustRegionConfig(**{field: value})
+
     def make_search(self, seed=0, max_evaluations=300):
         space = DesignSpace(
             [Parameter("x", 0.0, 1.0, grid_points=101), Parameter("y", 0.0, 1.0, grid_points=101)]
