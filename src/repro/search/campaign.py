@@ -22,11 +22,11 @@ next.  The :class:`Campaign` owns the *evaluation* side:
   share a round — the multi-seed path is bit-exact versus running the
   seeds sequentially (locked by tests) and computes no extra ``(row,
   corner)`` pairs; it just issues far fewer, larger evaluator calls;
-* **batched surrogate refits**: every trust-region member defers its refit
-  to the end of the round, where the Campaign trains all queued refits of
-  one geometry through a single :func:`~repro.nn.fused.fit_batched`
-  dispatch, bit-identical per seed to the inline refit of a standalone
-  ``run()``.
+* **batched surrogate refits**: a trust-region ``tell`` queues its full
+  refit; at the end of the round the Campaign pops every member's job and
+  trains the jobs of one geometry through a single
+  :func:`~repro.nn.fused.fit_batched` dispatch, bit-identical per seed to a
+  standalone ``run()``, where the next ``ask`` trains the job alone.
 
 :func:`repro.search.sizing.size_problem` runs a single-seed Campaign and
 reproduces the pre-redesign behaviour bit-exactly at a fixed seed/config.
@@ -249,17 +249,13 @@ class _ProgressiveMember:
         # non-init or derived fields, where reconstructing from __dict__
         # would silently break.
         phase_config = replace(self.config, seed=self.config.seed + self.phase)
-        optimizer = self.optimizer_cls(
+        return self.optimizer_cls(
             None,
             self.design_space,
             specification,
             config=phase_config,
             initial_points=self.warm_start,
         )
-        # The optimizer queues its refits for the campaign's round-level
-        # stacked dispatch (a no-op for strategies without a surrogate).
-        optimizer.set_refit_deferred(True)
-        return optimizer
 
     def account(
         self, hits: int, misses: int, engine_calls: int, eval_seconds: float
@@ -614,9 +610,6 @@ class Campaign:
         appended there and preloaded on construction, so a resumed or
         repeated campaign over the same workload warm-starts across
         processes (see ``EvaluationCache(persist_path=...)``).
-    cache_preload:
-        Extra store files warm-loaded read-only (no repair, no write
-        handle).
     """
 
     def __init__(
@@ -627,7 +620,6 @@ class Campaign:
         config: Optional[ProgressiveConfig] = None,
         seeds: Optional[Sequence[int]] = None,
         cache_path: Optional[str] = None,
-        cache_preload: Sequence[str] = (),
     ) -> None:
         self.handle = handle
         self.progressive = config if config is not None else ProgressiveConfig()
@@ -645,7 +637,6 @@ class Campaign:
             handle.design_space.dimension,
             len(handle.metric_names),
             persist_path=cache_path,
-            preload_paths=cache_preload,
         )
         self._members = [
             _ProgressiveMember(
@@ -739,58 +730,42 @@ class Campaign:
         """Collect and dispatch every member's queued refit for this round.
 
         Jobs are grouped by :func:`fit_job_signature` (members in different
-        phases have different surrogate output widths); each multi-job group
-        trains through one stacked :func:`fit_batched` dispatch, lone jobs
-        through the same kernel at seed count 1.  Either way the per-seed
-        bits equal the inline refit of a standalone ``run()``, so deferral
-        is invisible to trajectories — only to the wall clock.
+        phases have different surrogate output widths), and each group
+        trains through one :func:`fit_batched` dispatch.  The per-seed bits
+        equal those of a standalone ``run()``, whose next ``ask`` trains the
+        job alone, so batching is invisible to trajectories — only to the
+        wall clock.
         """
-        pending: List[Tuple[_ProgressiveMember, FusedFitJob]] = []
-        for member in self._members:
-            job = member.optimizer.take_refit_job()
-            if job is not None:
-                pending.append((member, job))
-        if not pending:
-            return
         groups: "OrderedDict[tuple, List[Tuple[_ProgressiveMember, FusedFitJob]]]" = (
             OrderedDict()
         )
-        for member, job in pending:
-            groups.setdefault(fit_job_signature(job), []).append((member, job))
+        for member in self._members:
+            job = member.optimizer.take_refit_job()
+            if job is not None:
+                groups.setdefault(fit_job_signature(job), []).append((member, job))
         for grouped in groups.values():
-            if len(grouped) == 1:
-                self._run_refit_single(*grouped[0])
-            else:
-                self._run_refit_batched(grouped)
+            self._run_refits(grouped)
 
-    def _run_refit_single(self, member: _ProgressiveMember, job: FusedFitJob) -> None:
-        """A lone deferred refit: same accounting as the inline path."""
-        with profiled(
-            "trust_region.refit", epochs=job.epochs, rows=int(job.inputs.shape[0])
-        ) as timer:
-            fit_batched([job])
-        member.optimizer.refit_seconds += timer.seconds
+    def _run_refits(self, grouped: List[Tuple[_ProgressiveMember, FusedFitJob]]) -> None:
+        """One training dispatch for same-signature refit jobs.
 
-    def _run_refit_batched(
-        self, grouped: List[Tuple[_ProgressiveMember, FusedFitJob]]
-    ) -> None:
-        """One stacked training dispatch for same-signature refit jobs.
-
-        The kernel wall time is attributed back to the members
+        The dispatch wall time is attributed back to the members
         proportionally to each job's training volume (epochs x rows), the
         refit analogue of the eval-side miss-share attribution — so the
-        per-seed ``refit_seconds`` still sum to the campaign-wide cost.
+        per-seed ``refit_seconds`` sum to the campaign-wide cost, and a
+        lone job books all of it.  Only dispatches of more than one job
+        count as batched kernel calls.
         """
         jobs = [job for _, job in grouped]
         weights = [job.epochs * int(job.inputs.shape[0]) for job in jobs]
         with profiled(
-            "campaign.refit_batched",
+            "campaign.refit",
             n_seeds=len(jobs),
-            n_params=jobs[0].model.num_parameters,
             rows=sum(int(job.inputs.shape[0]) for job in jobs),
         ) as timer:
             fit_batched(jobs)
-        self.batched_kernel_calls += 1
+        if len(jobs) > 1:
+            self.batched_kernel_calls += 1
         total = sum(weights)
         for (member, _), weight in zip(grouped, weights):
             member.optimizer.refit_seconds += (
@@ -1004,8 +979,8 @@ class Campaign:
                     for grouped in groups.values():
                         self._run_group(grouped)
                     # End of round: train every queued refit before the
-                    # snapshot below, so checkpoints never carry a
-                    # half-deferred surrogate.
+                    # snapshot below, so checkpoints never carry a queued
+                    # refit.
                     self._flush_refits()
                 if any(
                     optimizer.refit_count > count for optimizer, count in refits_before

@@ -63,7 +63,7 @@ from repro.resilience.store import (
     Record,
     Watermark,
     read_journal,
-    read_records,
+    read_records,  # unused here; perfbench/ledger.py wraps it under this module
 )
 
 #: A corner evaluator maps ``(count, dim)`` sizings and a corner list to a
@@ -121,10 +121,6 @@ class EvaluationCache:
         record the store holds (repairing a torn tail from a crashed
         writer, see :class:`~repro.resilience.store.CacheStore`) and
         appends every newly computed pair, so hits survive the process.
-    preload_paths:
-        Extra store files to warm-load **read-only** — no write handle is
-        taken and no torn tail is repaired, so another process may still
-        own them.
 
     Attributes
     ----------
@@ -157,7 +153,6 @@ class EvaluationCache:
         dimension: int,
         n_metrics: int,
         persist_path: Optional[str] = None,
-        preload_paths: Sequence[str] = (),
     ) -> None:
         self._evaluate = corner_evaluator
         self._dimension = int(dimension)
@@ -193,15 +188,10 @@ class EvaluationCache:
             self._backend = CacheStore(persist_path, int(dimension), self.n_metrics)
             self.repaired_bytes = self._backend.repaired_bytes
             self._ingest(self._backend.records)
-        for path in preload_paths:
-            records, _trailing = read_records(path, int(dimension), self.n_metrics)
-            self._ingest(records)
-        if persist_path is not None or preload_paths:
             self.preloaded_pairs = len(self)
             event(
                 "eval_cache.warm_load",
                 path=persist_path,
-                preloads=len(preload_paths),
                 pairs=self.preloaded_pairs,
                 repaired_bytes=self.repaired_bytes,
             )

@@ -235,21 +235,12 @@ class Optimizer(ABC):
     #: surrogate-free strategies, which never override the hooks below).
     refit_count: int = 0
 
-    def set_refit_deferred(self, deferred: bool) -> None:
-        """Ask the optimizer to queue refits instead of training inline.
-
-        Drivers that can batch training across many optimizers (every
-        :class:`~repro.search.campaign.Campaign`) call this once after
-        construction.  The default is a no-op: optimizers without a
-        deferrable surrogate simply keep training inline (or not at all),
-        and :meth:`take_refit_job` stays empty.
-        """
-
     def take_refit_job(self):
-        """Pop the pending deferred refit as a
+        """Pop the refit the last ``tell`` queued as a
         :class:`repro.nn.fused.FusedFitJob`, or ``None`` when this
-        optimizer has nothing queued (no refit this round, or inline
-        mode)."""
+        optimizer has nothing queued.  Drivers that batch training across
+        many optimizers (every :class:`~repro.search.campaign.Campaign`)
+        pop it after each round; surrogate-free strategies never queue."""
         return None
 
 
@@ -323,7 +314,7 @@ class DatasetOptimizer(Optimizer):
         #: Wall time spent in surrogate refits (stays zero for the
         #: surrogate-free baselines).
         self.refit_seconds: float = 0.0
-        #: Surrogate refits started (inline or deferred), for the bench
+        #: Surrogate refits started, for the bench
         #: accounting; stays zero for the surrogate-free baselines.
         self.refit_count: int = 0
 
@@ -399,21 +390,6 @@ class DatasetOptimizer(Optimizer):
         if self._best < 0 or self._scores[block_best] > self._scores[self._best]:
             self._best = block_best
         return block_best
-
-    def _evaluate_new(self, candidates: np.ndarray, limit: Optional[int] = None) -> int:
-        """Select-evaluate-append in one step; returns how many rows ran.
-
-        The standalone composition of :meth:`_select_new` and
-        :meth:`_append` around the optimizer's own ``evaluator`` — the
-        building block the pre-refactor monolithic loop was written in
-        (and the parity oracle in the tests still is).
-        """
-        rows, _ = self._select_new(candidates, limit)
-        if rows.shape[0] == 0:
-            return 0
-        metrics = np.atleast_2d(np.asarray(self.evaluator(rows), dtype=np.float64))
-        self._append(rows, metrics)
-        return int(rows.shape[0])
 
     # -- protocol ------------------------------------------------------
     @property

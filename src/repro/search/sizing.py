@@ -81,7 +81,6 @@ def build_campaign(
     config: Optional[ProgressiveConfig] = None,
     seeds: Optional[Sequence[int]] = None,
     cache_path: Optional[str] = None,
-    cache_preload: Sequence[str] = (),
     **overrides,
 ) -> "Campaign":
     """Resolve a topology into a ready-to-run multi-seed Campaign.
@@ -92,8 +91,7 @@ def build_campaign(
     the campaign members (defaulting to the resolved config's seed); the
     spec set defaults to the topology's ``default_specs()`` at ``tier``.
     ``cache_path`` points the campaign's evaluation cache at a persistent
-    on-disk store (warm starts across processes); ``cache_preload`` adds
-    read-only stores to warm from.
+    on-disk store (warm starts across processes).
     """
     # Imported lazily: the topology modules import repro.search.spec, so a
     # module-level import here would be circular.
@@ -119,7 +117,6 @@ def build_campaign(
         config=progressive,
         seeds=seeds,
         cache_path=cache_path,
-        cache_preload=cache_preload,
     )
 
 

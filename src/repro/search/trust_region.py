@@ -41,6 +41,12 @@ split is **bit-identical** to the historical monolithic loop — same RNG
 draw order, same refit schedule, same trajectories — and is locked by the
 parity tests against the pre-refactor oracle.
 
+A full refit has one path: ``tell`` queues it, and either a driver pops it
+with :meth:`TrustRegionSearch.take_refit_job` (a Campaign trains every
+member's job in one batched dispatch at the end of the round) or the next
+``ask`` trains it before drawing anything (``run()`` and hand-written
+ask/tell loops).  The closed-form refits run inside ``tell``.
+
 Hot-path notes (this is the inner loop of every benchmark case): the
 evaluated-point dataset (amortized-doubling buffers, hash-set dedup,
 incremental incumbent) lives in the shared
@@ -61,11 +67,10 @@ import numpy as np
 from repro.core.design_space import DesignSpace
 from repro.obs import event, profiled
 from repro.resilience.faults import fault_point, register_fault_site
-from repro.nn.fused import FusedAdam, FusedFitJob, FusedMLP
+from repro.nn.fused import FusedAdam, FusedFitJob, FusedMLP, fit_batched
 from repro.nn.scalers import StandardScaler
 from repro.analysis.contracts import contract
 from repro.search.optimizer import (
-    FEASIBLE_TOL,
     BatchEvaluator,
     DatasetOptimizer,
     IterationRecord,
@@ -222,36 +227,26 @@ class TrustRegionSearch(DatasetOptimizer):
         # Dataset row count at the last full (Adam) refit; it decides which
         # later refits are full (REFIT_GROWTH).
         self._full_refit_rows = 0
-        # Batched-refit deferral (every Campaign member): when set, tell()
-        # queues the refit instead of training, and the driver pops it via
-        # take_refit_job() at the end of the round.
-        self._refit_deferred = False
+        # A full refit queued by tell(): a Campaign pops it via
+        # take_refit_job() at the end of the round, otherwise the next ask()
+        # trains it.
         self._pending_refit_epochs: Optional[int] = None
 
     # ------------------------------------------------------------------
-    def set_refit_deferred(self, deferred: bool) -> None:
-        """Queue refits for a round-level batched dispatch instead of
-        training inline.
-
-        A :class:`~repro.search.campaign.Campaign` always defers; the
-        standalone ``run()`` loop refits inline.
-
-        Only full refits are queued; the closed-form output-layer refits run
-        inside ``tell`` either way.  Deferral cannot shift a trajectory: the
-        full refit is the only RNG consumer inside ``tell``, the closed-form
-        refit draws nothing and always follows the flush of any earlier full
-        refit, and the next RNG use is the next ``ask``, which the campaign
-        only reaches after flushing the queued refits — so the draw order
-        and the surrogate bits are exactly the inline ones.
-        """
-        self._refit_deferred = bool(deferred)
-
     def take_refit_job(self) -> Optional[FusedFitJob]:
-        """Pop this round's queued refit as a fit job, or ``None``.
+        """Pop the full refit the last ``tell`` queued as a fit job, or
+        ``None``.
 
-        Runs the tell-side bookkeeping the inline path would have run
-        (fault site, refit counter, lazy surrogate build) at pop time, so
-        kill-and-resume drills cover the batched path too.
+        Runs the refit bookkeeping (fault site, refit counter, lazy
+        surrogate build) at pop time.  A :class:`~repro.search.campaign.Campaign`
+        pops every member's job at the end of the round and trains them
+        together; a job nobody popped is trained by the next :meth:`ask`.
+        Queuing cannot shift a trajectory: the full refit is the only RNG
+        consumer of a refit, the closed-form refit draws nothing and always
+        follows the training of any earlier full refit, and the next RNG use
+        is the next ``ask``, which either path reaches only after the job
+        has trained — so the draw order and the surrogate bits do not depend
+        on who trains it.
         """
         if self._pending_refit_epochs is None:
             return None
@@ -272,16 +267,9 @@ class TrustRegionSearch(DatasetOptimizer):
         )
 
     def _refit_surrogate(self, epochs: int) -> None:
-        """A full Adam refit: queued when deferred, trained inline if not."""
+        """Queue a full Adam refit (see :meth:`take_refit_job`)."""
         self._full_refit_rows = self._count
-        if self._refit_deferred:
-            self._pending_refit_epochs = epochs
-            return
-        fault_point(SITE_REFIT)
-        self.refit_count += 1
-        with profiled("trust_region.refit", epochs=epochs, rows=self._count) as timer:
-            self._refit_surrogate_inner(epochs)
-        self.refit_seconds += timer.seconds
+        self._pending_refit_epochs = epochs
 
     def _scheduled_refit(self) -> None:
         """A post-seed refit: a full refit when there is no surrogate yet or
@@ -327,18 +315,6 @@ class TrustRegionSearch(DatasetOptimizer):
         # the regression problem under the persistent Adam moments.
         self._output_scaler = StandardScaler().fit(metrics)
 
-    def _refit_surrogate_inner(self, epochs: int) -> None:
-        metrics = self._M[: self._count]
-        self._ensure_surrogate(metrics)
-        self._surrogate.fit(
-            self._U[: self._count],
-            self._output_scaler.transform(metrics),
-            epochs,
-            self.config.surrogate_batch_size,
-            self._optimizer,
-            self.rng,
-        )
-
     # -- checkpoint/resume ---------------------------------------------
     def state_dict(self) -> Dict[str, object]:
         """Dataset state plus the trust-region and surrogate extras.
@@ -355,8 +331,8 @@ class TrustRegionSearch(DatasetOptimizer):
         """
         if self._pending_refit_epochs is not None:
             raise RuntimeError(
-                "cannot snapshot with a deferred refit still pending; "
-                "flush the round's refit jobs first"
+                "cannot snapshot with a queued refit still pending; "
+                "train it first (call ask() or take_refit_job())"
             )
         state = super().state_dict()
         state["seeded"] = self._seeded
@@ -463,12 +439,17 @@ class TrustRegionSearch(DatasetOptimizer):
         best-ranked candidates).  When the whole region is already
         evaluated the ask falls back to Monte-Carlo exploration so the
         budget is never wasted; an empty batch means even that is
-        exhausted.  A restart flagged by the last ``tell`` runs here, after
-        any deferred refit has been flushed, so it ranks with the same
-        surrogate and draws from the same RNG state whether the refit ran
-        inline or batched.
+        exhausted.  A full refit the last ``tell`` queued and no driver
+        popped trains first, so a restart flagged by that ``tell`` ranks with
+        the same surrogate and draws from the same RNG state whoever trained
+        the refit.
         """
         config = self.config
+        job = self.take_refit_job()
+        if job is not None:
+            with profiled("trust_region.refit", epochs=job.epochs, rows=self._count) as timer:
+                fit_batched([job])
+            self.refit_seconds += timer.seconds
         if self._done:
             return self._empty_batch()
         if not self._seeded:
@@ -553,7 +534,7 @@ class TrustRegionSearch(DatasetOptimizer):
             self._radius = config.initial_radius
             self._update_done()
             # Only worth fitting a surrogate when a search will actually run.
-            if self._scores[self._best] < FEASIBLE_TOL:
+            if not self._done:
                 self._refit_surrogate(epochs=config.initial_epochs)
             return
         self._update_done()

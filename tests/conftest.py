@@ -1,10 +1,10 @@
 """Test-only routes to the parity oracles.
 
 Production code runs one path per layer: a Campaign evaluates corners with
-the handle's stacked evaluator, defers every surrogate refit to the round's
-batched dispatch, and trains a :class:`~repro.nn.fused.FusedMLP`.  The slow
-reference implementations those fast paths must match bit for bit are
-reachable only from the tests: the ``oracles`` package next to this file
+the handle's stacked evaluator, trains every queued surrogate refit in the
+round's batched dispatch, and trains a :class:`~repro.nn.fused.FusedMLP`.
+The slow reference implementations those fast paths must match bit for bit
+are reachable only from the tests: the ``oracles`` package next to this file
 holds them, and the ``oracles`` fixture below switches a test onto them.
 """
 
@@ -14,6 +14,7 @@ import pytest
 
 from oracles.nn import MLP, Adam
 from repro.circuits.topologies.base import SizingProblem
+from repro.search import campaign
 from repro.search.trust_region import TrustRegionSearch
 
 
@@ -27,21 +28,26 @@ class OraclePaths:
     def __init__(self, monkeypatch: pytest.MonkeyPatch) -> None:
         self._monkeypatch = monkeypatch
 
-    def inline_refits(self) -> None:
-        """Campaign members refit inside ``tell`` instead of deferring."""
-        original = TrustRegionSearch.set_refit_deferred
-        self._monkeypatch.setattr(
-            TrustRegionSearch,
-            "set_refit_deferred",
-            lambda search, deferred: original(search, False),
-        )
+    def sequential_refits(self) -> None:
+        """Campaigns train each round's refit jobs one by one, through each
+        job's own ``model.fit``, instead of the stacked batched kernel."""
+
+        def sequential(jobs):
+            return [
+                job.model.fit(
+                    job.inputs, job.targets, job.epochs, job.batch_size, job.adam, job.rng
+                )
+                for job in jobs
+            ]
+
+        self._monkeypatch.setattr(campaign, "fit_batched", sequential)
 
     def autodiff_surrogate(self) -> None:
         """Trust regions train the autodiff MLP with the Tensor-graph Adam.
 
         The oracle MLP loads the fused build's ``state_dict``, so both start
-        from the same weights, and refits run inline (the batched kernel
-        stacks fused parameters only).
+        from the same weights, and campaigns train refits one by one (the
+        batched kernel stacks fused parameters only).
         """
         original = TrustRegionSearch._build_surrogate
 
@@ -52,7 +58,7 @@ class OraclePaths:
             return model, Adam(model.parameters(), lr=search.config.learning_rate)
 
         self._monkeypatch.setattr(TrustRegionSearch, "_build_surrogate", build)
-        self.inline_refits()
+        self.sequential_refits()
 
     def looped_corners(self) -> None:
         """Topology handles evaluate corners with the per-corner loop

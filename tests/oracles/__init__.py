@@ -6,6 +6,8 @@
 * :mod:`oracles.mna` — linear netlists, a modified nodal analysis solver
   and each topology's equivalent small-signal netlist; the closed-form
   metrics must agree with its AC sweeps.
+* :mod:`oracles.search` — the select-evaluate-append step the pre-refactor
+  search loop was written in.
 
 Nothing under ``src/`` imports this package.
 """

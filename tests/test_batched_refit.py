@@ -1,13 +1,13 @@
 """Batched-across-seeds surrogate refit: bitwise parity and accounting.
 
 The batched refit path (``repro.nn.fused.fit_batched`` driven by the
-campaign's end-of-round flush) claims *bit-identical* results versus the
-inline per-seed refits it replaces.  These tests hold it to that:
+campaign's end-of-round flush) claims *bit-identical* results versus
+training each seed's queued refit on its own.  These tests hold it to that:
 kernel-level locks compare per-epoch losses, parameters and Adam moments
 with ``==``/``array_equal`` (never ``allclose``), and campaign-level locks
-byte-diff whole trajectories batched-vs-inline (the inline path is reached
-through the ``oracles`` fixture), through checkpoints, and under the
-determinism auditor.
+byte-diff whole trajectories batched-vs-sequential (the sequential stand-in
+is reached through the ``oracles`` fixture), through checkpoints, and under
+the determinism auditor.
 """
 
 import numpy as np
@@ -27,6 +27,7 @@ from repro.nn import (
 from repro.core.design_space import DesignSpace, Parameter
 from repro.resilience import FaultPlan, InjectedFault, inject, load_snapshot
 from repro.search import Spec, Specification, TrustRegionConfig, TrustRegionSearch
+from repro.search import campaign as campaign_module
 from repro.search.campaign import CACHE_JOURNAL, LATEST_SNAPSHOT
 from repro.search.sizing import build_campaign
 
@@ -240,34 +241,32 @@ def _campaign_lock_state(case, seeds=(0, 1)):
 
 
 class TestCampaignParity:
-    """Whole-campaign batched-vs-inline locks across the topology zoo."""
+    """Whole-campaign batched-vs-sequential locks across the topology zoo."""
 
     @pytest.mark.parametrize("case", CAMPAIGN_CASES, ids=lambda c: c.topology)
     def test_trajectory_and_adam_moment_lock(self, case, oracles):
         batched_fp, batched_state, batched_outcome = _campaign_lock_state(case)
-        oracles.inline_refits()
-        inline_fp, inline_state, inline_outcome = _campaign_lock_state(case)
-        # The kernel-call counter is the one field that legitimately
-        # differs between modes; everything behavioural must match.
-        assert batched_fp.pop("batched_kernel_calls") > 0
-        assert inline_fp.pop("batched_kernel_calls") == 0
-        assert batched_fp == inline_fp
-        for batched, inline in zip(batched_state, inline_state):
+        oracles.sequential_refits()
+        assert campaign_module.fit_batched is not fit_batched
+        sequential_fp, sequential_state, sequential_outcome = _campaign_lock_state(case)
+        assert batched_fp == sequential_fp
+        for batched, sequential in zip(batched_state, sequential_state):
             b_theta, b_m, b_v, b_t, b_refits = batched
-            s_theta, s_m, s_v, s_t, s_refits = inline
+            s_theta, s_m, s_v, s_t, s_refits = sequential
             np.testing.assert_array_equal(b_theta, s_theta)
             np.testing.assert_array_equal(b_m, s_m)
             np.testing.assert_array_equal(b_v, s_v)
             assert b_t == s_t
             assert b_refits == s_refits and b_refits > 0
-        assert batched_outcome.refit_rounds == inline_outcome.refit_rounds > 0
-        # Two live seeds sharing one round schedule must actually bucket.
+        assert batched_outcome.refit_rounds == sequential_outcome.refit_rounds > 0
+        # Two live seeds sharing one round schedule must actually bucket;
+        # the counter counts multi-job dispatches, whoever trains them.
         assert batched_outcome.batched_kernel_calls > 0
-        assert inline_outcome.batched_kernel_calls == 0
+        assert sequential_outcome.batched_kernel_calls == batched_outcome.batched_kernel_calls
 
 
 class TestSmokeSuiteRefitParity:
-    """Batched vs inline refits over the whole smoke suite, seeds 0-7."""
+    """Batched vs sequential refits over the whole smoke suite, seeds 0-7."""
 
     SEEDS = list(range(8))
 
@@ -280,20 +279,19 @@ class TestSmokeSuiteRefitParity:
             fingerprint = fingerprint_outcome(
                 outcome, campaign.cache.state_digest(), seeds
             )
-            fingerprint.pop("batched_kernel_calls")
             fingerprints.append((case.name, fingerprint))
         return fingerprints
 
     def test_every_case_and_seed_fingerprint_equal(self, oracles):
         batched = self._fingerprints(self.SEEDS)
-        oracles.inline_refits()
-        inline = self._fingerprints(self.SEEDS)
-        for (name, batched_fp), (_, inline_fp) in zip(batched, inline):
-            for batched_seed, inline_seed in zip(
-                batched_fp.pop("per_seed"), inline_fp.pop("per_seed")
+        oracles.sequential_refits()
+        sequential = self._fingerprints(self.SEEDS)
+        for (name, batched_fp), (_, sequential_fp) in zip(batched, sequential):
+            for batched_seed, sequential_seed in zip(
+                batched_fp.pop("per_seed"), sequential_fp.pop("per_seed")
             ):
-                assert batched_seed == inline_seed, (name, batched_seed["seed"])
-            assert batched_fp == inline_fp, name
+                assert batched_seed == sequential_seed, (name, batched_seed["seed"])
+            assert batched_fp == sequential_fp, name
 
 
 class TestDeferredRefitMechanics:
@@ -317,13 +315,12 @@ class TestDeferredRefitMechanics:
             search.tell(rows, evaluator(rows))
             if search._pending_refit_epochs is not None:
                 return
-        pytest.fail("search never deferred a refit")
+        pytest.fail("search never queued a refit")
 
     def test_snapshot_with_pending_refit_rejected(self):
         search, evaluator = self.make_search()
-        search.set_refit_deferred(True)
         self.drive_until_pending(search, evaluator)
-        with pytest.raises(RuntimeError, match="deferred refit"):
+        with pytest.raises(RuntimeError, match="queued refit"):
             search.state_dict()
         job = search.take_refit_job()
         assert isinstance(job, FusedFitJob)
@@ -332,15 +329,13 @@ class TestDeferredRefitMechanics:
 
     def test_take_refit_job_consumes_the_pending_refit(self):
         search, evaluator = self.make_search()
-        search.set_refit_deferred(True)
         self.drive_until_pending(search, evaluator)
         assert search.take_refit_job() is not None
         assert search.take_refit_job() is None
 
     def test_fault_site_fires_in_batched_path(self):
-        """The drill's optimizer.refit site must cover the deferred path."""
+        """The drill's optimizer.refit site must cover the queued path."""
         search, evaluator = self.make_search()
-        search.set_refit_deferred(True)
         self.drive_until_pending(search, evaluator)
         with inject(FaultPlan("optimizer.refit", occurrence=1)):
             with pytest.raises(InjectedFault):
@@ -356,13 +351,6 @@ class TestCampaignAccounting:
             ProgressiveConfig(refit_mode="sequential")
         with pytest.raises(TypeError, match="refit_mode"):
             build_campaign("ota_5t", tier="smoke", refit_mode="sequential")
-
-    def test_batched_is_the_default(self):
-        """A campaign always defers; a standalone search refits inline."""
-        campaign = build_campaign("ota_5t", tier="smoke", seeds=[0, 1])
-        assert all(member.optimizer._refit_deferred for member in campaign._members)
-        search, _ = TestDeferredRefitMechanics().make_search()
-        assert search._refit_deferred is False
 
     def test_refit_counters_survive_checkpoint_round_trip(self, tmp_path):
         (case,) = get_suite("drill")

@@ -15,7 +15,7 @@ from oracles.autodiff import Tensor
 from oracles.nn import MLP, Adam, mse_loss
 from repro.circuits import available_topologies, get_topology
 from repro.nn import FusedAdam, FusedMLP
-from repro.nn.fused import ridge_output_weights
+from repro.nn.fused import fit_batched, ridge_output_weights
 from repro.search import TrustRegionConfig
 
 
@@ -198,6 +198,7 @@ class TestFitOutputLayer:
         search = TrustRegionSearch(None, space, spec, config)
         rows = search.ask()
         search.tell(rows, np.sin(7.0 * rows))
+        fit_batched([search.take_refit_job()])  # the queued initial fit
         rng_state = search.rng.bit_generator.state
         theta = search._surrogate.theta.copy()
         adam = search._optimizer.state_dict()
@@ -260,6 +261,33 @@ class TestSearchLevelParity:
         assert fused.best_score == autodiff.best_score
         np.testing.assert_array_equal(fused.best_vector, autodiff.best_vector)
         assert len(fused.history) == len(autodiff.history)
+
+    def test_batched_campaign_seeds_0_to_2(self, oracles, monkeypatch):
+        """Multi-seed campaigns whose refits share dispatches reach the same
+        fingerprint on the autodiff oracle, trained one job at a time."""
+        from repro.analysis.determinism import fingerprint_outcome
+        from repro.bench.registry import BenchCase
+
+        case, seeds = BenchCase("ota_5t", "nominal", "hardest"), [0, 1, 2]
+
+        def fingerprint():
+            campaign = case.build_campaign(seeds)
+            outcome = campaign.run()
+            return fingerprint_outcome(outcome, campaign.cache.state_digest(), seeds)
+
+        fused = fingerprint()
+        oracles.autodiff_surrogate()
+        oracle_fit = MLP.fit
+        fits = []
+
+        def counted(model, *args):
+            fits.append(args[2])
+            return oracle_fit(model, *args)
+
+        monkeypatch.setattr(MLP, "fit", counted)
+        assert fused["batched_kernel_calls"] > 0
+        assert fingerprint() == fused
+        assert len(fits) > len(seeds)
 
     def test_two_stage_demo_seed0_backend_parity(self, oracles, monkeypatch):
         """The demo reaches the same sizing on the autodiff oracle, through

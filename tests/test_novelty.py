@@ -124,7 +124,6 @@ class TestDedupParity:
     @pytest.mark.parametrize("name", OPTIMIZERS)
     def test_random_blocks_and_state_round_trip(self, name):
         optimizer = build_optimizer(name, seed=0, max_evaluations=80)
-        optimizer.set_refit_deferred(True)
         rng = np.random.default_rng(1)
         for step in range(12):
             if step == 6:

@@ -3,8 +3,8 @@
 The heart of this file is the *pre-refactor oracle*: the historical
 monolithic ``TrustRegionSearch.run()`` loop (as it shipped before the
 ask/tell redesign), re-expressed over the primitives both versions share
-(``_evaluate_new``, ``_refit_surrogate``, ``_scheduled_refit``,
-``_rank_candidates``).  The
+(``oracles.search.evaluate_new``, ``_refit_surrogate``,
+``_scheduled_refit``, ``take_refit_job``, ``_rank_candidates``).  The
 refactored ask/tell ``run()`` must reproduce it step for step — same
 evaluated rows in the same order, same history, same incumbent — across
 every registered topology.
@@ -15,9 +15,11 @@ import json
 import numpy as np
 import pytest
 
+from oracles.search import evaluate_new
 from repro.circuits.pvt import NOMINAL, hardest_condition, nine_corner_grid
 from repro.circuits.topologies import available_topologies, get_topology
 from repro.core.design_space import DesignSpace, Parameter
+from repro.nn.fused import fit_batched
 from repro.search import (
     Campaign,
     CrossEntropySearch,
@@ -47,13 +49,15 @@ def oracle_run(search):
     This is a faithful transcription of the pre-ask/tell ``run()`` body —
     Monte-Carlo seed, initial refit, trust-region iterations with ranked
     proposals, Monte-Carlo fallback, conditional refit, radius adaptation —
-    driving the same internals the refactored optimizer uses.
+    driving the same internals the refactored optimizer uses.  The refit
+    primitives queue a full refit, so each iteration first trains the job
+    the last refit queued, before it draws anything.
     """
     config = search.config
     seed_points = search.design_space.sample(search.rng, config.initial_samples)
     if search._initial_points is not None:
         seed_points = np.vstack([search._initial_points, seed_points])
-    search._evaluate_new(seed_points, limit=config.max_evaluations)
+    evaluate_new(search, seed_points, limit=config.max_evaluations)
 
     radius = config.initial_radius
     history = []
@@ -64,6 +68,9 @@ def oracle_run(search):
         search._scores[search._best] < FEASIBLE_TOL
         and search._count < config.max_evaluations
     ):
+        job = search.take_refit_job()
+        if job is not None:
+            fit_batched([job])
         center = search._X[search._best]
         candidates = search.design_space.sample_ball(
             search.rng, center, radius, config.candidate_pool
@@ -71,10 +78,10 @@ def oracle_run(search):
         order = search._rank_candidates(candidates, keep=4 * config.batch_size)
         previous = search._scores[search._best]
         step = min(config.batch_size, config.max_evaluations - search._count)
-        added = search._evaluate_new(candidates[order], limit=step)
+        added = evaluate_new(search, candidates[order], limit=step)
         if added == 0:
-            added = search._evaluate_new(
-                search.design_space.sample(search.rng, config.batch_size), limit=step
+            added = evaluate_new(
+                search, search.design_space.sample(search.rng, config.batch_size), limit=step
             )
             if added == 0:
                 break
@@ -124,6 +131,59 @@ def toy_spec(feasible=True):
             [Spec("a", ">=", 0.99), Spec("b", "<=", 0.01)], ["a", "b"]
         )
     return Specification([Spec("a", ">=", 10.0)], ["a", "b"])  # unsatisfiable
+
+
+class TestQueuedRefit:
+    """``tell`` queues a full refit; the next ``ask`` trains it unless a
+    driver popped it first."""
+
+    @staticmethod
+    def make_search(evaluator=None, **overrides):
+        config = TrustRegionConfig(
+            **{
+                "seed": 1, "initial_samples": 12, "batch_size": 5, "candidate_pool": 32,
+                "max_evaluations": 200, "surrogate_hidden": (8,),
+                "initial_epochs": 10, "refit_epochs": 5, **overrides,
+            }
+        )
+        return TrustRegionSearch(evaluator, toy_space(), toy_spec(False), config)
+
+    def test_bare_ask_tell_loop_matches_run(self):
+        reference = self.make_search(toy_evaluator)
+        result = reference.run()
+        bare = self.make_search()
+        while not bare.is_done:
+            rows = bare.ask()
+            if rows.shape[0] == 0:
+                break
+            bare.tell(rows, toy_evaluator(rows))
+        np.testing.assert_array_equal(bare.sizings, reference.sizings)
+        np.testing.assert_array_equal(
+            bare._M[: bare.evaluations], reference._M[: reference.evaluations]
+        )
+        assert bare.result().history == result.history
+        assert any(record.restarted for record in result.history)
+        assert bare.refit_count == reference.refit_count > 0
+        np.testing.assert_array_equal(bare._surrogate.theta, reference._surrogate.theta)
+        np.testing.assert_array_equal(bare._optimizer._m, reference._optimizer._m)
+        assert bare._optimizer._t == reference._optimizer._t > 0
+        assert bare.rng.bit_generator.state == reference.rng.bit_generator.state
+
+    def test_state_dict_between_tell_and_ask_raises(self):
+        search = self.make_search()
+        rows = search.ask()
+        search.tell(rows, toy_evaluator(rows))
+        with pytest.raises(RuntimeError, match=r"ask\(\) or take_refit_job\(\)"):
+            search.state_dict()
+        search.ask()
+        search.state_dict()
+
+    def test_no_initial_fit_once_the_seed_spent_the_budget(self):
+        search = self.make_search(toy_evaluator, initial_samples=48, max_evaluations=40)
+        assert search.run().evaluations == 40
+        assert search.refit_count == 0
+        assert search._surrogate is None
+        assert search.take_refit_job() is None
 
 
 class TestTrajectoryLockVsOracle:

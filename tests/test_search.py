@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles.search import evaluate_new
 from repro.circuits.topologies.two_stage import METRIC_NAMES, TwoStageOpAmp
 from repro.circuits.pvt import full_corner_grid, hardest_condition, nine_corner_grid
 from repro.circuits.topologies import get_topology
@@ -376,13 +377,13 @@ class TestDatasetHotPath:
             [0.1, 0.1],  # duplicate of row 0
             [0.3, 0.3],
         ])
-        added = search._evaluate_new(block)
+        added = evaluate_new(search, block)
         assert added == 3
         np.testing.assert_allclose(search._X[:3], [[0.1, 0.1], [0.2, 0.2], [0.3, 0.3]])
 
     def test_dedup_limit_counts_only_fresh_rows(self):
         search = self.make_search()
-        search._evaluate_new(np.array([[0.1, 0.1]]))
+        evaluate_new(search, np.array([[0.1, 0.1]]))
         block = np.array([
             [0.1, 0.1],  # already seen -> skipped, not counted
             [0.2, 0.2],
@@ -390,7 +391,7 @@ class TestDatasetHotPath:
             [0.3, 0.3],
             [0.4, 0.4],
         ])
-        added = search._evaluate_new(block, limit=2)
+        added = evaluate_new(search, block, limit=2)
         assert added == 2
         np.testing.assert_allclose(search._X[1:3], [[0.2, 0.2], [0.3, 0.3]])
         assert search.evaluations == 3
@@ -399,7 +400,7 @@ class TestDatasetHotPath:
         search = self.make_search()
         rng = np.random.default_rng(0)
         for _ in range(6):
-            search._evaluate_new(search.design_space.sample(rng, 7))
+            evaluate_new(search, search.design_space.sample(rng, 7))
         scores = search._scores[: search._count]
         assert search._best == int(np.argmax(scores))
 
@@ -410,7 +411,7 @@ class TestDatasetHotPath:
         for _ in range(30):  # force several capacity doublings
             block = search.design_space.sample(rng, 9)
             before = search._count
-            search._evaluate_new(block)
+            evaluate_new(search, block)
             seen_rows.append(search._X[before: search._count].copy())
         stacked = np.vstack(seen_rows)
         np.testing.assert_array_equal(search._X[: search._count], stacked)
