@@ -5,9 +5,11 @@ learning and refitted every iteration (Algorithm 1, line 8).
 :class:`FusedMLP` is that network with one fixed shape: tanh hidden layers,
 an identity output layer, Xavier-initialised weights and zero biases.  The
 forward pass, the hand-derived backward pass under an MSE loss and a
-flat-buffer :class:`FusedAdam` all operate on one concatenated ``float64``
-parameter vector, so a training step is a fixed, small sequence of NumPy
-calls with no per-op Python structures.
+flat-buffer :class:`FusedAdam` all operate on one concatenated ``float32``
+parameter vector (:data:`DTYPE`), so a training step is a fixed, small
+sequence of NumPy calls with no per-op Python structures.  Only the network
+runs in float32: :meth:`FusedMLP.predict` hands back float64, and the ridge
+solve of the closed-form refit runs in float64.
 
 Every floating-point expression below is written to match a reverse-mode
 autodiff engine's backward pass operation for operation (same order, same
@@ -29,11 +31,27 @@ import numpy as np
 from repro.analysis.contracts import ArraySpec, contract
 from repro.obs import span
 
+#: The dtype the network trains and predicts in: parameters, gradients,
+#: Adam moments and every scratch buffer.  Callers' arrays are cast to it at
+#: the boundary, and predictions are cast back to float64.
+DTYPE = np.float32
+
 #: Adam's moment decay rates and denominator guard (Kingma & Ba, 2015),
 #: the defaults the surrogate has always trained with.
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
+
+# The kernels' scalar operands, already in DTYPE.  NumPy 2 (NEP 50) and
+# NumPy 1.x (value-based casting) promote mixed float32/float64 operands
+# differently -- ``np.float32(x) * 0.5`` is float32 under NEP 50 but float64
+# under 1.x -- so with typed scalars no result depends on which rules apply.
+_ONE = DTYPE(1.0)
+_BETA1 = DTYPE(BETA1)
+_BETA2 = DTYPE(BETA2)
+_ONE_MINUS_BETA1 = DTYPE(1.0 - BETA1)
+_ONE_MINUS_BETA2 = DTYPE(1.0 - BETA2)
+_EPS = DTYPE(EPS)
 
 
 def bias_correction(beta: float, t: int) -> float:
@@ -53,7 +71,8 @@ def ridge_output_weights(features: np.ndarray, targets: np.ndarray, l2: float) -
     Appends a ones column to the ``(rows, h)`` features (``Φ``) and solves
     the ``(h+1)×(h+1)`` system ``(ΦᵀΦ + l2·I) W = ΦᵀY``; the bias is
     penalised like the weights.  Any ``l2 > 0`` keeps the system solvable
-    when there are no more rows than features.
+    when there are no more rows than features.  The design matrix is
+    float64, so float32 features are upcast and the solve runs in float64.
     """
     design = np.empty((features.shape[0], features.shape[1] + 1))
     design[:, :-1] = features
@@ -64,7 +83,7 @@ def ridge_output_weights(features: np.ndarray, targets: np.ndarray, l2: float) -
 
 
 class FusedMLP:
-    """An MLP whose parameters live in one flat ``float64`` buffer.
+    """An MLP whose parameters live in one flat ``float32`` buffer.
 
     ``hidden`` gives the widths of the tanh hidden layers; the output layer
     is linear.  Each layer's weights are drawn from ``rng`` in order,
@@ -92,13 +111,13 @@ class FusedMLP:
         self._shapes: List[Tuple[int, int]] = list(zip(widths[:-1], widths[1:]))
 
         total = sum(i * o + o for i, o in self._shapes)
-        self.theta = np.empty(total, dtype=np.float64)
+        self.theta = np.empty(total, dtype=DTYPE)
         # The per-step gradient lives in a single reusable buffer; per-layer
         # weight/bias gradients are views into it so the backward pass can
         # write matmul results straight into place with ``out=``.  The array
         # returned by :meth:`loss_and_grad` is therefore only valid until the
         # next call — copy it to keep it.
-        self._grad = np.empty(total, dtype=np.float64)
+        self._grad = np.empty(total, dtype=DTYPE)
         # Per-batch-size scratch buffers for every forward/backward
         # intermediate (see _scratch_for); the training step performs no
         # heap allocation after the first batch of a given size.
@@ -150,7 +169,7 @@ class FusedMLP:
             )
         for i, target in enumerate(arrays):
             # analysis: allow(hot-loop-alloc) deserialization is cold by design
-            incoming = np.asarray(state[f"param_{i}"], dtype=np.float64)
+            incoming = np.asarray(state[f"param_{i}"], dtype=DTYPE)
             if incoming.shape != target.shape:
                 raise ValueError(
                     f"parameter {i} shape mismatch: {incoming.shape} vs {target.shape}"
@@ -168,23 +187,24 @@ class FusedMLP:
         return h
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Inference forward pass on raw arrays."""
-        if not (isinstance(x, np.ndarray) and x.ndim == 2 and x.dtype == np.float64):
-            x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return self._hidden_features(x) @ self._weights[-1] + self._biases[-1]
+        """Inference forward pass on raw arrays: computed in :data:`DTYPE`,
+        returned as float64."""
+        x = np.atleast_2d(np.asarray(x, dtype=DTYPE))
+        output = self._hidden_features(x) @ self._weights[-1] + self._biases[-1]
+        return output.astype(np.float64)
 
     __call__ = predict
 
     def fit_output_layer(self, inputs: np.ndarray, targets: np.ndarray, l2: float) -> None:
         """Refit the output layer exactly, keeping the hidden features.
 
-        One forward pass to the last hidden layer, then the ridge solve of
-        :func:`ridge_output_weights`, written into the last weight and bias
-        in place.  Draws no RNG and leaves the hidden layers (and any
-        optimizer's moments) untouched: the neural-linear refit of DNGO
-        (Snoek et al., 2015).
+        One :data:`DTYPE` forward pass to the last hidden layer, then the
+        float64 ridge solve of :func:`ridge_output_weights` on the upcast
+        features, rounded into the last weight and bias in place.  Draws no
+        RNG and leaves the hidden layers (and any optimizer's moments)
+        untouched: the neural-linear refit of DNGO (Snoek et al., 2015).
         """
-        features = self._hidden_features(np.atleast_2d(np.asarray(inputs, dtype=np.float64)))
+        features = self._hidden_features(np.atleast_2d(np.asarray(inputs, dtype=DTYPE)))
         solution = ridge_output_weights(features, targets, l2)
         self._weights[-1][...] = solution[:-1]
         self._biases[-1][...] = solution[-1]
@@ -204,7 +224,7 @@ class FusedMLP:
             # what keeps loss_and_grad itself allocation-free.
             cached = tuple(
                 # analysis: allow(hot-loop-alloc) one-time scratch
-                [np.empty((rows, fan_out)) for _, fan_out in self._shapes]
+                [np.empty((rows, fan_out), dtype=DTYPE) for _, fan_out in self._shapes]
                 for _ in range(3)
             )
             self._scratch[rows] = cached
@@ -226,11 +246,11 @@ class FusedMLP:
         the next ``loss_and_grad`` call; copy it if you need to keep it.
         """
         if not (isinstance(inputs, np.ndarray) and inputs.ndim == 2
-                and inputs.dtype == np.float64):
-            inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+                and inputs.dtype == DTYPE):
+            inputs = np.atleast_2d(np.asarray(inputs, dtype=DTYPE))
         if not (isinstance(targets, np.ndarray) and targets.ndim == 2
-                and targets.dtype == np.float64):
-            targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+                and targets.dtype == DTYPE):
+            targets = np.atleast_2d(np.asarray(targets, dtype=DTYPE))
         weights, biases = self._weights, self._biases
         last = len(weights) - 1
         if targets.shape != (inputs.shape[0], weights[last].shape[1]):
@@ -254,7 +274,7 @@ class FusedMLP:
         np.subtract(prediction, targets, out=diff)
         squared = tmp_buffers[last]
         np.multiply(diff, diff, out=squared)
-        inv_count = 1.0 / diff.size
+        inv_count = DTYPE(1.0 / diff.size)
         loss = float(squared.sum() * inv_count)
         np.multiply(diff, inv_count, out=diff)
         grad_out = np.add(diff, diff, out=diff)
@@ -264,7 +284,7 @@ class FusedMLP:
             if index < last:
                 a, tmp = out_buffers[index], tmp_buffers[index]
                 np.multiply(a, a, out=tmp)
-                np.subtract(1.0, tmp, out=tmp)
+                np.subtract(_ONE, tmp, out=tmp)
                 np.multiply(grad_out, tmp, out=grad_out)
             h = inputs if index == 0 else out_buffers[index - 1]
             np.matmul(h.T, grad_out, out=self._grad_weights[index])
@@ -274,7 +294,10 @@ class FusedMLP:
         return loss, self._grad
 
     @contract(
-        args={"inputs": ArraySpec("n", None), "targets": ArraySpec("n", None)},
+        args={
+            "inputs": ArraySpec("n", None, dtype=DTYPE),
+            "targets": ArraySpec("n", None, dtype=DTYPE),
+        },
         frozen=("inputs", "targets"),
     )
     @span("nn.fused_fit")
@@ -333,6 +356,7 @@ class FusedAdam:
         self.model = model
         self.theta = model.theta
         self.lr = lr
+        self._lr = DTYPE(lr)
         self._m = np.zeros_like(self.theta)
         self._v = np.zeros_like(self.theta)
         # Scratch buffers so a step performs zero heap allocations; every
@@ -365,20 +389,20 @@ class FusedAdam:
         self._t += 1
         m, v, s1, s2 = self._m, self._v, self._s1, self._s2
         # m = beta1*m + (1-beta1)*grad
-        np.multiply(m, BETA1, out=m)
-        np.multiply(grad, 1.0 - BETA1, out=s1)
+        np.multiply(m, _BETA1, out=m)
+        np.multiply(grad, _ONE_MINUS_BETA1, out=s1)
         np.add(m, s1, out=m)
         # v = beta2*v + (1-beta2)*grad^2
-        np.multiply(v, BETA2, out=v)
+        np.multiply(v, _BETA2, out=v)
         np.multiply(grad, grad, out=s1)
-        np.multiply(s1, 1.0 - BETA2, out=s1)
+        np.multiply(s1, _ONE_MINUS_BETA2, out=s1)
         np.add(v, s1, out=v)
         # theta -= lr * m_hat / (sqrt(v_hat) + eps)
-        np.divide(m, bias_correction(BETA1, self._t), out=s1)
-        np.divide(v, bias_correction(BETA2, self._t), out=s2)
+        np.divide(m, DTYPE(bias_correction(BETA1, self._t)), out=s1)
+        np.divide(v, DTYPE(bias_correction(BETA2, self._t)), out=s2)
         np.sqrt(s2, out=s2)
-        np.add(s2, EPS, out=s2)
-        np.multiply(s1, self.lr, out=s1)
+        np.add(s2, _EPS, out=s2)
+        np.multiply(s1, self._lr, out=s1)
         np.divide(s1, s2, out=s1)
         np.subtract(self.theta, s1, out=self.theta)
 
@@ -418,8 +442,8 @@ class BatchedFusedMLP:
         self.hidden = template.hidden
         self._shapes = list(template._shapes)
         total = template.num_parameters
-        self.theta = np.empty((n_seeds, total), dtype=np.float64)
-        self._grad = np.empty((n_seeds, total), dtype=np.float64)
+        self.theta = np.empty((n_seeds, total), dtype=DTYPE)
+        self._grad = np.empty((n_seeds, total), dtype=DTYPE)
         self._scratch: Dict[int, tuple] = {}
         self._weights: List[np.ndarray] = []
         self._biases: List[np.ndarray] = []
@@ -468,13 +492,14 @@ class BatchedFusedMLP:
         if cached is None:
             cached = tuple(
                 # analysis: allow(hot-loop-alloc) one-time scratch per row count
-                [np.empty((self.n_seeds, rows, fan_out)) for _, fan_out in self._shapes]
+                [np.empty((self.n_seeds, rows, fan_out), dtype=DTYPE)
+                 for _, fan_out in self._shapes]
                 for _ in range(3)
             )
             self._scratch[rows] = cached
         return cached
 
-    def loss_and_grad(self, inputs: np.ndarray, targets: np.ndarray) -> List[float]:
+    def loss_and_grad(self, inputs: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """One fused MSE step over all seeds at once.
 
         ``inputs``/``targets`` are ``(n_seeds, rows, features)`` — every
@@ -483,8 +508,8 @@ class BatchedFusedMLP:
         with one leading batch axis and the bits come out identical to
         ``n_seeds`` independent :meth:`FusedMLP.loss_and_grad` calls.
 
-        Returns the per-seed losses; the gradients land in ``self._grad``
-        (valid until the next call).
+        Returns the ``(n_seeds,)`` per-seed losses; the gradients land in
+        ``self._grad`` (valid until the next call).
         """
         rows = inputs.shape[1]
         weights, biases = self._weights, self._biases
@@ -514,10 +539,8 @@ class BatchedFusedMLP:
         np.subtract(prediction, targets, out=diff)
         squared = tmp_buffers[last]
         np.multiply(diff, diff, out=squared)
-        inv_count = 1.0 / (rows * self._shapes[last][1])
-        losses = [
-            float(squared[index].sum() * inv_count) for index in range(self.n_seeds)
-        ]
+        inv_count = DTYPE(1.0 / (rows * self._shapes[last][1]))
+        losses = squared.reshape(self.n_seeds, -1).sum(axis=1) * inv_count
         np.multiply(diff, inv_count, out=diff)
         grad_out = np.add(diff, diff, out=diff)
 
@@ -526,7 +549,7 @@ class BatchedFusedMLP:
             if index < last:
                 a, tmp = out_buffers[index], tmp_buffers[index]
                 np.multiply(a, a, out=tmp)
-                np.subtract(1.0, tmp, out=tmp)
+                np.subtract(_ONE, tmp, out=tmp)
                 np.multiply(grad_out, tmp, out=grad_out)
             h = inputs if index == 0 else out_buffers[index - 1]
             np.matmul(h.transpose(0, 2, 1), grad_out, out=self._grad_weights[index])
@@ -562,14 +585,15 @@ class BatchedFusedAdam:
         self.model = model
         self.theta = model.theta
         self.lr = lr
+        self._lr = DTYPE(lr)
         self._m = np.zeros_like(self.theta)
         self._v = np.zeros_like(self.theta)
         self._s1 = np.empty_like(self.theta)
         self._s2 = np.empty_like(self.theta)
         self._t: List[int] = [0] * model.n_seeds
         # Per-seed bias-correction denominators, broadcast over parameters.
-        self._bc1 = np.empty((model.n_seeds, 1), dtype=np.float64)
-        self._bc2 = np.empty((model.n_seeds, 1), dtype=np.float64)
+        self._bc1 = np.empty((model.n_seeds, 1), dtype=DTYPE)
+        self._bc2 = np.empty((model.n_seeds, 1), dtype=DTYPE)
 
     def gather(self, optimizers: Sequence[FusedAdam]) -> None:
         """Copy each seed's Adam moments and step count into the stack."""
@@ -605,20 +629,20 @@ class BatchedFusedAdam:
             bc1[index, 0] = bias_correction(BETA1, step_count)
             bc2[index, 0] = bias_correction(BETA2, step_count)
         # m = beta1*m + (1-beta1)*grad
-        np.multiply(m, BETA1, out=m)
-        np.multiply(grad, 1.0 - BETA1, out=s1)
+        np.multiply(m, _BETA1, out=m)
+        np.multiply(grad, _ONE_MINUS_BETA1, out=s1)
         np.add(m, s1, out=m)
         # v = beta2*v + (1-beta2)*grad^2
-        np.multiply(v, BETA2, out=v)
+        np.multiply(v, _BETA2, out=v)
         np.multiply(grad, grad, out=s1)
-        np.multiply(s1, 1.0 - BETA2, out=s1)
+        np.multiply(s1, _ONE_MINUS_BETA2, out=s1)
         np.add(v, s1, out=v)
         # theta -= lr * m_hat / (sqrt(v_hat) + eps), per-seed bias terms
         np.divide(m, bc1, out=s1)
         np.divide(v, bc2, out=s2)
         np.sqrt(s2, out=s2)
-        np.add(s2, EPS, out=s2)
-        np.multiply(s1, self.lr, out=s1)
+        np.add(s2, _EPS, out=s2)
+        np.multiply(s1, self._lr, out=s1)
         np.divide(s1, s2, out=s1)
         np.subtract(self.theta, s1, out=self.theta)
 
@@ -674,27 +698,26 @@ def _fit_bucket(jobs: List[FusedFitJob], inputs_list: List[np.ndarray],
     adam = BatchedFusedAdam(batched, lr=jobs[0].adam.lr)
     adam.gather([job.adam for job in jobs])
 
-    shuf_x = np.empty((n, count, batched.in_features))
-    shuf_y = np.empty((n, count, batched.out_features))
+    shuf_x = np.empty((n, count, batched.in_features), dtype=DTYPE)
+    shuf_y = np.empty((n, count, batched.out_features), dtype=DTYPE)
     grad = batched._grad
+    # One column per step of an epoch.  float64, like the Python floats the
+    # sequential path averages, so each row's mean takes the same bits.
+    step_losses = np.empty((n, (count + batch_size - 1) // batch_size))
     epoch_losses: List[List[float]] = [[] for _ in range(n)]
-    step_losses: List[List[float]] = [[] for _ in range(n)]
     for _ in range(epochs):
         for index, job in enumerate(jobs):
             permutation = job.rng.permutation(count)
             np.take(inputs_list[index], permutation, axis=0, out=shuf_x[index])
             np.take(targets_list[index], permutation, axis=0, out=shuf_y[index])
-        for start in range(0, count, batch_size):
+        for step, start in enumerate(range(0, count, batch_size)):
             stop = min(start + batch_size, count)
-            losses = batched.loss_and_grad(
+            step_losses[:, step] = batched.loss_and_grad(
                 shuf_x[:, start:stop], shuf_y[:, start:stop]
             )
             adam.step(grad)
-            for index in range(n):
-                step_losses[index].append(losses[index])
         for index in range(n):
             epoch_losses[index].append(float(np.mean(step_losses[index])))
-            step_losses[index].clear()
 
     batched.scatter([job.model for job in jobs])
     adam.scatter([job.adam for job in jobs])
@@ -731,12 +754,12 @@ def fit_batched(jobs: Sequence[FusedFitJob]) -> List[List[float]]:
     inputs_list: List[np.ndarray] = []
     targets_list: List[np.ndarray] = []
     for job in jobs:
-        # Cold per-dispatch coercion (a no-op for the float64 2-D views the
-        # search hands over).
+        # Cold per-dispatch coercion (a no-op for the float32 arrays the
+        # search's refit jobs carry).
         # analysis: allow(hot-loop-alloc)
-        inputs = np.atleast_2d(np.asarray(job.inputs, dtype=np.float64))
+        inputs = np.atleast_2d(np.asarray(job.inputs, dtype=DTYPE))
         # analysis: allow(hot-loop-alloc)
-        targets = np.atleast_2d(np.asarray(job.targets, dtype=np.float64))
+        targets = np.atleast_2d(np.asarray(job.targets, dtype=DTYPE))
         if inputs.shape[0] != targets.shape[0] or inputs.shape[0] < 1:
             raise ValueError(
                 f"job has {inputs.shape[0]} input rows vs {targets.shape[0]} target rows"

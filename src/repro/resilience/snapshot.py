@@ -32,8 +32,10 @@ from repro.resilience.atomic import atomic_write_bytes
 #: Envelope magic; the trailing byte is the envelope version.
 MAGIC = b"REPROSNAP\x01"
 #: Payload format tag, checked on load (bump on incompatible tree changes).
-#: v3 moved member rows and histories into the journal; v2 copied them.
-SNAPSHOT_FORMAT = "repro.resilience/snapshot-v3"
+#: v4 holds float32 surrogate parameters and Adam moments (v3's were
+#: float64, and loading them would round them); v3 moved member rows and
+#: histories into the journal; v2 copied them.
+SNAPSHOT_FORMAT = "repro.resilience/snapshot-v4"
 
 _HEADER = struct.Struct("<IQ")  # crc32(payload), len(payload)
 

@@ -54,7 +54,11 @@ incremental incumbent) lives in the shared
 uses ``np.argpartition`` to keep ranking cost O(pool); the surrogate is
 the fused NumPy MLP (:mod:`repro.nn.fused`), trained by its own
 :meth:`~repro.nn.fused.FusedMLP.fit` and step-for-step bit-identical to the
-autodiff reference the tests keep (locked by ``tests/test_fused.py``).
+autodiff reference the tests keep (locked by ``tests/test_fused.py``).  The
+network trains and predicts in float32; the refit job's inputs and targets
+are cast once in :meth:`TrustRegionSearch.take_refit_job`, predictions come
+back as float64, and the output scaler, margins, ranking, design-space rows
+and cache keys stay float64.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ import numpy as np
 from repro.core.design_space import DesignSpace
 from repro.obs import event, profiled
 from repro.resilience.faults import fault_point, register_fault_site
-from repro.nn.fused import FusedAdam, FusedFitJob, FusedMLP, fit_batched
+from repro.nn.fused import DTYPE, FusedAdam, FusedFitJob, FusedMLP, fit_batched
 from repro.nn.scalers import StandardScaler
 from repro.analysis.contracts import contract
 from repro.search.optimizer import (
@@ -238,9 +242,12 @@ class TrustRegionSearch(DatasetOptimizer):
         ``None``.
 
         Runs the refit bookkeeping (fault site, refit counter, lazy
-        surrogate build) at pop time.  A :class:`~repro.search.campaign.Campaign`
-        pops every member's job at the end of the round and trains them
-        together; a job nobody popped is trained by the next :meth:`ask`.
+        surrogate build) at pop time, and casts the unit inputs and scaled
+        targets to the surrogate's float32 :data:`~repro.nn.fused.DTYPE`
+        once, here, so every trainer gets the same arrays.  A
+        :class:`~repro.search.campaign.Campaign` pops every member's job at
+        the end of the round and trains them together; a job nobody popped
+        is trained by the next :meth:`ask`.
         Queuing cannot shift a trajectory: the full refit is the only RNG
         consumer of a refit, the closed-form refit draws nothing and always
         follows the training of any earlier full refit, and the next RNG use
@@ -259,8 +266,8 @@ class TrustRegionSearch(DatasetOptimizer):
         return FusedFitJob(
             model=self._surrogate,
             adam=self._optimizer,
-            inputs=self._U[: self._count],
-            targets=self._output_scaler.transform(metrics),
+            inputs=self._U[: self._count].astype(DTYPE),
+            targets=self._output_scaler.transform(metrics).astype(DTYPE),
             epochs=epochs,
             batch_size=self.config.surrogate_batch_size,
             rng=self.rng,

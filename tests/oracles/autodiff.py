@@ -9,6 +9,11 @@ recorded graph whose ``requires_grad`` flag is set.
 The engine supports broadcasting for elementwise operations; gradients are
 automatically reduced (summed) back to the shape of each operand.
 
+A tensor keeps the floating dtype of the array it wraps, as HIPS autograd
+does with the NumPy it wraps, so a float32 graph computes, and
+differentiates, in float32.  Python scalars are weak: an operand such as
+the ``2.0`` in ``x * 2.0`` takes the other tensor's dtype.
+
 It is intentionally minimal, and it is the reference the fused surrogate
 (:mod:`repro.nn.fused`) is checked against (:mod:`oracles.nn`); every
 operation is exact and tested against numerical differentiation.
@@ -23,12 +28,21 @@ import numpy as np
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
 
+def _as_float_array(data: ArrayLike) -> np.ndarray:
+    """``data`` as an array, keeping a floating dtype and making anything
+    else (ints, bools, nested lists of Python numbers) float64."""
+    array = np.asarray(data)
+    if not np.issubdtype(array.dtype, np.floating):
+        array = array.astype(np.float64)
+    return array
+
+
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` over broadcast dimensions so it matches ``shape``.
 
     NumPy broadcasting can expand an operand either by prepending dimensions
     or by stretching size-1 dimensions.  The adjoint of broadcasting is a sum
-    over exactly those dimensions.
+    over exactly those dimensions; the sums keep ``grad``'s dtype.
     """
     if grad.shape == shape:
         return grad
@@ -49,7 +63,8 @@ class Tensor:
     Parameters
     ----------
     data:
-        Array-like payload; always stored as ``float64``.
+        Array-like payload.  A floating array keeps its dtype; anything
+        else is stored as ``float64``.
     requires_grad:
         If True, ``backward`` accumulates a gradient into :attr:`grad`.
     _children:
@@ -69,7 +84,7 @@ class Tensor:
     ) -> None:
         if isinstance(data, Tensor):
             data = data.data
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = _as_float_array(data)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
         self._backward: Callable[[], None] = lambda: None
@@ -114,13 +129,22 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
+    def _lift(self, other: ArrayLike) -> "Tensor":
+        """``other`` as a tensor operand; a Python scalar takes this
+        tensor's dtype (a weak scalar), anything else keeps its own."""
+        if isinstance(other, Tensor):
+            return other
+        if isinstance(other, (int, float)):
+            return Tensor(np.asarray(other, dtype=self.data.dtype))
+        return Tensor(other)
+
     # ------------------------------------------------------------------
     # Graph bookkeeping
     # ------------------------------------------------------------------
     def _accumulate(self, grad: np.ndarray) -> None:
         if not self.requires_grad:
             return
-        grad = _unbroadcast(np.asarray(grad, dtype=np.float64), self.data.shape)
+        grad = _unbroadcast(np.asarray(grad, dtype=self.data.dtype), self.data.shape)
         if self.grad is None:
             self.grad = grad.copy()
         else:
@@ -159,7 +183,7 @@ class Tensor:
             for child in node._children:
                 if id(child) not in visited:
                     stack.append((child, False))
-        self._accumulate(np.asarray(grad, dtype=np.float64))
+        self._accumulate(np.asarray(grad, dtype=self.data.dtype))
         for node in reversed(topo):
             if node.grad is not None:
                 node._backward()
@@ -168,7 +192,7 @@ class Tensor:
     # Elementwise arithmetic
     # ------------------------------------------------------------------
     def __add__(self, other: ArrayLike) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = self._lift(other)
         out = Tensor(
             self.data + other.data,
             requires_grad=self.requires_grad or other.requires_grad,
@@ -184,7 +208,7 @@ class Tensor:
         return out
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = self._lift(other)
         out = Tensor(
             self.data * other.data,
             requires_grad=self.requires_grad or other.requires_grad,
@@ -242,10 +266,10 @@ class Tensor:
         return self.abs()
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
-        return self + (-(other if isinstance(other, Tensor) else Tensor(other)))
+        return self + (-self._lift(other))
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = self._lift(other)
         return self * other ** -1.0
 
     def __radd__(self, other: ArrayLike) -> "Tensor":
@@ -258,13 +282,13 @@ class Tensor:
         return self * other
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return Tensor(other) / self
+        return self._lift(other) / self
 
     # ------------------------------------------------------------------
     # Linear algebra
     # ------------------------------------------------------------------
     def matmul(self, other: "Tensor") -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = self._lift(other)
         out = Tensor(
             self.data @ other.data,
             requires_grad=self.requires_grad or other.requires_grad,
@@ -383,7 +407,7 @@ class Tensor:
             if axis is not None and not keepdims:
                 grad = np.expand_dims(grad, axis)
                 reference = np.expand_dims(out_data, axis)
-            mask = (self.data == reference).astype(np.float64)
+            mask = (self.data == reference).astype(self.data.dtype)
             mask = mask / np.maximum(mask.sum(axis=axis, keepdims=True), 1.0)
             self._accumulate(mask * grad)
 

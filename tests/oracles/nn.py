@@ -5,8 +5,10 @@ locked bit for bit against these classes.  Everything here runs on the
 :mod:`oracles.autodiff` ``Tensor`` graph: a per-minibatch graph of Python
 objects, slow but obviously right.  The network has the surrogate's one
 shape (tanh hidden layers, an identity output layer, Xavier weights, zero
-biases), and its ``state_dict`` layout (``param_0`` = first weight,
-``param_1`` = first bias, ...) is the fused network's.
+biases) and its dtype (:data:`repro.nn.fused.DTYPE`, float32), with the
+same casts at the same boundaries, and its ``state_dict`` layout
+(``param_0`` = first weight, ``param_1`` = first bias, ...) is the fused
+network's.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 import numpy as np
 
 from oracles.autodiff import Tensor
-from repro.nn.fused import BETA1, BETA2, EPS, bias_correction, ridge_output_weights
+from repro.nn.fused import BETA1, BETA2, DTYPE, EPS, bias_correction, ridge_output_weights
 
 #: Seed used when neither an rng nor a seed is supplied.  Any fixed value
 #: works; what matters is that the default is *a* seed, not OS entropy.
@@ -82,7 +84,7 @@ class Module:
                 f"state has {len(state)} entries but module has {len(params)} parameters"
             )
         for i, param in enumerate(params):
-            incoming = np.asarray(state[f"param_{i}"], dtype=np.float64)
+            incoming = np.asarray(state[f"param_{i}"], dtype=param.data.dtype)
             if incoming.shape != param.data.shape:
                 raise ValueError(
                     f"parameter {i} shape mismatch: {incoming.shape} vs {param.data.shape}"
@@ -91,7 +93,8 @@ class Module:
 
 
 class Linear(Module):
-    """Affine layer ``y = x W + b`` with Xavier initialization."""
+    """Affine layer ``y = x W + b`` with Xavier initialization, in
+    :data:`DTYPE` (the float64 draws are rounded once)."""
 
     def __init__(
         self,
@@ -105,9 +108,10 @@ class Linear(Module):
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Tensor(
-            rng.normal(0.0, scale, size=(in_features, out_features)), requires_grad=True
+            rng.normal(0.0, scale, size=(in_features, out_features)).astype(DTYPE),
+            requires_grad=True,
         )
-        self.bias = Tensor(np.zeros(out_features), requires_grad=True)
+        self.bias = Tensor(np.zeros(out_features, dtype=DTYPE), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
         return x @ self.weight + self.bias
@@ -226,14 +230,15 @@ class MLP(Module):
         return self.body(x)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Forward pass on raw arrays without building gradients."""
-        data = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        """Forward pass on raw arrays without building gradients: computed
+        in :data:`DTYPE`, returned as float64."""
+        data = np.atleast_2d(np.asarray(x, dtype=DTYPE))
         for layer in self.body.layers:
             if isinstance(layer, Linear):
                 data = data @ layer.weight.data + layer.bias.data
             else:
                 data = np.tanh(data)
-        return data
+        return data.astype(np.float64)
 
     def fit(
         self,
@@ -248,8 +253,11 @@ class MLP(Module):
 
         The signature and RNG use of :meth:`repro.nn.fused.FusedMLP.fit`
         (one permutation per epoch), so the search can train either.
-        Returns the per-epoch mean losses.
+        Inputs and targets are cast to :data:`DTYPE` first.  Returns the
+        per-epoch mean losses.
         """
+        inputs = np.asarray(inputs, dtype=DTYPE)
+        targets = np.asarray(targets, dtype=DTYPE)
         epoch_losses: List[float] = []
         for _ in range(epochs):
             losses = []
@@ -265,11 +273,12 @@ class MLP(Module):
     def fit_output_layer(self, inputs: np.ndarray, targets: np.ndarray, l2: float) -> None:
         """The closed-form output-layer refit.
 
-        The hidden features come from the Tensor forward pass; only the
-        ridge solve is shared with the fused network.
+        The hidden features come from the :data:`DTYPE` Tensor forward
+        pass; only the float64 ridge solve on the upcast features is shared
+        with the fused network.
         """
         *hidden, last = self.body.layers
-        features = Sequential(*hidden)(Tensor(inputs)).data
+        features = Sequential(*hidden)(Tensor(np.asarray(inputs, dtype=DTYPE))).data
         solution = ridge_output_weights(features, targets, l2)
         last.weight.data[...] = solution[:-1]
         last.bias.data[...] = solution[-1]

@@ -25,6 +25,7 @@ from repro.nn import (
     fit_job_signature,
 )
 from repro.core.design_space import DesignSpace, Parameter
+from repro.nn.fused import DTYPE
 from repro.resilience import FaultPlan, InjectedFault, inject, load_snapshot
 from repro.search import Spec, Specification, TrustRegionConfig, TrustRegionSearch
 from repro.search import campaign as campaign_module
@@ -67,11 +68,12 @@ def make_job(seed, count, epochs=5, batch_size=16, **model_kwargs):
 
 
 def run_sequentially(jobs):
-    """The oracle: each job through the single-seed ``FusedMLP.fit``."""
+    """The oracle: each job through the single-seed ``FusedMLP.fit``, on the
+    job's arrays cast to the network's dtype as ``fit_batched`` casts them."""
     return [
         job.model.fit(
-            np.atleast_2d(np.asarray(job.inputs, dtype=np.float64)),
-            np.atleast_2d(np.asarray(job.targets, dtype=np.float64)),
+            np.atleast_2d(np.asarray(job.inputs, dtype=DTYPE)),
+            np.atleast_2d(np.asarray(job.targets, dtype=DTYPE)),
             job.epochs,
             job.batch_size,
             job.adam,

@@ -3,9 +3,10 @@
 The contract of :mod:`repro.nn.fused` is stronger than "numerically close":
 given the same minibatch stream, the fused network produces *bit-identical*
 losses, gradients and post-Adam weights to the Tensor-graph oracle
-(:mod:`oracles.nn`).  These tests pin that contract step by step, plus the
-constructor's own weight draws, the ``state_dict`` interchange, and whole
-searches run on the autodiff oracle (via the ``oracles`` fixture).
+(:mod:`oracles.nn`), both in float32.  These tests pin that contract step
+by step, plus the constructor's own weight draws, the ``state_dict``
+interchange, the dtype of every buffer, and whole searches run on the
+autodiff oracle (via the ``oracles`` fixture).
 """
 
 import numpy as np
@@ -15,8 +16,9 @@ from oracles.autodiff import Tensor
 from oracles.nn import MLP, Adam, mse_loss
 from repro.circuits import available_topologies, get_topology
 from repro.nn import FusedAdam, FusedMLP
-from repro.nn.fused import fit_batched, ridge_output_weights
-from repro.search import TrustRegionConfig
+from repro.nn import fused as fused_module
+from repro.nn.fused import DTYPE, FusedFitJob, fit_batched, ridge_output_weights
+from repro.search import TrustRegionConfig, TrustRegionSearch
 
 
 def flat_params(model: MLP) -> np.ndarray:
@@ -36,10 +38,11 @@ def make_pair(in_features=4, hidden=(16, 16), out_features=3, seed=7):
 
 
 def regression_data(count=96, in_features=4, out_features=3, seed=0):
+    """Training data in the network's dtype, as a search's refit job has it."""
     rng = np.random.default_rng(seed)
     inputs = rng.uniform(-1.0, 1.0, size=(count, in_features))
     targets = rng.normal(size=(count, out_features))
-    return inputs, targets
+    return inputs.astype(DTYPE), targets.astype(DTYPE)
 
 
 class TestPerStepParity:
@@ -123,11 +126,12 @@ class TestModuleInterop:
 
 
 def hidden_features(fused: FusedMLP, inputs: np.ndarray) -> np.ndarray:
-    """The last hidden layer's activations, layer by layer."""
-    h = inputs
+    """The last hidden layer's activations, layer by layer, upcast to
+    float64 for the ridge solve."""
+    h = inputs.astype(DTYPE)
     for weight, bias in zip(fused._weights[:-1], fused._biases[:-1]):
         h = np.tanh(h @ weight + bias)
-    return h
+    return h.astype(np.float64)
 
 
 def augmented_lstsq(features, targets, l2):
@@ -139,8 +143,33 @@ def augmented_lstsq(features, targets, l2):
     return np.linalg.lstsq(stacked, padded, rcond=None)[0]
 
 
+def seeded_search() -> TrustRegionSearch:
+    """An evaluator-less search on an unsatisfiable spec, told its
+    Monte-Carlo seed: the initial fit is queued."""
+    from repro.core.design_space import DesignSpace, Parameter
+    from repro.search import Spec, Specification
+
+    space = DesignSpace([Parameter("x", 0.0, 1.0, grid_points=101)])
+    spec = Specification([Spec("a", ">=", 10.0)], ["a"])  # unsatisfiable
+    config = TrustRegionConfig(seed=0, initial_samples=16, surrogate_hidden=(8, 8),
+                               initial_epochs=4)
+    search = TrustRegionSearch(None, space, spec, config)
+    rows = search.ask()
+    search.tell(rows, np.sin(7.0 * rows))
+    return search
+
+
+def output_layer(fused: FusedMLP) -> np.ndarray:
+    """The output layer's weights with its bias as the last row."""
+    return np.vstack([fused._weights[-1], fused._biases[-1]])
+
+
 class TestFitOutputLayer:
-    """The closed-form output-layer refit: exact, local and side-effect free."""
+    """The closed-form output-layer refit: exact, local and side-effect free.
+
+    The ridge solve runs in float64 and is checked against an independent
+    least-squares solve; the float32 layer must hold exactly its rounding.
+    """
 
     L2 = 1e-2
 
@@ -153,13 +182,18 @@ class TestFitOutputLayer:
                   rng=np.random.default_rng(0))
         return fused, adam, inputs, targets
 
+    def check_solution(self, fused, inputs, targets):
+        features = hidden_features(fused, inputs)
+        solution = ridge_output_weights(features, targets, self.L2)
+        expected = augmented_lstsq(features, targets, self.L2)
+        np.testing.assert_allclose(solution, expected, rtol=0.0, atol=1e-10)
+        np.testing.assert_array_equal(output_layer(fused), solution.astype(DTYPE))
+
     @pytest.mark.parametrize("count", [96, 400])
     def test_weights_match_lstsq_on_augmented_system(self, count):
         fused, _, inputs, targets = self.trained(count)
         fused.fit_output_layer(inputs, targets, self.L2)
-        expected = augmented_lstsq(hidden_features(fused, inputs), targets, self.L2)
-        solved = np.vstack([fused._weights[-1], fused._biases[-1]])
-        np.testing.assert_allclose(solved, expected, rtol=0.0, atol=1e-10)
+        self.check_solution(fused, inputs, targets)
 
     @pytest.mark.parametrize("count", [49, 12])
     def test_solvable_with_no_more_rows_than_features(self, count):
@@ -167,10 +201,8 @@ class TestFitOutputLayer:
         fused, _, inputs, targets = self.trained()
         inputs, targets = inputs[:count], targets[:count]
         fused.fit_output_layer(inputs, targets, self.L2)
-        solved = np.vstack([fused._weights[-1], fused._biases[-1]])
-        assert np.all(np.isfinite(solved))
-        expected = augmented_lstsq(hidden_features(fused, inputs), targets, self.L2)
-        np.testing.assert_allclose(solved, expected, rtol=0.0, atol=1e-10)
+        assert np.all(np.isfinite(output_layer(fused)))
+        self.check_solution(fused, inputs, targets)
 
     def test_hidden_layers_and_adam_untouched(self):
         fused, adam, inputs, targets = self.trained()
@@ -188,16 +220,7 @@ class TestFitOutputLayer:
     def test_search_refit_draws_no_rng(self):
         """Inside a search, the closed-form refit moves only the output
         layer: the RNG, the hidden layers and Adam's state stay put."""
-        from repro.core.design_space import DesignSpace, Parameter
-        from repro.search import Spec, Specification, TrustRegionConfig, TrustRegionSearch
-
-        space = DesignSpace([Parameter("x", 0.0, 1.0, grid_points=101)])
-        spec = Specification([Spec("a", ">=", 10.0)], ["a"])  # unsatisfiable
-        config = TrustRegionConfig(seed=0, initial_samples=16, surrogate_hidden=(8, 8),
-                                   initial_epochs=4)
-        search = TrustRegionSearch(None, space, spec, config)
-        rows = search.ask()
-        search.tell(rows, np.sin(7.0 * rows))
+        search = seeded_search()
         fit_batched([search.take_refit_job()])  # the queued initial fit
         rng_state = search.rng.bit_generator.state
         theta = search._surrogate.theta.copy()
@@ -221,9 +244,120 @@ class TestFitOutputLayer:
         model.fit_output_layer(inputs, targets, self.L2)
         np.testing.assert_array_equal(flat_params(model), fused.theta)
         np.testing.assert_array_equal(
-            np.vstack([fused._weights[-1], fused._biases[-1]]),
-            ridge_output_weights(hidden_features(fused, inputs), targets, self.L2),
+            output_layer(fused),
+            ridge_output_weights(hidden_features(fused, inputs), targets, self.L2).astype(DTYPE),
         )
+
+
+class TestDtypes:
+    """The network's buffers stay float32 through every entry point, and
+    predictions leave as float64."""
+
+    @staticmethod
+    def assert_model_dtypes(model, adam):
+        buffers = [model.theta, model._grad, adam._m, adam._v, adam._s1, adam._s2]
+        for rows in model._scratch.values():
+            buffers.extend(array for group in rows for array in group)
+        assert {array.dtype for array in buffers} == {np.dtype(DTYPE)}
+
+    def test_fit_output_layer_and_load_state_dict_keep_float32(self):
+        _, fused = make_pair(in_features=6, hidden=(48, 48), out_features=5, seed=3)
+        adam = FusedAdam(fused, lr=3e-3)
+        inputs, targets = regression_data(count=64, in_features=6, out_features=5)
+        fused.fit(inputs, targets, 2, 16, adam, np.random.default_rng(0))
+        self.assert_model_dtypes(fused, adam)
+        assert fused._scratch  # the check above covered the scratch buffers
+        # float64 arrays in, as the search passes them: rounded on the way in.
+        fused.fit_output_layer(inputs.astype(np.float64), targets.astype(np.float64), 1e-2)
+        fused.load_state_dict(
+            {key: value.astype(np.float64) for key, value in fused.state_dict().items()}
+        )
+        adam.load_state_dict(
+            {key: (value.astype(np.float64) if key != "t" else value)
+             for key, value in adam.state_dict().items()}
+        )
+        self.assert_model_dtypes(fused, adam)
+        prediction = fused.predict(inputs.astype(np.float64))
+        assert prediction.dtype == np.float64
+        np.testing.assert_array_equal(prediction, fused.predict(inputs))
+
+    def test_fit_batched_buckets_and_lone_jobs_keep_float32(self, monkeypatch):
+        seen = set()
+        step = fused_module.BatchedFusedMLP.loss_and_grad
+        adam_step = fused_module.BatchedFusedAdam.step
+
+        def recording_step(batched, inputs, targets):
+            losses = step(batched, inputs, targets)
+            scratch = [a for rows in batched._scratch.values() for g in rows for a in g]
+            seen.update(a.dtype for a in [inputs, targets, batched.theta, batched._grad,
+                                           losses, *scratch])
+            return losses
+
+        def recording_adam_step(adam, grad):
+            adam_step(adam, grad)
+            seen.update(a.dtype for a in [adam._m, adam._v, adam._s1, adam._s2,
+                                           adam._bc1, adam._bc2])
+
+        monkeypatch.setattr(fused_module.BatchedFusedMLP, "loss_and_grad", recording_step)
+        monkeypatch.setattr(fused_module.BatchedFusedAdam, "step", recording_adam_step)
+        jobs = []
+        for seed, count in ((0, 40), (1, 40), (2, 33)):  # one bucket, one lone job
+            model = FusedMLP(4, (8, 8), 3, rng=np.random.default_rng(seed))
+            inputs, targets = regression_data(count=count, seed=seed)
+            jobs.append(FusedFitJob(model, FusedAdam(model, lr=3e-3),
+                                    inputs.astype(np.float64), targets.astype(np.float64),
+                                    3, 16, np.random.default_rng(seed)))
+        fit_batched(jobs)
+        assert seen == {np.dtype(DTYPE)}
+        for job in jobs:
+            self.assert_model_dtypes(job.model, job.adam)
+
+    def test_search_refit_job_carries_float32(self):
+        search = seeded_search()
+        job = search.take_refit_job()
+        assert job.inputs.dtype == job.targets.dtype == np.dtype(DTYPE)
+        fit_batched([job])
+        self.assert_model_dtypes(search._surrogate, search._optimizer)
+        search._fit_output_layer()
+        self.assert_model_dtypes(search._surrogate, search._optimizer)
+
+
+def capture_surrogates(monkeypatch):
+    """Record every (model, optimizer) pair the trust regions build."""
+    built = []
+    original = TrustRegionSearch._build_surrogate
+
+    def build(search):
+        pair = original(search)
+        built.append(pair)
+        return pair
+
+    monkeypatch.setattr(TrustRegionSearch, "_build_surrogate", build)
+    return built
+
+
+def surrogate_state(model, adam):
+    """Flat parameters, Adam moments and step count of either backend."""
+    if isinstance(model, FusedMLP):
+        return model.theta.copy(), adam._m.copy(), adam._v.copy(), adam._t
+    return (
+        flat_params(model),
+        np.concatenate([m.ravel() for m in adam._m]),
+        np.concatenate([v.ravel() for v in adam._v]),
+        adam._t,
+    )
+
+
+def assert_same_surrogates(fused_states, autodiff_states):
+    """Bitwise, dtype included, for every surrogate built in build order."""
+    assert len(fused_states) == len(autodiff_states) > 0
+    for fused_state, autodiff_state in zip(fused_states, autodiff_states):
+        *fused_arrays, fused_t = fused_state
+        *autodiff_arrays, autodiff_t = autodiff_state
+        for fused_array, autodiff_array in zip(fused_arrays, autodiff_arrays):
+            assert fused_array.dtype == autodiff_array.dtype == np.dtype(DTYPE)
+            np.testing.assert_array_equal(fused_array, autodiff_array)
+        assert fused_t == autodiff_t > 0
 
 
 class TestSearchLevelParity:
@@ -275,8 +409,11 @@ class TestSearchLevelParity:
             outcome = campaign.run()
             return fingerprint_outcome(outcome, campaign.cache.state_digest(), seeds)
 
+        built = capture_surrogates(monkeypatch)
         fused = fingerprint()
+        fused_states = [surrogate_state(*pair) for pair in built]
         oracles.autodiff_surrogate()
+        built = capture_surrogates(monkeypatch)
         oracle_fit = MLP.fit
         fits = []
 
@@ -288,6 +425,8 @@ class TestSearchLevelParity:
         assert fused["batched_kernel_calls"] > 0
         assert fingerprint() == fused
         assert len(fits) > len(seeds)
+        assert all(isinstance(model, MLP) for model, _ in built)
+        assert_same_surrogates(fused_states, [surrogate_state(*pair) for pair in built])
 
     def test_two_stage_demo_seed0_backend_parity(self, oracles, monkeypatch):
         """The demo reaches the same sizing on the autodiff oracle, through
@@ -295,8 +434,11 @@ class TestSearchLevelParity:
         from repro.search.opamp_demo import DEFAULT_SPECS
         from repro.search.sizing import size_problem
 
+        built = capture_surrogates(monkeypatch)
         fused = size_problem("two_stage_opamp", specs=DEFAULT_SPECS, seed=0)
+        fused_states = [surrogate_state(*pair) for pair in built]
         oracles.autodiff_surrogate()
+        built = capture_surrogates(monkeypatch)
         closed_form = MLP.fit_output_layer
         calls = []
 
@@ -310,5 +452,7 @@ class TestSearchLevelParity:
         assert fused.solved_all_corners and autodiff.solved_all_corners
         assert fused.evaluations == autodiff.evaluations
         np.testing.assert_array_equal(fused.best_vector, autodiff.best_vector)
+        assert all(isinstance(model, MLP) for model, _ in built)
+        assert_same_surrogates(fused_states, [surrogate_state(*pair) for pair in built])
         # The fast path must actually be faster on the identical trajectory.
         assert fused.refit_seconds < autodiff.refit_seconds

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.nn import FusedAdam, FusedMLP, StandardScaler
+from repro.nn.fused import DTYPE
 
 
 def test_regressor_fits_smooth_function():
@@ -14,7 +15,9 @@ def test_regressor_fits_smooth_function():
         [np.sin(2.0 * inputs[:, 0]), inputs[:, 0] * inputs[:, 1]], axis=1
     )
     model = FusedMLP(2, (32, 32), 2, rng=rng)
-    losses = model.fit(inputs, targets, 150, 32, FusedAdam(model, lr=3e-3), rng)
+    losses = model.fit(
+        inputs.astype(DTYPE), targets.astype(DTYPE), 150, 32, FusedAdam(model, lr=3e-3), rng
+    )
     assert losses[-1] <= losses[0]
     assert losses[-1] < 0.01
 
@@ -23,7 +26,8 @@ def test_incremental_refit_with_persistent_adam():
     """The search loop refits with a shared optimizer; moments must persist."""
     rng = np.random.default_rng(1)
     inputs = rng.uniform(-1.0, 1.0, size=(128, 2))
-    targets = inputs.sum(axis=1, keepdims=True)
+    targets = inputs.sum(axis=1, keepdims=True).astype(DTYPE)
+    inputs = inputs.astype(DTYPE)
     model = FusedMLP(2, (16,), 1, rng=rng)
     optimizer = FusedAdam(model, lr=1e-2)
     losses = []

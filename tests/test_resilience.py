@@ -721,18 +721,32 @@ class TestMemberJournal:
         assert sum(len(keys) for _, keys, _ in records) == final[0] == len(resumed.cache)
         assert any(tag[:1] == MEMBER_FRAME for tag, _, _ in records)
 
-    def test_v2_snapshot_refused(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _assert_refused(tmp_path, monkeypatch, version):
+        """Rewrite a finished run's snapshot under an older format tag;
+        resuming from it must fail naming that format and the current one."""
         ckpt = str(tmp_path / "ckpt")
         campaign = get_suite("drill")[0].build_campaign([0])
         campaign.run(checkpoint_dir=ckpt)
         latest = os.path.join(ckpt, LATEST_SNAPSHOT)
         state = load_snapshot(latest)
         with monkeypatch.context() as patch:
-            patch.setattr(snapshot_module, "SNAPSHOT_FORMAT", "repro.resilience/snapshot-v2")
+            patch.setattr(
+                snapshot_module, "SNAPSHOT_FORMAT", f"repro.resilience/snapshot-{version}"
+            )
             save_snapshot(latest, state)
         resumed = get_suite("drill")[0].build_campaign([0])
-        with pytest.raises(SnapshotError, match=r"snapshot-v2.*expected.*snapshot-v3"):
+        with pytest.raises(SnapshotError, match=rf"snapshot-{version}.*expected.*snapshot-v4"):
             resumed.run(resume_from=ckpt)
+
+    def test_v2_snapshot_refused(self, tmp_path, monkeypatch):
+        self._assert_refused(tmp_path, monkeypatch, "v2")
+
+    def test_v3_snapshot_refused(self, tmp_path, monkeypatch):
+        """v3 surrogate bundles hold float64 weights and Adam moments, which
+        the float32 surrogate would round on load, so resume would drift
+        from the uninterrupted run: refused by name."""
+        self._assert_refused(tmp_path, monkeypatch, "v3")
 
 
 def _restart_pending(optimizer_state):
