@@ -9,8 +9,7 @@ invariants surviving refactors.  This package makes them cheap to keep:
   engine (stdlib :mod:`ast`, pluggable rule registry mirroring the optimizer
   registry) with rules encoding this repo's determinism, bit-exactness and
   broadcast contracts: no unseeded RNGs, no float ``==``, no allocation in
-  hot loops, no Python loop over the corner tensor axis, no stacked engine
-  without its looped parity oracle.
+  hot loops, no Python loop over the corner tensor axis of a topology.
 * :mod:`repro.analysis.contracts` — a zero-cost-by-default runtime
   ``@contract`` decorator (enabled via ``REPRO_CONTRACTS=1``) asserting
   shape/dtype agreement at the tensor-engine entry points and freezing

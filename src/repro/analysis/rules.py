@@ -120,26 +120,6 @@ def _function_defs(tree: ast.AST) -> Iterator[ast.FunctionDef]:
             yield node
 
 
-def _class_is_stacked(node: ast.ClassDef) -> bool:
-    """Whether the class body sets ``supports_stacked_corners = True``."""
-    for stmt in node.body:
-        targets: List[ast.expr] = []
-        value: Optional[ast.expr] = None
-        if isinstance(stmt, ast.Assign):
-            targets, value = stmt.targets, stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets, value = [stmt.target], stmt.value
-        for target in targets:
-            if (
-                isinstance(target, ast.Name)
-                and target.id == "supports_stacked_corners"
-                and isinstance(value, ast.Constant)
-                and value.value is True
-            ):
-                return True
-    return False
-
-
 # ----------------------------------------------------------------------
 # The rules.
 
@@ -351,19 +331,21 @@ class HotLoopAllocRule(LintRule):
 
 @register_rule
 class CornerPythonLoopRule(LintRule):
-    """No Python-level iteration over the corner axis in stacked topologies.
+    """No Python-level iteration over the corner axis in a topology.
 
-    A topology that sets ``supports_stacked_corners = True`` promises that
-    the PVT grid rides a single NumPy broadcast; a ``for corner in
-    corners`` anywhere in such a class silently reintroduces the per-corner
-    Python loop the tensorized engine exists to remove — and its cost scales
-    with the corner count (45x on the full grid).  The ``*_looped`` parity
-    oracles are exempt by naming convention.
+    A topology — a class that defines a concrete ``_small_signal_parts``
+    hook — is evaluated over the PVT grid as a single NumPy broadcast; a
+    ``for corner in corners`` anywhere in such a class silently
+    reintroduces the per-corner Python loop the stacked engine exists to
+    remove, and its cost scales with the corner count (45x on the full
+    grid).  An abstract hook does not select its class, so the base class
+    that stacks the corner grid may still read its corners one by one.
     """
 
     id = "corner-python-loop"
-    summary = "Python loop over a corners axis inside a stacked-corner topology"
+    summary = "Python loop over a corners axis inside a topology class"
 
+    HOOK = "_small_signal_parts"
     CORNER_NAMES = ("corners", "corner_grid")
 
     def _is_corner_iterable(self, node: ast.expr) -> bool:
@@ -373,16 +355,25 @@ class CornerPythonLoopRule(LintRule):
         tail = name.split(".")[-1]
         return tail in self.CORNER_NAMES or tail.endswith("_corners")
 
+    @classmethod
+    def selects(cls, node: ast.ClassDef) -> bool:
+        """Whether the class defines a concrete (non-abstract) corner hook."""
+        for stmt in node.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and stmt.name == cls.HOOK:
+                return not any(
+                    (dotted_name(decorator) or "").split(".")[-1] == "abstractmethod"
+                    for decorator in stmt.decorator_list
+                )
+        return False
+
     def check(self, module: "ModuleSource") -> Iterator[Finding]:
         if module.is_test:
             return
         for cls in ast.walk(module.tree):
-            if not isinstance(cls, ast.ClassDef) or not _class_is_stacked(cls):
+            if not isinstance(cls, ast.ClassDef) or not self.selects(cls):
                 continue
             for function in cls.body:
                 if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                if "looped" in function.name:
                     continue
                 for node in _walk_within(function, (ast.ClassDef,)):
                     iterables: List[ast.expr] = []
@@ -396,8 +387,8 @@ class CornerPythonLoopRule(LintRule):
                                 module,
                                 node,
                                 f"Python iteration over corners in {function.name!r} "
-                                "of a supports_stacked_corners topology; the corner "
-                                "grid must ride the stacked tensor axis",
+                                f"of topology class {cls.name!r}; the corner grid "
+                                "must ride the stacked tensor axis",
                             )
 
 
@@ -455,51 +446,6 @@ class MutableDefaultRule(LintRule):
                         default,
                         f"mutable default argument in {function.name!r}; "
                         "default to None (or use a dataclass default_factory)",
-                    )
-
-
-@register_rule
-class MissingParityOracleRule(LintRule):
-    """Every stacked evaluator must keep its looped parity oracle.
-
-    The stacked corner engine is only trustworthy because a bit-identical
-    per-corner Python loop exists to check it against.  A class defining
-    ``evaluate_corners`` without ``evaluate_corners_looped`` — or opting
-    into ``supports_stacked_corners`` without both stacked-engine hooks —
-    ships a fast path that nothing can vouch for.
-    """
-
-    id = "missing-parity-oracle"
-    summary = "stacked evaluate_corners without a looped parity oracle / hooks"
-
-    STACKED_HOOKS = ("_small_signal_parts", "_metrics_from_parts")
-
-    def check(self, module: "ModuleSource") -> Iterator[Finding]:
-        if module.is_test:
-            return
-        for cls in ast.walk(module.tree):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            methods = {
-                stmt.name
-                for stmt in cls.body
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-            }
-            if "evaluate_corners" in methods and "evaluate_corners_looped" not in methods:
-                yield self.finding(
-                    module,
-                    cls,
-                    f"class {cls.name!r} defines evaluate_corners without an "
-                    "evaluate_corners_looped parity oracle",
-                )
-            if _class_is_stacked(cls):
-                missing = [hook for hook in self.STACKED_HOOKS if hook not in methods]
-                if missing:
-                    yield self.finding(
-                        module,
-                        cls,
-                        f"class {cls.name!r} sets supports_stacked_corners = True "
-                        f"but does not define {', '.join(missing)}",
                     )
 
 

@@ -1,6 +1,5 @@
 """Circuit substrate: device model, technology/PVT cards, topologies."""
 
-from repro.circuits.devices import MOSFET, OperatingPoint
 from repro.circuits.process import (
     TechnologyCard,
     available_nodes,
@@ -32,9 +31,7 @@ from repro.circuits.topologies.two_stage import METRIC_NAMES, VARIABLE_NAMES
 __all__ = [
     "AMPLIFIER_METRIC_NAMES",
     "METRIC_NAMES",
-    "MOSFET",
     "NOMINAL",
-    "OperatingPoint",
     "PVTCondition",
     "SPEC_TIERS",
     "FiveTransistorOTA",

@@ -7,7 +7,7 @@ everything the search stack needs from a workload:
 
 * a gridded :class:`~repro.core.design_space.DesignSpace` (the CSP domain),
 * a vectorized ``(count, dim) -> (count, n_metrics)`` ``evaluate_batch``
-  (the "SPICE" the surrogate approximates),
+  (the "SPICE" the surrogate approximates), built from the two hooks below,
 * metric names binding the output columns to :class:`~repro.search.spec.Spec`
   constraints,
 * a ``default_specs()`` tier ladder (``smoke`` < ``nominal`` < ``stretch``)
@@ -17,13 +17,17 @@ Every problem is PVT-aware by construction: the constructor derates the
 technology card through :meth:`~repro.circuits.pvt.PVTCondition.apply`, the
 same path the progressive corner-hardening loop uses.
 
-The PVT corner is also a *tensor axis*: :meth:`SizingProblem.evaluate_corners`
-returns a ``(n_corners, count, n_metrics)`` block for a whole corner grid in
-one call.  Topologies that set ``supports_stacked_corners`` evaluate the grid
-as a single NumPy broadcast over a stacked technology card
-(:meth:`~repro.circuits.pvt.PVTCondition.apply_stack`); everything else falls
-back to :meth:`SizingProblem.evaluate_corners_looped`, the per-corner Python
-loop that doubles as the parity oracle — the two paths are bit-identical.
+A topology is two hooks: ``_small_signal_parts`` turns sizings into
+device-level quantities under a technology card and temperature, and
+``_metrics_from_parts`` turns those into metric columns.  The base class
+writes both evaluators once on top of them.
+:meth:`SizingProblem.evaluate_batch` runs the hooks on the problem's own
+derated card, and :meth:`SizingProblem.evaluate_corners` returns a
+``(n_corners, count, n_metrics)`` block for a whole corner grid in one
+call, by running the same hooks as a single NumPy broadcast over a stacked
+technology card (:meth:`~repro.circuits.pvt.PVTCondition.apply_stack`).
+The tests lock that broadcast bit for bit against a per-corner loop over
+derated siblings.
 
 Concrete topologies register themselves with :func:`register_topology`, and
 the benchmark suite enumerates them through :func:`available_topologies`.
@@ -54,19 +58,8 @@ def _metric_axis_check(arguments, result) -> Optional[str]:
     return None
 
 
-def batch_evaluator_contract(fn):
-    """Contract for a topology's vectorized ``evaluate_batch``.
-
-    Asserts the ``(count, len(METRIC_NAMES))`` output contract (the input is
-    left to ``validated_batch``, which legitimately coerces 1-D sizings).
-    Concrete topologies decorate their ``evaluate_batch`` with this so every
-    workload in the zoo carries the same runtime check.
-    """
-    return contract(returns=ArraySpec(None, None), check=_metric_axis_check)(fn)
-
-
 def _corner_block_check(arguments, result) -> Optional[str]:
-    """Contract post-condition shared by both corner-tensor evaluators."""
+    """Contract post-condition of the corner-tensor evaluator."""
     message = _metric_axis_check(arguments, result)
     if message:
         return message
@@ -94,7 +87,8 @@ class SizingProblem(ABC):
 
     Subclasses define the class attributes ``name`` (registry key),
     ``VARIABLE_NAMES`` (sizing-vector layout) and ``METRIC_NAMES`` (output
-    columns of :meth:`evaluate_batch`), plus the abstract methods below.
+    columns of :meth:`evaluate_batch`), plus the abstract methods below:
+    the design space, the spec ladder and the two evaluation hooks.
 
     Parameters
     ----------
@@ -112,11 +106,6 @@ class SizingProblem(ABC):
     VARIABLE_NAMES: Tuple[str, ...] = ()
     #: Order of the measurements returned by the batch evaluator.
     METRIC_NAMES: Tuple[str, ...] = ()
-    #: Whether :meth:`evaluate_corners` may use the stacked-card fast path.
-    #: Topologies opt in by accepting ``card``/``temperature_c`` overrides in
-    #: their ``_small_signal_parts`` and providing ``_metrics_from_parts``;
-    #: anything else transparently falls back to the per-corner loop.
-    supports_stacked_corners: bool = False
 
     def __init__(
         self,
@@ -137,12 +126,20 @@ class SizingProblem(ABC):
         """The gridded CSP domain over :attr:`VARIABLE_NAMES`."""
 
     @abstractmethod
-    def evaluate_batch(self, samples: np.ndarray) -> np.ndarray:
-        """Closed-form metrics for a ``(count, dim)`` array of sizings.
+    def _small_signal_parts(
+        self, samples: np.ndarray, card: TechnologyCard, temperature_c
+    ) -> Dict[str, np.ndarray]:
+        """Vectorized device-level quantities for ``(count, dim)`` sizings.
 
-        Returns an array of shape ``(count, len(METRIC_NAMES))`` computed in
-        a single vectorized pass — no per-sample Python loop.
+        ``card``/``temperature_c`` are the problem's derated card and corner
+        temperature for :meth:`evaluate_batch`; :meth:`evaluate_corners`
+        passes a stacked card and a ``(n_corners, 1)`` temperature column
+        instead, and every quantity broadcasts to ``(n_corners, count)``.
         """
+
+    @abstractmethod
+    def _metrics_from_parts(self, parts: Dict[str, np.ndarray]) -> np.ndarray:
+        """Closed-form metrics from the parts: ``(..., len(METRIC_NAMES))``."""
 
     @abstractmethod
     def default_specs(self) -> Dict[str, Tuple[Spec, ...]]:
@@ -179,6 +176,18 @@ class SizingProblem(ABC):
                 f"expected samples of shape (count, {self.dimension}), got {samples.shape}"
             )
         return samples
+
+    @contract(returns=ArraySpec(None, None), check=_metric_axis_check)
+    def evaluate_batch(self, samples: np.ndarray) -> np.ndarray:
+        """Closed-form metrics for a ``(count, dim)`` array of sizings.
+
+        Returns an array of shape ``(count, len(METRIC_NAMES))`` computed in
+        a single vectorized pass — no per-sample Python loop.
+        """
+        samples = self.validated_batch(samples)
+        return self._metrics_from_parts(
+            self._small_signal_parts(samples, self.card, self.condition.temperature_c)
+        )
 
     def evaluate(self, sizing: SizingLike) -> Dict[str, float]:
         """Metrics of a single sizing, via the same vectorized path."""
@@ -221,74 +230,28 @@ class SizingProblem(ABC):
         """Metrics over the whole corner grid in one pass.
 
         Returns a ``(n_corners, len(samples), len(METRIC_NAMES))`` block.
-        When the topology supports stacked corners the grid is evaluated as
-        a single broadcast — the corner axis rides the same closed-form
-        NumPy expressions as the batch axis — and is bit-identical to
-        :meth:`evaluate_corners_looped` (enforced by the parity tests).
+        The grid is evaluated as a single broadcast — the corner axis rides
+        the same closed-form NumPy expressions as the batch axis — and each
+        corner row is bit-identical to :meth:`evaluate_batch` on the sibling
+        problem derated to that corner (enforced by the parity tests).
         """
         samples = self.validated_batch(samples)
         corners = list(corners)
         if not corners:
             raise ValueError("evaluate_corners needs at least one PVT corner")
-        if not self.supports_stacked_corners:
-            return self.evaluate_corners_looped(samples, corners)
         card = PVTCondition.apply_stack(corners, self.base_card)
         temperatures = np.array(
             [corner.temperature_c for corner in corners], dtype=np.float64
         )[:, np.newaxis]
-        parts = self._small_signal_parts(samples, card=card, temperature_c=temperatures)
+        parts = self._small_signal_parts(samples, card, temperatures)
         metrics = self._metrics_from_parts(parts)
         # Corner-degenerate grids (e.g. a single corner) can collapse the
-        # leading axis; restore the contract shape without touching values.
-        shape = (len(corners), samples.shape[0], len(self.METRIC_NAMES))
+        # leading axis; restore the corner and sample axes without touching
+        # values (the metric axis is the contract's to check).
+        shape = (len(corners), samples.shape[0]) + metrics.shape[-1:]
         if metrics.shape != shape:
             metrics = np.ascontiguousarray(np.broadcast_to(metrics, shape))
         return metrics
-
-    @contract(
-        args={"corners": SeqLen("c")},
-        returns=ArraySpec("c", None, None),
-        check=_corner_block_check,
-    )
-    @span("topology.evaluate_corners_looped", self_tags={"topology": "name"})
-    def evaluate_corners_looped(
-        self, samples: np.ndarray, corners: Sequence[PVTCondition]
-    ) -> np.ndarray:
-        """Per-corner Python loop over :meth:`evaluate_batch` — the oracle.
-
-        Same ``(n_corners, count, n_metrics)`` contract as
-        :meth:`evaluate_corners`; kept as the reference implementation the
-        stacked path is checked against, and as the fallback for topologies
-        without stacked support.
-        """
-        samples = self.validated_batch(samples)
-        corners = list(corners)
-        if not corners:
-            raise ValueError("evaluate_corners_looped needs at least one PVT corner")
-        return np.stack(
-            [self.for_condition(corner).evaluate_batch(samples) for corner in corners],
-            axis=0,
-        )
-
-    def _small_signal_parts(
-        self, samples: np.ndarray, card=None, temperature_c=None
-    ) -> Dict[str, np.ndarray]:
-        """Small-signal quantities hook of the stacked corner engine.
-
-        Stacked-corner topologies compute their device-level quantities here
-        from an optional card/temperature override (arrays of shape
-        ``(n_corners, 1)`` for the corner axis, or ``None`` for the
-        problem's own derated card).
-        """
-        raise NotImplementedError(
-            f"topology {self.name!r} does not implement the stacked corner engine"
-        )
-
-    def _metrics_from_parts(self, parts: Dict[str, np.ndarray]) -> np.ndarray:
-        """Metric assembly hook: parts -> ``(..., len(METRIC_NAMES))``."""
-        raise NotImplementedError(
-            f"topology {self.name!r} does not implement the stacked corner engine"
-        )
 
     @staticmethod
     def _stack_metrics(*columns: np.ndarray) -> np.ndarray:

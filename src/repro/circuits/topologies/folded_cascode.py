@@ -33,7 +33,6 @@ from repro.circuits.devices import parasitic_capacitances, saturation_from_curre
 from repro.circuits.topologies.base import (
     AMPLIFIER_METRIC_NAMES,
     SizingProblem,
-    batch_evaluator_contract,
     register_topology,
 )
 from repro.core.design_space import DesignSpace, Parameter
@@ -47,7 +46,6 @@ class FoldedCascodeOTA(SizingProblem):
     name = "folded_cascode"
     VARIABLE_NAMES: Tuple[str, ...] = ("w1", "wc", "l1", "lc", "ibias", "icasc")
     METRIC_NAMES: Tuple[str, ...] = AMPLIFIER_METRIC_NAMES
-    supports_stacked_corners = True
 
     # ------------------------------------------------------------------
     def design_space(self) -> DesignSpace:
@@ -65,17 +63,9 @@ class FoldedCascodeOTA(SizingProblem):
 
     # ------------------------------------------------------------------
     def _small_signal_parts(
-        self, samples: np.ndarray, card=None, temperature_c=None
+        self, samples: np.ndarray, card, temperature_c
     ) -> Dict[str, np.ndarray]:
-        """Vectorized small-signal quantities for ``(count, dim)`` sizings.
-
-        ``card``/``temperature_c`` default to this problem's derated corner;
-        the stacked corner engine passes ``(n_corners, 1)`` columns instead,
-        and every quantity broadcasts to ``(n_corners, count)``.
-        """
-        card = self.card if card is None else card
-        if temperature_c is None:
-            temperature_c = self.condition.temperature_c
+        """Vectorized small-signal quantities for ``(count, dim)`` sizings."""
         w1, wc, l1, lc, ibias, icasc = samples.T
         vds = 0.5 * card.vdd_nominal
         phi_t = card.thermal_voltage(temperature_c)
@@ -145,11 +135,6 @@ class FoldedCascodeOTA(SizingProblem):
         # or the full tail, whichever saturates first.
         slew = np.minimum(p["ibias"], 2.0 * p["icasc"]) / cout
         return self._stack_metrics(dc_gain_db, fu, phase_margin, power, slew)
-
-    @batch_evaluator_contract
-    def evaluate_batch(self, samples: np.ndarray) -> np.ndarray:
-        samples = self.validated_batch(samples)
-        return self._metrics_from_parts(self._small_signal_parts(samples))
 
     # ------------------------------------------------------------------
     def default_specs(self) -> Dict[str, Tuple[Spec, ...]]:

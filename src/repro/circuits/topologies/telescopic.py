@@ -25,7 +25,6 @@ from repro.circuits.devices import parasitic_capacitances, saturation_from_curre
 from repro.circuits.topologies.base import (
     AMPLIFIER_METRIC_NAMES,
     SizingProblem,
-    batch_evaluator_contract,
     register_topology,
 )
 from repro.core.design_space import DesignSpace, Parameter
@@ -39,7 +38,6 @@ class TelescopicCascodeOTA(SizingProblem):
     name = "telescopic"
     VARIABLE_NAMES: Tuple[str, ...] = ("w1", "wc", "l1", "lc", "ibias")
     METRIC_NAMES: Tuple[str, ...] = AMPLIFIER_METRIC_NAMES
-    supports_stacked_corners = True
 
     # ------------------------------------------------------------------
     def design_space(self) -> DesignSpace:
@@ -56,17 +54,9 @@ class TelescopicCascodeOTA(SizingProblem):
 
     # ------------------------------------------------------------------
     def _small_signal_parts(
-        self, samples: np.ndarray, card=None, temperature_c=None
+        self, samples: np.ndarray, card, temperature_c
     ) -> Dict[str, np.ndarray]:
-        """Vectorized small-signal quantities for ``(count, dim)`` sizings.
-
-        ``card``/``temperature_c`` default to this problem's derated corner;
-        the stacked corner engine passes ``(n_corners, 1)`` columns instead,
-        and every quantity broadcasts to ``(n_corners, count)``.
-        """
-        card = self.card if card is None else card
-        if temperature_c is None:
-            temperature_c = self.condition.temperature_c
+        """Vectorized small-signal quantities for ``(count, dim)`` sizings."""
         w1, wc, l1, lc, ibias = samples.T
         vds = 0.5 * card.vdd_nominal
         phi_t = card.thermal_voltage(temperature_c)
@@ -129,11 +119,6 @@ class TelescopicCascodeOTA(SizingProblem):
         power = p["vdd"] * p["ibias"]
         slew = p["ibias"] / cout
         return self._stack_metrics(dc_gain_db, fu, phase_margin, power, slew)
-
-    @batch_evaluator_contract
-    def evaluate_batch(self, samples: np.ndarray) -> np.ndarray:
-        samples = self.validated_batch(samples)
-        return self._metrics_from_parts(self._small_signal_parts(samples))
 
     # ------------------------------------------------------------------
     def default_specs(self) -> Dict[str, Tuple[Spec, ...]]:

@@ -6,9 +6,11 @@ common-source second stage (M6) with a PMOS current-source load (M7), Miller
 capacitor ``cc`` between the stage-1 and stage-2 outputs, and an external
 load ``CL``.
 
-:meth:`TwoStageOpAmp.evaluate_batch` computes fully vectorized closed-form
-metrics over a ``(count, dim)`` array of sizings in one NumPy pass; it is
-the hot path the Monte-Carlo/trust-region search hammers.  The tests
+The two hooks :meth:`TwoStageOpAmp._small_signal_parts` and
+:meth:`TwoStageOpAmp._metrics_from_parts` compute fully vectorized
+closed-form metrics over a ``(count, dim)`` array of sizings in one NumPy
+pass; the base class's ``evaluate_batch`` and ``evaluate_corners`` run them
+on the hot path the Monte-Carlo/trust-region search hammers.  The tests
 cross-check its poles/zero against an MNA sweep of the equivalent linear
 netlist built from the same small-signal parts, which agrees to the
 accuracy of the two-pole approximation.
@@ -35,7 +37,6 @@ from repro.circuits.devices import parasitic_capacitances, saturation_from_curre
 from repro.circuits.topologies.base import (
     AMPLIFIER_METRIC_NAMES,
     SizingProblem,
-    batch_evaluator_contract,
     register_topology,
 )
 from repro.core.design_space import DesignSpace, Parameter
@@ -55,7 +56,6 @@ class TwoStageOpAmp(SizingProblem):
     name = "two_stage_opamp"
     VARIABLE_NAMES: Tuple[str, ...] = VARIABLE_NAMES
     METRIC_NAMES: Tuple[str, ...] = METRIC_NAMES
-    supports_stacked_corners = True
 
     # ------------------------------------------------------------------
     def design_space(self) -> DesignSpace:
@@ -76,17 +76,9 @@ class TwoStageOpAmp(SizingProblem):
 
     # ------------------------------------------------------------------
     def _small_signal_parts(
-        self, samples: np.ndarray, card=None, temperature_c=None
+        self, samples: np.ndarray, card, temperature_c
     ) -> Dict[str, np.ndarray]:
-        """Vectorized small-signal quantities for ``(count, dim)`` sizings.
-
-        ``card``/``temperature_c`` default to this problem's derated corner;
-        the stacked corner engine passes ``(n_corners, 1)`` columns instead,
-        and every quantity broadcasts to ``(n_corners, count)``.
-        """
-        card = self.card if card is None else card
-        if temperature_c is None:
-            temperature_c = self.condition.temperature_c
+        """Vectorized small-signal quantities for ``(count, dim)`` sizings."""
         w1, w3, w6, l12, l6, ibias, i2, cc = samples.T
         vdd = card.vdd_nominal
         vds = 0.5 * vdd  # representative mid-rail bias for every device
@@ -149,16 +141,6 @@ class TwoStageOpAmp(SizingProblem):
         power = p["vdd"] * (p["ibias"] + p["i2"])
         slew = np.minimum(p["ibias"] / cc, p["i2"] / c2)
         return self._stack_metrics(dc_gain_db, fu, phase_margin, power, slew)
-
-    @batch_evaluator_contract
-    def evaluate_batch(self, samples: np.ndarray) -> np.ndarray:
-        """Closed-form metrics for a ``(count, dim)`` array of sizings.
-
-        Returns an array of shape ``(count, len(METRIC_NAMES))`` computed in
-        a single vectorized pass — no per-sample Python loop.
-        """
-        samples = self.validated_batch(samples)
-        return self._metrics_from_parts(self._small_signal_parts(samples))
 
     # ------------------------------------------------------------------
     def default_specs(self) -> Dict[str, Tuple[Spec, ...]]:

@@ -13,10 +13,11 @@ per block sliced per row (:func:`~repro.core.design_space.row_keys`): exact,
 cheap to build, and the same row identity the optimizers' dedup set holds.
 
 The cache is engine-agnostic: it wraps *any* corner evaluator with the
-``(samples, corners) -> (n_corners, count, n_metrics)`` contract, whether the
-stacked fast path or the looped parity oracle, and since both are
-bit-identical the cache never changes a search trajectory — it only removes
-repeat work.  It also keeps the benchmark accounting: ``eval_seconds`` is the
+``(samples, corners) -> (n_corners, count, n_metrics)`` contract (the stacked
+:meth:`~repro.circuits.topologies.base.SizingProblem.evaluate_corners` in
+production, a per-corner loop in the parity tests), and since it returns
+exactly the floats the evaluator produced it never changes a search
+trajectory — it only removes repeat work.  It also keeps the benchmark accounting: ``eval_seconds`` is the
 wall time actually spent inside the wrapped evaluator.
 
 With ``persist_path`` the cache additionally mirrors every computed pair
@@ -111,7 +112,7 @@ class EvaluationCache:
     Parameters
     ----------
     corner_evaluator:
-        The true evaluator to wrap (stacked or looped engine).
+        The true corner evaluator to wrap.
     dimension:
         Sizing-vector length, fixing the store and journal record widths.
     n_metrics:

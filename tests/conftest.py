@@ -9,9 +9,11 @@ holds them, and the ``oracles`` fixture below switches a test onto them.
 """
 
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
+from oracles.corners import evaluate_corners_looped
 from oracles.nn import MLP, Adam
 from repro.circuits.topologies.base import SizingProblem
 from repro.search import campaign
@@ -62,14 +64,15 @@ class OraclePaths:
 
     def looped_corners(self) -> None:
         """Topology handles evaluate corners with the per-corner loop
-        :meth:`~SizingProblem.evaluate_corners_looped` instead of the
+        :func:`oracles.corners.evaluate_corners_looped` instead of the
         stacked engine."""
         original = SizingProblem.evaluation_handle
         self._monkeypatch.setattr(
             SizingProblem,
             "evaluation_handle",
             lambda problem: replace(
-                original(problem), corner_evaluator=problem.evaluate_corners_looped
+                original(problem),
+                corner_evaluator=partial(evaluate_corners_looped, problem),
             ),
         )
 

@@ -8,6 +8,11 @@
   metrics must agree with its AC sweeps.
 * :mod:`oracles.search` — the select-evaluate-append step the pre-refactor
   search loop was written in.
+* :mod:`oracles.corners` — the PVT grid evaluated one derated corner at a
+  time; :meth:`~repro.circuits.topologies.base.SizingProblem.evaluate_corners`
+  must match it bit for bit.
+* :mod:`oracles.devices` — the forward smooth MOSFET drain law;
+  :func:`repro.circuits.devices.saturation_from_current` must invert it.
 
 Nothing under ``src/`` imports this package.
 """

@@ -381,7 +381,9 @@ def unity_gain_metrics(result: ACSweepResult, output: Node) -> Dict[str, float]:
 def small_signal_parts(problem: SizingProblem, sizing: SizingLike) -> Dict[str, float]:
     """The problem's ``_small_signal_parts`` for one sizing, as floats."""
     vector = problem.to_vector(sizing)
-    parts = problem._small_signal_parts(vector[np.newaxis, :])
+    parts = problem._small_signal_parts(
+        vector[np.newaxis, :], problem.card, problem.condition.temperature_c
+    )
     return {name: float(np.ravel(value)[0]) for name, value in parts.items()}
 
 

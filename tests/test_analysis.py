@@ -3,10 +3,12 @@
 Each rule gets a minimal good/bad snippet pair, run with the rule selected
 in isolation so the corpus never cross-fires other rules.  The repo
 self-check at the bottom is the same gate CI runs: the linter must exit
-clean on the final ``src/`` tree, and the determinism auditor must byte-diff
-a double-run to zero.
+clean on the final ``src/`` and ``tests/`` trees, and the determinism
+auditor must byte-diff a double-run to zero.
 """
 
+import ast
+import glob
 import os
 import subprocess
 import sys
@@ -21,9 +23,11 @@ from repro.analysis import (
     lint_source,
 )
 from repro.analysis.cli import main as analysis_main
+from repro.circuits.topologies import available_topologies, get_topology
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO_ROOT, "src")
+TESTS = os.path.join(REPO_ROOT, "tests")
 
 #: (rule id, bad snippet that must fire, good snippet that must stay silent).
 CORPUS = [
@@ -79,14 +83,17 @@ CORPUS = [
     ),
     (
         "corner-python-loop",
-        "class Stacked:\n"
-        "    supports_stacked_corners = True\n"
+        "class Topology:\n"
+        "    def _small_signal_parts(self, samples, card, temperature_c):\n"
+        "        return {}\n"
         "    def evaluate_corners(self, samples, corners):\n"
         "        return [self.one(samples, corner) for corner in corners]\n",
-        "class Stacked:\n"
-        "    supports_stacked_corners = True\n"
-        "    def evaluate_corners_looped(self, samples, corners):\n"
-        "        return [self.one(samples, corner) for corner in corners]\n",
+        "class Topology:\n"
+        "    def _small_signal_parts(self, samples, card, temperature_c):\n"
+        "        return {}\n"
+        "    def evaluate_corners(self, samples, corners):\n"
+        "        card = stack_cards(corners)\n"
+        "        return self._small_signal_parts(samples, card, None)\n",
     ),
     (
         "naked-except",
@@ -134,34 +141,33 @@ CORPUS = [
         "    time.sleep(0.01)\n",
     ),
     (
-        "missing-parity-oracle",
-        "class Fast:\n"
+        "corner-python-loop",
+        "class Topology:\n"
+        "    def _small_signal_parts(self, samples, card, temperature_c):\n"
+        "        return {}\n"
+        "    def _corner_cards(self, corners):\n"
+        "        cards = []\n"
+        "        for corner in corners:\n"
+        "            cards.append(corner.apply(self.base_card))\n"
+        "        return cards\n",
+        "from abc import ABC, abstractmethod\n"
+        "class Base(ABC):\n"
+        "    @abstractmethod\n"
+        "    def _small_signal_parts(self, samples, card, temperature_c):\n"
+        "        ...\n"
         "    def evaluate_corners(self, samples, corners):\n"
-        "        return samples\n",
-        "class Fast:\n"
-        "    def evaluate_corners(self, samples, corners):\n"
-        "        return samples\n"
-        "    def evaluate_corners_looped(self, samples, corners):\n"
-        "        return samples\n",
+        "        temperatures = [corner.temperature_c for corner in corners]\n"
+        "        return self._small_signal_parts(samples, None, temperatures)\n",
     ),
     (
-        "missing-parity-oracle",
-        "class Fast:\n"
-        "    supports_stacked_corners = True\n"
-        "    def evaluate_corners(self, samples, corners):\n"
-        "        return samples\n"
-        "    def evaluate_corners_looped(self, samples, corners):\n"
-        "        return samples\n",
-        "class Fast:\n"
-        "    supports_stacked_corners = True\n"
-        "    def evaluate_corners(self, samples, corners):\n"
-        "        return samples\n"
-        "    def evaluate_corners_looped(self, samples, corners):\n"
-        "        return samples\n"
-        "    def _small_signal_parts(self, samples, card=None, temperature_c=None):\n"
+        "corner-python-loop",
+        "class Topology:\n"
+        "    def _small_signal_parts(self, samples, card, temperature_c):\n"
         "        return {}\n"
-        "    def _metrics_from_parts(self, parts):\n"
-        "        return parts\n",
+        "    def evaluate_corners_looped(self, samples, corners):\n"
+        "        return [self.one(samples, corner) for corner in corners]\n",
+        "def evaluate_corners_looped(problem, samples, corners):\n"
+        "    return [problem.one(samples, corner) for corner in corners]\n",
     ),
     (
         "non-atomic-artifact-write",
@@ -265,17 +271,20 @@ class TestScoping:
         )
         assert lint_with("hot-loop-alloc", source, path="src/repro/cold.py")
 
-    def test_looped_oracle_exempt_from_corner_loop_rule(self):
-        source = (
-            "class Stacked:\n"
-            "    supports_stacked_corners = True\n"
-            "    def evaluate_corners_looped(self, samples, corners):\n"
-            "        out = []\n"
-            "        for corner in corners:\n"
-            "            out.append(corner)\n"
-            "        return out\n"
-        )
-        assert lint_with("corner-python-loop", source) == []
+    def test_corner_loop_rule_selects_every_shipped_topology(self):
+        """The rule keys on a concrete ``_small_signal_parts``: every
+        registered topology class is selected, the abstract base is not."""
+        rule = get_rule("corner-python-loop")
+        selected = set()
+        for path in glob.glob(os.path.join(SRC, "repro", "circuits", "topologies", "*.py")):
+            with open(path) as handle:
+                tree = ast.parse(handle.read())
+            selected.update(
+                node.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef) and rule.selects(node)
+            )
+        assert selected == {get_topology(name).__name__ for name in available_topologies()}
 
     def test_ad_hoc_timing_allowed_inside_repro_obs(self):
         source = (
@@ -379,7 +388,7 @@ class TestEngine:
 class TestCLI:
     def test_lint_clean_repo_exits_zero(self):
         """The gate this whole PR is about: the final tree lints clean."""
-        assert analysis_main(["lint", SRC]) == 0
+        assert analysis_main(["lint", SRC, TESTS]) == 0
 
     def test_lint_reports_findings_with_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"

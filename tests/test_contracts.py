@@ -22,6 +22,7 @@ from repro.analysis import (
     set_contracts,
 )
 from repro.circuits.pvt import nine_corner_grid
+from repro.circuits.topologies import SizingProblem
 from oracles.nn import DEFAULT_SEED, MLP, Linear, resolve_rng
 from repro.core.design_space import DesignSpace, Parameter
 from repro.search import (
@@ -296,6 +297,49 @@ class TestCacheReadOnly:
         cache = EvaluationCache(bad_evaluator, dimension=3, n_metrics=1)
         with pytest.raises((ContractViolation, ValueError)):
             cache.evaluate(np.zeros((1, 3)), nine_corner_grid()[:2])
+
+
+class OneColumnShort(SizingProblem):
+    """A toy topology whose metric assembly drops a column."""
+
+    name = "one_column_short"
+    VARIABLE_NAMES = ("x",)
+    METRIC_NAMES = ("a", "b")
+
+    def design_space(self):
+        return DesignSpace([Parameter("x", 0.0, 1.0, grid_points=11)])
+
+    def default_specs(self):
+        return {}
+
+    def _small_signal_parts(self, samples, card, temperature_c):
+        return {"gm": card.kp_n * samples[:, 0], "temperature": temperature_c}
+
+    def _metrics_from_parts(self, parts):
+        return self._stack_metrics(parts["gm"] * parts["temperature"])
+
+
+class TestTopologyHooks:
+    """A topology is its two hooks; both evaluators are the base class's."""
+
+    @pytest.mark.parametrize("hook", ["_small_signal_parts", "_metrics_from_parts"])
+    def test_topology_without_a_hook_cannot_be_built(self, hook):
+        members = {
+            key: value
+            for key, value in vars(OneColumnShort).items()
+            if not key.startswith("__") and key != hook
+        }
+        incomplete = type("Incomplete", (SizingProblem,), members)
+        with pytest.raises(TypeError, match=hook):
+            incomplete()
+
+    def test_wrong_metric_count_violates_both_evaluators(self, checking):
+        problem = OneColumnShort()
+        samples = np.linspace(0.0, 1.0, 4)[:, np.newaxis]
+        with pytest.raises(ContractViolation, match="metric axis has 1 columns"):
+            problem.evaluate_batch(samples)
+        with pytest.raises(ContractViolation, match="metric axis has 1 columns"):
+            problem.evaluate_corners(samples, nine_corner_grid()[:3])
 
 
 class TestSeeding:

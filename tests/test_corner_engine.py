@@ -2,9 +2,10 @@
 
 The corner engine's one hard promise is *bit-identity*: evaluating the whole
 PVT grid as a single NumPy broadcast must produce exactly the floats the
-per-corner Python loop produces — ``np.array_equal``, not ``allclose`` — so
-the looped oracle (which the ``oracles.looped_corners()`` fixture puts on a
-campaign's evaluation handle) can never disagree with a search trajectory.
+per-corner Python loop of :func:`oracles.corners.evaluate_corners_looped`
+produces — ``np.array_equal``, not ``allclose`` — so that loop (which the
+``oracles.looped_corners()`` fixture puts on a campaign's evaluation handle)
+can never disagree with a search trajectory.
 Everything here enforces that promise at each layer: the stacked technology
 card, the device helpers it broadcasts through, ``evaluate_corners`` on every
 registered topology over the full 45-corner grid, the cross-phase
@@ -15,6 +16,7 @@ progressive loop end to end.
 import numpy as np
 import pytest
 
+from oracles.corners import evaluate_corners_looped
 from repro.circuits.devices import parasitic_capacitances, saturation_from_current
 from repro.circuits.process import get_technology, stack_cards
 from repro.circuits.pvt import (
@@ -116,7 +118,7 @@ class TestEvaluateCornersParity:
         corners = full_corner_grid()
         samples = problem.design_space().sample(np.random.default_rng(11), 128)
         stacked = problem.evaluate_corners(samples, corners)
-        looped = problem.evaluate_corners_looped(samples, corners)
+        looped = evaluate_corners_looped(problem, samples, corners)
         assert stacked.shape == (45, 128, len(problem.METRIC_NAMES))
         assert np.array_equal(stacked, looped), f"{name}: engines diverge"
 
@@ -261,7 +263,10 @@ class TestProgressiveTrajectoryLock:
                 oracles.looped_corners()
             campaign = case.build_campaign(seeds)
             evaluator = campaign.handle.corner_evaluator
-            assert (evaluator.__func__ is SizingProblem.evaluate_corners_looped) == looped
+            if looped:
+                assert evaluator.func is evaluate_corners_looped
+            else:
+                assert evaluator.__func__ is SizingProblem.evaluate_corners
             outcome = campaign.run()
             digest = campaign.cache.state_digest()
             runs.append((outcome, fingerprint_outcome(outcome, digest, seeds)))

@@ -3,11 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.circuits.devices import (
-    MOSFET,
-    saturation_from_current,
-    smooth_overdrive,
-)
+from oracles.devices import MOSFET, smooth_overdrive
+from repro.circuits.devices import saturation_from_current
 from repro.circuits.process import get_technology
 
 CARD = get_technology("bsim45")
