@@ -233,37 +233,6 @@ class DesignSpace:
             samples = self.snap(samples)
         return samples
 
-    def grid_neighbors(self, vector: Sequence[float]) -> List[np.ndarray]:
-        """All single-step grid moves from ``vector`` (used by the env baselines).
-
-        Moves that would step outside the box are skipped rather than clipped
-        — clipping at a boundary would return the centre point itself as a
-        spurious "neighbor".
-        """
-        center_unit = self.to_unit(self.snap(vector))
-        neighbors: List[np.ndarray] = []
-        for index in range(self.dimension):
-            step = self._grid_steps[index]
-            for direction in (-1.0, +1.0):
-                moved = center_unit[index] + direction * step
-                if moved < -1e-9 or moved > 1.0 + 1e-9:
-                    continue
-                unit = center_unit.copy()
-                unit[index] = min(max(moved, 0.0), 1.0)
-                neighbors.append(self.snap(self.from_unit(unit)))
-        return neighbors
-
-    def describe(self) -> str:
-        """Human-readable summary (used by the designer-facing API)."""
-        lines = [f"DesignSpace with {self.dimension} parameters (|D| ~ 1e{self.log10_size():.1f})"]
-        for parameter in self.parameters:
-            scale = "log" if parameter.log_scale else "lin"
-            lines.append(
-                f"  {parameter.name:>10s}: [{parameter.low:g}, {parameter.high:g}] "
-                f"{parameter.unit} ({parameter.grid_points} pts, {scale})"
-            )
-        return "\n".join(lines)
-
 
 def row_keys(block: np.ndarray) -> List[bytes]:
     """Bit-exact identity of each row of a 2-D float64 block.

@@ -3,20 +3,26 @@
 The paper's agent is a simple feed-forward network trained with supervised
 learning and refitted every iteration (Algorithm 1, line 8).
 :class:`FusedMLP` is that network with one fixed shape: tanh hidden layers,
-an identity output layer, Xavier-initialised weights and zero biases.  The
-forward pass, the hand-derived backward pass under an MSE loss and a
-flat-buffer :class:`FusedAdam` all operate on one concatenated ``float32``
-parameter vector (:data:`DTYPE`), so a training step is a fixed, small
-sequence of NumPy calls with no per-op Python structures.  Only the network
+an identity output layer, Xavier-initialised weights and zero biases, its
+parameters in one concatenated ``float32`` vector (:data:`DTYPE`);
+:class:`FusedAdam` is its Adam state over that vector.  Only the network
 runs in float32: :meth:`FusedMLP.predict` hands back float64, and the ridge
 solve of the closed-form refit runs in float64.
 
-Every floating-point expression below is written to match a reverse-mode
-autodiff engine's backward pass operation for operation (same order, same
-power-of-two factors), so the two produce **bit-identical** losses,
-gradients and post-Adam weights on the same minibatch stream.  That
-reference engine lives with the tests (``tests/oracles``), and
-``tests/test_fused.py`` enforces the lock.  The ``state_dict`` layout
+There is one training kernel.  :func:`fit_batched` stacks one or more
+models' flat vectors into a :class:`BatchedFusedMLP` and takes every step
+through its hand-derived forward/backward pass under an MSE loss and
+:class:`BatchedFusedAdam`'s update: a fixed, small sequence of NumPy calls
+with no per-op Python structures.  :meth:`FusedMLP.fit` is a one-job
+dispatch of it.
+
+Every floating-point expression in the kernel is written to match a
+reverse-mode autodiff engine's backward pass operation for operation (same
+order, same power-of-two factors), so each seed's losses, gradients and
+post-Adam weights are **bit-identical** to the engine's on the same
+minibatch stream.  That reference engine lives with the tests
+(``tests/oracles``), and ``tests/test_fused.py`` and
+``tests/test_batched_refit.py`` enforce the lock.  The ``state_dict`` layout
 (``param_0`` = first weight, ``param_1`` = first bias, ...) is the
 reference MLP's, so weights move between the two through it.
 """
@@ -29,7 +35,6 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.contracts import ArraySpec, contract
-from repro.obs import span
 
 #: The dtype the network trains and predicts in: parameters, gradients,
 #: Adam moments and every scratch buffer.  Callers' arrays are cast to it at
@@ -57,10 +62,9 @@ _EPS = DTYPE(EPS)
 def bias_correction(beta: float, t: int) -> float:
     """Adam's ``1 - beta**t`` debiasing denominator.
 
-    :class:`FusedAdam`, :class:`BatchedFusedAdam` and the reference Adam
-    the tests compare them against must compute this with the same Python
-    ``**`` on the integer step count; sharing the helper keeps their bits
-    from drifting apart.
+    :class:`BatchedFusedAdam` and the reference Adam the tests compare it
+    against must compute this with the same Python ``**`` on the integer
+    step count; sharing the helper keeps their bits from drifting apart.
     """
     return 1.0 - beta ** t
 
@@ -94,7 +98,8 @@ class FusedMLP:
     ----------
     theta:
         The concatenated parameter vector.  Per-layer weight/bias arrays are
-        *views* into it, so a flat optimizer step updates the layers in place.
+        *views* into it, so a flat write (a trained stack's scatter, a
+        ``load_state_dict``) updates the layers in place.
     """
 
     def __init__(
@@ -112,20 +117,8 @@ class FusedMLP:
 
         total = sum(i * o + o for i, o in self._shapes)
         self.theta = np.empty(total, dtype=DTYPE)
-        # The per-step gradient lives in a single reusable buffer; per-layer
-        # weight/bias gradients are views into it so the backward pass can
-        # write matmul results straight into place with ``out=``.  The array
-        # returned by :meth:`loss_and_grad` is therefore only valid until the
-        # next call — copy it to keep it.
-        self._grad = np.empty(total, dtype=DTYPE)
-        # Per-batch-size scratch buffers for every forward/backward
-        # intermediate (see _scratch_for); the training step performs no
-        # heap allocation after the first batch of a given size.
-        self._scratch: Dict[int, tuple] = {}
         self._weights: List[np.ndarray] = []
         self._biases: List[np.ndarray] = []
-        self._grad_weights: List[np.ndarray] = []
-        self._grad_biases: List[np.ndarray] = []
         offset = 0
         for fan_in, fan_out in self._shapes:
             w_slice = slice(offset, offset + fan_in * fan_out)
@@ -139,8 +132,6 @@ class FusedMLP:
             self.theta[b_slice] = 0.0
             self._weights.append(weight)
             self._biases.append(self.theta[b_slice])
-            self._grad_weights.append(self._grad[w_slice].reshape(fan_in, fan_out))
-            self._grad_biases.append(self._grad[b_slice])
 
     # ------------------------------------------------------------------
     # Serialization (the reference MLP's layout)
@@ -209,90 +200,6 @@ class FusedMLP:
         self._weights[-1][...] = solution[:-1]
         self._biases[-1][...] = solution[-1]
 
-    def _scratch_for(self, rows: int) -> tuple:
-        """Reusable per-layer buffers for a given minibatch row count.
-
-        ``out`` holds each layer's output (the tanh activations, computed in
-        place over the pre-activations, for hidden layers), ``g`` the
-        backward gradients per layer and ``tmp`` the tanh-derivative
-        workspace (the last entry doubles as the squared-error buffer).
-        Allocated once per distinct batch size, then reused.
-        """
-        cached = self._scratch.get(rows)
-        if cached is None:
-            # The allocations below run once per distinct batch size and are
-            # what keeps loss_and_grad itself allocation-free.
-            cached = tuple(
-                # analysis: allow(hot-loop-alloc) one-time scratch
-                [np.empty((rows, fan_out), dtype=DTYPE) for _, fan_out in self._shapes]
-                for _ in range(3)
-            )
-            self._scratch[rows] = cached
-        return cached
-
-    def loss_and_grad(self, inputs: np.ndarray, targets: np.ndarray) -> Tuple[float, np.ndarray]:
-        """One fused MSE step: scalar loss plus the flat gradient vector.
-
-        The expressions mirror the reference autodiff chain for
-        ``mse_loss(model(Tensor(x)), Tensor(y)).backward()`` term by term:
-        the mean splits into ``sum * (1/size)``, the squared difference
-        contributes its gradient twice (``g + g`` rather than ``2*g`` — the
-        same bits either way), and each layer differentiates in the same
-        operand order as the Tensor closures.  Every intermediate lands in a
-        per-batch-size scratch buffer via ``out=``, so a step is a fixed
-        sequence of allocation-free NumPy calls.
-
-        The returned gradient is a reusable internal buffer, overwritten by
-        the next ``loss_and_grad`` call; copy it if you need to keep it.
-        """
-        if not (isinstance(inputs, np.ndarray) and inputs.ndim == 2
-                and inputs.dtype == DTYPE):
-            inputs = np.atleast_2d(np.asarray(inputs, dtype=DTYPE))
-        if not (isinstance(targets, np.ndarray) and targets.ndim == 2
-                and targets.dtype == DTYPE):
-            targets = np.atleast_2d(np.asarray(targets, dtype=DTYPE))
-        weights, biases = self._weights, self._biases
-        last = len(weights) - 1
-        if targets.shape != (inputs.shape[0], weights[last].shape[1]):
-            raise ValueError(
-                f"targets shape {targets.shape} does not match "
-                f"({inputs.shape[0]}, {weights[last].shape[1]})"
-            )
-        out_buffers, g_buffers, tmp_buffers = self._scratch_for(inputs.shape[0])
-
-        # Forward, keeping every layer's output for the backward pass.
-        h = inputs
-        for index in range(last + 1):
-            h = np.matmul(h, weights[index], out=out_buffers[index])
-            np.add(h, biases[index], out=h)
-            if index < last:
-                np.tanh(h, out=h)
-        prediction = h
-
-        # Loss and its gradient seed.
-        diff = g_buffers[last]
-        np.subtract(prediction, targets, out=diff)
-        squared = tmp_buffers[last]
-        np.multiply(diff, diff, out=squared)
-        inv_count = DTYPE(1.0 / diff.size)
-        loss = float(squared.sum() * inv_count)
-        np.multiply(diff, inv_count, out=diff)
-        grad_out = np.add(diff, diff, out=diff)
-
-        # Backward through the stack, writing straight into the flat grad.
-        for index in range(last, -1, -1):
-            if index < last:
-                a, tmp = out_buffers[index], tmp_buffers[index]
-                np.multiply(a, a, out=tmp)
-                np.subtract(_ONE, tmp, out=tmp)
-                np.multiply(grad_out, tmp, out=grad_out)
-            h = inputs if index == 0 else out_buffers[index - 1]
-            np.matmul(h.T, grad_out, out=self._grad_weights[index])
-            np.add.reduce(grad_out, axis=0, out=self._grad_biases[index])
-            if index > 0:
-                grad_out = np.matmul(grad_out, weights[index].T, out=g_buffers[index - 1])
-        return loss, self._grad
-
     @contract(
         args={
             "inputs": ArraySpec("n", None, dtype=DTYPE),
@@ -300,7 +207,6 @@ class FusedMLP:
         },
         frozen=("inputs", "targets"),
     )
-    @span("nn.fused_fit")
     def fit(
         self,
         inputs: np.ndarray,
@@ -310,30 +216,15 @@ class FusedMLP:
         optimizer: "FusedAdam",
         rng: np.random.Generator,
     ) -> List[float]:
-        """Tight minibatch-Adam loop; returns the per-epoch mean losses.
+        """Minibatch-Adam training; returns the per-epoch mean losses.
 
-        Draws one permutation per epoch from ``rng`` and takes the batches
-        in permuted order, the RNG use of the reference training loop, but
-        gathers each epoch's shuffle once and hands contiguous slices to
-        :meth:`loss_and_grad` — the same bits at a fraction of the
-        per-batch Python overhead.
+        A one-job :func:`fit_batched` dispatch: one permutation per epoch
+        from ``rng``, the batches in permuted order (the RNG use of the
+        reference training loop), each step through the stacked kernel.
         """
-        count = inputs.shape[0]
-        loss_and_grad = self.loss_and_grad
-        step = optimizer.step
-        epoch_losses: List[float] = []
-        for _ in range(epochs):
-            order = rng.permutation(count)
-            shuffled_x = inputs[order]
-            shuffled_y = targets[order]
-            losses = []
-            for start in range(0, count, batch_size):
-                stop = start + batch_size
-                loss, grad = loss_and_grad(shuffled_x[start:stop], shuffled_y[start:stop])
-                step(grad)
-                losses.append(loss)
-            epoch_losses.append(float(np.mean(losses)))
-        return epoch_losses
+        return fit_batched(
+            [FusedFitJob(self, optimizer, inputs, targets, epochs, batch_size, rng)]
+        )[0]
 
     def __repr__(self) -> str:
         return (
@@ -343,27 +234,19 @@ class FusedMLP:
 
 
 class FusedAdam:
-    """Adam over one flat parameter vector.
+    """One model's Adam state over its flat parameter vector.
 
-    Performs the same elementwise update sequence as a per-parameter Adam
-    with :data:`BETA1`, :data:`BETA2` and :data:`EPS` (same ``m``/``v``
-    recurrences, same bias correction, same epsilon placement), just on the
-    concatenated buffer — so its steps are bit-identical to the reference
-    optimizer's.
+    Holds the learning rate, the first/second moments ``m``/``v`` and the
+    integer step count; :class:`BatchedFusedAdam` gathers them, takes the
+    steps and scatters them back.  The update (:data:`BETA1`,
+    :data:`BETA2`, :data:`EPS`, the same bias correction and epsilon
+    placement) is bit-identical to a per-parameter Adam's.
     """
 
     def __init__(self, model: FusedMLP, lr: float = 1e-3) -> None:
-        self.model = model
-        self.theta = model.theta
         self.lr = lr
-        self._lr = DTYPE(lr)
-        self._m = np.zeros_like(self.theta)
-        self._v = np.zeros_like(self.theta)
-        # Scratch buffers so a step performs zero heap allocations; every
-        # ``out=`` rewrite below computes the same value, in the same
-        # rounding order, as the plain-expression per-parameter optimizer.
-        self._s1 = np.empty_like(self.theta)
-        self._s2 = np.empty_like(self.theta)
+        self._m = np.zeros_like(model.theta)
+        self._v = np.zeros_like(model.theta)
         self._t = 0
 
     def state_dict(self) -> Dict[str, object]:
@@ -373,64 +256,42 @@ class FusedAdam:
     def load_state_dict(self, state: Dict[str, object]) -> None:
         """Restore :meth:`state_dict` output (flat shapes must match)."""
         for name, source in (("m", state["m"]), ("v", state["v"])):
-            if source.shape != self.theta.shape:
+            if source.shape != self._m.shape:
                 raise ValueError(
                     f"moment {name!r} has shape {source.shape}, "
-                    f"theta is {self.theta.shape}"
+                    f"theta is {self._m.shape}"
                 )
         self._m[...] = state["m"]
         self._v[...] = state["v"]
         self._t = int(state["t"])
 
-    def step(self, grad: np.ndarray) -> None:
-        """Apply one Adam update for the given flat gradient."""
-        if grad.shape != self.theta.shape:
-            raise ValueError(f"gradient shape {grad.shape} vs theta {self.theta.shape}")
-        self._t += 1
-        m, v, s1, s2 = self._m, self._v, self._s1, self._s2
-        # m = beta1*m + (1-beta1)*grad
-        np.multiply(m, _BETA1, out=m)
-        np.multiply(grad, _ONE_MINUS_BETA1, out=s1)
-        np.add(m, s1, out=m)
-        # v = beta2*v + (1-beta2)*grad^2
-        np.multiply(v, _BETA2, out=v)
-        np.multiply(grad, grad, out=s1)
-        np.multiply(s1, _ONE_MINUS_BETA2, out=s1)
-        np.add(v, s1, out=v)
-        # theta -= lr * m_hat / (sqrt(v_hat) + eps)
-        np.divide(m, DTYPE(bias_correction(BETA1, self._t)), out=s1)
-        np.divide(v, DTYPE(bias_correction(BETA2, self._t)), out=s2)
-        np.sqrt(s2, out=s2)
-        np.add(s2, _EPS, out=s2)
-        np.multiply(s1, self._lr, out=s1)
-        np.divide(s1, s2, out=s1)
-        np.subtract(self.theta, s1, out=self.theta)
-
 
 class BatchedFusedMLP:
-    """``n_seeds`` independent :class:`FusedMLP` replicas trained as one tensor.
+    """``n_seeds`` :class:`FusedMLP` replicas trained as one tensor.
 
-    The same tensorization move the corner engine applied to evaluation,
-    applied to training: the seeds' flat parameter vectors stack into a
-    ``(n_seeds, n_params)`` tensor whose per-layer weight/bias arrays are
-    *views* (``theta[:, w_slice].reshape(n_seeds, fan_in, fan_out)``), so one
+    This is the only training kernel: :func:`fit_batched` runs every fit
+    through it, a lone job as a one-seed stack.  The seeds' flat parameter
+    vectors stack into a ``(n_seeds, n_params)`` tensor whose per-layer
+    weight/bias arrays are *views*
+    (``theta[:, w_slice].reshape(n_seeds, fan_in, fan_out)``), so one
     broadcast forward/backward step advances every seed at once.  All seeds
     must share one architecture (see :func:`fit_job_signature`) **and one
     minibatch shape per step**: a 3-D ``matmul`` runs each seed's slice
-    through the same 2-D gemm the single-seed path runs, so same-shape
-    stacking is bit-transparent, whereas zero-padding ragged rows is *not*
-    (BLAS picks row-count-dependent kernels — a padded gemm's first rows can
-    differ from the unpadded gemm's in the last ulp).  That is why
+    through the 2-D gemm a one-seed stack runs, so same-shape stacking is
+    bit-transparent, whereas zero-padding ragged rows is *not* (BLAS picks
+    row-count-dependent kernels — a padded gemm's first rows can differ
+    from the unpadded gemm's in the last ulp).  That is why
     :func:`fit_batched` buckets jobs by dataset geometry instead of padding.
 
     Per-seed loss reduction (no cross-seed leakage) happens over each seed's
-    own contiguous ``(rows, out)`` block, the same shape the single-seed
-    path reduces, so NumPy's pairwise summation takes the same tree and the
-    same bits.  Weights move between the stacked tensor and the per-seed
-    models through :meth:`gather` / :meth:`scatter`, which copy the flat
-    buffers directly (the flat layout *is* the ``state_dict`` layout, W0 b0
-    W1 b1 ...), so checkpoint snapshots keep their per-member format.
-    Parity is locked by ``tests/test_batched_refit.py``.
+    own contiguous ``(rows, out)`` block, so NumPy's pairwise summation
+    takes the tree it takes for one seed alone, and the same bits.  Weights
+    move between the stacked tensor and the per-seed models through
+    :meth:`gather` / :meth:`scatter`, which copy the flat buffers directly
+    (the flat layout *is* the ``state_dict`` layout, W0 b0 W1 b1 ...), so
+    checkpoint snapshots keep their per-member format.  Parity with the
+    autodiff reference, per step and per fit, at one seed and at several,
+    is locked by ``tests/test_fused.py`` and ``tests/test_batched_refit.py``.
     """
 
     def __init__(self, template: FusedMLP, n_seeds: int) -> None:
@@ -443,20 +304,32 @@ class BatchedFusedMLP:
         self._shapes = list(template._shapes)
         total = template.num_parameters
         self.theta = np.empty((n_seeds, total), dtype=DTYPE)
+        # The per-step gradient lives in one reusable buffer; per-layer
+        # weight/bias gradients are views into it so the backward pass can
+        # write matmul results straight into place with ``out=``.
         self._grad = np.empty((n_seeds, total), dtype=DTYPE)
+        # Per-row-count scratch buffers for every forward/backward
+        # intermediate (see _scratch_for); a step performs no heap
+        # allocation after the first batch of a given size.
         self._scratch: Dict[int, tuple] = {}
         self._weights: List[np.ndarray] = []
         self._biases: List[np.ndarray] = []
         self._grad_weights: List[np.ndarray] = []
         self._grad_biases: List[np.ndarray] = []
+        # Views a step broadcasts with are built once here, not per step:
+        # the biases as (n_seeds, 1, fan_out) rows, and the transposed
+        # weights the backward pass multiplies by.
+        self._weights_t: List[np.ndarray] = []
         offset = 0
         for fan_in, fan_out in self._shapes:
             w_slice = slice(offset, offset + fan_in * fan_out)
             offset += fan_in * fan_out
             b_slice = slice(offset, offset + fan_out)
             offset += fan_out
-            self._weights.append(self.theta[:, w_slice].reshape(n_seeds, fan_in, fan_out))
-            self._biases.append(self.theta[:, b_slice])
+            weight = self.theta[:, w_slice].reshape(n_seeds, fan_in, fan_out)
+            self._weights.append(weight)
+            self._weights_t.append(weight.transpose(0, 2, 1))
+            self._biases.append(self.theta[:, None, b_slice])
             self._grad_weights.append(
                 self._grad[:, w_slice].reshape(n_seeds, fan_in, fan_out)
             )
@@ -483,10 +356,14 @@ class BatchedFusedMLP:
             model.theta[...] = self.theta[index]
 
     def _scratch_for(self, rows: int) -> tuple:
-        """Stacked per-layer buffers for a given minibatch row count.
+        """Reusable per-layer buffers for a given minibatch row count.
 
-        Same role as :meth:`FusedMLP._scratch_for` with a leading seed axis;
-        allocated once per distinct row count, then reused.
+        ``out`` holds each layer's output (the tanh activations, computed in
+        place over the pre-activations, for hidden layers), ``g`` the
+        backward gradients per layer and ``tmp`` the tanh-derivative
+        workspace (the last entry doubles as the squared-error buffer), all
+        with a leading seed axis.  Allocated once per distinct row count,
+        then reused.
         """
         cached = self._scratch.get(rows)
         if cached is None:
@@ -504,15 +381,18 @@ class BatchedFusedMLP:
 
         ``inputs``/``targets`` are ``(n_seeds, rows, features)`` — every
         seed contributes the same number of rows (callers bucket by
-        geometry), so every ``matmul``/ufunc below is the single-seed op
-        with one leading batch axis and the bits come out identical to
-        ``n_seeds`` independent :meth:`FusedMLP.loss_and_grad` calls.
+        geometry).  Each seed's slice mirrors the reference autodiff chain
+        for ``mse_loss(model(Tensor(x)), Tensor(y)).backward()`` term by
+        term: the mean splits into ``sum * (1/size)``, the squared
+        difference contributes its gradient twice (``g + g`` rather than
+        ``2*g`` — the same bits either way), and each layer differentiates
+        in the same operand order as the Tensor closures.
 
         Returns the ``(n_seeds,)`` per-seed losses; the gradients land in
         ``self._grad`` (valid until the next call).
         """
         rows = inputs.shape[1]
-        weights, biases = self._weights, self._biases
+        weights = self._weights
         last = len(weights) - 1
         if inputs.shape[0] != self.n_seeds or targets.shape != (
             self.n_seeds, rows, self._shapes[last][1]
@@ -527,14 +407,14 @@ class BatchedFusedMLP:
         h = inputs
         for index in range(last + 1):
             h = np.matmul(h, weights[index], out=out_buffers[index])
-            np.add(h, biases[index][:, None, :], out=h)
+            np.add(h, self._biases[index], out=h)
             if index < last:
                 np.tanh(h, out=h)
         prediction = h
 
         # Loss and its gradient seed.  The per-seed mean divides by one
         # seed's element count, and each seed's sum reduces its own
-        # contiguous (rows, out) block — same tree, same bits as solo.
+        # contiguous (rows, out) block.
         diff = g_buffers[last]
         np.subtract(prediction, targets, out=diff)
         squared = tmp_buffers[last]
@@ -556,9 +436,7 @@ class BatchedFusedMLP:
             np.add.reduce(grad_out, axis=1, out=self._grad_biases[index])
             if index > 0:
                 grad_out = np.matmul(
-                    grad_out,
-                    weights[index].transpose(0, 2, 1),
-                    out=g_buffers[index - 1],
+                    grad_out, self._weights_t[index], out=g_buffers[index - 1]
                 )
         return losses
 
@@ -573,12 +451,14 @@ class BatchedFusedMLP:
 class BatchedFusedAdam:
     """Adam over the ``(n_seeds, n_params)`` stacked parameter tensor.
 
-    Runs :class:`FusedAdam`'s exact ``out=`` update sequence with a leading
-    seed axis.  Each seed keeps its own integer step count (seeds may
-    arrive mid-training with different histories), and the bias corrections
-    are computed with the same Python ``**`` on that count
-    (:func:`bias_correction`) before broadcasting, so every
-    seed's update is bit-identical to its solo :class:`FusedAdam` one.
+    The only Adam step: it gathers each seed's :class:`FusedAdam` state,
+    runs the per-parameter Adam update as an ``out=`` sequence with a
+    leading seed axis, and scatters the state back.  Each seed keeps its own
+    integer step count (seeds may arrive mid-training with different
+    histories), and the bias corrections are computed with the same Python
+    ``**`` on that count (:func:`bias_correction`) before broadcasting, so
+    every seed's update is bit-identical to the reference Adam's.  The
+    scratch buffers make a step allocation-free.
     """
 
     def __init__(self, model: BatchedFusedMLP, lr: float = 1e-3) -> None:
@@ -651,8 +531,8 @@ class BatchedFusedAdam:
 class FusedFitJob:
     """One seed's pending training run, as consumed by :func:`fit_batched`.
 
-    Exactly the arguments :meth:`FusedMLP.fit` would take, bundled so a
-    round's worth of refits can be collected first and dispatched together.
+    Exactly the arguments :meth:`FusedMLP.fit` takes, bundled so a round's
+    worth of refits can be collected first and dispatched together.
     """
 
     model: FusedMLP
@@ -686,9 +566,10 @@ def _fit_bucket(jobs: List[FusedFitJob], inputs_list: List[np.ndarray],
 
     All jobs have the same (row count, batch size, epochs), so each global
     step runs one stacked forward/backward/Adam update in which every
-    seed's slice has the single-seed shapes — the bit-transparent case.
-    Each seed draws its epoch permutations from its own generator, in the
-    same order the sequential path would.
+    seed's slice has the shapes it would have alone — the bit-transparent
+    case.  Each seed draws one permutation per epoch from its own
+    generator, the RNG use of the reference training loop, and the epoch's
+    shuffle is gathered once so every step takes contiguous slices.
     """
     n = len(jobs)
     count = inputs_list[0].shape[0]
@@ -702,7 +583,7 @@ def _fit_bucket(jobs: List[FusedFitJob], inputs_list: List[np.ndarray],
     shuf_y = np.empty((n, count, batched.out_features), dtype=DTYPE)
     grad = batched._grad
     # One column per step of an epoch.  float64, like the Python floats the
-    # sequential path averages, so each row's mean takes the same bits.
+    # reference training loop averages, so each row's mean takes its bits.
     step_losses = np.empty((n, (count + batch_size - 1) // batch_size))
     epoch_losses: List[List[float]] = [[] for _ in range(n)]
     for _ in range(epochs):
@@ -725,7 +606,8 @@ def _fit_bucket(jobs: List[FusedFitJob], inputs_list: List[np.ndarray],
 
 
 def fit_batched(jobs: Sequence[FusedFitJob]) -> List[List[float]]:
-    """Train every job's model through stacked kernels; bit-identical bits.
+    """Train every job's model through the stacked kernel; the one place
+    a surrogate takes a training step.
 
     Jobs must share one architecture and learning rate
     (:func:`fit_job_signature`); within that, they are bucketed by dataset
@@ -735,9 +617,10 @@ def fit_batched(jobs: Sequence[FusedFitJob]) -> List[List[float]]:
     parity: BLAS gemm kernels are row-count-dependent in the last ulp, so
     only same-shape stacking is safe.  In the campaign the live members of
     a phase share geometry (same round, same schedule), which is exactly
-    where the refit time is spent.  Ragged stragglers simply land in
-    smaller buckets; a one-job bucket degenerates to the sequential
-    computation on stacked views.
+    where the refit time is spent.  Ragged stragglers land in smaller
+    buckets, and a lone job (a standalone search's refit, a one-seed shard,
+    :meth:`FusedMLP.fit`) trains as a one-seed stack; every job's bits equal
+    those of training it alone.
 
     Returns each job's per-epoch mean losses, in input order.
     """
@@ -775,23 +658,8 @@ def fit_batched(jobs: Sequence[FusedFitJob]) -> List[List[float]]:
         buckets.setdefault(key, []).append(index)
 
     results: List[List[float]] = [[] for _ in jobs]
-    for (_, batch_size, epochs), indices in buckets.items():
+    for (_, _, epochs), indices in buckets.items():
         if epochs == 0:
-            continue
-        if len(indices) == 1:
-            # A lone job gains nothing from the stacked views; run it
-            # through the very kernel the sequential path runs (trivially
-            # bit-identical, and none of the gather/stack overhead).
-            index = indices[0]
-            job = jobs[index]
-            results[index] = job.model.fit(
-                inputs_list[index],
-                targets_list[index],
-                epochs,
-                batch_size,
-                job.adam,
-                job.rng,
-            )
             continue
         bucket_losses = _fit_bucket(
             [jobs[i] for i in indices],

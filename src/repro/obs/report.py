@@ -3,9 +3,9 @@
 The report answers the questions the raw counters cannot: *where* does a
 campaign round spend its time (per-subsystem / per-span-name self-time),
 how is it split across seeds and progressive phases (tags are inherited
-down the span tree, so an ``optimizer.tell`` span's ``FusedMLP.fit`` child
-books to the same seed), and what the cache traffic looked like (hit-rate
-table from the ``eval_cache.evaluate`` event tags).
+down the span tree, so an ``optimizer.tell`` span's ``trust_region.refit``
+child books to the same seed), and what the cache traffic looked like
+(hit-rate table from the ``eval_cache.evaluate`` event tags).
 
 Self-time is a span's duration minus its direct children's durations —
 summing self-time over any partition of the spans never double-counts, so

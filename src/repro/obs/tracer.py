@@ -5,7 +5,7 @@ The :class:`Tracer` emits flat record dicts — ``{"type", "id", "parent",
 monotonic clock relative to the tracer's epoch, ``dur`` the span duration
 (0 for events), and ``parent`` the id of the span that was open when this
 record began, so a trace reconstructs the call tree (``Campaign.run`` >
-round > stacked pass > ``evaluate_corners`` > ``FusedMLP.fit``).  Records
+round > stacked pass > ``evaluate_corners``, or round > ``campaign.refit``).  Records
 land in a bounded in-memory ring (oldest dropped first, drops counted) and,
 when a sink path is given, are appended to a JSONL file that
 ``python -m repro.obs report`` renders.

@@ -52,8 +52,9 @@ evaluated-point dataset (amortized-doubling buffers, hash-set dedup,
 incremental incumbent) lives in the shared
 :class:`~repro.search.optimizer.DatasetOptimizer` base; candidate ranking
 uses ``np.argpartition`` to keep ranking cost O(pool); the surrogate is
-the fused NumPy MLP (:mod:`repro.nn.fused`), trained by its own
-:meth:`~repro.nn.fused.FusedMLP.fit` and step-for-step bit-identical to the
+the fused NumPy MLP (:mod:`repro.nn.fused`), trained by the stacked
+kernel of :func:`~repro.nn.fused.fit_batched` (a standalone ``ask`` trains
+its job as a one-job dispatch) and step-for-step bit-identical to the
 autodiff reference the tests keep (locked by ``tests/test_fused.py``).  The
 network trains and predicts in float32; the refit job's inputs and targets
 are cast once in :meth:`TrustRegionSearch.take_refit_job`, predictions come

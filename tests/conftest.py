@@ -2,7 +2,8 @@
 
 Production code runs one path per layer: a Campaign evaluates corners with
 the handle's stacked evaluator, trains every queued surrogate refit in the
-round's batched dispatch, and trains a :class:`~repro.nn.fused.FusedMLP`.
+round's batched dispatch, and trains a :class:`~repro.nn.fused.FusedMLP`
+through the one stacked kernel.
 The slow reference implementations those fast paths must match bit for bit
 are reachable only from the tests: the ``oracles`` package next to this file
 holds them, and the ``oracles`` fixture below switches a test onto them.
@@ -16,8 +17,17 @@ import pytest
 from oracles.corners import evaluate_corners_looped
 from oracles.nn import MLP, Adam
 from repro.circuits.topologies.base import SizingProblem
-from repro.search import campaign
+from repro.search import campaign, trust_region
 from repro.search.trust_region import TrustRegionSearch
+
+
+def train_one_by_one(jobs):
+    """The sequential stand-in for ``fit_batched``: each job through its
+    own model's ``fit``."""
+    return [
+        job.model.fit(job.inputs, job.targets, job.epochs, job.batch_size, job.adam, job.rng)
+        for job in jobs
+    ]
 
 
 class OraclePaths:
@@ -32,24 +42,17 @@ class OraclePaths:
 
     def sequential_refits(self) -> None:
         """Campaigns train each round's refit jobs one by one, through each
-        job's own ``model.fit``, instead of the stacked batched kernel."""
-
-        def sequential(jobs):
-            return [
-                job.model.fit(
-                    job.inputs, job.targets, job.epochs, job.batch_size, job.adam, job.rng
-                )
-                for job in jobs
-            ]
-
-        self._monkeypatch.setattr(campaign, "fit_batched", sequential)
+        job's own ``model.fit``, instead of one multi-job dispatch."""
+        self._monkeypatch.setattr(campaign, "fit_batched", train_one_by_one)
 
     def autodiff_surrogate(self) -> None:
         """Trust regions train the autodiff MLP with the Tensor-graph Adam.
 
         The oracle MLP loads the fused build's ``state_dict``, so both start
-        from the same weights, and campaigns train refits one by one (the
-        batched kernel stacks fused parameters only).
+        from the same weights.  Every refit trains through the oracle's own
+        ``fit``, since the stacked kernel stacks fused parameters only: the
+        campaign's dispatch and a standalone ``ask``'s one-job dispatch both
+        become the sequential stand-in.
         """
         original = TrustRegionSearch._build_surrogate
 
@@ -60,6 +63,7 @@ class OraclePaths:
             return model, Adam(model.parameters(), lr=search.config.learning_rate)
 
         self._monkeypatch.setattr(TrustRegionSearch, "_build_surrogate", build)
+        self._monkeypatch.setattr(trust_region, "fit_batched", train_one_by_one)
         self.sequential_refits()
 
     def looped_corners(self) -> None:

@@ -4,7 +4,8 @@ The batched refit path (``repro.nn.fused.fit_batched`` driven by the
 campaign's end-of-round flush) claims *bit-identical* results versus
 training each seed's queued refit on its own.  These tests hold it to that:
 kernel-level locks compare per-epoch losses, parameters and Adam moments
-with ``==``/``array_equal`` (never ``allclose``), and campaign-level locks
+with the autodiff oracle's (:mod:`oracles.nn`) per job, with
+``==``/``array_equal`` (never ``allclose``), and campaign-level locks
 byte-diff whole trajectories batched-vs-sequential (the sequential stand-in
 is reached through the ``oracles`` fixture), through checkpoints, and under
 the determinism auditor.
@@ -24,8 +25,8 @@ from repro.nn import (
     fit_batched,
     fit_job_signature,
 )
+from oracles.nn import MLP, Adam
 from repro.core.design_space import DesignSpace, Parameter
-from repro.nn.fused import DTYPE
 from repro.resilience import FaultPlan, InjectedFault, inject, load_snapshot
 from repro.search import Spec, Specification, TrustRegionConfig, TrustRegionSearch
 from repro.search import campaign as campaign_module
@@ -68,43 +69,45 @@ def make_job(seed, count, epochs=5, batch_size=16, **model_kwargs):
 
 
 def run_sequentially(jobs):
-    """The oracle: each job through the single-seed ``FusedMLP.fit``, on the
-    job's arrays cast to the network's dtype as ``fit_batched`` casts them."""
-    return [
-        job.model.fit(
-            np.atleast_2d(np.asarray(job.inputs, dtype=DTYPE)),
-            np.atleast_2d(np.asarray(job.targets, dtype=DTYPE)),
-            job.epochs,
-            job.batch_size,
-            job.adam,
-            job.rng,
+    """The oracle: each job trained alone by the autodiff ``MLP.fit`` of
+    :mod:`oracles.nn`, from the job's weights (through ``state_dict``) and
+    a fresh reference Adam.  Returns ``(losses, model, adam)`` per job."""
+    results = []
+    for job in jobs:
+        model = MLP(job.model.in_features, job.model.hidden, job.model.out_features)
+        model.load_state_dict(job.model.state_dict())
+        adam = Adam(model.parameters(), lr=job.adam.lr)
+        losses = model.fit(job.inputs, job.targets, job.epochs, job.batch_size, adam, job.rng)
+        results.append((losses, model, adam))
+    return results
+
+
+def assert_jobs_bit_identical(batched_jobs, oracle_results):
+    """Each fused job's parameters, Adam moments and step count equal its
+    oracle twin's."""
+    for job, (_, model, adam) in zip(batched_jobs, oracle_results):
+        np.testing.assert_array_equal(
+            job.model.theta, np.concatenate([p.data.ravel() for p in model.parameters()])
         )
-        if job.epochs > 0
-        else []
-        for job in jobs
-    ]
-
-
-def assert_jobs_bit_identical(batched_jobs, sequential_jobs):
-    for batched, sequential in zip(batched_jobs, sequential_jobs):
-        np.testing.assert_array_equal(batched.model.theta, sequential.model.theta)
-        np.testing.assert_array_equal(batched.adam._m, sequential.adam._m)
-        np.testing.assert_array_equal(batched.adam._v, sequential.adam._v)
-        assert batched.adam._t == sequential.adam._t
+        np.testing.assert_array_equal(job.adam._m, np.concatenate([m.ravel() for m in adam._m]))
+        np.testing.assert_array_equal(job.adam._v, np.concatenate([v.ravel() for v in adam._v]))
+        assert job.adam._t == adam._t
 
 
 def check_parity(specs):
-    """Build twin job sets from ``specs``; batched bits must equal solo bits."""
+    """Build twin job sets from ``specs``; the batched bits of every job
+    must equal its oracle twin's."""
     batched_jobs = [make_job(*spec[:2], **spec[2]) for spec in specs]
-    sequential_jobs = [make_job(*spec[:2], **spec[2]) for spec in specs]
+    oracle_results = run_sequentially([make_job(*spec[:2], **spec[2]) for spec in specs])
     batched_losses = fit_batched(batched_jobs)
-    sequential_losses = run_sequentially(sequential_jobs)
-    assert batched_losses == sequential_losses  # exact float equality
-    assert_jobs_bit_identical(batched_jobs, sequential_jobs)
+    # exact float equality
+    assert batched_losses == [losses for losses, _, _ in oracle_results]
+    assert_jobs_bit_identical(batched_jobs, oracle_results)
 
 
 class TestKernelParity:
-    """fit_batched vs N independent FusedMLP.fit calls, bit for bit."""
+    """fit_batched vs each job trained alone by the autodiff oracle's
+    ``MLP.fit``, bit for bit, at one job and at several."""
 
     def test_uniform_geometry(self):
         check_parity([(seed, 48, {}) for seed in range(4)])
@@ -130,10 +133,10 @@ class TestKernelParity:
         assert losses[1] == []
         np.testing.assert_array_equal(batched_jobs[1].model.theta, before)
         assert batched_jobs[1].adam._t == 0
-        # ... and the trained sibling still matches its solo twin.
-        sequential = make_job(0, 48)
-        assert losses[0] == run_sequentially([sequential])[0]
-        assert_jobs_bit_identical(batched_jobs[:1], [sequential])
+        # ... and the trained sibling still matches its oracle twin.
+        oracle = run_sequentially([make_job(0, 48)])
+        assert losses[0] == oracle[0][0]
+        assert_jobs_bit_identical(batched_jobs[:1], oracle)
 
     def test_mixed_batch_sizes(self):
         check_parity([(0, 48, {"batch_size": 16}), (1, 48, {"batch_size": 11})])
@@ -193,7 +196,7 @@ class TestGatherScatter:
 
     def test_adam_round_trip_preserves_moments_and_step(self):
         jobs = [make_job(seed, 24, epochs=3) for seed in range(2)]
-        run_sequentially(jobs)  # advance the moments past zero
+        fit_batched(jobs)  # advance the moments past zero
         stacked = BatchedFusedMLP(jobs[0].model, 2)
         stacked.gather([job.model for job in jobs])
         adam = BatchedFusedAdam(stacked, lr=jobs[0].adam.lr)

@@ -95,36 +95,6 @@ class TestSampling:
         np.testing.assert_array_equal(one, two)
 
 
-class TestGridNeighbors:
-    def test_interior_point_has_two_neighbors_per_dimension(self):
-        space = make_space()
-        center = space.snap(np.array([1e-5, 1e-4, 2e-12]))
-        neighbors = space.grid_neighbors(center)
-        assert len(neighbors) == 2 * space.dimension
-        for neighbor in neighbors:
-            assert not np.allclose(neighbor, center, rtol=1e-12, atol=0.0)
-
-    def test_boundary_skips_out_of_range_moves(self):
-        """The seed emitted the clipped centre itself as a 'neighbor'."""
-        space = make_space()
-        corner = np.array([1e-6, 1e-6, 0.5e-12])  # all-low corner
-        neighbors = space.grid_neighbors(corner)
-        assert len(neighbors) == space.dimension  # only +1 moves remain
-        center = space.snap(corner)
-        for neighbor in neighbors:
-            assert not np.allclose(neighbor, center, rtol=1e-12, atol=0.0)
-
-    def test_high_corner(self):
-        space = make_space()
-        corner = np.array([1e-4, 1e-3, 5e-12])
-        neighbors = space.grid_neighbors(corner)
-        assert len(neighbors) == space.dimension
-        center = space.snap(corner)
-        for neighbor in neighbors:
-            assert not np.allclose(neighbor, center, rtol=1e-12, atol=0.0)
-            assert space.contains(neighbor)
-
-
 class TestValidation:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ import pytest
 from oracles.autodiff import Tensor
 from oracles.nn import MLP, Adam, mse_loss
 from repro.circuits import available_topologies, get_topology
-from repro.nn import FusedAdam, FusedMLP
+from repro.nn import BatchedFusedAdam, BatchedFusedMLP, FusedAdam, FusedMLP
 from repro.nn import fused as fused_module
 from repro.nn.fused import DTYPE, FusedFitJob, fit_batched, ridge_output_weights
 from repro.search import TrustRegionConfig, TrustRegionSearch
@@ -49,28 +49,59 @@ class TestPerStepParity:
     """Identical minibatch order -> identical losses, gradients, weights."""
 
     def test_loss_grad_and_adam_step_bitwise(self):
-        model, fused = make_pair()
-        adam = Adam(model.parameters(), lr=3e-3)
-        fused_adam = FusedAdam(fused, lr=3e-3)
-        inputs, targets = regression_data()
+        """Every seed of the stacked kernel steps exactly as its own
+        autodiff twin, at one seed and at three: loss, gradient row and
+        parameters on every step."""
+        for n_seeds in (1, 3):
+            self.check_stacked_steps(n_seeds)
+
+    @staticmethod
+    def check_stacked_steps(n_seeds):
+        """Each seed has its own weights, data and minibatch draws, and
+        starts at its own Adam step count, so each takes its own bias
+        correction."""
+        pairs = [make_pair(seed=7 + seed) for seed in range(n_seeds)]
+        models = [model for model, _ in pairs]
+        fused = [fused for _, fused in pairs]
+        adams = [Adam(model.parameters(), lr=3e-3) for model in models]
+        fused_adams = [FusedAdam(model, lr=3e-3) for model in fused]
+        for seed, (adam, fused_adam) in enumerate(zip(adams, fused_adams)):
+            adam._t = fused_adam._t = 5 * seed
+        stacked = BatchedFusedMLP(fused[0], n_seeds)
+        stacked.gather(fused)
+        stacked_adam = BatchedFusedAdam(stacked, lr=3e-3)
+        stacked_adam.gather(fused_adams)
+        data = [regression_data(seed=seed) for seed in range(n_seeds)]
         rng = np.random.default_rng(11)
         for _ in range(30):
-            index = rng.permutation(inputs.shape[0])[:32]
-            batch_x, batch_y = inputs[index], targets[index]
+            indices = [rng.permutation(inputs.shape[0])[:32] for inputs, _ in data]
+            batches = [(inputs[index], targets[index])
+                       for (inputs, targets), index in zip(data, indices)]
 
-            adam.zero_grad()
-            loss = mse_loss(model(Tensor(batch_x)), Tensor(batch_y))
-            loss.backward()
-            reference_grad = flat_grads(model)
-            adam.step()
+            losses = stacked.loss_and_grad(np.stack([x for x, _ in batches]),
+                                           np.stack([y for _, y in batches]))
+            grads = stacked._grad.copy()  # the buffer is reused
+            stacked_adam.step(stacked._grad)
 
-            fused_loss, fused_grad = fused.loss_and_grad(batch_x, batch_y)
-            fused_grad = fused_grad.copy()  # the buffer is reused
-            fused_adam.step(fused_grad)
+            for seed, (batch_x, batch_y) in enumerate(batches):
+                model, adam = models[seed], adams[seed]
+                adam.zero_grad()
+                loss = mse_loss(model(Tensor(batch_x)), Tensor(batch_y))
+                loss.backward()
+                reference_grad = flat_grads(model)
+                adam.step()
 
-            assert loss.item() == fused_loss
-            np.testing.assert_array_equal(reference_grad, fused_grad)
-            np.testing.assert_array_equal(flat_params(model), fused.theta)
+                assert loss.item() == float(losses[seed])
+                np.testing.assert_array_equal(reference_grad, grads[seed])
+                np.testing.assert_array_equal(flat_params(model), stacked.theta[seed])
+
+        stacked.scatter(fused)
+        stacked_adam.scatter(fused_adams)
+        for model, adam, fused_model, fused_adam in zip(models, adams, fused, fused_adams):
+            # Parameters, m, v and t, each back on its own model.
+            for ours, theirs in zip(surrogate_state(fused_model, fused_adam),
+                                    surrogate_state(model, adam)):
+                np.testing.assert_array_equal(ours, theirs)
 
     def test_train_regressor_backends_identical(self):
         """Full training runs through both loops end at the same weights."""
@@ -249,24 +280,46 @@ class TestFitOutputLayer:
         )
 
 
+def record_kernel_dtypes(monkeypatch) -> set:
+    """Collect the dtype of every array the stacked kernel steps with."""
+    seen = set()
+    step = fused_module.BatchedFusedMLP.loss_and_grad
+    adam_step = fused_module.BatchedFusedAdam.step
+
+    def recording_step(batched, inputs, targets):
+        losses = step(batched, inputs, targets)
+        scratch = [a for rows in batched._scratch.values() for g in rows for a in g]
+        seen.update(a.dtype for a in [inputs, targets, batched.theta, batched._grad,
+                                       losses, *scratch])
+        return losses
+
+    def recording_adam_step(adam, grad):
+        adam_step(adam, grad)
+        seen.update(a.dtype for a in [adam._m, adam._v, adam._s1, adam._s2,
+                                       adam._bc1, adam._bc2])
+
+    monkeypatch.setattr(fused_module.BatchedFusedMLP, "loss_and_grad", recording_step)
+    monkeypatch.setattr(fused_module.BatchedFusedAdam, "step", recording_adam_step)
+    return seen
+
+
 class TestDtypes:
     """The network's buffers stay float32 through every entry point, and
     predictions leave as float64."""
 
     @staticmethod
     def assert_model_dtypes(model, adam):
-        buffers = [model.theta, model._grad, adam._m, adam._v, adam._s1, adam._s2]
-        for rows in model._scratch.values():
-            buffers.extend(array for group in rows for array in group)
+        buffers = [model.theta, adam._m, adam._v]
         assert {array.dtype for array in buffers} == {np.dtype(DTYPE)}
 
-    def test_fit_output_layer_and_load_state_dict_keep_float32(self):
+    def test_fit_output_layer_and_load_state_dict_keep_float32(self, monkeypatch):
+        seen = record_kernel_dtypes(monkeypatch)
         _, fused = make_pair(in_features=6, hidden=(48, 48), out_features=5, seed=3)
         adam = FusedAdam(fused, lr=3e-3)
         inputs, targets = regression_data(count=64, in_features=6, out_features=5)
         fused.fit(inputs, targets, 2, 16, adam, np.random.default_rng(0))
+        assert seen == {np.dtype(DTYPE)}
         self.assert_model_dtypes(fused, adam)
-        assert fused._scratch  # the check above covered the scratch buffers
         # float64 arrays in, as the search passes them: rounded on the way in.
         fused.fit_output_layer(inputs.astype(np.float64), targets.astype(np.float64), 1e-2)
         fused.load_state_dict(
@@ -282,24 +335,7 @@ class TestDtypes:
         np.testing.assert_array_equal(prediction, fused.predict(inputs))
 
     def test_fit_batched_buckets_and_lone_jobs_keep_float32(self, monkeypatch):
-        seen = set()
-        step = fused_module.BatchedFusedMLP.loss_and_grad
-        adam_step = fused_module.BatchedFusedAdam.step
-
-        def recording_step(batched, inputs, targets):
-            losses = step(batched, inputs, targets)
-            scratch = [a for rows in batched._scratch.values() for g in rows for a in g]
-            seen.update(a.dtype for a in [inputs, targets, batched.theta, batched._grad,
-                                           losses, *scratch])
-            return losses
-
-        def recording_adam_step(adam, grad):
-            adam_step(adam, grad)
-            seen.update(a.dtype for a in [adam._m, adam._v, adam._s1, adam._s2,
-                                           adam._bc1, adam._bc2])
-
-        monkeypatch.setattr(fused_module.BatchedFusedMLP, "loss_and_grad", recording_step)
-        monkeypatch.setattr(fused_module.BatchedFusedAdam, "step", recording_adam_step)
+        seen = record_kernel_dtypes(monkeypatch)
         jobs = []
         for seed, count in ((0, 40), (1, 40), (2, 33)):  # one bucket, one lone job
             model = FusedMLP(4, (8, 8), 3, rng=np.random.default_rng(seed))
@@ -312,11 +348,13 @@ class TestDtypes:
         for job in jobs:
             self.assert_model_dtypes(job.model, job.adam)
 
-    def test_search_refit_job_carries_float32(self):
+    def test_search_refit_job_carries_float32(self, monkeypatch):
+        seen = record_kernel_dtypes(monkeypatch)
         search = seeded_search()
         job = search.take_refit_job()
         assert job.inputs.dtype == job.targets.dtype == np.dtype(DTYPE)
         fit_batched([job])
+        assert seen == {np.dtype(DTYPE)}
         self.assert_model_dtypes(search._surrogate, search._optimizer)
         search._fit_output_layer()
         self.assert_model_dtypes(search._surrogate, search._optimizer)
@@ -346,6 +384,19 @@ def surrogate_state(model, adam):
         np.concatenate([v.ravel() for v in adam._v]),
         adam._t,
     )
+
+
+def record_calls(monkeypatch, owner, name) -> list:
+    """Wrap ``owner.name``; each call appends its positional arguments."""
+    original = getattr(owner, name)
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
 
 
 def assert_same_surrogates(fused_states, autodiff_states):
@@ -378,7 +429,9 @@ class TestSearchLevelParity:
             [Parameter("x", 0.0, 1.0, grid_points=101),
              Parameter("y", 0.0, 1.0, grid_points=101)]
         )
-        spec = Specification([Spec("a", ">=", 0.99), Spec("b", "<=", 0.01)], ["a", "b"])
+        # A target disc of radius 0.02: the 24-row Monte-Carlo seed misses
+        # it, so the search refits (full and closed-form) before it solves.
+        spec = Specification([Spec("a", ">=", 0.9996), Spec("b", "<=", 0.0004)], ["a", "b"])
         config = TrustRegionConfig(
             seed=0, initial_samples=24, batch_size=6, candidate_pool=128,
             max_evaluations=300, surrogate_hidden=(24, 24),
@@ -386,15 +439,27 @@ class TestSearchLevelParity:
         )
         return TrustRegionSearch(evaluator, space, spec, config)
 
-    def test_toy_csp_trajectories_identical(self, oracles):
-        fused = self.make_search().run()
+    def test_toy_csp_trajectories_identical(self, oracles, monkeypatch):
+        """A standalone ``run()``, whose refits each train as a one-job
+        dispatch, reaches the same rows and surrogate bits on the oracle."""
+        built = capture_surrogates(monkeypatch)
+        search = self.make_search()
+        fused = search.run()
+        fused_states = [surrogate_state(*pair) for pair in built]
         oracles.autodiff_surrogate()
-        autodiff = self.make_search().run()
-        assert isinstance(self.make_search()._build_surrogate()[0], MLP)
+        built = capture_surrogates(monkeypatch)
+        fits = record_calls(monkeypatch, MLP, "fit")
+        closed_form = record_calls(monkeypatch, MLP, "fit_output_layer")
+        oracle_search = self.make_search()
+        autodiff = oracle_search.run()
+        assert oracle_search.refit_count == search.refit_count > len(fits) > 0
+        assert closed_form
+        assert all(isinstance(model, MLP) for model, _ in built)
         assert fused.evaluations == autodiff.evaluations
         assert fused.best_score == autodiff.best_score
         np.testing.assert_array_equal(fused.best_vector, autodiff.best_vector)
         assert len(fused.history) == len(autodiff.history)
+        assert_same_surrogates(fused_states, [surrogate_state(*pair) for pair in built])
 
     def test_batched_campaign_seeds_0_to_2(self, oracles, monkeypatch):
         """Multi-seed campaigns whose refits share dispatches reach the same
@@ -414,14 +479,7 @@ class TestSearchLevelParity:
         fused_states = [surrogate_state(*pair) for pair in built]
         oracles.autodiff_surrogate()
         built = capture_surrogates(monkeypatch)
-        oracle_fit = MLP.fit
-        fits = []
-
-        def counted(model, *args):
-            fits.append(args[2])
-            return oracle_fit(model, *args)
-
-        monkeypatch.setattr(MLP, "fit", counted)
+        fits = record_calls(monkeypatch, MLP, "fit")
         assert fused["batched_kernel_calls"] > 0
         assert fingerprint() == fused
         assert len(fits) > len(seeds)
@@ -439,14 +497,7 @@ class TestSearchLevelParity:
         fused_states = [surrogate_state(*pair) for pair in built]
         oracles.autodiff_surrogate()
         built = capture_surrogates(monkeypatch)
-        closed_form = MLP.fit_output_layer
-        calls = []
-
-        def counted(model, *args):
-            calls.append(args[0].shape[0])
-            closed_form(model, *args)
-
-        monkeypatch.setattr(MLP, "fit_output_layer", counted)
+        calls = record_calls(monkeypatch, MLP, "fit_output_layer")
         autodiff = size_problem("two_stage_opamp", specs=DEFAULT_SPECS, seed=0)
         assert calls
         assert fused.solved_all_corners and autodiff.solved_all_corners

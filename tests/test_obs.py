@@ -423,8 +423,8 @@ class TestBenchTelemetry:
         assert telemetry["events"]["campaign.solved"] == 1
         spans = telemetry["spans"]
         # The tiny case solves before a surrogate refit triggers, so
-        # trust_region.refit / nn.fused_fit may be absent; these are the
-        # structurally guaranteed hot points.
+        # campaign.refit may be absent; these are the structurally
+        # guaranteed hot points.
         for name in ("bench.run_case", "campaign.run", "campaign.round",
                      "optimizer.ask", "optimizer.tell", "eval_cache.engine",
                      "topology.evaluate_corners"):
