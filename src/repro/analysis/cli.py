@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import logging
 from dataclasses import replace
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from repro.analysis.engine import AnalysisConfig, lint_paths
 from repro.analysis.rules import available_rules, get_rule
@@ -25,15 +25,27 @@ from repro.obs.logs import add_logging_flags, configure_cli_logging
 module_logger = logging.getLogger(__name__)
 
 
+def rule_ids(text: str) -> Tuple[str, ...]:
+    """A non-empty comma list of registered lint rule ids (``--select``).
+
+    An empty list would lint with no rule at all and pass any file, so it
+    is a usage error like an unknown id.
+    """
+    selected = tuple(token.strip() for token in text.split(",") if token.strip())
+    if not selected:
+        raise argparse.ArgumentTypeError("expected a comma list of rule ids (see 'rules')")
+    for rule_id in selected:
+        if rule_id not in available_rules():
+            raise argparse.ArgumentTypeError(
+                f"unknown lint rule {rule_id!r}; available: {', '.join(available_rules())}"
+            )
+    return selected
+
+
 def _cmd_lint(args: argparse.Namespace) -> int:
     config = AnalysisConfig()
-    if args.select:
-        selected = tuple(
-            token.strip() for token in args.select.split(",") if token.strip()
-        )
-        for rule_id in selected:
-            get_rule(rule_id)  # fail fast with the available-rules message
-        config = replace(config, select=selected)
+    if args.select is not None:
+        config = replace(config, select=args.select)
     module_logger.info("linting %s", ", ".join(args.paths))
     findings = lint_paths(args.paths, config)
     # Findings and the count line are the machine-readable output: stdout.
@@ -92,6 +104,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     lint.add_argument(
         "--select",
         default=None,
+        type=rule_ids,
         metavar="RULES",
         help="comma-separated rule ids to run (default: all; see 'rules')",
     )

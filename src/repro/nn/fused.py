@@ -618,9 +618,11 @@ def fit_batched(jobs: Sequence[FusedFitJob]) -> List[List[float]]:
     only same-shape stacking is safe.  In the campaign the live members of
     a phase share geometry (same round, same schedule), which is exactly
     where the refit time is spent.  Ragged stragglers land in smaller
-    buckets, and a lone job (a standalone search's refit, a one-seed shard,
+    buckets, and a lone job (a one-seed campaign's refit, a one-seed shard,
     :meth:`FusedMLP.fit`) trains as a one-seed stack; every job's bits equal
-    those of training it alone.
+    those of training it alone.  In the search layer the Campaign's
+    end-of-round refit flush is the only caller: optimizers queue their
+    jobs and never train them.
 
     Returns each job's per-epoch mean losses, in input order.
     """

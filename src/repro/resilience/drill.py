@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -174,7 +175,11 @@ def drill_case(
             scenario_dir = os.path.join(workdir, case.slug, scenario)
             checkpoint_dir = os.path.join(scenario_dir, "checkpoints")
             cache_path = os.path.join(scenario_dir, "cache.evc")
-            os.makedirs(scenario_dir, exist_ok=True)
+            # Every scenario starts from an empty directory: a snapshot or
+            # store left by an earlier run of the same scenario would be
+            # resumed against a journal this run rewrites.
+            shutil.rmtree(scenario_dir, ignore_errors=True)
+            os.makedirs(scenario_dir)
             plan = FaultPlan(site, occurrence=occurrence)
             campaign = case.build_campaign(seeds, cache_path=cache_path)
             outcome = None

@@ -1,9 +1,10 @@
 """Surrogate-assisted trust-region sizing search (Algorithm 1 + Section IV-E).
 
-Layered since the ask/tell redesign: optimizers (``Optimizer`` protocol —
-``TrustRegionSearch``, ``RandomSearch``, ``CrossEntropySearch``) own the
-proposal side; the ``Campaign`` driver owns evaluation (budget, the
-cross-phase ``EvaluationCache``, multi-seed vectorized corner passes);
+Layered since the ask/tell redesign: optimizers (``DatasetOptimizer``
+subclasses — ``TrustRegionSearch``, ``RandomSearch``, ``CrossEntropySearch``)
+own the proposal side; the ``Campaign`` driver owns evaluation and training
+(budget, the cross-phase ``EvaluationCache``, multi-seed vectorized corner
+passes, batched surrogate refits);
 ``size_problem`` is the single-seed entry point and ``build_campaign`` the
 multi-seed one.
 """
@@ -15,7 +16,6 @@ from repro.search.optimizer import (
     DatasetOptimizer,
     Incumbent,
     IterationRecord,
-    Optimizer,
     RandomSearch,
     SearchResult,
     available_optimizers,
@@ -42,7 +42,6 @@ __all__ = [
     "EvaluationHandle",
     "Incumbent",
     "IterationRecord",
-    "Optimizer",
     "ProgressiveConfig",
     "ProgressiveResult",
     "RandomSearch",

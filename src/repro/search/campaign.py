@@ -1,8 +1,9 @@
-"""The Campaign driver: evaluation ownership for ask/tell optimizers.
+"""The Campaign driver: the one loop that runs every ask/tell optimizer.
 
 The ask/tell redesign splits the search stack into two halves.  Optimizers
 (:mod:`repro.search.optimizer`) own the *proposal* side — what to evaluate
-next.  The :class:`Campaign` owns the *evaluation* side:
+next — and never evaluate or train anything themselves.  The
+:class:`Campaign` owns the *evaluation* side:
 
 * the true corner evaluator (the handle's one evaluator, e.g. a topology's
   :meth:`~repro.circuits.topologies.base.SizingProblem.evaluate_corners`),
@@ -25,8 +26,8 @@ next.  The :class:`Campaign` owns the *evaluation* side:
 * **batched surrogate refits**: a trust-region ``tell`` queues its full
   refit; at the end of the round the Campaign pops every member's job and
   trains the jobs of one geometry through a single
-  :func:`~repro.nn.fused.fit_batched` dispatch, bit-identical per seed to a
-  standalone ``run()``, where the next ``ask`` trains the job alone.
+  :func:`~repro.nn.fused.fit_batched` dispatch, bit-identical per seed to
+  training each job alone.  This is the only place a full refit trains.
 
 :func:`repro.search.sizing.size_problem` runs a single-seed Campaign and
 reproduces the pre-redesign behaviour bit-exactly at a fixed seed/config.
@@ -52,7 +53,12 @@ from repro.resilience.faults import fault_point, register_fault_site
 from repro.resilience.snapshot import SnapshotError, load_snapshot, save_snapshot
 from repro.resilience.store import member_tag
 from repro.search.eval_cache import CornerEvaluator, EvaluationCache
-from repro.search.optimizer import IterationRecord, Optimizer, SearchResult, get_optimizer
+from repro.search.optimizer import (
+    DatasetOptimizer,
+    IterationRecord,
+    SearchResult,
+    get_optimizer,
+)
 from repro.search.progressive import (
     CornerReport,
     ProgressiveConfig,
@@ -241,7 +247,7 @@ class _ProgressiveMember:
         self._pending_rows: Optional[np.ndarray] = None
         self.optimizer = self._build_optimizer()
 
-    def _build_optimizer(self) -> Optimizer:
+    def _build_optimizer(self) -> DatasetOptimizer:
         specification = _stacked_specification(
             self.specs, self.metric_names, self.active
         )
@@ -250,7 +256,6 @@ class _ProgressiveMember:
         # would silently break.
         phase_config = replace(self.config, seed=self.config.seed + self.phase)
         return self.optimizer_cls(
-            None,
             self.design_space,
             specification,
             config=phase_config,
@@ -732,9 +737,10 @@ class Campaign:
         Jobs are grouped by :func:`fit_job_signature` (members in different
         phases have different surrogate output widths), and each group
         trains through one :func:`fit_batched` dispatch.  The per-seed bits
-        equal those of a standalone ``run()``, whose next ``ask`` trains the
-        job alone, so batching is invisible to trajectories — only to the
-        wall clock.
+        equal those of training each job alone, so batching is invisible to
+        trajectories — only to the wall clock.  Every member asks again only
+        after this flush, as
+        :meth:`~repro.search.trust_region.TrustRegionSearch.ask` requires.
         """
         groups: "OrderedDict[tuple, List[Tuple[_ProgressiveMember, FusedFitJob]]]" = (
             OrderedDict()

@@ -1,27 +1,14 @@
-"""The ask/tell optimizer protocol and the cheap baseline optimizers.
+"""The ask/tell optimizer base class and the cheap baseline optimizers.
 
-Every search strategy in :mod:`repro.search` speaks the same minimal
-protocol, so the evaluation side (who runs the true evaluator, where the
-budget lives, whether many seeds share one vectorized corner pass) is owned
-by a *driver* — :class:`~repro.search.campaign.Campaign` — instead of being
-hard-wired into each algorithm:
-
-* :meth:`Optimizer.ask` returns the next batch of sizings to evaluate —
-  already grid-snapped, deduplicated against everything the optimizer has
-  seen, and clamped to its remaining budget;
-* :meth:`Optimizer.tell` feeds the true metrics for exactly that batch back
-  in, advancing the internal state (incumbent, surrogate, distribution,
-  trust radius, ...);
-* :attr:`Optimizer.is_done` says whether another ``ask`` would be useful;
-* :attr:`Optimizer.best` is the incumbent so far, and
-  :meth:`Optimizer.result` packs the final :class:`SearchResult`.
-
-:class:`DatasetOptimizer` is the shared machinery every concrete optimizer
-here builds on: the amortized-doubling dataset of evaluated points with
-hash-set dedup, incremental scoring and incumbent tracking (the hot path
-carried over from the trust-region overhaul), plus a
-self-driving :meth:`DatasetOptimizer.run` loop for standalone use with a
-plain batch evaluator.
+Every search strategy in :mod:`repro.search` subclasses
+:class:`DatasetOptimizer` and speaks its ask/tell protocol; one driver,
+:class:`~repro.search.campaign.Campaign`, owns the evaluation side (the true
+evaluator, the budget accounting, the vectorized corner passes many seeds
+share, the batched surrogate refits).  :class:`DatasetOptimizer` states the
+contract and holds the shared machinery: the amortized-doubling dataset of
+evaluated points with hash-set dedup, incremental scoring and incumbent
+tracking (the hot path carried over from the trust-region overhaul), plus
+the checkpoint state a Campaign snapshots.
 
 Two cheap baselines prove the protocol generalizes beyond Algorithm 1:
 :class:`RandomSearch` (pure Monte-Carlo) and :class:`CrossEntropySearch`
@@ -35,20 +22,13 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple, Type
+from typing import Dict, List, Optional, Set, Tuple, Type
 
 import numpy as np
 
 from repro.analysis.contracts import contract
 from repro.core.design_space import DesignSpace, row_keys
-from repro.search.spec import Specification
-
-#: An evaluator maps a ``(count, dim)`` sizing array to ``(count, n_metrics)``.
-BatchEvaluator = Callable[[np.ndarray], np.ndarray]
-
-#: Feasibility tolerance shared with :meth:`Specification.satisfied`: a score
-#: this close to zero counts as solved, so float round-off never burns budget.
-FEASIBLE_TOL = -1e-9
+from repro.search.spec import FEASIBLE_TOL, Specification
 
 
 def tell_precondition(arguments) -> Optional[str]:
@@ -73,13 +53,11 @@ def tell_precondition(arguments) -> Optional[str]:
         return (
             f"told {metrics.shape[0]} metric rows for {samples.shape[0]} sizings"
         )
-    optimizer = arguments["self"]
-    if isinstance(optimizer, DatasetOptimizer):
-        keys = row_keys(np.atleast_2d(np.asarray(samples, dtype=np.float64)))
-        if not optimizer._seen.isdisjoint(keys):
-            return "told a row that is already in the dataset"
-        if len(set(keys)) < len(keys):
-            return "told the same row more than once in one block"
+    keys = row_keys(np.atleast_2d(np.asarray(samples, dtype=np.float64)))
+    if not arguments["self"]._seen.isdisjoint(keys):
+        return "told a row that is already in the dataset"
+    if len(set(keys)) < len(keys):
+        return "told the same row more than once in one block"
     return None
 
 
@@ -184,10 +162,10 @@ class Incumbent:
     score: float
 
 
-class Optimizer(ABC):
-    """The ask/tell protocol every search strategy implements.
+class DatasetOptimizer(ABC):
+    """The base class of every ask/tell optimizer, and its dataset machinery.
 
-    The contract:
+    The contract a :class:`~repro.search.campaign.Campaign` drives:
 
     * ``ask()`` returns a ``(count, dim)`` array of *new* sizings — snapped
       to the design grid, not previously evaluated by this optimizer, and
@@ -195,76 +173,30 @@ class Optimizer(ABC):
       the optimizer has nothing left to propose (``is_done`` is then True).
     * ``tell(samples, metrics)`` must be called exactly once per non-empty
       ``ask()``, with the same rows ``ask`` returned and their true metrics.
+    * ``take_refit_job()`` hands over the surrogate refit the last ``tell``
+      queued, if any; the driver trains it before the next ``ask``.
     * ``is_done`` is True once the spec is met, the budget is exhausted, or
       the strategy has no further proposals.
 
-    Concrete optimizers accept the shared constructor signature
-    ``(evaluator, design_space, specification, config=None,
-    initial_points=None)`` — ``evaluator`` may be ``None`` when a driver
-    (e.g. :class:`~repro.search.campaign.Campaign`) owns evaluation — so the
-    registry (:func:`get_optimizer`) can build any of them interchangeably.
-    """
+    Subclasses implement :meth:`ask` and may extend :meth:`tell`; the
+    registry (:func:`get_optimizer`) builds any of them with the shared
+    constructor signature below.
 
-    design_space: DesignSpace
-    specification: Specification
-
-    @abstractmethod
-    def ask(self) -> np.ndarray:
-        """Next batch of new, grid-snapped sizings to evaluate."""
-
-    @abstractmethod
-    def tell(self, samples: np.ndarray, metrics: np.ndarray) -> None:
-        """Feed back the true metrics for the rows of the last ``ask``."""
-
-    @property
-    @abstractmethod
-    def is_done(self) -> bool:
-        """True once another ``ask`` would serve no purpose."""
-
-    @property
-    @abstractmethod
-    def best(self) -> Optional[Incumbent]:
-        """The incumbent so far (``None`` before the first ``tell``)."""
-
-    @abstractmethod
-    def result(self) -> SearchResult:
-        """Pack the final outcome of the run."""
-
-    # -- batched-refit protocol (optional) -----------------------------
-    #: How many surrogate refits this optimizer has started (zero for
-    #: surrogate-free strategies, which never override the hooks below).
-    refit_count: int = 0
-
-    def take_refit_job(self):
-        """Pop the refit the last ``tell`` queued as a
-        :class:`repro.nn.fused.FusedFitJob`, or ``None`` when this
-        optimizer has nothing queued.  Drivers that batch training across
-        many optimizers (every :class:`~repro.search.campaign.Campaign`)
-        pop it after each round; surrogate-free strategies never queue."""
-        return None
-
-
-class DatasetOptimizer(Optimizer):
-    """Shared dataset machinery for ask/tell optimizers.
-
-    Maintains the evaluated-point dataset in amortized-doubling buffers —
-    natural-unit rows, unit-cube rows, metrics and satisfaction scores are
-    appended in blocks, never rebuilt, and only new rows are scored; the
-    incumbent is tracked incrementally.  Every evaluated row's bit-exact
-    byte key lives in a persistent ``set``, so dedup decides each
+    The base maintains the evaluated-point dataset in amortized-doubling
+    buffers — natural-unit rows, unit-cube rows, metrics and satisfaction
+    scores are appended in blocks, never rebuilt, and only new rows are
+    scored; the incumbent is tracked incrementally.  Every evaluated row's
+    bit-exact byte key lives in a persistent ``set``, so dedup decides each
     candidate's novelty with one hash lookup and no proposal is ever
     evaluated twice.
 
     Parameters
     ----------
-    evaluator:
-        Batch evaluator for standalone :meth:`run` use; ``None`` when a
-        driver owns evaluation and only ``ask``/``tell`` are exercised.
     design_space:
         The gridded CSP domain.
     specification:
         The constraints to satisfy; its ``metric_names`` must match the
-        evaluator's output columns.
+        columns of the metrics ``tell`` receives.
     config:
         Hyper-parameters (a
         :class:`~repro.search.trust_region.TrustRegionConfig`); concrete
@@ -277,17 +209,15 @@ class DatasetOptimizer(Optimizer):
 
     def __init__(
         self,
-        evaluator: Optional[BatchEvaluator],
         design_space: DesignSpace,
         specification: Specification,
         config=None,
         initial_points: Optional[np.ndarray] = None,
     ) -> None:
         # Imported here: trust_region defines the shared config dataclass
-        # and imports this module for the protocol base classes.
+        # and imports this module for the base class.
         from repro.search.trust_region import TrustRegionConfig
 
-        self.evaluator = evaluator
         self.design_space = design_space
         self.specification = specification
         self.config = config or TrustRegionConfig()
@@ -392,12 +322,25 @@ class DatasetOptimizer(Optimizer):
         return block_best
 
     # -- protocol ------------------------------------------------------
+    @abstractmethod
+    def ask(self) -> np.ndarray:
+        """Next batch of new, grid-snapped sizings to evaluate."""
+
+    def take_refit_job(self):
+        """Pop the refit the last ``tell`` queued as a
+        :class:`repro.nn.fused.FusedFitJob`, or ``None`` when nothing is
+        queued.  The Campaign pops every member's job after each round and
+        trains them together; surrogate-free strategies never queue."""
+        return None
+
     @property
     def is_done(self) -> bool:
+        """True once another ``ask`` would serve no purpose."""
         return self._done
 
     @property
     def best(self) -> Optional[Incumbent]:
+        """The incumbent so far (``None`` before the first ``tell``)."""
         if self._best < 0:
             return None
         return Incumbent(
@@ -439,7 +382,7 @@ class DatasetOptimizer(Optimizer):
 
     def result(self) -> SearchResult:
         if self._best < 0:
-            raise RuntimeError("no evaluations yet; call ask/tell (or run) first")
+            raise RuntimeError("no evaluations yet; call ask/tell first")
         best = self._best
         best_vector = self._X[best].copy()
         best_metrics = self._M[best].copy()
@@ -536,21 +479,6 @@ class DatasetOptimizer(Optimizer):
         self._done = state["done"]
         self.refit_seconds = state["refit_seconds"]
         self.refit_count = state["refit_count"]
-
-    def run(self) -> SearchResult:
-        """Self-driving ask/tell loop over the optimizer's own evaluator."""
-        if self.evaluator is None:
-            raise ValueError(
-                "this optimizer was built without an evaluator; drive it via "
-                "ask/tell (e.g. through a Campaign) or pass one at construction"
-            )
-        while not self.is_done:
-            rows = self.ask()
-            if rows.shape[0] == 0:
-                break
-            metrics = np.atleast_2d(np.asarray(self.evaluator(rows), dtype=np.float64))
-            self.tell(rows, metrics)
-        return self.result()
 
 
 class RandomSearch(DatasetOptimizer):
@@ -698,10 +626,10 @@ class CrossEntropySearch(DatasetOptimizer):
 # Optimizer registry (mirrors the topology registry): the benchmark
 # harness and the Campaign build optimizers by name.
 
-_OPTIMIZERS: Dict[str, Type[Optimizer]] = {}
+_OPTIMIZERS: Dict[str, Type[DatasetOptimizer]] = {}
 
 
-def register_optimizer(name: str, cls: Type[Optimizer]) -> Type[Optimizer]:
+def register_optimizer(name: str, cls: Type[DatasetOptimizer]) -> Type[DatasetOptimizer]:
     """Register an optimizer class under a stable name."""
     if not name:
         raise ValueError("optimizer name must be non-empty")
@@ -716,7 +644,7 @@ def available_optimizers() -> Tuple[str, ...]:
     return tuple(sorted(_OPTIMIZERS))
 
 
-def get_optimizer(name: str) -> Type[Optimizer]:
+def get_optimizer(name: str) -> Type[DatasetOptimizer]:
     """Look up an optimizer class by registry name.
 
     Raises
@@ -735,4 +663,4 @@ def get_optimizer(name: str) -> Type[Optimizer]:
 register_optimizer("random", RandomSearch)
 register_optimizer("cross_entropy", CrossEntropySearch)
 # "trust_region" registers itself in repro.search.trust_region (which
-# imports this module for the protocol base classes).
+# imports this module for the base class).

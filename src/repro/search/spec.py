@@ -21,6 +21,12 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+#: Feasibility tolerance: a margin (or a satisfaction score) this close to
+#: zero counts as met, so float round-off never burns budget.  Shared by
+#: :meth:`Specification.satisfied`, :meth:`Specification.report` and the
+#: optimizers' stopping rule.
+FEASIBLE_TOL = -1e-9
+
 
 @dataclass(frozen=True)
 class Spec:
@@ -123,7 +129,7 @@ class Specification:
 
     def satisfied(self, metrics: np.ndarray) -> np.ndarray:
         """Boolean feasibility per row (tolerant to float round-off)."""
-        return np.all(self.margins(metrics) >= -1e-9, axis=1)
+        return np.all(self.margins(metrics) >= FEASIBLE_TOL, axis=1)
 
     def report(self, metrics: np.ndarray) -> str:
         """Human-readable pass/fail table for a single metric vector."""
@@ -131,6 +137,6 @@ class Specification:
         margins = self.margins(metrics)[0]
         lines = []
         for spec, column, margin in zip(self.specs, self._columns, margins):
-            status = "PASS" if margin >= -1e-9 else "FAIL"
+            status = "PASS" if margin >= FEASIBLE_TOL else "FAIL"
             lines.append(f"  [{status}] {spec} (measured {metrics[0, column]:.4g})")
         return "\n".join(lines)

@@ -30,22 +30,20 @@ The agent alternates between
    A seed that never stalls never restarts and draws nothing extra.
 
 Since the ask/tell redesign the algorithm is expressed on the
-:class:`~repro.search.optimizer.Optimizer` protocol: :meth:`ask` runs the
-proposal side (Monte-Carlo seeding, trust-region sampling, surrogate
+:class:`~repro.search.optimizer.DatasetOptimizer` protocol: :meth:`ask` runs
+the proposal side (Monte-Carlo seeding, trust-region sampling, surrogate
 ranking, grid snapping, dedup, budget clamping) and :meth:`tell` the update
-side (dataset append, surrogate refit, radius adaptation).  ``run()`` is
-the thin self-driving loop inherited from
-:class:`~repro.search.optimizer.DatasetOptimizer`; evaluation ownership can
-equally live outside, in a :class:`~repro.search.campaign.Campaign`.  The
+side (dataset append, surrogate refit, radius adaptation).  Evaluation
+lives in the one driver, :class:`~repro.search.campaign.Campaign`.  The
 split is **bit-identical** to the historical monolithic loop — same RNG
 draw order, same refit schedule, same trajectories — and is locked by the
 parity tests against the pre-refactor oracle.
 
-A full refit has one path: ``tell`` queues it, and either a driver pops it
-with :meth:`TrustRegionSearch.take_refit_job` (a Campaign trains every
-member's job in one batched dispatch at the end of the round) or the next
-``ask`` trains it before drawing anything (``run()`` and hand-written
-ask/tell loops).  The closed-form refits run inside ``tell``.
+A full refit has one path: ``tell`` queues it, and the Campaign pops it
+with :meth:`TrustRegionSearch.take_refit_job` and trains every member's job
+in one batched dispatch at the end of the round.  ``ask`` refuses to run
+while a job is queued, so no loop can rank with a stale surrogate.  The
+closed-form refits run inside ``tell``.
 
 Hot-path notes (this is the inner loop of every benchmark case): the
 evaluated-point dataset (amortized-doubling buffers, hash-set dedup,
@@ -53,13 +51,13 @@ incremental incumbent) lives in the shared
 :class:`~repro.search.optimizer.DatasetOptimizer` base; candidate ranking
 uses ``np.argpartition`` to keep ranking cost O(pool); the surrogate is
 the fused NumPy MLP (:mod:`repro.nn.fused`), trained by the stacked
-kernel of :func:`~repro.nn.fused.fit_batched` (a standalone ``ask`` trains
-its job as a one-job dispatch) and step-for-step bit-identical to the
-autodiff reference the tests keep (locked by ``tests/test_fused.py``).  The
-network trains and predicts in float32; the refit job's inputs and targets
-are cast once in :meth:`TrustRegionSearch.take_refit_job`, predictions come
-back as float64, and the output scaler, margins, ranking, design-space rows
-and cache keys stay float64.
+kernel of :func:`~repro.nn.fused.fit_batched` and step-for-step
+bit-identical to the autodiff reference the tests keep (locked by
+``tests/test_fused.py``).  The network trains and predicts in float32; the
+refit job's inputs and targets are cast once in
+:meth:`TrustRegionSearch.take_refit_job`, predictions come back as float64,
+and the output scaler, margins, ranking, design-space rows and cache keys
+stay float64.
 """
 
 from __future__ import annotations
@@ -72,11 +70,10 @@ import numpy as np
 from repro.core.design_space import DesignSpace
 from repro.obs import event, profiled
 from repro.resilience.faults import fault_point, register_fault_site
-from repro.nn.fused import DTYPE, FusedAdam, FusedFitJob, FusedMLP, fit_batched
+from repro.nn.fused import DTYPE, FusedAdam, FusedFitJob, FusedMLP
 from repro.nn.scalers import StandardScaler
 from repro.analysis.contracts import contract
 from repro.search.optimizer import (
-    BatchEvaluator,
     DatasetOptimizer,
     IterationRecord,
     SearchResult,
@@ -86,7 +83,6 @@ from repro.search.optimizer import (
 from repro.search.spec import Specification
 
 __all__ = [
-    "BatchEvaluator",
     "IterationRecord",
     "SearchResult",
     "TrustRegionConfig",
@@ -178,16 +174,11 @@ class TrustRegionSearch(DatasetOptimizer):
 
     Parameters
     ----------
-    evaluator:
-        Batch evaluator mapping ``(count, dim)`` sizings to metrics, for
-        standalone ``run()`` use; ``None`` when a driver (e.g. a
-        :class:`~repro.search.campaign.Campaign`) owns evaluation and
-        drives the optimizer through ``ask``/``tell``.
     design_space:
         The gridded CSP domain.
     specification:
         The constraints to satisfy; its ``metric_names`` must match the
-        evaluator's output columns.
+        columns of the metrics ``tell`` receives.
     config:
         Hyper-parameters; the RNG seed makes runs reproducible.
     initial_points:
@@ -198,14 +189,12 @@ class TrustRegionSearch(DatasetOptimizer):
 
     def __init__(
         self,
-        evaluator: Optional[BatchEvaluator],
         design_space: DesignSpace,
         specification: Specification,
         config: Optional[TrustRegionConfig] = None,
         initial_points: Optional[np.ndarray] = None,
     ) -> None:
         super().__init__(
-            evaluator,
             design_space,
             specification,
             config=config or TrustRegionConfig(),
@@ -232,9 +221,8 @@ class TrustRegionSearch(DatasetOptimizer):
         # Dataset row count at the last full (Adam) refit; it decides which
         # later refits are full (REFIT_GROWTH).
         self._full_refit_rows = 0
-        # A full refit queued by tell(): a Campaign pops it via
-        # take_refit_job() at the end of the round, otherwise the next ask()
-        # trains it.
+        # A full refit queued by tell(): the Campaign pops it via
+        # take_refit_job() at the end of the round and trains it.
         self._pending_refit_epochs: Optional[int] = None
 
     # ------------------------------------------------------------------
@@ -247,14 +235,14 @@ class TrustRegionSearch(DatasetOptimizer):
         targets to the surrogate's float32 :data:`~repro.nn.fused.DTYPE`
         once, here, so every trainer gets the same arrays.  A
         :class:`~repro.search.campaign.Campaign` pops every member's job at
-        the end of the round and trains them together; a job nobody popped
-        is trained by the next :meth:`ask`.
+        the end of the round and trains them together, before any member
+        asks again (:meth:`ask` refuses to run while a job is queued).
         Queuing cannot shift a trajectory: the full refit is the only RNG
         consumer of a refit, the closed-form refit draws nothing and always
         follows the training of any earlier full refit, and the next RNG use
-        is the next ``ask``, which either path reaches only after the job
-        has trained — so the draw order and the surrogate bits do not depend
-        on who trains it.
+        is the next ``ask``, which comes only after the job has trained — so
+        the draw order and the surrogate bits do not depend on which
+        dispatch trains it.
         """
         if self._pending_refit_epochs is None:
             return None
@@ -273,6 +261,13 @@ class TrustRegionSearch(DatasetOptimizer):
             batch_size=self.config.surrogate_batch_size,
             rng=self.rng,
         )
+
+    def _require_no_queued_refit(self, action: str) -> None:
+        if self._pending_refit_epochs is not None:
+            raise RuntimeError(
+                f"cannot {action} with a queued refit still pending; "
+                "pop it with take_refit_job() and train it first"
+            )
 
     def _refit_surrogate(self, epochs: int) -> None:
         """Queue a full Adam refit (see :meth:`take_refit_job`)."""
@@ -337,11 +332,7 @@ class TrustRegionSearch(DatasetOptimizer):
         count and pending-restart flag.  ``full_refit_rows`` is the row
         count at the last full refit, which schedules the next one.
         """
-        if self._pending_refit_epochs is not None:
-            raise RuntimeError(
-                "cannot snapshot with a queued refit still pending; "
-                "train it first (call ask() or take_refit_job())"
-            )
+        self._require_no_queued_refit("snapshot")
         state = super().state_dict()
         state["seeded"] = self._seeded
         state["iterating"] = self._iterating
@@ -447,17 +438,13 @@ class TrustRegionSearch(DatasetOptimizer):
         best-ranked candidates).  When the whole region is already
         evaluated the ask falls back to Monte-Carlo exploration so the
         budget is never wasted; an empty batch means even that is
-        exhausted.  A full refit the last ``tell`` queued and no driver
-        popped trains first, so a restart flagged by that ``tell`` ranks with
-        the same surrogate and draws from the same RNG state whoever trained
-        the refit.
+        exhausted.  A full refit the last ``tell`` queued must have been
+        popped and trained first (the Campaign does so at the end of every
+        round); asking before that would rank with a stale surrogate, so it
+        raises ``RuntimeError``.
         """
         config = self.config
-        job = self.take_refit_job()
-        if job is not None:
-            with profiled("trust_region.refit", epochs=job.epochs, rows=self._count) as timer:
-                fit_batched([job])
-            self.refit_seconds += timer.seconds
+        self._require_no_queued_refit("ask")
         if self._done:
             return self._empty_batch()
         if not self._seeded:

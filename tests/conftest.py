@@ -1,24 +1,64 @@
-"""Test-only routes to the parity oracles.
+"""Test-only routes to the parity oracles, and the one-corner driver.
 
-Production code runs one path per layer: a Campaign evaluates corners with
-the handle's stacked evaluator, trains every queued surrogate refit in the
-round's batched dispatch, and trains a :class:`~repro.nn.fused.FusedMLP`
-through the one stacked kernel.
+Production code runs one path per layer: a Campaign drives every optimizer,
+evaluates corners with the handle's stacked evaluator, trains every queued
+surrogate refit in the round's batched dispatch, and trains a
+:class:`~repro.nn.fused.FusedMLP` through the one stacked kernel.
 The slow reference implementations those fast paths must match bit for bit
 are reachable only from the tests: the ``oracles`` package next to this file
 holds them, and the ``oracles`` fixture below switches a test onto them.
+:func:`run_in_campaign` runs one optimizer on a plain batch evaluator
+through that same Campaign.
 """
 
 from dataclasses import replace
 from functools import partial
 
+import numpy as np
 import pytest
 
 from oracles.corners import evaluate_corners_looped
 from oracles.nn import MLP, Adam
+from repro.circuits.pvt import NOMINAL
 from repro.circuits.topologies.base import SizingProblem
-from repro.search import campaign, trust_region
+from repro.search import campaign
+from repro.search.campaign import Campaign, EvaluationHandle
+from repro.search.progressive import ProgressiveConfig
 from repro.search.trust_region import TrustRegionSearch
+
+
+def run_in_campaign(
+    evaluator, design_space, specification, config, optimizer="trust_region",
+    initial_points=None,
+):
+    """Run one optimizer to completion through a one-corner Campaign.
+
+    ``evaluator`` maps ``(count, dim)`` sizings to ``(count, n_metrics)``;
+    an :class:`EvaluationHandle` serves it at the nominal corner, and the
+    campaign runs seed ``config.seed`` for one phase.  ``initial_points``
+    warm-start that phase, as a later progressive phase is warm-started.
+    Returns the phase optimizer: its ``result()`` is the phase result, and
+    its specification names each metric ``<name>@<corner>``.
+    """
+    handle = EvaluationHandle(
+        design_space,
+        tuple(specification.metric_names),
+        lambda samples, corners: np.atleast_2d(
+            np.asarray(evaluator(samples), dtype=np.float64)
+        )[np.newaxis],
+    )
+    driver = Campaign(
+        handle,
+        specification.specs,
+        corners=[NOMINAL],
+        config=ProgressiveConfig(trust_region=config, max_phases=1, optimizer=optimizer),
+    )
+    member = driver._members[0]
+    if initial_points is not None:
+        member.warm_start = np.atleast_2d(np.asarray(initial_points, dtype=np.float64))
+        member.optimizer = member._build_optimizer()
+    driver.run()
+    return member.optimizer
 
 
 def train_one_by_one(jobs):
@@ -51,8 +91,7 @@ class OraclePaths:
         The oracle MLP loads the fused build's ``state_dict``, so both start
         from the same weights.  Every refit trains through the oracle's own
         ``fit``, since the stacked kernel stacks fused parameters only: the
-        campaign's dispatch and a standalone ``ask``'s one-job dispatch both
-        become the sequential stand-in.
+        campaign's dispatch becomes the sequential stand-in.
         """
         original = TrustRegionSearch._build_surrogate
 
@@ -63,7 +102,6 @@ class OraclePaths:
             return model, Adam(model.parameters(), lr=search.config.learning_rate)
 
         self._monkeypatch.setattr(TrustRegionSearch, "_build_surrogate", build)
-        self._monkeypatch.setattr(trust_region, "fit_batched", train_one_by_one)
         self.sequential_refits()
 
     def looped_corners(self) -> None:

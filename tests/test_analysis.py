@@ -402,6 +402,29 @@ class TestCLI:
         bad.write_text("def f(x=[]):\n    return x\n")
         assert analysis_main(["lint", str(bad), "--select", "naked-except"]) == 0
 
+    @pytest.mark.parametrize(
+        "select, needle",
+        [
+            (" , ", "--select: expected a comma list of rule ids"),
+            ("", "--select: expected a comma list of rule ids"),
+            ("unseeded-rng,bogus", "--select: unknown lint rule 'bogus'"),
+        ],
+        ids=["blank", "empty", "unknown"],
+    )
+    def test_lint_select_without_a_known_rule_is_a_usage_error(
+        self, tmp_path, capsys, select, needle
+    ):
+        """A selection that names no rule, or an unknown one, must not lint
+        with nothing: it exits 2 with a usage message."""
+        bad = tmp_path / "bad.py"
+        bad.write_text("import numpy as np\n\nnp.random.rand(3)\n")
+        assert analysis_main(["lint", str(bad), "--select", "unseeded-rng"]) == 1
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            analysis_main(["lint", str(bad), "--select", select])
+        assert exit_info.value.code == 2
+        assert needle in capsys.readouterr().err
+
     def test_rules_subcommand_lists_all(self, capsys):
         assert analysis_main(["rules"]) == 0
         out = capsys.readouterr().out

@@ -312,7 +312,7 @@ class TestDeferredRefitMechanics:
             candidate_pool=32, surrogate_hidden=(8,), initial_epochs=6,
             refit_epochs=3,
         )
-        return TrustRegionSearch(evaluator, space, spec, config), evaluator
+        return TrustRegionSearch(space, spec, config), evaluator
 
     def drive_until_pending(self, search, evaluator):
         while search.take_refit_job() is None and not search.is_done:

@@ -16,6 +16,7 @@ progressive loop end to end.
 import numpy as np
 import pytest
 
+from conftest import run_in_campaign
 from oracles.corners import evaluate_corners_looped
 from repro.circuits.devices import parasitic_capacitances, saturation_from_current
 from repro.circuits.process import get_technology, stack_cards
@@ -307,7 +308,6 @@ class TestRefitSkip:
             candidate_pool=32, surrogate_hidden=(8,), initial_epochs=5,
             refit_epochs=2,
         )
-        search = TrustRegionSearch(evaluator, space, spec, config)
         refits = []
         original = TrustRegionSearch._refit_surrogate
 
@@ -316,7 +316,7 @@ class TestRefitSkip:
             return original(self, epochs)
 
         monkeypatch.setattr(TrustRegionSearch, "_refit_surrogate", counting)
-        result = search.run()
+        result = run_in_campaign(evaluator, space, spec, config).result()
         assert result.evaluations == 30
         # Refits: one on the Monte-Carlo seed, then one per iteration except
         # the budget-exhausting last one, whose refit nobody would consume.
@@ -334,15 +334,14 @@ class TestRefitSkip:
 
         space = DesignSpace([Parameter("x", 0.0, 1.0, grid_points=11)])
         spec = Specification([Spec("a", ">=", 0.5)], ["a"])
-        search = TrustRegionSearch(
-            evaluator, space, spec, TrustRegionConfig(seed=0, initial_samples=4)
-        )
         calls = []
         monkeypatch.setattr(
             TrustRegionSearch,
             "_refit_surrogate",
             lambda self, epochs: calls.append(epochs),
         )
-        result = search.run()
+        result = run_in_campaign(
+            evaluator, space, spec, TrustRegionConfig(seed=0, initial_samples=4)
+        ).result()
         assert result.solved
         assert calls == []

@@ -12,6 +12,7 @@ autodiff oracle (via the ``oracles`` fixture).
 import numpy as np
 import pytest
 
+from conftest import run_in_campaign
 from oracles.autodiff import Tensor
 from oracles.nn import MLP, Adam, mse_loss
 from repro.circuits import available_topologies, get_topology
@@ -175,8 +176,8 @@ def augmented_lstsq(features, targets, l2):
 
 
 def seeded_search() -> TrustRegionSearch:
-    """An evaluator-less search on an unsatisfiable spec, told its
-    Monte-Carlo seed: the initial fit is queued."""
+    """A search on an unsatisfiable spec, told its Monte-Carlo seed: the
+    initial fit is queued."""
     from repro.core.design_space import DesignSpace, Parameter
     from repro.search import Spec, Specification
 
@@ -184,7 +185,7 @@ def seeded_search() -> TrustRegionSearch:
     spec = Specification([Spec("a", ">=", 10.0)], ["a"])  # unsatisfiable
     config = TrustRegionConfig(seed=0, initial_samples=16, surrogate_hidden=(8, 8),
                                initial_epochs=4)
-    search = TrustRegionSearch(None, space, spec, config)
+    search = TrustRegionSearch(space, spec, config)
     rows = search.ask()
     search.tell(rows, np.sin(7.0 * rows))
     return search
@@ -414,9 +415,11 @@ def assert_same_surrogates(fused_states, autodiff_states):
 class TestSearchLevelParity:
     """The autodiff oracle must reproduce every fused search trajectory."""
 
-    def make_search(self):
+    def run_search(self):
+        """The toy CSP through a one-seed campaign; returns the phase
+        optimizer."""
         from repro.core.design_space import DesignSpace, Parameter
-        from repro.search import Spec, Specification, TrustRegionConfig, TrustRegionSearch
+        from repro.search import Spec, Specification, TrustRegionConfig
 
         def evaluator(samples):
             samples = np.atleast_2d(samples)
@@ -437,21 +440,21 @@ class TestSearchLevelParity:
             max_evaluations=300, surrogate_hidden=(24, 24),
             initial_epochs=60, refit_epochs=15,
         )
-        return TrustRegionSearch(evaluator, space, spec, config)
+        return run_in_campaign(evaluator, space, spec, config)
 
     def test_toy_csp_trajectories_identical(self, oracles, monkeypatch):
-        """A standalone ``run()``, whose refits each train as a one-job
+        """A one-seed campaign, whose refits each train as a one-job
         dispatch, reaches the same rows and surrogate bits on the oracle."""
         built = capture_surrogates(monkeypatch)
-        search = self.make_search()
-        fused = search.run()
+        search = self.run_search()
+        fused = search.result()
         fused_states = [surrogate_state(*pair) for pair in built]
         oracles.autodiff_surrogate()
         built = capture_surrogates(monkeypatch)
         fits = record_calls(monkeypatch, MLP, "fit")
         closed_form = record_calls(monkeypatch, MLP, "fit_output_layer")
-        oracle_search = self.make_search()
-        autodiff = oracle_search.run()
+        oracle_search = self.run_search()
+        autodiff = oracle_search.result()
         assert oracle_search.refit_count == search.refit_count > len(fits) > 0
         assert closed_form
         assert all(isinstance(model, MLP) for model, _ in built)

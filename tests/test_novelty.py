@@ -19,6 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import run_in_campaign
 from repro.bench.registry import get_suite
 from repro.circuits.pvt import nine_corner_grid
 from repro.core.design_space import DesignSpace, Parameter, row_keys
@@ -55,12 +56,12 @@ def toy_evaluator(samples):
     return np.stack([samples.sum(axis=1), samples.prod(axis=1)], axis=1)
 
 
-def build_optimizer(name, evaluator=None, **config):
-    # ``a >= 10`` is unreachable, so a run spends its whole budget.
-    spec = Specification([Spec("a", ">=", 10.0)], ["a", "b"])
-    return get_optimizer(name)(
-        evaluator, toy_space(), spec, TrustRegionConfig(**config)
-    )
+#: ``a >= 10`` is unreachable, so a run spends its whole budget.
+UNREACHABLE = Specification([Spec("a", ">=", 10.0)], ["a", "b"])
+
+
+def build_optimizer(name, **config):
+    return get_optimizer(name)(toy_space(), UNREACHABLE, TrustRegionConfig(**config))
 
 
 def oracle_select(optimizer, candidates, limit=None):
@@ -168,11 +169,14 @@ class TestDedupParity:
             return selected
 
         monkeypatch.setattr(DatasetOptimizer, "_select_new", checked)
-        optimizer = build_optimizer(
-            name, toy_evaluator, seed=3, initial_samples=12, batch_size=4,
-            candidate_pool=64, max_evaluations=70, initial_epochs=4, refit_epochs=2,
+        config = TrustRegionConfig(
+            seed=3, initial_samples=12, batch_size=4, candidate_pool=64,
+            max_evaluations=70, initial_epochs=4, refit_epochs=2,
         )
-        result = optimizer.run()
+        optimizer = run_in_campaign(
+            toy_evaluator, toy_space(), UNREACHABLE, config, optimizer=name
+        )
+        result = optimizer.result()
         assert len(selections) > 5
         assert result.evaluations == sum(selections)
         assert len(optimizer._seen) == result.evaluations

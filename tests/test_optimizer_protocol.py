@@ -1,13 +1,13 @@
 """Ask/tell protocol: oracle parity, baselines, Campaign, serialization.
 
 The heart of this file is the *pre-refactor oracle*: the historical
-monolithic ``TrustRegionSearch.run()`` loop (as it shipped before the
-ask/tell redesign), re-expressed over the primitives both versions share
+monolithic trust-region loop (as it shipped before the ask/tell redesign),
+re-expressed over the primitives both versions share
 (``oracles.search.evaluate_new``, ``_refit_surrogate``,
 ``_scheduled_refit``, ``take_refit_job``, ``_rank_candidates``).  The
-refactored ask/tell ``run()`` must reproduce it step for step — same
-evaluated rows in the same order, same history, same incumbent — across
-every registered topology.
+ask/tell optimizer driven by a one-corner Campaign must reproduce it step
+for step — same evaluated rows in the same order, same history, same
+incumbent — across every registered topology.
 """
 
 import json
@@ -15,6 +15,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import run_in_campaign
 from oracles.search import evaluate_new
 from repro.circuits.pvt import NOMINAL, hardest_condition, nine_corner_grid
 from repro.circuits.topologies import available_topologies, get_topology
@@ -43,7 +44,7 @@ from repro.search.optimizer import FEASIBLE_TOL, IterationRecord
 # The pre-refactor oracle: the monolithic Algorithm-1 loop of PR 1-4.
 
 
-def oracle_run(search):
+def oracle_run(search, evaluator):
     """Run the historical closed loop on a fresh TrustRegionSearch.
 
     This is a faithful transcription of the pre-ask/tell ``run()`` body —
@@ -57,7 +58,7 @@ def oracle_run(search):
     seed_points = search.design_space.sample(search.rng, config.initial_samples)
     if search._initial_points is not None:
         seed_points = np.vstack([search._initial_points, seed_points])
-    evaluate_new(search, seed_points, limit=config.max_evaluations)
+    evaluate_new(search, evaluator, seed_points, limit=config.max_evaluations)
 
     radius = config.initial_radius
     history = []
@@ -78,10 +79,13 @@ def oracle_run(search):
         order = search._rank_candidates(candidates, keep=4 * config.batch_size)
         previous = search._scores[search._best]
         step = min(config.batch_size, config.max_evaluations - search._count)
-        added = evaluate_new(search, candidates[order], limit=step)
+        added = evaluate_new(search, evaluator, candidates[order], limit=step)
         if added == 0:
             added = evaluate_new(
-                search, search.design_space.sample(search.rng, config.batch_size), limit=step
+                search,
+                evaluator,
+                search.design_space.sample(search.rng, config.batch_size),
+                limit=step,
             )
             if added == 0:
                 break
@@ -133,30 +137,43 @@ def toy_spec(feasible=True):
     return Specification([Spec("a", ">=", 10.0)], ["a", "b"])  # unsatisfiable
 
 
+def train_queued(search):
+    """What the Campaign does after every round: pop the queued refit, if
+    any, and train it."""
+    job = search.take_refit_job()
+    if job is not None:
+        fit_batched([job])
+
+
 class TestQueuedRefit:
-    """``tell`` queues a full refit; the next ``ask`` trains it unless a
-    driver popped it first."""
+    """``tell`` queues a full refit; ``ask`` refuses to run until the
+    driver has popped and trained it."""
 
     @staticmethod
-    def make_search(evaluator=None, **overrides):
-        config = TrustRegionConfig(
+    def config(**overrides):
+        return TrustRegionConfig(
             **{
                 "seed": 1, "initial_samples": 12, "batch_size": 5, "candidate_pool": 32,
                 "max_evaluations": 200, "surrogate_hidden": (8,),
                 "initial_epochs": 10, "refit_epochs": 5, **overrides,
             }
         )
-        return TrustRegionSearch(evaluator, toy_space(), toy_spec(False), config)
+
+    def make_search(self):
+        return TrustRegionSearch(toy_space(), toy_spec(False), self.config())
 
     def test_bare_ask_tell_loop_matches_run(self):
-        reference = self.make_search(toy_evaluator)
-        result = reference.run()
+        """A hand-written loop that trains each queued job before the next
+        ask reproduces the Campaign-driven run bit for bit."""
+        reference = run_in_campaign(toy_evaluator, toy_space(), toy_spec(False), self.config())
+        result = reference.result()
         bare = self.make_search()
         while not bare.is_done:
             rows = bare.ask()
             if rows.shape[0] == 0:
                 break
             bare.tell(rows, toy_evaluator(rows))
+            train_queued(bare)
         np.testing.assert_array_equal(bare.sizings, reference.sizings)
         np.testing.assert_array_equal(
             bare._M[: bare.evaluations], reference._M[: reference.evaluations]
@@ -169,31 +186,48 @@ class TestQueuedRefit:
         assert bare._optimizer._t == reference._optimizer._t > 0
         assert bare.rng.bit_generator.state == reference.rng.bit_generator.state
 
+    def test_ask_with_a_queued_refit_raises(self):
+        search = self.make_search()
+        rows = search.ask()
+        search.tell(rows, toy_evaluator(rows))
+        state = search.rng.bit_generator.state
+        with pytest.raises(RuntimeError, match=r"cannot ask with a queued refit"):
+            search.ask()
+        assert search.rng.bit_generator.state == state  # nothing was drawn
+        train_queued(search)
+        assert search.ask().shape[0] > 0
+
     def test_state_dict_between_tell_and_ask_raises(self):
         search = self.make_search()
         rows = search.ask()
         search.tell(rows, toy_evaluator(rows))
-        with pytest.raises(RuntimeError, match=r"ask\(\) or take_refit_job\(\)"):
+        with pytest.raises(RuntimeError, match=r"cannot snapshot with a queued refit"):
             search.state_dict()
-        search.ask()
+        train_queued(search)
         search.state_dict()
 
     def test_no_initial_fit_once_the_seed_spent_the_budget(self):
-        search = self.make_search(toy_evaluator, initial_samples=48, max_evaluations=40)
-        assert search.run().evaluations == 40
+        search = run_in_campaign(
+            toy_evaluator, toy_space(), toy_spec(False),
+            self.config(initial_samples=48, max_evaluations=40),
+        )
+        assert search.result().evaluations == 40
         assert search.refit_count == 0
         assert search._surrogate is None
         assert search.take_refit_job() is None
 
 
 class TestTrajectoryLockVsOracle:
-    """Refactored ask/tell run() == pre-refactor monolithic loop, bitwise."""
+    """Campaign-driven ask/tell search == pre-refactor monolithic loop,
+    bitwise."""
 
-    def assert_same_trajectory(self, make_search):
-        new = make_search()
-        result = new.run()
-        old = make_search()
-        oracle_history = oracle_run(old)
+    def assert_same_trajectory(
+        self, evaluator, space, spec, config, initial_points=None
+    ):
+        new = run_in_campaign(evaluator, space, spec, config, initial_points=initial_points)
+        result = new.result()
+        old = TrustRegionSearch(space, spec, config, initial_points=initial_points)
+        oracle_history = oracle_run(old, evaluator)
         # Step-for-step: every evaluated row, in evaluation order.
         assert new._count == old._count
         np.testing.assert_array_equal(new._X[: new._count], old._X[: old._count])
@@ -209,13 +243,9 @@ class TestTrajectoryLockVsOracle:
         problem = problem_cls(condition=hardest_condition(nine_corner_grid()))
         spec = Specification(problem.default_specs()["smoke"], problem.METRIC_NAMES)
         config = TrustRegionConfig(seed=0, max_evaluations=150)
-
-        def make_search():
-            return TrustRegionSearch(
-                problem.evaluate_batch, problem.design_space(), spec, config
-            )
-
-        self.assert_same_trajectory(make_search)
+        self.assert_same_trajectory(
+            problem.evaluate_batch, problem.design_space(), spec, config
+        )
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_toy_csp(self, seed):
@@ -224,11 +254,7 @@ class TestTrajectoryLockVsOracle:
             max_evaluations=200, surrogate_hidden=(24, 24),
             initial_epochs=60, refit_epochs=15,
         )
-
-        def make_search():
-            return TrustRegionSearch(toy_evaluator, toy_space(), toy_spec(), config)
-
-        self.assert_same_trajectory(make_search)
+        self.assert_same_trajectory(toy_evaluator, toy_space(), toy_spec(), config)
 
     def test_unsatisfiable_exhausts_budget_identically(self):
         """Locks the fallback-sampling and budget-clamp paths too."""
@@ -241,11 +267,7 @@ class TestTrajectoryLockVsOracle:
             [Parameter("x", 0.0, 1.0, grid_points=21),
              Parameter("y", 0.0, 1.0, grid_points=21)]
         )
-
-        def make_search():
-            return TrustRegionSearch(toy_evaluator, space, toy_spec(False), config)
-
-        self.assert_same_trajectory(make_search)
+        self.assert_same_trajectory(toy_evaluator, space, toy_spec(False), config)
 
     def test_warm_start_points_identical(self):
         config = TrustRegionConfig(
@@ -254,28 +276,20 @@ class TestTrajectoryLockVsOracle:
             initial_epochs=20, refit_epochs=8,
         )
         warm = np.array([[0.5, 0.5], [0.7, 0.3]])
-
-        def make_search():
-            return TrustRegionSearch(
-                toy_evaluator, toy_space(), toy_spec(), config, initial_points=warm
-            )
-
-        self.assert_same_trajectory(make_search)
+        self.assert_same_trajectory(
+            toy_evaluator, toy_space(), toy_spec(), config, initial_points=warm
+        )
 
 
 class TestAskTellProtocol:
-    def make(self, cls=TrustRegionSearch, feasible=True, evaluator=toy_evaluator,
-             **config_kwargs):
+    def make(self, cls=TrustRegionSearch, feasible=True, **config_kwargs):
         defaults = dict(
             seed=0, initial_samples=16, batch_size=4, candidate_pool=64,
             max_evaluations=120, surrogate_hidden=(16,),
             initial_epochs=20, refit_epochs=8,
         )
         defaults.update(config_kwargs)
-        return cls(
-            evaluator, toy_space(), toy_spec(feasible),
-            TrustRegionConfig(**defaults),
-        )
+        return cls(toy_space(), toy_spec(feasible), TrustRegionConfig(**defaults))
 
     @pytest.mark.parametrize(
         "cls", [TrustRegionSearch, RandomSearch, CrossEntropySearch]
@@ -295,6 +309,7 @@ class TestAskTellProtocol:
                 assert key not in seen  # never proposes a repeat
                 seen.add(key)
             opt.tell(rows, toy_evaluator(rows))
+            train_queued(opt)
         assert opt.evaluations <= 30
 
     @pytest.mark.parametrize(
@@ -305,6 +320,7 @@ class TestAskTellProtocol:
         assert opt.best is None and not opt.is_done
         rows = opt.ask()
         opt.tell(rows, toy_evaluator(rows))
+        train_queued(opt)
         incumbent = opt.best
         assert incumbent is not None
         assert incumbent.vector.shape == (2,)
@@ -318,17 +334,13 @@ class TestAskTellProtocol:
             if batch.shape[0] == 0:
                 break
             driven.tell(batch, toy_evaluator(batch))
+            train_queued(driven)
         assert driven.is_done
         result = driven.result()
         assert result.solved == (result.best_score >= FEASIBLE_TOL)
 
-    def test_run_without_evaluator_raises(self):
-        opt = TrustRegionSearch(None, toy_space(), toy_spec(), TrustRegionConfig())
-        with pytest.raises(ValueError, match="without an evaluator"):
-            opt.run()
-
     def test_result_before_any_tell_raises(self):
-        opt = TrustRegionSearch(None, toy_space(), toy_spec(), TrustRegionConfig())
+        opt = TrustRegionSearch(toy_space(), toy_spec(), TrustRegionConfig())
         with pytest.raises(RuntimeError, match="no evaluations"):
             opt.result()
 
@@ -343,25 +355,32 @@ class TestBaselines:
         spec = Specification(
             [Spec("a", ">=", 0.9), Spec("b", "<=", 0.1)], ["a", "b"]
         )
-        result = RandomSearch(toy_evaluator, toy_space(), spec, self.config()).run()
+        result = run_in_campaign(
+            toy_evaluator, toy_space(), spec, self.config(), optimizer="random"
+        ).result()
         assert result.solved
         assert result.evaluations <= 400
         assert result.refit_seconds == 0.0
 
     def test_cross_entropy_solves_toy_csp(self):
-        result = CrossEntropySearch(
-            toy_evaluator, toy_space(), toy_spec(), self.config(max_evaluations=600)
-        ).run()
+        result = run_in_campaign(
+            toy_evaluator, toy_space(), toy_spec(), self.config(max_evaluations=600),
+            optimizer="cross_entropy",
+        ).result()
         assert result.solved
         assert abs(result.best_sizing["x"] - 0.7) < 0.1
         assert abs(result.best_sizing["y"] - 0.3) < 0.1
 
-    @pytest.mark.parametrize("cls", [RandomSearch, CrossEntropySearch])
-    def test_reproducible_and_budgeted(self, cls):
+    @pytest.mark.parametrize(
+        "name", ["random", "cross_entropy"], ids=["RandomSearch", "CrossEntropySearch"]
+    )
+    def test_reproducible_and_budgeted(self, name):
         config = self.config(seed=7, max_evaluations=100)
         spec = toy_spec(feasible=False)
-        first = cls(toy_evaluator, toy_space(), spec, config).run()
-        second = cls(toy_evaluator, toy_space(), spec, config).run()
+        first, second = (
+            run_in_campaign(toy_evaluator, toy_space(), spec, config, optimizer=name).result()
+            for _ in range(2)
+        )
         np.testing.assert_array_equal(first.best_vector, second.best_vector)
         assert first.evaluations == second.evaluations == 100
         assert not first.solved
@@ -373,10 +392,10 @@ class TestBaselines:
         def evaluator(samples):
             return np.atleast_2d(samples)[:, :1] * 0.0
 
-        for cls in (RandomSearch, CrossEntropySearch):
-            result = cls(
-                evaluator, space, spec, self.config(max_evaluations=50)
-            ).run()
+        for name in ("random", "cross_entropy"):
+            result = run_in_campaign(
+                evaluator, space, spec, self.config(max_evaluations=50), optimizer=name
+            ).result()
             assert result.evaluations <= 5  # the whole grid
 
 
@@ -561,10 +580,11 @@ class TestResultSerialization:
         spec = Specification(
             [Spec("a", ">=", 0.9), Spec("b", "<=", 0.1)], ["a", "b"]
         )
-        result = RandomSearch(
+        result = run_in_campaign(
             toy_evaluator, toy_space(), spec,
             TrustRegionConfig(seed=0, initial_samples=32, max_evaluations=200),
-        ).run()
+            optimizer="random",
+        ).result()
         payload = result.to_dict()
         assert json.loads(json.dumps(payload)) == payload
         assert payload["solved"] is True

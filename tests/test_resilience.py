@@ -29,7 +29,7 @@ from repro.resilience import (
     save_snapshot,
 )
 from repro.resilience import snapshot as snapshot_module
-from repro.resilience.drill import drill_suite
+from repro.resilience.drill import drill_case, drill_suite
 from repro.resilience.store import MEMBER_FRAME, member_tag, read_journal
 from repro.search.campaign import CACHE_JOURNAL, LATEST_SNAPSHOT, Campaign
 
@@ -892,6 +892,18 @@ class TestDrill:
         assert report.fired_count == len(registered_fault_sites())
         assert [o.site for o in report.outcomes] == list(registered_fault_sites())
         assert "byte-identical" in report.format()
+
+    def test_rerun_into_the_same_workdir_repeats_every_outcome(self, tmp_path):
+        """Each scenario starts from an empty directory, so a second drill
+        into one workdir, or one occurrence drilled twice in a run, reports
+        exactly what the first drill did."""
+        (case,) = get_suite("drill")
+        workdir = str(tmp_path / "drill")
+        first = drill_case(case, [0], (1,), workdir)
+        assert all(outcome.identical and outcome.fired for outcome in first)
+        assert drill_case(case, [0], (1,), workdir) == first
+        twice = drill_case(case, [0], (1, 1), workdir)
+        assert twice == [outcome for outcome in first for _ in range(2)]
 
     @pytest.mark.parametrize(
         "argv, needle",

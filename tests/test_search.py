@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import run_in_campaign
 from oracles.search import evaluate_new
 from repro.circuits.topologies.two_stage import METRIC_NAMES, TwoStageOpAmp
 from repro.circuits.pvt import full_corner_grid, hardest_condition, nine_corner_grid
@@ -162,7 +163,7 @@ class TestTrustRegionSearch:
         with pytest.raises(ValueError, match=field):
             TrustRegionConfig(**{field: value})
 
-    def make_search(self, seed=0, max_evaluations=300):
+    def run_search(self, seed=0, max_evaluations=300):
         space = DesignSpace(
             [Parameter("x", 0.0, 1.0, grid_points=101), Parameter("y", 0.0, 1.0, grid_points=101)]
         )
@@ -179,18 +180,18 @@ class TestTrustRegionSearch:
             initial_epochs=60,
             refit_epochs=15,
         )
-        return TrustRegionSearch(quadratic_evaluator, space, spec, config)
+        return run_in_campaign(quadratic_evaluator, space, spec, config).result()
 
     def test_solves_toy_csp(self):
-        result = self.make_search().run()
+        result = self.run_search()
         assert result.solved
         assert result.evaluations <= 300
         assert abs(result.best_sizing["x"] - 0.7) < 0.1
         assert abs(result.best_sizing["y"] - 0.3) < 0.1
 
     def test_reproducible_under_fixed_seed(self):
-        first = self.make_search(seed=3).run()
-        second = self.make_search(seed=3).run()
+        first = self.run_search(seed=3)
+        second = self.run_search(seed=3)
         np.testing.assert_array_equal(first.best_vector, second.best_vector)
         assert first.evaluations == second.evaluations
         assert first.best_score == second.best_score
@@ -207,7 +208,7 @@ class TestTrustRegionSearch:
             seed=0, initial_samples=10, batch_size=5, max_evaluations=40,
             candidate_pool=32, surrogate_hidden=(8,), initial_epochs=10, refit_epochs=5,
         )
-        result = TrustRegionSearch(evaluator, space, spec, config).run()
+        result = run_in_campaign(evaluator, space, spec, config).result()
         assert not result.solved
         assert result.evaluations <= 51  # cannot exceed the (finite) grid
         # The Monte-Carlo seed stage honours the budget as well.
@@ -215,7 +216,7 @@ class TestTrustRegionSearch:
             seed=0, initial_samples=24, batch_size=5, max_evaluations=10,
             candidate_pool=32, surrogate_hidden=(8,), initial_epochs=10, refit_epochs=5,
         )
-        clamped = TrustRegionSearch(evaluator, space, spec, tight).run()
+        clamped = run_in_campaign(evaluator, space, spec, tight).result()
         assert clamped.evaluations <= 10
 
     def test_budget_respected_when_batch_does_not_divide(self):
@@ -228,7 +229,7 @@ class TestTrustRegionSearch:
             seed=0, initial_samples=48, batch_size=8, max_evaluations=100,
             candidate_pool=64, surrogate_hidden=(8,), initial_epochs=10, refit_epochs=5,
         )
-        result = TrustRegionSearch(quadratic_evaluator, space, spec, config).run()
+        result = run_in_campaign(quadratic_evaluator, space, spec, config).result()
         assert not result.solved
         assert result.evaluations == 100  # 48 + 6*8 + final clamped batch of 4
 
@@ -248,7 +249,7 @@ class TestTrustRegionSearch:
             seed=1, initial_samples=12, batch_size=4, max_evaluations=80,
             candidate_pool=64, surrogate_hidden=(8,), initial_epochs=10, refit_epochs=5,
         )
-        TrustRegionSearch(counting_evaluator, space, spec, config).run()
+        run_in_campaign(counting_evaluator, space, spec, config)
         assert len(calls) == len(set(calls))
 
 
@@ -261,16 +262,16 @@ class TestOpampSizingEndToEnd:
         amp = TwoStageOpAmp(condition=condition)
         spec = Specification(DEFAULT_SPECS, METRIC_NAMES)
         config = TrustRegionConfig(seed=seed, max_evaluations=400)
-        search = TrustRegionSearch(amp.evaluate_batch, amp.design_space(), spec, config)
-        return search.run(), spec
+        search = run_in_campaign(amp.evaluate_batch, amp.design_space(), spec, config)
+        return search.result(), spec
 
     def test_solves_spec_at_hardest_corner(self):
         result, spec = self.run_hardest_corner()
         assert result.solved
         assert result.evaluations <= 400
-        assert spec.satisfied(
-            np.array([[result.best_metrics[name] for name in METRIC_NAMES]])
-        )[0]
+        # The campaign names each metric ``<name>@<corner>``, in spec order.
+        assert [name.split("@")[0] for name in result.best_metrics] == list(METRIC_NAMES)
+        assert spec.satisfied(np.array([list(result.best_metrics.values())]))[0]
 
     def test_reproducible(self):
         first, _ = self.run_hardest_corner(seed=5)
@@ -365,9 +366,7 @@ class TestDatasetHotPath:
             [Parameter("x", 0.0, 1.0, grid_points=11), Parameter("y", 0.0, 1.0, grid_points=11)]
         )
         spec = Specification([Spec("a", ">=", 2.0)], ["a", "b"])
-        return TrustRegionSearch(
-            quadratic_evaluator, space, spec, TrustRegionConfig(**config_kwargs)
-        )
+        return TrustRegionSearch(space, spec, TrustRegionConfig(**config_kwargs))
 
     def test_dedup_keeps_first_occurrence_in_candidate_order(self):
         search = self.make_search()
@@ -377,13 +376,13 @@ class TestDatasetHotPath:
             [0.1, 0.1],  # duplicate of row 0
             [0.3, 0.3],
         ])
-        added = evaluate_new(search, block)
+        added = evaluate_new(search, quadratic_evaluator, block)
         assert added == 3
         np.testing.assert_allclose(search._X[:3], [[0.1, 0.1], [0.2, 0.2], [0.3, 0.3]])
 
     def test_dedup_limit_counts_only_fresh_rows(self):
         search = self.make_search()
-        evaluate_new(search, np.array([[0.1, 0.1]]))
+        evaluate_new(search, quadratic_evaluator, np.array([[0.1, 0.1]]))
         block = np.array([
             [0.1, 0.1],  # already seen -> skipped, not counted
             [0.2, 0.2],
@@ -391,7 +390,7 @@ class TestDatasetHotPath:
             [0.3, 0.3],
             [0.4, 0.4],
         ])
-        added = evaluate_new(search, block, limit=2)
+        added = evaluate_new(search, quadratic_evaluator, block, limit=2)
         assert added == 2
         np.testing.assert_allclose(search._X[1:3], [[0.2, 0.2], [0.3, 0.3]])
         assert search.evaluations == 3
@@ -400,7 +399,7 @@ class TestDatasetHotPath:
         search = self.make_search()
         rng = np.random.default_rng(0)
         for _ in range(6):
-            evaluate_new(search, search.design_space.sample(rng, 7))
+            evaluate_new(search, quadratic_evaluator, search.design_space.sample(rng, 7))
         scores = search._scores[: search._count]
         assert search._best == int(np.argmax(scores))
 
@@ -411,7 +410,7 @@ class TestDatasetHotPath:
         for _ in range(30):  # force several capacity doublings
             block = search.design_space.sample(rng, 9)
             before = search._count
-            evaluate_new(search, block)
+            evaluate_new(search, quadratic_evaluator, block)
             seen_rows.append(search._X[before: search._count].copy())
         stacked = np.vstack(seen_rows)
         np.testing.assert_array_equal(search._X[: search._count], stacked)

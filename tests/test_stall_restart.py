@@ -20,12 +20,13 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from conftest import run_in_campaign
 from repro.analysis.determinism import fingerprint_outcome
 from repro.bench import format_summary, run_suite
 from repro.bench.registry import BenchCase
 from repro.bench.runner import wilson_interval
 from repro.core.design_space import DesignSpace, Parameter
-from repro.search import Spec, Specification, TrustRegionConfig, TrustRegionSearch
+from repro.search import Spec, Specification, TrustRegionConfig
 from repro.search import trust_region
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -41,7 +42,9 @@ def peak_evaluator(samples):
     return (1.0 - (x - 0.3) ** 2 - (y - 0.6) ** 2)[:, np.newaxis]
 
 
-def make_search():
+def run_search():
+    """The unsatisfiable peak problem, run to its budget; returns the
+    phase optimizer."""
     space = DesignSpace(
         [
             Parameter("x", 0.0, 1.0, grid_points=101),
@@ -59,7 +62,7 @@ def make_search():
         initial_epochs=6,
         refit_epochs=2,
     )
-    return TrustRegionSearch(peak_evaluator, space, spec, config)
+    return run_in_campaign(peak_evaluator, space, spec, config)
 
 
 class TestRestartRule:
@@ -68,8 +71,8 @@ class TestRestartRule:
         self, patience, monkeypatch
     ):
         monkeypatch.setattr(trust_region, "STALL_PATIENCE", patience)
-        search = make_search()
-        history = search.run().history
+        search = run_search()
+        history = search.result().history
         floor = search.config.min_radius
         restarts = [i for i, record in enumerate(history) if record.restarted]
         assert restarts, "the unsatisfiable problem never stalled"
@@ -88,8 +91,8 @@ class TestRestartRule:
         assert search.result().restarts == len(restarts)
 
     def test_global_incumbent_survives_restarts(self):
-        search = make_search()
-        result = search.run()
+        search = run_search()
+        result = search.result()
         assert result.restarts > 0
         scores = [record.best_score for record in result.history]
         assert scores == sorted(scores)  # the returned best never regresses
