@@ -100,7 +100,7 @@ from repro.bench.registry import (
 from repro.blas import blas_threads
 from repro.circuits.topologies import available_topologies, get_topology
 from repro.circuits.topologies.base import SPEC_TIERS
-from repro.cli_types import positive_int
+from repro.cli_types import non_negative_int, positive_int
 from repro.obs import diff_snapshots, get_tracer, profiled, tracing, tracing_enabled
 from repro.obs.logs import add_logging_flags, configure_cli_logging
 from repro.resilience import atomic_write_json
@@ -429,7 +429,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         type=positive_int,
         default=3,
         metavar="N",
-        help="number of seeds (0..N-1) per case (default: 3)",
+        help="number of seeds (K..K+N-1, K = --first-seed) per case (default: 3)",
+    )
+    parser.add_argument(
+        "--first-seed",
+        type=non_negative_int,
+        default=0,
+        metavar="K",
+        help="first search seed (default: 0); a K past the seeds a change "
+        "was tuned on runs held-out seeds through the registered suites",
     )
     parser.add_argument(
         "--output",
@@ -502,7 +510,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     def _run() -> Dict[str, Any]:
         return run_suite(
             args.suite,
-            seeds=range(args.seeds),
+            seeds=range(args.first_seed, args.first_seed + args.seeds),
             optimizer=args.optimizer,
             checkpoint_dir=args.checkpoint_dir,
             resume=args.resume,

@@ -11,6 +11,7 @@ from repro.circuits.pvt import (
     PVTCondition,
     full_corner_grid,
     hardest_condition,
+    initial_corners,
     nine_corner_grid,
     rank_by_severity,
 )
@@ -47,6 +48,7 @@ __all__ = [
     "get_technology",
     "get_topology",
     "hardest_condition",
+    "initial_corners",
     "nine_corner_grid",
     "rank_by_severity",
     "register_topology",

@@ -13,6 +13,7 @@ corner list is configurable).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -114,7 +115,10 @@ class PVTCondition:
 
         Slow devices, low supply and high temperature make analog specs harder
         to meet; the progressive exploration strategy (Section IV-E) uses this
-        to pick the "hardest condition" first.
+        to pick the "hardest condition" first.  The score only sees that
+        slow/low-supply/hot failure regime: a high-supply/cold corner ranks
+        below it although phase winners fail it most, which is why phase 0
+        also starts at the far corner :func:`initial_corners` adds.
         """
         mob_n, mob_p, dvth_n, dvth_p = PROCESS_CORNERS[self.process]
         slowness = (2.0 - mob_n - mob_p) + 10.0 * max(dvth_n, 0.0) + 10.0 * max(dvth_p, 0.0)
@@ -156,13 +160,54 @@ def full_corner_grid() -> List[PVTCondition]:
     return corners
 
 
+def _hardest_first(condition: PVTCondition) -> Tuple[float, str, float, float]:
+    """Sort key: severity descending, equal severities by (process, supply,
+    temperature), so an order depends on the set of corners, not on the
+    order they are listed in (the built-in grids already list them so)."""
+    return (
+        -condition.severity(),
+        condition.process,
+        condition.voltage_factor,
+        condition.temperature_c,
+    )
+
+
 def hardest_condition(conditions: Sequence[PVTCondition]) -> PVTCondition:
     """Return the corner with the highest severity score."""
     if not conditions:
         raise ValueError("no PVT conditions supplied")
-    return max(conditions, key=lambda condition: condition.severity())
+    return min(conditions, key=_hardest_first)
 
 
 def rank_by_severity(conditions: Sequence[PVTCondition]) -> List[PVTCondition]:
     """Conditions sorted hardest-first."""
-    return sorted(conditions, key=lambda condition: condition.severity(), reverse=True)
+    return sorted(conditions, key=_hardest_first)
+
+
+def initial_corners(ranked: Sequence[PVTCondition]) -> List[PVTCondition]:
+    """Phase 0's active set: one corner in each of the two failure regimes.
+
+    The hardest corner (``ranked[0]``) is the slow/low-supply/hot regime of
+    Section IV-E's "hardest condition".  Winners sized there mostly fail the
+    opposite environment, so the set adds the highest-severity corner at the
+    environment point farthest from it in (supply factor, temperature), each
+    normalized by the grid's span.  A grid with a single environment point
+    (one corner, or process corners only) starts at its hardest corner alone.
+    """
+    if not ranked:
+        raise ValueError("no PVT conditions supplied")
+    hardest = ranked[0]
+    supplies = [c.voltage_factor for c in ranked]
+    temperatures = [c.temperature_c for c in ranked]
+    supply_span = max(supplies) - min(supplies) or 1.0
+    temperature_span = max(temperatures) - min(temperatures) or 1.0
+
+    def distance(corner: PVTCondition) -> float:
+        return math.hypot(
+            (corner.voltage_factor - hardest.voltage_factor) / supply_span,
+            (corner.temperature_c - hardest.temperature_c) / temperature_span,
+        )
+
+    # max() keeps the first of equally distant corners: the most severe.
+    far = max(ranked, key=distance)
+    return [hardest] if distance(far) <= 0.0 else [hardest, far]

@@ -11,15 +11,24 @@ import argparse
 from typing import Tuple
 
 
-def positive_int(text: str) -> int:
-    """An integer of at least 1."""
+def _int_at_least(text: str, low: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
     return value
+
+
+def positive_int(text: str) -> int:
+    """An integer of at least 1."""
+    return _int_at_least(text, 1)
+
+
+def non_negative_int(text: str) -> int:
+    """An integer of at least 0."""
+    return _int_at_least(text, 0)
 
 
 def positive_int_list(text: str) -> Tuple[int, ...]:

@@ -12,8 +12,9 @@ next — and never evaluate or train anything themselves.  The
 * budget and wall-time accounting (``eval_seconds``, engine calls, cache
   hits/misses);
 * the progressive PVT corner-hardening schedule of Section IV-E, run as a
-  per-seed state machine (size at the hardest corner, verify over the full
-  grid, fold failing corners back in);
+  per-seed state machine (size at the hardest corner and the far corner of
+  the opposite failure regime, verify over the full grid, fold failing
+  corners back in);
 * **multi-seed vectorized execution**: each round the Campaign gathers the
   pending ``ask`` batches of every live seed, groups them by corner set,
   stacks each group into a single :func:`evaluate_corners` tensor pass,
@@ -45,7 +46,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.contracts import ArraySpec, contract
-from repro.circuits.pvt import PVTCondition, nine_corner_grid, rank_by_severity
+from repro.circuits.pvt import (
+    PVTCondition,
+    initial_corners,
+    nine_corner_grid,
+    rank_by_severity,
+)
 from repro.core.design_space import DesignSpace
 from repro.nn.fused import FusedFitJob, fit_batched, fit_job_signature
 from repro.obs import event, profiled
@@ -234,7 +240,9 @@ class _ProgressiveMember:
         self.engine_calls = 0
         self._single_spec = Specification(self.specs, self.metric_names)
 
-        self.active: List[PVTCondition] = [self.ranked[0]]
+        self.active: List[PVTCondition] = initial_corners(self.ranked)
+        # Phase k searched the first ``_initial + k`` corners of ``active``.
+        self._initial = len(self.active)
         self.phase = 0
         self.total_evaluations = 0
         self.phase_results: List = []
@@ -483,7 +491,7 @@ class _ProgressiveMember:
         corners are cached, and named as its stacked specification names
         them (what :meth:`SearchResult` got from the phase optimizer)."""
         best_vector = state["best_vector"]
-        corners = self.active[: phase + 1]
+        corners = self.active[: self._initial + phase]
         metrics = self._stacked_metrics(cache.lookup(best_vector[np.newaxis, :], corners))[0]
         names = _stacked_specification(self.specs, self.metric_names, corners).metric_names
         return SearchResult.from_state(
@@ -586,6 +594,11 @@ class _ProgressiveMember:
             cache_misses=self.cache_misses,
             engine_calls=self.engine_calls,
         )
+
+
+def _corner_keys(corners: Sequence[PVTCondition]) -> List[Tuple[str, float, float]]:
+    """Corners as plain tuples, for a snapshot's identity block."""
+    return [(c.process, c.voltage_factor, c.temperature_c) for c in corners]
 
 
 class Campaign:
@@ -786,10 +799,8 @@ class Campaign:
             "config": repr(self.progressive),
             "dimension": self.handle.design_space.dimension,
             "metric_names": list(self.handle.metric_names),
-            "corners": [
-                (corner.process, corner.voltage_factor, corner.temperature_c)
-                for corner in self.ranked
-            ],
+            "corners": _corner_keys(self.ranked),
+            "initial_corners": _corner_keys(initial_corners(self.ranked)),
         }
 
     def state_dict(self) -> Dict[str, object]:
@@ -797,12 +808,13 @@ class Campaign:
 
         The identity block pins everything the snapshot's index-based
         corner references and optimizer states assume about the campaign
-        it is loaded into — seeds, optimizer, corner grid, workload shape,
-        and the full resolved config (via its dataclass ``repr``, which
-        covers every hyper-parameter).  :meth:`load_state_dict` refuses a
-        mismatch instead of resuming a silently different search.  The
-        cache block references the checkpoint journal by watermark, so the
-        cache must have been journaled up to date
+        it is loaded into — seeds, optimizer, corner grid, phase-0 start
+        set, workload shape, and the full resolved config (via its
+        dataclass ``repr``, which covers every hyper-parameter).
+        :meth:`load_state_dict` refuses a mismatch with a
+        :class:`SnapshotError` instead of resuming a silently different
+        search.  The cache block references the checkpoint journal by
+        watermark, so the cache must have been journaled up to date
         (:meth:`EvaluationCache.checkpoint_state`).
         """
         return {
@@ -816,11 +828,14 @@ class Campaign:
     def load_state_dict(self, state: Dict[str, object], journal_path: str) -> None:
         """Restore :meth:`state_dict` output; the cache replays ``journal_path``,
         whose member frames and pairs then restore the members."""
-        identity = state["identity"]
+        identity = dict(state["identity"])
+        # Snapshots that predate the field started phase 0 at the hardest
+        # corner alone.
+        identity.setdefault("initial_corners", identity.get("corners", [])[:1])
         expected = self._identity()
         for field in expected:
             if identity.get(field) != expected[field]:
-                raise ValueError(
+                raise SnapshotError(
                     f"snapshot identity mismatch on {field!r}: snapshot has "
                     f"{identity.get(field)!r}, this campaign has {expected[field]!r}"
                 )

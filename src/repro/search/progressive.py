@@ -5,7 +5,10 @@ evaluation cost by the corner count.  The paper's strategy: size at the
 *hardest* corner first (by the severity heuristic), then verify the result
 across the full grid and fold only the corners that actually fail back into
 the active constraint set, re-searching with worst-case margins until either
-every corner passes or the phase budget runs out.
+every corner passes or the phase budget runs out.  Here phase 0 starts at
+the hardest corner plus the far corner of the opposite (high-supply/cold)
+failure regime (:func:`~repro.circuits.pvt.initial_corners`), which the
+hardest corner's winners would otherwise fail in a second phase.
 
 Since the ask/tell redesign the schedule itself lives in
 :class:`~repro.search.campaign.Campaign` (as a per-seed state machine, so

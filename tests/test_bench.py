@@ -207,6 +207,24 @@ class TestCLI:
         captured = capsys.readouterr()
         assert "wrote" in captured.out
 
+    def test_cli_first_seed_runs_held_out_seeds(self, tmp_path):
+        output = tmp_path / "bench.json"
+        args = ["--suite", "tiny", "--seeds", "2", "--first-seed", "64"]
+        assert bench_main(args + ["--output", str(output)]) == 0
+        payload = json.loads(output.read_text())
+        assert payload["seeds"] == [64, 65]
+        (case,) = payload["cases"]
+        assert [record["seed"] for record in case["per_seed"]] == [64, 65]
+        # The same seeds as a direct run of the registered suite.
+        direct = run_suite("tiny", seeds=[64, 65])["cases"][0]["per_seed"]
+        for got, expected in zip(case["per_seed"], direct):
+            assert got["evaluations"] == expected["evaluations"]
+            assert got["best_sizing"] == expected["best_sizing"]
+
+    def test_cli_rejects_negative_first_seed(self):
+        with pytest.raises(SystemExit):
+            bench_main(["--suite", "tiny", "--first-seed", "-1"])
+
     def test_cli_rejects_bad_seed_count(self, tmp_path):
         with pytest.raises(SystemExit):
             bench_main(["--suite", "tiny", "--seeds", "0"])
@@ -397,20 +415,20 @@ class TestDemoParity:
 #: the double-run determinism audit cannot see.
 SMOKE_OUTCOMES = {
     "two_stage_opamp/nominal/nine": [
-        (True, 112, "68b4c45bf281ce5b"), (True, 72, "ba61383d86545f18"),
-        (True, 113, "8f39a8a8370a7ab5"), (True, 72, "ec9cd402ada1f659"),
+        (True, 80, "8f74b6ab40594ee8"), (True, 112, "14985c811fa68288"),
+        (True, 72, "99ecd327eef4cd9b"), (True, 80, "34f9020d5a131e07"),
     ],
     "ota_5t/nominal/hardest": [
         (True, 88, "6cacbf275a0061ae"), (True, 88, "f3a7590502b68a23"),
         (True, 48, "863de712a7cb7d4e"), (True, 88, "57eafabe9a68e578"),
     ],
     "folded_cascode/nominal/nine": [
-        (True, 153, "b5c90ea3a6083a4f"), (True, 169, "1687b8d715deb50d"),
-        (True, 193, "1f95ce6807aa7ca6"), (True, 145, "61c5a0291b4c3d12"),
+        (True, 72, "0c782d949833336d"), (True, 72, "f7ef2c5c779d272d"),
+        (True, 80, "057d6fa8541e6401"), (True, 136, "e9283f66a3c00d16"),
     ],
     "telescopic/nominal/nine": [
-        (True, 201, "7670d32302a19a17"), (True, 185, "91b9dcf1fb13bb78"),
-        (True, 193, "78cf419a2b5c677a"), (True, 297, "8184777058189d38"),
+        (True, 136, "1f73ede289f83104"), (True, 136, "bde7c268b2de76df"),
+        (True, 104, "3a8432a5c508450c"), (True, 104, "3e38b05ca428dfc9"),
     ],
     "two_stage_opamp/smoke/nominal@optimizer=random": [
         (True, 56, "b32a8914bbddf861"), (True, 112, "39f863a6b7fa042e"),

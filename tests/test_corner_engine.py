@@ -16,7 +16,7 @@ progressive loop end to end.
 import numpy as np
 import pytest
 
-from conftest import run_in_campaign
+from conftest import FOLDING, run_in_campaign
 from oracles.corners import evaluate_corners_looped
 from repro.circuits.devices import parasitic_capacitances, saturation_from_current
 from repro.circuits.process import get_technology, stack_cards
@@ -279,14 +279,19 @@ class TestProgressiveTrajectoryLock:
                 assert mine.metrics == other.metrics
 
     def test_cache_and_eval_accounting_populated(self):
-        # Seed 0 solves in phase 0; seed 2 needs a second phase.
-        config = ProgressiveConfig(TrustRegionConfig(seed=2, max_evaluations=200))
-        result = size_problem("two_stage_opamp", tier="nominal", config=config)
+        # A folding seed needs a second phase, at three corners.
+        case, (seed, _) = FOLDING["trust_region"]
+        config = ProgressiveConfig(TrustRegionConfig(seed=seed, max_evaluations=200))
+        result = size_problem(
+            case.topology, tier=case.tier, corners=case.corners(), config=config
+        )
         assert len(result.phase_results) == 2
+        assert len(result.active_corners) == 3
         assert result.cache_misses > 0
         # The only reuse: phase 1 warm-starts from phase 0's winner, which
-        # the full-grid verification already cached at both active corners.
-        assert result.cache_hits == 2
+        # the full-grid verification already cached at all three active
+        # corners.
+        assert result.cache_hits == 3
         assert result.eval_seconds > 0.0
 
 

@@ -19,8 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import run_in_campaign
-from repro.bench.registry import get_suite
+from conftest import FOLDING, run_in_campaign
 from repro.circuits.pvt import nine_corner_grid
 from repro.core.design_space import DesignSpace, Parameter, row_keys
 from repro.resilience import load_snapshot
@@ -401,14 +400,12 @@ class TestCheckpointBytes:
         self, tmp_path, monkeypatch, optimizer
     ):
         frozen_clock(monkeypatch)
-        case = next(case for case in get_suite("smoke") if case.topology == "telescopic")
+        case, seeds = FOLDING[optimizer]
         assert len(case.corners()) == 9
-        campaign = case.build_campaign([0, 1], optimizer=optimizer)
+        campaign = case.build_campaign(seeds)
         written = checkpoint_files(campaign, tmp_path / "member")
         monkeypatch.setattr(_ProgressiveMember, "state_dict", reference_member_state_dict)
-        expected = checkpoint_files(
-            case.build_campaign([0, 1], optimizer=optimizer), tmp_path / "reference"
-        )
+        expected = checkpoint_files(case.build_campaign(seeds), tmp_path / "reference")
         assert CACHE_JOURNAL in written and len(written) > 3
         assert written == expected
         # The lock covers members past a verification, not just phase 0,

@@ -17,6 +17,7 @@ import math
 
 import pytest
 
+from conftest import RESTARTING
 from repro.bench import get_suite, run_case
 from repro.bench.registry import BenchCase
 from repro.obs import (
@@ -335,11 +336,12 @@ class TestTrajectoryNeutrality:
         assert traced["eval"] == baseline["eval"]
 
     def test_restarting_seed_neutral_and_traced(self):
-        # folded_cascode seed 10 stalls at min_radius and restarts.
-        case = BenchCase("folded_cascode", "nominal", "nine")
-        baseline = run_case(case, seeds=[10])["per_seed"][0]
+        # Stalls at min_radius and restarts (twice, so the restart
+        # numbering below counts past one).
+        case, (seed, _) = RESTARTING
+        baseline = run_case(case, seeds=[seed])["per_seed"][0]
         with tracing() as tracer:
-            traced_case = run_case(case, seeds=[10])
+            traced_case = run_case(case, seeds=[seed])
         traced = traced_case["per_seed"][0]
         assert baseline["restarts"] >= 1
         assert _trajectory(traced) == _trajectory(baseline)

@@ -457,7 +457,7 @@ class TestCampaignParity:
                 == got.cache_hits + got.cache_misses
             )
 
-    def test_multi_seed_batches_fewer_engine_calls(self):
+    def test_multi_seed_batches_fewer_engine_calls(self, monkeypatch):
         seeds = [0, 1, 2]
         sequential_calls = sum(
             size_problem(
@@ -465,11 +465,27 @@ class TestCampaignParity:
             ).engine_calls
             for s in seeds
         )
+        # (round, corner set, engine calls) of every stacked pass.
+        passes = []
+        run_group = Campaign._run_group
+
+        def recording(driver, grouped):
+            before = driver.cache.engine_calls
+            run_group(driver, grouped)
+            calls = driver.cache.engine_calls - before
+            passes.append((driver.rounds, tuple(grouped[0][2]), calls))
+
+        monkeypatch.setattr(Campaign, "_run_group", recording)
         campaign = build_campaign(
             "ota_5t", tier="smoke", config=self.CONFIG, seeds=seeds
         ).run()
         assert campaign.engine_calls < sequential_calls
-        assert campaign.rounds >= campaign.engine_calls
+        # At most one engine call per distinct corner set in a round.
+        assert sum(calls for _, _, calls in passes) == campaign.engine_calls
+        assert all(calls <= 1 for _, _, calls in passes)
+        keys = [(round_, corners) for round_, corners, _ in passes]
+        assert len(set(keys)) == len(keys)
+        assert any(calls for _, corners, calls in passes if len(corners) > 1)
 
     def test_single_seed_campaign_keeps_sequential_accounting(self):
         result = size_problem("ota_5t", tier="smoke", config=self.CONFIG, seed=0)

@@ -1,4 +1,5 @@
-"""Skewed process corners (fs/sf) and their effect on the topology zoo.
+"""Skewed process corners (fs/sf) and their effect on the topology zoo,
+and phase 0's two-regime start set.
 
 The tt/ff/ss corners are exercised by the search tests; these cover the
 cross corners where NMOS and PMOS move in *opposite* directions, which is
@@ -11,9 +12,13 @@ import pytest
 from oracles.mna import mna_metrics
 from repro.circuits.process import get_technology
 from repro.circuits.pvt import (
+    NOMINAL,
     PROCESS_CORNERS,
     PVTCondition,
     full_corner_grid,
+    hardest_condition,
+    initial_corners,
+    nine_corner_grid,
     rank_by_severity,
 )
 from repro.circuits.topologies import FiveTransistorOTA, available_topologies, get_topology
@@ -59,6 +64,58 @@ class TestSkewedCornerDerating:
         ranked = rank_by_severity(corners)
         assert ranked[0].process == "ss"
         assert ranked[-1].process == "ff"
+
+
+def _names(corners):
+    return [corner.name for corner in corners]
+
+
+class TestInitialCorners:
+    def test_one_corner_stays_one_corner(self):
+        hardest = hardest_condition(nine_corner_grid())
+        assert initial_corners([NOMINAL]) == [NOMINAL]
+        assert initial_corners([hardest]) == [hardest]
+
+    def test_one_environment_point_starts_at_the_hardest_corner(self):
+        # Process corners only: no supply/temperature span to cross.
+        ranked = rank_by_severity([PVTCondition(p) for p in PROCESS_CORNERS])
+        assert initial_corners(ranked) == [PVTCondition("ss")]
+
+    @pytest.mark.parametrize("grid", [nine_corner_grid, full_corner_grid])
+    def test_both_failure_regimes(self, grid):
+        start = initial_corners(rank_by_severity(grid()))
+        assert _names(start) == ["ss_0.90V_125C", "ss_1.10V_-40C"]
+        assert start[0] == hardest_condition(grid())
+
+    @pytest.mark.parametrize("grid", [nine_corner_grid, full_corner_grid])
+    def test_independent_of_input_order(self, grid):
+        corners = grid()
+        expected = initial_corners(rank_by_severity(corners))
+        rng = np.random.default_rng(0)
+        for _ in range(8):
+            shuffled = [corners[i] for i in rng.permutation(len(corners))]
+            assert rank_by_severity(shuffled) == rank_by_severity(corners)
+            assert initial_corners(rank_by_severity(shuffled)) == expected
+
+    def test_equal_severity_corners_rank_the_same_in_any_order(self):
+        # 1.00V and 1.10V carry no low-supply penalty, so the two hot
+        # corners tie for hardest and the two cold ones tie too.  Listed
+        # either way round, they rank the same, and phase 0 starts at the
+        # same two corners (a different hardest corner would move the far
+        # one).
+        hot = [PVTCondition("ss", 1.0, 125.0), PVTCondition("ss", 1.1, 125.0)]
+        cold = [PVTCondition("ss", 1.0, -40.0), PVTCondition("ss", 1.1, -40.0)]
+        assert hot[0].severity() == hot[1].severity()
+        assert cold[0].severity() == cold[1].severity()
+        for grid in ([*hot, *cold], [*hot[::-1], *cold[::-1]]):
+            ranked = rank_by_severity(grid)
+            assert ranked == [*hot, *cold]
+            assert hardest_condition(grid) == hot[0]
+            assert initial_corners(ranked) == [hot[0], cold[1]]
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError):
+            initial_corners([])
 
 
 @pytest.mark.parametrize("name", ["fs", "sf"])

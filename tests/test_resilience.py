@@ -9,6 +9,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from conftest import FOLDING, RESTARTING
 from repro.analysis.determinism import fingerprint_outcome
 from repro.bench.registry import BenchCase, get_suite
 from repro.bench.runner import SCHEMA, run_suite
@@ -406,8 +407,46 @@ class TestCheckpointResume:
         donor = case.build_campaign([0])
         donor.run(checkpoint_dir=ckpt)
         receiver = case.build_campaign([0, 1])  # different seed set
-        with pytest.raises(ValueError, match="seeds"):
+        with pytest.raises(SnapshotError, match="seeds"):
             receiver.run(resume_from=ckpt)
+
+    def test_snapshot_from_another_phase0_start_set_rejected(self, tmp_path):
+        case = BenchCase("two_stage_opamp", "smoke", "nine")
+        ckpt = str(tmp_path / "ckpt")
+        case.build_campaign([0]).run(checkpoint_dir=ckpt)
+        path = os.path.join(ckpt, LATEST_SNAPSHOT)
+        state = load_snapshot(path)
+        identity = state["identity"]
+        assert len(identity["initial_corners"]) == 2
+        # A snapshot from the hardest-corner-alone start, with the field and
+        # without it (as checkpoints written before the field existed).
+        one_corner = dict(identity, initial_corners=identity["corners"][:1])
+        legacy = {k: v for k, v in identity.items() if k != "initial_corners"}
+        for foreign in (one_corner, legacy):
+            save_snapshot(path, dict(state, identity=foreign))
+            with pytest.raises(SnapshotError, match="initial_corners"):
+                case.build_campaign([0]).run(resume_from=ckpt)
+
+    def test_one_corner_snapshot_without_start_set_resumes(self, tmp_path):
+        # One-corner campaigns start phase 0 where they always did, so
+        # their checkpoints from before the start-set field still resume.
+        (case,) = get_suite("drill")
+        ckpt = str(tmp_path / "ckpt")
+        oracle_campaign = case.build_campaign([0, 1])
+        oracle = _campaign_fingerprint(
+            oracle_campaign,
+            oracle_campaign.run(checkpoint_dir=ckpt, keep_history=True),
+            [0, 1],
+        )
+        mid = os.path.join(ckpt, f"round-{oracle['rounds'] // 2:05d}.snapshot")
+        state = load_snapshot(mid)
+        identity = dict(state["identity"])
+        assert identity.pop("initial_corners") == identity["corners"][:1]
+        save_snapshot(mid, dict(state, identity=identity))
+        resumed = case.build_campaign([0, 1])
+        outcome = resumed.run(resume_from=mid)
+        assert 0 < outcome.resumed_from_round < outcome.rounds
+        assert _campaign_fingerprint(resumed, outcome, [0, 1]) == oracle
 
     def test_checkpoint_every_thins_history(self, tmp_path):
         (case,) = get_suite("drill")
@@ -641,7 +680,8 @@ class TestMemberJournal:
 
     @pytest.mark.parametrize("optimizer", ["cross_entropy", "random"])
     def test_resume_from_every_round(self, tmp_path, monkeypatch, optimizer):
-        case = self._case(optimizer)
+        case, seeds = FOLDING[optimizer]
+        seeds = list(seeds)
         ckpt = str(tmp_path / "ckpt")
         recorded = []
         serializer = Campaign.state_dict
@@ -650,11 +690,11 @@ class TestMemberJournal:
             recorded.append(_derived_state(campaign))
             return serializer(campaign)
 
-        oracle_campaign = case.build_campaign(self.SEEDS)
+        oracle_campaign = case.build_campaign(seeds)
         with monkeypatch.context() as patch:
             patch.setattr(Campaign, "state_dict", recording)
             outcome = oracle_campaign.run(checkpoint_dir=ckpt, keep_history=True)
-        oracle = _campaign_fingerprint(oracle_campaign, outcome, self.SEEDS)
+        oracle = _campaign_fingerprint(oracle_campaign, outcome, seeds)
         names = self._rounds(ckpt)
         assert len(names) == len(recorded) == oracle["rounds"]
         # The rounds cover phase transitions and finished members.
@@ -663,12 +703,12 @@ class TestMemberJournal:
         assert any(member["phase"] > 0 and not member["finished"] for member in members)
         assert any(member["finished"] for member in members)
         for name, state, derived in zip(names, states, recorded):
-            restored = case.build_campaign(self.SEEDS)
+            restored = case.build_campaign(seeds)
             restored.load_state_dict(state, os.path.join(ckpt, CACHE_JOURNAL))
             assert _derived_state(restored) == derived, name
-            resumed = case.build_campaign(self.SEEDS)
+            resumed = case.build_campaign(seeds)
             outcome = resumed.run(resume_from=os.path.join(ckpt, name))
-            assert _campaign_fingerprint(resumed, outcome, self.SEEDS) == oracle, name
+            assert _campaign_fingerprint(resumed, outcome, seeds) == oracle, name
 
     def test_snapshot_carries_no_member_rows(self, tmp_path):
         ckpt = str(tmp_path / "ckpt")
@@ -762,8 +802,8 @@ def _restart_done(optimizer_state):
 class TestStallRestartResume:
     """Resuming around a trust-region stall restart is byte-identical."""
 
-    CASE = BenchCase("folded_cascode", "nominal", "nine")
-    SEEDS = [10]  # stalls at min_radius in phase 0 and restarts
+    CASE = RESTARTING[0]
+    SEEDS = list(RESTARTING[1][:1])  # stalls at min_radius in phase 0 and restarts
 
     @staticmethod
     def _outcome(campaign, outcome, seeds):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import run_in_campaign
+from conftest import FOLDING, run_in_campaign
 from oracles.search import evaluate_new
 from repro.circuits.topologies.two_stage import METRIC_NAMES, TwoStageOpAmp
 from repro.circuits.pvt import full_corner_grid, hardest_condition, nine_corner_grid
@@ -429,14 +429,15 @@ class TestCampaignVerification:
     """Winner verification: every CornerReport against a per-corner oracle."""
 
     def test_corner_reports_match_per_corner_oracle(self):
-        # One phase only, so several seeds end with failing corners next to
-        # passing ones, and the reports carry both verdicts.
+        # One phase only, so the folding seeds end with failing corners next
+        # to passing ones, and the reports carry both verdicts.
         corners = nine_corner_grid()
+        case, folding = FOLDING["trust_region"]
         campaign = build_campaign(
-            "two_stage_opamp",
-            tier="nominal",
+            case.topology,
+            tier=case.tier,
             corners=corners,
-            seeds=[0, 1, 2],
+            seeds=[0, *folding],
             max_phases=1,
             optimizer="trust_region",
         )

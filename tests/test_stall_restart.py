@@ -7,9 +7,8 @@ Locked here:
 * the rule itself on a small unsatisfiable problem;
 * seeds that never stall keep their exact trajectories — seeds 0-2 of every
   smoke case still match the committed ``BENCH_smoke.json`` records;
-* folded-cascode seeds 10 and 23, which stall through all four phases
-  without restarts, restart and solve, bit-identically under batched and
-  sequential refits;
+* the :data:`conftest.RESTARTING` seeds restart and solve, bit-identically
+  under batched and sequential refits;
 * the bench statistics: Wilson intervals, seed counts, restart counts.
 """
 
@@ -20,19 +19,15 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from conftest import run_in_campaign
+from conftest import RESTARTING, run_in_campaign
 from repro.analysis.determinism import fingerprint_outcome
 from repro.bench import format_summary, run_suite
-from repro.bench.registry import BenchCase
 from repro.bench.runner import wilson_interval
 from repro.core.design_space import DesignSpace, Parameter
 from repro.search import Spec, Specification, TrustRegionConfig
 from repro.search import trust_region
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-#: The case whose seeds used to get trapped at the -40C corners.
-FOLDED = BenchCase("folded_cascode", "nominal", "nine")
 
 
 def peak_evaluator(samples):
@@ -118,7 +113,7 @@ class TestNeverStalledSeedsKeepTheirTrajectories:
 
 
 def _fingerprint(seeds):
-    campaign = FOLDED.build_campaign(seeds)
+    campaign = RESTARTING[0].build_campaign(seeds)
     outcome = campaign.run()
     fingerprint = fingerprint_outcome(outcome, campaign.cache.state_digest(), seeds)
     histories = [
@@ -129,21 +124,24 @@ def _fingerprint(seeds):
 
 
 class TestTrappedSeeds:
+    SEEDS = list(RESTARTING[1])
+
     @pytest.fixture(scope="class")
     def batched(self):
-        return _fingerprint([10, 23])
+        return _fingerprint(self.SEEDS)
 
-    def test_seeds_10_and_23_restart_and_solve(self, batched):
+    def test_restarting_seeds_restart_and_solve(self, batched):
         fingerprint, _ = batched
         for record in fingerprint["per_seed"]:
             assert record["restarts"] >= 1, record["seed"]
             assert record["solved"], record["seed"]
-            # Without restarts both burn ~1290 evaluations over 4 phases.
+            # Without restarts, trapped seeds burned ~1290 evaluations over
+            # 4 phases.
             assert record["evaluations"] < 500
 
     def test_batched_and_sequential_refit_bit_identical(self, batched, oracles):
         oracles.sequential_refits()
-        sequential = _fingerprint([10, 23])
+        sequential = _fingerprint(self.SEEDS)
         batched_fingerprint, batched_histories = batched
         sequential_fingerprint, sequential_histories = sequential
         assert batched_fingerprint["batched_kernel_calls"] > 0
