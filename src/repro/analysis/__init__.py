@@ -33,7 +33,6 @@ from repro.analysis.contracts import (
     set_contracts,
 )
 from repro.analysis.engine import (
-    AnalysisConfig,
     Finding,
     lint_paths,
     lint_source,
@@ -41,7 +40,6 @@ from repro.analysis.engine import (
 from repro.analysis.rules import LintRule, available_rules, get_rule, register_rule
 
 __all__ = [
-    "AnalysisConfig",
     "ArraySpec",
     "ContractViolation",
     "Finding",

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import argparse
 import logging
-from dataclasses import replace
 from typing import Optional, Sequence, Tuple
 
-from repro.analysis.engine import AnalysisConfig, lint_paths
+from repro.analysis.engine import lint_paths
 from repro.analysis.rules import available_rules, get_rule
 from repro.cli_types import positive_int, suite_name
 from repro.obs.logs import add_logging_flags, configure_cli_logging
@@ -43,11 +42,8 @@ def rule_ids(text: str) -> Tuple[str, ...]:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    config = AnalysisConfig()
-    if args.select is not None:
-        config = replace(config, select=args.select)
     module_logger.info("linting %s", ", ".join(args.paths))
-    findings = lint_paths(args.paths, config)
+    findings = lint_paths(args.paths, args.select)
     # Findings and the count line are the machine-readable output: stdout.
     for finding in findings:
         print(finding.format())

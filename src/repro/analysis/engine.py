@@ -22,72 +22,40 @@ from repro.analysis.rules import Finding, iter_rules
 _PRAGMA = re.compile(r"#\s*analysis:\s*allow\(([^)]*)\)")
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
-    """What the rules consider "hot" and which paths are skipped entirely.
+# The repo layout the rules classify paths by; substring matching on
+# forward-slashed paths keeps it portable.
 
-    The defaults encode this repo's layout; substring matching on
-    forward-slashed paths keeps the config portable.
-    """
+#: Modules whose *every* function is allocation-sensitive (the fused
+#: training backend, the evaluation cache, the Campaign round loop).
+HOT_MODULES = (
+    "repro/nn/fused.py",
+    "repro/search/eval_cache.py",
+    "repro/search/campaign.py",
+)
+#: Function names that are hot wherever they are defined (the stacked
+#: corner evaluator entry points and per-topology hooks).
+HOT_FUNCTIONS = (
+    "evaluate_corners",
+    "evaluate_batch",
+    "_small_signal_parts",
+    "_metrics_from_parts",
+)
+#: Directory names never descended into.
+EXCLUDE_DIRS = (".git", "__pycache__", ".pytest_cache", "build", "dist", ".eggs")
+#: Path substrings marking test code (some rules only apply to library code).
+TEST_MARKERS = ("tests/", "test_", "conftest.py")
+#: Modules sanctioned to read wall clocks directly (the observability
+#: layer everything else is expected to time through).
+TIMING_MODULES = ("repro/obs/",)
+#: Modules sanctioned to open files in write mode directly (the atomic
+#: write-temp + fsync + rename helpers everything else routes through,
+#: and the CRC-framed append-only cache store).
+DURABLE_WRITE_MODULES = ("repro/resilience/",)
 
-    #: Modules whose *every* function is allocation-sensitive (the fused
-    #: training backend, the evaluation cache, the Campaign round loop).
-    hot_modules: Tuple[str, ...] = (
-        "repro/nn/fused.py",
-        "repro/search/eval_cache.py",
-        "repro/search/campaign.py",
-    )
-    #: Function names that are hot wherever they are defined (the stacked
-    #: corner evaluator entry points and per-topology hooks).
-    hot_functions: Tuple[str, ...] = (
-        "evaluate_corners",
-        "evaluate_batch",
-        "_small_signal_parts",
-        "_metrics_from_parts",
-    )
-    #: Directory names never descended into.
-    exclude_dirs: Tuple[str, ...] = (
-        ".git",
-        "__pycache__",
-        ".pytest_cache",
-        "build",
-        "dist",
-        ".eggs",
-    )
-    #: Path substrings marking test code (some rules only apply to library code).
-    test_markers: Tuple[str, ...] = ("tests/", "test_", "conftest.py")
-    #: Modules sanctioned to read wall clocks directly (the observability
-    #: layer everything else is expected to time through).
-    timing_modules: Tuple[str, ...] = ("repro/obs/",)
-    #: Modules sanctioned to open files in write mode directly (the atomic
-    #: write-temp + fsync + rename helpers everything else routes through,
-    #: and the CRC-framed append-only cache store).
-    durable_write_modules: Tuple[str, ...] = ("repro/resilience/",)
-    #: Restrict linting to these rule ids (``None`` = all registered rules).
-    select: Optional[Tuple[str, ...]] = None
 
-    def is_hot_module(self, path: str) -> bool:
-        normalized = path.replace(os.sep, "/")
-        return any(marker in normalized for marker in self.hot_modules)
-
-    def is_timing_module(self, path: str) -> bool:
-        normalized = path.replace(os.sep, "/")
-        return any(marker in normalized for marker in self.timing_modules)
-
-    def is_durable_write_module(self, path: str) -> bool:
-        normalized = path.replace(os.sep, "/")
-        return any(marker in normalized for marker in self.durable_write_modules)
-
-    def is_test_path(self, path: str) -> bool:
-        normalized = path.replace(os.sep, "/")
-        basename = normalized.rsplit("/", 1)[-1]
-        for marker in self.test_markers:
-            if marker.endswith("/"):
-                if marker in normalized:
-                    return True
-            elif basename == marker or basename.startswith(marker):
-                return True
-        return False
+def _matches(path: str, markers: Tuple[str, ...]) -> bool:
+    normalized = path.replace(os.sep, "/")
+    return any(marker in normalized for marker in markers)
 
 
 @dataclass
@@ -97,23 +65,32 @@ class ModuleSource:
     path: str
     tree: ast.Module
     lines: List[str]
-    config: AnalysisConfig
+
+    hot_functions = HOT_FUNCTIONS
 
     @property
     def is_test(self) -> bool:
-        return self.config.is_test_path(self.path)
+        normalized = self.path.replace(os.sep, "/")
+        basename = normalized.rsplit("/", 1)[-1]
+        for marker in TEST_MARKERS:
+            if marker.endswith("/"):
+                if marker in normalized:
+                    return True
+            elif basename == marker or basename.startswith(marker):
+                return True
+        return False
 
     @property
     def is_hot_module(self) -> bool:
-        return self.config.is_hot_module(self.path)
+        return _matches(self.path, HOT_MODULES)
 
     @property
     def is_timing_module(self) -> bool:
-        return self.config.is_timing_module(self.path)
+        return _matches(self.path, TIMING_MODULES)
 
     @property
     def is_durable_write_module(self) -> bool:
-        return self.config.is_durable_write_module(self.path)
+        return _matches(self.path, DURABLE_WRITE_MODULES)
 
     def allowed_rules(self, line: int) -> Set[str]:
         """Rule ids suppressed at ``line`` (pragma there or on the line above)."""
@@ -131,10 +108,13 @@ class ModuleSource:
 def lint_source(
     source: str,
     path: str = "<string>",
-    config: Optional[AnalysisConfig] = None,
+    select: Optional[Sequence[str]] = None,
 ) -> List[Finding]:
-    """Lint one source string; findings are pragma-filtered and line-sorted."""
-    config = config or AnalysisConfig()
+    """Lint one source string; findings are pragma-filtered and line-sorted.
+
+    ``select`` restricts linting to those rule ids (``None``: every
+    registered rule).
+    """
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as error:
@@ -146,9 +126,9 @@ def lint_source(
                 f"could not parse: {error.msg}",
             )
         ]
-    module = ModuleSource(path, tree, source.splitlines(), config)
+    module = ModuleSource(path, tree, source.splitlines())
     findings: List[Finding] = []
-    for rule in iter_rules(config.select):
+    for rule in iter_rules(select):
         for finding in rule.check(module):
             if finding.rule not in module.allowed_rules(finding.line):
                 findings.append(finding)
@@ -156,14 +136,14 @@ def lint_source(
     return findings
 
 
-def _python_files(paths: Sequence[str], config: AnalysisConfig) -> Iterable[str]:
+def _python_files(paths: Sequence[str]) -> Iterable[str]:
     for path in paths:
         if os.path.isfile(path):
             if path.endswith(".py"):
                 yield path
             continue
         for root, dirs, names in os.walk(path):
-            dirs[:] = sorted(d for d in dirs if d not in config.exclude_dirs)
+            dirs[:] = sorted(d for d in dirs if d not in EXCLUDE_DIRS)
             for name in sorted(names):
                 if name.endswith(".py"):
                     yield os.path.join(root, name)
@@ -171,13 +151,13 @@ def _python_files(paths: Sequence[str], config: AnalysisConfig) -> Iterable[str]
 
 def lint_paths(
     paths: Sequence[str],
-    config: Optional[AnalysisConfig] = None,
+    select: Optional[Sequence[str]] = None,
 ) -> List[Finding]:
-    """Lint every ``.py`` file under ``paths`` (files or directory trees)."""
-    config = config or AnalysisConfig()
+    """Lint every ``.py`` file under ``paths`` (files or directory trees)
+    with the ``select`` rules (``None``: all)."""
     findings: List[Finding] = []
-    for filename in _python_files(paths, config):
+    for filename in _python_files(paths):
         with open(filename, "r", encoding="utf-8") as handle:
             source = handle.read()
-        findings.extend(lint_source(source, filename, config))
+        findings.extend(lint_source(source, filename, select))
     return findings

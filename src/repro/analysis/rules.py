@@ -240,8 +240,9 @@ class HotLoopAllocRule(LintRule):
     ``out=`` rewrites, single stacked passes); a stray ``np.zeros`` or
     ``astype`` inside one of those loops reintroduces per-iteration heap
     traffic that the PR-3/PR-4 overhauls measured and removed.  Applies to
-    functions marked ``@hot_path``, to every function in the configured
-    hot-module list, and to the stacked-engine hook names wherever they are
+    functions marked ``@hot_path``, to every function in the hot modules
+    (``HOT_MODULES`` of :mod:`repro.analysis.engine`), and to the
+    stacked-engine hook names (``HOT_FUNCTIONS``) wherever they are
     defined.  Calls passing ``out=`` are exempt (they write into reused
     buffers); intentional one-time allocations take a pragma.
     """
@@ -279,7 +280,7 @@ class HotLoopAllocRule(LintRule):
     ALLOC_METHODS = frozenset({"astype", "copy"})
 
     def _is_hot_function(self, module: "ModuleSource", node: ast.FunctionDef) -> bool:
-        if module.is_hot_module or node.name in module.config.hot_functions:
+        if module.is_hot_module or node.name in module.hot_functions:
             return True
         for decorator in node.decorator_list:
             target = decorator.func if isinstance(decorator, ast.Call) else decorator

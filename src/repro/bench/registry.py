@@ -14,7 +14,7 @@ Third-party workloads can extend the registry::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.circuits.pvt import (
@@ -131,24 +131,26 @@ class BenchCase:
         Exactly the construction the bench runner's campaign execution
         path performs, factored here so the resilience drill and the
         determinism auditor rebuild byte-identical campaigns from a case
-        alone.  ``optimizer`` follows :func:`repro.search.sizing.build_campaign`
-        semantics (``None`` defers to the case, then the library default).
+        alone.  An explicit ``optimizer`` replaces the case's, ``None`` defers
+        to it.
         """
         # Imported lazily: repro.search.sizing pulls in the topology zoo,
         # which this registry module must not import at module level.
         from repro.search.sizing import build_campaign
 
         seeds = [int(seed) for seed in seeds]
+        config = self.config(seeds[0] if seeds else 0)
+        if optimizer is not None:
+            config = replace(config, optimizer=optimizer)
         return build_campaign(
             self.topology,
             technology=self.technology,
             load_cap=self.load_cap,
             tier=self.tier,
             corners=self.corners(),
-            config=self.config(seeds[0] if seeds else 0),
+            config=config,
             seeds=seeds,
             cache_path=cache_path,
-            optimizer=optimizer,
         )
 
     def shard_specs(self, seeds: Sequence[int]) -> "List[ShardSpec]":

@@ -76,11 +76,6 @@ class Parameter:
             )
         return self.low + unit_value * (self.high - self.low)
 
-    def grid_values(self) -> np.ndarray:
-        """All legal grid values of this parameter."""
-        fractions = np.linspace(0.0, 1.0, self.grid_points)
-        return np.array([self.from_unit(fraction) for fraction in fractions])
-
     def snap(self, value: float) -> float:
         """Snap a natural value to the nearest grid value."""
         unit = self.to_unit(min(max(value, self.low), self.high))

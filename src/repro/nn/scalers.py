@@ -46,9 +46,6 @@ class StandardScaler:
             raise RuntimeError("scaler must be fitted before transform")
         return (_validated_2d(data, len(self.mean_), "transform") - self.mean_) / self.std_
 
-    def fit_transform(self, data: np.ndarray) -> np.ndarray:
-        return self.fit(data).transform(data)
-
     def inverse_transform(self, data: np.ndarray) -> np.ndarray:
         if self.mean_ is None or self.std_ is None:
             raise RuntimeError("scaler must be fitted before inverse_transform")

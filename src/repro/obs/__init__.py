@@ -16,7 +16,6 @@ the :func:`tracing` context manager.  Render traces with
 
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     diff_snapshots,
@@ -35,15 +34,9 @@ from repro.obs.tracer import (
 )
 
 
-def get_metrics() -> MetricsRegistry:
-    """The active tracer's metrics registry."""
-    return get_tracer().metrics
-
-
 __all__ = [
     "Counter",
     "DEFAULT_RING_SIZE",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "TraceRollup",
@@ -51,7 +44,6 @@ __all__ = [
     "diff_snapshots",
     "event",
     "format_report",
-    "get_metrics",
     "get_tracer",
     "load_trace",
     "profiled",

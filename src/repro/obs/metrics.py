@@ -1,4 +1,4 @@
-"""Counters, gauges and histograms behind a named registry.
+"""Counters and histograms behind a named registry.
 
 The :class:`MetricsRegistry` mirrors the optimizer/topology/rule registry
 pattern: instruments are created on first use by name, a name is bound to
@@ -9,7 +9,7 @@ two points in time (how the bench runner builds the per-case ``telemetry``
 block without replaying the trace ring, which may have wrapped).
 
 The default metrics surface is the active tracer's registry
-(``repro.obs.get_metrics()``): every closed span feeds a
+(``repro.obs.get_tracer().metrics``): every closed span feeds a
 ``span.<name>`` histogram and every event a ``event.<name>`` counter, so
 span rollups are available even when the JSONL sink is off.
 """
@@ -31,23 +31,6 @@ class Counter:
 
     def inc(self, amount: int = 1) -> None:
         self.value += amount
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "value": self.value}
-
-
-class Gauge:
-    """Last-write-wins level (ring occupancy, live members, radius)."""
-
-    kind = "gauge"
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
 
     def snapshot(self) -> Dict[str, Any]:
         return {"kind": self.kind, "value": self.value}
@@ -120,9 +103,6 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         return self._get_or_create(name, Counter)
 
-    def gauge(self, name: str) -> Gauge:
-        return self._get_or_create(name, Gauge)
-
     def histogram(self, name: str) -> Histogram:
         return self._get_or_create(name, Histogram)
 
@@ -155,18 +135,13 @@ def diff_snapshots(
     """What changed between two :meth:`MetricsRegistry.snapshot` exports.
 
     Counters and histograms are differenced field-wise (min/max are taken
-    from the *after* side — they do not diff meaningfully); gauges report
-    their after value.  Instruments that did not move are omitted, so the
-    result is exactly "what this slice of work did" — the bench runner's
-    per-case telemetry.
+    from the *after* side — they do not diff meaningfully).  Instruments
+    that did not move are omitted, so the result is exactly "what this
+    slice of work did" — the bench runner's per-case telemetry.
     """
     delta: Dict[str, Dict[str, Any]] = {}
     for name, record in after.items():
         previous = before.get(name)
-        if record["kind"] == "gauge":
-            if previous is None or previous["value"] != record["value"]:
-                delta[name] = dict(record)
-            continue
         if record["kind"] == "counter":
             moved = record["value"] - (previous["value"] if previous else 0)
             if moved:

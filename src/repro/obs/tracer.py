@@ -254,26 +254,21 @@ def set_tracing(
 def tracing(
     sink: Optional[str] = None,
     ring_size: int = DEFAULT_RING_SIZE,
-    enabled: bool = True,
 ) -> Iterator[Tracer]:
     """Scope tracing to a block; yields the (fresh) tracer.
 
     ``tracing(sink="trace.jsonl")`` records the block to a JSONL file and
     closes it on exit; ``tracing()`` records to the ring only (read
     ``tracer.records`` afterwards — the yielded tracer outlives the block).
-    ``enabled=False`` scopes tracing *off* (for overhead comparisons).
     """
     global _ENABLED, _TRACER
-    previous_enabled, previous_tracer = set_tracing(
-        enabled, sink=sink, ring_size=ring_size
-    )
+    previous_enabled, previous_tracer = set_tracing(True, sink=sink, ring_size=ring_size)
     tracer = _TRACER
     try:
         yield tracer
     finally:
         _ENABLED, _TRACER = previous_enabled, previous_tracer
-        if tracer is not previous_tracer:
-            tracer.close()
+        tracer.close()
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,8 @@ Crash-recovery code is only trustworthy if the crashes it recovers from are
 reproducible.  This module gives the engine *named fault sites* — the
 instrumented points where a real process death would hurt (a cache append
 mid-record, an engine call, a surrogate refit, a snapshot write) — and
-seeded :class:`FaultPlan`\\ s that kill exactly one site at exactly one
-occurrence, the same one every time for the same seed.
+:class:`FaultPlan`\\ s that kill exactly one site at exactly one
+occurrence.
 
 Sites self-register at import of the instrumented module
 (:func:`register_fault_site`), and :func:`fault_point` is near-free when no
@@ -24,9 +24,7 @@ byte-diffs the resumed trajectory against the uninterrupted oracle.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.obs import event
 
@@ -86,22 +84,6 @@ class FaultPlan:
     def __repr__(self) -> str:
         status = "fired" if self.fired else "armed"
         return f"FaultPlan({self.site!r}, occurrence={self.occurrence}, {status})"
-
-    @classmethod
-    def from_seed(
-        cls,
-        seed: int,
-        sites: Optional[Sequence[str]] = None,
-        max_occurrence: int = 4,
-    ) -> "FaultPlan":
-        """Seeded site/occurrence choice: same seed, same fault, always."""
-        pool = tuple(sites) if sites is not None else registered_fault_sites()
-        if not pool:
-            raise ValueError("no fault sites registered (or given) to choose from")
-        rng = np.random.default_rng(seed)
-        site = pool[int(rng.integers(len(pool)))]
-        occurrence = int(rng.integers(1, max_occurrence + 1))
-        return cls(site, occurrence)
 
 
 def fault_point(site: str) -> None:

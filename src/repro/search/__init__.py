@@ -6,7 +6,10 @@ own the proposal side; the ``Campaign`` driver owns evaluation and training
 (budget, the cross-phase ``EvaluationCache``, multi-seed vectorized corner
 passes, batched surrogate refits);
 ``size_problem`` is the single-seed entry point and ``build_campaign`` the
-multi-seed one.
+multi-seed one.  Every setting travels in one ``ProgressiveConfig`` (whose
+``trust_region`` is a ``TrustRegionConfig``); the trust-region radius
+schedule and the surrogate's optimiser settings are constants of
+``repro.search.trust_region``, not options.
 """
 
 from repro.search.campaign import Campaign, CampaignResult, EvaluationHandle
@@ -27,7 +30,7 @@ from repro.search.progressive import (
     ProgressiveConfig,
     ProgressiveResult,
 )
-from repro.search.sizing import build_campaign, resolve_config, size_problem
+from repro.search.sizing import build_campaign, size_problem
 from repro.search.spec import Spec, Specification
 from repro.search.trust_region import TrustRegionConfig, TrustRegionSearch
 
@@ -54,6 +57,5 @@ __all__ = [
     "build_campaign",
     "get_optimizer",
     "register_optimizer",
-    "resolve_config",
     "size_problem",
 ]

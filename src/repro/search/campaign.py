@@ -828,10 +828,7 @@ class Campaign:
     def load_state_dict(self, state: Dict[str, object], journal_path: str) -> None:
         """Restore :meth:`state_dict` output; the cache replays ``journal_path``,
         whose member frames and pairs then restore the members."""
-        identity = dict(state["identity"])
-        # Snapshots that predate the field started phase 0 at the hardest
-        # corner alone.
-        identity.setdefault("initial_corners", identity.get("corners", [])[:1])
+        identity = state["identity"]
         expected = self._identity()
         for field in expected:
             if identity.get(field) != expected[field]:
@@ -893,7 +890,6 @@ class Campaign:
         self,
         checkpoint_dir: Optional[str] = None,
         resume_from: Optional[str] = None,
-        checkpoint_every: int = 1,
         keep_history: bool = False,
     ) -> CampaignResult:
         """Run all seeds to completion in lockstep evaluation rounds.
@@ -901,10 +897,10 @@ class Campaign:
         Parameters
         ----------
         checkpoint_dir:
-            When given, the campaign is checkpointed after each eligible
-            round.  What only grows goes to ``<dir>/cache.journal``, in
-            one write and one fsync: the cache pairs added since the
-            previous checkpoint, and each member's new sizing rows and
+            When given, the campaign is checkpointed after every round.
+            What only grows goes to ``<dir>/cache.journal``, in one write
+            and one fsync: the cache pairs added since the previous
+            checkpoint, and each member's new sizing rows and
             iteration-history records (member frames).  Then the small
             mutable rest of the state is written (atomically) as
             ``<dir>/latest.snapshot``, referencing the journal by
@@ -923,15 +919,11 @@ class Campaign:
             mode and the resilience drill).  A directory without a
             snapshot (the run died before the first checkpoint)
             cold-starts.
-        checkpoint_every:
-            Snapshot cadence in rounds (default: every round).
         keep_history:
             Also keep one ``round-NNNNN.snapshot`` per checkpoint instead
             of only the latest (used by resume-parity audits); each
             references its own prefix of the one journal.
         """
-        if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be at least 1")
         if checkpoint_dir is not None:
             # Created before the first round, not at the first write: a run
             # that dies before any checkpoint leaves an *empty* directory,
@@ -1010,7 +1002,7 @@ class Campaign:
                 # Round boundary: every receive() has landed, so no member
                 # has a request in flight — the one state a snapshot is
                 # allowed to capture.
-                if checkpoint_dir is not None and self.rounds % checkpoint_every == 0:
+                if checkpoint_dir is not None:
                     self._write_checkpoint(checkpoint_dir, keep_history)
         results = [member.build_result() for member in self._members]
         return CampaignResult(

@@ -15,6 +15,11 @@ sibling: the same problem resolution, returning the ready-to-run
 :class:`~repro.search.campaign.Campaign` instead of running one seed; a
 multi-seed campaign matches one :func:`size_problem` run per seed bit for
 bit (locked by the tests).
+
+Settings travel in one :class:`ProgressiveConfig`.  :func:`size_problem`'s
+``seed``, ``max_phases`` and ``optimizer`` keywords are the only overrides:
+an explicit value is applied to the config with :func:`dataclasses.replace`,
+``None`` defers to it.  :func:`build_campaign` takes the config as it is.
 """
 
 from __future__ import annotations
@@ -31,46 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.search.campaign import Campaign
 
 
-def _with_overrides(config, **overrides):
-    """Explicit-wins/``None``-defers override application, deduplicated.
-
-    Every keyword whose value is not ``None`` and differs from the config's
-    current field is applied in one :func:`dataclasses.replace`; when
-    nothing changes the config is returned untouched (no gratuitous copy).
-    """
-    changed = {
-        name: value
-        for name, value in overrides.items()
-        if value is not None and value != getattr(config, name)
-    }
-    return replace(config, **changed) if changed else config
-
-
-def resolve_config(
-    config: Optional[ProgressiveConfig] = None,
-    seed: Optional[int] = None,
-    optimizer: Optional[str] = None,
-    max_phases: Optional[int] = None,
-) -> ProgressiveConfig:
-    """Combine the config object with the scalar override knobs.
-
-    Every override follows the same rule: an explicit value always wins
-    (via :func:`dataclasses.replace`), ``None`` defers to the config.
-    ``seed`` lands on the per-phase
-    :class:`~repro.search.trust_region.TrustRegionConfig`; ``optimizer`` and
-    ``max_phases`` on the :class:`ProgressiveConfig`.  When nothing changes
-    the config itself is returned (``None`` resolves to the defaults).
-    """
-    progressive = config if config is not None else ProgressiveConfig()
-    trust = _with_overrides(progressive.trust_region, seed=seed)
-    return _with_overrides(
-        progressive,
-        trust_region=trust if trust is not progressive.trust_region else None,
-        optimizer=optimizer,
-        max_phases=max_phases,
-    )
-
-
 def build_campaign(
     topology: Union[str, Type["SizingProblem"]],
     technology: str = "bsim45",
@@ -81,15 +46,13 @@ def build_campaign(
     config: Optional[ProgressiveConfig] = None,
     seeds: Optional[Sequence[int]] = None,
     cache_path: Optional[str] = None,
-    **overrides,
 ) -> "Campaign":
     """Resolve a topology into a ready-to-run multi-seed Campaign.
 
-    ``overrides`` are the scalar knobs of :func:`resolve_config` (``seed``,
-    ``optimizer``, ``max_phases``), each explicit-wins/``None``-defers
-    against ``config``.  ``seeds`` selects
-    the campaign members (defaulting to the resolved config's seed); the
-    spec set defaults to the topology's ``default_specs()`` at ``tier``.
+    ``config`` carries every search setting (``None``: the
+    :class:`ProgressiveConfig` defaults).  ``seeds`` selects the campaign
+    members (defaulting to the config's seed); the spec set defaults to the
+    topology's ``default_specs()`` at ``tier``.
     ``cache_path`` points the campaign's evaluation cache at a persistent
     on-disk store (warm starts across processes).
     """
@@ -109,12 +72,11 @@ def build_campaign(
                 f"topology {problem.name!r} has no spec tier {tier!r}; "
                 f"available: {', '.join(sorted(ladder))}"
             ) from None
-    progressive = resolve_config(config, **overrides)
     return Campaign(
         problem.evaluation_handle(),
         specs,
         corners=corners,
-        config=progressive,
+        config=config,
         seeds=seeds,
         cache_path=cache_path,
     )
@@ -154,7 +116,7 @@ def size_problem(
         Sign-off corner set; defaults to the nine-corner grid.
     config, seed:
         Search hyper-parameters; an explicit ``seed`` overrides the
-        config's seed (see :func:`resolve_config`).
+        config's seed, ``None`` defers to it.
     max_phases:
         Progressive corner-hardening round budget; ``None`` defers to the
         config (:class:`ProgressiveConfig` default: 4).
@@ -163,6 +125,13 @@ def size_problem(
         default; ``"random"``/``"cross_entropy"`` baselines).  ``None``
         defers to the config.
     """
+    config = config if config is not None else ProgressiveConfig()
+    if seed is not None:
+        config = replace(config, trust_region=replace(config.trust_region, seed=seed))
+    if max_phases is not None:
+        config = replace(config, max_phases=max_phases)
+    if optimizer is not None:
+        config = replace(config, optimizer=optimizer)
     campaign = build_campaign(
         topology,
         technology=technology,
@@ -171,9 +140,5 @@ def size_problem(
         tier=tier,
         corners=corners,
         config=config,
-        seeds=None,
-        seed=seed,
-        optimizer=optimizer,
-        max_phases=max_phases,
     )
     return campaign.run().results[0]

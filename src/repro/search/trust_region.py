@@ -20,9 +20,9 @@ The agent alternates between
 4. *radius adaptation* — the trust region expands after an improving step
    and shrinks otherwise, in the classic trust-region fashion;
 5. *stall restart* — after ``STALL_PATIENCE`` consecutive non-improving
-   tells with the radius already at ``min_radius``, the next ask ranks a
+   tells with the radius already at ``MIN_RADIUS``, the next ask ranks a
    fresh Monte-Carlo batch with the surrogate, re-centres the ball on the
-   top-ranked row and resets the radius to ``initial_radius`` (the restart
+   top-ranked row and resets the radius to ``INITIAL_RADIUS`` (the restart
    rule of TuRBO, Eriksson et al., NeurIPS 2019).  The dataset and the
    surrogate are kept; from then on the centre and the radius follow the
    *local* incumbent, the best row since the restart, while the global
@@ -93,7 +93,7 @@ __all__ = [
 #: half-updated Adam moments, which resume must reconstruct exactly.
 SITE_REFIT = register_fault_site("optimizer.refit")
 
-#: Consecutive non-improving tells at ``min_radius`` before the trust region
+#: Consecutive non-improving tells at ``MIN_RADIUS`` before the trust region
 #: restarts around a surrogate-ranked Monte-Carlo sample.  With 8, smoke-suite
 #: seeds 0-15 solve 80/80 (75/80 without restarts) and every pair that solved
 #: without restarts keeps its exact trajectory.
@@ -112,9 +112,42 @@ REFIT_GROWTH = 1.15
 OUTPUT_RIDGE = 1e-2
 
 
+#: Trust-region radius schedule of Eq. (5), in unit-cube coordinates: the
+#: radius starts (and restarts) at ``INITIAL_RADIUS``, is multiplied by
+#: ``EXPAND`` after an improving tell and by ``SHRINK`` otherwise, and stays
+#: within ``[MIN_RADIUS, MAX_RADIUS]``.
+INITIAL_RADIUS = 0.25
+MIN_RADIUS = 0.02
+MAX_RADIUS = 0.5
+EXPAND = 1.6
+SHRINK = 0.5
+
+#: Adam step size of the full surrogate refits.
+LEARNING_RATE = 3e-3
+
+#: Minibatch size of the full surrogate refits.  The refit cost is dominated
+#: by per-step dispatch overhead (the matrices are tiny), so fewer, larger
+#: batches are strictly cheaper; 64 was chosen by measuring the smoke suite —
+#: identical success rates and evaluations-to-feasible within noise of 32, at
+#: roughly half the refit wall time.
+SURROGATE_BATCH_SIZE = 64
+
+
 @dataclass
 class TrustRegionConfig:
     """Hyper-parameters of Algorithm 1 (and the shared optimizer knobs).
+
+    Eight fields: the run's ``seed`` and evaluation budget
+    (``max_evaluations``), the Monte-Carlo seed size (``initial_samples``),
+    the per-iteration batch (``batch_size``) and candidate pool
+    (``candidate_pool``), and the surrogate's size and training length
+    (``surrogate_hidden``, ``initial_epochs``, ``refit_epochs``).  The
+    radius schedule and the surrogate's optimiser settings are fixed parts
+    of the algorithm, not tuning, so they are module constants
+    (:data:`INITIAL_RADIUS`, :data:`MIN_RADIUS`, :data:`MAX_RADIUS`,
+    :data:`EXPAND`, :data:`SHRINK`, :data:`LEARNING_RATE`,
+    :data:`SURROGATE_BATCH_SIZE`) beside :data:`STALL_PATIENCE`,
+    :data:`REFIT_GROWTH` and :data:`OUTPUT_RIDGE`.
 
     The baseline optimizers (:class:`~repro.search.optimizer.RandomSearch`,
     :class:`~repro.search.optimizer.CrossEntropySearch`) reuse the common
@@ -127,22 +160,10 @@ class TrustRegionConfig:
     batch_size: int = 8
     candidate_pool: int = 512
     max_evaluations: int = 400
-    initial_radius: float = 0.25
-    min_radius: float = 0.02
-    max_radius: float = 0.5
-    expand: float = 1.6
-    shrink: float = 0.5
     surrogate_hidden: Sequence[int] = (48, 48)
     initial_epochs: int = 120
     refit_epochs: int = 25
-    learning_rate: float = 3e-3
     seed: int = 0
-    #: Minibatch size of the surrogate refits.  The refit cost is dominated
-    #: by per-step dispatch overhead (the matrices are tiny), so fewer,
-    #: larger batches are strictly cheaper; 64 was chosen by measuring the
-    #: smoke suite — identical success rates and evaluations-to-feasible
-    #: within noise of 32, at roughly half the refit wall time.
-    surrogate_batch_size: int = 64
 
     def __post_init__(self) -> None:
         for name in (
@@ -152,17 +173,9 @@ class TrustRegionConfig:
             "max_evaluations",
             "initial_epochs",
             "refit_epochs",
-            "surrogate_batch_size",
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if not 0.0 < self.min_radius <= self.initial_radius <= self.max_radius:
-            raise ValueError(
-                "radii must satisfy 0 < min_radius <= initial_radius <= max_radius, got "
-                f"{self.min_radius}, {self.initial_radius}, {self.max_radius}"
-            )
-        if not self.learning_rate > 0.0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if any(width < 1 for width in self.surrogate_hidden):
             raise ValueError(
                 f"every surrogate_hidden width must be at least 1, got {self.surrogate_hidden}"
@@ -204,7 +217,7 @@ class TrustRegionSearch(DatasetOptimizer):
         # stage, the first tell processes it (initial surrogate fit).
         self._seeded = False
         self._iterating = False
-        self._radius = self.config.initial_radius
+        self._radius = INITIAL_RADIUS
         # Stall-restart state.  The local incumbent (index of the best row
         # since the last restart, -1 before any such row) centres the ball
         # and drives the radius; until the first restart it is the global
@@ -258,7 +271,7 @@ class TrustRegionSearch(DatasetOptimizer):
             inputs=self._U[: self._count].astype(DTYPE),
             targets=self._output_scaler.transform(metrics).astype(DTYPE),
             epochs=epochs,
-            batch_size=self.config.surrogate_batch_size,
+            batch_size=SURROGATE_BATCH_SIZE,
             rng=self.rng,
         )
 
@@ -306,7 +319,7 @@ class TrustRegionSearch(DatasetOptimizer):
             len(self.specification.metric_names),
             rng=np.random.default_rng(self.config.seed + 1),
         )
-        return surrogate, FusedAdam(surrogate, lr=self.config.learning_rate)
+        return surrogate, FusedAdam(surrogate, lr=LEARNING_RATE)
 
     def _ensure_surrogate(self, metrics: np.ndarray) -> None:
         """Lazily build the surrogate, its optimizer and the output scaler."""
@@ -491,7 +504,7 @@ class TrustRegionSearch(DatasetOptimizer):
         )
         self._restart_center = self.design_space.snap(pool[top])[0]
         self._local = -1
-        self._radius = config.initial_radius
+        self._radius = INITIAL_RADIUS
         self._stall = 0
         self._restart_pending = False
 
@@ -508,7 +521,7 @@ class TrustRegionSearch(DatasetOptimizer):
         record.  :meth:`_scheduled_refit` picks a full Adam refit with
         persistent moments or the closed-form output-layer solve.
         Improvement is judged against the local incumbent; a non-improving tell that
-        arrives with the radius already at ``min_radius`` counts towards
+        arrives with the radius already at ``MIN_RADIUS`` counts towards
         ``STALL_PATIENCE``, and reaching it flags a restart for the next
         ``ask`` (an improving tell resets the count).  The local incumbent
         follows the dataset's own rule — the block's best row, taken only on
@@ -526,7 +539,7 @@ class TrustRegionSearch(DatasetOptimizer):
         improved = bool(self._scores[self._local] > previous + 1e-12)
         if not self._iterating:
             self._iterating = True
-            self._radius = config.initial_radius
+            self._radius = INITIAL_RADIUS
             self._update_done()
             # Only worth fitting a surrogate when a search will actually run.
             if not self._done:
@@ -537,11 +550,11 @@ class TrustRegionSearch(DatasetOptimizer):
             self._scheduled_refit()
         if improved:
             self._stall = 0
-            self._radius = min(self._radius * config.expand, config.max_radius)
+            self._radius = min(self._radius * EXPAND, MAX_RADIUS)
         else:
-            if self._radius <= config.min_radius:
+            if self._radius <= MIN_RADIUS:
                 self._stall += 1
-            self._radius = max(self._radius * config.shrink, config.min_radius)
+            self._radius = max(self._radius * SHRINK, MIN_RADIUS)
         self._restart_pending = self._stall >= STALL_PATIENCE
         self._history.append(
             IterationRecord(

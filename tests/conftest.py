@@ -23,7 +23,7 @@ from oracles.nn import MLP, Adam
 from repro.bench.registry import BenchCase
 from repro.circuits.pvt import NOMINAL
 from repro.circuits.topologies.base import SizingProblem
-from repro.search import campaign
+from repro.search import campaign, trust_region
 from repro.search.campaign import Campaign, EvaluationHandle
 from repro.search.progressive import ProgressiveConfig
 from repro.search.trust_region import TrustRegionSearch
@@ -33,7 +33,7 @@ from repro.search.trust_region import TrustRegionSearch
 # such a path take their case and seeds from here, and such a change
 # re-pins them in this one place.
 
-#: A case and two seeds whose trust regions stall at ``min_radius``,
+#: A case and two seeds whose trust regions stall at ``MIN_RADIUS``,
 #: restart, and then solve (seed 23 restarts twice, seed 40 once).
 RESTARTING = (BenchCase("folded_cascode", "nominal", "nine"), (23, 40))
 
@@ -125,7 +125,7 @@ class OraclePaths:
             fused, _ = original(search)
             model = MLP(fused.in_features, fused.hidden, fused.out_features)
             model.load_state_dict(fused.state_dict())
-            return model, Adam(model.parameters(), lr=search.config.learning_rate)
+            return model, Adam(model.parameters(), lr=trust_region.LEARNING_RATE)
 
         self._monkeypatch.setattr(TrustRegionSearch, "_build_surrogate", build)
         self.sequential_refits()

@@ -16,7 +16,6 @@ import sys
 import pytest
 
 from repro.analysis import (
-    AnalysisConfig,
     available_rules,
     get_rule,
     lint_paths,
@@ -220,7 +219,7 @@ CORPUS = [
 
 
 def lint_with(rule_id, source, path="src/repro/example.py"):
-    return lint_source(source, path, AnalysisConfig(select=(rule_id,)))
+    return lint_source(source, path, select=(rule_id,))
 
 
 class TestRuleCorpus:

@@ -52,7 +52,7 @@ def test_standard_scaler_round_trip():
     scaler = StandardScaler().fit(data)
     np.testing.assert_allclose(scaler.inverse_transform(scaler.transform(data)), data)
     constant = np.ones((10, 2))
-    np.testing.assert_allclose(StandardScaler().fit_transform(constant), 0.0)
+    np.testing.assert_allclose(StandardScaler().fit(constant).transform(constant), 0.0)
 
 
 def test_scalers_reject_wrong_feature_count():

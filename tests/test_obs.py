@@ -40,25 +40,23 @@ from repro.obs.tracer import _env_sink
 
 
 class TestMetricsRegistry:
-    def test_counter_gauge_histogram_basics(self):
+    def test_counter_histogram_basics(self):
         registry = MetricsRegistry()
         registry.counter("c").inc()
         registry.counter("c").inc(2)
-        registry.gauge("g").set(4.5)
         registry.histogram("h").observe(1.0)
         registry.histogram("h").observe(3.0)
         assert registry.counter("c").value == 3
-        assert registry.gauge("g").value == 4.5
         hist = registry.histogram("h")
         assert (hist.count, hist.total, hist.min, hist.max) == (2, 4.0, 1.0, 3.0)
         assert hist.mean == 2.0
-        assert registry.names() == ("c", "g", "h")
+        assert registry.names() == ("c", "h")
 
     def test_name_bound_to_one_kind(self):
         registry = MetricsRegistry()
         registry.counter("x")
         with pytest.raises(TypeError, match="already registered as a counter"):
-            registry.gauge("x")
+            registry.histogram("x")
 
     def test_unknown_metric_lists_registered(self):
         registry = MetricsRegistry()
@@ -70,15 +68,12 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         registry.counter("moved").inc(2)
         registry.counter("still")
-        registry.gauge("level").set(1.0)
         registry.histogram("h").observe(0.5)
         before = registry.snapshot()
         registry.counter("moved").inc(3)
-        registry.gauge("level").set(7.0)
         registry.histogram("h").observe(1.5)
         delta = diff_snapshots(before, registry.snapshot())
         assert delta["moved"] == {"kind": "counter", "value": 3}
-        assert delta["level"]["value"] == 7.0  # gauges report the after value
         assert delta["h"]["count"] == 1
         assert delta["h"]["total"] == 1.5
         assert "still" not in delta
@@ -336,7 +331,7 @@ class TestTrajectoryNeutrality:
         assert traced["eval"] == baseline["eval"]
 
     def test_restarting_seed_neutral_and_traced(self):
-        # Stalls at min_radius and restarts (twice, so the restart
+        # Stalls at MIN_RADIUS and restarts (twice, so the restart
         # numbering below counts past one).
         case, (seed, _) = RESTARTING
         baseline = run_case(case, seeds=[seed])["per_seed"][0]

@@ -37,6 +37,7 @@ from repro.search import (
     register_optimizer,
     size_problem,
 )
+from repro.search import trust_region
 from repro.search.optimizer import FEASIBLE_TOL, IterationRecord
 
 
@@ -60,7 +61,7 @@ def oracle_run(search, evaluator):
         seed_points = np.vstack([search._initial_points, seed_points])
     evaluate_new(search, evaluator, seed_points, limit=config.max_evaluations)
 
-    radius = config.initial_radius
+    radius = trust_region.INITIAL_RADIUS
     history = []
     if search._scores[search._best] < FEASIBLE_TOL:
         search._refit_surrogate(epochs=config.initial_epochs)
@@ -97,9 +98,9 @@ def oracle_run(search, evaluator):
         if will_continue:
             search._scheduled_refit()
         if improved:
-            radius = min(radius * config.expand, config.max_radius)
+            radius = min(radius * trust_region.EXPAND, trust_region.MAX_RADIUS)
         else:
-            radius = max(radius * config.shrink, config.min_radius)
+            radius = max(radius * trust_region.SHRINK, trust_region.MIN_RADIUS)
         history.append(
             IterationRecord(
                 evaluations=search._count,
@@ -517,7 +518,8 @@ class TestCampaignParity:
     def test_campaign_with_baseline_optimizer(self):
         campaign = build_campaign(
             "ota_5t", tier="smoke", corners=[NOMINAL],
-            config=self.CONFIG, seeds=[0, 1], optimizer="random", max_phases=1,
+            config=ProgressiveConfig(self.TRUST, max_phases=1, optimizer="random"),
+            seeds=[0, 1],
         ).run()
         assert all(r.solved_all_corners for r in campaign.results)
         assert campaign.results[0].refit_seconds == 0.0

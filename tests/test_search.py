@@ -1,14 +1,19 @@
 """Trust-region search: spec machinery, smoke CSP, and the opamp demo."""
 
+from functools import partial
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from conftest import FOLDING, run_in_campaign
 from oracles.search import evaluate_new
+from repro.bench.registry import get_suite
 from repro.circuits.topologies.two_stage import METRIC_NAMES, TwoStageOpAmp
 from repro.circuits.pvt import full_corner_grid, hardest_condition, nine_corner_grid
 from repro.circuits.topologies import get_topology
 from repro.core.design_space import DesignSpace, Parameter
+from repro.obs import tracing
 from repro.search import (
     ProgressiveConfig,
     Spec,
@@ -20,6 +25,37 @@ from repro.search import (
 )
 from repro.search.opamp_demo import DEFAULT_SPECS
 from repro.search.progressive import _stacked_specification
+
+
+def _drill_campaign_run(**kwargs):
+    (case,) = get_suite("drill")
+    return case.build_campaign([0]).run(**kwargs)
+
+
+#: Every retired setting, as (callable, keyword, the value it used to take):
+#: the trust-region radius schedule and surrogate optimiser settings (module
+#: constants of repro.search.trust_region), the checkpoint cadence (every
+#: round), build_campaign's overrides (its config carries them) and the
+#: tracing switch (tracing() always traces).
+RETIRED_KEYWORDS = [
+    *(
+        pytest.param(TrustRegionConfig, keyword, value, id=f"TrustRegionConfig-{keyword}")
+        for keyword, value in (
+            ("initial_radius", 0.25),
+            ("min_radius", 0.02),
+            ("max_radius", 0.5),
+            ("expand", 1.6),
+            ("shrink", 0.5),
+            ("learning_rate", 3e-3),
+            ("surrogate_batch_size", 64),
+        )
+    ),
+    pytest.param(_drill_campaign_run, "checkpoint_every", 2, id="Campaign.run-checkpoint_every"),
+    pytest.param(
+        partial(build_campaign, "ota_5t", tier="smoke"), "seed", 1, id="build_campaign-seed"
+    ),
+    pytest.param(tracing, "enabled", False, id="tracing-enabled"),
+]
 
 
 class TestSpecification:
@@ -147,14 +183,8 @@ class TestTrustRegionSearch:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("min_radius", 0.6),  # above max_radius
-            ("min_radius", 0.0),
-            ("initial_radius", 0.0),
-            ("initial_radius", 0.6),
-            ("learning_rate", 0.0),
             ("initial_epochs", 0),
             ("refit_epochs", 0),
-            ("surrogate_batch_size", 0),
             ("surrogate_hidden", (0,)),
             ("surrogate_hidden", (48, 0)),
         ],
@@ -295,31 +325,36 @@ class TestOpampSizingEndToEnd:
 
 
 class TestResolveConfig:
-    """Every knob: explicit wins, ``None`` defers, no gratuitous copies."""
+    """How ``size_problem`` resolves its config: an explicit ``seed``,
+    ``optimizer`` or ``max_phases`` wins, ``None`` defers, and nothing is
+    copied when nothing changes."""
 
-    def test_explicit_seed_overrides_config(self):
-        from repro.search.sizing import resolve_config
+    @staticmethod
+    def resolved(monkeypatch, **kwargs):
+        """The config ``size_problem`` hands to its campaign."""
+        from repro.search import sizing
 
+        def campaign_of(topology, config, **_):
+            return SimpleNamespace(run=lambda: SimpleNamespace(results=[config]))
+
+        monkeypatch.setattr(sizing, "build_campaign", campaign_of)
+        return size_problem("ota_5t", tier="smoke", **kwargs)
+
+    def test_explicit_seed_overrides_config(self, monkeypatch):
         config = ProgressiveConfig(TrustRegionConfig(seed=3, max_evaluations=123))
-        resolved = resolve_config(config, seed=9)
+        resolved = self.resolved(monkeypatch, config=config, seed=9)
         assert resolved.trust_region.seed == 9
         assert resolved.trust_region.max_evaluations == 123  # else preserved
         assert config.trust_region.seed == 3  # original untouched
 
-    def test_none_seed_defers_to_config(self):
-        from repro.search.sizing import resolve_config
-
+    def test_none_seed_defers_to_config(self, monkeypatch):
         config = ProgressiveConfig(TrustRegionConfig(seed=3))
-        assert resolve_config(config, seed=None) is config
-        assert resolve_config(None, seed=None).trust_region.seed == 0
-        assert resolve_config(None, seed=5).trust_region.seed == 5
+        assert self.resolved(monkeypatch, config=config, seed=None) is config
+        assert self.resolved(monkeypatch, seed=None).trust_region.seed == 0
+        assert self.resolved(monkeypatch, seed=5).trust_region.seed == 5
 
     def test_backend_override(self):
         """The training backend is not configurable at any layer."""
-        from repro.search.sizing import resolve_config
-
-        with pytest.raises(TypeError, match="backend"):
-            resolve_config(ProgressiveConfig(), backend="autodiff")
         with pytest.raises(TypeError, match="backend"):
             size_problem("ota_5t", tier="smoke", backend="autodiff")
         with pytest.raises(TypeError, match="backend"):
@@ -328,31 +363,23 @@ class TestResolveConfig:
     def test_corner_engine_override(self):
         """The corner engine is not configurable: a Campaign picks it from
         its evaluation handle."""
-        from repro.search.sizing import resolve_config
-
-        with pytest.raises(TypeError, match="corner_engine"):
-            resolve_config(ProgressiveConfig(), corner_engine="looped")
         with pytest.raises(TypeError, match="corner_engine"):
             size_problem("ota_5t", tier="smoke", corner_engine="looped")
         with pytest.raises(TypeError, match="corner_engine"):
             ProgressiveConfig(corner_engine="looped")
 
-    def test_optimizer_and_max_phases_overrides(self):
-        from repro.search.sizing import resolve_config
-
-        resolved = resolve_config(None, optimizer="random", max_phases=2)
+    def test_optimizer_and_max_phases_overrides(self, monkeypatch):
+        resolved = self.resolved(monkeypatch, optimizer="random", max_phases=2)
         assert resolved.optimizer == "random"
         assert resolved.max_phases == 2
         progressive = ProgressiveConfig(optimizer="cross_entropy", max_phases=3)
-        kept = resolve_config(progressive)
+        kept = self.resolved(monkeypatch, config=progressive, optimizer=None, max_phases=None)
         assert kept is progressive
 
-    def test_progressive_config_passthrough_keeps_trust_region(self):
-        from repro.search.sizing import resolve_config
-
+    def test_progressive_config_passthrough_keeps_trust_region(self, monkeypatch):
         trust = TrustRegionConfig(seed=7)
         progressive = ProgressiveConfig(trust_region=trust)
-        resolved = resolve_config(progressive, seed=8, optimizer="random")
+        resolved = self.resolved(monkeypatch, config=progressive, seed=8, optimizer="random")
         assert resolved.trust_region.seed == 8
         assert resolved.optimizer == "random"
         assert trust.seed == 7 and progressive.trust_region is trust
@@ -424,6 +451,12 @@ class TestDatasetHotPath:
         with pytest.raises(TypeError, match="backend"):
             TrustRegionConfig(backend="fused")
 
+    @pytest.mark.parametrize("call, keyword, value", RETIRED_KEYWORDS)
+    def test_retired_keyword_rejected(self, call, keyword, value):
+        """Settings no caller varied are constants, not keywords."""
+        with pytest.raises(TypeError, match=keyword):
+            call(**{keyword: value})
+
 
 class TestCampaignVerification:
     """Winner verification: every CornerReport against a per-corner oracle."""
@@ -437,9 +470,8 @@ class TestCampaignVerification:
             case.topology,
             tier=case.tier,
             corners=corners,
+            config=ProgressiveConfig(max_phases=1),
             seeds=[0, *folding],
-            max_phases=1,
-            optimizer="trust_region",
         )
         results = campaign.run().results
         verdicts = [report.satisfied for r in results for report in r.corner_reports]

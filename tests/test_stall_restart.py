@@ -1,6 +1,6 @@
 """Trust-region stall restarts: the rule, its trajectory locks, its stats.
 
-A trust region that sits at ``min_radius`` for ``STALL_PATIENCE``
+A trust region that sits at ``MIN_RADIUS`` for ``STALL_PATIENCE``
 non-improving tells restarts around a surrogate-ranked Monte-Carlo sample.
 Locked here:
 
@@ -68,7 +68,7 @@ class TestRestartRule:
         monkeypatch.setattr(trust_region, "STALL_PATIENCE", patience)
         search = run_search()
         history = search.result().history
-        floor = search.config.min_radius
+        floor = trust_region.MIN_RADIUS
         restarts = [i for i, record in enumerate(history) if record.restarted]
         assert restarts, "the unsatisfiable problem never stalled"
         for i in restarts:
