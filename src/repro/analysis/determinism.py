@@ -23,7 +23,8 @@ kill-and-resume one: the first run checkpoints every round
 fresh campaign and resumes it from the mid-run snapshot.  The same
 byte-diff then proves a resumed campaign is bit-identical to the
 uninterrupted one — including the cache content digest *and* the hit/miss
-accounting, which snapshot restore carries exactly.
+accounting, which the resume's replay and the snapshot's counters carry
+exactly.
 """
 
 from __future__ import annotations

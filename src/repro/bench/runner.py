@@ -479,8 +479,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--resume",
         action="store_true",
-        help="restore each case from its --checkpoint-dir snapshot before "
-        "running (cases whose directory has no snapshot yet start cold)",
+        help="resume each case from its --checkpoint-dir snapshot, replaying "
+        "its rounds from the journaled cache (cases whose directory has no "
+        "snapshot yet start cold)",
     )
     parser.add_argument(
         "--cache-dir",

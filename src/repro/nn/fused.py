@@ -249,22 +249,6 @@ class FusedAdam:
         self._v = np.zeros_like(model.theta)
         self._t = 0
 
-    def state_dict(self) -> Dict[str, object]:
-        """The optimizer moments and step count, for checkpoint/resume."""
-        return {"t": self._t, "m": self._m.copy(), "v": self._v.copy()}
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Restore :meth:`state_dict` output (flat shapes must match)."""
-        for name, source in (("m", state["m"]), ("v", state["v"])):
-            if source.shape != self._m.shape:
-                raise ValueError(
-                    f"moment {name!r} has shape {source.shape}, "
-                    f"theta is {self._m.shape}"
-                )
-        self._m[...] = state["m"]
-        self._v[...] = state["v"]
-        self._t = int(state["t"])
-
 
 class BatchedFusedMLP:
     """``n_seeds`` :class:`FusedMLP` replicas trained as one tensor.
@@ -288,10 +272,10 @@ class BatchedFusedMLP:
     takes the tree it takes for one seed alone, and the same bits.  Weights
     move between the stacked tensor and the per-seed models through
     :meth:`gather` / :meth:`scatter`, which copy the flat buffers directly
-    (the flat layout *is* the ``state_dict`` layout, W0 b0 W1 b1 ...), so
-    checkpoint snapshots keep their per-member format.  Parity with the
-    autodiff reference, per step and per fit, at one seed and at several,
-    is locked by ``tests/test_fused.py`` and ``tests/test_batched_refit.py``.
+    (the flat layout *is* the ``state_dict`` layout, W0 b0 W1 b1 ...).
+    Parity with the autodiff reference, per step and per fit, at one seed
+    and at several, is locked by ``tests/test_fused.py`` and
+    ``tests/test_batched_refit.py``.
     """
 
     def __init__(self, template: FusedMLP, n_seeds: int) -> None:

@@ -17,6 +17,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
+from repro.cli_types import positive_int
 from repro.obs.report import format_report, load_trace
 
 
@@ -33,7 +34,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     report.add_argument("trace", metavar="TRACE", help="JSONL trace file")
     report.add_argument(
         "--top",
-        type=int,
+        type=positive_int,
         default=10,
         metavar="N",
         help="rows in the top-spans view (default: 10)",

@@ -19,8 +19,9 @@ the oracle.
 What "byte-identical" means per scenario:
 
 * When the crashed run had completed at least one checkpoint, the resumed
-  run restores the full campaign state (cache content *and* hit/miss
-  accounting included), so the entire fingerprint must match the oracle.
+  run replays the snapshot's rounds against the journaled cache content and
+  takes the snapshot's hit/miss accounting, so the entire fingerprint must
+  match the oracle.
 * When the fault struck before the first checkpoint, the resumed run
   cold-starts against the persistent store's surviving pairs — its
   trajectories, best vectors and final cache digest must still match the
@@ -62,7 +63,7 @@ class DrillOutcome:
     occurrence: int
     #: Whether the armed fault actually fired (its site was reached).
     fired: bool
-    #: Round the resumed campaign restored from (``None``: cold-started).
+    #: Round the resumed campaign replayed up to (``None``: cold-started).
     resumed_from_round: Optional[int]
     #: Bytes the cache store trimmed repairing a torn tail on reopen.
     repaired_bytes: int
@@ -204,8 +205,9 @@ def drill_case(
             else:
                 digest = campaign.cache.state_digest()
             fingerprint = fingerprint_outcome(outcome, digest, seeds)
-            # Restoring a snapshot carries the cache content and accounting
-            # exactly, so those scenarios must match the oracle in full; a
+            # Resuming from a snapshot carries the cache content and
+            # accounting exactly, so those scenarios must match the oracle in
+            # full; a
             # cold-start against the surviving store hits pairs the oracle
             # computed, so only its counters are excused.
             full = not plan.fired or outcome.resumed_from_round is not None

@@ -1,13 +1,15 @@
 """Versioned, integrity-checked campaign snapshots.
 
-A snapshot is a single file holding one state tree (the nested
-``state_dict()`` of a :class:`~repro.search.campaign.Campaign`, whose
-evaluation-cache content and members' sizing rows and histories stay in
-the checkpoint directory's :class:`~repro.resilience.store.CacheJournal`,
-referenced by watermark): a
-fixed magic + format version, a CRC32 and length of the payload, then the
-payload itself — a :mod:`pickle` of plain builtins, ``bytes`` and NumPy
-arrays only.  The envelope makes corruption *detected*, and the write path
+A snapshot is a single file holding one state tree (the
+``state_dict()`` of a :class:`~repro.search.campaign.Campaign`: its
+identity, round count, per-member evaluation accounting and cache
+counters, with the evaluation-cache content left in the checkpoint
+directory's :class:`~repro.resilience.store.CacheJournal`, referenced by
+watermark; a resume replays the rounds against that content rather than
+loading any search state): a fixed magic + format version, a CRC32 and
+length of the payload, then the payload itself — a :mod:`pickle` of plain
+builtins, ``bytes`` and NumPy arrays only.  The envelope makes corruption
+*detected*, and the write path
 (:func:`repro.resilience.atomic.atomic_write_bytes`) makes torn writes
 *impossible*: a crash mid-checkpoint leaves the previous snapshot intact,
 and any bit rot that slips past the filesystem fails the CRC loudly at
@@ -32,10 +34,11 @@ from repro.resilience.atomic import atomic_write_bytes
 #: Envelope magic; the trailing byte is the envelope version.
 MAGIC = b"REPROSNAP\x01"
 #: Payload format tag, checked on load (bump on incompatible tree changes).
-#: v4 holds float32 surrogate parameters and Adam moments (v3's were
-#: float64, and loading them would round them); v3 moved member rows and
-#: histories into the journal; v2 copied them.
-SNAPSHOT_FORMAT = "repro.resilience/snapshot-v4"
+#: v5 holds no search state, since a resume replays it from the journal;
+#: v4 held each member's optimizer state with float32 surrogate bundles
+#: (v3's were float64); v3 moved member rows and histories into the
+#: journal; v2 copied them.
+SNAPSHOT_FORMAT = "repro.resilience/snapshot-v5"
 
 _HEADER = struct.Struct("<IQ")  # crc32(payload), len(payload)
 

@@ -35,19 +35,12 @@ block; the blocks before it survive.
 checkpoint journal: each checkpoint appends one frame per corner with
 the pairs the cache gained since the previous one, in one write and one
 fsync, and the snapshot records the resulting :data:`Watermark`, whose
-count is of *pairs*, not frames.  The same write carries **member
-frames**: a campaign member's append-only arrays (the live phase
-optimizer's new sizing rows, each phase's new iteration-history
-records), so the snapshot itself keeps only small mutable state and the
-member's metric rows and corner reports are rebuilt from the replayed
-pairs.  A member frame's tag is :data:`MEMBER_FRAME` (a byte no corner
-tag starts with) plus the member index, phase, record kind and fields
-per record (:func:`member_tag`); its payload after the row count is
-``count * fields`` float64s, with no keys, and it adds nothing to the
-watermark's pair count.  A resume replays the journal up to that
-watermark (:func:`read_journal`); frames past it are the leftover of a
-crash between the journal fsync and the snapshot replace, and the next
-writer truncates them.
+count is of *pairs*, not frames.  The journal holds cache pairs only: a
+resume reads it back up to that watermark (:func:`read_journal`) and
+replays the campaign's rounds against those pairs, so no search state is
+journaled.  Frames past the watermark are the leftover of a crash
+between the journal fsync and the snapshot replace, and the next writer
+truncates them.
 """
 
 from __future__ import annotations
@@ -84,31 +77,8 @@ SITE_CACHE_APPEND = register_fault_site("cache.append")
 #: fields would blind the running check to the frames' content.
 Watermark = Tuple[int, int, int]
 
-#: One decoded frame: ``(corner tag, row keys, (count, n_metrics) rows)``,
-#: or for a member frame ``(member tag, [], (count, fields) records)``.
+#: One decoded frame: ``(corner tag, row keys, (count, n_metrics) rows)``.
 Record = Tuple[bytes, List[bytes], np.ndarray]
-
-
-#: First byte of a *member frame* tag.  Member frames appear only in
-#: checkpoint journals and carry a campaign member's append-only arrays;
-#: corner tags are ASCII text, so none starts with this byte.
-MEMBER_FRAME = b"\x00"
-
-#: A member frame tag after :data:`MEMBER_FRAME`: member index, phase,
-#: kind (one byte) and float64 fields per record.
-_MEMBER_TAG = struct.Struct("<IHcH")
-
-
-def member_tag(member: int, phase: int, kind: bytes, fields: int) -> bytes:
-    """The tag of member ``member``'s ``kind`` frames in phase ``phase``."""
-    return MEMBER_FRAME + _MEMBER_TAG.pack(member, phase, kind, fields)
-
-
-def _member_fields(tag: bytes) -> Optional[int]:
-    """Fields per record of a member frame tag; ``None`` for a malformed one."""
-    if len(tag) != len(MEMBER_FRAME) + _MEMBER_TAG.size:
-        return None
-    return _MEMBER_TAG.unpack_from(tag, len(MEMBER_FRAME))[3] or None
 
 
 class StoreError(RuntimeError):
@@ -187,20 +157,15 @@ def _scan_frames(
             break
         tag = data[start + _TAG_LEN.size : keys_start - _COUNT.size]
         (count,) = _COUNT.unpack_from(data, keys_start - _COUNT.size)
-        # A member frame holds records only; a corner frame keys each row.
-        if tag[:1] == MEMBER_FRAME:
-            width, columns = 0, _member_fields(tag) or 0
-        else:
-            width, columns = key_width, n_metrics
-        if count == 0 or columns == 0 or stop - keys_start != count * (width + columns * 8):
+        if count == 0 or stop - keys_start != count * (key_width + n_metrics * 8):
             break  # a frame that disagrees with its own count is damage
-        rows_start = keys_start + count * width
-        keys = [data[p : p + width] for p in range(keys_start, rows_start, width)] if width else []
+        rows_start = keys_start + count * key_width
+        keys = [data[p : p + key_width] for p in range(keys_start, rows_start, key_width)]
         # A view into the (immutable) file bytes: read-only by
         # construction, matching the cache's frozen-row invariant.
         rows = np.frombuffer(
-            data, dtype=np.float64, count=count * columns, offset=rows_start
-        ).reshape(count, columns)
+            data, dtype=np.float64, count=count * n_metrics, offset=rows_start
+        ).reshape(count, n_metrics)
         records.append((tag, keys, rows))
         offset = stop + _FRAME_CRC.size
     return records, offset
@@ -373,26 +338,12 @@ class CacheJournal:
 
     def append(self, tag: bytes, keys: Sequence[bytes], rows) -> None:
         """Buffer one frame of ``keys`` and their ``(count, n_metrics)`` rows."""
-        self._buffer(_block_payload(tag, keys, rows, self._key_width, self._n_metrics))
-        self._pending_pairs += len(keys)
-
-    def append_member(self, tag: bytes, records: np.ndarray) -> None:
-        """Buffer one member frame: ``(count, fields)`` float64 records under
-        a :func:`member_tag`.  Member records are not cache pairs, so the
-        watermark's pair count does not move."""
-        records = np.ascontiguousarray(records, dtype=np.float64)
-        if records.ndim != 2 or not len(records) or _member_fields(tag) != records.shape[1]:
-            raise ValueError(
-                f"member frame {tag!r} cannot hold records of shape {records.shape}"
-            )
-        count = _COUNT.pack(len(records))
-        self._buffer(_TAG_LEN.pack(len(tag)) + tag + count + records.tobytes())
-
-    def _buffer(self, payload: bytes) -> None:
+        payload = _block_payload(tag, keys, rows, self._key_width, self._n_metrics)
         unsealed = _FRAME_LEN.pack(len(payload)) + payload
         self._pending_crc = zlib.crc32(unsealed, self._pending_crc)
         self._pending.append(unsealed)
         self._pending.append(_FRAME_CRC.pack(zlib.crc32(payload)))
+        self._pending_pairs += len(keys)
 
     def sync(self) -> Watermark:
         """Write the buffered frames durably; returns the new watermark."""

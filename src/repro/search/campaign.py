@@ -28,7 +28,15 @@ next — and never evaluate or train anything themselves.  The
   refit; at the end of the round the Campaign pops every member's job and
   trains the jobs of one geometry through a single
   :func:`~repro.nn.fused.fit_batched` dispatch, bit-identical per seed to
-  training each job alone.  This is the only place a full refit trains.
+  training each job alone.  This is the only place a full refit trains;
+* **checkpoint and resume by replay**: a checkpoint journals the cache
+  pairs the round added and snapshots only what a replay cannot
+  recompute (identity, round count, evaluation counters).  A resume
+  restores the cache from the journal and re-runs the snapshot's rounds
+  through the ordinary loop: the search is deterministic, so every
+  replayed pass is an all-hit cache read and no optimizer serializes any
+  state.  The resume skips every simulation, not the surrogate training
+  of the replayed rounds.
 
 :func:`repro.search.sizing.size_problem` runs a single-seed Campaign and
 reproduces the pre-redesign behaviour bit-exactly at a fixed seed/config.
@@ -41,7 +49,7 @@ from bisect import bisect_left
 from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,14 +65,8 @@ from repro.nn.fused import FusedFitJob, fit_batched, fit_job_signature
 from repro.obs import event, profiled
 from repro.resilience.faults import fault_point, register_fault_site
 from repro.resilience.snapshot import SnapshotError, load_snapshot, save_snapshot
-from repro.resilience.store import member_tag
 from repro.search.eval_cache import CornerEvaluator, EvaluationCache
-from repro.search.optimizer import (
-    DatasetOptimizer,
-    IterationRecord,
-    SearchResult,
-    get_optimizer,
-)
+from repro.search.optimizer import DatasetOptimizer, get_optimizer
 from repro.search.progressive import (
     CornerReport,
     ProgressiveConfig,
@@ -90,30 +92,6 @@ LATEST_SNAPSHOT = "latest.snapshot"
 #: The evaluation-cache journal every snapshot in a checkpoint directory
 #: references by watermark.
 CACHE_JOURNAL = "cache.journal"
-
-#: Member-frame kinds in the checkpoint journal: a phase optimizer's
-#: evaluated sizings, and a phase's iteration history, one record of
-#: :data:`_HISTORY_FIELDS` float64s per :class:`IterationRecord`.
-_SIZINGS = b"x"
-_HISTORY = b"h"
-_HISTORY_FIELDS = 5
-
-
-def _history_array(history: Sequence[IterationRecord]) -> np.ndarray:
-    """Encode history records for the journal; ints and bools are exact in
-    float64."""
-    return np.array(
-        [(r.evaluations, r.radius, r.best_score, r.improved, r.restarted) for r in history],
-        dtype=np.float64,
-    )
-
-
-def _history_records(records: np.ndarray) -> List[IterationRecord]:
-    """Decode :func:`_history_array` output."""
-    return [
-        IterationRecord(int(evaluations), radius, best_score, bool(improved), bool(restarted))
-        for evaluations, radius, best_score, improved, restarted in records.tolist()
-    ]
 
 
 @dataclass(frozen=True)
@@ -223,8 +201,6 @@ class _ProgressiveMember:
         self.specs = list(specs)
         self.metric_names = list(metric_names)
         self.ranked = list(ranked)
-        # Corner -> index in ``ranked`` for index-based serialization.
-        self._corner_index = {corner: i for i, corner in enumerate(self.ranked)}
         self.config = (
             replace(trust_config, seed=seed) if trust_config.seed != seed else trust_config
         )
@@ -241,8 +217,6 @@ class _ProgressiveMember:
         self._single_spec = Specification(self.specs, self.metric_names)
 
         self.active: List[PVTCondition] = initial_corners(self.ranked)
-        # Phase k searched the first ``_initial + k`` corners of ``active``.
-        self._initial = len(self.active)
         self.phase = 0
         self.total_evaluations = 0
         self.phase_results: List = []
@@ -393,192 +367,6 @@ class _ProgressiveMember:
             )
             for corner, values, ok in zip(self.ranked, rows.tolist(), verdicts)
         ]
-
-    # -- checkpoint/resume ---------------------------------------------
-    def _histories(self) -> List[List[IterationRecord]]:
-        """Each phase's iteration history, in phase order."""
-        histories = [result.history for result in self.phase_results]
-        if len(histories) == self.phase:  # the current phase has no result yet
-            histories.append(self.optimizer.history)
-        return histories
-
-    def journal_frames(
-        self, index: int, journaled: Callable[[bytes], int]
-    ) -> List[Tuple[bytes, np.ndarray]]:
-        """The member frames a checkpoint appends for member ``index``.
-
-        Sizings and history records only ever grow, so each frame is the
-        tail past what the journal already holds under its tag
-        (``journaled``): the live phase optimizer's new sizings, and each
-        phase's new history records.  A finished member's optimizer is not
-        restored, so its sizings are not needed.
-        """
-        frames = []
-        if not self.finished:
-            tag = member_tag(index, self.phase, _SIZINGS, self.design_space.dimension)
-            sizings = self.optimizer.sizings
-            done = journaled(tag)
-            if sizings.shape[0] > done:
-                frames.append((tag, sizings[done:]))
-        for phase, history in enumerate(self._histories()):
-            tag = member_tag(index, phase, _HISTORY, _HISTORY_FIELDS)
-            done = journaled(tag)
-            if len(history) > done:
-                frames.append((tag, _history_array(history[done:])))
-        return frames
-
-    def state_dict(self) -> Dict[str, object]:
-        """Serialize the member at a round boundary.
-
-        Snapshots are only taken between lockstep rounds, where every live
-        member is back in the ``search`` state with no request in flight —
-        so there is deliberately no ``_pending_rows`` field here, and
-        serializing mid-request is an error, not a silent wrong snapshot.
-        Corners serialize as indices into the severity-ranked grid the
-        member was built with, which the identity block of the campaign
-        snapshot pins.  Nothing that only grows is copied: the sizings and
-        histories are in the journal (:meth:`journal_frames`), where the
-        optimizer's ``rows`` and each ``history`` length are their
-        watermark, and the metrics and corner reports are rebuilt from the
-        cache on restore.
-        """
-        if self._pending_rows is not None:
-            raise RuntimeError(
-                "member state_dict mid-request; snapshots happen at round boundaries"
-            )
-        corner_index = self._corner_index
-        return {
-            "seed": self.seed,
-            "phase": self.phase,
-            "active": [corner_index[corner] for corner in self.active],
-            "total_evaluations": self.total_evaluations,
-            "phase_results": [result.state_dict() for result in self.phase_results],
-            "solved_all": self.solved_all,
-            "finished": self.finished,
-            "state": self._state,
-            # analysis: allow(hot-loop-alloc) snapshot serialization is cold
-            "warm_start": self.warm_start.copy() if self.warm_start is not None else None,
-            "best_vector": self.best_vector.copy() if self.best_vector is not None else None,
-            "accounting": (
-                self.cache_hits,
-                self.cache_misses,
-                self.engine_calls,
-                self.eval_seconds,
-            ),
-            "optimizer": None if self.finished else self.optimizer.state_dict(),
-        }
-
-    def _journal_records(
-        self, journal: Dict[bytes, np.ndarray], tag: bytes, count: int, fields: int
-    ) -> np.ndarray:
-        """The records the journal holds under ``tag``; there must be ``count``."""
-        records = journal.get(tag, np.empty((0, fields)))
-        if records.shape[0] != count:
-            raise SnapshotError(
-                f"cache journal holds {records.shape[0]} records of seed "
-                f"{self.seed}'s frame {tag!r}, the snapshot expects {count}"
-            )
-        return records
-
-    def _phase_result(
-        self,
-        state: Dict[str, object],
-        phase: int,
-        history: List[IterationRecord],
-        cache: EvaluationCache,
-    ) -> SearchResult:
-        """Phase ``phase``'s result: its winner's metrics at the phase's
-        corners are cached, and named as its stacked specification names
-        them (what :meth:`SearchResult` got from the phase optimizer)."""
-        best_vector = state["best_vector"]
-        corners = self.active[: self._initial + phase]
-        metrics = self._stacked_metrics(cache.lookup(best_vector[np.newaxis, :], corners))[0]
-        names = _stacked_specification(self.specs, self.metric_names, corners).metric_names
-        return SearchResult.from_state(
-            state,
-            self.design_space.to_dict(best_vector),
-            {name: float(value) for name, value in zip(names, metrics)},
-            history,
-        )
-
-    def _journal_history(
-        self, journal: Dict[bytes, np.ndarray], index: int, phase: int, count: int
-    ) -> List[IterationRecord]:
-        tag = member_tag(index, phase, _HISTORY, _HISTORY_FIELDS)
-        return _history_records(self._journal_records(journal, tag, count, _HISTORY_FIELDS))
-
-    def load_state_dict(
-        self,
-        state: Dict[str, object],
-        index: int,
-        journal: Dict[bytes, np.ndarray],
-        cache: EvaluationCache,
-    ) -> None:
-        """Restore :meth:`state_dict` output as member ``index``.
-
-        ``journal`` holds the member frames of the restored checkpoint
-        journal (:meth:`EvaluationCache.restore_checkpoint`) and ``cache``
-        the restored pairs: the optimizer's metrics and the corner reports
-        are looked up there and stacked and judged by the code
-        :meth:`receive` runs, so they come back bit for bit.
-        """
-        if state["seed"] != self.seed:
-            raise ValueError(
-                f"member state is for seed {state['seed']}, this member is seed {self.seed}"
-            )
-        self.phase = state["phase"]
-        self.active = [self.ranked[position] for position in state["active"]]
-        self.total_evaluations = state["total_evaluations"]
-        self.phase_results = []
-        for phase, result in enumerate(state["phase_results"]):
-            history = self._journal_history(journal, index, phase, result["history"])
-            self.phase_results.append(self._phase_result(result, phase, history, cache))
-        self.solved_all = state["solved_all"]
-        self.finished = state["finished"]
-        self._state = state["state"]
-        self._pending_rows = None
-        warm_start = state["warm_start"]
-        self.warm_start = (
-            np.asarray(warm_start, dtype=np.float64).copy()
-            if warm_start is not None
-            else None
-        )
-        best_vector = state["best_vector"]
-        self.best_vector = (
-            np.asarray(best_vector, dtype=np.float64).copy()
-            if best_vector is not None
-            else None
-        )
-        self.cache_hits, self.cache_misses, self.engine_calls, self.eval_seconds = state[
-            "accounting"
-        ]
-        # Every verification judges the winner of the latest phase result.
-        self.corner_reports = (
-            self._corner_reports(
-                cache.lookup(self.best_vector[np.newaxis, :], self.ranked)[:, 0, :]
-            )
-            if self.phase_results
-            else []
-        )
-        optimizer_state = state["optimizer"]
-        if optimizer_state is not None:
-            # Rebuilt for the restored phase/warm-start first (the exact
-            # construction the interrupted run performed), then the mutable
-            # search state lands on top.
-            self.optimizer = self._build_optimizer()
-            dimension = self.design_space.dimension
-            sizings = self._journal_records(
-                journal,
-                member_tag(index, self.phase, _SIZINGS, dimension),
-                optimizer_state["rows"],
-                dimension,
-            )
-            self.optimizer.load_state_dict(
-                optimizer_state,
-                sizings,
-                self._stacked_metrics(cache.lookup(sizings, self.active)),
-                self._journal_history(journal, index, self.phase, optimizer_state["history"]),
-            )
 
     def build_result(self) -> ProgressiveResult:
         return ProgressiveResult(
@@ -804,30 +592,43 @@ class Campaign:
         }
 
     def state_dict(self) -> Dict[str, object]:
-        """The campaign at a round boundary: identity, members, cache.
+        """The campaign at a round boundary: what replay cannot recompute.
 
-        The identity block pins everything the snapshot's index-based
-        corner references and optimizer states assume about the campaign
-        it is loaded into — seeds, optimizer, corner grid, phase-0 start
-        set, workload shape, and the full resolved config (via its
-        dataclass ``repr``, which covers every hyper-parameter).
-        :meth:`load_state_dict` refuses a mismatch with a
-        :class:`SnapshotError` instead of resuming a silently different
-        search.  The cache block references the checkpoint journal by
-        watermark, so the cache must have been journaled up to date
+        The identity block pins everything a replay assumes about the
+        campaign it runs in — seeds, corner grid, phase-0 start set,
+        workload shape, and the full config (via its dataclass ``repr``,
+        which covers every hyper-parameter); :meth:`load_state_dict`
+        refuses a mismatch with a :class:`SnapshotError` instead of
+        replaying a silently different search.  Beside it: the round count,
+        each member's evaluation accounting (a replay reads every pair from
+        the cache, so it cannot recount the misses), and the cache block,
+        which references the checkpoint journal by watermark, so the cache
+        must have been journaled up to date
         (:meth:`EvaluationCache.checkpoint_state`).
         """
         return {
             "identity": self._identity(),
             "rounds": self.rounds,
-            "refit": (self.refit_rounds, self.batched_kernel_calls),
-            "members": [member.state_dict() for member in self._members],
+            "members": [
+                (member.cache_hits, member.cache_misses, member.engine_calls, member.eval_seconds)
+                for member in self._members
+            ],
             "cache": self.cache.checkpoint_state(),
         }
 
     def load_state_dict(self, state: Dict[str, object], journal_path: str) -> None:
-        """Restore :meth:`state_dict` output; the cache replays ``journal_path``,
-        whose member frames and pairs then restore the members."""
+        """Bring a freshly built campaign to :meth:`state_dict`'s round by replay.
+
+        The cache is restored from the journal at ``journal_path`` up to
+        the snapshot's watermark, then rounds 1..N run through the ordinary
+        loop.  The search is deterministic, so every replayed pass is an
+        all-hit cache read and every surrogate retrains through the same
+        :func:`fit_batched` dispatches, bit for bit.  A replayed round
+        writes no checkpoint, and one that needs the engine raises
+        :class:`SnapshotError`: its pairs are missing from the journal.
+        Finally the counters the replay's hits moved, the cache's and each
+        member's, are set to the snapshot's.
+        """
         identity = state["identity"]
         expected = self._identity()
         for field in expected:
@@ -836,11 +637,34 @@ class Campaign:
                     f"snapshot identity mismatch on {field!r}: snapshot has "
                     f"{identity.get(field)!r}, this campaign has {expected[field]!r}"
                 )
-        self.rounds = state["rounds"]
-        self.refit_rounds, self.batched_kernel_calls = state["refit"]
-        journal = self.cache.restore_checkpoint(state["cache"], journal_path)
-        for index, (member, member_state) in enumerate(zip(self._members, state["members"])):
-            member.load_state_dict(member_state, index, journal, self.cache)
+        cache = self.cache
+        cache.restore_checkpoint(state["cache"], journal_path)
+        rounds = state["rounds"]
+
+        def refuse(samples: np.ndarray, corners: Sequence[PVTCondition]) -> np.ndarray:
+            raise SnapshotError(
+                f"replaying round {self.rounds} needs pairs the cache journal "
+                "does not hold: the snapshot's watermark is from an earlier "
+                "round than its round count"
+            )
+
+        engine, cache.corner_evaluator = cache.corner_evaluator, refuse
+        try:
+            with profiled("campaign.replay", rounds=rounds):
+                while self.rounds < rounds and self._round():
+                    pass
+        finally:
+            cache.corner_evaluator = engine
+        if self.rounds != rounds:
+            raise SnapshotError(
+                f"snapshot counts {rounds} rounds, but its replay finished "
+                f"after {self.rounds}"
+            )
+        cache.restore_counters(state["cache"]["counters"])
+        for member, accounting in zip(self._members, state["members"]):
+            member.cache_hits, member.cache_misses, member.engine_calls, member.eval_seconds = (
+                accounting
+            )
 
     def close(self) -> None:
         """Release the persistent cache store and checkpoint journal, if any."""
@@ -864,16 +688,10 @@ class Campaign:
 
     def _write_checkpoint(self, checkpoint_dir: str, keep_history: bool) -> None:
         fault_point(SITE_SNAPSHOT_WRITE)
-        cache = self.cache
-        # The journal — new cache pairs and every member's new sizings and
-        # history records — is durable before any snapshot names its
-        # watermark.
+        # The journal's new cache pairs are durable before any snapshot
+        # names its watermark.
         with profiled("campaign.checkpoint.journal", round=self.rounds):
-            cache.sync_journal([
-                frame
-                for index, member in enumerate(self._members)
-                for frame in member.journal_frames(index, cache.journaled)
-            ])
+            self.cache.sync_journal()
         fault_point(SITE_SNAPSHOT_JOURNAL)
         history = (
             (os.path.join(checkpoint_dir, f"round-{self.rounds:05d}.snapshot"),)
@@ -886,6 +704,50 @@ class Campaign:
             )
         event("resilience.checkpoint", round=self.rounds, dir=checkpoint_dir)
 
+    def _round(self) -> bool:
+        """Run one lockstep round; ``False`` when no member has a request left."""
+        requests: List[Tuple[_ProgressiveMember, np.ndarray, List[PVTCondition]]] = []
+        for member in self._members:
+            pending = member.request()
+            if pending is not None:
+                requests.append((member, pending[0], pending[1]))
+        if not requests:
+            return False
+        self.rounds += 1
+        # Requests are grouped by their exact corner set, and each group
+        # rides one stacked tensor pass.  Grouping (rather than evaluating
+        # everything at the union of all corner sets) keeps the computed
+        # (row, corner) pairs exactly what the members asked for — a seed
+        # verifying over the full grid never drags other seeds' search
+        # batches through corners they don't need.  Per (row, corner) the
+        # stacked engine is bit-identical however the pass is batched, so
+        # the scatter serves exact values.
+        groups: "OrderedDict[Tuple[PVTCondition, ...], List[Tuple[_ProgressiveMember, np.ndarray, List[PVTCondition]]]]" = (
+            OrderedDict()
+        )
+        for request in requests:
+            groups.setdefault(tuple(request[2]), []).append(request)
+        # Refit-round detection must survive phase transitions: a receive()
+        # may rebuild a member's optimizer, so keep a reference to the
+        # object whose counter we snapshotted.
+        refits_before = [
+            (member.optimizer, member.optimizer.refit_count) for member in self._members
+        ]
+        with profiled(
+            "campaign.round",
+            round=self.rounds,
+            requests=len(requests),
+            groups=len(groups),
+        ):
+            for grouped in groups.values():
+                self._run_group(grouped)
+            # End of round: train every queued refit, so the next round's
+            # asks rank with trained surrogates.
+            self._flush_refits()
+        if any(optimizer.refit_count > count for optimizer, count in refits_before):
+            self.refit_rounds += 1
+        return True
+
     def run(
         self,
         checkpoint_dir: Optional[str] = None,
@@ -897,28 +759,24 @@ class Campaign:
         Parameters
         ----------
         checkpoint_dir:
-            When given, the campaign is checkpointed after every round.
-            What only grows goes to ``<dir>/cache.journal``, in one write
-            and one fsync: the cache pairs added since the previous
-            checkpoint, and each member's new sizing rows and
-            iteration-history records (member frames).  Then the small
-            mutable rest of the state is written (atomically) as
+            When given, the campaign is checkpointed after every round: the
+            cache pairs added since the previous checkpoint go to
+            ``<dir>/cache.journal`` in one write and one fsync, then the
+            small rest (:meth:`state_dict`) is written atomically as
             ``<dir>/latest.snapshot``, referencing the journal by
             watermark.  Resuming from the same directory continues its
             journal; any other directory gets a new one.
         resume_from:
             A snapshot file, or a checkpoint directory whose
             ``latest.snapshot`` is used; the ``cache.journal`` next to the
-            snapshot supplies the cache content and the members' rows and
-            histories.  The members' metric rows, phase-result metrics and
-            corner reports are rebuilt from the restored cache.  The
-            campaign state is restored before the first round; the
-            continued run is bit-identical to the uninterrupted one —
-            trajectories, best vectors, cache content *and* cache
-            accounting (locked by the determinism auditor's resume-parity
-            mode and the resilience drill).  A directory without a
-            snapshot (the run died before the first checkpoint)
-            cold-starts.
+            snapshot supplies the cache content.  Before the first new
+            round the campaign replays the snapshot's rounds against that
+            content (:meth:`load_state_dict`); the continued run is
+            bit-identical to the uninterrupted one — trajectories, best
+            vectors, cache content *and* cache accounting (locked by the
+            determinism auditor's resume-parity mode and the resilience
+            drill).  A directory without a snapshot (the run died before
+            the first checkpoint) cold-starts.
         keep_history:
             Also keep one ``round-NNNNN.snapshot`` per checkpoint instead
             of only the latest (used by resume-parity audits); each
@@ -930,9 +788,15 @@ class Campaign:
             # which resume_from correctly reads as "cold-start" instead of
             # mistaking it for a mistyped snapshot path.
             os.makedirs(checkpoint_dir, exist_ok=True)
+        snapshot_path = self._resolve_snapshot(resume_from) if resume_from is not None else None
         resumed_from_round: Optional[int] = None
-        if resume_from is not None:
-            snapshot_path = self._resolve_snapshot(resume_from)
+        cache = self.cache
+        with profiled(
+            "campaign.run",
+            seeds=len(self._members),
+            optimizer=self.progressive.optimizer,
+            corners=len(self.ranked),
+        ):
             if snapshot_path is not None:
                 self.load_state_dict(
                     load_snapshot(snapshot_path),
@@ -940,70 +804,20 @@ class Campaign:
                 )
                 resumed_from_round = self.rounds
                 event(
-                    "resilience.resume", round=self.rounds, snapshot=snapshot_path
-                )
-        cache = self.cache
-        journal = (
-            cache.open_journal(os.path.join(checkpoint_dir, CACHE_JOURNAL))
-            if checkpoint_dir is not None
-            else nullcontext()
-        )
-        with journal, profiled(
-            "campaign.run",
-            seeds=len(self._members),
-            optimizer=self.progressive.optimizer,
-            corners=len(self.ranked),
-        ):
-            while True:
-                requests: List[Tuple[_ProgressiveMember, np.ndarray, List[PVTCondition]]] = []
-                for member in self._members:
-                    pending = member.request()
-                    if pending is not None:
-                        requests.append((member, pending[0], pending[1]))
-                if not requests:
-                    break
-                self.rounds += 1
-                # Requests are grouped by their exact corner set, and each
-                # group rides one stacked tensor pass.  Grouping (rather than
-                # evaluating everything at the union of all corner sets) keeps
-                # the computed (row, corner) pairs exactly what the members
-                # asked for — a seed verifying over the full grid never drags
-                # other seeds' search batches through corners they don't need.
-                # Per (row, corner) the stacked engine is bit-identical however
-                # the pass is batched, so the scatter serves exact values.
-                groups: "OrderedDict[Tuple[PVTCondition, ...], List[Tuple[_ProgressiveMember, np.ndarray, List[PVTCondition]]]]" = (
-                    OrderedDict()
-                )
-                for request in requests:
-                    groups.setdefault(tuple(request[2]), []).append(request)
-                # Refit-round detection must survive phase transitions: a
-                # receive() may rebuild a member's optimizer, so keep a
-                # reference to the object whose counter we snapshotted.
-                refits_before = [
-                    (member.optimizer, member.optimizer.refit_count)
-                    for member in self._members
-                ]
-                with profiled(
-                    "campaign.round",
+                    "resilience.resume",
                     round=self.rounds,
-                    requests=len(requests),
-                    groups=len(groups),
-                ):
-                    for grouped in groups.values():
-                        self._run_group(grouped)
-                    # End of round: train every queued refit before the
-                    # snapshot below, so checkpoints never carry a queued
-                    # refit.
-                    self._flush_refits()
-                if any(
-                    optimizer.refit_count > count for optimizer, count in refits_before
-                ):
-                    self.refit_rounds += 1
-                # Round boundary: every receive() has landed, so no member
-                # has a request in flight — the one state a snapshot is
-                # allowed to capture.
-                if checkpoint_dir is not None:
-                    self._write_checkpoint(checkpoint_dir, keep_history)
+                    replayed_rounds=self.rounds,
+                    snapshot=snapshot_path,
+                )
+            journal = (
+                cache.open_journal(os.path.join(checkpoint_dir, CACHE_JOURNAL))
+                if checkpoint_dir is not None
+                else nullcontext()
+            )
+            with journal:
+                while self._round():
+                    if checkpoint_dir is not None:
+                        self._write_checkpoint(checkpoint_dir, keep_history)
         results = [member.build_result() for member in self._members]
         return CampaignResult(
             results=results,

@@ -34,13 +34,12 @@ snapshots the cache is insert-only, so each :meth:`EvaluationCache.sync_journal`
 appends just the pairs past every corner's watermark to a
 :class:`~repro.resilience.store.CacheJournal`, and the snapshot carries
 only counters, corner order and the journal watermark
-(:meth:`EvaluationCache.checkpoint_state`).  The same sync appends the
-campaign members' frames, and the cache keeps count of what the journal
-holds per member-frame tag (:meth:`EvaluationCache.journaled`).
-Replaying the journal prefix restores each corner's insertion order
-exactly and hands the member frames back
-(:meth:`EvaluationCache.restore_checkpoint`); :meth:`EvaluationCache.lookup`
-then serves the members' metrics from the restored pairs.
+(:meth:`EvaluationCache.checkpoint_state`).  Reading the journal prefix
+back restores each corner's insertion order exactly
+(:meth:`EvaluationCache.restore_checkpoint`); the resumed campaign then
+replays its rounds against those pairs, all hits, and sets the counters
+the replay moved back to the snapshot's
+(:meth:`EvaluationCache.restore_counters`).
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ from repro.core.design_space import row_keys
 from repro.obs import event, profiled
 from repro.resilience.faults import fault_point, register_fault_site
 from repro.resilience.store import (
-    MEMBER_FRAME,
     CacheJournal,
     CacheStore,
     Record,
@@ -125,6 +123,8 @@ class EvaluationCache:
 
     Attributes
     ----------
+    corner_evaluator:
+        The wrapped evaluator, called for every fresh row.
     hits, misses:
         Per ``(row, corner)`` pair counters: ``hits`` were served from the
         cache, ``misses`` went to the true evaluator.
@@ -155,7 +155,7 @@ class EvaluationCache:
         n_metrics: int,
         persist_path: Optional[str] = None,
     ) -> None:
-        self._evaluate = corner_evaluator
+        self.corner_evaluator = corner_evaluator
         self._dimension = int(dimension)
         self.n_metrics = int(n_metrics)
         # One row-key -> metric-row dict per corner.  Keyed by the (frozen,
@@ -176,14 +176,12 @@ class EvaluationCache:
         # process's own engine calls, for the warm/cold hit split.
         self._warm: Dict[PVTCondition, Set[bytes]] = {}
         self._backend: Optional[CacheStore] = None
-        # Checkpoint journal, the pairs per corner and the records per
-        # member-frame tag it already holds, and the (journal path,
-        # watermark) holding exactly those — set by a restore and by every
-        # sync, so a later open_journal on that path continues it instead
-        # of starting over.
+        # Checkpoint journal, the pairs per corner it already holds, and the
+        # (journal path, watermark) holding exactly those — set by a restore
+        # and by every sync, so a later open_journal on that path continues
+        # it instead of starting over.
         self._journal: Optional[CacheJournal] = None
         self._journaled: Dict[PVTCondition, int] = {}
-        self._journaled_members: Dict[bytes, int] = {}
         self._lineage: Optional[Tuple[str, Watermark]] = None
         if persist_path is not None:
             self._backend = CacheStore(persist_path, int(dimension), self.n_metrics)
@@ -303,7 +301,7 @@ class EvaluationCache:
                 "eval_cache.engine", rows=len(fresh), corners=len(corners)
             ) as timer:
                 block = np.asarray(
-                    self._evaluate(samples[fresh], corners), dtype=np.float64
+                    self.corner_evaluator(samples[fresh], corners), dtype=np.float64
                 )
             self.eval_seconds += timer.seconds
             out[:, fresh, :] = block
@@ -321,23 +319,6 @@ class EvaluationCache:
             for corner_index, store in enumerate(stores):
                 out[corner_index, served] = [store[key] for key in served_keys]
         out.flags.writeable = False
-        return out
-
-    def lookup(self, samples: np.ndarray, corners: Sequence[PVTCondition]) -> np.ndarray:
-        """The cached block ``(n_corners, count, n_metrics)`` of rows every
-        corner already holds.
-
-        A pure read — no counter moves — serving the same stored rows
-        :meth:`evaluate` would, bit for bit.  Raises ``KeyError`` for a
-        missing pair.
-        """
-        keys = row_keys(np.atleast_2d(np.asarray(samples, dtype=np.float64)))
-        out = np.empty((len(corners), len(keys), self.n_metrics), dtype=np.float64)
-        if not keys:
-            return out
-        for corner_index, corner in enumerate(corners):
-            store = self._store[corner]
-            out[corner_index] = [store[key] for key in keys]
         return out
 
     def _split_hits(
@@ -420,33 +401,19 @@ class EvaluationCache:
         else:
             self._journal = CacheJournal(path, self._dimension, self.n_metrics)
             self._journaled = {}
-            self._journaled_members = {}
         return self._journal
 
-    def journaled(self, tag: bytes) -> int:
-        """Records the journal holds under member-frame ``tag``."""
-        return self._journaled_members.get(tag, 0)
-
-    def sync_journal(
-        self, member_frames: Sequence[Tuple[bytes, np.ndarray]] = ()
-    ) -> Watermark:
-        """Append every pair inserted since the last sync and
-        ``member_frames``, then fsync once.
+    def sync_journal(self) -> Watermark:
+        """Append every pair inserted since the last sync, then fsync once.
 
         Between syncs the cache only grows — a recomputed pair keeps its
         dict position — so each corner's new pairs are exactly the tail of
         its insertion order past the pairs already journaled, and they go
-        in as one journal frame.  ``member_frames`` are ``(tag, records)``
-        tails of campaign members' append-only arrays
-        (:func:`~repro.resilience.store.member_tag`): each extends what the
-        journal holds under its tag (:meth:`journaled`).
+        in as one journal frame.
         """
         journal = self._journal
         if journal is None:
             raise RuntimeError("sync_journal needs open_journal first")
-        for tag, records in member_frames:
-            journal.append_member(tag, records)
-            self._journaled_members[tag] = self.journaled(tag) + records.shape[0]
         for corner, store in self._store.items():
             new = len(store) - self._journaled.get(corner, 0)
             if new > 0:
@@ -494,10 +461,8 @@ class EvaluationCache:
             "journal": self._journal.watermark,
         }
 
-    def restore_checkpoint(
-        self, state: Dict[str, object], journal_path: str
-    ) -> Dict[bytes, np.ndarray]:
-        """Restore a checkpoint, *replacing* the current content.
+    def restore_checkpoint(self, state: Dict[str, object], journal_path: str) -> None:
+        """Restore a checkpoint's content, *replacing* the current content.
 
         The content is the journal at ``journal_path`` replayed up to the
         block's watermark, into the block's corner order, so each corner's
@@ -509,46 +474,36 @@ class EvaluationCache:
         afterwards (those are simply recomputed — to identical values —
         and re-appended).  The warm/cold split is re-intersected against
         the restored content so the split's invariant (warm keys are a
-        subset of stored keys) survives.  Raises
+        subset of stored keys) survives.  The counters are left to
+        :meth:`restore_counters`.  Raises
         :class:`~repro.resilience.snapshot.SnapshotError` when the journal
         does not match the watermark.
-
-        Returns the member frames of that journal prefix: per tag, its
-        records stacked in journal order.
         """
         watermark = tuple(state["journal"])
         records = read_journal(journal_path, self._dimension, self.n_metrics, watermark)
-        member_records: Dict[bytes, List[np.ndarray]] = {}
-        pairs = []
-        for record in records:
-            if record[0][:1] == MEMBER_FRAME:
-                member_records.setdefault(record[0], []).append(record[2])
-            else:
-                pairs.append(record)
         self._close_journal()
         self._journal = None
-        counters = state["counters"]
-        self.hits = counters["hits"]
-        self.misses = counters["misses"]
-        self.warm_hits = counters["warm_hits"]
-        self.cold_hits = counters["cold_hits"]
-        self.engine_calls = counters["engine_calls"]
-        self.eval_seconds = counters["eval_seconds"]
         self._store = {
             PVTCondition(process=process, voltage_factor=voltage, temperature_c=temperature): {}
             for process, voltage, temperature in state["corners"]
         }
-        self._ingest(pairs, warm=False)
+        self._ingest(records, warm=False)
         self._warm = {
             corner: {key for key in warm_keys if key in self._store.get(corner, ())}
             for corner, warm_keys in self._warm.items()
         }
         # The restored content is exactly the journal prefix.
         self._journaled = {corner: len(store) for corner, store in self._store.items()}
-        members = {tag: np.concatenate(blocks) for tag, blocks in member_records.items()}
-        self._journaled_members = {tag: block.shape[0] for tag, block in members.items()}
         self._lineage = (journal_path, watermark)
-        return members
+
+    def restore_counters(self, counters: Dict[str, object]) -> None:
+        """Set the counters to a :meth:`checkpoint_state` block's."""
+        self.hits = counters["hits"]
+        self.misses = counters["misses"]
+        self.warm_hits = counters["warm_hits"]
+        self.cold_hits = counters["cold_hits"]
+        self.engine_calls = counters["engine_calls"]
+        self.eval_seconds = counters["eval_seconds"]
 
     def state_digest(self) -> str:
         """SHA-256 over the full cache content, bit for bit.

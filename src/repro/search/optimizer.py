@@ -8,7 +8,8 @@ share, the batched surrogate refits).  :class:`DatasetOptimizer` states the
 contract and holds the shared machinery: the amortized-doubling dataset of
 evaluated points with hash-set dedup, incremental scoring and incumbent
 tracking (the hot path carried over from the trust-region overhaul), plus
-the checkpoint state a Campaign snapshots.
+the Monte-Carlo ask loop of the baselines.  Optimizers serialize nothing: a
+resumed Campaign rebuilds them by replaying its rounds.
 
 Two cheap baselines prove the protocol generalizes beyond Algorithm 1:
 :class:`RandomSearch` (pure Monte-Carlo) and :class:`CrossEntropySearch`
@@ -22,13 +23,17 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple, Type
+from typing import Callable, Dict, List, Optional, Set, Tuple, Type
 
 import numpy as np
 
 from repro.analysis.contracts import contract
 from repro.core.design_space import DesignSpace, row_keys
 from repro.search.spec import FEASIBLE_TOL, Specification
+
+#: Draws per Monte-Carlo ``ask`` while every drawn row collides with an
+#: already evaluated grid point (tiny design spaces near exhaustion).
+MAX_REDRAWS = 8
 
 
 def tell_precondition(arguments) -> Optional[str]:
@@ -113,44 +118,6 @@ class SearchResult:
             "best_metrics": {k: float(v) for k, v in self.best_metrics.items()},
             "refit_seconds": float(self.refit_seconds),
         }
-
-    def state_dict(self) -> Dict[str, object]:
-        """The fields a campaign snapshot keeps, at full fidelity (unlike
-        the summary :meth:`to_dict`): plain builtins and the best vector.
-
-        The rest is not copied: ``best_sizing`` is the best vector by name,
-        ``best_metrics`` are cached pairs and the history is journaled
-        (``history`` is its length).  :meth:`from_state` takes them back.
-        """
-        return {
-            "best_vector": self.best_vector.copy(),
-            "best_score": self.best_score,
-            "solved": self.solved,
-            "evaluations": self.evaluations,
-            "history": len(self.history),
-            "refit_seconds": self.refit_seconds,
-        }
-
-    @classmethod
-    def from_state(
-        cls,
-        state: Dict[str, object],
-        best_sizing: Dict[str, float],
-        best_metrics: Dict[str, float],
-        history: List[IterationRecord],
-    ) -> "SearchResult":
-        """Rebuild a result from :meth:`state_dict` output and the fields it
-        leaves out, bit for bit."""
-        return cls(
-            best_sizing=best_sizing,
-            best_vector=np.asarray(state["best_vector"], dtype=np.float64).copy(),
-            best_metrics=best_metrics,
-            best_score=state["best_score"],
-            solved=state["solved"],
-            evaluations=state["evaluations"],
-            history=history,
-            refit_seconds=state["refit_seconds"],
-        )
 
 
 @dataclass(frozen=True)
@@ -252,17 +219,6 @@ class DatasetOptimizer(ABC):
     @property
     def evaluations(self) -> int:
         return self._count
-
-    @property
-    def sizings(self) -> np.ndarray:
-        """The evaluated sizings in tell order: a view, valid until the next
-        ``tell``."""
-        return self._X[: self._count]
-
-    @property
-    def history(self) -> List[IterationRecord]:
-        """The iteration records so far (the list :meth:`result` returns)."""
-        return self._history
 
     def _ensure_capacity(self, extra: int) -> None:
         needed = self._count + extra
@@ -380,6 +336,29 @@ class DatasetOptimizer(ABC):
             )
         )
 
+    def _ask_drawn(self, draw: Callable[[bool], np.ndarray]) -> np.ndarray:
+        """The baselines' Monte-Carlo ask: the new rows of a ``draw(first)``.
+
+        ``first`` holds for the draw before any evaluation, which the
+        initial points lead; nothing is evaluated yet, so that draw always
+        yields new rows.  A later draw whose rows were all evaluated
+        already is redrawn, up to :data:`MAX_REDRAWS` times, and then the
+        optimizer is done.
+        """
+        if self._done:
+            return self._empty_batch()
+        limit = self._budget_left()
+        for _ in range(MAX_REDRAWS):
+            first = self._count == 0
+            points = draw(first)
+            if first and self._initial_points is not None:
+                points = np.vstack([self._initial_points, points])
+            rows, _ = self._select_new(points, limit=limit)
+            if rows.shape[0]:
+                return rows
+        self._done = True
+        return self._empty_batch()
+
     def result(self) -> SearchResult:
         if self._best < 0:
             raise RuntimeError("no evaluations yet; call ask/tell first")
@@ -400,86 +379,6 @@ class DatasetOptimizer(ABC):
             refit_seconds=self.refit_seconds,
         )
 
-    # -- checkpoint/resume ---------------------------------------------
-    def state_dict(self) -> Dict[str, object]:
-        """The mutable search state, without the dataset or the history.
-
-        Both only ever grow, so a snapshot does not copy them: a
-        :class:`~repro.search.campaign.Campaign` journals the evaluated
-        rows (:attr:`sizings`) and the :attr:`history` and rebuilds the
-        metrics from its evaluation cache.  ``rows`` and ``history`` are
-        their lengths; :meth:`load_state_dict` takes the data back as
-        arguments.
-        """
-        return {
-            "kind": type(self).__name__,
-            "rng": self.rng.bit_generator.state,
-            "rows": self._count,
-            "history": len(self._history),
-            "done": self._done,
-            "refit_seconds": self.refit_seconds,
-            "refit_count": self.refit_count,
-            "initial_points": (
-                self._initial_points.copy()
-                if self._initial_points is not None
-                else None
-            ),
-        }
-
-    def load_state_dict(
-        self,
-        state: Dict[str, object],
-        rows: np.ndarray,
-        metrics: np.ndarray,
-        history: List[IterationRecord],
-    ) -> None:
-        """Restore :meth:`state_dict` output into a freshly built optimizer.
-
-        The optimizer must have been constructed with the same design
-        space, specification and config as the one that produced the
-        state.  ``rows`` and ``metrics`` are the dataset the state was
-        taken with, in tell order, and ``history`` its iteration records.
-        Unit-cube rows, dedup keys, satisfaction scores and the incumbent
-        index are *recomputed* through the exact same elementwise code
-        paths that produced them (``to_unit``, ``Specification.score``,
-        ``np.argmax``), so they come back bit for bit.
-        """
-        if state["kind"] != type(self).__name__:
-            raise ValueError(
-                f"optimizer state is for {state['kind']!r}, "
-                f"this optimizer is {type(self).__name__!r}"
-            )
-        if len(rows) != state["rows"] or len(history) != state["history"]:
-            raise ValueError(
-                f"optimizer state has {state['rows']} rows and {state['history']} "
-                f"history records, got {len(rows)} and {len(history)}"
-            )
-        self.rng.bit_generator.state = state["rng"]
-        initial = state["initial_points"]
-        self._initial_points = (
-            np.asarray(initial, dtype=np.float64).copy() if initial is not None else None
-        )
-        dim = self.design_space.dimension
-        self._capacity = 0
-        self._count = 0
-        self._X = np.empty((0, dim))
-        self._U = np.empty((0, dim))
-        self._M = np.empty((0, len(self.specification.metric_names)))
-        self._scores = np.empty(0)
-        self._seen = set()
-        self._best = -1
-        if len(rows):
-            # One _append restores the derived buffers through the same
-            # code (and the same argmax tie-breaking) that built them.
-            self._append(
-                np.atleast_2d(np.asarray(rows, dtype=np.float64)),
-                np.atleast_2d(np.asarray(metrics, dtype=np.float64)),
-            )
-        self._history = list(history)
-        self._done = state["done"]
-        self.refit_seconds = state["refit_seconds"]
-        self.refit_count = state["refit_count"]
-
 
 class RandomSearch(DatasetOptimizer):
     """Pure Monte-Carlo baseline: uniform sampling of the gridded space.
@@ -491,44 +390,13 @@ class RandomSearch(DatasetOptimizer):
     Algorithm 1.
     """
 
-    #: Redraw attempts per ``ask`` when a batch fully collides with already
-    #: evaluated grid points (tiny design spaces near exhaustion).
-    MAX_REDRAWS = 8
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._asked = False
-
-    def state_dict(self) -> Dict[str, object]:
-        state = super().state_dict()
-        state["asked"] = self._asked
-        return state
-
-    def load_state_dict(
-        self,
-        state: Dict[str, object],
-        rows: np.ndarray,
-        metrics: np.ndarray,
-        history: List[IterationRecord],
-    ) -> None:
-        super().load_state_dict(state, rows, metrics, history)
-        self._asked = state["asked"]
-
     def ask(self) -> np.ndarray:
-        if self._done:
-            return self._empty_batch()
-        limit = self._budget_left()
-        for _ in range(self.MAX_REDRAWS):
-            draw = self.config.batch_size if self._asked else self.config.initial_samples
-            points = self.design_space.sample(self.rng, draw)
-            if not self._asked and self._initial_points is not None:
-                points = np.vstack([self._initial_points, points])
-            self._asked = True
-            rows, _ = self._select_new(points, limit=limit)
-            if rows.shape[0]:
-                return rows
-        self._done = True
-        return self._empty_batch()
+        config = self.config
+        return self._ask_drawn(
+            lambda first: self.design_space.sample(
+                self.rng, config.initial_samples if first else config.batch_size
+            )
+        )
 
 
 class CrossEntropySearch(DatasetOptimizer):
@@ -544,7 +412,6 @@ class CrossEntropySearch(DatasetOptimizer):
     point of the grid.
     """
 
-    MAX_REDRAWS = 8
     #: Exponential smoothing toward the elite statistics.
     SMOOTHING = 0.7
     #: Per-axis standard-deviation floor in unit-cube coordinates.
@@ -552,34 +419,13 @@ class CrossEntropySearch(DatasetOptimizer):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._asked = False
         self._mean: Optional[np.ndarray] = None
         self._std: Optional[np.ndarray] = None
 
-    def state_dict(self) -> Dict[str, object]:
-        state = super().state_dict()
-        state["asked"] = self._asked
-        state["mean"] = self._mean.copy() if self._mean is not None else None
-        state["std"] = self._std.copy() if self._std is not None else None
-        return state
-
-    def load_state_dict(
-        self,
-        state: Dict[str, object],
-        rows: np.ndarray,
-        metrics: np.ndarray,
-        history: List[IterationRecord],
-    ) -> None:
-        super().load_state_dict(state, rows, metrics, history)
-        self._asked = state["asked"]
-        mean, std = state["mean"], state["std"]
-        self._mean = mean.copy() if mean is not None else None
-        self._std = std.copy() if std is not None else None
-
-    def _draw(self) -> np.ndarray:
+    def _draw(self, first: bool) -> np.ndarray:
         if self._mean is None:
             return self.design_space.sample(
-                self.rng, self.config.initial_samples if not self._asked else self._lambda()
+                self.rng, self.config.initial_samples if first else self._lambda()
             )
         unit = self._mean + self._std * self.rng.standard_normal(
             (self._lambda(), self.design_space.dimension)
@@ -590,19 +436,7 @@ class CrossEntropySearch(DatasetOptimizer):
         return 4 * self.config.batch_size
 
     def ask(self) -> np.ndarray:
-        if self._done:
-            return self._empty_batch()
-        limit = self._budget_left()
-        for _ in range(self.MAX_REDRAWS):
-            points = self._draw()
-            if not self._asked and self._initial_points is not None:
-                points = np.vstack([self._initial_points, points])
-            self._asked = True
-            rows, _ = self._select_new(points, limit=limit)
-            if rows.shape[0]:
-                return rows
-        self._done = True
-        return self._empty_batch()
+        return self._ask_drawn(self._draw)
 
     def tell(self, samples: np.ndarray, metrics: np.ndarray) -> None:
         start = self._count

@@ -45,6 +45,11 @@ in one batched dispatch at the end of the round.  ``ask`` refuses to run
 while a job is queued, so no loop can rank with a stale surrogate.  The
 closed-form refits run inside ``tell``.
 
+The search has no checkpoint format of its own: its state (dataset,
+radius, stall counter, surrogate weights and Adam moments) is a
+deterministic function of the rows it was told, so a resumed Campaign
+rebuilds it by replaying its rounds against the checkpointed cache.
+
 Hot-path notes (this is the inner loop of every benchmark case): the
 evaluated-point dataset (amortized-doubling buffers, hash-set dedup,
 incremental incumbent) lives in the shared
@@ -63,7 +68,7 @@ stay float64.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -90,7 +95,7 @@ __all__ = [
 ]
 
 #: Kill-and-resume drill site: a crash inside a surrogate refit loses the
-#: half-updated Adam moments, which resume must reconstruct exactly.
+#: half-updated Adam moments, which the resume's replay retrains exactly.
 SITE_REFIT = register_fault_site("optimizer.refit")
 
 #: Consecutive non-improving tells at ``MIN_RADIUS`` before the trust region
@@ -275,13 +280,6 @@ class TrustRegionSearch(DatasetOptimizer):
             rng=self.rng,
         )
 
-    def _require_no_queued_refit(self, action: str) -> None:
-        if self._pending_refit_epochs is not None:
-            raise RuntimeError(
-                f"cannot {action} with a queued refit still pending; "
-                "pop it with take_refit_job() and train it first"
-            )
-
     def _refit_surrogate(self, epochs: int) -> None:
         """Queue a full Adam refit (see :meth:`take_refit_job`)."""
         self._full_refit_rows = self._count
@@ -330,81 +328,6 @@ class TrustRegionSearch(DatasetOptimizer):
         # then frozen: retargeting it every refit would silently shift
         # the regression problem under the persistent Adam moments.
         self._output_scaler = StandardScaler().fit(metrics)
-
-    # -- checkpoint/resume ---------------------------------------------
-    def state_dict(self) -> Dict[str, object]:
-        """Dataset state plus the trust-region and surrogate extras.
-
-        The surrogate bundle stores only what the builder cannot
-        reconstruct: parameter values, Adam moments/step and the frozen
-        output-scaler statistics.  The network *shape* and its
-        initialization RNG are derived from the config, so restore rebuilds
-        the surrogate with :meth:`_build_surrogate` and then overwrites the
-        trained values.  The ``stall`` block holds the restart state: local
-        incumbent index (its score is the dataset's), restart centre, stall
-        count and pending-restart flag.  ``full_refit_rows`` is the row
-        count at the last full refit, which schedules the next one.
-        """
-        self._require_no_queued_refit("snapshot")
-        state = super().state_dict()
-        state["seeded"] = self._seeded
-        state["iterating"] = self._iterating
-        state["radius"] = self._radius
-        state["full_refit_rows"] = self._full_refit_rows
-        state["stall"] = {
-            "local": self._local,
-            "center": (
-                self._restart_center.copy() if self._restart_center is not None else None
-            ),
-            "count": self._stall,
-            "pending": self._restart_pending,
-        }
-        if self._surrogate is None:
-            state["surrogate"] = None
-        else:
-            state["surrogate"] = {
-                "params": self._surrogate.state_dict(),
-                "adam": self._optimizer.state_dict(),
-                "scaler_mean": self._output_scaler.mean_.copy(),
-                "scaler_std": self._output_scaler.std_.copy(),
-            }
-        return state
-
-    def load_state_dict(
-        self,
-        state: Dict[str, object],
-        rows: np.ndarray,
-        metrics: np.ndarray,
-        history: List[IterationRecord],
-    ) -> None:
-        super().load_state_dict(state, rows, metrics, history)
-        self._seeded = state["seeded"]
-        self._iterating = state["iterating"]
-        self._radius = state["radius"]
-        self._full_refit_rows = state["full_refit_rows"]
-        stall = state["stall"]
-        self._local = stall["local"]
-        center = stall["center"]
-        self._restart_center = (
-            np.asarray(center, dtype=np.float64).copy() if center is not None else None
-        )
-        self._stall = stall["count"]
-        self._restart_pending = stall["pending"]
-        bundle = state["surrogate"]
-        if bundle is None:
-            self._surrogate = None
-            self._optimizer = None
-            self._output_scaler = None
-            return
-        # The same construction as the first refit, then the checkpointed
-        # values land on top.
-        self._surrogate, self._optimizer = self._build_surrogate()
-        self._surrogate.load_state_dict(bundle["params"])
-        self._optimizer.load_state_dict(bundle["adam"])
-        scaler = StandardScaler()
-        scaler.mean_ = np.asarray(bundle["scaler_mean"], dtype=np.float64).copy()
-        scaler.std_ = np.asarray(bundle["scaler_std"], dtype=np.float64).copy()
-        self._output_scaler = scaler
 
     def _rank_candidates(self, candidates: np.ndarray, keep: int) -> np.ndarray:
         """Indices of the predicted-best ``keep`` candidates, best first.
@@ -457,7 +380,11 @@ class TrustRegionSearch(DatasetOptimizer):
         raises ``RuntimeError``.
         """
         config = self.config
-        self._require_no_queued_refit("ask")
+        if self._pending_refit_epochs is not None:
+            raise RuntimeError(
+                "cannot ask with a queued refit still pending; "
+                "pop it with take_refit_job() and train it first"
+            )
         if self._done:
             return self._empty_batch()
         if not self._seeded:

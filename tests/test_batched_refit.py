@@ -322,20 +322,10 @@ class TestDeferredRefitMechanics:
                 return
         pytest.fail("search never queued a refit")
 
-    def test_snapshot_with_pending_refit_rejected(self):
-        search, evaluator = self.make_search()
-        self.drive_until_pending(search, evaluator)
-        with pytest.raises(RuntimeError, match="queued refit"):
-            search.state_dict()
-        job = search.take_refit_job()
-        assert isinstance(job, FusedFitJob)
-        fit_batched([job])
-        search.state_dict()  # flushed: snapshotting is legal again
-
     def test_take_refit_job_consumes_the_pending_refit(self):
         search, evaluator = self.make_search()
         self.drive_until_pending(search, evaluator)
-        assert search.take_refit_job() is not None
+        assert isinstance(search.take_refit_job(), FusedFitJob)
         assert search.take_refit_job() is None
 
     def test_fault_site_fires_in_batched_path(self):
@@ -363,10 +353,8 @@ class TestCampaignAccounting:
         outcome = campaign.run(checkpoint_dir=str(tmp_path))
         assert outcome.refit_rounds > 0 and outcome.batched_kernel_calls > 0
         state = load_snapshot(str(tmp_path / LATEST_SNAPSHOT))
-        assert state["refit"] == (
-            campaign.refit_rounds,
-            campaign.batched_kernel_calls,
-        )
+        # Not stored: the replay counts them again.
+        assert "refit" not in state
         fresh = case.build_campaign([0, 1])
         fresh.load_state_dict(state, str(tmp_path / CACHE_JOURNAL))
         assert fresh.refit_rounds == campaign.refit_rounds

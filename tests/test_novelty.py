@@ -3,12 +3,12 @@
 The optimizers keep every evaluated row's byte key in a ``set`` and select
 candidates in one pass; the Campaign attributes a stacked pass's misses from
 the fresh rows the pass itself found; the cache resolves corner lookups once
-per call or tag; members serialize only state that does not grow, and a
-restore rebuilds their corner reports from the cache.  Each is locked here
-against a reference held in this file: the ``np.unique`` + ``np.isin``
-void-view selection, the per-member ``fresh_row_count`` peek, the
-per-(row, corner) warm lookup, the per-record store ingest and a plainly
-written member serializer.
+per call or tag; a snapshot holds only what a replay cannot recompute, and
+a resume rebuilds the members' corner reports by replay.  Each is locked
+here against a reference held in this file: the ``np.unique`` +
+``np.isin`` void-view selection, the per-member ``fresh_row_count`` peek,
+the per-(row, corner) warm lookup, the per-record store ingest and a
+plainly written campaign serializer.
 """
 
 import importlib
@@ -33,8 +33,8 @@ from repro.search import (
     TrustRegionConfig,
     get_optimizer,
 )
-from repro.resilience.store import MEMBER_FRAME, read_journal
-from repro.search.campaign import CACHE_JOURNAL, _ProgressiveMember
+from repro.resilience.store import read_journal
+from repro.search.campaign import CACHE_JOURNAL
 from repro.search.progressive import ProgressiveConfig
 from repro.search.eval_cache import _corner_from_tag, _corner_tag
 
@@ -103,17 +103,13 @@ def colliding_block(optimizer, rng):
     return block[rng.permutation(block.shape[0])]
 
 
-def checkpoint(optimizer):
-    """An optimizer snapshot plus the dataset and history a campaign keeps
-    beside it (journaled sizings, cached metrics): the ``load_state_dict``
-    arguments."""
-    count = optimizer.evaluations
-    return (
-        optimizer.state_dict(),
-        optimizer.sizings.copy(),
-        optimizer._M[:count].copy(),
-        list(optimizer.history),
-    )
+def replayed(name, blocks):
+    """A fresh optimizer told ``blocks`` of ``(rows, metrics)`` in order:
+    what a campaign's resume rebuilds by replay."""
+    optimizer = build_optimizer(name, seed=0, max_evaluations=80)
+    for rows, metrics in blocks:
+        optimizer.tell(rows, metrics)
+    return optimizer
 
 
 class TestDedupParity:
@@ -125,22 +121,22 @@ class TestDedupParity:
     def test_random_blocks_and_state_round_trip(self, name):
         optimizer = build_optimizer(name, seed=0, max_evaluations=80)
         rng = np.random.default_rng(1)
+        told = []
         for step in range(12):
             if step == 6:
-                optimizer.take_refit_job()  # a snapshot needs no refit queued
-                midway = checkpoint(optimizer)
+                midway = list(told)
             block = colliding_block(optimizer, rng)
             limit = self.LIMITS[step % len(self.LIMITS)]
             selected = optimizer._select_new(block, limit)
             assert_same_selection(selected, oracle_select(optimizer, block, limit))
             rows = selected[0]
             if rows.shape[0]:
-                optimizer.tell(rows, toy_evaluator(rows))
-        assert midway[1].shape[0] < optimizer.evaluations < 80
-        # A snapshot stores rows only; the restored key set is rebuilt.
-        optimizer.take_refit_job()
-        restored = build_optimizer(name, seed=0, max_evaluations=80)
-        restored.load_state_dict(*checkpoint(optimizer))
+                told.append((rows, toy_evaluator(rows)))
+                optimizer.tell(*told[-1])
+        midway_rows = np.vstack([rows for rows, _ in midway])
+        assert midway_rows.shape[0] < optimizer.evaluations < 80
+        # A resume re-tells the rows; the key set is rebuilt from them.
+        restored = replayed(name, told)
         assert restored._seen == optimizer._seen
         assert len(restored._seen) == restored.evaluations
         for step in range(6):
@@ -149,11 +145,11 @@ class TestDedupParity:
             expected = oracle_select(restored, block, limit)
             assert_same_selection(restored._select_new(block, limit), expected)
             assert_same_selection(optimizer._select_new(block, limit), expected)
-        # Rewinding a used optimizer drops the keys told after the snapshot.
-        restored.load_state_dict(*midway)
-        assert restored._seen == set(row_keys(midway[1]))
-        block = np.vstack([optimizer._X[: optimizer.evaluations], colliding_block(restored, rng)])
-        assert_same_selection(restored._select_new(block), oracle_select(restored, block))
+        # Replaying an earlier round leaves out the keys told after it.
+        rewound = replayed(name, midway)
+        assert rewound._seen == set(row_keys(midway_rows))
+        block = np.vstack([optimizer._X[: optimizer.evaluations], colliding_block(rewound, rng)])
+        assert_same_selection(rewound._select_new(block), oracle_select(rewound, block))
 
     @pytest.mark.parametrize("name", OPTIMIZERS)
     def test_every_ask_of_a_run_selects_the_oracle_rows(self, name, monkeypatch):
@@ -353,33 +349,18 @@ class TestCornerLookups:
         assert ingested._warm == expected._warm
 
 
-def reference_member_state_dict(self):
-    """The member serializer written out plainly, with a fresh corner ->
-    index dict: nothing that only grows, since sizings and histories are
-    journaled and metrics and corner reports come back from the cache."""
-    if self._pending_rows is not None:
-        raise RuntimeError(
-            "member state_dict mid-request; snapshots happen at round boundaries"
-        )
-    corner_index = {corner: i for i, corner in enumerate(self.ranked)}
+def reference_state_dict(self):
+    """The campaign serializer written out plainly: identity, round count,
+    each member's evaluation accounting and the cache's checkpoint block,
+    and nothing a replay recomputes."""
     return {
-        "seed": self.seed,
-        "phase": self.phase,
-        "active": [corner_index[corner] for corner in self.active],
-        "total_evaluations": self.total_evaluations,
-        "phase_results": [result.state_dict() for result in self.phase_results],
-        "solved_all": self.solved_all,
-        "finished": self.finished,
-        "state": self._state,
-        "warm_start": self.warm_start.copy() if self.warm_start is not None else None,
-        "best_vector": self.best_vector.copy() if self.best_vector is not None else None,
-        "accounting": (
-            self.cache_hits,
-            self.cache_misses,
-            self.engine_calls,
-            self.eval_seconds,
-        ),
-        "optimizer": None if self.finished else self.optimizer.state_dict(),
+        "identity": self._identity(),
+        "rounds": self.rounds,
+        "members": [
+            (member.cache_hits, member.cache_misses, member.engine_calls, member.eval_seconds)
+            for member in self._members
+        ],
+        "cache": self.cache.checkpoint_state(),
     }
 
 
@@ -404,29 +385,23 @@ class TestCheckpointBytes:
         assert len(case.corners()) == 9
         campaign = case.build_campaign(seeds)
         written = checkpoint_files(campaign, tmp_path / "member")
-        monkeypatch.setattr(_ProgressiveMember, "state_dict", reference_member_state_dict)
+        monkeypatch.setattr(Campaign, "state_dict", reference_state_dict)
         expected = checkpoint_files(case.build_campaign(seeds), tmp_path / "reference")
         assert CACHE_JOURNAL in written and len(written) > 3
         assert written == expected
         # The lock covers members past a verification, not just phase 0,
-        # and journals holding member frames.
-        snapshots = [
-            load_snapshot(str(tmp_path / "member" / name))
-            for name in written
-            if name.endswith(".snapshot")
-        ]
-        assert any(
-            member["phase_results"] and not member["finished"]
-            for state in snapshots
-            for member in state["members"]
-        )
+        # and a journal of cache pairs alone: every frame decodes to a
+        # corner.
+        assert any(member.phase > 0 for member in campaign._members)
+        final = load_snapshot(str(tmp_path / "member" / "latest.snapshot"))
         records = read_journal(
             str(tmp_path / "member" / CACHE_JOURNAL),
             campaign.cache._dimension,
             campaign.cache.n_metrics,
-            tuple(snapshots[-1]["cache"]["journal"]),
+            tuple(final["cache"]["journal"]),
         )
-        assert any(tag[:1] == MEMBER_FRAME for tag, _, _ in records)
+        assert {_corner_from_tag(tag) for tag, _, _ in records} <= set(case.corners())
+        assert sum(len(keys) for _, keys, _ in records) == len(campaign.cache)
 
     def test_a_repeated_corner_serializes_like_the_reference(self, tmp_path, monkeypatch):
         frozen_clock(monkeypatch)
@@ -453,22 +428,22 @@ class TestCheckpointBytes:
             )
 
         recorded = []
-        serializer = _ProgressiveMember.state_dict
+        serializer = Campaign.state_dict
 
-        def recording(member):
-            recorded.append(pickle.dumps(member.corner_reports))
-            return serializer(member)
+        def recording(campaign):
+            recorded.append(pickle.dumps(campaign._members[0].corner_reports))
+            return serializer(campaign)
 
         oracle = build()
         with monkeypatch.context() as patch:
-            patch.setattr(_ProgressiveMember, "state_dict", recording)
+            patch.setattr(Campaign, "state_dict", recording)
             written = checkpoint_files(oracle, tmp_path / "member")
         (member,) = oracle._members
         assert len(member.ranked) == 4 and len(member.phase_results) > 1
         with monkeypatch.context() as patch:
-            patch.setattr(_ProgressiveMember, "state_dict", reference_member_state_dict)
+            patch.setattr(Campaign, "state_dict", reference_state_dict)
             assert checkpoint_files(build(), tmp_path / "reference") == written
-        # Every round's corner reports come back from the cache bit for bit.
+        # Every round's corner reports come back by replay bit for bit.
         rounds = [name for name in written if name.startswith("round-")]
         assert len(rounds) == len(recorded)
         for name, reports in zip(rounds, recorded):

@@ -298,6 +298,23 @@ class TestReportRollup:
         assert obs_main(["report", str(tmp_path / "nope.jsonl")]) == 2
         assert "no such trace" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "top, needle",
+        [("-3", "must be at least 1, got -3"), ("0", "must be at least 1, got 0"),
+         ("x", "invalid int value: 'x'")],
+    )
+    def test_cli_bad_top_is_a_usage_error(self, tmp_path, capsys, top, needle):
+        """A ``--top`` below 1 once printed every span but the last few."""
+        path = str(tmp_path / "trace.jsonl")
+        with tracing(sink=path):
+            with profiled("campaign.run", seeds=1):
+                pass
+        with pytest.raises(SystemExit) as exit_info:
+            obs_main(["report", path, "--top", top])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert needle in captured.err and "top" not in captured.out
+
 
 def _trajectory(record):
     """A per-seed bench record minus its wall-clock (non-deterministic) fields."""

@@ -175,7 +175,9 @@ class TestQueuedRefit:
                 break
             bare.tell(rows, toy_evaluator(rows))
             train_queued(bare)
-        np.testing.assert_array_equal(bare.sizings, reference.sizings)
+        np.testing.assert_array_equal(
+            bare._X[: bare.evaluations], reference._X[: reference.evaluations]
+        )
         np.testing.assert_array_equal(
             bare._M[: bare.evaluations], reference._M[: reference.evaluations]
         )
@@ -197,15 +199,6 @@ class TestQueuedRefit:
         assert search.rng.bit_generator.state == state  # nothing was drawn
         train_queued(search)
         assert search.ask().shape[0] > 0
-
-    def test_state_dict_between_tell_and_ask_raises(self):
-        search = self.make_search()
-        rows = search.ask()
-        search.tell(rows, toy_evaluator(rows))
-        with pytest.raises(RuntimeError, match=r"cannot snapshot with a queued refit"):
-            search.state_dict()
-        train_queued(search)
-        search.state_dict()
 
     def test_no_initial_fit_once_the_seed_spent_the_budget(self):
         search = run_in_campaign(

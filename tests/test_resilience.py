@@ -14,6 +14,7 @@ from conftest import FOLDING, RESTARTING
 from repro.analysis.determinism import fingerprint_outcome
 from repro.bench.registry import BenchCase, get_suite
 from repro.bench.runner import SCHEMA, run_suite
+from repro.circuits.topologies.base import SizingProblem
 from repro.resilience import (
     CacheJournal,
     CacheStore,
@@ -32,7 +33,7 @@ from repro.resilience import (
 )
 from repro.resilience import snapshot as snapshot_module
 from repro.resilience.drill import drill_case, drill_suite
-from repro.resilience.store import MEMBER_FRAME, member_tag, read_journal
+from repro.resilience.store import read_journal
 from repro.search.campaign import CACHE_JOURNAL, LATEST_SNAPSHOT, Campaign
 
 
@@ -254,28 +255,6 @@ class TestCacheJournalFile:
             CacheJournal(path, self.DIM, self.METRICS, mark)
         assert os.path.getsize(path) == mark[1] - 1
 
-    def test_member_frames_ride_the_watermark_without_counting_pairs(self, tmp_path):
-        path = str(tmp_path / "cache.journal")
-        journal = CacheJournal(path, self.DIM, self.METRICS)
-        tag = member_tag(3, 1, b"x", self.DIM)
-        with pytest.raises(ValueError, match="member frame"):
-            journal.append_member(tag, np.zeros((2, self.DIM + 1)))
-        journal.append(b"tt", *self._block(1.0, 2.0))
-        journal.append_member(tag, np.arange(6.0).reshape(2, self.DIM))
-        mark = journal.sync()
-        journal.close()
-        assert mark[0] == 2 and os.path.getsize(path) == mark[1]
-        records = read_journal(path, self.DIM, self.METRICS, mark)
-        assert [(name, keys, rows.tolist()) for name, keys, rows in records][1:] == [
-            (tag, [], [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
-        ]
-        # The running CRC covers member frames too.
-        with open(path, "r+b") as handle:
-            handle.seek(mark[1] - 8)
-            handle.write(b"\xff")
-        with pytest.raises(SnapshotError, match="CRC mismatch"):
-            read_journal(path, self.DIM, self.METRICS, mark)
-
     def test_journal_writes_never_reach_the_cache_append_site(self, tmp_path):
         journal = CacheJournal(str(tmp_path / "cache.journal"), self.DIM, self.METRICS)
         plan = FaultPlan("cache.append", occurrence=1)
@@ -359,9 +338,45 @@ class TestCheckpointResume:
         )
         assert outcome.resumed_from_round == mid
         resumed = _campaign_fingerprint(resumed_campaign, outcome, seeds)
-        # Full parity including the hit/miss accounting — snapshot restore
-        # carries the cache content and counters exactly.
+        # Full parity including the hit/miss accounting — the replay reads
+        # the journaled cache content and the snapshot sets the counters.
         assert resumed == oracle
+
+    def test_trace_separates_replayed_rounds(self, tmp_path):
+        """A resumed run's trace wraps the replayed rounds in one
+        ``campaign.replay`` span inside ``campaign.run`` and tags the
+        resume event with their count; the rounds after it are new work."""
+        from repro.obs import tracing
+
+        (case,) = get_suite("drill")
+        ckpt = str(tmp_path / "ckpt")
+        rounds = case.build_campaign([0]).run(checkpoint_dir=ckpt, keep_history=True).rounds
+        mid = rounds // 2
+        with tracing() as tracer:
+            outcome = case.build_campaign([0]).run(
+                resume_from=os.path.join(ckpt, f"round-{mid:05d}.snapshot")
+            )
+        records = list(tracer.records)
+        (run,) = [r for r in records if r["name"] == "campaign.run"]
+        (replay,) = [r for r in records if r["name"] == "campaign.replay"]
+        (resume,) = [r for r in records if r["name"] == "resilience.resume"]
+        assert replay["parent"] == run["id"]
+        assert resume["tags"]["replayed_rounds"] == replay["tags"]["rounds"] == mid
+        parents = {r["id"]: r["parent"] for r in records}
+
+        def replayed(record):
+            parent = record["parent"]
+            while parent is not None and parent != replay["id"]:
+                parent = parents.get(parent)
+            return parent is not None
+
+        spans = [r for r in records if r["name"] == "campaign.round"]
+        assert [(r["tags"]["round"], replayed(r)) for r in spans] == [
+            (n, n <= mid) for n in range(1, outcome.rounds + 1)
+        ]
+        # A replayed round is all cache hits: no engine pass inside it.
+        engine = [replayed(r) for r in records if r["name"] == "eval_cache.engine"]
+        assert engine and not any(engine)
 
     def test_resume_from_latest_in_directory(self, tmp_path):
         (case,) = get_suite("drill")
@@ -605,6 +620,37 @@ class TestCheckpointJournal:
         _, resumed, _ = self._run(resume_from=ckpt)
         assert resumed == oracle
 
+    def test_watermark_from_an_earlier_round_refused(self, tmp_path, monkeypatch):
+        """A snapshot whose watermark is an earlier round's than its round
+        count: replaying past that round needs pairs the journal prefix
+        lacks, so the resume is refused before the engine runs."""
+        ckpt = str(tmp_path / "ckpt")
+        self._run(checkpoint_dir=ckpt, keep_history=True)
+        names = sorted(n for n in os.listdir(ckpt) if n.startswith("round-"))
+        early = load_snapshot(os.path.join(ckpt, names[1]))
+        late = load_snapshot(os.path.join(ckpt, names[-1]))
+        forged = dict(late, cache=early["cache"])
+        path = os.path.join(ckpt, "forged.snapshot")
+        save_snapshot(path, forged)
+        calls = []
+        evaluate_corners = SizingProblem.evaluate_corners
+
+        def counted(problem, samples, corners):
+            calls.append(len(samples))
+            return evaluate_corners(problem, samples, corners)
+
+        monkeypatch.setattr(SizingProblem, "evaluate_corners", counted)
+        campaign = self._case().build_campaign(self.SEEDS)
+        with pytest.raises(SnapshotError, match="replaying round 3 .* earlier round"):
+            campaign.run(resume_from=path)
+        assert calls == []
+        assert campaign.rounds == 3 and forged["rounds"] > 3
+        # A round count past the campaign's end is refused as well.
+        save_snapshot(path, dict(late, rounds=late["rounds"] + 2))
+        with pytest.raises(SnapshotError, match="replay finished after"):
+            self._case().build_campaign(self.SEEDS).run(resume_from=path)
+        assert calls == []
+
     def test_state_dict_needs_a_synced_journal(self):
         campaign = self._case().build_campaign(self.SEEDS)
         campaign.run()
@@ -624,17 +670,19 @@ def _member_arrays(tree):
 
 
 def _derived_state(campaign):
-    """What a restore rebuilds rather than loads, per member, as bytes:
-    the live optimizer's sizings, metrics and history, every phase result
-    and the corner reports."""
+    """What a resume rebuilds by replay, per member, as bytes: the phase
+    machine, the live optimizer's dataset, history and RNG, every phase
+    result, the corner reports and the evaluation accounting."""
     members = []
     for member in campaign._members:
         optimizer = None
         if not member.finished:
+            search = member.optimizer
             optimizer = (
-                member.optimizer.sizings.tobytes(),
-                member.optimizer._M[: member.optimizer.evaluations].tobytes(),
-                [astuple(record) for record in member.optimizer.history],
+                search._X[: search.evaluations].tobytes(),
+                search._M[: search.evaluations].tobytes(),
+                [astuple(record) for record in search._history],
+                search.rng.bit_generator.state,
             )
         results = [
             (
@@ -648,13 +696,19 @@ def _derived_state(campaign):
             )
             for result in member.phase_results
         ]
-        members.append(pickle.dumps((optimizer, results, member.corner_reports)))
+        accounting = (
+            member.cache_hits, member.cache_misses, member.engine_calls, member.eval_seconds
+        )
+        members.append(pickle.dumps((
+            member.phase, member.active, member.finished, member.solved_all,
+            member.total_evaluations, accounting, optimizer, results, member.corner_reports,
+        )))
     return members
 
 
 class TestMemberJournal:
-    """Member sizings and histories ride the checkpoint journal; metrics,
-    phase results and corner reports are rebuilt from the cache."""
+    """A resume rebuilds every member by replaying the journaled rounds;
+    the snapshot keeps only each member's evaluation accounting."""
 
     SEEDS = [0, 1]
 
@@ -671,11 +725,12 @@ class TestMemberJournal:
         case, seeds = FOLDING[optimizer]
         seeds = list(seeds)
         ckpt = str(tmp_path / "ckpt")
-        recorded = []
+        recorded, phases = [], []
         serializer = Campaign.state_dict
 
         def recording(campaign):
             recorded.append(_derived_state(campaign))
+            phases.extend((member.phase, member.finished) for member in campaign._members)
             return serializer(campaign)
 
         oracle_campaign = case.build_campaign(seeds)
@@ -686,16 +741,14 @@ class TestMemberJournal:
         names = self._rounds(ckpt)
         assert len(names) == len(recorded) == oracle["rounds"]
         # The rounds cover phase transitions and finished members.
-        states = [load_snapshot(os.path.join(ckpt, name)) for name in names]
-        members = [member for state in states for member in state["members"]]
-        assert any(member["phase"] > 0 and not member["finished"] for member in members)
-        assert any(member["finished"] for member in members)
-        for name, state, derived in zip(names, states, recorded):
-            restored = case.build_campaign(seeds)
-            restored.load_state_dict(state, os.path.join(ckpt, CACHE_JOURNAL))
-            assert _derived_state(restored) == derived, name
+        assert any(phase > 0 and not finished for phase, finished in phases)
+        assert any(finished for _, finished in phases)
+        journal = os.path.join(ckpt, CACHE_JOURNAL)
+        for name, derived in zip(names, recorded):
             resumed = case.build_campaign(seeds)
-            outcome = resumed.run(resume_from=os.path.join(ckpt, name))
+            resumed.load_state_dict(load_snapshot(os.path.join(ckpt, name)), journal)
+            assert _derived_state(resumed) == derived, name
+            outcome = resumed.run()
             assert _campaign_fingerprint(resumed, outcome, seeds) == oracle, name
 
     def test_snapshot_carries_no_member_rows(self, tmp_path):
@@ -709,13 +762,13 @@ class TestMemberJournal:
         block_bytes = []
         for name in self._rounds(ckpt):
             (member,) = load_snapshot(os.path.join(ckpt, name))["members"]
-            for array in _member_arrays(member):
-                assert np.atleast_2d(array).shape[0] <= batch, name
+            # Hits, misses, engine calls, eval seconds: no array at all.
+            assert len(member) == 4 and _member_arrays(member) == [], name
             block_bytes.append(len(pickle.dumps(member)))
         assert campaign._members[0].total_evaluations > 10 * batch
         assert block_bytes[-1] <= 3 * block_bytes[1]
 
-    def test_crash_after_the_journal_rewrites_the_same_member_frames(self, tmp_path):
+    def test_crash_after_the_journal_rewrites_the_same_frames(self, tmp_path):
         case = self._case("cross_entropy")
         oracle_dir, ckpt = str(tmp_path / "oracle"), str(tmp_path / "ckpt")
         oracle_campaign = case.build_campaign(self.SEEDS)
@@ -730,10 +783,8 @@ class TestMemberJournal:
         journal = os.path.join(ckpt, CACHE_JOURNAL)
         mark = tuple(load_snapshot(os.path.join(ckpt, LATEST_SNAPSHOT))["cache"]["journal"])
         dimension, n_metrics = campaign.cache._dimension, campaign.cache.n_metrics
-        # Round 5's member frames are durable past the round-4 watermark.
-        with open(journal, "rb") as handle:
-            tail = handle.read()[mark[1]:]
-        assert member_tag(0, 0, b"x", dimension) in tail
+        # Round 5's frames are durable past the round-4 watermark.
+        assert os.path.getsize(journal) > mark[1]
         resumed = case.build_campaign(self.SEEDS)
         outcome = resumed.run(checkpoint_dir=ckpt, resume_from=ckpt)
         resumed.close()
@@ -747,7 +798,6 @@ class TestMemberJournal:
         final = tuple(load_snapshot(os.path.join(ckpt, LATEST_SNAPSHOT))["cache"]["journal"])
         records = read_journal(journal, dimension, n_metrics, final)
         assert sum(len(keys) for _, keys, _ in records) == final[0] == len(resumed.cache)
-        assert any(tag[:1] == MEMBER_FRAME for tag, _, _ in records)
 
     @staticmethod
     def _assert_refused(tmp_path, monkeypatch, version):
@@ -764,7 +814,7 @@ class TestMemberJournal:
             )
             save_snapshot(latest, state)
         resumed = get_suite("drill")[0].build_campaign([0])
-        with pytest.raises(SnapshotError, match=rf"snapshot-{version}.*expected.*snapshot-v4"):
+        with pytest.raises(SnapshotError, match=rf"snapshot-{version}.*expected.*snapshot-v5"):
             resumed.run(resume_from=ckpt)
 
     def test_v2_snapshot_refused(self, tmp_path, monkeypatch):
@@ -776,15 +826,45 @@ class TestMemberJournal:
         from the uninterrupted run: refused by name."""
         self._assert_refused(tmp_path, monkeypatch, "v3")
 
+    def test_v4_snapshot_refused(self, tmp_path, monkeypatch):
+        """v4 carries each member's optimizer state, which v5 rebuilds by
+        replay: refused by name."""
+        self._assert_refused(tmp_path, monkeypatch, "v4")
 
-def _restart_pending(optimizer_state):
-    return optimizer_state["stall"]["pending"]
+
+def _checkpointed_run(case, seeds, ckpt, moments):
+    """Run ``case`` with a checkpoint every round.  Returns the campaign, its
+    outcome and, per moment, the rounds at whose end every member's live
+    optimizer satisfies it."""
+    rounds = {moment: [] for moment in moments}
+    serializer = Campaign.state_dict
+
+    def recording(campaign):
+        for moment in moments:
+            if all(not m.finished and moment(m.optimizer) for m in campaign._members):
+                rounds[moment].append(campaign.rounds)
+        return serializer(campaign)
+
+    campaign = case.build_campaign(seeds)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Campaign, "state_dict", recording)
+        outcome = campaign.run(checkpoint_dir=ckpt, keep_history=True)
+    return campaign, outcome, rounds
 
 
-def _restart_done(optimizer_state):
+def _snapshot(ckpt, rounds):
+    """The first of ``rounds``' history snapshots."""
+    assert rounds, "no round of the oracle run ends at the moment"
+    return os.path.join(ckpt, f"round-{rounds[0]:05d}.snapshot")
+
+
+def _restart_pending(optimizer):
+    return optimizer._restart_pending
+
+
+def _restart_done(optimizer):
     # A restart sets the restart centre, and nothing clears it again.
-    stall = optimizer_state["stall"]
-    return stall["center"] is not None and not stall["pending"]
+    return optimizer._restart_center is not None and not optimizer._restart_pending
 
 
 class TestStallRestartResume:
@@ -792,6 +872,7 @@ class TestStallRestartResume:
 
     CASE = RESTARTING[0]
     SEEDS = list(RESTARTING[1][:1])  # stalls at MIN_RADIUS in phase 0 and restarts
+    MOMENTS = (_restart_pending, _restart_done)
 
     @staticmethod
     def _outcome(campaign, outcome, seeds):
@@ -804,32 +885,21 @@ class TestStallRestartResume:
     @pytest.fixture(scope="class")
     def oracle(self, tmp_path_factory):
         ckpt = str(tmp_path_factory.mktemp("restart") / "ckpt")
-        campaign = self.CASE.build_campaign(self.SEEDS)
-        outcome = campaign.run(checkpoint_dir=ckpt, keep_history=True)
-        return ckpt, self._outcome(campaign, outcome, self.SEEDS)
+        campaign, outcome, rounds = _checkpointed_run(self.CASE, self.SEEDS, ckpt, self.MOMENTS)
+        return ckpt, self._outcome(campaign, outcome, self.SEEDS), rounds
 
-    @pytest.mark.parametrize("moment", [_restart_pending, _restart_done])
+    @pytest.mark.parametrize("moment", MOMENTS)
     def test_resume_around_restart(self, oracle, moment):
-        ckpt, expected = oracle
-        snapshots = sorted(n for n in os.listdir(ckpt) if n.startswith("round-"))
-        for name in snapshots:
-            state = load_snapshot(os.path.join(ckpt, name))["members"][0]["optimizer"]
-            if state is not None and moment(state):
-                break
-        else:
-            pytest.fail(f"no checkpoint satisfies {moment.__name__}")
+        ckpt, expected, rounds = oracle
         campaign = self.CASE.build_campaign(self.SEEDS)
-        outcome = campaign.run(resume_from=os.path.join(ckpt, name))
+        outcome = campaign.run(resume_from=_snapshot(ckpt, rounds[moment]))
         assert 0 < outcome.resumed_from_round < outcome.rounds
         assert self._outcome(campaign, outcome, self.SEEDS) == expected
 
 
-def _between_full_refits(optimizer_state):
+def _between_full_refits(optimizer):
     """A closed-form refit ran after the last full refit."""
-    return (
-        optimizer_state["surrogate"] is not None
-        and optimizer_state["full_refit_rows"] < optimizer_state["rows"]
-    )
+    return optimizer._surrogate is not None and optimizer._full_refit_rows < optimizer.evaluations
 
 
 class TestRefitScheduleResume:
@@ -855,28 +925,17 @@ class TestRefitScheduleResume:
     @pytest.fixture(scope="class")
     def oracle(self, tmp_path_factory):
         ckpt = str(tmp_path_factory.mktemp("schedule") / "ckpt")
-        campaign = self.CASE.build_campaign(self.SEEDS)
-        outcome = campaign.run(checkpoint_dir=ckpt, keep_history=True)
-        return ckpt, self._outcome(campaign, outcome, self.SEEDS)
-
-    def _first_snapshot(self, ckpt, moment):
-        for name in sorted(n for n in os.listdir(ckpt) if n.startswith("round-")):
-            state = load_snapshot(os.path.join(ckpt, name))
-            members = [member["optimizer"] for member in state["members"]]
-            if all(m is not None and moment(m) for m in members):
-                return name, state
-        pytest.fail(f"no checkpoint satisfies {moment.__name__}")
-
-    def _resume(self, path):
-        campaign = self.CASE.build_campaign(self.SEEDS)
-        outcome = campaign.run(resume_from=path)
-        assert 0 < outcome.resumed_from_round < outcome.rounds
-        return self._outcome(campaign, outcome, self.SEEDS)
+        campaign, outcome, rounds = _checkpointed_run(
+            self.CASE, self.SEEDS, ckpt, (_between_full_refits,)
+        )
+        return ckpt, self._outcome(campaign, outcome, self.SEEDS), rounds
 
     def test_resume_between_closed_form_and_full_refit(self, oracle):
-        ckpt, expected = oracle
-        name, _ = self._first_snapshot(ckpt, _between_full_refits)
-        assert self._resume(os.path.join(ckpt, name)) == expected
+        ckpt, expected, rounds = oracle
+        campaign = self.CASE.build_campaign(self.SEEDS)
+        outcome = campaign.run(resume_from=_snapshot(ckpt, rounds[_between_full_refits]))
+        assert 0 < outcome.resumed_from_round < outcome.rounds
+        assert self._outcome(campaign, outcome, self.SEEDS) == expected
 
 
 class TestPersistentCampaignCache:

@@ -134,12 +134,8 @@ def pair_persist(self, fresh_keys, corners, block):
     backend.flush()
 
 
-def pair_sync_journal(self, member_frames=()):
-    """The v1 ``EvaluationCache.sync_journal``: one journal frame per pair.
-
-    The v1 format had no member frames, so ``member_frames`` are dropped;
-    the locks compare cache pairs only.
-    """
+def pair_sync_journal(self):
+    """The v1 ``EvaluationCache.sync_journal``: one journal frame per pair."""
     journal = self._journal
     for corner, store in self._store.items():
         done = self._journaled.get(corner, 0)
