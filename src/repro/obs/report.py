@@ -5,7 +5,10 @@ campaign round spend its time (per-subsystem / per-span-name self-time),
 how is it split across seeds and progressive phases (tags are inherited
 down the span tree, so an ``optimizer.tell`` span's ``trust_region.refit``
 child books to the same seed), and what the cache traffic looked like
-(hit-rate table from the ``eval_cache.evaluate`` event tags).
+(hit-rate table from the ``eval_cache.evaluate`` event tags).  A resumed
+run's replay of its checkpointed rounds (the ``campaign.replay`` span) reads
+only cache hits that the run's counters do not book, so its reads are
+tallied apart from the cache line.
 
 Self-time is a span's duration minus its direct children's durations —
 summing self-time over any partition of the spans never double-counts, so
@@ -77,6 +80,20 @@ class TraceRollup:
             record = self._by_id.get(parent) if parent is not None else None
         return None
 
+    def under(self, record: Dict[str, Any], name: str) -> bool:
+        """Whether a span named ``name`` is among ``record``'s ancestors."""
+        seen = set()
+        parent = record.get("parent")
+        while parent is not None and parent not in seen:
+            seen.add(parent)
+            ancestor = self._by_id.get(parent)
+            if ancestor is None:
+                return False
+            if ancestor["name"] == name:
+                return True
+            parent = ancestor.get("parent")
+        return False
+
     # -- tables ----------------------------------------------------------
     def by_name(self) -> List[Tuple[str, int, float, float, float]]:
         """``(name, count, total_s, self_s, max_s)`` rows, self-time first."""
@@ -124,23 +141,30 @@ class TraceRollup:
         )
 
     def cache_stats(self) -> Dict[str, Any]:
-        """Hit/miss totals from the ``eval_cache.evaluate`` event tags."""
-        hits = misses = lookups = 0
+        """Hit/miss totals from the ``eval_cache.evaluate`` event tags.
+
+        Reads under a ``campaign.replay`` span are left out of the totals
+        and tallied under ``"replayed"``: a resume replays its rounds
+        against the journaled pairs and then sets the counters back to the
+        snapshot's, so those reads are not the run's cache traffic.
+        """
+        tallies = {kind: {"lookups": 0, "hits": 0, "misses": 0} for kind in ("run", "replayed")}
         for record in self.events:
             if record["name"] != "eval_cache.evaluate":
                 continue
             tags = record.get("tags") or {}
-            hits += int(tags.get("hits", 0))
-            misses += int(tags.get("misses", 0))
-            lookups += 1
+            tally = tallies["replayed" if self.under(record, "campaign.replay") else "run"]
+            tally["hits"] += int(tags.get("hits", 0))
+            tally["misses"] += int(tags.get("misses", 0))
+            tally["lookups"] += 1
+        hits, misses = tallies["run"]["hits"], tallies["run"]["misses"]
         engine = [r for r in self.spans if r["name"] == "eval_cache.engine"]
         return {
-            "lookups": lookups,
-            "hits": hits,
-            "misses": misses,
+            **tallies["run"],
             "hit_rate": hits / (hits + misses) if (hits + misses) else None,
             "engine_calls": len(engine),
             "engine_seconds": sum(r.get("dur", 0.0) for r in engine),
+            "replayed": tallies["replayed"],
         }
 
     def top_spans(self, limit: int = 10) -> List[Dict[str, Any]]:
@@ -202,14 +226,22 @@ def format_report(records: Sequence[Dict[str, Any]], top: int = 10) -> str:
     cache = rollup.cache_stats()
     lines.append("")
     lines.append("cache:")
+    replayed = cache["replayed"]
     if cache["lookups"]:
+        rate = "n/a" if cache["hit_rate"] is None else f"{cache['hit_rate']:.1%}"
         lines.append(
             f"  {cache['hits']} hits / {cache['misses']} misses over "
-            f"{cache['lookups']} lookups (hit rate "
-            f"{cache['hit_rate']:.1%}), {cache['engine_calls']} engine calls, "
+            f"{cache['lookups']} lookups (hit rate {rate}), "
+            f"{cache['engine_calls']} engine calls, "
             f"{cache['engine_seconds']:.3f} s in the engine"
         )
-    else:
+    if replayed["lookups"]:
+        lines.append(
+            f"  replayed: {replayed['hits']} hits / {replayed['misses']} misses "
+            f"over {replayed['lookups']} lookups (a resume's replay of its "
+            "checkpointed rounds, outside the run's counters)"
+        )
+    if not cache["lookups"] and not replayed["lookups"]:
         lines.append("  no eval_cache.evaluate events in this trace")
 
     lines.append("")

@@ -209,7 +209,8 @@ class CacheStore:
     records:
         The ``(tag, keys, rows)`` records that survived the opening scan,
         in append order (later duplicates intentionally kept — the loader
-        replays them in order, so last-write-wins like the appends did).
+        replays them in order, so last-write-wins like the appends did),
+        until :meth:`take_records` hands them over.
     repaired_bytes:
         Bytes truncated off a torn tail at open (0 for a clean file).
     """
@@ -249,6 +250,15 @@ class CacheStore:
             self.repaired_bytes = size - good_offset
         handle.seek(good_offset)
         return handle
+
+    def take_records(self) -> List[Record]:
+        """Hand over :attr:`records` and drop the store's own reference.
+
+        The records' rows are views of the whole file's bytes, so holding
+        them would keep the file in memory for the store's lifetime.
+        """
+        records, self.records = self.records, []
+        return records
 
     def append(self, tag: bytes, keys: Sequence[bytes], rows: np.ndarray) -> None:
         """Append one frame: a corner tag, its row keys and ``(count, n_metrics)`` rows."""

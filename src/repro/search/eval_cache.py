@@ -12,6 +12,15 @@ Rows are keyed by their fixed-width float64 byte patterns, one ``tobytes``
 per block sliced per row (:func:`~repro.core.design_space.row_keys`): exact,
 cheap to build, and the same row identity the optimizers' dedup set holds.
 
+Each corner's pairs live in one growable ``(capacity, n_metrics)`` float64
+block (:class:`_CornerPairs`), in insertion order, beside a ``{row key:
+position}`` index and a warm flag per position.  A pair costs its 8-byte
+metric floats plus one dict slot; the position ints come from one list the
+corners share, so no pair holds an object of its own, and the engine's
+output blocks are copied in and released.  Every read — a served row, a
+journal tail, :meth:`EvaluationCache.content` — is a slice or a gather of
+those blocks.
+
 The cache is engine-agnostic: it wraps *any* corner evaluator with the
 ``(samples, corners) -> (n_corners, count, n_metrics)`` contract (the stacked
 :meth:`~repro.circuits.topologies.base.SizingProblem.evaluate_corners` in
@@ -46,8 +55,8 @@ from __future__ import annotations
 
 import hashlib
 import os
-from itertools import islice
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from itertools import compress, filterfalse, islice
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,10 +82,12 @@ CornerEvaluator = Callable[[np.ndarray, Sequence[PVTCondition]], np.ndarray]
 #: whole in-flight block (nothing was cached or persisted yet).
 SITE_ENGINE_CALL = register_fault_site("engine.call")
 
-_EMPTY_KEYS: "frozenset[bytes]" = frozenset()
-
 #: A corner's exact identity as plain builtins, for snapshots and content.
 CornerFields = Tuple[str, float, float]
+
+#: One corner's cached pairs as :meth:`EvaluationCache.corner_pairs` reads
+#: them: ``(corner, row keys, metric rows, warm flags)``, in insertion order.
+CornerPairs = Tuple[PVTCondition, List[bytes], np.ndarray, np.ndarray]
 
 
 def _corner_fields(corner: PVTCondition) -> CornerFields:
@@ -102,6 +113,56 @@ def _corner_from_tag(tag: bytes) -> PVTCondition:
         voltage_factor=float.fromhex(voltage),
         temperature_c=float.fromhex(temperature),
     )
+
+
+class _CornerPairs:
+    """One corner's cached pairs, in insertion order.
+
+    ``index`` maps a row key to its position; ``rows[:len(index)]`` holds
+    the metric rows and ``warm[:len(index)]`` flags the pairs preloaded off
+    the persistent store.  Both arrays grow by half again when full, and
+    the slack past ``len(index)`` is never read.
+    """
+
+    __slots__ = ("index", "rows", "warm")
+
+    def __init__(self, n_metrics: int) -> None:
+        self.index: Dict[bytes, int] = {}
+        self.rows = np.empty((0, n_metrics), dtype=np.float64)
+        self.warm = np.zeros(0, dtype=bool)
+
+    def reserve(self, size: int) -> None:
+        """Make room for ``size`` pairs, keeping everything written so far."""
+        capacity = self.rows.shape[0]
+        if size <= capacity:
+            return
+        grown = max(size, capacity + capacity // 2)
+        rows = np.empty((grown, self.rows.shape[1]), dtype=np.float64)
+        rows[:capacity] = self.rows
+        warm = np.zeros(grown, dtype=bool)
+        warm[:capacity] = self.warm
+        self.rows, self.warm = rows, warm
+
+    def positions(self, keys: List[bytes]) -> List[int]:
+        """The positions of ``keys``, every one of which is stored."""
+        return list(map(self.index.__getitem__, keys))
+
+
+def _served(keys: List[bytes], stores: Sequence[_CornerPairs]) -> List[int]:
+    """Ascending indices of the ``keys`` cached at every corner of ``stores``.
+
+    Narrowed corner by corner, so a row missing at one corner is never
+    looked up at the next.
+    """
+    served: Sequence[int] = range(len(keys))
+    for pairs in stores:
+        found = list(map(pairs.index.__contains__, keys))
+        if not all(found):
+            served = list(compress(served, found))
+            keys = list(compress(keys, found))
+            if not served:
+                break
+    return list(served)
 
 
 class EvaluationCache:
@@ -158,11 +219,13 @@ class EvaluationCache:
         self.corner_evaluator = corner_evaluator
         self._dimension = int(dimension)
         self.n_metrics = int(n_metrics)
-        # One row-key -> metric-row dict per corner.  Keyed by the (frozen,
-        # hashable) PVTCondition itself, not its display name — the name
-        # rounds voltage/temperature for printing, so two distinct corners
-        # can share it.
-        self._store: Dict[PVTCondition, Dict[bytes, np.ndarray]] = {}
+        # One block of pairs per corner.  Keyed by the (frozen, hashable)
+        # PVTCondition itself, not its display name — the name rounds
+        # voltage/temperature for printing, so two distinct corners can
+        # share it.
+        self._corners: Dict[PVTCondition, _CornerPairs] = {}
+        # Position k of every corner is this list's k-th int object.
+        self._positions: List[int] = []
         self.hits = 0
         self.misses = 0
         self.warm_hits = 0
@@ -172,9 +235,6 @@ class EvaluationCache:
         self.last_fresh: List[int] = []
         self.preloaded_pairs = 0
         self.repaired_bytes = 0
-        # Pairs that came off the persistent store rather than this
-        # process's own engine calls, for the warm/cold hit split.
-        self._warm: Dict[PVTCondition, Set[bytes]] = {}
         self._backend: Optional[CacheStore] = None
         # Checkpoint journal, the pairs per corner it already holds, and the
         # (journal path, watermark) holding exactly those — set by a restore
@@ -186,7 +246,7 @@ class EvaluationCache:
         if persist_path is not None:
             self._backend = CacheStore(persist_path, int(dimension), self.n_metrics)
             self.repaired_bytes = self._backend.repaired_bytes
-            self._ingest(self._backend.records)
+            self._ingest(self._backend.take_records())
             self.preloaded_pairs = len(self)
             event(
                 "eval_cache.warm_load",
@@ -195,48 +255,96 @@ class EvaluationCache:
                 repaired_bytes=self.repaired_bytes,
             )
 
+    def _corner(self, corner: PVTCondition) -> _CornerPairs:
+        """``corner``'s pairs, created empty (and ordered last) when new."""
+        pairs = self._corners.get(corner)
+        if pairs is None:
+            pairs = self._corners[corner] = _CornerPairs(self.n_metrics)
+        return pairs
+
+    def _insert(
+        self,
+        pairs: _CornerPairs,
+        keys: List[bytes],
+        rows: np.ndarray,
+        warm: bool,
+        distinct: bool,
+    ) -> None:
+        """Copy ``rows`` in under ``keys``, as ``dict.update(zip(keys, rows))`` would.
+
+        A new key takes the next position; a key already stored, or
+        repeated in ``keys``, keeps its first position and takes its last
+        row.  ``warm`` flags every key given as preloaded; ``distinct``
+        says that no key repeats in ``keys``.
+        """
+        index = pairs.index
+        start = len(index)
+        if distinct and index.keys().isdisjoint(keys):
+            new_keys = keys
+        else:
+            new_keys = list(
+                filterfalse(index.__contains__, keys if distinct else dict.fromkeys(keys))
+            )
+        stop = start + len(new_keys)
+        positions = self._positions
+        if len(positions) < stop:
+            positions.extend(range(len(positions), stop))
+        pairs.reserve(stop)
+        index.update(zip(new_keys, positions[start:stop]))
+        if new_keys is keys:
+            pairs.rows[start:stop] = rows
+            if warm:
+                pairs.warm[start:stop] = True
+            return
+        targets = pairs.positions(keys)
+        if not distinct:
+            # Each position takes the row of its key's last occurrence.
+            last_source = dict(zip(targets, range(len(keys))))
+            targets = list(last_source)
+            rows = rows[list(last_source.values())]
+        pairs.rows[targets] = rows
+        if warm:
+            pairs.warm[targets] = True
+
     def _ingest(self, records: Sequence[Record], warm: bool = True) -> None:
         """Load ``(tag, keys, rows)`` store records, in record order.
 
         ``warm`` marks the pairs as preloaded for the warm/cold hit split.
-        Each tag's store dict (and warm set) is resolved once, at its first
-        record, so corners enter the store in first-record order.
+        Each tag's corner is resolved once, at its first record, so corners
+        enter the cache in first-record order; each record's rows are
+        copied into its corner's block in one step.  Every record holds
+        its own copy of a row's key, so equal keys are shared first.
         """
-        targets: Dict[bytes, Tuple[Dict[bytes, np.ndarray], Optional[Set[bytes]]]] = {}
+        targets: Dict[bytes, _CornerPairs] = {}
+        # One key object per row, however many corners' records hold it.
+        shared: Dict[bytes, bytes] = {}
         for tag, keys, rows in records:
-            target = targets.get(tag)
-            if target is None:
-                corner = _corner_from_tag(tag)
-                target = targets[tag] = (
-                    self._store.setdefault(corner, {}),
-                    self._warm.setdefault(corner, set()) if warm else None,
-                )
-            store, warm_keys = target
-            store.update(zip(keys, rows))
-            if warm_keys is not None:
-                warm_keys.update(keys)
+            pairs = targets.get(tag)
+            if pairs is None:
+                pairs = targets[tag] = self._corner(_corner_from_tag(tag))
+            keys = list(map(shared.setdefault, keys, keys))
+            self._insert(pairs, keys, rows, warm, len(set(keys)) == len(keys))
 
     def __len__(self) -> int:
         """Total number of cached ``(row, corner)`` pairs."""
-        return sum(len(store) for store in self._store.values())
+        return sum(len(pairs.index) for pairs in self._corners.values())
 
     def fresh_row_count(self, samples: np.ndarray, corners: Sequence[PVTCondition]) -> int:
         """How many rows :meth:`evaluate` would send to the engine right now.
 
-        A pure peek — no store is created or mutated, no counter moves —
-        and the reference for the per-member attribution the multi-seed
-        Campaign derives from :attr:`last_fresh`.  Rejects an empty corner
-        list exactly like :meth:`evaluate`.
+        A pure peek — no corner is created, nothing is inserted, no counter
+        moves — and the reference for the per-member attribution the
+        multi-seed Campaign derives from :attr:`last_fresh`.  Rejects an
+        empty corner list exactly like :meth:`evaluate`.
         """
         samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
         corners = list(corners)
         if not corners:
             raise ValueError("evaluate needs at least one PVT corner")
-        keys = row_keys(samples)
-        stores = [self._store.get(corner) for corner in corners]
-        if any(store is None for store in stores):
+        stores = [self._corners.get(corner) for corner in corners]
+        if any(pairs is None for pairs in stores):
             return samples.shape[0]
-        return sum(1 for key in keys if any(key not in store for store in stores))
+        return samples.shape[0] - len(_served(row_keys(samples), stores))
 
     @contract(
         args={"corners": SeqLen("c")},
@@ -253,10 +361,10 @@ class EvaluationCache:
         corner that was cached for such a row costs nothing extra in the
         broadcast and returns bit-identical values).
 
-        The returned block — and every metric row retained in the cache —
-        is **read-only** (``writeable=False``): a caller mutating a result
-        in place would otherwise silently corrupt the shared cache (results
-        alias cached rows), so the mutation faults at its own line instead.
+        The returned block is a new array, gathered from the cache's blocks
+        and the engine's output, and **read-only** (``writeable=False``),
+        so a caller that tries to edit a result in place faults at its own
+        line; the cache's own blocks are never handed out writable.
         """
         samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
         corners = list(corners)
@@ -264,27 +372,19 @@ class EvaluationCache:
             raise ValueError("evaluate needs at least one PVT corner")
         count = samples.shape[0]
         keys = row_keys(samples)
-        stores = [self._store.setdefault(corner, {}) for corner in corners]
+        stores = [self._corner(corner) for corner in corners]
 
         # A row counts as fresh unless *every* requested corner has it; fresh
         # rows are (re)computed at all corners, so each of their pairs is a
-        # miss, and each pair of a fully-cached row is a hit.  Most fresh
-        # rows already miss the first corner, which settles them without a
-        # scan of the others.
-        first, others = stores[0], stores[1:]
-        fresh = [
-            i
-            for i, key in enumerate(keys)
-            if key not in first or any(key not in store for store in others)
-        ]
+        # miss, and each pair of a fully-cached row is a hit.
+        served = _served(keys, stores)
+        served_set = set(served)
+        fresh = [row_index for row_index in range(count) if row_index not in served_set]
         self.last_fresh = fresh
-        fresh_set = set(fresh)
-        hits = (count - len(fresh)) * len(corners)
+        hits = len(served) * len(corners)
         misses = len(fresh) * len(corners)
         self.hits += hits
         self.misses += misses
-        if hits:
-            self._split_hits(keys, corners, fresh_set, hits)
         event(
             "eval_cache.evaluate",
             rows=count,
@@ -294,6 +394,15 @@ class EvaluationCache:
         )
 
         out = np.empty((len(corners), count, self.n_metrics), dtype=np.float64)
+        if served:
+            served_keys = [keys[row_index] for row_index in served]
+            warm = 0
+            for corner_index, pairs in enumerate(stores):
+                positions = pairs.positions(served_keys)
+                out[corner_index, served] = pairs.rows[positions]
+                warm += int(np.count_nonzero(pairs.warm[positions]))
+            self.warm_hits += warm
+            self.cold_hits += hits - warm
         if fresh:
             self.engine_calls += 1
             fault_point(SITE_ENGINE_CALL)
@@ -305,38 +414,14 @@ class EvaluationCache:
                 )
             self.eval_seconds += timer.seconds
             out[:, fresh, :] = block
-            # The stored metric rows are views into this block; freezing it
-            # makes every cached row immutable for the cache's lifetime.
-            block.flags.writeable = False
             fresh_keys = [keys[row_index] for row_index in fresh]
-            for corner_index, store in enumerate(stores):
-                store.update(zip(fresh_keys, block[corner_index]))
+            distinct = len(set(fresh_keys)) == len(fresh_keys)
+            for corner_index, pairs in enumerate(stores):
+                self._insert(pairs, fresh_keys, block[corner_index], False, distinct)
             if self._backend is not None:
                 self._persist(fresh_keys, corners, block)
-        served = [row_index for row_index in range(count) if row_index not in fresh_set]
-        if served:
-            served_keys = [keys[row_index] for row_index in served]
-            for corner_index, store in enumerate(stores):
-                out[corner_index, served] = [store[key] for key in served_keys]
         out.flags.writeable = False
         return out
-
-    def _split_hits(
-        self,
-        keys: List[bytes],
-        corners: Sequence[PVTCondition],
-        fresh_set: Set[int],
-        hits: int,
-    ) -> None:
-        """Attribute served hits to the warm (preloaded) or cold pool."""
-        if not self._warm:
-            self.cold_hits += hits
-            return
-        warm_sets = [self._warm.get(corner, _EMPTY_KEYS) for corner in corners]
-        served = [key for row_index, key in enumerate(keys) if row_index not in fresh_set]
-        warm = sum(key in warm_keys for warm_keys in warm_sets for key in served)
-        self.warm_hits += warm
-        self.cold_hits += hits - warm
 
     def _persist(
         self,
@@ -364,6 +449,20 @@ class EvaluationCache:
             self._backend.close()
         self._close_journal()
 
+    def corner_pairs(self) -> List[CornerPairs]:
+        """Every corner's pairs: ``(corner, keys, rows, warm flags)``.
+
+        One tuple per corner in corner order; keys in insertion order next
+        to read-only views of their metric rows and warm flags.
+        """
+        pairs_by_corner = []
+        for corner, pairs in self._corners.items():
+            stored = len(pairs.index)
+            rows, warm = pairs.rows[:stored], pairs.warm[:stored]
+            rows.flags.writeable = warm.flags.writeable = False
+            pairs_by_corner.append((corner, list(pairs.index), rows, warm))
+        return pairs_by_corner
+
     def content(self) -> List[Tuple[CornerFields, List[bytes], np.ndarray]]:
         """Every cached pair: ``(corner fields, row keys, metric matrix)``.
 
@@ -371,13 +470,10 @@ class EvaluationCache:
         stacked metric rows — what a shard worker ships back to its parent
         and what the shard parity check's ``union_state_digest`` hashes.
         """
-        content = []
-        for corner, store in self._store.items():
-            corner_keys = list(store)
-            # analysis: allow(hot-loop-alloc) shard content export is cold
-            matrix = np.stack([store[key] for key in corner_keys]) if corner_keys else np.empty((0, self.n_metrics))
-            content.append((_corner_fields(corner), corner_keys, matrix))
-        return content
+        return [
+            (_corner_fields(corner), keys, rows)
+            for corner, keys, rows, _ in self.corner_pairs()
+        ]
 
     # -- checkpoint journal ---------------------------------------------
     def open_journal(self, path: str) -> CacheJournal:
@@ -407,24 +503,24 @@ class EvaluationCache:
         """Append every pair inserted since the last sync, then fsync once.
 
         Between syncs the cache only grows — a recomputed pair keeps its
-        dict position — so each corner's new pairs are exactly the tail of
-        its insertion order past the pairs already journaled, and they go
-        in as one journal frame.
+        position — so each corner's new pairs are exactly the tail of its
+        block past the pairs already journaled, and they go in as one
+        journal frame.
         """
         journal = self._journal
         if journal is None:
             raise RuntimeError("sync_journal needs open_journal first")
-        for corner, store in self._store.items():
-            new = len(store) - self._journaled.get(corner, 0)
-            if new > 0:
-                # Read the tail from the end: O(new pairs), where slicing
-                # from the front would step over every journaled pair.
+        for corner, pairs in self._corners.items():
+            done, stored = self._journaled.get(corner, 0), len(pairs.index)
+            if stored > done:
+                # Read the keys' tail from the end: O(new pairs), where
+                # slicing from the front would step over every journaled one.
                 journal.append(
                     _corner_tag(corner),
-                    list(islice(reversed(store), new))[::-1],
-                    list(islice(reversed(store.values()), new))[::-1],
+                    list(islice(reversed(pairs.index), stored - done))[::-1],
+                    pairs.rows[done:stored],
                 )
-                self._journaled[corner] = len(store)
+                self._journaled[corner] = stored
         watermark = journal.sync()
         self._lineage = (journal.path, watermark)
         return watermark
@@ -441,8 +537,8 @@ class EvaluationCache:
         every pair must be journaled: call :meth:`sync_journal` first.
         """
         if self._journal is None or any(
-            len(store) != self._journaled.get(corner, 0)
-            for corner, store in self._store.items()
+            len(pairs.index) != self._journaled.get(corner, 0)
+            for corner, pairs in self._corners.items()
         ):
             raise RuntimeError(
                 "cache content is checkpointed through its journal: "
@@ -457,7 +553,7 @@ class EvaluationCache:
                 "engine_calls": self.engine_calls,
                 "eval_seconds": self.eval_seconds,
             },
-            "corners": [_corner_fields(corner) for corner in self._store],
+            "corners": [_corner_fields(corner) for corner in self._corners],
             "journal": self._journal.watermark,
         }
 
@@ -472,10 +568,9 @@ class EvaluationCache:
         holds exactly what it held at the snapshot round, even when the
         persistent store already has pairs the interrupted run computed
         afterwards (those are simply recomputed — to identical values —
-        and re-appended).  The warm/cold split is re-intersected against
-        the restored content so the split's invariant (warm keys are a
-        subset of stored keys) survives.  The counters are left to
-        :meth:`restore_counters`.  Raises
+        and re-appended).  A restored pair stays warm when it was warm
+        before the restore, so warm pairs are still stored pairs.  The
+        counters are left to :meth:`restore_counters`.  Raises
         :class:`~repro.resilience.snapshot.SnapshotError` when the journal
         does not match the watermark.
         """
@@ -483,17 +578,27 @@ class EvaluationCache:
         records = read_journal(journal_path, self._dimension, self.n_metrics, watermark)
         self._close_journal()
         self._journal = None
-        self._store = {
-            PVTCondition(process=process, voltage_factor=voltage, temperature_c=temperature): {}
-            for process, voltage, temperature in state["corners"]
-        }
+        previous = self._corners
+        self._corners = {}
+        for process, voltage, temperature in state["corners"]:
+            self._corner(
+                PVTCondition(process=process, voltage_factor=voltage, temperature_c=temperature)
+            )
         self._ingest(records, warm=False)
-        self._warm = {
-            corner: {key for key in warm_keys if key in self._store.get(corner, ())}
-            for corner, warm_keys in self._warm.items()
-        }
+        for corner, pairs in self._corners.items():
+            before = previous.get(corner)
+            if before is None:
+                continue
+            flags = before.warm[: len(before.index)]
+            if flags.any():
+                restored = [
+                    key
+                    for key, flag in zip(before.index, flags)
+                    if flag and key in pairs.index
+                ]
+                pairs.warm[pairs.positions(restored)] = True
         # The restored content is exactly the journal prefix.
-        self._journaled = {corner: len(store) for corner, store in self._store.items()}
+        self._journaled = {corner: len(pairs.index) for corner, pairs in self._corners.items()}
         self._lineage = (journal_path, watermark)
 
     def restore_counters(self, counters: Dict[str, object]) -> None:
@@ -516,7 +621,7 @@ class EvaluationCache:
         """
         digest = hashlib.sha256()
         corner_order = sorted(
-            self._store,
+            self._corners,
             key=lambda corner: (
                 corner.process,
                 corner.voltage_factor.hex(),
@@ -528,8 +633,8 @@ class EvaluationCache:
                 f"{corner.process}|{corner.voltage_factor.hex()}"
                 f"|{corner.temperature_c.hex()}".encode("ascii")
             )
-            store = self._store[corner]
-            for key in sorted(store):
+            pairs = self._corners[corner]
+            for key in sorted(pairs.index):
                 digest.update(key)
-                digest.update(store[key].tobytes())
+                digest.update(pairs.rows[pairs.index[key]].tobytes())
         return digest.hexdigest()

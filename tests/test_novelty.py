@@ -8,12 +8,15 @@ a resume rebuilds the members' corner reports by replay.  Each is locked
 here against a reference held in this file: the ``np.unique`` +
 ``np.isin`` void-view selection, the per-member ``fresh_row_count`` peek,
 the per-(row, corner) warm lookup, the per-record store ingest and a
-plainly written campaign serializer.
+plainly written campaign serializer.  The cache's per-corner blocks are
+also held to a bound on the bytes each cached pair retains.
 """
 
+import gc
 import importlib
 import os
 import pickle
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -278,13 +281,27 @@ class TestPassAttribution:
             cache.fresh_row_count(np.zeros((1, 3)), [])
 
 
+def stored_pairs(cache):
+    """The cache's pairs as plain per-corner dicts, in insertion order:
+    ``({corner: {key: row}}, {corner: warm key set})``."""
+    store, warm_keys = {}, {}
+    for corner, keys, rows, warm in cache.corner_pairs():
+        store[corner] = dict(zip(keys, np.array(rows)))
+        warm_keys[corner] = {key for key, flag in zip(keys, warm) if flag}
+    return store, warm_keys
+
+
 def reference_ingest(cache, records, warm=True):
-    """The per-pair store ingest the per-tag, per-block one replaced."""
+    """The per-pair store ingest the per-tag, per-block one replaced, on
+    plain dicts that start from ``cache``'s pairs."""
+    store, warm_keys = stored_pairs(cache)
     for tag, key, row in records:
         corner = _corner_from_tag(tag)
-        cache._store.setdefault(corner, {})[key] = row
+        store.setdefault(corner, {})[key] = row
+        warm_keys.setdefault(corner, set())
         if warm:
-            cache._warm.setdefault(corner, set()).add(key)
+            warm_keys[corner].add(key)
+    return store, warm_keys
 
 
 class TestCornerLookups:
@@ -302,13 +319,14 @@ class TestCornerLookups:
             for _ in range(30):
                 rows = pool[rng.integers(0, len(pool), size=int(rng.integers(1, 6)))]
                 corners = [grid[index] for index in rng.choice(4, size=int(rng.integers(1, 5)), replace=False)]
+                store, warm_keys = stored_pairs(cache)
                 served = [
                     key
                     for key in row_keys(rows)
-                    if all(key in cache._store.get(corner, {}) for corner in corners)
+                    if all(key in store.get(corner, {}) for corner in corners)
                 ]
                 warm = sum(
-                    key in cache._warm.get(corner, ()) for key in served for corner in corners
+                    key in warm_keys.get(corner, ()) for key in served for corner in corners
                 )
                 before = cache.hits, cache.warm_hits, cache.cold_hits
                 cache.evaluate(rows, corners)
@@ -334,19 +352,47 @@ class TestCornerLookups:
                 (_corner_tag(grid[int(rng.integers(0, 4))]), keys, rng.standard_normal((count, 1)))
             )
         pairs = [(tag, key, row) for tag, keys, rows in records for key, row in zip(keys, rows)]
-        caches = [EvaluationCache(distinct_evaluator, 3, 1) for _ in range(2)]
-        for cache in caches:
-            cache.evaluate(np.zeros((1, 3)), [grid[2]])
-        caches[0]._ingest(records, warm=warm)
-        reference_ingest(caches[1], pairs, warm=warm)
-        ingested, expected = caches
-        assert list(ingested._store) == list(expected._store)
-        for corner, store in expected._store.items():
-            assert list(ingested._store[corner]) == list(store)
+        cache = EvaluationCache(distinct_evaluator, 3, 1)
+        cache.evaluate(np.zeros((1, 3)), [grid[2]])
+        expected, expected_warm = reference_ingest(cache, pairs, warm=warm)
+        cache._ingest(records, warm=warm)
+        ingested, ingested_warm = stored_pairs(cache)
+        assert list(ingested) == list(expected)
+        for corner, store in expected.items():
+            assert list(ingested[corner]) == list(store)
             for key, row in store.items():
-                assert ingested._store[corner][key].tobytes() == row.tobytes()
-        assert list(ingested._warm) == list(expected._warm)
-        assert ingested._warm == expected._warm
+                assert ingested[corner][key].tobytes() == row.tobytes()
+        assert list(ingested_warm) == list(expected_warm)
+        assert ingested_warm == expected_warm
+        assert any(expected_warm.values()) == warm
+
+
+class TestPairMemory:
+    #: Retained bytes per cached pair.  Each pair's own view and the engine
+    #: blocks the views kept alive cost ~200 B in this test; a pair in a
+    #: corner block costs its 40 B of metrics, slack included, plus a dict
+    #: slot and its share of the row keys and position ints (~110 B).
+    BOUND = 140
+
+    def test_retained_bytes_per_pair(self):
+        corners = nine_corner_grid()[:5]
+        rows = np.random.default_rng(0).random((4000, 3))
+
+        def engine(samples, corners):
+            return np.ones((len(corners), len(samples), 5))
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cache = EvaluationCache(engine, 3, 5)
+            for start in range(0, len(rows), 100):
+                cache.evaluate(rows[start : start + 100], corners)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(cache) == 20000
+        assert retained / len(cache) < self.BOUND
 
 
 def reference_state_dict(self):

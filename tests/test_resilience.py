@@ -378,6 +378,33 @@ class TestCheckpointResume:
         engine = [replayed(r) for r in records if r["name"] == "eval_cache.engine"]
         assert engine and not any(engine)
 
+    def test_report_tallies_replayed_reads_apart(self, tmp_path):
+        """``python -m repro.obs report`` on a resumed run's trace books
+        only the rounds the run computed in its cache line; the replay's
+        all-hit reads get their own line."""
+        from repro.obs import TraceRollup, format_report, tracing
+
+        (case,) = get_suite("drill")
+        ckpt = str(tmp_path / "ckpt")
+        seeds = [0, 1]
+        rounds = case.build_campaign(seeds).run(checkpoint_dir=ckpt, keep_history=True).rounds
+        snapshot = os.path.join(ckpt, f"round-{rounds - 1:05d}.snapshot")
+        counters = load_snapshot(snapshot)["cache"]["counters"]
+        with tracing() as tracer:
+            outcome = case.build_campaign(seeds).run(resume_from=snapshot)
+        records = list(tracer.records)
+        stats = TraceRollup(records).cache_stats()
+        # The cache line is the last round's own traffic: the result's
+        # totals less the snapshot's counters.
+        assert stats["hits"] == outcome.cache_hits - counters["hits"] > 0
+        assert stats["misses"] == outcome.cache_misses - counters["misses"]
+        replayed = stats["replayed"]
+        assert replayed["misses"] == 0
+        assert replayed["hits"] >= counters["hits"] + counters["misses"] > 0
+        report = format_report(records)
+        assert f"{stats['hits']} hits / {stats['misses']} misses" in report
+        assert f"replayed: {replayed['hits']} hits / 0 misses" in report
+
     def test_resume_from_latest_in_directory(self, tmp_path):
         (case,) = get_suite("drill")
         ckpt = str(tmp_path / "ckpt")
@@ -720,17 +747,33 @@ class TestMemberJournal:
     def _rounds(ckpt):
         return sorted(name for name in os.listdir(ckpt) if name.startswith("round-"))
 
+    @staticmethod
+    def _resume_points(states, stride):
+        """Indices of the rounds to resume from: the first and the last,
+        every ``stride``-th, and the rounds on both sides of every change
+        in some member's ``(phase, finished)``."""
+        last = len(states) - 1
+        points = {0, last, *range(stride - 1, last, stride)}
+        for index in range(1, len(states)):
+            if states[index] != states[index - 1]:
+                points.update((index - 1, index))
+        return sorted(points)
+
+    #: Resume stride per optimizer.  The random case runs 184 rounds, and
+    #: resuming from each replays 1 + 2 + ... + 184 of them.
+    RESUME_STRIDE = {"cross_entropy": 1, "random": 8}
+
     @pytest.mark.parametrize("optimizer", ["cross_entropy", "random"])
     def test_resume_from_every_round(self, tmp_path, monkeypatch, optimizer):
         case, seeds = FOLDING[optimizer]
         seeds = list(seeds)
         ckpt = str(tmp_path / "ckpt")
-        recorded, phases = [], []
+        recorded, states = [], []
         serializer = Campaign.state_dict
 
         def recording(campaign):
             recorded.append(_derived_state(campaign))
-            phases.extend((member.phase, member.finished) for member in campaign._members)
+            states.append(tuple((member.phase, member.finished) for member in campaign._members))
             return serializer(campaign)
 
         oracle_campaign = case.build_campaign(seeds)
@@ -740,11 +783,14 @@ class TestMemberJournal:
         oracle = _campaign_fingerprint(oracle_campaign, outcome, seeds)
         names = self._rounds(ckpt)
         assert len(names) == len(recorded) == oracle["rounds"]
-        # The rounds cover phase transitions and finished members.
+        points = self._resume_points(states, self.RESUME_STRIDE[optimizer])
+        # The resumed rounds cover phase transitions and finished members.
+        phases = [state for index in points for state in states[index]]
         assert any(phase > 0 and not finished for phase, finished in phases)
         assert any(finished for _, finished in phases)
         journal = os.path.join(ckpt, CACHE_JOURNAL)
-        for name, derived in zip(names, recorded):
+        for index in points:
+            name, derived = names[index], recorded[index]
             resumed = case.build_campaign(seeds)
             resumed.load_state_dict(load_snapshot(os.path.join(ckpt, name)), journal)
             assert _derived_state(resumed) == derived, name

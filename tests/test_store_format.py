@@ -11,7 +11,6 @@ every store and journal must equal the oracle's, bit for bit and in order.
 import os
 import struct
 import zlib
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -74,9 +73,12 @@ class PairStore:
     """The v1 store writer (fresh files only): one frame per pair."""
 
     def __init__(self, path, dimension, n_metrics):
-        self.records, self.repaired_bytes = [], 0
+        self.repaired_bytes = 0
         self._file = open(path, "wb")
         self._file.write(v1_header(dimension, n_metrics))
+
+    def take_records(self):
+        return []
 
     def append(self, tag, key, row):
         self._file.write(v1_frame(tag, key, row))
@@ -137,11 +139,11 @@ def pair_persist(self, fresh_keys, corners, block):
 def pair_sync_journal(self):
     """The v1 ``EvaluationCache.sync_journal``: one journal frame per pair."""
     journal = self._journal
-    for corner, store in self._store.items():
+    for corner, keys, rows, _ in self.corner_pairs():
         done = self._journaled.get(corner, 0)
-        if len(store) > done:
-            journal.append(_corner_tag(corner), islice(store.items(), done, None))
-            self._journaled[corner] = len(store)
+        if len(keys) > done:
+            journal.append(_corner_tag(corner), zip(keys[done:], rows[done:]))
+            self._journaled[corner] = len(keys)
     watermark = journal.sync()
     self._lineage = (journal.path, watermark)
     return watermark
