@@ -11,6 +11,11 @@ provides the operations every agent needs:
   and the trust-region radius live),
 * snapping to the discrete grid (what a designer would actually draw),
 * sampling inside an L-infinity ball (the trust region, Eq. 5).
+
+Every parameter is a finite grid, so a snapped point is a vector of grid
+indices: :class:`DesignSpace` tabulates the natural value and the unit
+coordinate of every grid index once, and snapping or sampling looks them
+up instead of mapping back through ``exp``/``log``.
 """
 
 from __future__ import annotations
@@ -85,7 +90,18 @@ class Parameter:
 
 
 class DesignSpace:
-    """An ordered collection of :class:`Parameter` objects."""
+    """An ordered collection of :class:`Parameter` objects.
+
+    Besides the per-parameter arrays that vectorise the unit-cube mapping
+    over ``(count, dimension)`` batches, the constructor builds two grid
+    tables: for every parameter and grid index ``k``, the natural value
+    ``from_unit(k * step)`` and its unit coordinate ``to_unit`` of that
+    value.  :meth:`grid_index` maps a point to its nearest grid indices
+    (clip, :meth:`to_unit`, divide by the step, round half to even), and
+    :meth:`grid_values` / :meth:`grid_units` gather from the tables, so a
+    snapped value equals mapping the rounded unit coordinate back, bit for
+    bit, without the second ``exp``.
+    """
 
     def __init__(self, parameters: Sequence[Parameter]) -> None:
         if not parameters:
@@ -101,13 +117,23 @@ class DesignSpace:
         self._highs = np.array([p.high for p in self.parameters])
         self._log_mask = np.array([p.log_scale for p in self.parameters])
         self._grid_steps = np.array([1.0 / (p.grid_points - 1) for p in self.parameters])
-        safe_lows = np.where(self._log_mask, self._lows, 1.0)
-        safe_highs = np.where(self._log_mask, self._highs, 1.0)
-        self._log_lows = np.log(safe_lows)
-        self._log_spans = np.log(safe_highs) - self._log_lows
-        self._spans = self._highs - self._lows
-        # to_unit's log denominator: the log span, or 1 on linear columns.
-        self._log_divisors = np.where(self._log_mask, self._log_spans, 1.0)
+        # The unit-cube mapping's per-column offset and scale: low and span
+        # on linear columns, log(low) and log span on log-scale ones, so
+        # unit = (x - offset) / scale with x the value or its log.
+        log_lows = np.log(np.where(self._log_mask, self._lows, 1.0))
+        log_spans = np.log(np.where(self._log_mask, self._highs, 1.0)) - log_lows
+        self._unit_lows = np.where(self._log_mask, log_lows, self._lows)
+        self._unit_spans = np.where(self._log_mask, log_spans, self._highs - self._lows)
+        # Grid tables, one row per parameter, padded to the largest grid by
+        # repeating its last point; index k of parameter j sits at flat
+        # position j * width + k (_grid_offsets[j] + k).
+        width = max(p.grid_points for p in self.parameters)
+        last = np.array([p.grid_points - 1 for p in self.parameters])
+        grid_units = np.minimum(np.arange(width)[:, None], last) * self._grid_steps
+        values = self.from_unit(grid_units)
+        self._grid_values = np.ascontiguousarray(values.T).ravel()
+        self._grid_units = np.ascontiguousarray(self.to_unit(values).T).ravel()
+        self._grid_offsets = np.arange(self.dimension) * width
 
     # -- basic protocol ---------------------------------------------------
     def __len__(self) -> int:
@@ -162,30 +188,48 @@ class DesignSpace:
     # the fast path the batch circuit evaluator and the trust-region sampler
     # rely on.
     def to_unit(self, vector: Sequence[float]) -> np.ndarray:
-        vector = np.asarray(vector, dtype=np.float64)
-        if np.any((vector <= 0.0) & self._log_mask):
+        return self._to_unit_in_place(np.array(vector, dtype=np.float64))
+
+    def _to_unit_in_place(self, unit: np.ndarray) -> np.ndarray:
+        """:meth:`to_unit` of the natural values ``unit`` holds, written over them."""
+        if np.any(unit <= 0.0, where=self._log_mask):
             raise ValueError("non-positive value for a log-scale parameter")
-        safe = np.where(self._log_mask, np.maximum(vector, 1e-300), 1.0)
-        linear = (vector - self._lows) / self._spans
-        logarithmic = (np.log(safe) - self._log_lows) / self._log_divisors
-        return np.where(self._log_mask, logarithmic, linear)
+        np.log(unit, out=unit, where=self._log_mask)
+        unit -= self._unit_lows
+        unit /= self._unit_spans
+        return unit
 
     def from_unit(self, unit_vector: Sequence[float]) -> np.ndarray:
-        unit_vector = np.clip(np.asarray(unit_vector, dtype=np.float64), 0.0, 1.0)
-        linear = self._lows + unit_vector * self._spans
-        logarithmic = np.exp(self._log_lows + unit_vector * self._log_spans)
-        return np.where(self._log_mask, logarithmic, linear)
+        values = np.maximum(np.asarray(unit_vector, dtype=np.float64), 0.0)
+        np.minimum(values, 1.0, out=values)
+        values *= self._unit_spans
+        values += self._unit_lows
+        np.exp(values, out=values, where=self._log_mask)
+        return values
 
     def clip(self, vector: Sequence[float]) -> np.ndarray:
         """Clamp a natural-unit vector into the box."""
-        vector = np.asarray(vector, dtype=np.float64)
-        return np.clip(vector, self._lows, self._highs)
+        clipped = np.maximum(np.asarray(vector, dtype=np.float64), self._lows)
+        return np.minimum(clipped, self._highs, out=clipped)
+
+    # -- the grid -------------------------------------------------------------
+    def grid_index(self, vector: Sequence[float]) -> np.ndarray:
+        """The nearest grid index of every coordinate, as integers."""
+        unit = self._to_unit_in_place(self.clip(vector))
+        unit /= self._grid_steps
+        return np.rint(unit, out=unit).astype(np.intp)
+
+    def grid_values(self, index: np.ndarray) -> np.ndarray:
+        """The natural values at grid indices from :meth:`grid_index`."""
+        return self._grid_values.take(index + self._grid_offsets)
+
+    def grid_units(self, index: np.ndarray) -> np.ndarray:
+        """The unit coordinates (:meth:`to_unit`) of :meth:`grid_values`."""
+        return self._grid_units.take(index + self._grid_offsets)
 
     def snap(self, vector: Sequence[float]) -> np.ndarray:
         """Snap every coordinate to its grid."""
-        unit = self.to_unit(self.clip(vector))
-        snapped_unit = np.round(unit / self._grid_steps) * self._grid_steps
-        return self.from_unit(snapped_unit)
+        return self.grid_values(self.grid_index(vector))
 
     def contains(self, vector: Sequence[float]) -> bool:
         """True when the vector lies inside the box (inclusive)."""
@@ -195,26 +239,31 @@ class DesignSpace:
         )
 
     # -- sampling ------------------------------------------------------------
-    def sample(self, rng: np.random.Generator, count: int = 1, snap: bool = True) -> np.ndarray:
-        """Uniform random samples in the unit cube mapped to natural units.
+    def sample_index(self, rng: np.random.Generator, count: int = 1) -> np.ndarray:
+        """Grid indices of uniform random points of the unit cube.
+
+        Returns an integer array of shape ``(count, dimension)``; the draw
+        is ``from_unit(rng.random((count, dimension)))``, snapped.
+        """
+        return self.grid_index(self.from_unit(rng.random((count, self.dimension))))
+
+    def sample(self, rng: np.random.Generator, count: int = 1) -> np.ndarray:
+        """Uniform random samples in the unit cube mapped to natural units
+        and snapped to the grid.
 
         Returns an array of shape ``(count, dimension)``.
         """
-        unit = rng.random((count, self.dimension))
-        samples = self.from_unit(unit)
-        if snap:
-            samples = self.snap(samples)
-        return samples
+        return self.grid_values(self.sample_index(rng, count))
 
-    def sample_ball(
+    def sample_ball_index(
         self,
         rng: np.random.Generator,
         center: Sequence[float],
         radius: float,
         count: int,
-        snap: bool = True,
     ) -> np.ndarray:
-        """Uniform samples inside an L-infinity ball of the unit cube.
+        """Grid indices of uniform samples inside an L-infinity ball of the
+        unit cube.
 
         This realises the trust region ``D_TR = {X : ||X - X_i|| <= delta_r}``
         of Eq. (5); the norm is taken in the normalised unit cube so the
@@ -222,11 +271,8 @@ class DesignSpace:
         """
         center_unit = self.to_unit(np.asarray(center, dtype=np.float64))
         offsets = rng.uniform(-radius, radius, size=(count, self.dimension))
-        unit_points = np.clip(center_unit + offsets, 0.0, 1.0)
-        samples = self.from_unit(unit_points)
-        if snap:
-            samples = self.snap(samples)
-        return samples
+        # from_unit clips the offset points into the unit cube.
+        return self.grid_index(self.from_unit(center_unit + offsets))
 
 
 def row_keys(block: np.ndarray) -> List[bytes]:

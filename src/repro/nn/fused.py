@@ -14,7 +14,12 @@ models' flat vectors into a :class:`BatchedFusedMLP` and takes every step
 through its hand-derived forward/backward pass under an MSE loss and
 :class:`BatchedFusedAdam`'s update: a fixed, small sequence of NumPy calls
 with no per-op Python structures.  :meth:`FusedMLP.fit` is a one-job
-dispatch of it.
+dispatch of it.  The bookkeeping around the steps is done once per stack,
+not once per seed: each job's shuffles for the whole fit come from one
+``Generator.permuted`` call, each epoch gathers every seed's minibatch
+rows with one ``np.take`` per array, the step losses fill one array that is
+averaged once at the end, and Adam's bias corrections are one gather from a
+table of :func:`bias_correction` values.
 
 Every floating-point expression in the kernel is written to match a
 reverse-mode autodiff engine's backward pass operation for operation (same
@@ -62,11 +67,35 @@ _EPS = DTYPE(EPS)
 def bias_correction(beta: float, t: int) -> float:
     """Adam's ``1 - beta**t`` debiasing denominator.
 
-    :class:`BatchedFusedAdam` and the reference Adam the tests compare it
-    against must compute this with the same Python ``**`` on the integer
-    step count; sharing the helper keeps their bits from drifting apart.
+    :class:`BatchedFusedAdam` (through :func:`_bias_table`) and the
+    reference Adam the tests compare it against must compute this with the
+    same Python ``**`` on the integer step count; sharing the helper keeps
+    their bits from drifting apart.
     """
     return 1.0 - beta ** t
+
+
+# Row 0 holds bias_correction(BETA1, t) and row 1 bias_correction(BETA2, t)
+# at column t, rounded to DTYPE as the update divides by them.  The values
+# never change; _bias_table only appends columns.
+_BIAS_TABLE = np.zeros((2, 1), dtype=DTYPE)
+
+
+def _bias_table(last_step: int) -> np.ndarray:
+    """The ``(2, size)`` bias-correction table, covering ``last_step``.
+
+    Grown to at least twice its size when a longer history needs it, so a
+    process computes each step count's corrections a bounded number of
+    times however many stacks it trains.
+    """
+    global _BIAS_TABLE
+    if last_step >= _BIAS_TABLE.shape[1]:
+        size = max(last_step + 1, 2 * _BIAS_TABLE.shape[1])
+        table = np.empty((2, size), dtype=DTYPE)
+        table[0] = [bias_correction(BETA1, t) for t in range(size)]
+        table[1] = [bias_correction(BETA2, t) for t in range(size)]
+        _BIAS_TABLE = table
+    return _BIAS_TABLE
 
 
 def ridge_output_weights(features: np.ndarray, targets: np.ndarray, l2: float) -> np.ndarray:
@@ -439,10 +468,11 @@ class BatchedFusedAdam:
     runs the per-parameter Adam update as an ``out=`` sequence with a
     leading seed axis, and scatters the state back.  Each seed keeps its own
     integer step count (seeds may arrive mid-training with different
-    histories), and the bias corrections are computed with the same Python
-    ``**`` on that count (:func:`bias_correction`) before broadcasting, so
-    every seed's update is bit-identical to the reference Adam's.  The
-    scratch buffers make a step allocation-free.
+    histories) in one integer array.  A step reads every seed's bias
+    corrections with one gather from :func:`_bias_table`, whose entries are
+    the same Python ``**`` on the count (:func:`bias_correction`), so every
+    seed's update is bit-identical to the reference Adam's.  The scratch
+    buffers make a step allocation-free.
     """
 
     def __init__(self, model: BatchedFusedMLP, lr: float = 1e-3) -> None:
@@ -454,10 +484,15 @@ class BatchedFusedAdam:
         self._v = np.zeros_like(self.theta)
         self._s1 = np.empty_like(self.theta)
         self._s2 = np.empty_like(self.theta)
-        self._t: List[int] = [0] * model.n_seeds
-        # Per-seed bias-correction denominators, broadcast over parameters.
-        self._bc1 = np.empty((model.n_seeds, 1), dtype=DTYPE)
-        self._bc2 = np.empty((model.n_seeds, 1), dtype=DTYPE)
+        self._t = np.zeros(model.n_seeds, dtype=np.intp)
+        # The largest step count in _t, kept as a Python int so a step can
+        # size the bias table without a reduction.
+        self._last_t = 0
+        # Per-seed bias-correction denominators (rows BETA1, BETA2), and
+        # views of them broadcast over parameters.
+        self._bc = np.empty((2, model.n_seeds), dtype=DTYPE)
+        self._bc1 = self._bc[0][:, None]
+        self._bc2 = self._bc[1][:, None]
 
     def gather(self, optimizers: Sequence[FusedAdam]) -> None:
         """Copy each seed's Adam moments and step count into the stack."""
@@ -469,6 +504,7 @@ class BatchedFusedAdam:
             self._m[index] = optimizer._m
             self._v[index] = optimizer._v
             self._t[index] = optimizer._t
+        self._last_t = max(optimizer._t for optimizer in optimizers)
 
     def scatter(self, optimizers: Sequence[FusedAdam]) -> None:
         """Write the stacked moments and step counts back per seed."""
@@ -479,19 +515,23 @@ class BatchedFusedAdam:
         for index, optimizer in enumerate(optimizers):
             optimizer._m[...] = self._m[index]
             optimizer._v[...] = self._v[index]
-            optimizer._t = self._t[index]
+            optimizer._t = int(self._t[index])
 
     def step(self, grad: np.ndarray) -> None:
-        """Apply one Adam update across all seeds for the stacked gradient."""
+        """Apply one Adam update across all seeds for the stacked gradient.
+
+        Every seed's step count advances by one, and both bias corrections
+        of every seed come from one ``np.take`` on :func:`_bias_table` at
+        the new counts, whatever mix of histories the stack holds.
+        """
         if grad.shape != self.theta.shape:
             raise ValueError(f"gradient shape {grad.shape} vs theta {self.theta.shape}")
         m, v, s1, s2 = self._m, self._v, self._s1, self._s2
         bc1, bc2 = self._bc1, self._bc2
-        for index in range(self.model.n_seeds):
-            step_count = self._t[index] + 1
-            self._t[index] = step_count
-            bc1[index, 0] = bias_correction(BETA1, step_count)
-            bc2[index, 0] = bias_correction(BETA2, step_count)
+        np.add(self._t, 1, out=self._t)
+        self._last_t += 1
+        # The table covers _last_t, the largest count, so no index clips.
+        np.take(_bias_table(self._last_t), self._t, axis=1, out=self._bc, mode="clip")
         # m = beta1*m + (1-beta1)*grad
         np.multiply(m, _BETA1, out=m)
         np.multiply(grad, _ONE_MINUS_BETA1, out=s1)
@@ -551,9 +591,15 @@ def _fit_bucket(jobs: List[FusedFitJob], inputs_list: List[np.ndarray],
     All jobs have the same (row count, batch size, epochs), so each global
     step runs one stacked forward/backward/Adam update in which every
     seed's slice has the shapes it would have alone — the bit-transparent
-    case.  Each seed draws one permutation per epoch from its own
-    generator, the RNG use of the reference training loop, and the epoch's
-    shuffle is gathered once so every step takes contiguous slices.
+    case.  Each job draws all of its epochs' shuffles up front with one
+    ``permuted`` call on an ``(epochs, rows)`` tile of ``arange(rows)``:
+    row ``e`` is the ``permutation(rows)`` the reference training loop
+    draws at epoch ``e``, and the generator ends in the same state.  Each
+    epoch then gathers every seed's shuffled rows from the bucket's
+    concatenated data with one ``np.take`` per array, so every step takes
+    contiguous slices.  Step losses land in one ``(jobs, epochs, steps)``
+    float64 array, the Python floats the reference loop averages, and one
+    ``mean`` over its last axis gives every epoch loss with those bits.
     """
     n = len(jobs)
     count = inputs_list[0].shape[0]
@@ -563,30 +609,33 @@ def _fit_bucket(jobs: List[FusedFitJob], inputs_list: List[np.ndarray],
     adam = BatchedFusedAdam(batched, lr=jobs[0].adam.lr)
     adam.gather([job.adam for job in jobs])
 
+    # orders[e, i] lists seed i's epoch-e shuffle as rows of the
+    # concatenated data, where seed i's rows start at i * count.
+    ranks = np.tile(np.arange(count, dtype=np.intp), (epochs, 1))
+    orders = np.empty((epochs, n, count), dtype=np.intp)
+    for index, job in enumerate(jobs):
+        np.add(job.rng.permuted(ranks, axis=1), index * count, out=orders[:, index])
+    all_x = np.concatenate(inputs_list)
+    all_y = np.concatenate(targets_list)
+
     shuf_x = np.empty((n, count, batched.in_features), dtype=DTYPE)
     shuf_y = np.empty((n, count, batched.out_features), dtype=DTYPE)
     grad = batched._grad
-    # One column per step of an epoch.  float64, like the Python floats the
-    # reference training loop averages, so each row's mean takes its bits.
-    step_losses = np.empty((n, (count + batch_size - 1) // batch_size))
-    epoch_losses: List[List[float]] = [[] for _ in range(n)]
-    for _ in range(epochs):
-        for index, job in enumerate(jobs):
-            permutation = job.rng.permutation(count)
-            np.take(inputs_list[index], permutation, axis=0, out=shuf_x[index])
-            np.take(targets_list[index], permutation, axis=0, out=shuf_y[index])
+    step_losses = np.empty((n, epochs, (count + batch_size - 1) // batch_size))
+    for epoch in range(epochs):
+        # Every index is a permuted row number, so none clips.
+        np.take(all_x, orders[epoch], axis=0, out=shuf_x, mode="clip")
+        np.take(all_y, orders[epoch], axis=0, out=shuf_y, mode="clip")
         for step, start in enumerate(range(0, count, batch_size)):
             stop = min(start + batch_size, count)
-            step_losses[:, step] = batched.loss_and_grad(
+            step_losses[:, epoch, step] = batched.loss_and_grad(
                 shuf_x[:, start:stop], shuf_y[:, start:stop]
             )
             adam.step(grad)
-        for index in range(n):
-            epoch_losses[index].append(float(np.mean(step_losses[index])))
 
     batched.scatter([job.model for job in jobs])
     adam.scatter([job.adam for job in jobs])
-    return epoch_losses
+    return step_losses.mean(axis=2).tolist()
 
 
 def fit_batched(jobs: Sequence[FusedFitJob]) -> List[List[float]]:

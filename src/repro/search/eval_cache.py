@@ -54,8 +54,9 @@ the replay moved back to the snapshot's
 from __future__ import annotations
 
 import hashlib
+import operator
 import os
-from itertools import compress, filterfalse, islice
+from itertools import compress, islice
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -263,44 +264,42 @@ class EvaluationCache:
         return pairs
 
     def _insert(
-        self,
-        pairs: _CornerPairs,
-        keys: List[bytes],
-        rows: np.ndarray,
-        warm: bool,
-        distinct: bool,
+        self, pairs: _CornerPairs, keys: List[bytes], rows: np.ndarray, warm: bool
     ) -> None:
         """Copy ``rows`` in under ``keys``, as ``dict.update(zip(keys, rows))`` would.
 
         A new key takes the next position; a key already stored, or
         repeated in ``keys``, keeps its first position and takes its last
-        row.  ``warm`` flags every key given as preloaded; ``distinct``
-        says that no key repeats in ``keys``.
+        row.  ``warm`` flags every key given as preloaded.
+
+        Freshness costs one probe per key: ``setdefault`` offers the i-th
+        key the i-th free position, and when every key takes its offer
+        (the usual case) the keys were new and distinct.  Otherwise the
+        keys that took an offer move down to close the gaps the others
+        left.
         """
         index = pairs.index
         start = len(index)
-        if distinct and index.keys().isdisjoint(keys):
-            new_keys = keys
-        else:
-            new_keys = list(
-                filterfalse(index.__contains__, keys if distinct else dict.fromkeys(keys))
-            )
-        stop = start + len(new_keys)
+        stop = start + len(keys)
         positions = self._positions
         if len(positions) < stop:
             positions.extend(range(len(positions), stop))
-        pairs.reserve(stop)
-        index.update(zip(new_keys, positions[start:stop]))
-        if new_keys is keys:
+        offered = positions[start:stop]
+        targets = list(map(index.setdefault, keys, offered))
+        if targets == offered:
+            pairs.reserve(stop)
             pairs.rows[start:stop] = rows
             if warm:
                 pairs.warm[start:stop] = True
             return
-        targets = pairs.positions(keys)
-        if not distinct:
-            # Each position takes the row of its key's last occurrence.
-            last_source = dict(zip(targets, range(len(keys))))
-            targets = list(last_source)
+        taken = list(compress(keys, map(operator.eq, targets, offered)))
+        stop = start + len(taken)
+        index.update(zip(taken, positions[start:stop]))
+        pairs.reserve(stop)
+        # Each position takes the row of its key's last occurrence.
+        last_source = dict(zip(pairs.positions(keys), range(len(keys))))
+        targets = list(last_source)
+        if len(targets) < len(keys):
             rows = rows[list(last_source.values())]
         pairs.rows[targets] = rows
         if warm:
@@ -322,8 +321,7 @@ class EvaluationCache:
             pairs = targets.get(tag)
             if pairs is None:
                 pairs = targets[tag] = self._corner(_corner_from_tag(tag))
-            keys = list(map(shared.setdefault, keys, keys))
-            self._insert(pairs, keys, rows, warm, len(set(keys)) == len(keys))
+            self._insert(pairs, list(map(shared.setdefault, keys, keys)), rows, warm)
 
     def __len__(self) -> int:
         """Total number of cached ``(row, corner)`` pairs."""
@@ -415,9 +413,8 @@ class EvaluationCache:
             self.eval_seconds += timer.seconds
             out[:, fresh, :] = block
             fresh_keys = [keys[row_index] for row_index in fresh]
-            distinct = len(set(fresh_keys)) == len(fresh_keys)
             for corner_index, pairs in enumerate(stores):
-                self._insert(pairs, fresh_keys, block[corner_index], False, distinct)
+                self._insert(pairs, fresh_keys, block[corner_index], False)
             if self._backend is not None:
                 self._persist(fresh_keys, corners, block)
         out.flags.writeable = False

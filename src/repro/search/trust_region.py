@@ -329,8 +329,12 @@ class TrustRegionSearch(DatasetOptimizer):
         # the regression problem under the persistent Adam moments.
         self._output_scaler = StandardScaler().fit(metrics)
 
-    def _rank_candidates(self, candidates: np.ndarray, keep: int) -> np.ndarray:
+    def _rank_candidates(self, unit: np.ndarray, keep: int) -> np.ndarray:
         """Indices of the predicted-best ``keep`` candidates, best first.
+
+        ``unit`` holds the candidates' unit-cube coordinates, the
+        surrogate's inputs; the samplers read them off the design space's
+        grid table (:meth:`~repro.core.design_space.DesignSpace.grid_units`).
 
         The satisfaction score saturates at 0 for every predicted-feasible
         candidate, so inside a converged trust region large parts of the
@@ -345,7 +349,6 @@ class TrustRegionSearch(DatasetOptimizer):
         tie-break, so the maximin choice is taken over every candidate
         with an equal claim, not an arbitrary partition accident.
         """
-        unit = self.design_space.to_unit(candidates)
         predicted = self._surrogate.predict(unit)
         metrics = self._output_scaler.inverse_transform(predicted)
         margins = self.specification.margins(metrics)
@@ -399,18 +402,15 @@ class TrustRegionSearch(DatasetOptimizer):
         if self._restart_pending:
             self._restart()
         center = self._X[self._local] if self._local >= 0 else self._restart_center
-        candidates = self.design_space.sample_ball(
-            self.rng, center, self._radius, config.candidate_pool
-        )
-        order = self._rank_candidates(candidates, keep=4 * config.batch_size)
+        space = self.design_space
+        index = space.sample_ball_index(self.rng, center, self._radius, config.candidate_pool)
+        order = self._rank_candidates(space.grid_units(index), keep=4 * config.batch_size)
         # The final iteration may have less budget left than a full batch;
         # never propose past max_evaluations.
         step = min(config.batch_size, config.max_evaluations - self._count)
-        rows, _ = self._select_new(candidates[order], limit=step)
+        rows, _ = self._select_new(space.grid_values(index[order]), limit=step)
         if rows.shape[0] == 0:
-            rows, _ = self._select_new(
-                self.design_space.sample(self.rng, config.batch_size), limit=step
-            )
+            rows, _ = self._select_new(space.sample(self.rng, config.batch_size), limit=step)
             if rows.shape[0] == 0:
                 self._done = True
         return rows
@@ -418,8 +418,9 @@ class TrustRegionSearch(DatasetOptimizer):
     def _restart(self) -> None:
         """Re-centre on the surrogate's pick of a fresh Monte-Carlo batch."""
         config = self.config
-        pool = self.design_space.sample(self.rng, config.candidate_pool)
-        top = self._rank_candidates(pool, keep=1)
+        space = self.design_space
+        pool = space.sample_index(self.rng, config.candidate_pool)
+        top = self._rank_candidates(space.grid_units(pool), keep=1)
         # ``seed`` is the optimizer's own RNG seed (a campaign member's seed
         # plus its phase); the enclosing ask span carries the member's tags.
         event(
@@ -429,7 +430,7 @@ class TrustRegionSearch(DatasetOptimizer):
             local_best=float(self._scores[self._local]),
             restart=1 + sum(record.restarted for record in self._history),
         )
-        self._restart_center = self.design_space.snap(pool[top])[0]
+        self._restart_center = space.grid_values(pool[top[0]])
         self._local = -1
         self._radius = INITIAL_RADIUS
         self._stall = 0

@@ -98,7 +98,7 @@ def assert_same_selection(selected, expected):
 def colliding_block(optimizer, rng):
     """Fresh draws, rows told earlier and in-block repeats, shuffled."""
     space = optimizer.design_space
-    block = space.sample(rng, int(rng.integers(1, 24)), snap=False)
+    block = space.from_unit(rng.random((int(rng.integers(1, 24)), space.dimension)))
     if optimizer.evaluations:
         told = optimizer._X[rng.integers(0, optimizer.evaluations, size=3)]
         block = np.vstack([block, told])

@@ -74,10 +74,11 @@ def oracle_run(search, evaluator):
         if job is not None:
             fit_batched([job])
         center = search._X[search._best]
-        candidates = search.design_space.sample_ball(
-            search.rng, center, radius, config.candidate_pool
+        space = search.design_space
+        candidates = space.grid_values(
+            space.sample_ball_index(search.rng, center, radius, config.candidate_pool)
         )
-        order = search._rank_candidates(candidates, keep=4 * config.batch_size)
+        order = search._rank_candidates(space.to_unit(candidates), keep=4 * config.batch_size)
         previous = search._scores[search._best]
         step = min(config.batch_size, config.max_evaluations - search._count)
         added = evaluate_new(search, evaluator, candidates[order], limit=step)
