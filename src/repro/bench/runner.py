@@ -7,7 +7,10 @@ numbers the ROADMAP tracks per PR:
 * **success rate** — fraction of seeds whose winner passes every spec at
   every corner of the case's corner set;
 * **median evaluations-to-feasible** — median (over successful seeds) of
-  true-evaluator calls consumed, the paper's efficiency metric;
+  the sizings evaluated;
+* **simulations** — the paper's cost metric: each seed's distinct ``(row,
+  corner)`` pairs, and per case their total and ``simulations_to_feasible``,
+  the censored median in which an unsolved seed counts as +inf;
 * **refit/eval/wall seconds** — surrogate-refit, true-evaluator and
   end-to-end wall time, totalled across the case's seeds.
 
@@ -17,8 +20,13 @@ sharing single stacked ``evaluate_corners`` passes (far fewer, larger
 evaluator calls) and batched surrogate refits, bit-exact per seed versus a
 single-seed :func:`~repro.search.sizing.size_problem` run.
 
-The JSON artifact schema is ``repro.bench/v11`` (see README "Benchmarking").
-Relative to v10 it drops the fields that recorded the sharded execution:
+The JSON artifact schema is ``repro.bench/v12`` (see README "Benchmarking").
+v12 adds the simulation count: per seed ``simulations`` (the distinct
+``(row, corner)`` pairs the seed's own requests named, verification
+included, whichever seeds shared the campaign), and per case their total
+``simulations`` and the censored median ``simulations_to_feasible``
+(``null`` when more than half of the seeds are unsolved).  v11, relative
+to v10, drops the fields that recorded the sharded execution:
 the top-level and per-case ``execution`` fields and the per-case
 ``shard`` block.  v10
 dropped the fields that recorded the retired oracle knobs (training
@@ -43,7 +51,7 @@ a crashed run never leaves a half-written BENCH JSON:
 .. code-block:: json
 
     {
-      "schema": "repro.bench/v11",
+      "schema": "repro.bench/v12",
       "suite": "smoke",
       "seeds": [0, 1, 2],
       "optimizer": "mixed",
@@ -58,6 +66,7 @@ a crashed run never leaves a half-written BENCH JSON:
           "optimizer": "trust_region",
           "n_seeds": 3, "success_rate": 1.0, "success_ci95": [0.4385, 1.0],
           "median_evaluations_to_feasible": 113,
+          "simulations": 9471, "simulations_to_feasible": 3157,
           "refit_seconds": 0.12, "eval_seconds": 0.01, "wall_seconds": 0.2,
           "eval": {"engine_calls": 31, "rounds": 29,
                    "cache_hits": 27, "cache_misses": 9486},
@@ -75,6 +84,7 @@ a crashed run never leaves a half-written BENCH JSON:
                         "phases": 2, "restarts": 0, "refit_seconds": 0.05,
                         "eval_seconds": 0.004, "cache_hits": 9,
                         "cache_misses": 3162, "engine_calls": 11,
+                        "simulations": 3157,
                         "failing_corners": [],
                         "best_sizing": {"w1": 4.6e-05}}]
         }
@@ -107,7 +117,7 @@ from repro.resilience import atomic_write_json
 from repro.search.optimizer import available_optimizers
 from repro.search.progressive import ProgressiveResult
 
-SCHEMA = "repro.bench/v11"
+SCHEMA = "repro.bench/v12"
 
 module_logger = logging.getLogger(__name__)
 
@@ -154,6 +164,16 @@ def wilson_interval(successes: int, trials: int) -> Optional[Tuple[float, float]
     center = (p + z * z / (2 * trials)) / shrink
     half = z / shrink * math.sqrt(p * (1.0 - p) / trials + z * z / (4 * trials * trials))
     return max(0.0, center - half), min(1.0, center + half)
+
+
+def censored_median(values: Sequence[Optional[int]]) -> Optional[float]:
+    """Median of ``values`` with ``None`` (an unsolved seed) counted as
+    +inf; ``None`` when the median itself is unsolved or there are no
+    values."""
+    if not values:
+        return None
+    middle = median(math.inf if value is None else value for value in values)
+    return None if math.isinf(middle) else float(middle)
 
 
 def _per_seed_record(seed: int, result: ProgressiveResult) -> Dict[str, Any]:
@@ -278,6 +298,10 @@ def run_case(
         "median_evaluations_to_feasible": (
             int(median(record["evaluations"] for record in solved)) if solved else None
         ),
+        "simulations": sum(record["simulations"] for record in per_seed),
+        "simulations_to_feasible": censored_median(
+            [record["simulations"] if record["solved"] else None for record in per_seed]
+        ),
         "refit_seconds": round(sum(r["refit_seconds"] for r in per_seed), 6),
         "eval_seconds": round(outcome.eval_seconds, 6),
         "wall_seconds": round(wall, 6),
@@ -311,7 +335,7 @@ def run_suite(
     resume: bool = False,
     cache_dir: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """Run every case of a suite; returns the ``repro.bench/v11`` payload."""
+    """Run every case of a suite; returns the ``repro.bench/v12`` payload."""
     cases = get_suite(suite)
     module_logger.info("suite %r: %d case(s)", suite, len(cases))
     with profiled("bench.run_suite", suite=suite, cases=len(cases)) as wall_timer:
@@ -362,10 +386,11 @@ def format_summary(payload: Dict[str, Any]) -> str:
         f"| optimizer {payload['optimizer']} "
         f"| {payload['totals']['wall_seconds']:.1f} s total",
         f"{'case':48s} {'dims':>4s} {'succ':>6s} {'95% CI':>13s} {'evals':>6s} "
-        f"{'refit_s':>8s} {'eval_s':>8s} {'calls':>6s} {'wall_s':>7s}",
+        f"{'sims':>7s} {'refit_s':>8s} {'eval_s':>8s} {'calls':>6s} {'wall_s':>7s}",
     ]
     for case in payload["cases"]:
         evals = case["median_evaluations_to_feasible"]
+        sims = case["simulations_to_feasible"]
         interval = case["success_ci95"]
         interval_text = (
             f"[{interval[0]:.2f}, {interval[1]:.2f}]" if interval is not None else "-"
@@ -374,6 +399,7 @@ def format_summary(payload: Dict[str, Any]) -> str:
             f"{case['name']:48s} {case['design_dims']:>4d} "
             f"{case['success_rate']:>6.2f} {interval_text:>13s} "
             f"{(str(evals) if evals is not None else '-'):>6s} "
+            f"{(f'{sims:g}' if sims is not None else '-'):>7s} "
             f"{case['refit_seconds']:>8.3f} "
             f"{case['eval_seconds']:>8.3f} "
             f"{case['eval']['engine_calls']:>6d} {case['wall_seconds']:>7.2f}"

@@ -214,6 +214,16 @@ class _ProgressiveMember:
         self.cache_hits = 0
         self.cache_misses = 0
         self.engine_calls = 0
+        # The paper's cost metric: distinct (row, corner) pairs this seed's
+        # own requests named, verification included.  Counted from the
+        # requests, not from cache freshness, so it does not depend on
+        # which seeds share the campaign (or on a warm cache), and a
+        # replayed round recounts it exactly.  A phase's rows are new to
+        # its optimizer, so only rows of earlier phases can repeat a pair:
+        # those are kept as grid codes, with the corner count they were
+        # simulated at.
+        self.simulations = 0
+        self._simulated: List[Tuple[np.ndarray, int]] = []
         self._single_spec = Specification(self.specs, self.metric_names)
 
         self.active: List[PVTCondition] = initial_corners(self.ranked)
@@ -252,6 +262,31 @@ class _ProgressiveMember:
         self.cache_misses += misses
         self.engine_calls += engine_calls
         self.eval_seconds += eval_seconds
+
+    def _count_phase(self) -> List[Tuple[np.ndarray, int]]:
+        """Add the finished phase's simulations: its told rows at the active
+        corners and its winner at every corner, less the pairs an earlier
+        phase already simulated.  Each phase's corners extend the last
+        one's, so a row's simulated pairs are its first corners.  Returns
+        the simulated rows a next phase must not count again."""
+        space = self.design_space
+        rows = np.vstack([self.optimizer.evaluated_rows, self.best_vector])
+        codes = np.ravel_multi_index(
+            space.grid_index(rows).T, [parameter.grid_points for parameter in space]
+        )
+        widths = np.full(codes.shape[0], len(self.active))
+        widths[-1] = len(self.ranked)
+        # The winner is also one of the told rows.
+        before = np.zeros_like(widths)
+        before[-1] = len(self.active)
+        for simulated, width in self._simulated:  # sorted, never empty
+            index = np.searchsorted(simulated, codes).clip(max=simulated.size - 1)
+            np.maximum(before, np.where(simulated[index] == codes, width, 0), out=before)
+        self.simulations += int(np.maximum(widths - before, 0).sum())
+        return self._simulated + [
+            (np.sort(codes[:-1]), len(self.active)),
+            (codes[-1:].copy(), len(self.ranked)),
+        ]
 
     def request(self) -> Optional[Tuple[np.ndarray, List[PVTCondition]]]:
         """The member's next evaluation request, or ``None`` when finished."""
@@ -302,6 +337,7 @@ class _ProgressiveMember:
             self._pending_rows = None
             return
         # Verification of the phase winner across the full corner grid.
+        simulated = self._count_phase()
         self.corner_reports = self._corner_reports(block[:, 0, :])
         failing = [report.condition for report in self.corner_reports if not report.satisfied]
         if not failing:
@@ -335,6 +371,7 @@ class _ProgressiveMember:
                 reason="max-phases",
             )
             return
+        self._simulated = simulated
         self.active = self.active + [new_failures[0]]
         self.phase += 1
         self._state = "search"
@@ -381,6 +418,7 @@ class _ProgressiveMember:
             cache_hits=self.cache_hits,
             cache_misses=self.cache_misses,
             engine_calls=self.engine_calls,
+            simulations=self.simulations,
         )
 
 

@@ -15,7 +15,7 @@ Two cheap baselines prove the protocol generalizes beyond Algorithm 1:
 :class:`RandomSearch` (pure Monte-Carlo) and :class:`CrossEntropySearch`
 (a (mu, lambda) cross-entropy sampler in the unit cube).  Both reuse
 :class:`~repro.search.trust_region.TrustRegionConfig` for their common knobs
-(``seed``, ``initial_samples``, ``batch_size``, ``max_evaluations``) so the
+(``seed``, ``batch_size``, ``max_evaluations``) so the
 benchmark registry can swap optimizers without a parallel config zoo.
 """
 
@@ -34,6 +34,10 @@ from repro.search.spec import FEASIBLE_TOL, Specification
 #: Draws per Monte-Carlo ``ask`` while every drawn row collides with an
 #: already evaluated grid point (tiny design spaces near exhaustion).
 MAX_REDRAWS = 8
+
+#: Rows of the baselines' first, uniform draw.  The trust region seeds with
+#: its own :data:`~repro.search.trust_region.SEED_SAMPLES`.
+BASELINE_SEED_SAMPLES = 48
 
 
 def tell_precondition(arguments) -> Optional[str]:
@@ -220,6 +224,11 @@ class DatasetOptimizer(ABC):
     def evaluations(self) -> int:
         return self._count
 
+    @property
+    def evaluated_rows(self) -> np.ndarray:
+        """Every told sizing, in evaluation order (a view of the dataset)."""
+        return self._X[: self._count]
+
     def _ensure_capacity(self, extra: int) -> None:
         needed = self._count + extra
         if needed <= self._capacity:
@@ -383,18 +392,18 @@ class DatasetOptimizer(ABC):
 class RandomSearch(DatasetOptimizer):
     """Pure Monte-Carlo baseline: uniform sampling of the gridded space.
 
-    Reads ``seed``, ``initial_samples`` (first batch), ``batch_size`` (every
-    later batch) and ``max_evaluations`` from the shared config.  Exists to
-    calibrate how much the surrogate-guided trust region actually buys on a
-    workload — and to prove the ask/tell protocol is not shaped around
-    Algorithm 1.
+    Draws :data:`BASELINE_SEED_SAMPLES` rows first, then ``batch_size``
+    rows per ask, and reads ``seed`` and ``max_evaluations`` from the
+    shared config.  Exists to calibrate how much the surrogate-guided trust
+    region actually buys on a workload — and to prove the ask/tell protocol
+    is not shaped around Algorithm 1.
     """
 
     def ask(self) -> np.ndarray:
         config = self.config
         return self._ask_drawn(
             lambda first: self.design_space.sample(
-                self.rng, config.initial_samples if first else config.batch_size
+                self.rng, BASELINE_SEED_SAMPLES if first else config.batch_size
             )
         )
 
@@ -405,8 +414,8 @@ class CrossEntropySearch(DatasetOptimizer):
     Each generation samples ``lambda = 4 * batch_size`` candidates from an
     axis-aligned Gaussian in the unit cube, then refits the Gaussian on the
     ``mu = batch_size`` elite (best satisfaction score) of the generation
-    with exponential smoothing.  The first generation is uniform (the same
-    Monte-Carlo seeding the trust region uses, ``initial_samples`` draws),
+    with exponential smoothing.  The first generation is uniform
+    (:data:`BASELINE_SEED_SAMPLES` Monte-Carlo draws),
     so the distribution starts where the data is.  A standard-deviation
     floor keeps late generations exploring instead of collapsing onto a
     point of the grid.
@@ -425,7 +434,7 @@ class CrossEntropySearch(DatasetOptimizer):
     def _draw(self, first: bool) -> np.ndarray:
         if self._mean is None:
             return self.design_space.sample(
-                self.rng, self.config.initial_samples if first else self._lambda()
+                self.rng, BASELINE_SEED_SAMPLES if first else self._lambda()
             )
         unit = self._mean + self._std * self.rng.standard_normal(
             (self._lambda(), self.design_space.dimension)

@@ -93,6 +93,14 @@ class ProgressiveResult:
     #: seed it computed fresh pairs for, so per-seed values can sum to more
     #: than the campaign-wide counter.
     engine_calls: int = 0
+    #: Simulations this search needed: the distinct ``(row, corner)`` pairs
+    #: its own requests named, verification passes included.  Unlike
+    #: :attr:`cache_misses` it does not depend on which seeds share the
+    #: campaign or on a warm cache: it is the pair count of the seed's own
+    #: cold cache run alone, whose ``cache_misses`` also count a verified
+    #: winner's searched corners again (the cache recomputes a row that
+    #: misses any requested corner at all of them).
+    simulations: int = 0
 
     def failing_corners(self) -> List[PVTCondition]:
         return [report.condition for report in self.corner_reports if not report.satisfied]
@@ -122,6 +130,7 @@ class ProgressiveResult:
             "cache_hits": int(self.cache_hits),
             "cache_misses": int(self.cache_misses),
             "engine_calls": int(self.engine_calls),
+            "simulations": int(self.simulations),
         }
 
 

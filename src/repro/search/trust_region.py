@@ -2,9 +2,10 @@
 
 The agent alternates between
 
-1. *Monte-Carlo exploration* — uniform sampling of the gridded design space
-   to seed the dataset, and as the fallback batch when every candidate of
-   the trust region has already been evaluated;
+1. *Monte-Carlo exploration* — uniform sampling of ``SEED_SAMPLES`` rows
+   of the gridded design space to seed the dataset, and as the fallback
+   batch when every candidate of the trust region has already been
+   evaluated;
 2. *surrogate refit* — an on-the-fly MLP (the "SPICE approximator" of
    Eq. 3) refit on all evaluated sizings after every tell.  A *full* refit
    is a warm-started Adam pass (the Adam moments persist across refits);
@@ -12,7 +13,8 @@ The agent alternates between
    to ``REFIT_GROWTH`` times its size at the last full refit.  Every other
    refit keeps the learned hidden features and solves the linear output
    layer in closed form (the neural-linear surrogate of DNGO, Snoek et
-   al., ICML 2015);
+   al., ICML 2015), and so does the *finish* of the initial fit: the first
+   ask after the seed's Adam fit has trained solves its output layer;
 3. *trust-region proposal* — a candidate pool sampled inside the L-infinity
    ball of Eq. (5) around the incumbent, ranked by the surrogate's predicted
    constraint-satisfaction score, with only the top few candidates sent to
@@ -43,7 +45,9 @@ A full refit has one path: ``tell`` queues it, and the Campaign pops it
 with :meth:`TrustRegionSearch.take_refit_job` and trains every member's job
 in one batched dispatch at the end of the round.  ``ask`` refuses to run
 while a job is queued, so no loop can rank with a stale surrogate.  The
-closed-form refits run inside ``tell``.
+closed-form refits run inside ``tell``, apart from the initial fit's
+finish, which runs at the top of the next ``ask`` — the first point every
+driver reaches with the trained job.
 
 The search has no checkpoint format of its own: its state (dataset,
 radius, stall counter, surrogate weights and Adam moments) is a
@@ -98,18 +102,30 @@ __all__ = [
 #: half-updated Adam moments, which the resume's replay retrains exactly.
 SITE_REFIT = register_fault_site("optimizer.refit")
 
+#: Rows of the Monte-Carlo seed stage (line 1 of Algorithm 1), before any
+#: warm-start points.  Every seed row is simulated at each phase-0 corner,
+#: and most seeds solve in phase 0, so the seed is a large share of a
+#: search's simulations.  With the closed-form finish of the initial fit,
+#: 24 rows instead of 48 cut the simulations of every nominal and
+#: ``corners`` bench case by 10-40% over seeds 192-255, at the same
+#: success; 16 rows saved less.  The baselines keep their own 48-row first
+#: draw (:data:`~repro.search.optimizer.BASELINE_SEED_SAMPLES`).
+SEED_SAMPLES = 24
+
 #: Consecutive non-improving tells at ``MIN_RADIUS`` before the trust region
-#: restarts around a surrogate-ranked Monte-Carlo sample.  With 8, smoke-suite
-#: seeds 0-15 solve 80/80 (75/80 without restarts) and every pair that solved
-#: without restarts keeps its exact trajectory.
+#: restarts around a surrogate-ranked Monte-Carlo sample.  With 8,
+#: folded_cascode/nominal/nine seeds 0-127 solve 128/128 on 23,288
+#: simulations (8 seeds restart); without restarts 123/128 on 38,116.  No
+#: smoke-suite seed from 0 to 15 stalls, so those keep their trajectories.
 STALL_PATIENCE = 8
 
 #: A post-seed refit is a full Adam refit only once the dataset has grown to
 #: this multiple of its row count at the last full refit (the 120-epoch
 #: initial fit counts as one); every other post-seed refit is the closed-form
-#: output-layer solve.  On the smoke suite at seeds 0-15 this keeps the median
-#: evaluations-to-feasible at 112 with 38% less wall time; a fixed period
-#: (a full refit on every 4th tell) was faster but moved that median to 129.
+#: output-layer solve.  On the smoke suite's trust-region cases at seeds
+#: 0-63 this needs 37,380 simulations and 63,700 Adam steps against 40,471
+#: and 95,620 for a full refit on every tell, at the same median of 72
+#: evaluations to feasible.
 REFIT_GROWTH = 1.15
 
 #: Ridge penalty of the closed-form output-layer refit, on the standardized
@@ -142,26 +158,26 @@ SURROGATE_BATCH_SIZE = 64
 class TrustRegionConfig:
     """Hyper-parameters of Algorithm 1 (and the shared optimizer knobs).
 
-    Eight fields: the run's ``seed`` and evaluation budget
-    (``max_evaluations``), the Monte-Carlo seed size (``initial_samples``),
-    the per-iteration batch (``batch_size``) and candidate pool
-    (``candidate_pool``), and the surrogate's size and training length
-    (``surrogate_hidden``, ``initial_epochs``, ``refit_epochs``).  The
-    radius schedule and the surrogate's optimiser settings are fixed parts
-    of the algorithm, not tuning, so they are module constants
-    (:data:`INITIAL_RADIUS`, :data:`MIN_RADIUS`, :data:`MAX_RADIUS`,
+    Seven fields: the run's ``seed`` and evaluation budget
+    (``max_evaluations``), the per-iteration batch (``batch_size``) and
+    candidate pool (``candidate_pool``), and the surrogate's size and
+    training length (``surrogate_hidden``, ``initial_epochs``,
+    ``refit_epochs``).  The Monte-Carlo seed size, the radius schedule and
+    the surrogate's optimiser settings are fixed parts of the algorithm,
+    not tuning, so they are module constants (:data:`SEED_SAMPLES`,
+    :data:`INITIAL_RADIUS`, :data:`MIN_RADIUS`, :data:`MAX_RADIUS`,
     :data:`EXPAND`, :data:`SHRINK`, :data:`LEARNING_RATE`,
     :data:`SURROGATE_BATCH_SIZE`) beside :data:`STALL_PATIENCE`,
-    :data:`REFIT_GROWTH` and :data:`OUTPUT_RIDGE`.
+    :data:`REFIT_GROWTH` and :data:`OUTPUT_RIDGE`; tests that need another
+    value monkeypatch the constant.
 
     The baseline optimizers (:class:`~repro.search.optimizer.RandomSearch`,
     :class:`~repro.search.optimizer.CrossEntropySearch`) reuse the common
-    subset — ``seed``, ``initial_samples``, ``batch_size``,
-    ``max_evaluations`` — so one config type drives any registered
-    optimizer.
+    subset — ``seed``, ``batch_size``, ``max_evaluations`` — so one config
+    type drives any registered optimizer; their first draw is
+    :data:`~repro.search.optimizer.BASELINE_SEED_SAMPLES` rows.
     """
 
-    initial_samples: int = 48
     batch_size: int = 8
     candidate_pool: int = 512
     max_evaluations: int = 400
@@ -172,7 +188,6 @@ class TrustRegionConfig:
 
     def __post_init__(self) -> None:
         for name in (
-            "initial_samples",
             "batch_size",
             "candidate_pool",
             "max_evaluations",
@@ -219,9 +234,11 @@ class TrustRegionSearch(DatasetOptimizer):
             initial_points=initial_points,
         )
         # Ask/tell phase tracking: the first ask is the Monte-Carlo seed
-        # stage, the first tell processes it (initial surrogate fit).
+        # stage, the first tell processes it (initial surrogate fit), and
+        # the next ask finishes that fit (closed-form output layer).
         self._seeded = False
         self._iterating = False
+        self._finish_pending = False
         self._radius = INITIAL_RADIUS
         # Stall-restart state.  The local incumbent (index of the best row
         # since the last restart, -1 before any such row) centres the ball
@@ -380,7 +397,10 @@ class TrustRegionSearch(DatasetOptimizer):
         exhausted.  A full refit the last ``tell`` queued must have been
         popped and trained first (the Campaign does so at the end of every
         round); asking before that would rank with a stale surrogate, so it
-        raises ``RuntimeError``.
+        raises ``RuntimeError``.  The first ask after the initial fit
+        finishes it: the output layer is solved in closed form on the seed
+        rows (:meth:`_fit_output_layer`, which draws no RNG) before anything
+        is ranked.
         """
         config = self.config
         if self._pending_refit_epochs is not None:
@@ -390,9 +410,12 @@ class TrustRegionSearch(DatasetOptimizer):
             )
         if self._done:
             return self._empty_batch()
+        if self._finish_pending:
+            self._finish_pending = False
+            self._fit_output_layer()
         if not self._seeded:
             self._seeded = True
-            seed_points = self.design_space.sample(self.rng, config.initial_samples)
+            seed_points = self.design_space.sample(self.rng, SEED_SAMPLES)
             if self._initial_points is not None:
                 seed_points = np.vstack([self._initial_points, seed_points])
             rows, _ = self._select_new(seed_points, limit=config.max_evaluations)
@@ -441,7 +464,7 @@ class TrustRegionSearch(DatasetOptimizer):
         """Fold evaluated metrics back in: dataset, surrogate, radius.
 
         The first tell processes the Monte-Carlo seed (initial surrogate
-        fit, line 4); later tells run line 8-10 — a refit, but only when
+        fit, line 4, finished in closed form by the next ask); later tells run line 8-10 — a refit, but only when
         another iteration will actually consume it (a refit after the
         deciding batch would train a surrogate nobody queries, and the RNG
         draws it would consume are equally dead, so skipping cannot shift a
@@ -472,6 +495,7 @@ class TrustRegionSearch(DatasetOptimizer):
             # Only worth fitting a surrogate when a search will actually run.
             if not self._done:
                 self._refit_surrogate(epochs=config.initial_epochs)
+                self._finish_pending = True
             return
         self._update_done()
         if not self._done:

@@ -34,14 +34,14 @@ from repro.search.trust_region import TrustRegionSearch
 # re-pins them in this one place.
 
 #: A case and two seeds whose trust regions stall at ``MIN_RADIUS``,
-#: restart, and then solve (seed 23 restarts twice, seed 40 once).
-RESTARTING = (BenchCase("folded_cascode", "nominal", "nine"), (23, 40))
+#: restart once, and then solve in phase 0.
+RESTARTING = (BenchCase("folded_cascode", "nominal", "nine"), (84, 64))
 
 #: Per optimizer, a case and two seeds whose phase-0 winners fail a corner,
 #: so the members fold it in and search a phase 1 (most trust-region seeds
 #: now solve in phase 0).
 FOLDING = {
-    "trust_region": (BenchCase("two_stage_opamp", "nominal", "nine"), (20, 28)),
+    "trust_region": (BenchCase("two_stage_opamp", "nominal", "nine"), (69, 82)),
     "cross_entropy": (
         BenchCase("telescopic", "nominal", "nine", optimizer="cross_entropy"),
         (0, 1),

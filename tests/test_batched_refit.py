@@ -308,7 +308,7 @@ class TestDeferredRefitMechanics:
             return np.atleast_2d(samples)[:, :1] * 0.0
 
         config = TrustRegionConfig(
-            seed=0, initial_samples=10, batch_size=5, max_evaluations=40,
+            seed=0, batch_size=5, max_evaluations=40,
             candidate_pool=32, surrogate_hidden=(8,), initial_epochs=6,
             refit_epochs=3,
         )

@@ -4,6 +4,7 @@ and pinned smoke-suite outcomes."""
 import hashlib
 import json
 import os
+from statistics import median
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from repro.bench import (
     run_suite,
     write_bench_json,
 )
-from repro.bench.runner import main as bench_main
+from repro.bench.runner import censored_median, main as bench_main
+from repro.circuits.pvt import initial_corners
 from repro.shard import run_sequential
 
 #: Artifact fields of the retired oracle knobs (bench schema v9 and older)
@@ -127,12 +129,14 @@ class TestRunner:
                 "cache_hits",
                 "cache_misses",
                 "engine_calls",
+                "simulations",
                 "phases",
                 "restarts",
                 "failing_corners",
                 "best_sizing",
             }
             assert record["evaluations"] > 0
+            assert record["simulations"] > 0
             assert record["refit_seconds"] >= 0.0
             assert record["eval_seconds"] >= 0.0
             assert record["cache_misses"] > 0
@@ -145,6 +149,16 @@ class TestRunner:
     def test_tiny_case_solves(self, tiny_result):
         assert tiny_result["success_rate"] == 1.0
         assert tiny_result["median_evaluations_to_feasible"] is not None
+        per_seed = [record["simulations"] for record in tiny_result["per_seed"]]
+        assert tiny_result["simulations"] == sum(per_seed)
+        assert tiny_result["simulations_to_feasible"] == median(per_seed)
+
+    def test_censored_median_counts_unsolved_as_infinite(self):
+        assert censored_median([10, None, 30]) == 30.0
+        assert censored_median([10, 20, None, None]) is None
+        assert censored_median([40, 10, 20, None]) == 30.0
+        assert censored_median([None]) is None
+        assert censored_median([]) is None
 
     def test_median_is_over_solved_seeds_only(self):
         case = BenchCase("ota_5t", "stretch", "nominal", max_evaluations=20, max_phases=1)
@@ -152,6 +166,8 @@ class TestRunner:
         # A 20-evaluation budget cannot satisfy the stretch tier.
         assert result["success_rate"] == 0.0
         assert result["median_evaluations_to_feasible"] is None
+        assert result["simulations_to_feasible"] is None
+        assert result["simulations"] > 0
 
     def test_run_is_deterministic_per_seed(self):
         (case,) = get_suite("tiny")
@@ -162,7 +178,7 @@ class TestRunner:
 
     def test_suite_payload_and_artifact(self, tmp_path):
         payload = run_suite("tiny", seeds=[0])
-        assert payload["schema"] == SCHEMA == "repro.bench/v11"
+        assert payload["schema"] == SCHEMA == "repro.bench/v12"
         assert payload["suite"] == "tiny"
         assert payload["seeds"] == [0]
         assert not RETIRED_FIELDS & set(payload)
@@ -415,20 +431,20 @@ class TestDemoParity:
 #: the double-run determinism audit cannot see.
 SMOKE_OUTCOMES = {
     "two_stage_opamp/nominal/nine": [
-        (True, 80, "8f74b6ab40594ee8"), (True, 112, "14985c811fa68288"),
-        (True, 72, "99ecd327eef4cd9b"), (True, 80, "34f9020d5a131e07"),
+        (True, 64, "d7f8b482d0dbde08"), (True, 97, "eaf4263cb61c06c8"),
+        (True, 80, "28a56cecd20610a3"), (True, 48, "0d433b111ab28bf6"),
     ],
     "ota_5t/nominal/hardest": [
-        (True, 88, "6cacbf275a0061ae"), (True, 88, "f3a7590502b68a23"),
-        (True, 48, "863de712a7cb7d4e"), (True, 88, "57eafabe9a68e578"),
+        (True, 56, "bd82396692009c78"), (True, 64, "03ec499604d2ce29"),
+        (True, 24, "863de712a7cb7d4e"), (True, 40, "add6951764482399"),
     ],
     "folded_cascode/nominal/nine": [
-        (True, 72, "0c782d949833336d"), (True, 72, "f7ef2c5c779d272d"),
-        (True, 80, "057d6fa8541e6401"), (True, 136, "e9283f66a3c00d16"),
+        (True, 56, "438a8e35f0a68e77"), (True, 88, "0c631755efa0f16f"),
+        (True, 80, "b24d85301d218006"), (True, 112, "816b40e8b58804f6"),
     ],
     "telescopic/nominal/nine": [
-        (True, 136, "1f73ede289f83104"), (True, 136, "bde7c268b2de76df"),
-        (True, 104, "3a8432a5c508450c"), (True, 104, "3e38b05ca428dfc9"),
+        (True, 72, "4b43a7d903d95caf"), (True, 136, "70b612d797b593cf"),
+        (True, 88, "a963200c263eb4a2"), (True, 80, "1fbea592fe62397a"),
     ],
     "two_stage_opamp/smoke/nominal@optimizer=random": [
         (True, 56, "b32a8914bbddf861"), (True, 112, "39f863a6b7fa042e"),
@@ -450,3 +466,28 @@ class TestPinnedSmokeOutcomes:
             for result in outcome.results
         ]
         assert observed == SMOKE_OUTCOMES[case.name]
+
+
+class TestSimulationCount:
+    """A seed's ``simulations`` is the distinct ``(row, corner)`` pairs its
+    own requests named: the same whichever seeds share its campaign."""
+
+    SEEDS = [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("case", get_suite("smoke"), ids=lambda case: case.name)
+    def test_multi_seed_count_equals_the_seed_run_alone(self, case):
+        shared = case.build_campaign(self.SEEDS).run()
+        for seed, result in zip(self.SEEDS, shared.results):
+            alone = case.build_campaign([seed])
+            solo = alone.run().results[0]
+            assert result.simulations == solo.simulations == len(alone.cache) > 0
+            # Alone, each missed pair is one the seed requested, except that
+            # a phase's verification recomputes the winner at the corners
+            # the phase searched (phase k searches the start set plus k
+            # folded corners); on a one-corner grid it is all hits.
+            corners = case.corners()
+            start = len(initial_corners(corners))
+            recomputed = sum(
+                start + phase for phase in range(len(solo.phase_results))
+            ) if len(corners) > 1 else 0
+            assert solo.cache_misses == solo.simulations + recomputed

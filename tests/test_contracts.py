@@ -214,7 +214,7 @@ class TestTellNovelty:
             [Parameter(name, 0.0, 1.0, grid_points=11) for name in ("x", "y")]
         )
         spec = Specification([Spec("s", ">=", 5.0)], ["s"])
-        return get_optimizer(name)(space, spec, TrustRegionConfig(seed=0, initial_samples=6))
+        return get_optimizer(name)(space, spec, TrustRegionConfig(seed=0))
 
     @pytest.mark.parametrize("name", ["random", "cross_entropy", "trust_region"])
     def test_double_tell_raises(self, checking, name):

@@ -309,7 +309,7 @@ class TestRefitSkip:
         space = DesignSpace([Parameter("x", 0.0, 1.0, grid_points=201)])
         spec = Specification([Spec("a", ">=", 10.0)], ["a"])  # unsatisfiable
         config = TrustRegionConfig(
-            seed=0, initial_samples=10, batch_size=5, max_evaluations=30,
+            seed=0, batch_size=5, max_evaluations=30,
             candidate_pool=32, surrogate_hidden=(8,), initial_epochs=5,
             refit_epochs=2,
         )
@@ -346,7 +346,7 @@ class TestRefitSkip:
             lambda self, epochs: calls.append(epochs),
         )
         result = run_in_campaign(
-            evaluator, space, spec, TrustRegionConfig(seed=0, initial_samples=4)
+            evaluator, space, spec, TrustRegionConfig(seed=0)
         ).result()
         assert result.solved
         assert calls == []

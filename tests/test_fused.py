@@ -19,7 +19,7 @@ from repro.circuits import available_topologies, get_topology
 from repro.nn import BatchedFusedAdam, BatchedFusedMLP, FusedAdam, FusedMLP
 from repro.nn import fused as fused_module
 from repro.nn.fused import DTYPE, FusedFitJob, fit_batched, ridge_output_weights
-from repro.search import TrustRegionConfig, TrustRegionSearch
+from repro.search import TrustRegionConfig, TrustRegionSearch, trust_region
 
 
 def flat_params(model: MLP) -> np.ndarray:
@@ -183,7 +183,7 @@ def seeded_search() -> TrustRegionSearch:
 
     space = DesignSpace([Parameter("x", 0.0, 1.0, grid_points=101)])
     spec = Specification([Spec("a", ">=", 10.0)], ["a"])  # unsatisfiable
-    config = TrustRegionConfig(seed=0, initial_samples=16, surrogate_hidden=(8, 8),
+    config = TrustRegionConfig(seed=0, surrogate_hidden=(8, 8),
                                initial_epochs=4)
     search = TrustRegionSearch(space, spec, config)
     rows = search.ask()
@@ -227,9 +227,10 @@ class TestFitOutputLayer:
         fused.fit_output_layer(inputs, targets, self.L2)
         self.check_solution(fused, inputs, targets)
 
-    @pytest.mark.parametrize("count", [49, 12])
+    @pytest.mark.parametrize("count", [49, 24, 12])
     def test_solvable_with_no_more_rows_than_features(self, count):
-        """The 49-row Monte-Carlo seed against 48 features plus the bias."""
+        """Against 48 features plus the bias: 49 rows, and fewer, like the
+        24-row Monte-Carlo seed the initial fit's finish solves on."""
         fused, _, inputs, targets = self.trained()
         inputs, targets = inputs[:count], targets[:count]
         fused.fit_output_layer(inputs, targets, self.L2)
@@ -266,6 +267,36 @@ class TestFitOutputLayer:
         np.testing.assert_array_equal(adam._m, moments[0])
         np.testing.assert_array_equal(adam._v, moments[1])
         assert adam._t == moments[2] > 0
+
+    def test_first_ask_finishes_the_initial_fit_in_closed_form(self):
+        """After the initial Adam fit trains, the next ask solves the output
+        layer by ridge on the seed rows before it ranks anything."""
+        search = seeded_search()
+        fit_batched([search.take_refit_job()])  # the queued initial fit
+        count = search.evaluations
+        assert search.refit_count == 1
+        search.ask()
+        assert search.refit_count == 2
+        surrogate = search._surrogate
+        expected = ridge_output_weights(
+            hidden_features(surrogate, search._U[:count]),
+            search._output_scaler.transform(search._M[:count]),
+            trust_region.OUTPUT_RIDGE,
+        )
+        np.testing.assert_array_equal(output_layer(surrogate), expected.astype(DTYPE))
+
+    def test_initial_fit_finish_draws_no_rng(self):
+        """The finish changes what the ask ranks with, never what it draws."""
+        finished, unfinished = seeded_search(), seeded_search()
+        for search in (finished, unfinished):
+            fit_batched([search.take_refit_job()])
+        unfinished._finish_pending = False
+        finished.ask()
+        unfinished.ask()
+        assert finished.rng.bit_generator.state == unfinished.rng.bit_generator.state
+        assert not np.array_equal(
+            output_layer(finished._surrogate), output_layer(unfinished._surrogate)
+        )
 
     def test_autodiff_oracle_step_bitwise(self):
         """The oracle's closed-form step lands on the fused weights exactly."""
@@ -431,7 +462,7 @@ class TestSearchLevelParity:
         # it, so the search refits (full and closed-form) before it solves.
         spec = Specification([Spec("a", ">=", 0.9996), Spec("b", "<=", 0.0004)], ["a", "b"])
         config = TrustRegionConfig(
-            seed=0, initial_samples=24, batch_size=6, candidate_pool=128,
+            seed=0, batch_size=6, candidate_pool=128,
             max_evaluations=300, surrogate_hidden=(24, 24),
             initial_epochs=60, refit_epochs=15,
         )

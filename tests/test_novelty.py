@@ -168,7 +168,7 @@ class TestDedupParity:
 
         monkeypatch.setattr(DatasetOptimizer, "_select_new", checked)
         config = TrustRegionConfig(
-            seed=3, initial_samples=12, batch_size=4, candidate_pool=64,
+            seed=3, batch_size=4, candidate_pool=64,
             max_evaluations=70, initial_epochs=4, refit_epochs=2,
         )
         optimizer = run_in_campaign(
@@ -467,7 +467,7 @@ class TestCheckpointBytes:
                 config=ProgressiveConfig(
                     optimizer="random",
                     trust_region=TrustRegionConfig(
-                        initial_samples=8, batch_size=4, max_evaluations=24
+                        batch_size=4, max_evaluations=24
                     ),
                 ),
                 seeds=[4],

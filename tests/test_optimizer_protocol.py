@@ -1,11 +1,9 @@
 """Ask/tell protocol: oracle parity, baselines, Campaign, serialization.
 
-The heart of this file is the *pre-refactor oracle*: the historical
-monolithic trust-region loop (as it shipped before the ask/tell redesign),
-re-expressed over the primitives both versions share
-(``oracles.search.evaluate_new``, ``_refit_surrogate``,
-``_scheduled_refit``, ``take_refit_job``, ``_rank_candidates``).  The
-ask/tell optimizer driven by a one-corner Campaign must reproduce it step
+The heart of this file is the lock against the *pre-refactor oracle*
+(``oracles.search.run_trust_region``): the historical monolithic
+trust-region loop (as it shipped before the ask/tell redesign), re-expressed
+over the primitives both versions share.  The ask/tell optimizer driven by a one-corner Campaign must reproduce it step
 for step — same evaluated rows in the same order, same history, same
 incumbent — across every registered topology.
 """
@@ -16,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import run_in_campaign
-from oracles.search import evaluate_new
+from oracles.search import run_trust_region
 from repro.circuits.pvt import NOMINAL, hardest_condition, nine_corner_grid
 from repro.circuits.topologies import available_topologies, get_topology
 from repro.core.design_space import DesignSpace, Parameter
@@ -37,80 +35,7 @@ from repro.search import (
     register_optimizer,
     size_problem,
 )
-from repro.search import trust_region
-from repro.search.optimizer import FEASIBLE_TOL, IterationRecord
-
-
-# ----------------------------------------------------------------------
-# The pre-refactor oracle: the monolithic Algorithm-1 loop of PR 1-4.
-
-
-def oracle_run(search, evaluator):
-    """Run the historical closed loop on a fresh TrustRegionSearch.
-
-    This is a faithful transcription of the pre-ask/tell ``run()`` body —
-    Monte-Carlo seed, initial refit, trust-region iterations with ranked
-    proposals, Monte-Carlo fallback, conditional refit, radius adaptation —
-    driving the same internals the refactored optimizer uses.  The refit
-    primitives queue a full refit, so each iteration first trains the job
-    the last refit queued, before it draws anything.
-    """
-    config = search.config
-    seed_points = search.design_space.sample(search.rng, config.initial_samples)
-    if search._initial_points is not None:
-        seed_points = np.vstack([search._initial_points, seed_points])
-    evaluate_new(search, evaluator, seed_points, limit=config.max_evaluations)
-
-    radius = trust_region.INITIAL_RADIUS
-    history = []
-    if search._scores[search._best] < FEASIBLE_TOL:
-        search._refit_surrogate(epochs=config.initial_epochs)
-
-    while (
-        search._scores[search._best] < FEASIBLE_TOL
-        and search._count < config.max_evaluations
-    ):
-        job = search.take_refit_job()
-        if job is not None:
-            fit_batched([job])
-        center = search._X[search._best]
-        space = search.design_space
-        candidates = space.grid_values(
-            space.sample_ball_index(search.rng, center, radius, config.candidate_pool)
-        )
-        order = search._rank_candidates(space.to_unit(candidates), keep=4 * config.batch_size)
-        previous = search._scores[search._best]
-        step = min(config.batch_size, config.max_evaluations - search._count)
-        added = evaluate_new(search, evaluator, candidates[order], limit=step)
-        if added == 0:
-            added = evaluate_new(
-                search,
-                evaluator,
-                search.design_space.sample(search.rng, config.batch_size),
-                limit=step,
-            )
-            if added == 0:
-                break
-        improved = search._scores[search._best] > previous + 1e-12
-        will_continue = (
-            search._scores[search._best] < FEASIBLE_TOL
-            and search._count < config.max_evaluations
-        )
-        if will_continue:
-            search._scheduled_refit()
-        if improved:
-            radius = min(radius * trust_region.EXPAND, trust_region.MAX_RADIUS)
-        else:
-            radius = max(radius * trust_region.SHRINK, trust_region.MIN_RADIUS)
-        history.append(
-            IterationRecord(
-                evaluations=search._count,
-                radius=radius,
-                best_score=float(search._scores[search._best]),
-                improved=bool(improved),
-            )
-        )
-    return history
+from repro.search.optimizer import FEASIBLE_TOL
 
 
 def toy_evaluator(samples):
@@ -155,7 +80,7 @@ class TestQueuedRefit:
     def config(**overrides):
         return TrustRegionConfig(
             **{
-                "seed": 1, "initial_samples": 12, "batch_size": 5, "candidate_pool": 32,
+                "seed": 1, "batch_size": 5, "candidate_pool": 32,
                 "max_evaluations": 200, "surrogate_hidden": (8,),
                 "initial_epochs": 10, "refit_epochs": 5, **overrides,
             }
@@ -204,9 +129,9 @@ class TestQueuedRefit:
     def test_no_initial_fit_once_the_seed_spent_the_budget(self):
         search = run_in_campaign(
             toy_evaluator, toy_space(), toy_spec(False),
-            self.config(initial_samples=48, max_evaluations=40),
+            self.config(max_evaluations=20),
         )
-        assert search.result().evaluations == 40
+        assert search.result().evaluations == 20
         assert search.refit_count == 0
         assert search._surrogate is None
         assert search.take_refit_job() is None
@@ -222,7 +147,7 @@ class TestTrajectoryLockVsOracle:
         new = run_in_campaign(evaluator, space, spec, config, initial_points=initial_points)
         result = new.result()
         old = TrustRegionSearch(space, spec, config, initial_points=initial_points)
-        oracle_history = oracle_run(old, evaluator)
+        oracle_history = run_trust_region(old, evaluator)
         # Step-for-step: every evaluated row, in evaluation order.
         assert new._count == old._count
         np.testing.assert_array_equal(new._X[: new._count], old._X[: old._count])
@@ -245,7 +170,7 @@ class TestTrajectoryLockVsOracle:
     @pytest.mark.parametrize("seed", [0, 3])
     def test_toy_csp(self, seed):
         config = TrustRegionConfig(
-            seed=seed, initial_samples=24, batch_size=6, candidate_pool=128,
+            seed=seed, batch_size=6, candidate_pool=128,
             max_evaluations=200, surrogate_hidden=(24, 24),
             initial_epochs=60, refit_epochs=15,
         )
@@ -254,7 +179,7 @@ class TestTrajectoryLockVsOracle:
     def test_unsatisfiable_exhausts_budget_identically(self):
         """Locks the fallback-sampling and budget-clamp paths too."""
         config = TrustRegionConfig(
-            seed=1, initial_samples=12, batch_size=5, candidate_pool=32,
+            seed=1, batch_size=5, candidate_pool=32,
             max_evaluations=60, surrogate_hidden=(8,),
             initial_epochs=10, refit_epochs=5,
         )
@@ -266,7 +191,7 @@ class TestTrajectoryLockVsOracle:
 
     def test_warm_start_points_identical(self):
         config = TrustRegionConfig(
-            seed=2, initial_samples=16, batch_size=4, candidate_pool=64,
+            seed=2, batch_size=4, candidate_pool=64,
             max_evaluations=80, surrogate_hidden=(16,),
             initial_epochs=20, refit_epochs=8,
         )
@@ -279,7 +204,7 @@ class TestTrajectoryLockVsOracle:
 class TestAskTellProtocol:
     def make(self, cls=TrustRegionSearch, feasible=True, **config_kwargs):
         defaults = dict(
-            seed=0, initial_samples=16, batch_size=4, candidate_pool=64,
+            seed=0, batch_size=4, candidate_pool=64,
             max_evaluations=120, surrogate_hidden=(16,),
             initial_epochs=20, refit_epochs=8,
         )
@@ -342,7 +267,7 @@ class TestAskTellProtocol:
 
 class TestBaselines:
     def config(self, **kwargs):
-        defaults = dict(seed=0, initial_samples=32, batch_size=8, max_evaluations=400)
+        defaults = dict(seed=0, batch_size=8, max_evaluations=400)
         defaults.update(kwargs)
         return TrustRegionConfig(**defaults)
 
@@ -594,7 +519,7 @@ class TestResultSerialization:
         )
         result = run_in_campaign(
             toy_evaluator, toy_space(), spec,
-            TrustRegionConfig(seed=0, initial_samples=32, max_evaluations=200),
+            TrustRegionConfig(seed=0, max_evaluations=200),
             optimizer="random",
         ).result()
         payload = result.to_dict()

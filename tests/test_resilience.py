@@ -953,7 +953,7 @@ class TestRefitScheduleResume:
     byte-identical."""
 
     CASE = BenchCase("two_stage_opamp", "nominal", "nine")
-    SEEDS = [0, 1]
+    SEEDS = [2, 4]  # both search past the first closed-form refit (64 rows)
 
     @staticmethod
     def _outcome(campaign, outcome, seeds):

@@ -202,7 +202,6 @@ class TestTrustRegionSearch:
         )
         config = TrustRegionConfig(
             seed=seed,
-            initial_samples=24,
             batch_size=6,
             candidate_pool=128,
             max_evaluations=max_evaluations,
@@ -235,7 +234,7 @@ class TestTrustRegionSearch:
             return np.atleast_2d(samples)[:, :1] * 0.0
 
         config = TrustRegionConfig(
-            seed=0, initial_samples=10, batch_size=5, max_evaluations=40,
+            seed=0, batch_size=5, max_evaluations=40,
             candidate_pool=32, surrogate_hidden=(8,), initial_epochs=10, refit_epochs=5,
         )
         result = run_in_campaign(evaluator, space, spec, config).result()
@@ -243,7 +242,7 @@ class TestTrustRegionSearch:
         assert result.evaluations <= 51  # cannot exceed the (finite) grid
         # The Monte-Carlo seed stage honours the budget as well.
         tight = TrustRegionConfig(
-            seed=0, initial_samples=24, batch_size=5, max_evaluations=10,
+            seed=0, batch_size=5, max_evaluations=10,
             candidate_pool=32, surrogate_hidden=(8,), initial_epochs=10, refit_epochs=5,
         )
         clamped = run_in_campaign(evaluator, space, spec, tight).result()
@@ -256,7 +255,7 @@ class TestTrustRegionSearch:
         )
         spec = Specification([Spec("a", ">=", 10.0)], ["a", "b"])  # unsatisfiable
         config = TrustRegionConfig(
-            seed=0, initial_samples=48, batch_size=8, max_evaluations=100,
+            seed=0, batch_size=8, max_evaluations=100,
             candidate_pool=64, surrogate_hidden=(8,), initial_epochs=10, refit_epochs=5,
         )
         result = run_in_campaign(quadratic_evaluator, space, spec, config).result()
@@ -276,7 +275,7 @@ class TestTrustRegionSearch:
         )
         spec = Specification([Spec("a", ">=", 2.0)], ["a", "b"])  # unsatisfiable
         config = TrustRegionConfig(
-            seed=1, initial_samples=12, batch_size=4, max_evaluations=80,
+            seed=1, batch_size=4, max_evaluations=80,
             candidate_pool=64, surrogate_hidden=(8,), initial_epochs=10, refit_epochs=5,
         )
         run_in_campaign(counting_evaluator, space, spec, config)

@@ -49,7 +49,6 @@ def run_search():
     spec = Specification([Spec("a", ">=", 10.0)], ["a"])
     config = TrustRegionConfig(
         seed=0,
-        initial_samples=12,
         batch_size=4,
         candidate_pool=64,
         max_evaluations=240,
@@ -99,9 +98,11 @@ class TestNeverStalledSeedsKeepTheirTrajectories:
         with open(os.path.join(REPO, "BENCH_smoke.json")) as handle:
             committed = json.load(handle)
         fresh = run_suite("smoke", seeds=[0, 1, 2])
+        # ``simulations``, not ``cache_misses``: the committed run shares its
+        # cache with seeds 3-15, and a shared pair is a miss for one seed only.
         fields = (
             "solved", "evaluations", "phases", "failing_corners", "best_sizing",
-            "cache_misses", "engine_calls",
+            "simulations", "engine_calls",
         )
         for old_case, new_case in zip(committed["cases"], fresh["cases"]):
             assert old_case["name"] == new_case["name"]
