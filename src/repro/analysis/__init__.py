@@ -1,9 +1,9 @@
 """Repo-specific static analysis and runtime invariant contracts.
 
-Four consecutive PRs shipped hand-written "bit-identical trajectory" locks,
-and everything the ROADMAP queues next (sharded execution, a persistent
-on-disk EvaluationCache, batched-across-seeds refits) *depends* on those
-invariants surviving refactors.  This package makes them cheap to keep:
+Every fast path in this repo — the stacked corner engine, batched refits
+across seeds, the persistent on-disk EvaluationCache, resume by replay,
+seed-block shards — rests on "bit-identical trajectory" invariants
+surviving refactors.  This package makes them cheap to keep:
 
 * :mod:`repro.analysis.rules` + :mod:`repro.analysis.engine` — an AST lint
   engine (stdlib :mod:`ast`, pluggable rule registry mirroring the optimizer

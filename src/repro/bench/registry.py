@@ -157,9 +157,10 @@ class BenchCase:
         """One picklable :class:`~repro.shard.executor.ShardSpec` per seed.
 
         Each spec carries the case's per-seed config (:meth:`config`), so
-        a spawned worker rebuilds exactly the single-seed campaign this
-        case would run for that seed.  The ``sharded16`` benchmark
-        workload and the shard parity tests are the only callers.
+        a worker given a block of these specs rebuilds exactly the campaign
+        :meth:`build_campaign` would for that block's seeds.  The
+        ``sharded16`` benchmark workload and the shard parity tests are the
+        only callers.
         """
         # Imported lazily for the same circularity reason as build_campaign.
         from repro.shard.executor import ShardSpec

@@ -651,7 +651,7 @@ def fit_batched(jobs: Sequence[FusedFitJob]) -> List[List[float]]:
     only same-shape stacking is safe.  In the campaign the live members of
     a phase share geometry (same round, same schedule), which is exactly
     where the refit time is spent.  Ragged stragglers land in smaller
-    buckets, and a lone job (a one-seed campaign's refit, a one-seed shard,
+    buckets, and a lone job (a one-seed campaign's refit,
     :meth:`FusedMLP.fit`) trains as a one-seed stack; every job's bits equal
     those of training it alone.  In the search layer the Campaign's
     end-of-round refit flush is the only caller: optimizers queue their

@@ -1,11 +1,12 @@
 """The spawn pool the ``sharded16`` benchmark workload drives.
 
-Runs (workload, seed) shards, each its own single-seed campaign, in
-spawned worker processes, and merges their results back in the parent —
-byte-identical per seed to the in-process oracle.  Nothing else in the
-package runs shards; the pool goes with that workload.  See
-:mod:`repro.shard.executor` for the design and :mod:`repro.shard.parity`
-for the oracles that verify it.
+Splits a case's seeds into contiguous seed blocks, runs each block as one
+multi-seed campaign — in the parent (worker 0) or in a spawned worker —
+and merges the results back in the parent, per seed byte-identical to the
+in-process multi-seed campaign.  Nothing else in the package runs shards;
+the pool goes with that workload.  See :mod:`repro.shard.executor` for the
+design and :mod:`repro.shard.parity` for the union cache digest that
+verifies it.
 """
 
 from repro.shard.executor import (
@@ -15,7 +16,7 @@ from repro.shard.executor import (
     ShardSpec,
     ShardWorkerError,
 )
-from repro.shard.parity import run_sequential, union_state_digest
+from repro.shard.parity import union_state_digest
 
 __all__ = [
     "ShardResult",
@@ -23,6 +24,5 @@ __all__ = [
     "ShardSpec",
     "ShardWorkerError",
     "ShardedExecutor",
-    "run_sequential",
     "union_state_digest",
 ]

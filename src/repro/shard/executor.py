@@ -2,15 +2,19 @@
 
 The bench, the determinism auditor and the resilience drill all run a
 case's seeds as one multi-seed :class:`~repro.search.campaign.Campaign`,
-which batches surrogate training across seeds; a one-seed shard cannot, so
-spreading seeds over processes bought no wall time.  What is left here is
-the pool the repository benchmark's ``sharded16`` workload still drives,
-and it goes with that workload.  The :class:`ShardedExecutor` runs
-single-seed **shards** (one :class:`ShardSpec` each), every shard its own
-single-seed campaign inside a spawned worker process.
+which batches surrogate training across seeds.  The pool here keeps that
+batching: the :class:`ShardedExecutor` takes per-seed :class:`ShardSpec`
+entries, groups those that differ only in their seed, and splits each
+group into contiguous **seed blocks** — one shard each, run as one
+multi-seed campaign, so a block's refits stack across its seeds exactly as
+an in-process campaign's do.  The pool goes with that workload.
 
 Design decisions, and why:
 
+* **The parent is worker 0.**  It pulls blocks like every spawned worker,
+  so a run spawns only ``W - 1`` fresh interpreters and nobody idles while
+  they import ``repro``.  ``workers=1`` spawns nothing: the parent runs
+  every block through the same worker body.
 * **Spawn, not fork.**  Workers come from an explicit
   ``multiprocessing.get_context("spawn")``: the engine process holds NumPy
   thread pools and a module-level tracer — state ``fork`` would duplicate
@@ -18,33 +22,40 @@ Design decisions, and why:
   the declarative, picklable :class:`ShardSpec` (registry names + resolved
   config), never by pickling live campaign objects.  The ``spawn-unsafe``
   lint rule enforces this repo-wide.
-* **Pull dispatch, not a static map.**  Each of the W workers claims the
-  next unclaimed shard index from a parent-owned shared counter as soon
-  as it finishes one, so a long shard (a trapped seed burning its whole
-  budget) holds up one worker while the others drain the rest.  Placement
-  is therefore a run-time outcome: :attr:`ShardRunOutcome.shard_map`
-  records where each shard actually ran, read back from its result file.
-  Per-shard results are bit-exact whatever the placement.  Every
+* **Pull dispatch, not a static map.**  Each worker claims the next
+  unclaimed block index from a parent-owned shared counter as soon as it
+  finishes one, so a long block (a trapped seed burning its whole budget)
+  holds up one worker while the others drain the rest.  A spawned worker
+  that starts after every block is claimed exits at once, and one still
+  importing ``repro`` when the parent finds every block finished is
+  stopped rather than awaited: a block is often shorter than that import,
+  so the parent may run them all.  Placement is
+  therefore a run-time outcome: :attr:`ShardRunOutcome.shard_map` records
+  where each block actually ran, read back from its result file.  The
+  block split itself depends only on the specs and the worker count, and
+  per-block results are bit-exact whatever the placement.  Every
   :meth:`ShardedExecutor.run` starts and joins its own workers and none
-  outlives it, which also keeps their CPU time and peak memory visible to
-  ``RUSAGE_CHILDREN``.
+  outlives it — also when the parent's own block raises — which keeps
+  their CPU time and peak memory visible to ``RUSAGE_CHILDREN``.
 * **Results travel as atomic snapshot files, not queues.**  A worker
-  writes one CRC-enveloped snapshot per finished shard into a scratch
-  directory; the parent reads them back after ``join``.  A missing-or-
+  writes one CRC-enveloped snapshot per finished block into a staging
+  directory private to the run; the parent reads them back after
+  ``join``.  A missing-or-
   complete file cannot corrupt or deadlock the way a pipe can when a
-  worker dies mid-write.  A worker that exits nonzero (or dies on a
-  signal) surfaces as :class:`ShardWorkerError` naming it and every shard
+  worker dies mid-write.  A worker that raises, exits nonzero or dies on
+  a signal surfaces as :class:`ShardWorkerError` naming it and every seed
   left without a result file.
 * **Workers never trace.**  Spawned children would inherit
   ``REPRO_TRACE`` and clobber the parent's ``.partial`` sink, so the
   parent strips that variable around ``Process.start()``.
 
-Counter attribution: **per-seed counters are exact** — each shard is its
-own single-seed campaign, so its trajectory, cache accounting and
-best-vector bytes equal those of the in-process oracle
-(:func:`repro.shard.parity.run_sequential`) bit for bit, at any worker
-count.  **Campaign-wide counters are sums over shards**, which matches
-that oracle exactly.
+Counter attribution: **per-seed trajectories and best vectors are exact**
+— a seed's search does not depend on which seeds share its campaign, so
+each equals the in-process multi-seed campaign's bit for bit, and the
+union of the blocks' caches holds the same pairs as that campaign's one
+cache.  **Campaign-wide counters are sums over blocks**; cache hits and
+engine calls depend on which seeds share a cache, so they are fixed by
+the block split, not by placement.
 """
 
 from __future__ import annotations
@@ -54,10 +65,9 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.blas import blas_threads
 from repro.circuits.pvt import PVTCondition
 from repro.obs import event, profiled
 from repro.resilience.snapshot import load_snapshot, save_snapshot
@@ -66,17 +76,18 @@ from repro.search.spec import Spec
 
 
 class ShardWorkerError(RuntimeError):
-    """A worker process died or failed before finishing its shards.
+    """A worker failed before finishing its blocks.
 
     Attributes
     ----------
     worker:
-        Index of the failed worker (the first one, if several failed).
+        Index of the failed worker (the first one, if several failed);
+        worker 0 is the parent process.
     exitcode:
-        The process exit code (negative: killed by that signal number;
-        ``None``: the worker exited zero but left results missing).
+        The spawned process's exit code (negative: killed by that signal
+        number); ``None`` when the parent's own block raised.
     shards:
-        ``(shard_index, label, seed)`` identities of every shard left
+        ``(spec_index, label, seed)`` identities of every seed left
         without a result file.
     """
 
@@ -91,12 +102,12 @@ class ShardWorkerError(RuntimeError):
         self.exitcode = exitcode
         self.shards = list(shards)
         self.detail = detail
-        if exitcode is not None and exitcode < 0:
+        if exitcode is None:
+            died = "(the parent process) raised"
+        elif exitcode < 0:
             died = f"died on signal {-exitcode}"
-        elif exitcode:
-            died = f"exited with code {exitcode}"
         else:
-            died = "exited without writing all shard results"
+            died = f"exited with code {exitcode}"
         unfinished = ", ".join(
             f"shard {index} ({label}, seed {seed})" for index, label, seed in shards
         )
@@ -108,7 +119,7 @@ class ShardWorkerError(RuntimeError):
 
 @dataclass(frozen=True)
 class ShardSpec:
-    """One (workload, seed) shard, declaratively — picklable across spawn.
+    """One (workload, seed) pair, declaratively — picklable across spawn.
 
     Carries registry names and a **fully resolved**
     :class:`~repro.search.progressive.ProgressiveConfig` (seed, optimizer
@@ -129,8 +140,8 @@ class ShardSpec:
     #: Display/grouping label (the bench case name, usually).
     label: str = ""
 
-    def build(self):
-        """The shard's single-seed Campaign (see ``sizing.build_campaign``)."""
+    def build(self, seeds: Sequence[int]):
+        """This spec's Campaign over ``seeds`` (see ``sizing.build_campaign``)."""
         from repro.search.sizing import build_campaign
 
         return build_campaign(
@@ -141,19 +152,56 @@ class ShardSpec:
             tier=self.tier,
             corners=list(self.corners) if self.corners else None,
             config=self.config,
-            seeds=[self.seed],
+            seeds=list(seeds),
         )
+
+
+def _seedless(spec: ShardSpec) -> ShardSpec:
+    """``spec`` with its seed zeroed: equal for specs one block may hold."""
+    trust = replace(spec.config.trust_region, seed=0)
+    return replace(spec, seed=0, config=replace(spec.config, trust_region=trust))
+
+
+def seed_blocks(specs: Sequence[ShardSpec], workers: int) -> List[Tuple[int, ...]]:
+    """Spec indices of each block, in claim order.
+
+    Specs that differ only in their seed form a group, in first-appearance
+    order; each group splits into ``min(workers, len(group))`` contiguous
+    blocks, the first ones one seed longer when the sizes do not divide.
+    """
+    groups: List[Tuple[ShardSpec, List[int]]] = []
+    for index, spec in enumerate(specs):
+        key = _seedless(spec)
+        for other, members in groups:
+            if other == key:
+                members.append(index)
+                break
+        else:
+            groups.append((key, [index]))
+    blocks: List[Tuple[int, ...]] = []
+    for _, members in groups:
+        parts = min(workers, len(members))
+        size, extra = divmod(len(members), parts)
+        start = 0
+        for part in range(parts):
+            stop = start + size + (part < extra)
+            blocks.append(tuple(members[start:stop]))
+            start = stop
+    return blocks
 
 
 @dataclass(frozen=True)
 class ShardResult:
-    """One finished shard, as merged back into the parent."""
+    """One finished block, as merged back into the parent."""
 
     index: int
-    seed: int
+    #: Indices into the executor's specs, in block order.
+    spec_indices: Tuple[int, ...]
+    seeds: List[int]
     label: str
     worker: int
-    result: ProgressiveResult
+    #: One :class:`ProgressiveResult` per seed, in ``seeds`` order.
+    results: List[ProgressiveResult]
     rounds: int
     engine_calls: int
     eval_seconds: float
@@ -162,35 +210,34 @@ class ShardResult:
     refit_rounds: int
     batched_kernel_calls: int
     cache_digest: str
-    #: Shard wall time inside the worker (build + run).
+    #: Block wall time inside the worker (build + run).
     wall_seconds: float
     #: Full cache content (``EvaluationCache.content()``)
     #: when the executor collects it for union-digest parity checks.
     cache_content: Optional[List[Any]] = None
-    #: BLAS threads the worker ran with (``None`` when unreadable; see
-    #: :mod:`repro.blas`).
-    blas_threads: Optional[int] = None
 
 
 @dataclass
 class ShardRunOutcome:
-    """A sharded run, merged: per-shard results plus summed accounting.
+    """A sharded run, merged: per-block results plus summed accounting.
 
     Field names deliberately mirror
     :class:`~repro.search.campaign.CampaignResult` so
     :func:`repro.analysis.determinism.fingerprint_outcome` applies to both
-    — the campaign-wide counters here are **sums over shards** (the
-    in-process oracle's attribution rule; see the module docstring).
+    — the campaign-wide counters here are **sums over blocks** (see the
+    module docstring).
     """
 
+    #: One :class:`ProgressiveResult` per spec, in spec order.
     results: List[ProgressiveResult]
     seeds: List[int]
+    #: The blocks, in claim order.
     shards: List[ShardResult]
     workers: int
-    #: Where each shard actually ran, ``{shard index: worker}``.
+    #: Where each block actually ran, ``{block index: worker}``.
     shard_map: Dict[int, int]
     #: ``{"worker", "shards", "wall_seconds", "eval_seconds"}`` for every
-    #: worker started, including one that ran no shard.
+    #: worker, including one that ran no block.
     per_worker: List[Dict[str, Any]]
     rounds: int
     engine_calls: int
@@ -199,8 +246,8 @@ class ShardRunOutcome:
     cache_misses: int
     refit_rounds: int
     batched_kernel_calls: int
-    #: Union digest over all shards' cache content (bit-equal to the
-    #: in-process oracle's ``EvaluationCache.state_digest()``); ``None``
+    #: Union digest over all blocks' cache content (bit-equal to the
+    #: in-process campaign's ``EvaluationCache.state_digest()``); ``None``
     #: unless the executor collected cache content.
     cache_digest: Optional[str] = None
 
@@ -213,17 +260,25 @@ def _error_path(scratch: str, worker_index: int) -> str:
     return os.path.join(scratch, f"error-worker-{worker_index}.snapshot")
 
 
-def _run_shard(index: int, spec: ShardSpec, collect_cache_content: bool) -> Dict[str, Any]:
-    """Run one shard's single-seed campaign; returns its result payload."""
-    campaign = spec.build()
+def _run_block(
+    index: int,
+    block: Tuple[int, ...],
+    specs: Sequence[ShardSpec],
+    collect_cache_content: bool,
+) -> Dict[str, Any]:
+    """Run one block's multi-seed campaign; returns its result payload."""
+    first = specs[block[0]]
+    seeds = [specs[position].seed for position in block]
+    campaign = first.build(seeds)
     try:
         outcome = campaign.run()
         cache = campaign.cache
         return {
             "index": index,
-            "seed": spec.seed,
-            "label": spec.label,
-            "result": outcome.results[0],
+            "spec_indices": block,
+            "seeds": seeds,
+            "label": first.label,
+            "results": outcome.results,
             "rounds": outcome.rounds,
             "engine_calls": outcome.engine_calls,
             "eval_seconds": outcome.eval_seconds,
@@ -238,48 +293,46 @@ def _run_shard(index: int, spec: ShardSpec, collect_cache_content: bool) -> Dict
         campaign.close()
 
 
-def _pull(next_shard: Any, total: int) -> Iterator[int]:
-    """Shard indices claimed one at a time from the parent-owned counter.
+def _pull(next_block: Any, total: int) -> Iterator[int]:
+    """Block indices claimed one at a time from the parent-owned counter.
 
-    All workers share ``next_shard``, so shards go out in index order, each
+    All workers share ``next_block``, so blocks go out in index order, each
     to whichever worker asks first; a worker asks only after finishing its
-    previous shard.
+    previous block.
     """
     while True:
-        with next_shard.get_lock():
-            index = next_shard.value
+        with next_block.get_lock():
+            index = next_block.value
             if index >= total:
                 return
-            next_shard.value = index + 1
+            next_block.value = index + 1
         yield index
 
 
 def _worker_main(
     worker_index: int,
-    shard_indices: Iterable[int],
+    block_indices: Iterable[int],
+    blocks: Sequence[Tuple[int, ...]],
     specs: Sequence[ShardSpec],
     scratch: str,
     collect_cache_content: bool,
 ) -> int:
-    """Worker body: run each shard ``shard_indices`` yields, one result file each.
+    """Worker body: run each block ``block_indices`` yields, one result file each.
 
-    Used both as the spawned process target (via :func:`_worker_entry`,
-    pulling from the shared counter) and directly by the parent for the
-    ``workers == 1`` in-process fast path (every shard in index order) —
-    the same code path is what makes the fast path bit-for-bit equal to
-    spawned execution.
+    The parent runs it directly as worker 0 and every spawned worker runs
+    it through :func:`_worker_entry`.  Returns 1 after writing an error
+    file for the first block that raises, else 0.
     """
-    threads = blas_threads()
-    for index in shard_indices:
-        spec = specs[index]
+    for index in block_indices:
+        block = blocks[index]
+        seeds = [specs[position].seed for position in block]
         try:
             with profiled(
-                "shard.run", shard=index, seed=spec.seed, worker=worker_index
+                "shard.run", shard=index, seeds=seeds, worker=worker_index
             ) as timer:
-                payload = _run_shard(index, spec, collect_cache_content)
+                payload = _run_block(index, block, specs, collect_cache_content)
             payload["wall_seconds"] = timer.seconds
             payload["worker"] = worker_index
-            payload["blas_threads"] = threads
             save_snapshot(_result_path(scratch, index), payload)
         except Exception as error:
             import traceback
@@ -288,7 +341,7 @@ def _worker_main(
                 _error_path(scratch, worker_index),
                 {
                     "index": index,
-                    "seed": spec.seed,
+                    "seeds": seeds,
                     "error": repr(error),
                     "traceback": traceback.format_exc(),
                 },
@@ -299,42 +352,45 @@ def _worker_main(
 
 def _worker_entry(
     worker_index: int,
-    next_shard: Any,
+    next_block: Any,
+    blocks: Sequence[Tuple[int, ...]],
     specs: Sequence[ShardSpec],
     scratch: str,
     collect_cache_content: bool,
 ) -> None:
-    """Spawned-process entry point: pull shards until none are left.
+    """Spawned-process entry point: pull blocks until none are left.
 
     The exit code is :func:`_worker_main`'s status.
     """
-    shard_indices = _pull(next_shard, len(specs))
+    block_indices = _pull(next_block, len(blocks))
     sys.exit(
-        _worker_main(worker_index, shard_indices, specs, scratch, collect_cache_content)
+        _worker_main(
+            worker_index, block_indices, blocks, specs, scratch, collect_cache_content
+        )
     )
 
 
 class ShardedExecutor:
-    """Run (workload, seed) shards across spawned worker processes.
+    """Run (workload, seed) specs as seed blocks across worker processes.
 
     Parameters
     ----------
     specs:
-        The shards, one :class:`ShardSpec` each; results come back in this
-        order.
+        One :class:`ShardSpec` per seed; results come back in this order.
     workers:
-        Worker process count (default: ``os.cpu_count()``).  Each worker
-        takes the next unclaimed shard as soon as it finishes one.  More
-        workers than shards spawn nothing extra; ``workers=1`` runs every
-        shard in-process (no spawn), bit-for-bit equal to spawned execution.
+        Worker count, the parent included (default: ``os.cpu_count()``).
+        Each group of specs that differ only in seed splits into up to
+        this many seed blocks, and each worker takes the next unclaimed
+        block as soon as it finishes one.  More workers than specs spawn
+        nothing extra; ``workers=1`` spawns nothing at all.
     collect_cache_content:
-        Ship every shard's full cache content back to the parent and
+        Ship every block's full cache content back to the parent and
         compute the union :attr:`ShardRunOutcome.cache_digest` — the
         cross-process analogue of ``EvaluationCache.state_digest()``,
-        used by the spawned-vs-sequential parity tests.
+        used by the sharded-vs-in-process parity tests.
     scratch_dir:
-        Result-file staging directory (default: a private temp directory,
-        removed afterwards).
+        Where each run makes its private result-file staging directory,
+        removed afterwards (default: the system temp directory).
     """
 
     def __init__(
@@ -352,35 +408,46 @@ class ShardedExecutor:
             raise ValueError("workers must be at least 1")
         self.collect_cache_content = collect_cache_content
         self.scratch_dir = scratch_dir
+        self.blocks = seed_blocks(self.specs, self.effective_workers)
 
     @property
     def effective_workers(self) -> int:
-        """Workers that actually get shards (never more than shards)."""
+        """Workers that can get a block (never more than specs)."""
         return min(self.workers, len(self.specs))
+
+    def _unfinished(self, scratch: str) -> List[int]:
+        """Blocks without a result file in this run's staging directory."""
+        return [
+            index
+            for index in range(len(self.blocks))
+            if not os.path.exists(_result_path(scratch, index))
+        ]
 
     def _raise_worker_failure(
         self, scratch: str, worker_index: int, exitcode: Optional[int]
     ) -> None:
         unfinished = [
-            (index, spec.label, spec.seed)
-            for index, spec in enumerate(self.specs)
-            if not os.path.exists(_result_path(scratch, index))
+            (position, self.specs[position].label, self.specs[position].seed)
+            for index in self._unfinished(scratch)
+            for position in self.blocks[index]
         ]
         detail = None
         error_file = _error_path(scratch, worker_index)
         if os.path.exists(error_file):
             error = load_snapshot(error_file)
             detail = (
-                f"shard {error['index']} (seed {error['seed']}) raised "
+                f"shard {error['index']} (seeds {error['seeds']}) raised "
                 f"{error['error']}\n{error['traceback']}"
             )
         raise ShardWorkerError(worker_index, exitcode, unfinished, detail)
 
-    def _spawn(self, scratch: str) -> None:
-        """Start the pulling workers, join them all, and check the run."""
+    def _run_workers(self, scratch: str) -> None:
+        """Start workers 1..W-1, run worker 0 here, join all, check the run."""
         context = multiprocessing.get_context("spawn")
-        # Parent-owned: the lowest shard index no worker has claimed yet.
-        next_shard = context.Value("i", 0)
+        # Parent-owned: the lowest block index no worker has claimed yet.
+        next_block = context.Value("i", 0)
+        total = len(self.blocks)
+        args = (self.blocks, self.specs, scratch, self.collect_cache_content)
         processes = []
         try:
             # Spawned children import repro afresh; REPRO_TRACE would point
@@ -388,16 +455,10 @@ class ShardedExecutor:
             # .partial sidecar, so the variable is stripped around start().
             saved_trace = os.environ.pop("REPRO_TRACE", None)
             try:
-                for worker_index in range(self.effective_workers):
+                for worker_index in range(1, self.effective_workers):
                     process = context.Process(
                         target=_worker_entry,
-                        args=(
-                            worker_index,
-                            next_shard,
-                            self.specs,
-                            scratch,
-                            self.collect_cache_content,
-                        ),
+                        args=(worker_index, next_block) + args,
                         name=f"repro-shard-worker-{worker_index}",
                     )
                     process.start()
@@ -405,6 +466,16 @@ class ShardedExecutor:
             finally:
                 if saved_trace is not None:
                     os.environ["REPRO_TRACE"] = saved_trace
+            status = _worker_main(0, _pull(next_block, total), *args)
+            if status != 0:
+                # Hand out no further blocks; workers finish their current one.
+                with next_block.get_lock():
+                    next_block.value = total
+            elif not self._unfinished(scratch):
+                # Every block has its result, so no worker has work left;
+                # one may still be importing repro: stop it, do not wait.
+                for process in processes:
+                    process.terminate()
             for process in processes:
                 process.join()
         finally:
@@ -413,55 +484,39 @@ class ShardedExecutor:
                 if process.is_alive():
                     process.terminate()
                     process.join()
-        # A worker exits zero only once the counter is exhausted and every
-        # shard it claimed has its result file, so exit codes tell it all.
-        failed = [
-            worker_index
-            for worker_index, process in enumerate(processes)
-            if process.exitcode != 0
-        ]
-        if failed:
-            self._raise_worker_failure(
-                scratch, failed[0], processes[failed[0]].exitcode
-            )
+        if status != 0:
+            self._raise_worker_failure(scratch, 0, None)
+        if not self._unfinished(scratch):
+            return
+        # A block without a result was claimed by a worker that raised or
+        # died, and only such a worker exits nonzero.
+        for worker_index, process in enumerate(processes, start=1):
+            if process.exitcode != 0:
+                self._raise_worker_failure(scratch, worker_index, process.exitcode)
 
     def run(self) -> ShardRunOutcome:
-        """Run all shards to completion and merge; see the module docstring.
+        """Run all blocks to completion and merge; see the module docstring.
 
-        Raises :class:`ShardWorkerError` when a worker dies or a shard
+        Raises :class:`ShardWorkerError` when a worker dies or a block
         raises.
         """
-        scratch = self.scratch_dir or tempfile.mkdtemp(prefix="repro-shard-")
-        created_scratch = self.scratch_dir is None
         if self.scratch_dir:
-            os.makedirs(scratch, exist_ok=True)
+            os.makedirs(self.scratch_dir, exist_ok=True)
+        scratch = tempfile.mkdtemp(prefix="repro-shard-", dir=self.scratch_dir)
         event(
             "shard.start",
-            shards=len(self.specs),
+            shards=len(self.blocks),
             workers=self.effective_workers,
             requested_workers=self.workers,
         )
         try:
-            if self.effective_workers == 1:
-                # In-process fast path: same worker body, no spawn.
-                status = _worker_main(
-                    0,
-                    range(len(self.specs)),
-                    self.specs,
-                    scratch,
-                    self.collect_cache_content,
-                )
-                if status != 0:
-                    self._raise_worker_failure(scratch, 0, None)
-            else:
-                self._spawn(scratch)
+            self._run_workers(scratch)
             payloads = [
                 load_snapshot(_result_path(scratch, index))
-                for index in range(len(self.specs))
+                for index in range(len(self.blocks))
             ]
         finally:
-            if created_scratch:
-                shutil.rmtree(scratch, ignore_errors=True)
+            shutil.rmtree(scratch, ignore_errors=True)
         return self._build_outcome(payloads)
 
     def _build_outcome(self, payloads: Sequence[Dict[str, Any]]) -> ShardRunOutcome:
@@ -477,6 +532,10 @@ class ShardedExecutor:
                     "eval_seconds": sum(shard.eval_seconds for shard in owned),
                 }
             )
+        results: List[Any] = [None] * len(self.specs)
+        for shard in shards:
+            for position, result in zip(shard.spec_indices, shard.results):
+                results[position] = result
         digest = None
         if self.collect_cache_content:
             from repro.shard.parity import union_state_digest
@@ -485,8 +544,8 @@ class ShardedExecutor:
                 shard.cache_content for shard in shards if shard.cache_content
             )
         return ShardRunOutcome(
-            results=[shard.result for shard in shards],
-            seeds=[shard.seed for shard in shards],
+            results=results,
+            seeds=[spec.seed for spec in self.specs],
             shards=shards,
             workers=self.effective_workers,
             shard_map={shard.index: shard.worker for shard in shards},

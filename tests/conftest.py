@@ -9,7 +9,8 @@ are reachable only from the tests: the ``oracles`` package next to this file
 holds them, and the ``oracles`` fixture below switches a test onto them.
 :func:`run_in_campaign` runs one optimizer on a plain batch evaluator
 through that same Campaign.  :data:`RESTARTING` and :data:`FOLDING` name the
-seeds whose searches take paths most seeds skip.
+seeds whose searches take paths most seeds skip, and :func:`trajectory`
+strips a per-seed record down to what any campaign must reproduce.
 """
 
 from dataclasses import replace
@@ -51,6 +52,19 @@ FOLDING = {
         (0, 1),
     ),
 }
+
+
+#: Per-seed record fields that are not the seed's trajectory: the seed
+#: itself, wall times, and cache accounting, which depends on which seeds
+#: share the campaign's cache.
+ACCOUNTING_FIELDS = frozenset(
+    {"seed", "refit_seconds", "eval_seconds", "cache_hits", "cache_misses", "engine_calls"}
+)
+
+
+def trajectory(record):
+    """A per-seed record (``ProgressiveResult.to_dict()``) minus its accounting."""
+    return {key: value for key, value in record.items() if key not in ACCOUNTING_FIELDS}
 
 
 def run_in_campaign(

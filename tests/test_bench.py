@@ -9,6 +9,7 @@ from statistics import median
 import numpy as np
 import pytest
 
+from conftest import trajectory
 from repro.bench import (
     SCHEMA,
     BenchCase,
@@ -22,7 +23,6 @@ from repro.bench import (
 )
 from repro.bench.runner import censored_median, main as bench_main
 from repro.circuits.pvt import initial_corners
-from repro.shard import run_sequential
 
 #: Artifact fields of the retired oracle knobs (bench schema v9 and older)
 #: and of the retired sharded execution (v10 and older).
@@ -346,39 +346,42 @@ class TestCLI:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def _one_seed_runs(case, seeds):
+    """One single-seed campaign per seed, run one after another."""
+    outcomes = []
+    for seed in seeds:
+        campaign = case.build_campaign([seed])
+        try:
+            outcomes.append(campaign.run())
+        finally:
+            campaign.close()
+    return outcomes
+
+
 class TestCampaignExecution:
     """The multi-seed campaign path: bit-exact, fewer evaluator calls."""
 
     def test_campaign_matches_sequential_per_seed(self):
-        """One multi-seed campaign == one single-seed campaign per seed."""
+        """One multi-seed campaign == one single-seed campaign per seed.
+
+        Cache accounting is left out: the campaign shares one cache across
+        seeds, so per-seed hit/miss/engine-call splits legitimately differ
+        from a fresh cache per seed.
+        """
         (case,) = get_suite("tiny")
         campaign = run_case(case, seeds=[0, 1, 2])
-        sequential = run_sequential(case.shard_specs([0, 1, 2]))
-
-        def trajectory(record):
-            # Everything except wall times (noisy) and cache accounting
-            # (the campaign shares one cache across seeds, so per-seed
-            # hit/miss/engine-call splits legitimately differ from the
-            # fresh-cache-per-seed sequential loop).
-            excluded = {
-                "seed",
-                "refit_seconds",
-                "eval_seconds",
-                "cache_hits",
-                "cache_misses",
-                "engine_calls",
-            }
-            return {k: v for k, v in record.items() if k not in excluded}
-
+        sequential = _one_seed_runs(case, [0, 1, 2])
         assert [trajectory(r) for r in campaign["per_seed"]] == [
-            trajectory(r.to_dict()) for r in sequential.results
+            trajectory(outcome.results[0].to_dict()) for outcome in sequential
         ]
 
     def test_campaign_issues_fewer_larger_engine_calls(self):
         (case,) = get_suite("tiny")
         campaign = run_case(case, seeds=[0, 1, 2])
-        sequential = run_sequential(case.shard_specs([0, 1, 2]))
-        assert campaign["eval"]["engine_calls"] < sequential.engine_calls
+        sequential = _one_seed_runs(case, [0, 1, 2])
+        assert campaign["eval"]["engine_calls"] < sum(
+            outcome.engine_calls for outcome in sequential
+        )
         # Batching never re-evaluates: the campaign computes at most the
         # (row, corner) pairs the sequential loop computed, plus union
         # corners shared across seeds' requests.

@@ -70,18 +70,27 @@ def test_exported_variable_overrides_and_environment_is_untouched(tmp_path):
 
 
 def test_spawned_shard_worker_runs_one_thread(tmp_path):
+    """A spawn-context child that imports ``repro`` — what every spawned
+    shard worker is — inherits the pin and runs one BLAS thread."""
     record = _probe(
         tmp_path,
         """
         import json
+        import multiprocessing
 
-        from repro.bench.registry import get_suite
-        from repro.shard import ShardedExecutor
+        import repro
+        from repro.blas import blas_threads
+
+
+        def worker_threads():
+            import numpy  # a shard worker loads numpy with its first campaign
+
+            return blas_threads()
+
 
         if __name__ == "__main__":
-            specs = get_suite("tiny")[0].shard_specs([0, 1])
-            outcome = ShardedExecutor(specs, workers=2).run()
-            print(json.dumps([shard.blas_threads for shard in outcome.shards]))
+            with multiprocessing.get_context("spawn").Pool(1) as pool:
+                print(json.dumps(pool.apply(worker_threads)))
         """,
     )
-    assert record == [1, 1]
+    assert record == 1
