@@ -39,7 +39,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.analysis.contracts import contracts
 
 #: ``ProgressiveResult.to_dict`` keys that measure wall time, not behaviour.
-_TIMING_FIELDS = ("refit_seconds", "eval_seconds", "wall_seconds")
+_TIMING_FIELDS = ("refit_seconds",)
 
 
 def fingerprint_outcome(

@@ -20,9 +20,14 @@ sharing single stacked ``evaluate_corners`` passes (far fewer, larger
 evaluator calls) and batched surrogate refits, bit-exact per seed versus a
 single-seed :func:`~repro.search.sizing.size_problem` run.
 
-The JSON artifact schema is ``repro.bench/v12`` (see README "Benchmarking").
-v12 adds the simulation count: per seed ``simulations`` (the distinct
-``(row, corner)`` pairs the seed's own requests named, verification
+The JSON artifact schema is ``repro.bench/v13`` (see README "Benchmarking").
+v13 drops the per-seed evaluation accounting (``eval_seconds``,
+``cache_hits``, ``cache_misses``, ``engine_calls``): those split each
+shared stacked pass between the seeds that rode it, so they depended on
+which seeds shared the campaign.  A seed's cost is its ``simulations``;
+the case-level ``eval_seconds`` and ``eval`` block keep the campaign-wide
+counters.  v12 added the simulation count: per seed ``simulations`` (the
+distinct ``(row, corner)`` pairs the seed's own requests named, verification
 included, whichever seeds shared the campaign), and per case their total
 ``simulations`` and the censored median ``simulations_to_feasible``
 (``null`` when more than half of the seeds are unsolved).  v11, relative
@@ -51,7 +56,7 @@ a crashed run never leaves a half-written BENCH JSON:
 .. code-block:: json
 
     {
-      "schema": "repro.bench/v12",
+      "schema": "repro.bench/v13",
       "suite": "smoke",
       "seeds": [0, 1, 2],
       "optimizer": "mixed",
@@ -82,8 +87,6 @@ a crashed run never leaves a half-written BENCH JSON:
                         "events": {"campaign.solved": 3}},
           "per_seed": [{"seed": 0, "solved": true, "evaluations": 169,
                         "phases": 2, "restarts": 0, "refit_seconds": 0.05,
-                        "eval_seconds": 0.004, "cache_hits": 9,
-                        "cache_misses": 3162, "engine_calls": 11,
                         "simulations": 3157,
                         "failing_corners": [],
                         "best_sizing": {"w1": 4.6e-05}}]
@@ -117,7 +120,7 @@ from repro.resilience import atomic_write_json
 from repro.search.optimizer import available_optimizers
 from repro.search.progressive import ProgressiveResult
 
-SCHEMA = "repro.bench/v12"
+SCHEMA = "repro.bench/v13"
 
 module_logger = logging.getLogger(__name__)
 
@@ -180,7 +183,6 @@ def _per_seed_record(seed: int, result: ProgressiveResult) -> Dict[str, Any]:
     record: Dict[str, Any] = {"seed": int(seed)}
     record.update(result.to_dict())
     record["refit_seconds"] = round(record["refit_seconds"], 6)
-    record["eval_seconds"] = round(record["eval_seconds"], 6)
     return record
 
 
@@ -335,7 +337,7 @@ def run_suite(
     resume: bool = False,
     cache_dir: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """Run every case of a suite; returns the ``repro.bench/v12`` payload."""
+    """Run every case of a suite; returns the ``repro.bench/v13`` payload."""
     cases = get_suite(suite)
     module_logger.info("suite %r: %d case(s)", suite, len(cases))
     with profiled("bench.run_suite", suite=suite, cases=len(cases)) as wall_timer:

@@ -127,14 +127,8 @@ class DrillReport:
 
 
 def _strip_counters(fingerprint: Dict[str, Any]) -> Dict[str, Any]:
-    """The fingerprint minus cache accounting (deep-copied via JSON)."""
-    stripped = json.loads(json.dumps(fingerprint))
-    for field in _COUNTER_FIELDS:
-        stripped.pop(field, None)
-    for record in stripped["per_seed"]:
-        for field in _COUNTER_FIELDS:
-            record.pop(field, None)
-    return stripped
+    """The fingerprint minus the campaign's cache accounting."""
+    return {k: v for k, v in fingerprint.items() if k not in _COUNTER_FIELDS}
 
 
 def _compare(

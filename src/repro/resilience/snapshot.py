@@ -2,9 +2,9 @@
 
 A snapshot is a single file holding one state tree (the
 ``state_dict()`` of a :class:`~repro.search.campaign.Campaign`: its
-identity, round count, per-member evaluation accounting and cache
-counters, with the evaluation-cache content left in the checkpoint
-directory's :class:`~repro.resilience.store.CacheJournal`, referenced by
+identity, round count and cache counters, with the evaluation-cache
+content left in the checkpoint directory's
+:class:`~repro.resilience.store.CacheJournal`, referenced by
 watermark; a resume replays the rounds against that content rather than
 loading any search state): a fixed magic + format version, a CRC32 and
 length of the payload, then the payload itself — a :mod:`pickle` of plain
@@ -34,11 +34,12 @@ from repro.resilience.atomic import atomic_write_bytes
 #: Envelope magic; the trailing byte is the envelope version.
 MAGIC = b"REPROSNAP\x01"
 #: Payload format tag, checked on load (bump on incompatible tree changes).
-#: v5 holds no search state, since a resume replays it from the journal;
-#: v4 held each member's optimizer state with float32 surrogate bundles
-#: (v3's were float64); v3 moved member rows and histories into the
-#: journal; v2 copied them.
-SNAPSHOT_FORMAT = "repro.resilience/snapshot-v5"
+#: v6 drops v5's per-member evaluation accounting (a seed's cost is its
+#: ``simulations``, which the replay recounts); v5 holds no search state,
+#: since a resume replays it from the journal; v4 held each member's
+#: optimizer state with float32 surrogate bundles (v3's were float64); v3
+#: moved member rows and histories into the journal; v2 copied them.
+SNAPSHOT_FORMAT = "repro.resilience/snapshot-v6"
 
 _HEADER = struct.Struct("<IQ")  # crc32(payload), len(payload)
 

@@ -9,8 +9,8 @@ next — and never evaluate or train anything themselves.  The
   :meth:`~repro.circuits.topologies.base.SizingProblem.evaluate_corners`),
   wrapped in the cross-phase
   :class:`~repro.search.eval_cache.EvaluationCache`;
-* budget and wall-time accounting (``eval_seconds``, engine calls, cache
-  hits/misses);
+* campaign-wide evaluation accounting (``eval_seconds``, engine calls,
+  cache hits/misses); a seed's own cost is its ``simulations``;
 * the progressive PVT corner-hardening schedule of Section IV-E, run as a
   per-seed state machine (size at the hardest corner and the far corner of
   the opposite failure regime, verify over the full grid, fold failing
@@ -31,7 +31,7 @@ next — and never evaluate or train anything themselves.  The
   training each job alone.  This is the only place a full refit trains;
 * **checkpoint and resume by replay**: a checkpoint journals the cache
   pairs the round added and snapshots only what a replay cannot
-  recompute (identity, round count, evaluation counters).  A resume
+  recompute (identity, round count, the cache's counters).  A resume
   restores the cache from the journal and re-runs the snapshot's rounds
   through the ordinary loop: the search is deterministic, so every
   replayed pass is an all-hit cache read and no optimizer serializes any
@@ -45,7 +45,6 @@ reproduces the pre-redesign behaviour bit-exactly at a fixed seed/config.
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
 from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -207,13 +206,6 @@ class _ProgressiveMember:
         self.optimizer_name = optimizer_name
         self.optimizer_cls = get_optimizer(optimizer_name)
         self.max_phases = max_phases
-        # Per-seed evaluation accounting, attributed by the Campaign: this
-        # member's share of each stacked pass it rides (see
-        # Campaign._run_group).
-        self.eval_seconds = 0.0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.engine_calls = 0
         # The paper's cost metric: distinct (row, corner) pairs this seed's
         # own requests named, verification included.  Counted from the
         # requests, not from cache freshness, so it does not depend on
@@ -253,15 +245,6 @@ class _ProgressiveMember:
             config=phase_config,
             initial_points=self.warm_start,
         )
-
-    def account(
-        self, hits: int, misses: int, engine_calls: int, eval_seconds: float
-    ) -> None:
-        """Fold one evaluation's attributed cache/engine deltas into the seed."""
-        self.cache_hits += hits
-        self.cache_misses += misses
-        self.engine_calls += engine_calls
-        self.eval_seconds += eval_seconds
 
     def _count_phase(self) -> List[Tuple[np.ndarray, int]]:
         """Add the finished phase's simulations: its told rows at the active
@@ -414,10 +397,6 @@ class _ProgressiveMember:
             corner_reports=self.corner_reports,
             phase_results=self.phase_results,
             active_corners=self.active,
-            eval_seconds=self.eval_seconds,
-            cache_hits=self.cache_hits,
-            cache_misses=self.cache_misses,
-            engine_calls=self.engine_calls,
             simulations=self.simulations,
         )
 
@@ -499,10 +478,6 @@ class Campaign:
         self.refit_rounds = 0
         self.batched_kernel_calls = 0
 
-    def _counters(self) -> Tuple[int, int, int, float]:
-        cache = self.cache
-        return cache.hits, cache.misses, cache.engine_calls, cache.eval_seconds
-
     def _run_group(
         self,
         grouped: List[Tuple[_ProgressiveMember, np.ndarray, List[PVTCondition]]],
@@ -512,34 +487,22 @@ class Campaign:
         Every request group, lone or shared, takes this path: one
         :meth:`EvaluationCache.evaluate` call on the stacked rows, then each
         member receives its own row slice of the block, so every requested
-        ``(row, corner)`` pair is booked exactly once.
-
-        Attribution: each member's misses are its own fresh ``(row,
-        corner)`` pairs — the fresh rows of the stacked block
-        (:attr:`EvaluationCache.last_fresh`) that fall inside the member's
-        slice.  The pass decides freshness before it inserts anything, so
-        each count equals what :meth:`EvaluationCache.fresh_row_count`
-        would have peeked for the member's rows alone, and for a lone
-        member it is the plain counter delta.  The engine wall time splits
-        proportionally to miss share, and the single engine call books to
-        every member with fresh pairs (a shared call serves several seeds,
-        so per-seed ``engine_calls`` can sum to more than the campaign-wide
-        counter).
+        ``(row, corner)`` pair is booked exactly once.  The cache keeps the
+        campaign-wide counters; a seed's own cost is its ``simulations``.
         """
         cache = self.cache
         corners = grouped[0][2]
-        n_corners = len(corners)
         seeds = [member.seed for member, _, _ in grouped]
         # A pass serving one seed books its time to that seed; a shared
         # pass has no single seed.
         solo = (
             {"seed": seeds[0], "phase": grouped[0][0].phase} if len(seeds) == 1 else {}
         )
-        hits0, misses0, calls0, seconds0 = self._counters()
+        hits, misses = cache.hits, cache.misses
         with profiled(
             "campaign.pass",
             members=len(grouped),
-            corners=n_corners,
+            corners=len(corners),
             seeds=seeds,
             **solo,
         ) as timer:
@@ -547,25 +510,10 @@ class Campaign:
             # large evaluator call.
             # analysis: allow(hot-loop-alloc) intentional per-round stack
             block = cache.evaluate(np.vstack([rows for _, rows, _ in grouped]), corners)
-            hits, misses, calls, seconds = self._counters()
-            timer.annotate(hits=hits - hits0, misses=misses - misses0)
-        pass_calls = calls - calls0
-        pass_seconds = seconds - seconds0
-        fresh_rows = cache.last_fresh
-        total_fresh = len(fresh_rows)
-        start = counted = 0
+            timer.annotate(hits=cache.hits - hits, misses=cache.misses - misses)
+        start = 0
         for member, rows, _ in grouped:
             stop = start + rows.shape[0]
-            # ``fresh_rows`` ascends: those below ``stop`` and not yet
-            # counted are this member's.
-            upto = bisect_left(fresh_rows, stop)
-            fresh, counted = upto - counted, upto
-            member.account(
-                (rows.shape[0] - fresh) * n_corners,
-                fresh * n_corners,
-                pass_calls if fresh else 0,
-                pass_seconds * (fresh / total_fresh) if total_fresh else 0.0,
-            )
             member.receive(block[:, start:stop, :])
             start = stop
 
@@ -595,9 +543,8 @@ class Campaign:
         """One training dispatch for same-signature refit jobs.
 
         The dispatch wall time is attributed back to the members
-        proportionally to each job's training volume (epochs x rows), the
-        refit analogue of the eval-side miss-share attribution — so the
-        per-seed ``refit_seconds`` sum to the campaign-wide cost, and a
+        proportionally to each job's training volume (epochs x rows), so
+        the per-seed ``refit_seconds`` sum to the campaign-wide cost, and a
         lone job books all of it.  Only dispatches of more than one job
         count as batched kernel calls.
         """
@@ -637,20 +584,17 @@ class Campaign:
         workload shape, and the full config (via its dataclass ``repr``,
         which covers every hyper-parameter); :meth:`load_state_dict`
         refuses a mismatch with a :class:`SnapshotError` instead of
-        replaying a silently different search.  Beside it: the round count,
-        each member's evaluation accounting (a replay reads every pair from
-        the cache, so it cannot recount the misses), and the cache block,
-        which references the checkpoint journal by watermark, so the cache
-        must have been journaled up to date
-        (:meth:`EvaluationCache.checkpoint_state`).
+        replaying a silently different search.  Beside it: the round count
+        and the cache block — its counters (a replay reads every pair from
+        the cache, so it cannot recount the misses) and a reference to the
+        checkpoint journal by watermark, so the cache must have been
+        journaled up to date (:meth:`EvaluationCache.checkpoint_state`).
+        Each seed's ``simulations`` is counted from its requests, so the
+        replay recounts it exactly.
         """
         return {
             "identity": self._identity(),
             "rounds": self.rounds,
-            "members": [
-                (member.cache_hits, member.cache_misses, member.engine_calls, member.eval_seconds)
-                for member in self._members
-            ],
             "cache": self.cache.checkpoint_state(),
         }
 
@@ -664,8 +608,8 @@ class Campaign:
         :func:`fit_batched` dispatches, bit for bit.  A replayed round
         writes no checkpoint, and one that needs the engine raises
         :class:`SnapshotError`: its pairs are missing from the journal.
-        Finally the counters the replay's hits moved, the cache's and each
-        member's, are set to the snapshot's.
+        Finally the cache counters the replay's hits moved are set to the
+        snapshot's.
         """
         identity = state["identity"]
         expected = self._identity()
@@ -699,10 +643,6 @@ class Campaign:
                 f"after {self.rounds}"
             )
         cache.restore_counters(state["cache"]["counters"])
-        for member, accounting in zip(self._members, state["members"]):
-            member.cache_hits, member.cache_misses, member.engine_calls, member.eval_seconds = (
-                accounting
-            )
 
     def close(self) -> None:
         """Release the persistent cache store and checkpoint journal, if any."""

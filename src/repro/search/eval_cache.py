@@ -26,8 +26,9 @@ The cache is engine-agnostic: it wraps *any* corner evaluator with the
 :meth:`~repro.circuits.topologies.base.SizingProblem.evaluate_corners` in
 production, a per-corner loop in the parity tests), and since it returns
 exactly the floats the evaluator produced it never changes a search
-trajectory — it only removes repeat work.  It also keeps the benchmark accounting: ``eval_seconds`` is the
-wall time actually spent inside the wrapped evaluator.
+trajectory — it only removes repeat work.  It also keeps the evaluation
+counters a campaign reports: ``eval_seconds`` is the wall time actually
+spent inside the wrapped evaluator.
 
 With ``persist_path`` the cache additionally mirrors every computed pair
 into an append-only on-disk store (:class:`repro.resilience.store.CacheStore`)
@@ -199,10 +200,6 @@ class EvaluationCache:
         Invocations of the wrapped evaluator — the multi-seed Campaign
         batches many seeds' requests into fewer, larger calls, and this is
         the counter that shows it.
-    last_fresh:
-        Ascending indices of the rows the latest :meth:`evaluate` sent to
-        the engine (decided before it inserted anything), so a caller that
-        stacked several requests can attribute the misses per slice.
     eval_seconds:
         Cumulative wall time inside the wrapped evaluator.
     preloaded_pairs, repaired_bytes:
@@ -233,7 +230,6 @@ class EvaluationCache:
         self.cold_hits = 0
         self.engine_calls = 0
         self.eval_seconds = 0.0
-        self.last_fresh: List[int] = []
         self.preloaded_pairs = 0
         self.repaired_bytes = 0
         self._backend: Optional[CacheStore] = None
@@ -330,10 +326,11 @@ class EvaluationCache:
     def fresh_row_count(self, samples: np.ndarray, corners: Sequence[PVTCondition]) -> int:
         """How many rows :meth:`evaluate` would send to the engine right now.
 
-        A pure peek — no corner is created, nothing is inserted, no counter
-        moves — and the reference for the per-member attribution the
-        multi-seed Campaign derives from :attr:`last_fresh`.  Rejects an
-        empty corner list exactly like :meth:`evaluate`.
+        A pure peek: no corner is created, nothing is inserted and no
+        counter moves.  Times the corner count, it is the ``misses`` that
+        call would book.  No production path calls it; it stays because
+        the repository benchmark's per-layer ledger wraps it by name.
+        Rejects an empty corner list exactly like :meth:`evaluate`.
         """
         samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
         corners = list(corners)
@@ -378,7 +375,6 @@ class EvaluationCache:
         served = _served(keys, stores)
         served_set = set(served)
         fresh = [row_index for row_index in range(count) if row_index not in served_set]
-        self.last_fresh = fresh
         hits = len(served) * len(corners)
         misses = len(fresh) * len(corners)
         self.hits += hits

@@ -76,30 +76,14 @@ class ProgressiveResult:
     corner_reports: List[CornerReport] = field(default_factory=list)
     phase_results: List[SearchResult] = field(default_factory=list)
     active_corners: List[PVTCondition] = field(default_factory=list)
-    #: Wall time inside the true corner evaluator, across all phases and
-    #: verifications (the ``eval_seconds`` the benchmark records).  Under a
-    #: multi-seed campaign a shared stacked pass's engine time is split
-    #: across the seeds proportionally to each seed's fresh (cache-missing)
-    #: pairs, so the per-seed values sum to the campaign-wide total on
-    #: :class:`~repro.search.campaign.CampaignResult`.
-    eval_seconds: float = 0.0
-    #: Cross-phase evaluation-cache counters, per ``(row, corner)`` pair —
-    #: exact per seed (a shared pass's pairs decompose exactly by who
-    #: requested them), summing to the campaign totals.
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: Invocations of the wrapped corner evaluator serving this search.  A
-    #: stacked pass shared by several seeds books one call to **every**
-    #: seed it computed fresh pairs for, so per-seed values can sum to more
-    #: than the campaign-wide counter.
-    engine_calls: int = 0
     #: Simulations this search needed: the distinct ``(row, corner)`` pairs
-    #: its own requests named, verification passes included.  Unlike
-    #: :attr:`cache_misses` it does not depend on which seeds share the
-    #: campaign or on a warm cache: it is the pair count of the seed's own
-    #: cold cache run alone, whose ``cache_misses`` also count a verified
-    #: winner's searched corners again (the cache recomputes a row that
-    #: misses any requested corner at all of them).
+    #: its own requests named, verification passes included.  It does not
+    #: depend on which seeds share the campaign or on a warm cache: it is
+    #: the pair count of the seed's own cold cache run alone, whose
+    #: ``cache_misses`` also count a verified winner's searched corners
+    #: again (the cache recomputes a row that misses any requested corner
+    #: at all of them).  The cache counters are campaign-wide only
+    #: (:class:`~repro.search.campaign.CampaignResult`).
     simulations: int = 0
 
     def failing_corners(self) -> List[PVTCondition]:
@@ -126,10 +110,6 @@ class ProgressiveResult:
             "best_sizing": {k: float(v) for k, v in self.best_sizing.items()},
             "failing_corners": [c.name for c in self.failing_corners()],
             "refit_seconds": float(self.refit_seconds),
-            "eval_seconds": float(self.eval_seconds),
-            "cache_hits": int(self.cache_hits),
-            "cache_misses": int(self.cache_misses),
-            "engine_calls": int(self.engine_calls),
             "simulations": int(self.simulations),
         }
 

@@ -236,7 +236,7 @@ class ShardRunOutcome:
     workers: int
     #: Where each block actually ran, ``{block index: worker}``.
     shard_map: Dict[int, int]
-    #: ``{"worker", "shards", "wall_seconds", "eval_seconds"}`` for every
+    #: ``{"worker", "shards", "wall_seconds"}`` for every
     #: worker, including one that ran no block.
     per_worker: List[Dict[str, Any]]
     rounds: int
@@ -529,7 +529,6 @@ class ShardedExecutor:
                     "worker": worker_index,
                     "shards": len(owned),
                     "wall_seconds": sum(shard.wall_seconds for shard in owned),
-                    "eval_seconds": sum(shard.eval_seconds for shard in owned),
                 }
             )
         results: List[Any] = [None] * len(self.specs)

@@ -55,11 +55,8 @@ FOLDING = {
 
 
 #: Per-seed record fields that are not the seed's trajectory: the seed
-#: itself, wall times, and cache accounting, which depends on which seeds
-#: share the campaign's cache.
-ACCOUNTING_FIELDS = frozenset(
-    {"seed", "refit_seconds", "eval_seconds", "cache_hits", "cache_misses", "engine_calls"}
-)
+#: itself and its refit wall time.
+ACCOUNTING_FIELDS = frozenset({"seed", "refit_seconds"})
 
 
 def trajectory(record):

@@ -125,10 +125,6 @@ class TestRunner:
                 "solved",
                 "evaluations",
                 "refit_seconds",
-                "eval_seconds",
-                "cache_hits",
-                "cache_misses",
-                "engine_calls",
                 "simulations",
                 "phases",
                 "restarts",
@@ -138,9 +134,6 @@ class TestRunner:
             assert record["evaluations"] > 0
             assert record["simulations"] > 0
             assert record["refit_seconds"] >= 0.0
-            assert record["eval_seconds"] >= 0.0
-            assert record["cache_misses"] > 0
-            assert record["engine_calls"] >= 1
             # A solved seed has no failing corners (and vice versa the list
             # names exactly the corners that sank an unsolved one).
             if record["solved"]:
@@ -178,7 +171,7 @@ class TestRunner:
 
     def test_suite_payload_and_artifact(self, tmp_path):
         payload = run_suite("tiny", seeds=[0])
-        assert payload["schema"] == SCHEMA == "repro.bench/v12"
+        assert payload["schema"] == SCHEMA == "repro.bench/v13"
         assert payload["suite"] == "tiny"
         assert payload["seeds"] == [0]
         assert not RETIRED_FIELDS & set(payload)
@@ -482,7 +475,8 @@ class TestSimulationCount:
         shared = case.build_campaign(self.SEEDS).run()
         for seed, result in zip(self.SEEDS, shared.results):
             alone = case.build_campaign([seed])
-            solo = alone.run().results[0]
+            outcome = alone.run()
+            solo = outcome.results[0]
             assert result.simulations == solo.simulations == len(alone.cache) > 0
             # Alone, each missed pair is one the seed requested, except that
             # a phase's verification recomputes the winner at the corners
@@ -493,4 +487,45 @@ class TestSimulationCount:
             recomputed = sum(
                 start + phase for phase in range(len(solo.phase_results))
             ) if len(corners) > 1 else 0
-            assert solo.cache_misses == solo.simulations + recomputed
+            assert outcome.cache_misses == solo.simulations + recomputed
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: Per-seed fields of a committed artifact that record the search itself.
+TRAJECTORY_FIELDS = (
+    "seed", "solved", "evaluations", "phases", "restarts", "failing_corners",
+    "best_sizing", "simulations",
+)
+
+
+class TestCommittedArtifacts:
+    """The checked-in BENCH artifacts carry the current schema, and their
+    per-seed trajectories are pinned: a schema bump that only drops
+    accounting fields must leave them as they were."""
+
+    #: SHA-256 of each artifact's per-case trajectory records (see
+    #: ``trajectory_digest``), taken from the ``repro.bench/v12`` artifacts
+    #: the v13 ones replaced.
+    DIGESTS = {
+        "BENCH_smoke.json": "ac5f88cfdf45ab9f55e4887bb1e2cefa155988b11481f1155f907ecdc6c1faa5",
+        "BENCH_corners.json": "5bbd49138b175db8b07b0c5384dc4ef23e40fea2e48092cd9fcf5b245aa7cb77",
+    }
+
+    @staticmethod
+    def trajectory_digest(payload):
+        records = [
+            [case["name"], [{k: r[k] for k in TRAJECTORY_FIELDS} for r in case["per_seed"]]]
+            for case in payload["cases"]
+        ]
+        return hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_schema_and_trajectories(self, name):
+        with open(os.path.join(REPO, name)) as handle:
+            payload = json.load(handle)
+        assert payload["schema"] == SCHEMA
+        for case in payload["cases"]:
+            for record in case["per_seed"]:
+                assert set(record) == set(TRAJECTORY_FIELDS) | {"refit_seconds"}
+        assert self.trajectory_digest(payload) == self.DIGESTS[name]

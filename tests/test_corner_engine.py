@@ -30,7 +30,7 @@ from repro.circuits.topologies import SizingProblem, available_topologies, get_t
 from repro.analysis.determinism import fingerprint_outcome
 from repro.bench.registry import get_suite
 from repro.search import EvaluationCache, ProgressiveConfig
-from repro.search.sizing import size_problem
+from repro.search.sizing import build_campaign
 from repro.search.trust_region import TrustRegionConfig
 
 ALL_TOPOLOGY_NAMES = sorted(available_topologies())
@@ -282,17 +282,18 @@ class TestProgressiveTrajectoryLock:
         # A folding seed needs a second phase, at three corners.
         case, (seed, _) = FOLDING["trust_region"]
         config = ProgressiveConfig(TrustRegionConfig(seed=seed, max_evaluations=200))
-        result = size_problem(
+        outcome = build_campaign(
             case.topology, tier=case.tier, corners=case.corners(), config=config
-        )
+        ).run()
+        (result,) = outcome.results
         assert len(result.phase_results) == 2
         assert len(result.active_corners) == 3
-        assert result.cache_misses > 0
+        assert outcome.cache_misses > 0
         # The only reuse: phase 1 warm-starts from phase 0's winner, which
         # the full-grid verification already cached at all three active
         # corners.
-        assert result.cache_hits == 3
-        assert result.eval_seconds > 0.0
+        assert outcome.cache_hits == 3
+        assert outcome.eval_seconds > 0.0
 
 
 class TestRefitSkip:

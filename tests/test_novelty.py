@@ -1,12 +1,12 @@
-"""Row novelty is decided once: dedup, attribution and serialization locks.
+"""Row novelty is decided once: dedup, miss-count and serialization locks.
 
 The optimizers keep every evaluated row's byte key in a ``set`` and select
-candidates in one pass; the Campaign attributes a stacked pass's misses from
-the fresh rows the pass itself found; the cache resolves corner lookups once
+candidates in one pass; a stacked pass books the misses the cache's
+``fresh_row_count`` peek predicts; the cache resolves corner lookups once
 per call or tag; a snapshot holds only what a replay cannot recompute, and
 a resume rebuilds the members' corner reports by replay.  Each is locked
 here against a reference held in this file: the ``np.unique`` +
-``np.isin`` void-view selection, the per-member ``fresh_row_count`` peek,
+``np.isin`` void-view selection, the ``fresh_row_count`` peek,
 the per-(row, corner) warm lookup, the per-record store ingest and a
 plainly written campaign serializer.  The cache's per-corner blocks are
 also held to a bound on the bytes each cached pair retains.
@@ -181,16 +181,12 @@ class TestDedupParity:
 
 
 class StubMember:
-    """Records what ``Campaign._run_group`` books and hands back."""
+    """Records what ``Campaign._run_group`` hands back."""
 
     def __init__(self, seed):
         self.seed = seed
         self.phase = 0
-        self.accounting = []
         self.blocks = []
-
-    def account(self, hits, misses, engine_calls, eval_seconds):
-        self.accounting.append((hits, misses, engine_calls))
 
     def receive(self, block):
         self.blocks.append(block)
@@ -215,28 +211,27 @@ def toy_campaign():
 
 
 def run_group_against_peek(campaign, grouped):
-    """Run one stacked pass; check every member's booking against the peek."""
+    """Run one stacked pass; check its misses against the peek taken before
+    it and every member's slice against the evaluator."""
     cache = campaign.cache
     corners = grouped[0][2]
-    peeks = [cache.fresh_row_count(rows, corners) for _, rows, _ in grouped]
-    hits0, misses0, calls0 = cache.hits, cache.misses, cache.engine_calls
+    stacked = np.vstack([rows for _, rows, _ in grouped])
+    peek = cache.fresh_row_count(stacked, corners)
+    hits0, misses0 = cache.hits, cache.misses
     campaign._run_group(grouped)
-    pass_calls = cache.engine_calls - calls0
-    for (member, rows, _), fresh in zip(grouped, peeks):
-        assert member.accounting[-1] == (
-            (rows.shape[0] - fresh) * len(corners),
-            fresh * len(corners),
-            pass_calls if fresh else 0,
-        )
+    assert cache.misses - misses0 == peek * len(corners)
+    assert cache.hits - hits0 == (stacked.shape[0] - peek) * len(corners)
+    for member, rows, _ in grouped:
         np.testing.assert_array_equal(
             member.blocks[-1], distinct_evaluator(rows, corners)
         )
-    assert sum(member.accounting[-1][0] for member, _, _ in grouped) == cache.hits - hits0
-    assert sum(member.accounting[-1][1] for member, _, _ in grouped) == cache.misses - misses0
-    return peeks
+    return peek
 
 
 class TestPassAttribution:
+    """A pass books exactly the pairs :meth:`EvaluationCache.fresh_row_count`
+    peeked: ``peek * len(corners)`` misses, the rest hits."""
+
     def test_shared_and_partially_cached_rows(self):
         campaign = toy_campaign()
         corners = nine_corner_grid()[:2]
@@ -249,10 +244,8 @@ class TestPassAttribution:
             (members[1], np.vstack([b, c]), corners),  # b is shared
             (members[2], e.copy(), corners),
         ]
-        assert run_group_against_peek(campaign, grouped) == [2, 2, 0]
-        assert [member.accounting[-1] for member in members] == [
-            (2, 4, 1), (0, 4, 1), (2, 0, 0),
-        ]
+        # a (one corner only), both b's and c are fresh; both e's are hits.
+        assert run_group_against_peek(campaign, grouped) == 4
 
     def test_random_groups_match_the_peek(self):
         campaign = toy_campaign()
@@ -396,16 +389,11 @@ class TestPairMemory:
 
 
 def reference_state_dict(self):
-    """The campaign serializer written out plainly: identity, round count,
-    each member's evaluation accounting and the cache's checkpoint block,
-    and nothing a replay recomputes."""
+    """The campaign serializer written out plainly: identity, round count
+    and the cache's checkpoint block, and nothing a replay recomputes."""
     return {
         "identity": self._identity(),
         "rounds": self.rounds,
-        "members": [
-            (member.cache_hits, member.cache_misses, member.engine_calls, member.eval_seconds)
-            for member in self._members
-        ],
         "cache": self.cache.checkpoint_state(),
     }
 

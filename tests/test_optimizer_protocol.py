@@ -348,17 +348,21 @@ class TestCampaignParity:
     TRUST = TrustRegionConfig(seed=0, max_evaluations=200)
     CONFIG = ProgressiveConfig(TRUST)
 
+    def alone(self, seed):
+        """The one-seed campaign's :class:`CampaignResult` at ``seed``."""
+        return build_campaign(
+            "ota_5t", tier="smoke", config=self.CONFIG, seeds=[seed]
+        ).run()
+
     def test_multi_seed_campaign_matches_sequential(self):
         seeds = [0, 1, 2]
-        sequential = [
-            size_problem("ota_5t", tier="smoke", config=self.CONFIG, seed=s)
-            for s in seeds
-        ]
+        sequential = [self.alone(s) for s in seeds]
         campaign = build_campaign(
             "ota_5t", tier="smoke", config=self.CONFIG, seeds=seeds
         ).run()
         assert campaign.seeds == seeds
-        for expected, got in zip(sequential, campaign.results):
+        for outcome, got in zip(sequential, campaign.results):
+            (expected,) = outcome.results
             np.testing.assert_array_equal(expected.best_vector, got.best_vector)
             assert expected.evaluations == got.evaluations
             assert expected.solved_all_corners == got.solved_all_corners
@@ -370,21 +374,16 @@ class TestCampaignParity:
             assert [r.satisfied for r in expected.corner_reports] == [
                 r.satisfied for r in got.corner_reports
             ]
-            # Every requested (row, corner) pair is booked exactly once,
-            # whether its pass was shared or not.
-            assert (
-                expected.cache_hits + expected.cache_misses
-                == got.cache_hits + got.cache_misses
-            )
+            assert expected.simulations == got.simulations
+        # Every requested (row, corner) pair is booked exactly once,
+        # whether its pass was shared or not.
+        assert sum(o.cache_hits + o.cache_misses for o in sequential) == (
+            campaign.cache_hits + campaign.cache_misses
+        )
 
     def test_multi_seed_batches_fewer_engine_calls(self, monkeypatch):
         seeds = [0, 1, 2]
-        sequential_calls = sum(
-            size_problem(
-                "ota_5t", tier="smoke", config=self.CONFIG, seed=s
-            ).engine_calls
-            for s in seeds
-        )
+        sequential_calls = sum(self.alone(s).engine_calls for s in seeds)
         # (round, corner set, engine calls) of every stacked pass.
         passes = []
         run_group = Campaign._run_group
@@ -408,7 +407,7 @@ class TestCampaignParity:
         assert any(calls for _, corners, calls in passes if len(corners) > 1)
 
     def test_single_seed_campaign_keeps_sequential_accounting(self):
-        result = size_problem("ota_5t", tier="smoke", config=self.CONFIG, seed=0)
+        result = self.alone(0)
         assert result.cache_misses > 0
         assert result.engine_calls > 0
         assert result.eval_seconds > 0.0
@@ -448,12 +447,7 @@ class TestCampaignParity:
         sequential loop would not have — a verifying seed must not drag
         other seeds' search batches through the full grid."""
         seeds = [0, 1, 2]
-        sequential_misses = sum(
-            size_problem(
-                "ota_5t", tier="smoke", config=self.CONFIG, seed=s
-            ).cache_misses
-            for s in seeds
-        )
+        sequential_misses = sum(self.alone(s).cache_misses for s in seeds)
         campaign = build_campaign(
             "ota_5t", tier="smoke", config=self.CONFIG, seeds=seeds
         ).run()
@@ -542,4 +536,4 @@ class TestResultSerialization:
         assert payload["failing_corners"] == [
             c.name for c in result.failing_corners()
         ]
-        assert payload["engine_calls"] == result.engine_calls
+        assert payload["simulations"] == result.simulations > 0

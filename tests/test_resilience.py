@@ -699,7 +699,7 @@ def _member_arrays(tree):
 def _derived_state(campaign):
     """What a resume rebuilds by replay, per member, as bytes: the phase
     machine, the live optimizer's dataset, history and RNG, every phase
-    result, the corner reports and the evaluation accounting."""
+    result, the corner reports and the simulation count."""
     members = []
     for member in campaign._members:
         optimizer = None
@@ -723,19 +723,17 @@ def _derived_state(campaign):
             )
             for result in member.phase_results
         ]
-        accounting = (
-            member.cache_hits, member.cache_misses, member.engine_calls, member.eval_seconds
-        )
         members.append(pickle.dumps((
             member.phase, member.active, member.finished, member.solved_all,
-            member.total_evaluations, accounting, optimizer, results, member.corner_reports,
+            member.total_evaluations, member.simulations, optimizer, results,
+            member.corner_reports,
         )))
     return members
 
 
 class TestMemberJournal:
     """A resume rebuilds every member by replaying the journaled rounds;
-    the snapshot keeps only each member's evaluation accounting."""
+    the snapshot keeps nothing per member."""
 
     SEEDS = [0, 1]
 
@@ -805,14 +803,15 @@ class TestMemberJournal:
         campaign = case.build_campaign([0])
         campaign.run(checkpoint_dir=ckpt, keep_history=True)
         batch = campaign.progressive.trust_region.batch_size
-        block_bytes = []
+        state_bytes = []
         for name in self._rounds(ckpt):
-            (member,) = load_snapshot(os.path.join(ckpt, name))["members"]
-            # Hits, misses, engine calls, eval seconds: no array at all.
-            assert len(member) == 4 and _member_arrays(member) == [], name
-            block_bytes.append(len(pickle.dumps(member)))
+            state = load_snapshot(os.path.join(ckpt, name))
+            # Identity, round count, cache counters: no member, no array.
+            assert set(state) == {"identity", "rounds", "cache"}, name
+            assert _member_arrays(state) == [], name
+            state_bytes.append(len(pickle.dumps(state)))
         assert campaign._members[0].total_evaluations > 10 * batch
-        assert block_bytes[-1] <= 3 * block_bytes[1]
+        assert state_bytes[-1] <= 3 * state_bytes[1]
 
     def test_crash_after_the_journal_rewrites_the_same_frames(self, tmp_path):
         case = self._case("cross_entropy")
@@ -860,7 +859,7 @@ class TestMemberJournal:
             )
             save_snapshot(latest, state)
         resumed = get_suite("drill")[0].build_campaign([0])
-        with pytest.raises(SnapshotError, match=rf"snapshot-{version}.*expected.*snapshot-v5"):
+        with pytest.raises(SnapshotError, match=rf"snapshot-{version}.*expected.*snapshot-v6"):
             resumed.run(resume_from=ckpt)
 
     def test_v2_snapshot_refused(self, tmp_path, monkeypatch):
@@ -876,6 +875,12 @@ class TestMemberJournal:
         """v4 carries each member's optimizer state, which v5 rebuilds by
         replay: refused by name."""
         self._assert_refused(tmp_path, monkeypatch, "v4")
+
+    def test_v5_snapshot_refused(self, tmp_path, monkeypatch):
+        """v5 carries each member's attributed evaluation accounting, which
+        v6 drops (a seed's cost is its replayed ``simulations``): refused by
+        name."""
+        self._assert_refused(tmp_path, monkeypatch, "v5")
 
 
 def _checkpointed_run(case, seeds, ckpt, moments):
