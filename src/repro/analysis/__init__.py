@@ -20,6 +20,12 @@ surviving refactors.  This package makes them cheap to keep:
 
 CLI: ``python -m repro.analysis lint src`` and
 ``python -m repro.analysis determinism --suite tiny``.
+
+The package re-exports the contract names only, which every instrumented
+module imports; the lint API lives in :mod:`repro.analysis.engine`
+(``Finding``, ``lint_paths``, ``lint_source``) and
+:mod:`repro.analysis.rules` (``LintRule``, ``register_rule``, ...), so a
+campaign never loads the linter.
 """
 
 from repro.analysis.contracts import (
@@ -32,27 +38,14 @@ from repro.analysis.contracts import (
     hot_path,
     set_contracts,
 )
-from repro.analysis.engine import (
-    Finding,
-    lint_paths,
-    lint_source,
-)
-from repro.analysis.rules import LintRule, available_rules, get_rule, register_rule
 
 __all__ = [
     "ArraySpec",
     "ContractViolation",
-    "Finding",
-    "LintRule",
     "SeqLen",
-    "available_rules",
     "contract",
     "contracts",
     "contracts_enabled",
-    "get_rule",
     "hot_path",
-    "lint_paths",
-    "lint_source",
-    "register_rule",
     "set_contracts",
 ]

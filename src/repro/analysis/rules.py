@@ -6,7 +6,7 @@ walking a parsed module's AST and yielding :class:`Finding`\\ s; they
 register themselves with :func:`register_rule`, mirroring the optimizer and
 topology registries, so third-party checks plug in the same way::
 
-    from repro.analysis import LintRule, register_rule
+    from repro.analysis.rules import LintRule, register_rule
 
     @register_rule
     class MyRule(LintRule):

@@ -9,6 +9,11 @@ against.  All seeds of a case run as one multi-seed
 :class:`~repro.search.campaign.Campaign` (shared vectorized corner passes
 and batched surrogate refits).  ``--optimizer`` overrides the
 search strategy, and ``--list`` enumerates everything the registry can run.
+
+The package re-exports the registry only; the runner (``run_case``,
+``run_suite``, ``format_summary``, ``write_bench_json``, ``SCHEMA``, the
+CLI) lives in :mod:`repro.bench.runner`, so building a case's campaign
+never loads the CLI stack.
 """
 
 from repro.bench.registry import (
@@ -18,25 +23,11 @@ from repro.bench.registry import (
     get_suite,
     register_benchmark,
 )
-from repro.bench.runner import (
-    SCHEMA,
-    format_listing,
-    format_summary,
-    run_case,
-    run_suite,
-    write_bench_json,
-)
 
 __all__ = [
     "BenchCase",
     "CORNER_SETS",
-    "SCHEMA",
     "available_suites",
-    "format_listing",
-    "format_summary",
     "get_suite",
     "register_benchmark",
-    "run_case",
-    "run_suite",
-    "write_bench_json",
 ]

@@ -11,7 +11,9 @@ Three instrumentation primitives (see :mod:`repro.obs.tracer`):
 Tracing is off by default and trajectory-neutral; enable with
 ``REPRO_TRACE=1`` (ring only), ``REPRO_TRACE=trace.jsonl`` (JSONL sink), or
 the :func:`tracing` context manager.  Render traces with
-``python -m repro.obs report trace.jsonl``.
+``python -m repro.obs report trace.jsonl``; the report API
+(``TraceRollup``, ``format_report``, ``load_trace``) lives in
+:mod:`repro.obs.report`, which the instrumented code never loads.
 """
 
 from repro.obs.metrics import (
@@ -20,7 +22,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     diff_snapshots,
 )
-from repro.obs.report import TraceRollup, format_report, load_trace
 from repro.obs.tracer import (
     DEFAULT_RING_SIZE,
     Tracer,
@@ -39,13 +40,10 @@ __all__ = [
     "DEFAULT_RING_SIZE",
     "Histogram",
     "MetricsRegistry",
-    "TraceRollup",
     "Tracer",
     "diff_snapshots",
     "event",
-    "format_report",
     "get_tracer",
-    "load_trace",
     "profiled",
     "set_tracing",
     "span",

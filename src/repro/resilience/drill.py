@@ -159,10 +159,13 @@ def drill_case(
 
     seeds = [int(seed) for seed in seeds]
     oracle_campaign = case.build_campaign(seeds)
-    oracle_outcome = oracle_campaign.run()
-    oracle = fingerprint_outcome(
-        oracle_outcome, oracle_campaign.cache.state_digest(), seeds
-    )
+    try:
+        oracle_outcome = oracle_campaign.run()
+        oracle = fingerprint_outcome(
+            oracle_outcome, oracle_campaign.cache.state_digest(), seeds
+        )
+    finally:
+        oracle_campaign.close()
     outcomes: List[DrillOutcome] = []
     for site in registered_fault_sites():
         for occurrence in occurrences:
@@ -177,10 +180,13 @@ def drill_case(
             os.makedirs(scenario_dir)
             plan = FaultPlan(site, occurrence=occurrence)
             campaign = case.build_campaign(seeds, cache_path=cache_path)
-            outcome = None
+            outcome = digest = None
             try:
                 with inject(plan):
                     outcome = campaign.run(checkpoint_dir=checkpoint_dir)
+                # The plan did not fire: hash the cache before close()
+                # releases it.
+                digest = campaign.cache.state_digest()
             except InjectedFault:
                 pass
             finally:
@@ -196,8 +202,6 @@ def drill_case(
                     digest = resumed.cache.state_digest()
                 finally:
                     resumed.close()
-            else:
-                digest = campaign.cache.state_digest()
             fingerprint = fingerprint_outcome(outcome, digest, seeds)
             # Resuming from a snapshot carries the cache content and
             # accounting exactly, so those scenarios must match the oracle in

@@ -461,7 +461,8 @@ class Campaign:
             len(handle.metric_names),
             persist_path=cache_path,
         )
-        self._members = [
+        # ``None`` once close() released the seeds.
+        self._members: Optional[List[_ProgressiveMember]] = [
             _ProgressiveMember(
                 seed=seed,
                 design_space=handle.design_space,
@@ -645,8 +646,19 @@ class Campaign:
         cache.restore_counters(state["cache"]["counters"])
 
     def close(self) -> None:
-        """Release the persistent cache store and checkpoint journal, if any."""
+        """End the campaign: close its cache and release its seeds.
+
+        The cache flushes and closes its persistent store and checkpoint
+        journal, then drops every cached pair (:meth:`EvaluationCache.close`),
+        and the campaign drops its members: each seed's optimizer, dataset,
+        surrogate and simulated grid codes.  The :class:`CampaignResult`
+        :meth:`run` returned stays whole, and the cache's counters and the
+        campaign's round counts stay readable.  :meth:`run` on a closed
+        campaign raises :class:`RuntimeError`, as do the cache's content
+        readers.  A second ``close`` does nothing.
+        """
         self.cache.close()
+        self._members = None
 
     @staticmethod
     def _resolve_snapshot(resume_from: str) -> Optional[str]:
@@ -760,6 +772,8 @@ class Campaign:
             of only the latest (used by resume-parity audits); each
             references its own prefix of the one journal.
         """
+        if self._members is None:
+            raise RuntimeError("the campaign is closed: close() released its seeds")
         if checkpoint_dir is not None:
             # Created before the first round, not at the first write: a run
             # that dies before any checkpoint leaves an *empty* directory,

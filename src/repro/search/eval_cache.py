@@ -220,8 +220,8 @@ class EvaluationCache:
         # One block of pairs per corner.  Keyed by the (frozen, hashable)
         # PVTCondition itself, not its display name — the name rounds
         # voltage/temperature for printing, so two distinct corners can
-        # share it.
-        self._corners: Dict[PVTCondition, _CornerPairs] = {}
+        # share it.  ``None`` once close() released the content.
+        self._corners: Optional[Dict[PVTCondition, _CornerPairs]] = {}
         # Position k of every corner is this list's k-th int object.
         self._positions: List[int] = []
         self.hits = 0
@@ -251,6 +251,15 @@ class EvaluationCache:
                 pairs=self.preloaded_pairs,
                 repaired_bytes=self.repaired_bytes,
             )
+
+    def _live_corners(self) -> Dict[PVTCondition, _CornerPairs]:
+        """Every corner's pairs; raises once :meth:`close` released them."""
+        corners = self._corners
+        if corners is None:
+            raise RuntimeError(
+                "the evaluation cache is closed: close() released its content"
+            )
+        return corners
 
     def _corner(self, corner: PVTCondition) -> _CornerPairs:
         """``corner``'s pairs, created empty (and ordered last) when new."""
@@ -321,7 +330,7 @@ class EvaluationCache:
 
     def __len__(self) -> int:
         """Total number of cached ``(row, corner)`` pairs."""
-        return sum(len(pairs.index) for pairs in self._corners.values())
+        return sum(len(pairs.index) for pairs in self._live_corners().values())
 
     def fresh_row_count(self, samples: np.ndarray, corners: Sequence[PVTCondition]) -> int:
         """How many rows :meth:`evaluate` would send to the engine right now.
@@ -336,7 +345,8 @@ class EvaluationCache:
         corners = list(corners)
         if not corners:
             raise ValueError("evaluate needs at least one PVT corner")
-        stores = [self._corners.get(corner) for corner in corners]
+        cached = self._live_corners()
+        stores = [cached.get(corner) for corner in corners]
         if any(pairs is None for pairs in stores):
             return samples.shape[0]
         return samples.shape[0] - len(_served(row_keys(samples), stores))
@@ -365,6 +375,7 @@ class EvaluationCache:
         corners = list(corners)
         if not corners:
             raise ValueError("evaluate needs at least one PVT corner")
+        self._live_corners()  # raises on a closed cache
         count = samples.shape[0]
         keys = row_keys(samples)
         stores = [self._corner(corner) for corner in corners]
@@ -437,10 +448,27 @@ class EvaluationCache:
         backend.flush()
 
     def close(self) -> None:
-        """Flush and close the persistent store and the checkpoint journal."""
+        """End the cache: flush and close the store and the journal, then
+        release the content.
+
+        Every corner's pair block, index and warm flags are dropped.  The
+        counters (``hits``, ``misses``, ``warm_hits``, ``cold_hits``,
+        ``engine_calls``, ``eval_seconds``, ``preloaded_pairs``,
+        ``repaired_bytes``) and the shape (``n_metrics``, the sizing
+        dimension) stay readable.  Every method that reads or writes
+        content — :meth:`evaluate`, :meth:`content`, :meth:`corner_pairs`,
+        :meth:`state_digest`, :meth:`sync_journal`, ``len()`` and the rest
+        of the journal API — raises :class:`RuntimeError` afterwards.  A
+        second ``close`` does nothing.
+        """
+        if self._corners is None:
+            return
         if self._backend is not None:
             self._backend.close()
         self._close_journal()
+        self._corners = None
+        self._positions = []
+        self._journaled = {}
 
     def corner_pairs(self) -> List[CornerPairs]:
         """Every corner's pairs: ``(corner, keys, rows, warm flags)``.
@@ -449,7 +477,7 @@ class EvaluationCache:
         to read-only views of their metric rows and warm flags.
         """
         pairs_by_corner = []
-        for corner, pairs in self._corners.items():
+        for corner, pairs in self._live_corners().items():
             stored = len(pairs.index)
             rows, warm = pairs.rows[:stored], pairs.warm[:stored]
             rows.flags.writeable = warm.flags.writeable = False
@@ -479,6 +507,7 @@ class EvaluationCache:
         the full content.  Returns the journal, a context manager that
         closes its file.
         """
+        self._live_corners()  # raises on a closed cache
         self._close_journal()
         lineage = self._lineage
         if (
@@ -500,10 +529,11 @@ class EvaluationCache:
         block past the pairs already journaled, and they go in as one
         journal frame.
         """
+        cached = self._live_corners()
         journal = self._journal
         if journal is None:
             raise RuntimeError("sync_journal needs open_journal first")
-        for corner, pairs in self._corners.items():
+        for corner, pairs in cached.items():
             done, stored = self._journaled.get(corner, 0), len(pairs.index)
             if stored > done:
                 # Read the keys' tail from the end: O(new pairs), where
@@ -529,9 +559,10 @@ class EvaluationCache:
         The content itself is the journal prefix up to the watermark, so
         every pair must be journaled: call :meth:`sync_journal` first.
         """
+        cached = self._live_corners()
         if self._journal is None or any(
             len(pairs.index) != self._journaled.get(corner, 0)
-            for corner, pairs in self._corners.items()
+            for corner, pairs in cached.items()
         ):
             raise RuntimeError(
                 "cache content is checkpointed through its journal: "
@@ -546,7 +577,7 @@ class EvaluationCache:
                 "engine_calls": self.engine_calls,
                 "eval_seconds": self.eval_seconds,
             },
-            "corners": [_corner_fields(corner) for corner in self._corners],
+            "corners": [_corner_fields(corner) for corner in cached],
             "journal": self._journal.watermark,
         }
 
@@ -567,6 +598,7 @@ class EvaluationCache:
         :class:`~repro.resilience.snapshot.SnapshotError` when the journal
         does not match the watermark.
         """
+        self._live_corners()  # raises on a closed cache
         watermark = tuple(state["journal"])
         records = read_journal(journal_path, self._dimension, self.n_metrics, watermark)
         self._close_journal()
@@ -612,9 +644,10 @@ class EvaluationCache:
         results for bit-identical sizings at identical corners — the
         determinism auditor's cache comparison.
         """
+        cached = self._live_corners()
         digest = hashlib.sha256()
         corner_order = sorted(
-            self._corners,
+            cached,
             key=lambda corner: (
                 corner.process,
                 corner.voltage_factor.hex(),
@@ -626,7 +659,7 @@ class EvaluationCache:
                 f"{corner.process}|{corner.voltage_factor.hex()}"
                 f"|{corner.temperature_c.hex()}".encode("ascii")
             )
-            pairs = self._corners[corner]
+            pairs = cached[corner]
             for key in sorted(pairs.index):
                 digest.update(key)
                 digest.update(pairs.rows[pairs.index[key]].tobytes())

@@ -15,12 +15,8 @@ import sys
 
 import pytest
 
-from repro.analysis import (
-    available_rules,
-    get_rule,
-    lint_paths,
-    lint_source,
-)
+from repro.analysis.engine import lint_paths, lint_source
+from repro.analysis.rules import available_rules, get_rule
 from repro.analysis.cli import main as analysis_main
 from repro.circuits.topologies import available_topologies, get_topology
 

@@ -10,18 +10,16 @@ import numpy as np
 import pytest
 
 from conftest import trajectory
-from repro.bench import (
+from repro.bench import BenchCase, available_suites, get_suite, register_benchmark
+from repro.bench.runner import (
     SCHEMA,
-    BenchCase,
-    available_suites,
+    censored_median,
     format_summary,
-    get_suite,
-    register_benchmark,
+    main as bench_main,
     run_case,
     run_suite,
     write_bench_json,
 )
-from repro.bench.runner import censored_median, main as bench_main
 from repro.circuits.pvt import initial_corners
 
 #: Artifact fields of the retired oracle knobs (bench schema v9 and older)

@@ -16,17 +16,15 @@ import math
 import pytest
 
 from conftest import RESTARTING
-from repro.bench import get_suite, run_case
+from repro.bench import get_suite
 from repro.bench.registry import BenchCase
+from repro.bench.runner import run_case
 from repro.obs import (
     MetricsRegistry,
-    TraceRollup,
     Tracer,
     diff_snapshots,
     event,
-    format_report,
     get_tracer,
-    load_trace,
     profiled,
     set_tracing,
     span,
@@ -34,6 +32,7 @@ from repro.obs import (
     tracing_enabled,
 )
 from repro.obs.__main__ import main as obs_main
+from repro.obs.report import TraceRollup, format_report, load_trace
 from repro.obs.tracer import _env_sink
 
 

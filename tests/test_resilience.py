@@ -382,7 +382,8 @@ class TestCheckpointResume:
         """``python -m repro.obs report`` on a resumed run's trace books
         only the rounds the run computed in its cache line; the replay's
         all-hit reads get their own line."""
-        from repro.obs import TraceRollup, format_report, tracing
+        from repro.obs import tracing
+        from repro.obs.report import TraceRollup, format_report
 
         (case,) = get_suite("drill")
         ckpt = str(tmp_path / "ckpt")
@@ -832,9 +833,11 @@ class TestMemberJournal:
         assert os.path.getsize(journal) > mark[1]
         resumed = case.build_campaign(self.SEEDS)
         outcome = resumed.run(checkpoint_dir=ckpt, resume_from=ckpt)
+        fingerprint = _campaign_fingerprint(resumed, outcome, self.SEEDS)
+        pairs = len(resumed.cache)
         resumed.close()
         assert outcome.resumed_from_round == 4
-        assert _campaign_fingerprint(resumed, outcome, self.SEEDS) == oracle
+        assert fingerprint == oracle
         # The resumed run rewrote round 5's frames where the crash left
         # them: the journal is the uninterrupted run's, byte for byte.
         with open(journal, "rb") as resumed_journal:
@@ -842,7 +845,7 @@ class TestMemberJournal:
                 assert resumed_journal.read() == oracle_journal.read()
         final = tuple(load_snapshot(os.path.join(ckpt, LATEST_SNAPSHOT))["cache"]["journal"])
         records = read_journal(journal, dimension, n_metrics, final)
-        assert sum(len(keys) for _, keys, _ in records) == final[0] == len(resumed.cache)
+        assert sum(len(keys) for _, keys, _ in records) == final[0] == pairs
 
     @staticmethod
     def _assert_refused(tmp_path, monkeypatch, version):

@@ -21,8 +21,7 @@ import pytest
 
 from conftest import RESTARTING, run_in_campaign
 from repro.analysis.determinism import fingerprint_outcome
-from repro.bench import format_summary, run_suite
-from repro.bench.runner import wilson_interval
+from repro.bench.runner import format_summary, run_suite, wilson_interval
 from repro.core.design_space import DesignSpace, Parameter
 from repro.search import Spec, Specification, TrustRegionConfig
 from repro.search import trust_region

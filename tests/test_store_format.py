@@ -342,6 +342,7 @@ def test_journal_blocks_hold_each_corners_tail(tmp_path):
     first = cache.sync_journal()
     cache.evaluate(samples[2:], grid[1:])
     second = cache.sync_journal()
+    pairs = len(cache)
     cache.close()
     records = read_journal(str(tmp_path / "cache.journal"), DIM, METRICS, second)
     assert [(tag, len(keys)) for tag, keys, _ in records] == [
@@ -351,5 +352,5 @@ def test_journal_blocks_hold_each_corners_tail(tmp_path):
         (_corner_tag(grid[1]), 1),
         (_corner_tag(grid[2]), 1),
     ]
-    assert (first[0], second[0]) == (9, 11) and second[0] == len(cache)
+    assert (first[0], second[0]) == (9, 11) and second[0] == pairs
     assert flatten(records)[-1][1] == row_keys(samples)[3]
