@@ -114,7 +114,8 @@ def stack_cards(cards: Sequence[TechnologyCard]) -> TechnologyCard:
 
     Every numeric field whose value differs between the cards becomes a
     ``(n_cards, 1)`` float64 column (ready to broadcast against a
-    ``(count,)`` batch axis); fields shared by all cards stay scalar.  The
+    ``(count,)`` batch axis), read-only so a card can be shared between
+    evaluations; fields shared by all cards stay scalar.  The
     columns are built from the *already derated* per-card values, so row
     ``i`` of the stacked card is bit-identical to ``cards[i]`` — the stacked
     evaluation path inherits exact parity with the per-corner loop by
@@ -138,7 +139,9 @@ def stack_cards(cards: Sequence[TechnologyCard]) -> TechnologyCard:
             continue
         values = [getattr(card, field_.name) for card in cards]
         if any(value != values[0] for value in values[1:]):
-            overrides[field_.name] = np.array(values, dtype=np.float64)[:, np.newaxis]
+            column = np.array(values, dtype=np.float64)[:, np.newaxis]
+            column.flags.writeable = False
+            overrides[field_.name] = column
     return cards[0].with_overrides(**overrides)
 
 

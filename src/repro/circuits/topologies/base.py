@@ -25,7 +25,8 @@ writes both evaluators once on top of them.
 derated card, and :meth:`SizingProblem.evaluate_corners` returns a
 ``(n_corners, count, n_metrics)`` block for a whole corner grid in one
 call, by running the same hooks as a single NumPy broadcast over a stacked
-technology card (:meth:`~repro.circuits.pvt.PVTCondition.apply_stack`).
+technology card (:meth:`~repro.circuits.pvt.PVTCondition.apply_stack`),
+built once per corner tuple and kept on the problem.
 The tests lock that broadcast bit for bit against a per-corner loop over
 derated siblings.
 
@@ -119,6 +120,11 @@ class SizingProblem(ABC):
         self.condition = condition
         self.card = condition.apply(card)
         self.load_cap = float(load_cap)
+        # Per corner tuple: the stacked card and the (n_corners, 1)
+        # temperature column :meth:`evaluate_corners` evaluates it at.
+        self._corner_cards: Dict[
+            Tuple[PVTCondition, ...], Tuple[TechnologyCard, np.ndarray]
+        ] = {}
 
     # -- abstract workload definition ----------------------------------
     @abstractmethod
@@ -239,10 +245,7 @@ class SizingProblem(ABC):
         corners = list(corners)
         if not corners:
             raise ValueError("evaluate_corners needs at least one PVT corner")
-        card = PVTCondition.apply_stack(corners, self.base_card)
-        temperatures = np.array(
-            [corner.temperature_c for corner in corners], dtype=np.float64
-        )[:, np.newaxis]
+        card, temperatures = self._stacked_card(tuple(corners))
         parts = self._small_signal_parts(samples, card, temperatures)
         metrics = self._metrics_from_parts(parts)
         # Corner-degenerate grids (e.g. a single corner) can collapse the
@@ -252,6 +255,23 @@ class SizingProblem(ABC):
         if metrics.shape != shape:
             metrics = np.ascontiguousarray(np.broadcast_to(metrics, shape))
         return metrics
+
+    def _stacked_card(
+        self, corners: Tuple[PVTCondition, ...]
+    ) -> Tuple[TechnologyCard, np.ndarray]:
+        """The base card derated to ``corners`` and their temperature
+        column, built once per corner tuple; both are read-only."""
+        stacked = self._corner_cards.get(corners)
+        if stacked is None:
+            temperatures = np.array(
+                [corner.temperature_c for corner in corners], dtype=np.float64
+            )[:, np.newaxis]
+            temperatures.flags.writeable = False
+            stacked = self._corner_cards[corners] = (
+                PVTCondition.apply_stack(corners, self.base_card),
+                temperatures,
+            )
+        return stacked
 
     @staticmethod
     def _stack_metrics(*columns: np.ndarray) -> np.ndarray:

@@ -15,15 +15,23 @@ next — and never evaluate or train anything themselves.  The
   per-seed state machine (size at the hardest corner and the far corner of
   the opposite failure regime, verify over the full grid, fold failing
   corners back in);
-* **multi-seed vectorized execution**: each round the Campaign gathers the
-  pending ``ask`` batches of every live seed, groups them by corner set,
-  stacks each group into a single :func:`evaluate_corners` tensor pass,
-  and scatters slices of that block back as the ``tell``\\ s.  Per
-  ``(row, corner)`` pair the stacked evaluator is bit-identical however
-  the pass is batched, so trajectories never depend on how many seeds
-  share a round — the multi-seed path is bit-exact versus running the
-  seeds sequentially (locked by tests) and computes no extra ``(row,
-  corner)`` pairs; it just issues far fewer, larger evaluator calls;
+* **multi-seed vectorized execution**: each round the Campaign asks every
+  live seed's optimizer, one
+  :meth:`~repro.search.optimizer.DatasetOptimizer.ask_stack` call per
+  optimizer class, groups the requests by corner set, stacks each group
+  into a single :func:`evaluate_corners` tensor pass (the rows' keys from
+  the asks ride along into the cache), and tells each group's search
+  members through one
+  :meth:`~repro.search.optimizer.DatasetOptimizer.tell_stack` call per
+  optimizer class on that block.  The surrogate-free baselines share the
+  snap, key, ``to_unit`` and score work of a whole stack in those calls;
+  the trust region asks and tells each seed in turn.  Per ``(row,
+  corner)`` pair the stacked evaluator is bit-identical however the pass
+  is batched, and each seed's ask and tell equal its one-member stack, so
+  trajectories never depend on how many seeds share a round — the
+  multi-seed path is bit-exact versus running the seeds sequentially
+  (locked by tests) and computes no extra ``(row, corner)`` pairs; it
+  just issues far fewer, larger evaluator and bookkeeping calls;
 * **batched surrogate refits**: a trust-region ``tell`` queues its full
   refit; at the end of the round the Campaign pops every member's job and
   trains the jobs of one geometry through a single
@@ -48,7 +56,7 @@ import os
 from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -59,7 +67,7 @@ from repro.circuits.pvt import (
     nine_corner_grid,
     rank_by_severity,
 )
-from repro.core.design_space import DesignSpace
+from repro.core.design_space import DesignSpace, row_keys
 from repro.nn.fused import FusedFitJob, fit_batched, fit_job_signature
 from repro.obs import event, profiled
 from repro.resilience.faults import fault_point, register_fault_site
@@ -152,27 +160,28 @@ class CampaignResult:
 
 
 def _receive_precondition(arguments) -> Optional[str]:
-    """Contract: a received metric block must match the member's last request.
-
-    A precondition (not a return check) because ``receive`` consumes
-    ``_pending_rows`` while running — the expected shape must be read before
-    the call body executes.
-    """
+    """Contract: a received block is the verification of the phase winner,
+    one row at every ranked corner."""
     member = arguments["self"]
     block = arguments["block"]
-    if member._state == "search":
-        if member._pending_rows is None:
-            return "receive() without a pending search request"
-        expected = (
-            len(member.active),
-            member._pending_rows.shape[0],
-            len(member.metric_names),
-        )
-    else:
-        expected = (len(member.ranked), 1, len(member.metric_names))
+    if member._state != "verify":
+        return f"receive() in state {member._state!r}, not 'verify'"
+    expected = (len(member.ranked), 1, len(member.metric_names))
     if block.shape != expected:
         return f"metric block shape {block.shape}, expected {expected}"
     return None
+
+
+class _Request(NamedTuple):
+    """One member's evaluation request of a round: its rows, their
+    :func:`~repro.core.design_space.row_keys`, and the corners to evaluate
+    them at (a search batch at the active set, or the phase winner at every
+    ranked corner)."""
+
+    member: "_ProgressiveMember"
+    rows: np.ndarray
+    keys: List[bytes]
+    corners: List[PVTCondition]
 
 
 class _ProgressiveMember:
@@ -194,6 +203,7 @@ class _ProgressiveMember:
         trust_config: TrustRegionConfig,
         optimizer_name: str,
         max_phases: int,
+        specifications: Dict[Tuple[PVTCondition, ...], Specification],
     ) -> None:
         self.seed = seed
         self.design_space = design_space
@@ -222,19 +232,26 @@ class _ProgressiveMember:
         self.phase = 0
         self.total_evaluations = 0
         self.phase_results: List = []
-        self.corner_reports: List[CornerReport] = []
         self.solved_all = False
         self.finished = False
         self.warm_start: Optional[np.ndarray] = None
         self.best_vector: Optional[np.ndarray] = None
+        # The last verification: the winner's metrics at every ranked
+        # corner and their verdicts, kept until a report is read.
+        self._verified: Optional[Tuple[np.ndarray, List[bool]]] = None
         self._state = "search"
-        self._pending_rows: Optional[np.ndarray] = None
+        self._specifications = specifications
         self.optimizer = self._build_optimizer()
 
     def _build_optimizer(self) -> DatasetOptimizer:
-        specification = _stacked_specification(
-            self.specs, self.metric_names, self.active
-        )
+        # Members at one active set share its specification, so a stacked
+        # tell scores their rows in one pass.
+        active = tuple(self.active)
+        specification = self._specifications.get(active)
+        if specification is None:
+            specification = self._specifications[active] = _stacked_specification(
+                self.specs, self.metric_names, self.active
+            )
         # dataclasses.replace keeps working if the config ever gains
         # non-init or derived fields, where reconstructing from __dict__
         # would silently break.
@@ -271,58 +288,60 @@ class _ProgressiveMember:
             (codes[-1:].copy(), len(self.ranked)),
         ]
 
-    def request(self) -> Optional[Tuple[np.ndarray, List[PVTCondition]]]:
-        """The member's next evaluation request, or ``None`` when finished."""
-        while not self.finished:
-            if self._state == "search":
-                if not self.optimizer.is_done:
-                    with profiled(
-                        "optimizer.ask",
-                        seed=self.seed,
-                        phase=self.phase,
-                        optimizer=self.optimizer_name,
-                    ):
-                        rows = self.optimizer.ask()
-                    if rows.shape[0]:
-                        self._pending_rows = rows
-                        return rows, self.active
-                    continue  # the ask flipped is_done; fall through next pass
-                # Phase over: collect its result, verify over the full grid.
-                result = self.optimizer.result()
-                self.phase_results.append(result)
-                self.total_evaluations += result.evaluations
-                self.best_vector = result.best_vector
-                self.warm_start = self.best_vector[np.newaxis, :]
-                self._state = "verify"
-                event(
-                    "campaign.verify",
-                    seed=self.seed,
-                    phase=self.phase,
-                    evaluations=result.evaluations,
-                )
-                return self.best_vector[np.newaxis, :], self.ranked
+    @property
+    def asking(self) -> Optional[DatasetOptimizer]:
+        """The optimizer to ask this round, or ``None`` when the member's
+        next request is no search batch."""
+        if self.finished or self._state != "search" or self.optimizer.is_done:
+            return None
+        return self.optimizer
+
+    @property
+    def verifying(self) -> bool:
+        """True while the member's request is the phase winner's verification."""
+        return self._state == "verify"
+
+    def request(
+        self, asked: Optional[Tuple[np.ndarray, List[bytes]]]
+    ) -> Optional[_Request]:
+        """The member's request this round, or ``None`` when finished.
+
+        ``asked`` is its optimizer's ``(rows, keys)`` answer, or ``None``
+        when :attr:`asking` was ``None``.  Rows make a search request; no
+        rows end the phase, and the request verifies its winner over the
+        full grid.
+        """
+        if self.finished:
+            return None
+        if self._state != "search":
             raise RuntimeError(f"member in unexpected state {self._state!r}")
-        return None
+        if asked is not None and asked[0].shape[0]:
+            return _Request(self, asked[0], asked[1], self.active)
+        # Phase over: collect its result, verify over the full grid.
+        result = self.optimizer.result()
+        self.phase_results.append(result)
+        self.total_evaluations += result.evaluations
+        self.best_vector = result.best_vector
+        self.warm_start = self.best_vector[np.newaxis, :]
+        self._state = "verify"
+        event(
+            "campaign.verify",
+            seed=self.seed,
+            phase=self.phase,
+            evaluations=result.evaluations,
+        )
+        return _Request(self, self.warm_start, row_keys(self.warm_start), self.ranked)
 
     @contract(args={"block": ArraySpec(None, None, None)}, pre=_receive_precondition)
     def receive(self, block: np.ndarray) -> None:
-        """Consume the metric block ``(n_corners, count, n_metrics)`` of the
-        member's last request."""
-        if self._state == "search":
-            flat = self._stacked_metrics(block)
-            with profiled(
-                "optimizer.tell",
-                seed=self.seed,
-                phase=self.phase,
-                rows=int(flat.shape[0]),
-            ):
-                self.optimizer.tell(self._pending_rows, flat)
-            self._pending_rows = None
-            return
-        # Verification of the phase winner across the full corner grid.
+        """Consume the verification block ``(n_corners, 1, n_metrics)`` of
+        the phase winner: finish, or fold a failing corner into the next
+        phase."""
         simulated = self._count_phase()
-        self.corner_reports = self._corner_reports(block[:, 0, :])
-        failing = [report.condition for report in self.corner_reports if not report.satisfied]
+        rows = np.array(block[:, 0, :])
+        verdicts = self._single_spec.satisfied(rows).tolist()
+        self._verified = (rows, verdicts)
+        failing = [corner for corner, ok in zip(self.ranked, verdicts) if not ok]
         if not failing:
             self.solved_all = True
             self.finished = True
@@ -367,18 +386,13 @@ class _ProgressiveMember:
         )
         self.optimizer = self._build_optimizer()
 
-    @staticmethod
-    def _stacked_metrics(block: np.ndarray) -> np.ndarray:
-        """A ``(n_corners, count, n_metrics)`` block in the corner-major
-        column layout of the stacked specification: for each sizing row,
-        corner 0's metrics first, then corner 1's, and so on."""
-        corners, count, n_metrics = block.shape
-        return block.transpose(1, 0, 2).reshape(count, corners * n_metrics)
-
-    def _corner_reports(self, rows: np.ndarray) -> List[CornerReport]:
-        """Judge the phase winner's ``(n_corners, n_metrics)`` metrics at
-        every ranked corner, in a single call."""
-        verdicts = self._single_spec.satisfied(rows).tolist()
+    @property
+    def corner_reports(self) -> List[CornerReport]:
+        """The last verification's verdict at every ranked corner (empty
+        before the first), built when read."""
+        if self._verified is None:
+            return []
+        rows, verdicts = self._verified
         return [
             CornerReport(
                 condition=corner,
@@ -399,6 +413,24 @@ class _ProgressiveMember:
             active_corners=self.active,
             simulations=self.simulations,
         )
+
+
+def _stacked_metrics(block: np.ndarray) -> np.ndarray:
+    """A ``(n_corners, count, n_metrics)`` block in the corner-major column
+    layout of the stacked specification: for each sizing row, corner 0's
+    metrics first, then corner 1's, and so on."""
+    corners, count, n_metrics = block.shape
+    return block.transpose(1, 0, 2).reshape(count, corners * n_metrics)
+
+
+def _stack_tags(members: Sequence[_ProgressiveMember]) -> Dict[str, object]:
+    """Span tags of work done for a stack of members: every member's
+    ``seeds``, plus the ``seed`` and ``phase`` of a lone member, whose span
+    books its time to that seed (a shared one has no single seed)."""
+    tags: Dict[str, object] = {"seeds": [member.seed for member in members]}
+    if len(members) == 1:
+        tags.update(seed=members[0].seed, phase=members[0].phase)
+    return tags
 
 
 def _corner_keys(corners: Sequence[PVTCondition]) -> List[Tuple[str, float, float]]:
@@ -461,6 +493,9 @@ class Campaign:
             len(handle.metric_names),
             persist_path=cache_path,
         )
+        # One stacked specification per active corner set, shared by the
+        # members searching it.
+        specifications: Dict[Tuple[PVTCondition, ...], Specification] = {}
         # ``None`` once close() released the seeds.
         self._members: Optional[List[_ProgressiveMember]] = [
             _ProgressiveMember(
@@ -472,6 +507,7 @@ class Campaign:
                 trust_config=trust,
                 optimizer_name=self.progressive.optimizer,
                 max_phases=self.progressive.max_phases,
+                specifications=specifications,
             )
             for seed in self.seeds
         ]
@@ -479,44 +515,70 @@ class Campaign:
         self.refit_rounds = 0
         self.batched_kernel_calls = 0
 
-    def _run_group(
-        self,
-        grouped: List[Tuple[_ProgressiveMember, np.ndarray, List[PVTCondition]]],
-    ) -> None:
-        """One stacked tensor pass for the members sharing a corner set.
+    def _run_group(self, grouped: List[_Request]) -> None:
+        """One stacked tensor pass for the requests sharing a corner set.
 
         Every request group, lone or shared, takes this path: one
-        :meth:`EvaluationCache.evaluate` call on the stacked rows, then each
-        member receives its own row slice of the block, so every requested
-        ``(row, corner)`` pair is booked exactly once.  The cache keeps the
-        campaign-wide counters; a seed's own cost is its ``simulations``.
+        :meth:`EvaluationCache.evaluate` call on the stacked rows and their
+        keys, so every requested ``(row, corner)`` pair is booked exactly
+        once.  A verifying member receives its own row slice of the block;
+        the search members' rows are told through one
+        :meth:`~repro.search.optimizer.DatasetOptimizer.tell_stack` call per
+        optimizer class, on the block in the stacked specification's
+        corner-major layout.  The cache keeps the campaign-wide counters; a
+        seed's own cost is its ``simulations``.
         """
         cache = self.cache
-        corners = grouped[0][2]
-        seeds = [member.seed for member, _, _ in grouped]
-        # A pass serving one seed books its time to that seed; a shared
-        # pass has no single seed.
-        solo = (
-            {"seed": seeds[0], "phase": grouped[0][0].phase} if len(seeds) == 1 else {}
-        )
+        corners = grouped[0].corners
         hits, misses = cache.hits, cache.misses
         with profiled(
             "campaign.pass",
             members=len(grouped),
             corners=len(corners),
-            seeds=seeds,
-            **solo,
+            **_stack_tags([request.member for request in grouped]),
         ) as timer:
             # One stack per round is the whole point — it buys a single
             # large evaluator call.
             # analysis: allow(hot-loop-alloc) intentional per-round stack
-            block = cache.evaluate(np.vstack([rows for _, rows, _ in grouped]), corners)
+            samples = np.vstack([request.rows for request in grouped])
+            keys = [key for request in grouped for key in request.keys]
+            block = cache.evaluate(samples, corners, keys=keys)
             timer.annotate(hits=cache.hits - hits, misses=cache.misses - misses)
+        told: "OrderedDict[Type[DatasetOptimizer], List[Tuple[_ProgressiveMember, int, int]]]" = (
+            OrderedDict()
+        )
         start = 0
-        for member, rows, _ in grouped:
-            stop = start + rows.shape[0]
-            member.receive(block[:, start:stop, :])
+        for request in grouped:
+            member, stop = request.member, start + request.rows.shape[0]
+            if member.verifying:
+                member.receive(block[:, start:stop, :])
+            else:
+                told.setdefault(type(member.optimizer), []).append((member, start, stop))
             start = stop
+        if not told:
+            return
+        metrics = _stacked_metrics(block)
+        for cls, spans in told.items():
+            members = [member for member, _, _ in spans]
+            counts = [stop - start for _, start, stop in spans]
+            if sum(counts) == samples.shape[0]:
+                rows, told_metrics, told_keys = samples, metrics, keys
+            else:
+                # Verification rows, or another class's, sit between these:
+                # one gather per optimizer class of such a group.
+                # analysis: allow(hot-loop-alloc) one index per class, not per row
+                index = np.concatenate([np.arange(start, stop) for _, start, stop in spans])
+                rows, told_metrics, told_keys = (
+                    samples[index], metrics[index], [keys[i] for i in index]
+                )
+            with profiled("optimizer.tell", rows=int(sum(counts)), **_stack_tags(members)):
+                cls.tell_stack(
+                    [member.optimizer for member in members],
+                    rows,
+                    told_metrics,
+                    counts,
+                    told_keys,
+                )
 
     # -- batched surrogate refit ---------------------------------------
     def _flush_refits(self) -> None:
@@ -696,11 +758,29 @@ class Campaign:
 
     def _round(self) -> bool:
         """Run one lockstep round; ``False`` when no member has a request left."""
-        requests: List[Tuple[_ProgressiveMember, np.ndarray, List[PVTCondition]]] = []
-        for member in self._members:
-            pending = member.request()
-            if pending is not None:
-                requests.append((member, pending[0], pending[1]))
+        members = self._members
+        # Every searching member of one optimizer class is asked in one
+        # stacked call, then each member makes its request from its answer,
+        # in member order.
+        asking: "OrderedDict[Type[DatasetOptimizer], List[int]]" = OrderedDict()
+        for index, member in enumerate(members):
+            optimizer = member.asking
+            if optimizer is not None:
+                asking.setdefault(type(optimizer), []).append(index)
+        answers: Dict[int, Tuple[np.ndarray, List[bytes]]] = {}
+        for cls, indices in asking.items():
+            stack = [members[index] for index in indices]
+            with profiled(
+                "optimizer.ask", optimizer=self.progressive.optimizer, **_stack_tags(stack)
+            ):
+                answers.update(
+                    zip(indices, cls.ask_stack([member.optimizer for member in stack]))
+                )
+        requests: List[_Request] = []
+        for index, member in enumerate(members):
+            request = member.request(answers.get(index))
+            if request is not None:
+                requests.append(request)
         if not requests:
             return False
         self.rounds += 1
@@ -712,16 +792,14 @@ class Campaign:
         # batches through corners they don't need.  Per (row, corner) the
         # stacked engine is bit-identical however the pass is batched, so
         # the scatter serves exact values.
-        groups: "OrderedDict[Tuple[PVTCondition, ...], List[Tuple[_ProgressiveMember, np.ndarray, List[PVTCondition]]]]" = (
-            OrderedDict()
-        )
+        groups: "OrderedDict[Tuple[PVTCondition, ...], List[_Request]]" = OrderedDict()
         for request in requests:
-            groups.setdefault(tuple(request[2]), []).append(request)
+            groups.setdefault(tuple(request.corners), []).append(request)
         # Refit-round detection must survive phase transitions: a receive()
         # may rebuild a member's optimizer, so keep a reference to the
         # object whose counter we snapshotted.
         refits_before = [
-            (member.optimizer, member.optimizer.refit_count) for member in self._members
+            (member.optimizer, member.optimizer.refit_count) for member in members
         ]
         with profiled(
             "campaign.round",

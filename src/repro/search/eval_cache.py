@@ -167,6 +167,17 @@ def _served(keys: List[bytes], stores: Sequence[_CornerPairs]) -> List[int]:
     return list(served)
 
 
+def _keys_precondition(arguments) -> Optional[str]:
+    """Contract: keys handed to :meth:`EvaluationCache.evaluate` are the rows' own."""
+    keys = arguments["keys"]
+    if keys is None:
+        return None
+    samples = np.atleast_2d(np.asarray(arguments["samples"], dtype=np.float64))
+    if list(keys) != row_keys(samples):
+        return "the keys are not the rows' keys"
+    return None
+
+
 class EvaluationCache:
     """Memoise ``(sizing row, corner)`` -> metric row across search phases.
 
@@ -354,11 +365,19 @@ class EvaluationCache:
     @contract(
         args={"corners": SeqLen("c")},
         returns=ArraySpec("c", None, None),
+        pre=_keys_precondition,
     )
     def evaluate(
-        self, samples: np.ndarray, corners: Sequence[PVTCondition]
+        self,
+        samples: np.ndarray,
+        corners: Sequence[PVTCondition],
+        keys: Optional[List[bytes]] = None,
     ) -> np.ndarray:
         """Metrics block ``(n_corners, count, n_metrics)``, memoised.
+
+        ``keys`` are the rows' :func:`~repro.core.design_space.row_keys`
+        when the caller holds them already (the Campaign's requests carry
+        the keys their asks built); ``None`` computes them.
 
         A row already cached at *every* requested corner is served entirely
         from memory; all other rows go to the wrapped evaluator in a single
@@ -377,7 +396,8 @@ class EvaluationCache:
             raise ValueError("evaluate needs at least one PVT corner")
         self._live_corners()  # raises on a closed cache
         count = samples.shape[0]
-        keys = row_keys(samples)
+        if keys is None:
+            keys = row_keys(samples)
         stores = [self._corner(corner) for corner in corners]
 
         # A row counts as fresh unless *every* requested corner has it; fresh

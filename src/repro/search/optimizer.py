@@ -7,9 +7,20 @@ evaluator, the budget accounting, the vectorized corner passes many seeds
 share, the batched surrogate refits).  :class:`DatasetOptimizer` states the
 contract and holds the shared machinery: the amortized-doubling dataset of
 evaluated points with hash-set dedup, incremental scoring and incumbent
-tracking (the hot path carried over from the trust-region overhaul), plus
-the Monte-Carlo ask loop of the baselines.  Optimizers serialize nothing: a
-resumed Campaign rebuilds them by replaying its rounds.
+tracking (the hot path carried over from the trust-region overhaul).
+Optimizers serialize nothing: a resumed Campaign rebuilds them by replaying
+its rounds.
+
+The Campaign asks and tells a whole stack of seeds at once, through the
+class-level entry points :meth:`DatasetOptimizer.ask_stack` and
+:meth:`DatasetOptimizer.tell_stack`.  Their default implementation loops
+over the instance ``ask()``/``tell()``, so the trust region and any user
+optimizer need nothing more.  The surrogate-free baselines
+(:class:`BaselineSearch`) override them: one grid snap and one row-key pass
+over every seed's draw, one ``to_unit`` and one score over every told row.
+Each seed keeps its own generator, dataset and bookkeeping, so a seed's
+trajectory does not depend on the stack it ran in; its instance
+``ask()``/``tell()`` are the one-member stack.
 
 Two cheap baselines prove the protocol generalizes beyond Algorithm 1:
 :class:`RandomSearch` (pure Monte-Carlo) and :class:`CrossEntropySearch`
@@ -23,7 +34,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple, Type
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Type
 
 import numpy as np
 
@@ -67,6 +78,47 @@ def tell_precondition(arguments) -> Optional[str]:
         return "told a row that is already in the dataset"
     if len(set(keys)) < len(keys):
         return "told the same row more than once in one block"
+    return None
+
+
+def ask_stack_precondition(arguments) -> Optional[str]:
+    """Contract of a stacked ``ask_stack``: the optimizers share one design
+    space, and none of them is done."""
+    optimizers = arguments["optimizers"]
+    if any(optimizer.design_space is not optimizers[0].design_space for optimizer in optimizers):
+        return "the stacked optimizers do not share one design space"
+    if any(optimizer.is_done for optimizer in optimizers):
+        return "asked a stack holding a done optimizer"
+    return None
+
+
+def tell_stack_precondition(arguments) -> Optional[str]:
+    """Contract of a stacked ``tell_stack``: the optimizers share one
+    design space and specification, the counts cover the rows, the keys
+    are the rows' own, and each optimizer's slice passes
+    :func:`tell_precondition`."""
+    samples, metrics = arguments["samples"], arguments["metrics"]
+    counts, keys = list(arguments["counts"]), arguments["keys"]
+    optimizers = arguments["optimizers"]
+    first = optimizers[0]
+    if any(
+        optimizer.design_space is not first.design_space
+        or optimizer.specification is not first.specification
+        for optimizer in optimizers
+    ):
+        return "the stacked optimizers do not share one design space and specification"
+    if metrics.shape[0] != samples.shape[0]:
+        return f"told {metrics.shape[0]} metric rows for {samples.shape[0]} sizings"
+    if len(counts) != len(optimizers) or sum(counts) != samples.shape[0]:
+        return f"counts {counts} do not split {samples.shape[0]} rows among {len(optimizers)}"
+    if list(keys) != row_keys(samples):
+        return "the keys are not the told rows' keys"
+    for optimizer, (start, stop) in zip(optimizers, _spans(counts)):
+        message = tell_precondition(
+            {"self": optimizer, "samples": samples[start:stop], "metrics": metrics[start:stop]}
+        )
+        if message:
+            return message
     return None
 
 
@@ -148,6 +200,15 @@ class DatasetOptimizer(ABC):
       queued, if any; the driver trains it before the next ``ask``.
     * ``is_done`` is True once the spec is met, the budget is exhausted, or
       the strategy has no further proposals.
+
+    The Campaign drives that contract a stack at a time: each round it
+    calls the class-level :meth:`ask_stack` once on every live seed whose
+    optimizer is of one class, and each request group's
+    :meth:`tell_stack` once on its members' rows.  The defaults loop over
+    the instance ``ask()``/``tell()``, so a subclass that implements only
+    those (the trust region, a user strategy) runs unchanged; a subclass
+    may override the pair to share work across the stack, as long as each
+    member's result equals its own one-member stack bit for bit.
 
     Subclasses implement :meth:`ask` and may extend :meth:`tell`; the
     registry (:func:`get_optimizer`) builds any of them with the shared
@@ -255,15 +316,18 @@ class DatasetOptimizer(ABC):
         happens here — this is the selection half of ``ask``.
         """
         snapped = self.design_space.snap(np.atleast_2d(candidates))
+        return self._pick_new(snapped, row_keys(snapped), limit)
+
+    def _pick_new(
+        self, snapped: np.ndarray, keys: List[bytes], limit: Optional[int]
+    ) -> Tuple[np.ndarray, List[bytes]]:
+        """:meth:`_select_new` of an already snapped block and its keys."""
+        # Key -> the index of one of its rows, in first-occurrence order;
+        # rows with equal keys are equal bit for bit.
+        where = dict(zip(keys, range(len(keys))))
         seen = self._seen
-        # Key -> candidate index of its first occurrence, in candidate order.
-        picked: Dict[bytes, int] = {}
-        for index, key in enumerate(row_keys(snapped)):
-            if len(picked) == limit:
-                break
-            if key not in seen:
-                picked.setdefault(key, index)
-        return snapped[list(picked.values())], list(picked)
+        new = [key for key in where if key not in seen][:limit]
+        return snapped[[where[key] for key in new]], new
 
     def _append(self, rows: np.ndarray, metrics: np.ndarray) -> int:
         """Append an evaluated block, scoring and ranking only the new rows.
@@ -271,14 +335,31 @@ class DatasetOptimizer(ABC):
         Returns the dataset index of the block's best row (its earliest
         argmax); the incumbent moves there only on a strictly better score.
         """
+        return self._store(
+            rows,
+            self.design_space.to_unit(rows),
+            metrics,
+            self.specification.score(metrics),
+            row_keys(rows),
+        )
+
+    def _store(
+        self,
+        rows: np.ndarray,
+        units: np.ndarray,
+        metrics: np.ndarray,
+        scores: np.ndarray,
+        keys: List[bytes],
+    ) -> int:
+        """:meth:`_append` of a block whose unit rows, scores and keys are
+        already computed."""
         added = rows.shape[0]
         self._ensure_capacity(added)
         start, stop = self._count, self._count + added
         self._X[start:stop] = rows
-        self._U[start:stop] = self.design_space.to_unit(rows)
+        self._U[start:stop] = units
         self._M[start:stop] = metrics
-        self._seen.update(row_keys(rows))
-        scores = self.specification.score(metrics)
+        self._seen.update(keys)
         self._scores[start:stop] = scores
         self._count = stop
         block_best = start + int(np.argmax(scores))
@@ -290,6 +371,42 @@ class DatasetOptimizer(ABC):
     @abstractmethod
     def ask(self) -> np.ndarray:
         """Next batch of new, grid-snapped sizings to evaluate."""
+
+    @classmethod
+    def ask_stack(
+        cls, optimizers: Sequence["DatasetOptimizer"]
+    ) -> List[Tuple[np.ndarray, List[bytes]]]:
+        """Ask every optimizer of a stack once: ``(rows, row keys)`` each.
+
+        The optimizers are instances of ``cls``, none of them done.  The
+        default is each one's :meth:`ask`, in order, with the
+        :func:`~repro.core.design_space.row_keys` of its rows; the keys
+        travel with the request into the evaluation cache and the tell.
+        """
+        asked = []
+        for optimizer in optimizers:
+            rows = optimizer.ask()
+            asked.append((rows, row_keys(rows)))
+        return asked
+
+    @classmethod
+    def tell_stack(
+        cls,
+        optimizers: Sequence["DatasetOptimizer"],
+        samples: np.ndarray,
+        metrics: np.ndarray,
+        counts: Sequence[int],
+        keys: List[bytes],
+    ) -> None:
+        """Tell every optimizer of a stack its rows of one metric block.
+
+        ``samples``/``metrics`` hold the optimizers' told rows back to
+        back, ``counts`` how many are each one's, and ``keys`` the rows'
+        :func:`~repro.core.design_space.row_keys`.  The default is each
+        one's :meth:`tell` on its own slice, in order.
+        """
+        for optimizer, (start, stop) in zip(optimizers, _spans(counts)):
+            optimizer.tell(samples[start:stop], metrics[start:stop])
 
     def take_refit_job(self):
         """Pop the refit the last ``tell`` queued as a
@@ -332,8 +449,17 @@ class DatasetOptimizer(ABC):
         """Default tell: append, refresh the incumbent, record history."""
         samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
         metrics = np.atleast_2d(np.asarray(metrics, dtype=np.float64))
-        previous = self._scores[self._best] if self._best >= 0 else -np.inf
+        previous = self._best_score()
         self._append(samples, metrics)
+        self._record_tell(previous)
+
+    def _best_score(self) -> float:
+        """The incumbent's score, ``-inf`` before the first tell."""
+        return self._scores[self._best] if self._best >= 0 else -np.inf
+
+    def _record_tell(self, previous: float) -> None:
+        """The default tell's bookkeeping once the block is appended:
+        ``is_done`` and the history record, improved against ``previous``."""
         improved = self._scores[self._best] > previous + 1e-12
         self._update_done()
         self._history.append(
@@ -344,29 +470,6 @@ class DatasetOptimizer(ABC):
                 improved=bool(improved),
             )
         )
-
-    def _ask_drawn(self, draw: Callable[[bool], np.ndarray]) -> np.ndarray:
-        """The baselines' Monte-Carlo ask: the new rows of a ``draw(first)``.
-
-        ``first`` holds for the draw before any evaluation, which the
-        initial points lead; nothing is evaluated yet, so that draw always
-        yields new rows.  A later draw whose rows were all evaluated
-        already is redrawn, up to :data:`MAX_REDRAWS` times, and then the
-        optimizer is done.
-        """
-        if self._done:
-            return self._empty_batch()
-        limit = self._budget_left()
-        for _ in range(MAX_REDRAWS):
-            first = self._count == 0
-            points = draw(first)
-            if first and self._initial_points is not None:
-                points = np.vstack([self._initial_points, points])
-            rows, _ = self._select_new(points, limit=limit)
-            if rows.shape[0]:
-                return rows
-        self._done = True
-        return self._empty_batch()
 
     def result(self) -> SearchResult:
         if self._best < 0:
@@ -389,7 +492,128 @@ class DatasetOptimizer(ABC):
         )
 
 
-class RandomSearch(DatasetOptimizer):
+class BaselineSearch(DatasetOptimizer):
+    """The surrogate-free baselines' Monte-Carlo ask and stacked ask/tell.
+
+    Every ask is one draw of unit-cube points from the optimizer's own
+    generator (:meth:`_draw_unit`), mapped to natural units and snapped to
+    the grid; a phase's warm-start points lead its first draw.  Nothing is
+    evaluated before the first draw, so it always yields new rows; a later
+    draw whose rows were all evaluated already is redrawn, up to
+    :data:`MAX_REDRAWS` draws in all, and then the optimizer is done.
+
+    The stacked members share one design space, and a told stack one
+    specification (a Campaign's request group does).  :meth:`ask_stack`
+    draws for every member in turn, then maps, snaps and keys the stacked
+    draws in one pass each; each member dedups and clamps its own slice,
+    and the members whose slice held only evaluated rows draw again,
+    stacked.  :meth:`tell_stack` maps and scores the told rows in one pass
+    each; each member then stores its own slice and keeps its own
+    incumbent, ``is_done`` and history.  Every pass is elementwise or per
+    row, so each member's rows, keys and scores equal its one-member
+    stack's, and the instance :meth:`ask`/:meth:`tell` are that stack.
+    """
+
+    @abstractmethod
+    def _draw_unit(self, first: bool) -> np.ndarray:
+        """The next draw as ``(count, dim)`` unit-cube points; ``first``
+        holds for the draw before any evaluation."""
+
+    @classmethod
+    def _update_stack(
+        cls,
+        optimizers: Sequence["BaselineSearch"],
+        units: np.ndarray,
+        scores: np.ndarray,
+        counts: Sequence[int],
+    ) -> None:
+        """What the strategy learns from a told stack beyond the dataset:
+        ``units``/``scores`` are the told rows' unit rows and scores, split
+        by ``counts``.  Nothing by default."""
+
+    def ask(self) -> np.ndarray:
+        if self._done:
+            return self._empty_batch()
+        return type(self).ask_stack([self])[0][0]
+
+    def tell(self, samples: np.ndarray, metrics: np.ndarray) -> None:
+        samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
+        metrics = np.atleast_2d(np.asarray(metrics, dtype=np.float64))
+        type(self).tell_stack(
+            [self], samples, metrics, [samples.shape[0]], row_keys(samples)
+        )
+
+    @classmethod
+    @contract(pre=ask_stack_precondition)
+    def ask_stack(
+        cls, optimizers: Sequence["BaselineSearch"]
+    ) -> List[Tuple[np.ndarray, List[bytes]]]:
+        asked: List[Optional[Tuple[np.ndarray, List[bytes]]]] = [None] * len(optimizers)
+        pending = list(range(len(optimizers)))
+        for _ in range(MAX_REDRAWS):
+            picks = cls._draw_stack([optimizers[index] for index in pending])
+            for index, pick in zip(pending, picks):
+                if pick[0].shape[0]:
+                    asked[index] = pick
+            pending = [index for index in pending if asked[index] is None]
+            if not pending:
+                break
+        for index in pending:
+            optimizers[index]._done = True
+            asked[index] = (optimizers[index]._empty_batch(), [])
+        return asked
+
+    @staticmethod
+    def _draw_stack(
+        optimizers: Sequence["BaselineSearch"],
+    ) -> List[Tuple[np.ndarray, List[bytes]]]:
+        """One draw per member: each member's new rows and their keys."""
+        space = optimizers[0].design_space
+        firsts = [optimizer._count == 0 for optimizer in optimizers]
+        # Each member draws from its own generator, in stack order.
+        draws = [
+            optimizer._draw_unit(first) for optimizer, first in zip(optimizers, firsts)
+        ]
+        snapped = space.snap(space.from_unit(np.vstack(draws)))
+        keys = row_keys(snapped)
+        picks = []
+        for optimizer, first, (start, stop) in zip(
+            optimizers, firsts, _spans([draw.shape[0] for draw in draws])
+        ):
+            rows, own_keys = snapped[start:stop], keys[start:stop]
+            if first and optimizer._initial_points is not None:
+                lead = space.snap(optimizer._initial_points)
+                rows = np.vstack([lead, rows])
+                own_keys = row_keys(lead) + own_keys
+            picks.append(optimizer._pick_new(rows, own_keys, optimizer._budget_left()))
+        return picks
+
+    @classmethod
+    @contract(pre=tell_stack_precondition)
+    def tell_stack(
+        cls,
+        optimizers: Sequence["BaselineSearch"],
+        samples: np.ndarray,
+        metrics: np.ndarray,
+        counts: Sequence[int],
+        keys: List[bytes],
+    ) -> None:
+        units = optimizers[0].design_space.to_unit(samples)
+        scores = optimizers[0].specification.score(metrics)
+        for optimizer, (start, stop) in zip(optimizers, _spans(counts)):
+            previous = optimizer._best_score()
+            optimizer._store(
+                samples[start:stop],
+                units[start:stop],
+                metrics[start:stop],
+                scores[start:stop],
+                keys[start:stop],
+            )
+            optimizer._record_tell(previous)
+        cls._update_stack(optimizers, units, scores, counts)
+
+
+class RandomSearch(BaselineSearch):
     """Pure Monte-Carlo baseline: uniform sampling of the gridded space.
 
     Draws :data:`BASELINE_SEED_SAMPLES` rows first, then ``batch_size``
@@ -399,16 +623,12 @@ class RandomSearch(DatasetOptimizer):
     is not shaped around Algorithm 1.
     """
 
-    def ask(self) -> np.ndarray:
-        config = self.config
-        return self._ask_drawn(
-            lambda first: self.design_space.sample(
-                self.rng, BASELINE_SEED_SAMPLES if first else config.batch_size
-            )
-        )
+    def _draw_unit(self, first: bool) -> np.ndarray:
+        count = BASELINE_SEED_SAMPLES if first else self.config.batch_size
+        return self.rng.random((count, self.design_space.dimension))
 
 
-class CrossEntropySearch(DatasetOptimizer):
+class CrossEntropySearch(BaselineSearch):
     """(mu, lambda) cross-entropy baseline in the unit cube.
 
     Each generation samples ``lambda = 4 * batch_size`` candidates from an
@@ -431,38 +651,53 @@ class CrossEntropySearch(DatasetOptimizer):
         self._mean: Optional[np.ndarray] = None
         self._std: Optional[np.ndarray] = None
 
-    def _draw(self, first: bool) -> np.ndarray:
+    def _draw_unit(self, first: bool) -> np.ndarray:
+        dim = self.design_space.dimension
         if self._mean is None:
-            return self.design_space.sample(
-                self.rng, BASELINE_SEED_SAMPLES if first else self._lambda()
-            )
-        unit = self._mean + self._std * self.rng.standard_normal(
-            (self._lambda(), self.design_space.dimension)
-        )
-        return self.design_space.from_unit(np.clip(unit, 0.0, 1.0))
+            count = BASELINE_SEED_SAMPLES if first else self._lambda()
+            return self.rng.random((count, dim))
+        return self._mean + self._std * self.rng.standard_normal((self._lambda(), dim))
 
     def _lambda(self) -> int:
         return 4 * self.config.batch_size
 
-    def ask(self) -> np.ndarray:
-        return self._ask_drawn(self._draw)
+    @classmethod
+    def _update_stack(cls, optimizers, units, scores, counts) -> None:
+        """Refit each member's sampling distribution on its generation's elite.
 
-    def tell(self, samples: np.ndarray, metrics: np.ndarray) -> None:
-        start = self._count
-        super().tell(samples, metrics)
-        # Refit the sampling distribution on this generation's elite.
-        units = self._U[start: self._count]
-        scores = self._scores[start: self._count]
-        mu = min(self.config.batch_size, units.shape[0])
-        elite = units[np.argsort(-scores, kind="stable")[:mu]]
-        mean = elite.mean(axis=0)
-        std = np.maximum(elite.std(axis=0), self.STD_FLOOR)
-        if self._mean is None:
-            self._mean, self._std = mean, std
-        else:
-            alpha = self.SMOOTHING
-            self._mean = alpha * mean + (1.0 - alpha) * self._mean
-            self._std = alpha * std + (1.0 - alpha) * self._std
+        The members whose generations and elites have equal sizes share one
+        ``(members, rows, dim)`` gather, stable argsort and mean/std
+        reduction along the rows; each member's slice of it is its own
+        generation's statistics, bit for bit.
+        """
+        spans = list(_spans(counts))
+        groups: Dict[Tuple[int, int], List[int]] = {}
+        for index, (optimizer, count) in enumerate(zip(optimizers, counts)):
+            mu = min(optimizer.config.batch_size, count)
+            groups.setdefault((count, mu), []).append(index)
+        alpha = cls.SMOOTHING
+        for (count, mu), members in groups.items():
+            starts = np.array([spans[index][0] for index in members])
+            rows = starts[:, np.newaxis] + np.arange(count)
+            order = np.argsort(-scores[rows], axis=1, kind="stable")[:, :mu]
+            elite = np.take_along_axis(units[rows], order[:, :, np.newaxis], axis=1)
+            means = elite.mean(axis=1)
+            stds = np.maximum(elite.std(axis=1), cls.STD_FLOOR)
+            for index, mean, std in zip(members, means, stds):
+                optimizer = optimizers[index]
+                if optimizer._mean is None:
+                    optimizer._mean, optimizer._std = mean, std
+                else:
+                    optimizer._mean = alpha * mean + (1.0 - alpha) * optimizer._mean
+                    optimizer._std = alpha * std + (1.0 - alpha) * optimizer._std
+
+
+def _spans(counts: Sequence[int]) -> Iterator[Tuple[int, int]]:
+    """``(start, stop)`` of each of ``counts`` consecutive slices."""
+    start = 0
+    for count in counts:
+        yield start, start + count
+        start += count
 
 
 # ----------------------------------------------------------------------

@@ -445,7 +445,7 @@ class TrustRegionSearch(DatasetOptimizer):
         pool = space.sample_index(self.rng, config.candidate_pool)
         top = self._rank_candidates(space.grid_units(pool), keep=1)
         # ``seed`` is the optimizer's own RNG seed (a campaign member's seed
-        # plus its phase); the enclosing ask span carries the member's tags.
+        # plus its phase); the enclosing ask span carries the stack's seeds.
         event(
             "trust_region.restart",
             seed=config.seed,

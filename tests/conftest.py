@@ -7,8 +7,8 @@ surrogate refit in the round's batched dispatch, and trains a
 The slow reference implementations those fast paths must match bit for bit
 are reachable only from the tests: the ``oracles`` package next to this file
 holds them, and the ``oracles`` fixture below switches a test onto them.
-:func:`run_in_campaign` runs one optimizer on a plain batch evaluator
-through that same Campaign.  :data:`RESTARTING` and :data:`FOLDING` name the
+:func:`one_corner_campaign` builds that same Campaign around a plain batch
+evaluator, and :func:`run_in_campaign` runs one optimizer through it.  :data:`RESTARTING` and :data:`FOLDING` name the
 seeds whose searches take paths most seeds skip, and :func:`trajectory`
 strips a per-seed record down to what any campaign must reproduce.
 """
@@ -64,18 +64,14 @@ def trajectory(record):
     return {key: value for key, value in record.items() if key not in ACCOUNTING_FIELDS}
 
 
-def run_in_campaign(
-    evaluator, design_space, specification, config, optimizer="trust_region",
-    initial_points=None,
+def one_corner_campaign(
+    evaluator, design_space, specification, config, optimizer="trust_region", seeds=None,
 ):
-    """Run one optimizer to completion through a one-corner Campaign.
+    """A one-phase Campaign of ``optimizer`` on a plain batch evaluator.
 
     ``evaluator`` maps ``(count, dim)`` sizings to ``(count, n_metrics)``;
-    an :class:`EvaluationHandle` serves it at the nominal corner, and the
-    campaign runs seed ``config.seed`` for one phase.  ``initial_points``
-    warm-start that phase, as a later progressive phase is warm-started.
-    Returns the phase optimizer: its ``result()`` is the phase result, and
-    its specification names each metric ``<name>@<corner>``.
+    an :class:`EvaluationHandle` serves it at the nominal corner.  The
+    campaign runs ``seeds`` (default: ``config.seed``) for one phase each.
     """
     handle = EvaluationHandle(
         design_space,
@@ -84,12 +80,28 @@ def run_in_campaign(
             np.asarray(evaluator(samples), dtype=np.float64)
         )[np.newaxis],
     )
-    driver = Campaign(
+    return Campaign(
         handle,
         specification.specs,
         corners=[NOMINAL],
         config=ProgressiveConfig(trust_region=config, max_phases=1, optimizer=optimizer),
+        seeds=seeds,
     )
+
+
+def run_in_campaign(
+    evaluator, design_space, specification, config, optimizer="trust_region",
+    initial_points=None,
+):
+    """Run one optimizer to completion through a one-corner Campaign
+    (:func:`one_corner_campaign` at seed ``config.seed``).
+
+    ``initial_points`` warm-start that phase, as a later progressive phase
+    is warm-started.  Returns the phase optimizer: its ``result()`` is the
+    phase result, and its specification names each metric
+    ``<name>@<corner>``.
+    """
+    driver = one_corner_campaign(evaluator, design_space, specification, config, optimizer)
     member = driver._members[0]
     if initial_points is not None:
         member.warm_start = np.atleast_2d(np.asarray(initial_points, dtype=np.float64))

@@ -13,11 +13,15 @@ registered topology over the full 45-corner grid, the cross-phase
 progressive loop end to end.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import repro.circuits.pvt as pvt_module
 from conftest import FOLDING, run_in_campaign
 from oracles.corners import evaluate_corners_looped
+from repro.analysis.contracts import ContractViolation, contracts
 from repro.circuits.devices import parasitic_capacitances, saturation_from_current
 from repro.circuits.process import get_technology, stack_cards
 from repro.circuits.pvt import (
@@ -77,6 +81,64 @@ class TestStackedCards:
         assert column.shape == (3, 1)
         for row, temperature in zip(column, temperatures):
             assert row[0] == card.thermal_voltage(float(temperature[0]))
+
+
+class TestCardMemo:
+    """``evaluate_corners`` derates the base card once per corner tuple and
+    keeps the stacked card, read-only, on the problem."""
+
+    @staticmethod
+    def evaluated(name="two_stage_opamp", corners=None):
+        problem = get_topology(name)()
+        corners = corners if corners is not None else full_corner_grid()
+        samples = problem.design_space().sample(np.random.default_rng(0), 6)
+        return problem, corners, samples, problem.evaluate_corners(samples, corners)
+
+    def test_memoized_card_equals_a_fresh_stack(self):
+        problem, corners, samples, _ = self.evaluated()
+        card, temperatures = problem._corner_cards[tuple(corners)]
+        fresh = stack_cards([corner.apply(problem.base_card) for corner in corners])
+        for field in dataclasses.fields(card):
+            mine, theirs = getattr(card, field.name), getattr(fresh, field.name)
+            assert type(mine) is type(theirs), field.name
+            np.testing.assert_array_equal(mine, theirs)
+        np.testing.assert_array_equal(
+            temperatures, [[corner.temperature_c] for corner in corners]
+        )
+        problem.evaluate_corners(samples, list(corners))
+        assert problem._corner_cards[tuple(corners)][0] is card
+
+    def test_columns_are_read_only(self):
+        problem, corners, _, _ = self.evaluated()
+        card, temperatures = problem._corner_cards[tuple(corners)]
+        columns = [
+            getattr(card, field.name)
+            for field in dataclasses.fields(card)
+            if isinstance(getattr(card, field.name), np.ndarray)
+        ]
+        assert len(columns) == 5
+        for column in columns + [temperatures]:
+            assert not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0, 0] = 0.0
+
+    @pytest.mark.parametrize("name", ALL_TOPOLOGY_NAMES)
+    def test_repeat_calls_return_bit_identical_blocks(self, name):
+        problem, corners, samples, first = self.evaluated(name)
+        again = problem.evaluate_corners(samples, corners)
+        assert again.dtype == first.dtype and again.shape == first.shape
+        assert again.tobytes() == first.tobytes()
+        np.testing.assert_array_equal(first, evaluate_corners_looped(problem, samples, corners))
+
+    def test_contracts_still_check_the_built_card(self, monkeypatch):
+        problem = get_topology("two_stage_opamp")()
+        corners = nine_corner_grid()
+        good = stack_cards([corner.apply(problem.base_card) for corner in corners])
+        bad = dataclasses.replace(good, kp_n=np.zeros((len(corners), 2)))
+        monkeypatch.setattr(pvt_module, "stack_cards", lambda cards: bad)
+        samples = problem.design_space().sample(np.random.default_rng(0), 2)
+        with contracts(True), pytest.raises(ContractViolation, match="stacked field 'kp_n'"):
+            problem.evaluate_corners(samples, corners)
 
 
 class TestDeviceHelpersBroadcast:

@@ -22,7 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import FOLDING, run_in_campaign
+from conftest import FOLDING, one_corner_campaign
 from repro.circuits.pvt import nine_corner_grid
 from repro.core.design_space import DesignSpace, Parameter, row_keys
 from repro.resilience import load_snapshot
@@ -37,7 +37,7 @@ from repro.search import (
     get_optimizer,
 )
 from repro.resilience.store import read_journal
-from repro.search.campaign import CACHE_JOURNAL
+from repro.search.campaign import CACHE_JOURNAL, _Request
 from repro.search.progressive import ProgressiveConfig
 from repro.search.eval_cache import _corner_from_tag, _corner_tag
 
@@ -156,39 +156,71 @@ class TestDedupParity:
 
     @pytest.mark.parametrize("name", OPTIMIZERS)
     def test_every_ask_of_a_run_selects_the_oracle_rows(self, name, monkeypatch):
-        selections = []
-        original = DatasetOptimizer._select_new
+        """Every selection of a three-seed run, whether it comes from a
+        member's slice of a stacked ask or from a lone redraw, picks the
+        oracle rows of the block it was given, and the keys handed in with
+        a block are its rows' own."""
+        selected_rows = {}
+        original = DatasetOptimizer._pick_new
 
-        def checked(optimizer, candidates, limit=None):
-            expected = oracle_select(optimizer, candidates, limit)
-            selected = original(optimizer, candidates, limit)
+        def checked(optimizer, snapped, keys, limit):
+            assert keys == row_keys(snapped)
+            expected = oracle_select(optimizer, snapped, limit)
+            selected = original(optimizer, snapped, keys, limit)
             assert_same_selection(selected, expected)
-            selections.append(selected[0].shape[0])
+            selected_rows.setdefault(id(optimizer), []).append(selected[0].shape[0])
             return selected
 
-        monkeypatch.setattr(DatasetOptimizer, "_select_new", checked)
+        monkeypatch.setattr(DatasetOptimizer, "_pick_new", checked)
         config = TrustRegionConfig(
             seed=3, batch_size=4, candidate_pool=64,
             max_evaluations=70, initial_epochs=4, refit_epochs=2,
         )
-        optimizer = run_in_campaign(
-            toy_evaluator, toy_space(), UNREACHABLE, config, optimizer=name
+        campaign = one_corner_campaign(
+            toy_evaluator, toy_space(), UNREACHABLE, config, optimizer=name, seeds=[3, 4, 5]
         )
-        result = optimizer.result()
-        assert len(selections) > 5
-        assert result.evaluations == sum(selections)
-        assert len(optimizer._seen) == result.evaluations
+        campaign.run()
+        for member in campaign._members:
+            optimizer = member.optimizer
+            selections = selected_rows[id(optimizer)]
+            assert len(selections) > 5
+            assert optimizer.evaluations == sum(selections)
+            assert len(optimizer._seen) == optimizer.evaluations
+
+
+class StubOptimizer:
+    """Records the rows and metrics a stacked tell hands it."""
+
+    def __init__(self):
+        self.told = []
+
+    @classmethod
+    def tell_stack(cls, optimizers, samples, metrics, counts, keys):
+        assert all(type(optimizer) is cls for optimizer in optimizers)
+        assert keys == row_keys(samples)
+        start = 0
+        for optimizer, count in zip(optimizers, counts):
+            optimizer.told.append((samples[start:start + count], metrics[start:start + count]))
+            start += count
+
+
+class OtherStubOptimizer(StubOptimizer):
+    """A second optimizer class, told in a stack of its own."""
 
 
 class StubMember:
-    """Records what ``Campaign._run_group`` hands back."""
+    """Records what ``Campaign._run_group`` hands back: a verifying
+    member's received block, a searching member's told rows."""
 
-    def __init__(self, seed):
+    def __init__(self, seed, verifying=False, optimizer=StubOptimizer):
         self.seed = seed
         self.phase = 0
+        self.verifying = verifying
+        self.optimizer = optimizer()
         self.blocks = []
 
     def receive(self, block):
+        assert self.verifying
         self.blocks.append(block)
 
 
@@ -211,20 +243,28 @@ def toy_campaign():
 
 
 def run_group_against_peek(campaign, grouped):
-    """Run one stacked pass; check its misses against the peek taken before
-    it and every member's slice against the evaluator."""
+    """Run one stacked pass of ``(member, rows, corners)`` requests; check
+    its misses against the peek taken before it, and check each member's
+    share against the evaluator: a verifying member's received block, a
+    searching member's told rows and their corner-major metrics."""
     cache = campaign.cache
     corners = grouped[0][2]
     stacked = np.vstack([rows for _, rows, _ in grouped])
     peek = cache.fresh_row_count(stacked, corners)
     hits0, misses0 = cache.hits, cache.misses
-    campaign._run_group(grouped)
+    campaign._run_group(
+        [_Request(member, rows, row_keys(rows), corners) for member, rows, _ in grouped]
+    )
     assert cache.misses - misses0 == peek * len(corners)
     assert cache.hits - hits0 == (stacked.shape[0] - peek) * len(corners)
     for member, rows, _ in grouped:
-        np.testing.assert_array_equal(
-            member.blocks[-1], distinct_evaluator(rows, corners)
-        )
+        expected = distinct_evaluator(rows, corners)
+        if member.verifying:
+            np.testing.assert_array_equal(member.blocks[-1], expected)
+            continue
+        samples, metrics = member.optimizer.told[-1]
+        np.testing.assert_array_equal(samples, rows)
+        np.testing.assert_array_equal(metrics, expected.transpose(1, 0, 2).reshape(len(rows), -1))
     return peek
 
 
@@ -238,7 +278,11 @@ class TestPassAttribution:
         a, b, c, e = (np.full((1, 3), value) for value in (1.0, 2.0, 3.0, 5.0))
         campaign.cache.evaluate(a, corners[:1])  # cached at one corner only
         campaign.cache.evaluate(e, corners)  # cached at both
-        members = [StubMember(seed) for seed in range(3)]
+        members = [
+            StubMember(0),
+            StubMember(1, verifying=True),
+            StubMember(2, optimizer=OtherStubOptimizer),
+        ]
         grouped = [
             (members[0], np.vstack([a, b, e]), corners),
             (members[1], np.vstack([b, c]), corners),  # b is shared
@@ -252,7 +296,12 @@ class TestPassAttribution:
         grid = nine_corner_grid()
         rng = np.random.default_rng(7)
         pool = rng.integers(0, 10, size=(12, 3)).astype(np.float64)
-        members = [StubMember(seed) for seed in range(4)]
+        members = [
+            StubMember(0),
+            StubMember(1, verifying=True),
+            StubMember(2, optimizer=OtherStubOptimizer),
+            StubMember(3),
+        ]
         for _ in range(25):
             # Warm some (row, corner) pairs piecemeal, then run a pass.
             campaign.cache.evaluate(
