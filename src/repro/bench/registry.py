@@ -25,9 +25,8 @@ from repro.circuits.pvt import (
     nine_corner_grid,
 )
 from repro.circuits.topologies import SPEC_TIERS
-from repro.search.optimizer import available_optimizers
+from repro.search.optimizer import TrustRegionConfig, available_optimizers
 from repro.search.progressive import ProgressiveConfig
-from repro.search.trust_region import TrustRegionConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.search.campaign import Campaign

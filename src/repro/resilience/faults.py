@@ -59,8 +59,9 @@ def register_fault_site(name: str) -> str:
 
 
 def registered_fault_sites() -> Tuple[str, ...]:
-    """All registered site names, in registration order."""
-    return _SITES
+    """All registered site names, sorted: the listing and the drill's
+    scenario order do not depend on which module imported first."""
+    return tuple(sorted(_SITES))
 
 
 class FaultPlan:

@@ -7,8 +7,9 @@ own the proposal side; the ``Campaign`` driver owns evaluation and training
 passes, batched surrogate refits);
 ``size_problem`` is the single-seed entry point and ``build_campaign`` the
 multi-seed one.  Every setting travels in one ``ProgressiveConfig`` (whose
-``trust_region`` is a ``TrustRegionConfig``); the trust-region radius
-schedule and the surrogate's optimiser settings are constants of
+``trust_region`` is a ``TrustRegionConfig``: seed and evaluation budget);
+the trust region's batch, candidate pool, surrogate size, epochs, radius
+schedule and optimiser settings are constants of
 ``repro.search.trust_region``, not options.
 """
 
@@ -21,6 +22,7 @@ from repro.search.optimizer import (
     IterationRecord,
     RandomSearch,
     SearchResult,
+    TrustRegionConfig,
     available_optimizers,
     get_optimizer,
     register_optimizer,
@@ -32,7 +34,7 @@ from repro.search.progressive import (
 )
 from repro.search.sizing import build_campaign, size_problem
 from repro.search.spec import Spec, Specification
-from repro.search.trust_region import TrustRegionConfig, TrustRegionSearch
+from repro.search.trust_region import TrustRegionSearch
 
 __all__ = [
     "Campaign",

@@ -15,15 +15,15 @@ next — and never evaluate or train anything themselves.  The
   per-seed state machine (size at the hardest corner and the far corner of
   the opposite failure regime, verify over the full grid, fold failing
   corners back in);
-* **multi-seed vectorized execution**: each round the Campaign asks every
-  live seed's optimizer, one
-  :meth:`~repro.search.optimizer.DatasetOptimizer.ask_stack` call per
-  optimizer class, groups the requests by corner set, stacks each group
-  into a single :func:`evaluate_corners` tensor pass (the rows' keys from
-  the asks ride along into the cache), and tells each group's search
-  members through one
-  :meth:`~repro.search.optimizer.DatasetOptimizer.tell_stack` call per
-  optimizer class on that block.  The surrogate-free baselines share the
+* **multi-seed vectorized execution**: every seed of a campaign runs the
+  one optimizer class its config names.  Each round the Campaign asks
+  every live seed's optimizer in one
+  :meth:`~repro.search.optimizer.DatasetOptimizer.ask_stack` call, groups
+  the requests by corner set, stacks each group into a single
+  :func:`evaluate_corners` tensor pass (the rows' keys from the asks ride
+  along into the cache), and tells each group's search members through
+  one :meth:`~repro.search.optimizer.DatasetOptimizer.tell_stack` call on
+  that block.  The surrogate-free baselines share the
   snap, key, ``to_unit`` and score work of a whole stack in those calls;
   the trust region asks and tells each seed in turn.  Per ``(row,
   corner)`` pair the stacked evaluator is bit-identical however the pass
@@ -73,7 +73,7 @@ from repro.obs import event, profiled
 from repro.resilience.faults import fault_point, register_fault_site
 from repro.resilience.snapshot import SnapshotError, load_snapshot, save_snapshot
 from repro.search.eval_cache import CornerEvaluator, EvaluationCache
-from repro.search.optimizer import DatasetOptimizer, get_optimizer
+from repro.search.optimizer import DatasetOptimizer, TrustRegionConfig, get_optimizer
 from repro.search.progressive import (
     CornerReport,
     ProgressiveConfig,
@@ -81,7 +81,6 @@ from repro.search.progressive import (
     _stacked_specification,
 )
 from repro.search.spec import Spec, Specification
-from repro.search.trust_region import TrustRegionConfig
 
 #: Kill-and-resume drill site: dying after the journal fsync but before the
 #: snapshot replace leaves journal frames no snapshot references yet; the
@@ -201,7 +200,7 @@ class _ProgressiveMember:
         metric_names: Sequence[str],
         ranked: Sequence[PVTCondition],
         trust_config: TrustRegionConfig,
-        optimizer_name: str,
+        optimizer_cls: Type[DatasetOptimizer],
         max_phases: int,
         specifications: Dict[Tuple[PVTCondition, ...], Specification],
     ) -> None:
@@ -213,8 +212,7 @@ class _ProgressiveMember:
         self.config = (
             replace(trust_config, seed=seed) if trust_config.seed != seed else trust_config
         )
-        self.optimizer_name = optimizer_name
-        self.optimizer_cls = get_optimizer(optimizer_name)
+        self.optimizer_cls = optimizer_cls
         self.max_phases = max_phases
         # The paper's cost metric: distinct (row, corner) pairs this seed's
         # own requests named, verification included.  Counted from the
@@ -453,8 +451,8 @@ class Campaign:
     config:
         The :class:`~repro.search.progressive.ProgressiveConfig`; ``None``
         means the defaults.  Its ``optimizer`` field names the registered
-        search strategy, and its ``trust_region`` config is shared by every
-        phase.
+        search strategy every seed and phase runs (:attr:`optimizer_cls`),
+        and its ``trust_region`` config is shared by every phase.
     seeds:
         RNG seeds, one independent progressive search each; defaults to the
         config's seed.  All seeds share one :class:`EvaluationCache`, and
@@ -481,6 +479,8 @@ class Campaign:
         if self.progressive.max_phases < 1:
             raise ValueError("max_phases must be at least 1")
         trust = self.progressive.trust_region
+        #: The one optimizer class every member asks and tells through.
+        self.optimizer_cls = get_optimizer(self.progressive.optimizer)
         self.ranked = rank_by_severity(
             list(corners) if corners is not None else nine_corner_grid()
         )
@@ -505,7 +505,7 @@ class Campaign:
                 metric_names=handle.metric_names,
                 ranked=self.ranked,
                 trust_config=trust,
-                optimizer_name=self.progressive.optimizer,
+                optimizer_cls=self.optimizer_cls,
                 max_phases=self.progressive.max_phases,
                 specifications=specifications,
             )
@@ -523,10 +523,10 @@ class Campaign:
         keys, so every requested ``(row, corner)`` pair is booked exactly
         once.  A verifying member receives its own row slice of the block;
         the search members' rows are told through one
-        :meth:`~repro.search.optimizer.DatasetOptimizer.tell_stack` call per
-        optimizer class, on the block in the stacked specification's
-        corner-major layout.  The cache keeps the campaign-wide counters; a
-        seed's own cost is its ``simulations``.
+        :meth:`~repro.search.optimizer.DatasetOptimizer.tell_stack` call on
+        the campaign's optimizer class, on the block in the stacked
+        specification's corner-major layout.  The cache keeps the
+        campaign-wide counters; a seed's own cost is its ``simulations``.
         """
         cache = self.cache
         corners = grouped[0].corners
@@ -544,41 +544,30 @@ class Campaign:
             keys = [key for request in grouped for key in request.keys]
             block = cache.evaluate(samples, corners, keys=keys)
             timer.annotate(hits=cache.hits - hits, misses=cache.misses - misses)
-        told: "OrderedDict[Type[DatasetOptimizer], List[Tuple[_ProgressiveMember, int, int]]]" = (
-            OrderedDict()
-        )
+        told: List[Tuple[_ProgressiveMember, int, int]] = []
         start = 0
         for request in grouped:
             member, stop = request.member, start + request.rows.shape[0]
             if member.verifying:
                 member.receive(block[:, start:stop, :])
             else:
-                told.setdefault(type(member.optimizer), []).append((member, start, stop))
+                told.append((member, start, stop))
             start = stop
         if not told:
             return
         metrics = _stacked_metrics(block)
-        for cls, spans in told.items():
-            members = [member for member, _, _ in spans]
-            counts = [stop - start for _, start, stop in spans]
-            if sum(counts) == samples.shape[0]:
-                rows, told_metrics, told_keys = samples, metrics, keys
-            else:
-                # Verification rows, or another class's, sit between these:
-                # one gather per optimizer class of such a group.
-                # analysis: allow(hot-loop-alloc) one index per class, not per row
-                index = np.concatenate([np.arange(start, stop) for _, start, stop in spans])
-                rows, told_metrics, told_keys = (
-                    samples[index], metrics[index], [keys[i] for i in index]
-                )
-            with profiled("optimizer.tell", rows=int(sum(counts)), **_stack_tags(members)):
-                cls.tell_stack(
-                    [member.optimizer for member in members],
-                    rows,
-                    told_metrics,
-                    counts,
-                    told_keys,
-                )
+        members = [member for member, _, _ in told]
+        counts = [stop - start for _, start, stop in told]
+        if sum(counts) == samples.shape[0]:
+            rows, told_metrics, told_keys = samples, metrics, keys
+        else:
+            # Verification rows sit between these: one gather.
+            index = np.concatenate([np.arange(start, stop) for _, start, stop in told])
+            rows, told_metrics, told_keys = samples[index], metrics[index], [keys[i] for i in index]
+        with profiled("optimizer.tell", rows=int(sum(counts)), **_stack_tags(members)):
+            self.optimizer_cls.tell_stack(
+                [member.optimizer for member in members], rows, told_metrics, counts, told_keys
+            )
 
     # -- batched surrogate refit ---------------------------------------
     def _flush_refits(self) -> None:
@@ -644,8 +633,8 @@ class Campaign:
 
         The identity block pins everything a replay assumes about the
         campaign it runs in — seeds, corner grid, phase-0 start set,
-        workload shape, and the full config (via its dataclass ``repr``,
-        which covers every hyper-parameter); :meth:`load_state_dict`
+        workload shape, and the full config (via its dataclass ``repr``:
+        optimizer, phase budget, seed and evaluation budget); :meth:`load_state_dict`
         refuses a mismatch with a :class:`SnapshotError` instead of
         replaying a silently different search.  Beside it: the round count
         and the cache block — its counters (a replay reads every pair from
@@ -759,22 +748,17 @@ class Campaign:
     def _round(self) -> bool:
         """Run one lockstep round; ``False`` when no member has a request left."""
         members = self._members
-        # Every searching member of one optimizer class is asked in one
-        # stacked call, then each member makes its request from its answer,
-        # in member order.
-        asking: "OrderedDict[Type[DatasetOptimizer], List[int]]" = OrderedDict()
-        for index, member in enumerate(members):
-            optimizer = member.asking
-            if optimizer is not None:
-                asking.setdefault(type(optimizer), []).append(index)
+        # Every searching member is asked in one stacked call, then each
+        # member makes its request from its answer, in member order.
+        asking = [index for index, member in enumerate(members) if member.asking is not None]
         answers: Dict[int, Tuple[np.ndarray, List[bytes]]] = {}
-        for cls, indices in asking.items():
-            stack = [members[index] for index in indices]
+        if asking:
+            stack = [members[index] for index in asking]
             with profiled(
                 "optimizer.ask", optimizer=self.progressive.optimizer, **_stack_tags(stack)
             ):
-                answers.update(
-                    zip(indices, cls.ask_stack([member.optimizer for member in stack]))
+                answers = dict(
+                    zip(asking, self.optimizer_cls.ask_stack([member.optimizer for member in stack]))
                 )
         requests: List[_Request] = []
         for index, member in enumerate(members):

@@ -24,10 +24,10 @@ trajectory does not depend on the stack it ran in; its instance
 
 Two cheap baselines prove the protocol generalizes beyond Algorithm 1:
 :class:`RandomSearch` (pure Monte-Carlo) and :class:`CrossEntropySearch`
-(a (mu, lambda) cross-entropy sampler in the unit cube).  Both reuse
-:class:`~repro.search.trust_region.TrustRegionConfig` for their common knobs
-(``seed``, ``batch_size``, ``max_evaluations``) so the
-benchmark registry can swap optimizers without a parallel config zoo.
+(a (mu, lambda) cross-entropy sampler in the unit cube).  Every optimizer
+reads the same :class:`TrustRegionConfig` (``seed``, ``max_evaluations``),
+so the benchmark registry can swap optimizers without a parallel config
+zoo.
 """
 
 from __future__ import annotations
@@ -49,6 +49,33 @@ MAX_REDRAWS = 8
 #: Rows of the baselines' first, uniform draw.  The trust region seeds with
 #: its own :data:`~repro.search.trust_region.SEED_SAMPLES`.
 BASELINE_SEED_SAMPLES = 48
+
+#: Rows of every later random draw, and the cross-entropy elite size; a
+#: cross-entropy generation draws four times as many.
+BASELINE_BATCH_SIZE = 8
+
+
+@dataclass
+class TrustRegionConfig:
+    """The per-run settings every optimizer reads: the RNG ``seed`` and the
+    evaluation budget ``max_evaluations``.
+
+    Two fields, the only ones a production caller varies (the bench
+    registry sets both per case and seed).  Everything else is a fixed part
+    of an algorithm, not tuning, so it is a module constant: the baselines'
+    :data:`BASELINE_SEED_SAMPLES` and :data:`BASELINE_BATCH_SIZE`, and the
+    trust region's sizes, radius schedule and surrogate settings in
+    :mod:`repro.search.trust_region`.  Tests that need another value
+    monkeypatch the constant.  The name is historical: the surrogate-free
+    baselines and user optimizers read the same two fields.
+    """
+
+    max_evaluations: int = 400
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.max_evaluations < 1:
+            raise ValueError("max_evaluations must be at least 1")
 
 
 def tell_precondition(arguments) -> Optional[str]:
@@ -230,9 +257,7 @@ class DatasetOptimizer(ABC):
         The constraints to satisfy; its ``metric_names`` must match the
         columns of the metrics ``tell`` receives.
     config:
-        Hyper-parameters (a
-        :class:`~repro.search.trust_region.TrustRegionConfig`); concrete
-        optimizers document which fields they read.
+        The run's :class:`TrustRegionConfig` (seed and evaluation budget).
     initial_points:
         Optional extra sizings (natural units) proposed ahead of the first
         sampled batch — used by the progressive PVT loop to warm-start later
@@ -243,13 +268,9 @@ class DatasetOptimizer(ABC):
         self,
         design_space: DesignSpace,
         specification: Specification,
-        config=None,
+        config: Optional[TrustRegionConfig] = None,
         initial_points: Optional[np.ndarray] = None,
     ) -> None:
-        # Imported here: trust_region defines the shared config dataclass
-        # and imports this module for the base class.
-        from repro.search.trust_region import TrustRegionConfig
-
         self.design_space = design_space
         self.specification = specification
         self.config = config or TrustRegionConfig()
@@ -616,25 +637,24 @@ class BaselineSearch(DatasetOptimizer):
 class RandomSearch(BaselineSearch):
     """Pure Monte-Carlo baseline: uniform sampling of the gridded space.
 
-    Draws :data:`BASELINE_SEED_SAMPLES` rows first, then ``batch_size``
-    rows per ask, and reads ``seed`` and ``max_evaluations`` from the
-    shared config.  Exists to calibrate how much the surrogate-guided trust
-    region actually buys on a workload — and to prove the ask/tell protocol
-    is not shaped around Algorithm 1.
+    Draws :data:`BASELINE_SEED_SAMPLES` rows first, then
+    :data:`BASELINE_BATCH_SIZE` rows per ask.  Exists to calibrate how much
+    the surrogate-guided trust region actually buys on a workload — and to
+    prove the ask/tell protocol is not shaped around Algorithm 1.
     """
 
     def _draw_unit(self, first: bool) -> np.ndarray:
-        count = BASELINE_SEED_SAMPLES if first else self.config.batch_size
+        count = BASELINE_SEED_SAMPLES if first else BASELINE_BATCH_SIZE
         return self.rng.random((count, self.design_space.dimension))
 
 
 class CrossEntropySearch(BaselineSearch):
     """(mu, lambda) cross-entropy baseline in the unit cube.
 
-    Each generation samples ``lambda = 4 * batch_size`` candidates from an
-    axis-aligned Gaussian in the unit cube, then refits the Gaussian on the
-    ``mu = batch_size`` elite (best satisfaction score) of the generation
-    with exponential smoothing.  The first generation is uniform
+    Each generation samples ``lambda = 4 * BASELINE_BATCH_SIZE`` candidates
+    from an axis-aligned Gaussian in the unit cube, then refits the Gaussian
+    on the ``mu = BASELINE_BATCH_SIZE`` elite (best satisfaction score) of
+    the generation with exponential smoothing.  The first generation is uniform
     (:data:`BASELINE_SEED_SAMPLES` Monte-Carlo draws),
     so the distribution starts where the data is.  A standard-deviation
     floor keeps late generations exploring instead of collapsing onto a
@@ -659,24 +679,24 @@ class CrossEntropySearch(BaselineSearch):
         return self._mean + self._std * self.rng.standard_normal((self._lambda(), dim))
 
     def _lambda(self) -> int:
-        return 4 * self.config.batch_size
+        return 4 * BASELINE_BATCH_SIZE
 
     @classmethod
     def _update_stack(cls, optimizers, units, scores, counts) -> None:
         """Refit each member's sampling distribution on its generation's elite.
 
-        The members whose generations and elites have equal sizes share one
+        The members whose generations have equal sizes share one
         ``(members, rows, dim)`` gather, stable argsort and mean/std
         reduction along the rows; each member's slice of it is its own
         generation's statistics, bit for bit.
         """
         spans = list(_spans(counts))
-        groups: Dict[Tuple[int, int], List[int]] = {}
-        for index, (optimizer, count) in enumerate(zip(optimizers, counts)):
-            mu = min(optimizer.config.batch_size, count)
-            groups.setdefault((count, mu), []).append(index)
+        groups: Dict[int, List[int]] = {}
+        for index, count in enumerate(counts):
+            groups.setdefault(count, []).append(index)
         alpha = cls.SMOOTHING
-        for (count, mu), members in groups.items():
+        for count, members in groups.items():
+            mu = min(BASELINE_BATCH_SIZE, count)
             starts = np.array([spans[index][0] for index in members])
             rows = starts[:, np.newaxis] + np.arange(count)
             order = np.argsort(-scores[rows], axis=1, kind="stable")[:, :mu]

@@ -29,17 +29,16 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.circuits.pvt import PVTCondition
-from repro.search.optimizer import available_optimizers
+from repro.search.optimizer import SearchResult, TrustRegionConfig, available_optimizers
 from repro.search.spec import Spec, Specification
-from repro.search.trust_region import SearchResult, TrustRegionConfig
 
 
 @dataclass
 class ProgressiveConfig:
     """Configuration of the progressive multi-corner loop.
 
-    Bundles the per-phase optimizer hyper-parameters with the knobs that
-    belong to the corner-hardening loop itself.  ``optimizer`` names the
+    Bundles the per-phase optimizer's seed and budget with the settings of
+    the corner-hardening loop itself.  ``optimizer`` names the
     registered search strategy each phase runs (``"trust_region"`` default;
     ``"random"`` and ``"cross_entropy"`` are the built-in baselines).
     """

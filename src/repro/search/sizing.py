@@ -115,7 +115,7 @@ def size_problem(
     corners:
         Sign-off corner set; defaults to the nine-corner grid.
     config, seed:
-        Search hyper-parameters; an explicit ``seed`` overrides the
+        Search settings; an explicit ``seed`` overrides the
         config's seed, ``None`` defers to it.
     max_phases:
         Progressive corner-hardening round budget; ``None`` defers to the

@@ -71,8 +71,7 @@ stay float64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -86,6 +85,7 @@ from repro.search.optimizer import (
     DatasetOptimizer,
     IterationRecord,
     SearchResult,
+    TrustRegionConfig,
     register_optimizer,
     tell_precondition,
 )
@@ -94,7 +94,6 @@ from repro.search.spec import Specification
 __all__ = [
     "IterationRecord",
     "SearchResult",
-    "TrustRegionConfig",
     "TrustRegionSearch",
 ]
 
@@ -111,6 +110,23 @@ SITE_REFIT = register_fault_site("optimizer.refit")
 #: success; 16 rows saved less.  The baselines keep their own 48-row first
 #: draw (:data:`~repro.search.optimizer.BASELINE_SEED_SAMPLES`).
 SEED_SAMPLES = 24
+
+#: Rows per trust-region iteration (lines 5-7 of Algorithm 1): the
+#: surrogate's ``4 * BATCH_SIZE`` top-ranked candidates are deduplicated
+#: down to ``BATCH_SIZE`` new rows.
+BATCH_SIZE = 8
+
+#: Candidates drawn inside the trust region per iteration, and the
+#: Monte-Carlo batch a stall restart ranks.
+CANDIDATE_POOL = 512
+
+#: Hidden-layer widths of the surrogate MLP.
+SURROGATE_HIDDEN = (48, 48)
+
+#: Adam epochs of the initial fit on the Monte-Carlo seed, and of every
+#: later full refit (:data:`REFIT_GROWTH` decides which refits are full).
+INITIAL_EPOCHS = 120
+REFIT_EPOCHS = 25
 
 #: Consecutive non-improving tells at ``MIN_RADIUS`` before the trust region
 #: restarts around a surrogate-ranked Monte-Carlo sample.  With 8,
@@ -154,54 +170,6 @@ LEARNING_RATE = 3e-3
 SURROGATE_BATCH_SIZE = 64
 
 
-@dataclass
-class TrustRegionConfig:
-    """Hyper-parameters of Algorithm 1 (and the shared optimizer knobs).
-
-    Seven fields: the run's ``seed`` and evaluation budget
-    (``max_evaluations``), the per-iteration batch (``batch_size``) and
-    candidate pool (``candidate_pool``), and the surrogate's size and
-    training length (``surrogate_hidden``, ``initial_epochs``,
-    ``refit_epochs``).  The Monte-Carlo seed size, the radius schedule and
-    the surrogate's optimiser settings are fixed parts of the algorithm,
-    not tuning, so they are module constants (:data:`SEED_SAMPLES`,
-    :data:`INITIAL_RADIUS`, :data:`MIN_RADIUS`, :data:`MAX_RADIUS`,
-    :data:`EXPAND`, :data:`SHRINK`, :data:`LEARNING_RATE`,
-    :data:`SURROGATE_BATCH_SIZE`) beside :data:`STALL_PATIENCE`,
-    :data:`REFIT_GROWTH` and :data:`OUTPUT_RIDGE`; tests that need another
-    value monkeypatch the constant.
-
-    The baseline optimizers (:class:`~repro.search.optimizer.RandomSearch`,
-    :class:`~repro.search.optimizer.CrossEntropySearch`) reuse the common
-    subset — ``seed``, ``batch_size``, ``max_evaluations`` — so one config
-    type drives any registered optimizer; their first draw is
-    :data:`~repro.search.optimizer.BASELINE_SEED_SAMPLES` rows.
-    """
-
-    batch_size: int = 8
-    candidate_pool: int = 512
-    max_evaluations: int = 400
-    surrogate_hidden: Sequence[int] = (48, 48)
-    initial_epochs: int = 120
-    refit_epochs: int = 25
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        for name in (
-            "batch_size",
-            "candidate_pool",
-            "max_evaluations",
-            "initial_epochs",
-            "refit_epochs",
-        ):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        if any(width < 1 for width in self.surrogate_hidden):
-            raise ValueError(
-                f"every surrogate_hidden width must be at least 1, got {self.surrogate_hidden}"
-            )
-
-
 class TrustRegionSearch(DatasetOptimizer):
     """Algorithm 1: surrogate-assisted trust-region CSP search.
 
@@ -213,7 +181,8 @@ class TrustRegionSearch(DatasetOptimizer):
         The constraints to satisfy; its ``metric_names`` must match the
         columns of the metrics ``tell`` receives.
     config:
-        Hyper-parameters; the RNG seed makes runs reproducible.
+        The run's seed and evaluation budget; the seed makes runs
+        reproducible.  Every other setting is a module constant.
     initial_points:
         Optional extra sizings (natural units) evaluated up-front — used by
         the progressive PVT loop to warm-start later phases from the best
@@ -307,7 +276,7 @@ class TrustRegionSearch(DatasetOptimizer):
         the dataset has grown ``REFIT_GROWTH``-fold since the last full
         refit, the closed-form output-layer solve otherwise."""
         if self._surrogate is None or self._count >= REFIT_GROWTH * self._full_refit_rows:
-            self._refit_surrogate(epochs=self.config.refit_epochs)
+            self._refit_surrogate(epochs=REFIT_EPOCHS)
         else:
             self._fit_output_layer()
 
@@ -330,7 +299,7 @@ class TrustRegionSearch(DatasetOptimizer):
         """
         surrogate = FusedMLP(
             self.design_space.dimension,
-            self.config.surrogate_hidden,
+            SURROGATE_HIDDEN,
             len(self.specification.metric_names),
             rng=np.random.default_rng(self.config.seed + 1),
         )
@@ -426,29 +395,28 @@ class TrustRegionSearch(DatasetOptimizer):
             self._restart()
         center = self._X[self._local] if self._local >= 0 else self._restart_center
         space = self.design_space
-        index = space.sample_ball_index(self.rng, center, self._radius, config.candidate_pool)
-        order = self._rank_candidates(space.grid_units(index), keep=4 * config.batch_size)
+        index = space.sample_ball_index(self.rng, center, self._radius, CANDIDATE_POOL)
+        order = self._rank_candidates(space.grid_units(index), keep=4 * BATCH_SIZE)
         # The final iteration may have less budget left than a full batch;
         # never propose past max_evaluations.
-        step = min(config.batch_size, config.max_evaluations - self._count)
+        step = min(BATCH_SIZE, config.max_evaluations - self._count)
         rows, _ = self._select_new(space.grid_values(index[order]), limit=step)
         if rows.shape[0] == 0:
-            rows, _ = self._select_new(space.sample(self.rng, config.batch_size), limit=step)
+            rows, _ = self._select_new(space.sample(self.rng, BATCH_SIZE), limit=step)
             if rows.shape[0] == 0:
                 self._done = True
         return rows
 
     def _restart(self) -> None:
         """Re-centre on the surrogate's pick of a fresh Monte-Carlo batch."""
-        config = self.config
         space = self.design_space
-        pool = space.sample_index(self.rng, config.candidate_pool)
+        pool = space.sample_index(self.rng, CANDIDATE_POOL)
         top = self._rank_candidates(space.grid_units(pool), keep=1)
         # ``seed`` is the optimizer's own RNG seed (a campaign member's seed
         # plus its phase); the enclosing ask span carries the stack's seeds.
         event(
             "trust_region.restart",
-            seed=config.seed,
+            seed=self.config.seed,
             evaluations=self._count,
             local_best=float(self._scores[self._local]),
             restart=1 + sum(record.restarted for record in self._history),
@@ -479,7 +447,6 @@ class TrustRegionSearch(DatasetOptimizer):
         a strictly better score — so before the first restart it *is* the
         global incumbent.
         """
-        config = self.config
         samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
         metrics = np.atleast_2d(np.asarray(metrics, dtype=np.float64))
         restarted = self._local < 0
@@ -494,7 +461,7 @@ class TrustRegionSearch(DatasetOptimizer):
             self._update_done()
             # Only worth fitting a surrogate when a search will actually run.
             if not self._done:
-                self._refit_surrogate(epochs=config.initial_epochs)
+                self._refit_surrogate(epochs=INITIAL_EPOCHS)
                 self._finish_pending = True
             return
         self._update_done()

@@ -8,7 +8,9 @@ The slow reference implementations those fast paths must match bit for bit
 are reachable only from the tests: the ``oracles`` package next to this file
 holds them, and the ``oracles`` fixture below switches a test onto them.
 :func:`one_corner_campaign` builds that same Campaign around a plain batch
-evaluator, and :func:`run_in_campaign` runs one optimizer through it.  :data:`RESTARTING` and :data:`FOLDING` name the
+evaluator, and :func:`run_in_campaign` runs one optimizer through it.  The
+``search_sizes`` fixture shrinks the searches' fixed sizes for one test.
+:data:`RESTARTING` and :data:`FOLDING` name the
 seeds whose searches take paths most seeds skip, and :func:`trajectory`
 strips a per-seed record down to what any campaign must reproduce.
 """
@@ -25,6 +27,7 @@ from repro.bench.registry import BenchCase
 from repro.circuits.pvt import NOMINAL
 from repro.circuits.topologies.base import SizingProblem
 from repro.search import campaign, trust_region
+from repro.search import optimizer as optimizer_module
 from repro.search.campaign import Campaign, EvaluationHandle
 from repro.search.progressive import ProgressiveConfig
 from repro.search.trust_region import TrustRegionSearch
@@ -108,6 +111,41 @@ def run_in_campaign(
         member.optimizer = member._build_optimizer()
     driver.run()
     return member.optimizer
+
+
+@pytest.fixture
+def search_sizes(monkeypatch: pytest.MonkeyPatch):
+    """Set the searches' fixed sizes to small values for the current test.
+
+    Each keyword of the returned function names a module constant of
+    :mod:`repro.search.trust_region` in lower case; ``batch_size`` also sets
+    the baselines' :data:`~repro.search.optimizer.BASELINE_BATCH_SIZE`.  An
+    omitted keyword keeps its constant.  Searches read the constants when
+    they run, so a call affects every search the test runs after it, and
+    the constants are restored when the test ends.
+    """
+
+    def shrink(
+        batch_size=None,
+        candidate_pool=None,
+        surrogate_hidden=None,
+        initial_epochs=None,
+        refit_epochs=None,
+    ) -> None:
+        sizes = {
+            "BATCH_SIZE": batch_size,
+            "CANDIDATE_POOL": candidate_pool,
+            "SURROGATE_HIDDEN": surrogate_hidden,
+            "INITIAL_EPOCHS": initial_epochs,
+            "REFIT_EPOCHS": refit_epochs,
+        }
+        for name, value in sizes.items():
+            if value is not None:
+                monkeypatch.setattr(trust_region, name, value)
+        if batch_size is not None:
+            monkeypatch.setattr(optimizer_module, "BASELINE_BATCH_SIZE", batch_size)
+
+    return shrink
 
 
 def train_one_by_one(jobs):

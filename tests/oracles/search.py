@@ -42,7 +42,8 @@ def run_trust_region(search, evaluator) -> List[IterationRecord]:
     ``_fit_output_layer``, ``_rank_candidates``).  The refit primitives
     queue a full refit, so each iteration first trains the job the last
     refit queued, before it draws anything; the initial fit is then
-    finished with the closed-form output-layer solve.
+    finished with the closed-form output-layer solve.  The sizes are read
+    from the :mod:`repro.search.trust_region` constants when it runs.
     """
     config = search.config
     seed_points = search.design_space.sample(search.rng, trust_region.SEED_SAMPLES)
@@ -54,7 +55,7 @@ def run_trust_region(search, evaluator) -> List[IterationRecord]:
     history = []
     initial_fit = search._scores[search._best] < FEASIBLE_TOL
     if initial_fit:
-        search._refit_surrogate(epochs=config.initial_epochs)
+        search._refit_surrogate(epochs=trust_region.INITIAL_EPOCHS)
 
     while (
         search._scores[search._best] < FEASIBLE_TOL
@@ -69,17 +70,18 @@ def run_trust_region(search, evaluator) -> List[IterationRecord]:
         center = search._X[search._best]
         space = search.design_space
         candidates = space.grid_values(
-            space.sample_ball_index(search.rng, center, radius, config.candidate_pool)
+            space.sample_ball_index(search.rng, center, radius, trust_region.CANDIDATE_POOL)
         )
-        order = search._rank_candidates(space.to_unit(candidates), keep=4 * config.batch_size)
+        batch_size = trust_region.BATCH_SIZE
+        order = search._rank_candidates(space.to_unit(candidates), keep=4 * batch_size)
         previous = search._scores[search._best]
-        step = min(config.batch_size, config.max_evaluations - search._count)
+        step = min(batch_size, config.max_evaluations - search._count)
         added = evaluate_new(search, evaluator, candidates[order], limit=step)
         if added == 0:
             added = evaluate_new(
                 search,
                 evaluator,
-                search.design_space.sample(search.rng, config.batch_size),
+                search.design_space.sample(search.rng, batch_size),
                 limit=step,
             )
             if added == 0:

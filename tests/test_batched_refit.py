@@ -300,6 +300,12 @@ class TestSmokeSuiteRefitParity:
 
 
 class TestDeferredRefitMechanics:
+    @pytest.fixture(autouse=True)
+    def small_search(self, search_sizes):
+        search_sizes(
+            batch_size=5, candidate_pool=32, surrogate_hidden=(8,), initial_epochs=6, refit_epochs=3,
+        )
+
     def make_search(self):
         space = DesignSpace([Parameter("x", 0.0, 1.0, grid_points=51)])
         spec = Specification([Spec("a", ">=", 10.0)], ["a"])  # unsatisfiable
@@ -307,11 +313,7 @@ class TestDeferredRefitMechanics:
         def evaluator(samples):
             return np.atleast_2d(samples)[:, :1] * 0.0
 
-        config = TrustRegionConfig(
-            seed=0, batch_size=5, max_evaluations=40,
-            candidate_pool=32, surrogate_hidden=(8,), initial_epochs=6,
-            refit_epochs=3,
-        )
+        config = TrustRegionConfig(seed=0, max_evaluations=40)
         return TrustRegionSearch(space, spec, config), evaluator
 
     def drive_until_pending(self, search, evaluator):

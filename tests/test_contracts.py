@@ -30,10 +30,10 @@ from repro.search import (
     ProgressiveConfig,
     Spec,
     Specification,
+    TrustRegionConfig,
     get_optimizer,
 )
 from repro.search.sizing import size_problem
-from repro.search.trust_region import TrustRegionConfig
 
 
 @pytest.fixture

@@ -33,9 +33,8 @@ from repro.circuits.pvt import (
 from repro.circuits.topologies import SizingProblem, available_topologies, get_topology
 from repro.analysis.determinism import fingerprint_outcome
 from repro.bench.registry import get_suite
-from repro.search import EvaluationCache, ProgressiveConfig
+from repro.search import EvaluationCache, ProgressiveConfig, TrustRegionConfig
 from repro.search.sizing import build_campaign
-from repro.search.trust_region import TrustRegionConfig
 
 ALL_TOPOLOGY_NAMES = sorted(available_topologies())
 
@@ -361,7 +360,7 @@ class TestProgressiveTrajectoryLock:
 class TestRefitSkip:
     """The final surrogate refit (whose output nobody consumes) is skipped."""
 
-    def test_no_refit_after_the_deciding_batch(self, monkeypatch):
+    def test_no_refit_after_the_deciding_batch(self, monkeypatch, search_sizes):
         from repro.search.trust_region import TrustRegionSearch
         from repro.core.design_space import DesignSpace, Parameter
         from repro.search.spec import Spec, Specification
@@ -371,11 +370,10 @@ class TestRefitSkip:
 
         space = DesignSpace([Parameter("x", 0.0, 1.0, grid_points=201)])
         spec = Specification([Spec("a", ">=", 10.0)], ["a"])  # unsatisfiable
-        config = TrustRegionConfig(
-            seed=0, batch_size=5, max_evaluations=30,
-            candidate_pool=32, surrogate_hidden=(8,), initial_epochs=5,
-            refit_epochs=2,
+        search_sizes(
+            batch_size=5, candidate_pool=32, surrogate_hidden=(8,), initial_epochs=5, refit_epochs=2,
         )
+        config = TrustRegionConfig(seed=0, max_evaluations=30)
         refits = []
         original = TrustRegionSearch._refit_surrogate
 

@@ -131,8 +131,7 @@ class TestModuleInterop:
         """Same seeded generator -> bit-identical initial weights, for the
         surrogate of every topology at the default hidden widths."""
         cls = get_topology(topology)
-        shape = (len(cls.VARIABLE_NAMES), TrustRegionConfig().surrogate_hidden,
-                 len(cls.METRIC_NAMES))
+        shape = (len(cls.VARIABLE_NAMES), trust_region.SURROGATE_HIDDEN, len(cls.METRIC_NAMES))
         module = MLP(*shape, rng=np.random.default_rng(seed))
         fused = FusedMLP(*shape, rng=np.random.default_rng(seed))
         np.testing.assert_array_equal(flat_params(module), fused.theta)
@@ -175,17 +174,16 @@ def augmented_lstsq(features, targets, l2):
     return np.linalg.lstsq(stacked, padded, rcond=None)[0]
 
 
-def seeded_search() -> TrustRegionSearch:
+def seeded_search(search_sizes) -> TrustRegionSearch:
     """A search on an unsatisfiable spec, told its Monte-Carlo seed: the
-    initial fit is queued."""
+    initial fit is queued.  ``search_sizes`` is the test's fixture."""
     from repro.core.design_space import DesignSpace, Parameter
     from repro.search import Spec, Specification
 
     space = DesignSpace([Parameter("x", 0.0, 1.0, grid_points=101)])
     spec = Specification([Spec("a", ">=", 10.0)], ["a"])  # unsatisfiable
-    config = TrustRegionConfig(seed=0, surrogate_hidden=(8, 8),
-                               initial_epochs=4)
-    search = TrustRegionSearch(space, spec, config)
+    search_sizes(surrogate_hidden=(8, 8), initial_epochs=4)
+    search = TrustRegionSearch(space, spec, TrustRegionConfig(seed=0))
     rows = search.ask()
     search.tell(rows, np.sin(7.0 * rows))
     return search
@@ -249,10 +247,10 @@ class TestFitOutputLayer:
         np.testing.assert_array_equal(adam._v, moments[1])
         assert adam._t == moments[2]
 
-    def test_search_refit_draws_no_rng(self):
+    def test_search_refit_draws_no_rng(self, search_sizes):
         """Inside a search, the closed-form refit moves only the output
         layer: the RNG, the hidden layers and Adam's state stay put."""
-        search = seeded_search()
+        search = seeded_search(search_sizes)
         fit_batched([search.take_refit_job()])  # the queued initial fit
         rng_state = search.rng.bit_generator.state
         theta = search._surrogate.theta.copy()
@@ -268,10 +266,10 @@ class TestFitOutputLayer:
         np.testing.assert_array_equal(adam._v, moments[1])
         assert adam._t == moments[2] > 0
 
-    def test_first_ask_finishes_the_initial_fit_in_closed_form(self):
+    def test_first_ask_finishes_the_initial_fit_in_closed_form(self, search_sizes):
         """After the initial Adam fit trains, the next ask solves the output
         layer by ridge on the seed rows before it ranks anything."""
-        search = seeded_search()
+        search = seeded_search(search_sizes)
         fit_batched([search.take_refit_job()])  # the queued initial fit
         count = search.evaluations
         assert search.refit_count == 1
@@ -285,9 +283,9 @@ class TestFitOutputLayer:
         )
         np.testing.assert_array_equal(output_layer(surrogate), expected.astype(DTYPE))
 
-    def test_initial_fit_finish_draws_no_rng(self):
+    def test_initial_fit_finish_draws_no_rng(self, search_sizes):
         """The finish changes what the ask ranks with, never what it draws."""
-        finished, unfinished = seeded_search(), seeded_search()
+        finished, unfinished = seeded_search(search_sizes), seeded_search(search_sizes)
         for search in (finished, unfinished):
             fit_batched([search.take_refit_job()])
         unfinished._finish_pending = False
@@ -375,9 +373,9 @@ class TestDtypes:
         for job in jobs:
             self.assert_model_dtypes(job.model, job.adam)
 
-    def test_search_refit_job_carries_float32(self, monkeypatch):
+    def test_search_refit_job_carries_float32(self, monkeypatch, search_sizes):
         seen = record_kernel_dtypes(monkeypatch)
-        search = seeded_search()
+        search = seeded_search(search_sizes)
         job = search.take_refit_job()
         assert job.inputs.dtype == job.targets.dtype == np.dtype(DTYPE)
         fit_batched([job])
@@ -441,7 +439,8 @@ def assert_same_surrogates(fused_states, autodiff_states):
 class TestSearchLevelParity:
     """The autodiff oracle must reproduce every fused search trajectory."""
 
-    def run_search(self):
+    @staticmethod
+    def run_search(search_sizes):
         """The toy CSP through a one-seed campaign; returns the phase
         optimizer."""
         from repro.core.design_space import DesignSpace, Parameter
@@ -461,25 +460,25 @@ class TestSearchLevelParity:
         # A target disc of radius 0.02: the 24-row Monte-Carlo seed misses
         # it, so the search refits (full and closed-form) before it solves.
         spec = Specification([Spec("a", ">=", 0.9996), Spec("b", "<=", 0.0004)], ["a", "b"])
-        config = TrustRegionConfig(
-            seed=0, batch_size=6, candidate_pool=128,
-            max_evaluations=300, surrogate_hidden=(24, 24),
+        search_sizes(
+            batch_size=6, candidate_pool=128, surrogate_hidden=(24, 24),
             initial_epochs=60, refit_epochs=15,
         )
+        config = TrustRegionConfig(seed=0, max_evaluations=300)
         return run_in_campaign(evaluator, space, spec, config)
 
-    def test_toy_csp_trajectories_identical(self, oracles, monkeypatch):
+    def test_toy_csp_trajectories_identical(self, oracles, monkeypatch, search_sizes):
         """A one-seed campaign, whose refits each train as a one-job
         dispatch, reaches the same rows and surrogate bits on the oracle."""
         built = capture_surrogates(monkeypatch)
-        search = self.run_search()
+        search = self.run_search(search_sizes)
         fused = search.result()
         fused_states = [surrogate_state(*pair) for pair in built]
         oracles.autodiff_surrogate()
         built = capture_surrogates(monkeypatch)
         fits = record_calls(monkeypatch, MLP, "fit")
         closed_form = record_calls(monkeypatch, MLP, "fit_output_layer")
-        oracle_search = self.run_search()
+        oracle_search = self.run_search(search_sizes)
         autodiff = oracle_search.result()
         assert oracle_search.refit_count == search.refit_count > len(fits) > 0
         assert closed_form

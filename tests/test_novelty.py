@@ -155,7 +155,7 @@ class TestDedupParity:
         assert_same_selection(rewound._select_new(block), oracle_select(rewound, block))
 
     @pytest.mark.parametrize("name", OPTIMIZERS)
-    def test_every_ask_of_a_run_selects_the_oracle_rows(self, name, monkeypatch):
+    def test_every_ask_of_a_run_selects_the_oracle_rows(self, name, monkeypatch, search_sizes):
         """Every selection of a three-seed run, whether it comes from a
         member's slice of a stacked ask or from a lone redraw, picks the
         oracle rows of the block it was given, and the keys handed in with
@@ -172,10 +172,8 @@ class TestDedupParity:
             return selected
 
         monkeypatch.setattr(DatasetOptimizer, "_pick_new", checked)
-        config = TrustRegionConfig(
-            seed=3, batch_size=4, candidate_pool=64,
-            max_evaluations=70, initial_epochs=4, refit_epochs=2,
-        )
+        search_sizes(batch_size=4, candidate_pool=64, initial_epochs=4, refit_epochs=2)
+        config = TrustRegionConfig(seed=3, max_evaluations=70)
         campaign = one_corner_campaign(
             toy_evaluator, toy_space(), UNREACHABLE, config, optimizer=name, seeds=[3, 4, 5]
         )
@@ -204,19 +202,15 @@ class StubOptimizer:
             start += count
 
 
-class OtherStubOptimizer(StubOptimizer):
-    """A second optimizer class, told in a stack of its own."""
-
-
 class StubMember:
     """Records what ``Campaign._run_group`` hands back: a verifying
     member's received block, a searching member's told rows."""
 
-    def __init__(self, seed, verifying=False, optimizer=StubOptimizer):
+    def __init__(self, seed, verifying=False):
         self.seed = seed
         self.phase = 0
         self.verifying = verifying
-        self.optimizer = optimizer()
+        self.optimizer = StubOptimizer()
         self.blocks = []
 
     def receive(self, block):
@@ -239,7 +233,10 @@ def toy_campaign():
         metric_names=("m",),
         corner_evaluator=distinct_evaluator,
     )
-    return Campaign(handle, [Spec("m", ">=", 0.0)], seeds=[0])
+    campaign = Campaign(handle, [Spec("m", ">=", 0.0)], seeds=[0])
+    # The passes below are handed stub members, told through the stub class.
+    campaign.optimizer_cls = StubOptimizer
+    return campaign
 
 
 def run_group_against_peek(campaign, grouped):
@@ -281,7 +278,7 @@ class TestPassAttribution:
         members = [
             StubMember(0),
             StubMember(1, verifying=True),
-            StubMember(2, optimizer=OtherStubOptimizer),
+            StubMember(2),
         ]
         grouped = [
             (members[0], np.vstack([a, b, e]), corners),
@@ -299,7 +296,7 @@ class TestPassAttribution:
         members = [
             StubMember(0),
             StubMember(1, verifying=True),
-            StubMember(2, optimizer=OtherStubOptimizer),
+            StubMember(2),
             StubMember(3),
         ]
         for _ in range(25):
@@ -486,8 +483,11 @@ class TestCheckpointBytes:
         assert {_corner_from_tag(tag) for tag, _, _ in records} <= set(case.corners())
         assert sum(len(keys) for _, keys, _ in records) == len(campaign.cache)
 
-    def test_a_repeated_corner_serializes_like_the_reference(self, tmp_path, monkeypatch):
+    def test_a_repeated_corner_serializes_like_the_reference(
+        self, tmp_path, monkeypatch, search_sizes
+    ):
         frozen_clock(monkeypatch)
+        search_sizes(batch_size=4)
         grid = nine_corner_grid()[:3]
 
         def corner_evaluator(samples, corners):
@@ -503,9 +503,7 @@ class TestCheckpointBytes:
                 corners=[grid[0], grid[1], grid[0], grid[2]],
                 config=ProgressiveConfig(
                     optimizer="random",
-                    trust_region=TrustRegionConfig(
-                        batch_size=4, max_evaluations=24
-                    ),
+                    trust_region=TrustRegionConfig(max_evaluations=24),
                 ),
                 seeds=[4],
             )

@@ -9,6 +9,7 @@ incumbent — across every registered topology.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from repro.search import (
     register_optimizer,
     size_problem,
 )
-from repro.search.optimizer import FEASIBLE_TOL
+from repro.search.optimizer import BASELINE_BATCH_SIZE, FEASIBLE_TOL
 
 
 def toy_evaluator(samples):
@@ -76,15 +77,15 @@ class TestQueuedRefit:
     """``tell`` queues a full refit; ``ask`` refuses to run until the
     driver has popped and trained it."""
 
+    @pytest.fixture(autouse=True)
+    def small_search(self, search_sizes):
+        search_sizes(
+            batch_size=5, candidate_pool=32, surrogate_hidden=(8,), initial_epochs=10, refit_epochs=5,
+        )
+
     @staticmethod
     def config(**overrides):
-        return TrustRegionConfig(
-            **{
-                "seed": 1, "batch_size": 5, "candidate_pool": 32,
-                "max_evaluations": 200, "surrogate_hidden": (8,),
-                "initial_epochs": 10, "refit_epochs": 5, **overrides,
-            }
-        )
+        return TrustRegionConfig(**{"seed": 1, "max_evaluations": 200, **overrides})
 
     def make_search(self):
         return TrustRegionSearch(toy_space(), toy_spec(False), self.config())
@@ -168,33 +169,31 @@ class TestTrajectoryLockVsOracle:
         )
 
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_toy_csp(self, seed):
-        config = TrustRegionConfig(
-            seed=seed, batch_size=6, candidate_pool=128,
-            max_evaluations=200, surrogate_hidden=(24, 24),
+    def test_toy_csp(self, seed, search_sizes):
+        search_sizes(
+            batch_size=6, candidate_pool=128, surrogate_hidden=(24, 24),
             initial_epochs=60, refit_epochs=15,
         )
+        config = TrustRegionConfig(seed=seed, max_evaluations=200)
         self.assert_same_trajectory(toy_evaluator, toy_space(), toy_spec(), config)
 
-    def test_unsatisfiable_exhausts_budget_identically(self):
+    def test_unsatisfiable_exhausts_budget_identically(self, search_sizes):
         """Locks the fallback-sampling and budget-clamp paths too."""
-        config = TrustRegionConfig(
-            seed=1, batch_size=5, candidate_pool=32,
-            max_evaluations=60, surrogate_hidden=(8,),
-            initial_epochs=10, refit_epochs=5,
+        search_sizes(
+            batch_size=5, candidate_pool=32, surrogate_hidden=(8,), initial_epochs=10, refit_epochs=5,
         )
+        config = TrustRegionConfig(seed=1, max_evaluations=60)
         space = DesignSpace(
             [Parameter("x", 0.0, 1.0, grid_points=21),
              Parameter("y", 0.0, 1.0, grid_points=21)]
         )
         self.assert_same_trajectory(toy_evaluator, space, toy_spec(False), config)
 
-    def test_warm_start_points_identical(self):
-        config = TrustRegionConfig(
-            seed=2, batch_size=4, candidate_pool=64,
-            max_evaluations=80, surrogate_hidden=(16,),
-            initial_epochs=20, refit_epochs=8,
+    def test_warm_start_points_identical(self, search_sizes):
+        search_sizes(
+            batch_size=4, candidate_pool=64, surrogate_hidden=(16,), initial_epochs=20, refit_epochs=8,
         )
+        config = TrustRegionConfig(seed=2, max_evaluations=80)
         warm = np.array([[0.5, 0.5], [0.7, 0.3]])
         self.assert_same_trajectory(
             toy_evaluator, toy_space(), toy_spec(), config, initial_points=warm
@@ -202,12 +201,14 @@ class TestTrajectoryLockVsOracle:
 
 
 class TestAskTellProtocol:
-    def make(self, cls=TrustRegionSearch, feasible=True, **config_kwargs):
-        defaults = dict(
-            seed=0, batch_size=4, candidate_pool=64,
-            max_evaluations=120, surrogate_hidden=(16,),
-            initial_epochs=20, refit_epochs=8,
+    @pytest.fixture(autouse=True)
+    def small_search(self, search_sizes):
+        search_sizes(
+            batch_size=4, candidate_pool=64, surrogate_hidden=(16,), initial_epochs=20, refit_epochs=8,
         )
+
+    def make(self, cls=TrustRegionSearch, feasible=True, **config_kwargs):
+        defaults = dict(seed=0, max_evaluations=120)
         defaults.update(config_kwargs)
         return cls(toy_space(), toy_spec(feasible), TrustRegionConfig(**defaults))
 
@@ -267,7 +268,7 @@ class TestAskTellProtocol:
 
 class TestBaselines:
     def config(self, **kwargs):
-        defaults = dict(seed=0, batch_size=8, max_evaluations=400)
+        defaults = dict(seed=0, max_evaluations=400)
         defaults.update(kwargs)
         return TrustRegionConfig(**defaults)
 
@@ -469,7 +470,23 @@ class TestCampaignParity:
 
 
 class TestCustomOptimizerIntegration:
-    """The README "write your own optimizer" path actually works end to end."""
+    """The README "Write your own optimizer" path works end to end: its
+    example as written, and a strategy with a constructor of its own."""
+
+    def test_readme_example_runs(self):
+        """The first ``python`` block under the README heading, executed."""
+        from repro.search.optimizer import _OPTIMIZERS
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Write your own optimizer\n", 1)[1]
+        source = section.split("```python\n", 1)[1].split("```", 1)[0]
+        namespace = {}
+        try:
+            exec(compile(source, "README.md", "exec"), namespace)
+            assert get_optimizer("annealed_random") is namespace["AnnealedRandom"]
+            assert namespace["result"].solved_all_corners
+        finally:
+            _OPTIMIZERS.pop("annealed_random", None)
 
     def test_registered_custom_optimizer_runs_in_campaign(self):
         from repro.search import DatasetOptimizer
@@ -480,7 +497,7 @@ class TestCustomOptimizerIntegration:
 
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                self._draw = self.config.batch_size
+                self._draw = BASELINE_BATCH_SIZE
 
             def ask(self):
                 if self.is_done:

@@ -35,6 +35,7 @@ from repro.resilience import snapshot as snapshot_module
 from repro.resilience.drill import drill_case, drill_suite
 from repro.resilience.store import read_journal
 from repro.search.campaign import CACHE_JOURNAL, LATEST_SNAPSHOT, Campaign
+from repro.search.optimizer import BASELINE_BATCH_SIZE
 
 
 def _campaign_fingerprint(campaign, outcome, seeds):
@@ -803,7 +804,6 @@ class TestMemberJournal:
         case = BenchCase("two_stage_opamp", "smoke", "full45", optimizer="random")
         campaign = case.build_campaign([0])
         campaign.run(checkpoint_dir=ckpt, keep_history=True)
-        batch = campaign.progressive.trust_region.batch_size
         state_bytes = []
         for name in self._rounds(ckpt):
             state = load_snapshot(os.path.join(ckpt, name))
@@ -811,7 +811,7 @@ class TestMemberJournal:
             assert set(state) == {"identity", "rounds", "cache"}, name
             assert _member_arrays(state) == [], name
             state_bytes.append(len(pickle.dumps(state)))
-        assert campaign._members[0].total_evaluations > 10 * batch
+        assert campaign._members[0].total_evaluations > 10 * BASELINE_BATCH_SIZE
         assert state_bytes[-1] <= 3 * state_bytes[1]
 
     def test_crash_after_the_journal_rewrites_the_same_frames(self, tmp_path):

@@ -1,6 +1,9 @@
 """Trust-region search: spec machinery, smoke CSP, and the opamp demo."""
 
+import ast
+from dataclasses import fields
 from functools import partial
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,10 +36,12 @@ def _drill_campaign_run(**kwargs):
 
 
 #: Every retired setting, as (callable, keyword, the value it used to take):
-#: the trust-region radius schedule and surrogate optimiser settings (module
-#: constants of repro.search.trust_region), the checkpoint cadence (every
-#: round), build_campaign's overrides (its config carries them) and the
-#: tracing switch (tracing() always traces).
+#: the trust-region radius schedule, surrogate optimiser settings, batch,
+#: candidate pool, surrogate widths and epochs (module constants of
+#: repro.search.trust_region, and BASELINE_BATCH_SIZE of
+#: repro.search.optimizer), the checkpoint cadence (every round),
+#: build_campaign's overrides (its config carries them) and the tracing
+#: switch (tracing() always traces).
 RETIRED_KEYWORDS = [
     *(
         pytest.param(TrustRegionConfig, keyword, value, id=f"TrustRegionConfig-{keyword}")
@@ -48,6 +53,11 @@ RETIRED_KEYWORDS = [
             ("shrink", 0.5),
             ("learning_rate", 3e-3),
             ("surrogate_batch_size", 64),
+            ("batch_size", 8),
+            ("candidate_pool", 512),
+            ("surrogate_hidden", (48, 48)),
+            ("initial_epochs", 120),
+            ("refit_epochs", 25),
         )
     ),
     pytest.param(_drill_campaign_run, "checkpoint_every", 2, id="Campaign.run-checkpoint_every"),
@@ -180,52 +190,44 @@ def quadratic_evaluator(samples):
 
 
 class TestTrustRegionSearch:
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("initial_epochs", 0),
-            ("refit_epochs", 0),
-            ("surrogate_hidden", (0,)),
-            ("surrogate_hidden", (48, 0)),
-        ],
-    )
+    @pytest.mark.parametrize("field, value", [("max_evaluations", 0)])
     def test_config_rejects_inconsistent_values(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrustRegionConfig(**{field: value})
 
-    def run_search(self, seed=0, max_evaluations=300):
+    @staticmethod
+    def run_search(search_sizes, seed=0, max_evaluations=300):
         space = DesignSpace(
             [Parameter("x", 0.0, 1.0, grid_points=101), Parameter("y", 0.0, 1.0, grid_points=101)]
         )
         spec = Specification(
             [Spec("a", ">=", 0.99), Spec("b", "<=", 0.01)], ["a", "b"]
         )
-        config = TrustRegionConfig(
-            seed=seed,
+        search_sizes(
             batch_size=6,
             candidate_pool=128,
-            max_evaluations=max_evaluations,
             surrogate_hidden=(24, 24),
             initial_epochs=60,
             refit_epochs=15,
         )
+        config = TrustRegionConfig(seed=seed, max_evaluations=max_evaluations)
         return run_in_campaign(quadratic_evaluator, space, spec, config).result()
 
-    def test_solves_toy_csp(self):
-        result = self.run_search()
+    def test_solves_toy_csp(self, search_sizes):
+        result = self.run_search(search_sizes)
         assert result.solved
         assert result.evaluations <= 300
         assert abs(result.best_sizing["x"] - 0.7) < 0.1
         assert abs(result.best_sizing["y"] - 0.3) < 0.1
 
-    def test_reproducible_under_fixed_seed(self):
-        first = self.run_search(seed=3)
-        second = self.run_search(seed=3)
+    def test_reproducible_under_fixed_seed(self, search_sizes):
+        first = self.run_search(search_sizes, seed=3)
+        second = self.run_search(search_sizes, seed=3)
         np.testing.assert_array_equal(first.best_vector, second.best_vector)
         assert first.evaluations == second.evaluations
         assert first.best_score == second.best_score
 
-    def test_budget_is_respected(self):
+    def test_budget_is_respected(self, search_sizes):
         # An unsatisfiable spec must stop at the evaluation budget.
         space = DesignSpace([Parameter("x", 0.0, 1.0, grid_points=51)])
         spec = Specification([Spec("a", ">=", 10.0)], ["a"])
@@ -233,36 +235,31 @@ class TestTrustRegionSearch:
         def evaluator(samples):
             return np.atleast_2d(samples)[:, :1] * 0.0
 
-        config = TrustRegionConfig(
-            seed=0, batch_size=5, max_evaluations=40,
-            candidate_pool=32, surrogate_hidden=(8,), initial_epochs=10, refit_epochs=5,
+        search_sizes(
+            batch_size=5, candidate_pool=32, surrogate_hidden=(8,), initial_epochs=10, refit_epochs=5,
         )
+        config = TrustRegionConfig(seed=0, max_evaluations=40)
         result = run_in_campaign(evaluator, space, spec, config).result()
         assert not result.solved
         assert result.evaluations <= 51  # cannot exceed the (finite) grid
         # The Monte-Carlo seed stage honours the budget as well.
-        tight = TrustRegionConfig(
-            seed=0, batch_size=5, max_evaluations=10,
-            candidate_pool=32, surrogate_hidden=(8,), initial_epochs=10, refit_epochs=5,
-        )
+        tight = TrustRegionConfig(seed=0, max_evaluations=10)
         clamped = run_in_campaign(evaluator, space, spec, tight).result()
         assert clamped.evaluations <= 10
 
-    def test_budget_respected_when_batch_does_not_divide(self):
+    def test_budget_respected_when_batch_does_not_divide(self, search_sizes):
         """The last iteration must shrink its batch to the remaining budget."""
         space = DesignSpace(
             [Parameter("x", 0.0, 1.0, grid_points=101), Parameter("y", 0.0, 1.0, grid_points=101)]
         )
         spec = Specification([Spec("a", ">=", 10.0)], ["a", "b"])  # unsatisfiable
-        config = TrustRegionConfig(
-            seed=0, batch_size=8, max_evaluations=100,
-            candidate_pool=64, surrogate_hidden=(8,), initial_epochs=10, refit_epochs=5,
-        )
+        search_sizes(candidate_pool=64, surrogate_hidden=(8,), initial_epochs=10, refit_epochs=5)
+        config = TrustRegionConfig(seed=0, max_evaluations=100)
         result = run_in_campaign(quadratic_evaluator, space, spec, config).result()
         assert not result.solved
-        assert result.evaluations == 100  # 48 + 6*8 + final clamped batch of 4
+        assert result.evaluations == 100  # 24 + 9*8 + final clamped batch of 4
 
-    def test_never_reevaluates_a_point(self):
+    def test_never_reevaluates_a_point(self, search_sizes):
         calls = []
 
         def counting_evaluator(samples):
@@ -274,10 +271,10 @@ class TestTrustRegionSearch:
             [Parameter("x", 0.0, 1.0, grid_points=21), Parameter("y", 0.0, 1.0, grid_points=21)]
         )
         spec = Specification([Spec("a", ">=", 2.0)], ["a", "b"])  # unsatisfiable
-        config = TrustRegionConfig(
-            seed=1, batch_size=4, max_evaluations=80,
-            candidate_pool=64, surrogate_hidden=(8,), initial_epochs=10, refit_epochs=5,
+        search_sizes(
+            batch_size=4, candidate_pool=64, surrogate_hidden=(8,), initial_epochs=10, refit_epochs=5,
         )
+        config = TrustRegionConfig(seed=1, max_evaluations=80)
         run_in_campaign(counting_evaluator, space, spec, config)
         assert len(calls) == len(set(calls))
 
@@ -455,6 +452,47 @@ class TestDatasetHotPath:
         """Settings no caller varied are constants, not keywords."""
         with pytest.raises(TypeError, match=keyword):
             call(**{keyword: value})
+
+    def test_every_config_field_has_a_production_caller(self):
+        """A value no production caller varies is a module constant, not an
+        option: every field of the search configs is passed by keyword to
+        a config, a bench case or :func:`dataclasses.replace` somewhere in
+        ``src/`` or ``perfbench/``."""
+        root = Path(__file__).resolve().parents[1]
+        constructors = {"TrustRegionConfig", "ProgressiveConfig", "BenchCase"}
+        keywords = set()
+        for path in sorted((root / "src").rglob("*.py")) + sorted((root / "perfbench").rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            names = set(constructors)
+            if any(
+                isinstance(node, ast.ImportFrom)
+                and node.module == "dataclasses"
+                and any(alias.name == "replace" and alias.asname is None for alias in node.names)
+                for node in ast.walk(tree)
+            ):
+                names.add("replace")
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                called = (
+                    isinstance(func, ast.Name) and func.id in names
+                ) or (
+                    isinstance(func, ast.Attribute)
+                    and (
+                        func.attr in constructors
+                        or (
+                            func.attr == "replace"
+                            and isinstance(func.value, ast.Name)
+                            and func.value.id == "dataclasses"
+                        )
+                    )
+                )
+                if called:
+                    keywords.update(keyword.arg for keyword in node.keywords if keyword.arg)
+        for config in (TrustRegionConfig, ProgressiveConfig):
+            unset = [field.name for field in fields(config) if field.name not in keywords]
+            assert not unset, f"no production caller sets {config.__name__} fields {unset}"
 
 
 class TestCampaignVerification:

@@ -21,6 +21,7 @@ from conftest import one_corner_campaign
 from repro.bench.registry import BenchCase
 from repro.core.design_space import DesignSpace, Parameter, row_keys
 from repro.search import Campaign, Spec, Specification, TrustRegionConfig
+from repro.search import optimizer as optimizer_module
 from repro.search.optimizer import BaselineSearch, CrossEntropySearch, RandomSearch
 
 CLASSES = {"random": RandomSearch, "cross_entropy": CrossEntropySearch}
@@ -92,9 +93,13 @@ def toy_evaluator(samples):
 UNREACHABLE = Specification([Spec("a", ">=", 10.0)], ["a", "b"])
 
 
-def toy_build(name, max_evaluations):
+def toy_build(name, max_evaluations, search_sizes):
+    """Campaigns of ``name`` on the toy grid with 4-row batches
+    (``search_sizes`` is the test's fixture)."""
+    search_sizes(batch_size=4)
+
     def build(seeds):
-        config = TrustRegionConfig(seed=seeds[0], batch_size=4, max_evaluations=max_evaluations)
+        config = TrustRegionConfig(seed=seeds[0], max_evaluations=max_evaluations)
         return one_corner_campaign(
             toy_evaluator, toy_space(), UNREACHABLE, config, optimizer=name, seeds=seeds
         )
@@ -129,7 +134,7 @@ class TestStackedMatchesAlone:
         alone = [run_records(case.build_campaign([seed]))[0] for seed in SEEDS]
         assert records == alone
 
-    def test_ragged_generations_at_the_budget_tail(self, name, monkeypatch):
+    def test_ragged_generations_at_the_budget_tail(self, name, monkeypatch, search_sizes):
         """Dedup on a small grid and the budget clamp leave the members of
         one told stack with generations of different sizes."""
         tells = []
@@ -139,14 +144,14 @@ class TestStackedMatchesAlone:
             tells.append(list(counts))
             return original(optimizers, samples, metrics, counts, keys)
 
-        build = toy_build(name, max_evaluations=70)
+        build = toy_build(name, 70, search_sizes)
         with monkeypatch.context() as patch:
             patch.setattr(CLASSES[name], "tell_stack", classmethod(recording))
             run_records(build(SEEDS))
         assert any(len(counts) > 1 and len(set(counts)) > 1 for counts in tells)
         assert_seeds_match_alone(build, SEEDS)
 
-    def test_a_stacked_draw_that_collides_entirely(self, name, monkeypatch):
+    def test_a_stacked_draw_that_collides_entirely(self, name, monkeypatch, search_sizes):
         """With a budget past the grid's 80 points the seeds exhaust it: a
         member whose slice of a stacked draw held only evaluated rows draws
         again, stacked with the other such members, until new rows turn up
@@ -159,7 +164,7 @@ class TestStackedMatchesAlone:
             draws.append([rows.shape[0] for rows, _ in picks])
             return picks
 
-        build = toy_build(name, max_evaluations=200)
+        build = toy_build(name, 200, search_sizes)
         with monkeypatch.context() as patch:
             patch.setattr(BaselineSearch, "_draw_stack", staticmethod(recording))
             run_records(build(SEEDS))
@@ -191,7 +196,7 @@ class TestStackedMatchesAlone:
 def reference_refit(optimizer, units, scores):
     """The per-member cross-entropy refit that one ``(members, rows, dim)``
     reduction replaced, as ``CrossEntropySearch.tell`` ran it alone."""
-    mu = min(optimizer.config.batch_size, units.shape[0])
+    mu = min(optimizer_module.BASELINE_BATCH_SIZE, units.shape[0])
     elite = units[np.argsort(-scores, kind="stable")[:mu]]
     mean = elite.mean(axis=0)
     std = np.maximum(elite.std(axis=0), CrossEntropySearch.STD_FLOOR)
@@ -205,16 +210,18 @@ def reference_refit(optimizer, units, scores):
 
 
 def test_stacked_elite_refit_matches_the_per_member_reference():
-    """Generations of equal and unequal sizes, elites of several sizes,
-    fresh and smoothed distributions: each member's mean and std equal its
-    own refit's bit for bit."""
+    """Generations of equal and unequal sizes, and so elites of several
+    sizes (the whole of a generation no larger than
+    :data:`~repro.search.optimizer.BASELINE_BATCH_SIZE`, its best rows of a
+    larger one), fresh and smoothed distributions: each member's mean and
+    std equal its own refit's bit for bit."""
     rng = np.random.default_rng(5)
     optimizers = [
-        CrossEntropySearch(toy_space(), UNREACHABLE, TrustRegionConfig(seed=seed, batch_size=size))
-        for seed, size in enumerate([4, 4, 4, 2, 8, 4])
+        CrossEntropySearch(toy_space(), UNREACHABLE, TrustRegionConfig(seed=seed))
+        for seed in range(6)
     ]
     for _ in range(4):
-        counts = [int(count) for count in rng.choice([3, 6, 6, 16], size=len(optimizers))]
+        counts = [int(count) for count in rng.choice([2, 3, 6, 6, 8, 16], size=len(optimizers))]
         units = rng.random((sum(counts), 3))
         scores = -rng.random(sum(counts)).round(1)  # ties keep the stable order
         expected = []

@@ -36,9 +36,10 @@ def peak_evaluator(samples):
     return (1.0 - (x - 0.3) ** 2 - (y - 0.6) ** 2)[:, np.newaxis]
 
 
-def run_search():
-    """The unsatisfiable peak problem, run to its budget; returns the
-    phase optimizer."""
+def run_search(search_sizes):
+    """The unsatisfiable peak problem, run to its budget at small search
+    sizes (``search_sizes`` is the test's fixture); returns the phase
+    optimizer."""
     space = DesignSpace(
         [
             Parameter("x", 0.0, 1.0, grid_points=101),
@@ -46,25 +47,20 @@ def run_search():
         ]
     )
     spec = Specification([Spec("a", ">=", 10.0)], ["a"])
-    config = TrustRegionConfig(
-        seed=0,
-        batch_size=4,
-        candidate_pool=64,
-        max_evaluations=240,
-        surrogate_hidden=(8,),
-        initial_epochs=6,
-        refit_epochs=2,
+    search_sizes(
+        batch_size=4, candidate_pool=64, surrogate_hidden=(8,), initial_epochs=6, refit_epochs=2,
     )
+    config = TrustRegionConfig(seed=0, max_evaluations=240)
     return run_in_campaign(peak_evaluator, space, spec, config)
 
 
 class TestRestartRule:
     @pytest.mark.parametrize("patience", [2, trust_region.STALL_PATIENCE])
     def test_restart_follows_patience_stalled_tells_at_min_radius(
-        self, patience, monkeypatch
+        self, patience, monkeypatch, search_sizes
     ):
         monkeypatch.setattr(trust_region, "STALL_PATIENCE", patience)
-        search = run_search()
+        search = run_search(search_sizes)
         history = search.result().history
         floor = trust_region.MIN_RADIUS
         restarts = [i for i, record in enumerate(history) if record.restarted]
@@ -83,8 +79,8 @@ class TestRestartRule:
             assert history[i].radius > floor
         assert search.result().restarts == len(restarts)
 
-    def test_global_incumbent_survives_restarts(self):
-        search = run_search()
+    def test_global_incumbent_survives_restarts(self, search_sizes):
+        search = run_search(search_sizes)
         result = search.result()
         assert result.restarts > 0
         scores = [record.best_score for record in result.history]
